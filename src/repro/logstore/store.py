@@ -20,6 +20,7 @@ Example
 
 from __future__ import annotations
 
+import threading
 from collections.abc import Iterable, Iterator
 from typing import TYPE_CHECKING
 from uuid import uuid4
@@ -49,7 +50,7 @@ class LogStore:
     metrics:
         Optional :class:`~repro.obs.metrics.MetricsRegistry` receiving the
         ``logstore.*`` counter family (records appended, instances
-        opened/closed, snapshots taken).
+        opened/closed, snapshots taken and built).
     """
 
     def __init__(self, *, metrics: MetricsRegistry | None = None) -> None:
@@ -57,18 +58,19 @@ class LogStore:
         self._next_is_lsn: dict[int, int] = {}
         self._closed: set[int] = set()
         self._next_wid = 1
-        self._epoch = 0
         self._lineage = f"logstore:{uuid4().hex}"
+        self._snapshot: Log | None = None
+        self._snapshot_lock = threading.Lock()
         self._columnar: "ColumnarLog | None" = None
         self.metrics = metrics
 
     @property
     def epoch(self) -> int:
-        """Append epoch: bumped once per appended record (sentinels
+        """Append epoch: the number of records appended so far (sentinels
         included).  Snapshots are stamped with the epoch they were taken
         at, which is what lets the :mod:`repro.cache` result cache
         invalidate precisely on appends."""
-        return self._epoch
+        return len(self._records)
 
     @property
     def lineage(self) -> str:
@@ -148,7 +150,6 @@ class LogStore:
         )
         self._records.append(record)
         self._next_is_lsn[wid] += 1
-        self._epoch += 1
         if self.metrics is not None:
             self.metrics.counter("logstore.records_appended").inc()
         return record
@@ -175,35 +176,46 @@ class LogStore:
     def snapshot(self) -> Log:
         """An immutable, validated :class:`~repro.core.model.Log` of the
         current contents.  Queries run over snapshots; the store can keep
-        appending afterwards."""
+        appending afterwards.
+
+        The log is built (and checked against Definition 2) once per
+        epoch: every call until the next append returns the same object.
+        """
         if not self._records:
             raise LogStoreError("cannot snapshot an empty store")
         if self.metrics is not None:
             self.metrics.counter("logstore.snapshots").inc()
-        logger.debug(
-            "snapshot: %d records / %d instances",
-            len(self._records),
-            len(self._next_is_lsn),
-        )
-        return Log(
-            self._records,
-            epoch=self._epoch,
-            lineage=self._lineage,
-            snapshot=True,
-        )
+        with self._snapshot_lock:
+            cached = self._snapshot
+            if cached is None or cached.epoch != len(self._records):
+                # One atomic capture: the epoch stamped on the log is the
+                # length of the very tuple it holds, whatever appends
+                # land while it is being validated.
+                records = tuple(self._records)
+                if self.metrics is not None:
+                    self.metrics.counter("logstore.snapshot_builds").inc()
+                logger.debug("snapshot: building epoch %d", len(records))
+                cached = self._snapshot = Log(
+                    records,
+                    epoch=len(records),
+                    lineage=self._lineage,
+                    snapshot=True,
+                )
+        return cached
 
     def columnar(self) -> "ColumnarLog":
         """The columnar form of the current contents, cached per epoch.
 
-        The first call after any append builds a fresh validated snapshot
-        and its :class:`~repro.columnar.ColumnarLog`; subsequent calls at
+        The first call after any append builds the epoch's
+        :meth:`snapshot` (unless a query already did) and its
+        :class:`~repro.columnar.ColumnarLog`; subsequent calls at
         the same epoch return the cached view (the store's epoch advances
         with every record, so staleness is impossible).  This is the
         store-side entry point the vectorized and sqlite backends use to
         amortise the columnar build across queries.
         """
         cached = self._columnar
-        if cached is not None and cached.epoch == self._epoch:
+        if cached is not None and cached.epoch == self.epoch:
             return cached
         if self.metrics is not None:
             self.metrics.counter("logstore.columnar_builds").inc()
@@ -236,7 +248,7 @@ class LogStore:
         return Log(
             (r for r in self._records if r.wid in keep),
             validate=False,
-            epoch=self._epoch,
+            epoch=self.epoch,
             lineage=self._lineage,
             snapshot=False,
         )
@@ -247,7 +259,6 @@ class LogStore:
         loaded log)."""
         store = cls()
         store._records = list(log.records)
-        store._epoch = len(store._records)
         for record in store._records:
             store._next_is_lsn[record.wid] = max(
                 store._next_is_lsn.get(record.wid, 1), record.is_lsn + 1

@@ -16,8 +16,14 @@ Stores stay *live*: ``POST /v1/logs/{name}/records`` appends through
 :meth:`StoreCatalog.get`, bumping the store epoch, which is exactly the
 signal the PR-5 result cache keys on (``("lineage", store_id, epoch)``)
 — so a hot append invalidates precisely the cached results of that one
-log.  All mutation goes through one lock; snapshots are immutable so
-queries never need it.
+log.  All mutation goes through one catalog lock, so appenders
+interleave at batch granularity.  Queries do not take that lock: they
+read through :meth:`LogStore.snapshot`, which captures the record list
+in one atomic step (the epoch it stamps is the length of that capture)
+and builds the validated log at most once per epoch under the store's
+own snapshot lock.  A query that arrives while a batch is being applied
+can therefore see a prefix of the batch, always a well-formed log whose
+epoch names exactly the records it holds, never a torn one.
 """
 
 from __future__ import annotations

@@ -724,11 +724,11 @@ class QueryService:
                 payload["count"] = query.count(snapshot)
             else:
                 incidents = query.run(snapshot)
-                rows = incidents.to_rows()
-                payload["count"] = len(rows)
+                payload["count"] = len(incidents)
                 if request.mode == "instances":
-                    payload["instances"] = sorted({row["wid"] for row in rows})
+                    payload["instances"] = incidents.wids()
                 else:
+                    rows = incidents.to_rows()
                     limit = request.limit
                     shown = rows if limit is None else rows[:limit]
                     payload["incidents"] = [

@@ -1,10 +1,15 @@
 """Unit tests for the append-only LogStore."""
 
+import sys
+import threading
+import time
+
 import pytest
 
 from repro.core.errors import LogStoreError
 from repro.core.model import END, START
 from repro.logstore.store import LogStore
+from repro.obs.metrics import MetricsRegistry
 
 
 class TestLifecycle:
@@ -93,6 +98,84 @@ class TestSnapshots:
         before = store.snapshot()
         store.append(wid, "A")
         assert len(store.snapshot()) == len(before) + 1
+
+    def test_one_snapshot_object_per_epoch(self):
+        store = LogStore()
+        steps = [
+            lambda: store.open_instance(1),
+            lambda: store.append(1, "A"),
+            lambda: store.close_instance(1),
+        ]
+        for step in steps:
+            before = store.snapshot() if len(store) else None
+            step()
+            after = store.snapshot()
+            assert after is store.snapshot()
+            assert after is not before
+            assert len(after) == after.epoch == store.epoch == len(store)
+            assert after.records[-1] is store.tail(1)[0]
+            after.validate()
+        assert [r.activity for r in store.snapshot()] == [START, "A", END]
+
+    def test_snapshot_builds_once_per_epoch_and_counts_every_call(self):
+        metrics = MetricsRegistry()
+        store = LogStore(metrics=metrics)
+        wid = store.open_instance()
+        for _ in range(3):
+            store.snapshot()
+        assert metrics.counter("logstore.snapshot_builds").value == 1
+        assert metrics.counter("logstore.snapshots").value == 3
+        store.append(wid, "A")
+        store.columnar()  # builds the epoch's snapshot ...
+        store.snapshot()  # ... which a later query reuses
+        assert metrics.counter("logstore.snapshot_builds").value == 2
+        assert metrics.counter("logstore.snapshots").value == 5
+
+    def test_snapshot_epoch_names_its_records_under_a_concurrent_writer(self):
+        """A log stamped *n* holding *n+1* records would file results
+        under the wrong cache epoch; one capture yields both numbers.
+
+        The writer keeps refilling small stores for half a second, so
+        the readers take thousands of snapshots while appends land.
+        """
+        current = [LogStore()]
+        current[0].open_instance()
+        stop = threading.Event()
+        torn: list[str] = []
+
+        def write() -> None:
+            deadline = time.monotonic() + 0.5
+            while time.monotonic() < deadline:
+                store = LogStore()
+                wid = store.open_instance()
+                current[0] = store
+                while len(store) < 200:
+                    store.append(wid, "A")
+                    if len(store) % 7 == 0:
+                        store.close_instance(wid)
+                        wid = store.open_instance()
+            stop.set()
+
+        def read() -> None:
+            while not stop.is_set():
+                snap = current[0].snapshot()
+                if len(snap) != snap.epoch or snap.records[-1].lsn != len(snap):
+                    torn.append(f"{len(snap)} records at epoch {snap.epoch}")
+
+        threads = [threading.Thread(target=write)]
+        threads += [threading.Thread(target=read) for _ in range(4)]
+        interval = sys.getswitchinterval()
+        sys.setswitchinterval(1e-5)
+        try:
+            for thread in threads:
+                thread.start()
+            for thread in threads:
+                thread.join(timeout=60)
+        finally:
+            stop.set()
+            sys.setswitchinterval(interval)
+        assert not any(thread.is_alive() for thread in threads)
+        assert torn == []
 
     def test_tail(self):
         store = LogStore()

@@ -307,6 +307,32 @@ class TestCacheOverHttp:
         assert metric_value(text, "repro_cache_result_misses") == 2.0
         assert metric_value(text, "repro_cache_result_hits") == 1.0
 
+    def test_requests_share_one_snapshot_per_epoch(self, service):
+        body = {"log": "clinic", "pattern": "GetRefer", "mode": "count"}
+
+        def counters() -> tuple[float, float]:
+            text = service.dispatch("GET", "/metrics").body().decode()
+            return (
+                metric_value(text, "repro_logstore_snapshots"),
+                metric_value(text, "repro_logstore_snapshot_builds"),
+            )
+
+        for _ in range(3):
+            assert post(service, "/v1/query", body).status == 200
+        assert post(service, "/v1/lint", {"log": "clinic", "pattern": "GetRefer"}).status == 200
+        assert counters() == (4.0, 1.0)
+
+        before = service.catalog.snapshot("clinic")
+        append = post(
+            service, "/v1/logs/clinic/records", {"records": [{"activity": "START"}]}
+        )
+        assert append.status == 200
+        after = service.catalog.snapshot("clinic")
+        assert after is not before and after is service.catalog.snapshot("clinic")
+        assert after.epoch == payload(append)["epoch"] == before.epoch + 1
+        assert payload(post(service, "/v1/query", body))["epoch"] == after.epoch
+        assert counters() == (8.0, 2.0)
+
     def test_append_404_before_mutation(self, service):
         response = post(
             service, "/v1/logs/nope/records",
