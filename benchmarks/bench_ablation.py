@@ -14,7 +14,7 @@ from __future__ import annotations
 
 import pytest
 
-from repro.core.eval.indexed import IndexedEngine
+from repro.core.eval.vectorized import VectorizedEngine
 from repro.core.eval.naive import NaiveEngine, choice_eval, sequential_eval
 from repro.core.incident import Incident
 from repro.core.model import Log
@@ -62,7 +62,7 @@ def test_sequential_join_ablation(benchmark, strategy):
     Pairwise inspects ~390k pairs; the binary-search join inspects ~6k."""
     log = Log.from_traces([["B"] * 1300 + ["A"] * 300 + ["B"] * 20])
     pattern = parse("A -> B")
-    engine = NaiveEngine() if strategy == "pairwise" else IndexedEngine()
+    engine = NaiveEngine() if strategy == "pairwise" else VectorizedEngine()
     benchmark.group = "B3-sequential-join"
     result = benchmark(engine.evaluate, log, pattern)
     assert len(result) == 300 * 20
@@ -76,7 +76,7 @@ def test_exists_ablation(benchmark, strategy, outcome):
         trace = [name for name in trace if name != "C"]
     log = Log.from_traces([trace] * 10)
     pattern = parse("A -> B -> C")
-    engine = IndexedEngine()
+    engine = VectorizedEngine()
     benchmark.group = f"B3-exists-{outcome}"
     if strategy == "greedy-exists":
         run = lambda: engine.exists(log, pattern)  # noqa: E731
@@ -93,7 +93,7 @@ def test_count_ablation(benchmark, strategy):
 
     log = Log.from_traces([["A"] * 400 + ["B"] * 400])
     pattern = parse("A -> B")
-    engine = IndexedEngine()
+    engine = VectorizedEngine()
     benchmark.group = "B3-counting"
     if strategy == "counting-dp":
         run = lambda: count_incidents(log, pattern)  # noqa: E731

@@ -22,13 +22,13 @@ import pytest
 
 from repro.baselines.automaton import AutomatonBaseline, supports
 from repro.baselines.sql import SqlBaseline
-from repro.core.eval.indexed import IndexedEngine
+from repro.core.eval.vectorized import VectorizedEngine
 from repro.core.eval.naive import NaiveEngine
 from repro.core.parser import parse
 
 ENGINES = {
     "naive": NaiveEngine,
-    "indexed": IndexedEngine,
+    "kernel": VectorizedEngine,
     "sql": SqlBaseline,
     "automaton": AutomatonBaseline,
 }
@@ -68,7 +68,7 @@ def test_all_systems_agree(clinic_log_medium):
     """Correctness gate for the whole comparison."""
     for text in QUERIES.values():
         pattern = parse(text)
-        expected = IndexedEngine().evaluate(clinic_log_medium, pattern)
+        expected = VectorizedEngine().evaluate(clinic_log_medium, pattern)
         assert NaiveEngine().evaluate(clinic_log_medium, pattern) == expected
         assert SqlBaseline().evaluate(clinic_log_medium, pattern) == expected
         if supports(pattern):

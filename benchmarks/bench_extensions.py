@@ -13,7 +13,7 @@ from __future__ import annotations
 
 import pytest
 
-from repro.core.eval.indexed import IndexedEngine
+from repro.core.eval.vectorized import VectorizedEngine
 from repro.core.model import Log
 from repro.core.parser import parse
 
@@ -32,14 +32,14 @@ GUARDS = {
 
 @pytest.mark.parametrize("selectivity", sorted(GUARDS))
 def test_guarded_query(benchmark, clinic, selectivity):
-    engine = IndexedEngine()
+    engine = VectorizedEngine()
     pattern = parse(GUARDS[selectivity])
     benchmark.group = "S16-guard-selectivity"
     benchmark(engine.evaluate, clinic, pattern)
 
 
 def test_guard_reduces_work(clinic):
-    engine = IndexedEngine()
+    engine = VectorizedEngine()
     engine.evaluate(clinic, parse(GUARDS["none"]))
     unguarded_pairs = engine.last_stats.pairs_examined
     engine.evaluate(clinic, parse(GUARDS["rare"]))
@@ -56,7 +56,7 @@ def window_log() -> Log:
 
 @pytest.mark.parametrize("bound", (1, 4, 16, 64))
 def test_window_bound_sweep(benchmark, window_log, bound):
-    engine = IndexedEngine()
+    engine = VectorizedEngine()
     pattern = parse(f"A ->[{bound}] B")
     benchmark.group = "S21-window-bound"
     result = benchmark(engine.evaluate, window_log, pattern)
@@ -64,7 +64,7 @@ def test_window_bound_sweep(benchmark, window_log, bound):
 
 
 def test_window_output_grows_with_bound(window_log):
-    engine = IndexedEngine()
+    engine = VectorizedEngine()
     sizes = [
         len(engine.evaluate(window_log, parse(f"A ->[{k}] B")))
         for k in (1, 4, 16)
@@ -75,7 +75,7 @@ def test_window_output_grows_with_bound(window_log):
 
 
 def test_windowed_never_examines_more_pairs_than_unbounded(window_log):
-    engine = IndexedEngine()
+    engine = VectorizedEngine()
     engine.evaluate(window_log, parse("A -> B"))
     unbounded_pairs = engine.last_stats.pairs_examined
     engine.evaluate(window_log, parse("A ->[4] B"))

@@ -17,7 +17,7 @@ from __future__ import annotations
 import pytest
 
 from repro.core.eval.incremental import IncrementalEvaluator
-from repro.core.eval.indexed import IndexedEngine
+from repro.core.eval.vectorized import VectorizedEngine
 from repro.core.model import Log
 from repro.core.parser import parse
 from repro.workflow.engine import SimulationConfig, WorkflowEngine
@@ -43,7 +43,7 @@ def test_incremental_stream(benchmark, stream_log):
         return evaluator.incidents()
 
     result = benchmark(run)
-    assert result == IndexedEngine().evaluate(stream_log, pattern)
+    assert result == VectorizedEngine().evaluate(stream_log, pattern)
 
 
 def test_batch_reevaluation_per_append(benchmark, stream_log):
@@ -51,7 +51,7 @@ def test_batch_reevaluation_per_append(benchmark, stream_log):
     (K=10 — polling *less* often than the incremental evaluator updates,
     so the comparison favours the baseline)."""
     pattern = parse(PATTERN)
-    engine = IndexedEngine()
+    engine = VectorizedEngine()
     benchmark.group = "S19-streaming"
 
     def run():
@@ -62,7 +62,7 @@ def test_batch_reevaluation_per_append(benchmark, stream_log):
         return result
 
     result = benchmark(run)
-    assert result == IndexedEngine().evaluate(stream_log, pattern)
+    assert result == VectorizedEngine().evaluate(stream_log, pattern)
 
 
 def test_single_append_latency(benchmark, stream_log):

@@ -19,7 +19,7 @@ from __future__ import annotations
 
 import pytest
 
-from repro.core.eval.indexed import IndexedEngine
+from repro.core.eval.vectorized import VectorizedEngine
 from repro.core.model import Log
 from repro.core.optimizer import Optimizer
 from repro.core.parser import parse
@@ -44,14 +44,14 @@ def log():
 
 
 def test_pathological_association(benchmark, log):
-    engine = IndexedEngine()
+    engine = VectorizedEngine()
     pattern = parse(PATHOLOGICAL)
     benchmark.group = "T2/T4 chain re-association"
     benchmark(engine.evaluate, log, pattern)
 
 
 def test_optimized_association(benchmark, log):
-    engine = IndexedEngine()
+    engine = VectorizedEngine()
     plan = Optimizer.for_log(log).optimize(parse(PATHOLOGICAL))
     assert plan.optimized != parse(PATHOLOGICAL)
     benchmark.group = "T2/T4 chain re-association"
@@ -60,13 +60,13 @@ def test_optimized_association(benchmark, log):
 
 
 def test_unfactored_choice(benchmark, log):
-    engine = IndexedEngine()
+    engine = VectorizedEngine()
     benchmark.group = "T5 choice factoring"
     benchmark(engine.evaluate, log, parse(CHOICE_UNFACTORED))
 
 
 def test_factored_choice(benchmark, log):
-    engine = IndexedEngine()
+    engine = VectorizedEngine()
     plan = Optimizer.for_log(log).optimize(parse(CHOICE_UNFACTORED))
     benchmark.group = "T5 choice factoring"
     result = benchmark(engine.evaluate, log, plan.optimized)

@@ -16,7 +16,7 @@ from __future__ import annotations
 
 import pytest
 
-from repro.core.eval.indexed import IndexedEngine
+from repro.core.eval.vectorized import VectorizedEngine
 from repro.core.parser import parse
 from repro.workflow.engine import SimulationConfig, WorkflowEngine
 from repro.workflow.models import clinic_referral_workflow
@@ -36,7 +36,7 @@ def logs_by_size():
 @pytest.mark.parametrize("instances", INSTANCE_COUNTS)
 def test_atomic_query_via_index(benchmark, logs_by_size, instances):
     log = logs_by_size[instances]
-    engine = IndexedEngine()
+    engine = VectorizedEngine()
     pattern = parse("UpdateRefer")
     benchmark.group = "B2-atomic-indexed"
     benchmark(engine.evaluate, log, pattern)
@@ -45,7 +45,7 @@ def test_atomic_query_via_index(benchmark, logs_by_size, instances):
 @pytest.mark.parametrize("instances", INSTANCE_COUNTS)
 def test_negated_atomic_query_scans(benchmark, logs_by_size, instances):
     log = logs_by_size[instances]
-    engine = IndexedEngine()
+    engine = VectorizedEngine()
     pattern = parse("!UpdateRefer")
     benchmark.group = "B2-atomic-negated-scan"
     benchmark(engine.evaluate, log, pattern)
@@ -54,7 +54,7 @@ def test_negated_atomic_query_scans(benchmark, logs_by_size, instances):
 @pytest.mark.parametrize("instances", INSTANCE_COUNTS)
 def test_three_activity_query_scaling(benchmark, logs_by_size, instances):
     log = logs_by_size[instances]
-    engine = IndexedEngine()
+    engine = VectorizedEngine()
     pattern = parse("GetRefer -> UpdateRefer -> GetReimburse")
     benchmark.group = "B2-query-vs-instances"
     benchmark(engine.evaluate, log, pattern)
@@ -63,7 +63,7 @@ def test_three_activity_query_scaling(benchmark, logs_by_size, instances):
 def test_per_instance_isolation_keeps_growth_near_linear(logs_by_size):
     """Machine-independent check: examined pairs grow ~linearly with the
     instance count for a fixed per-instance workload."""
-    engine = IndexedEngine()
+    engine = VectorizedEngine()
     pattern = parse("SeeDoctor -> PayTreatment")
     pairs = {}
     for n, log in logs_by_size.items():

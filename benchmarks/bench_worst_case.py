@@ -18,7 +18,7 @@ import time
 import pytest
 
 from repro.core.eval.naive import NaiveEngine
-from repro.core.eval.indexed import IndexedEngine
+from repro.core.eval.vectorized import VectorizedEngine
 from repro.core.pattern import parallel
 from repro.generator.synthetic import worst_case_log
 
@@ -49,7 +49,7 @@ def test_parallel_chain_vs_m(benchmark, m):
 def test_exponential_growth_in_k():
     """Doubling k at fixed m must blow the runtime up super-linearly."""
     log = worst_case_log(16)
-    engine = IndexedEngine()
+    engine = VectorizedEngine()
 
     def measure(k: int) -> float:
         started = time.perf_counter()

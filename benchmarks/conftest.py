@@ -16,7 +16,7 @@ import os
 
 import pytest
 
-from repro.core.eval.indexed import IndexedEngine
+from repro.core.eval.vectorized import VectorizedEngine
 from repro.core.eval.naive import NaiveEngine
 from repro.core.incident import Incident
 from repro.core.model import Log

@@ -144,7 +144,7 @@ class RuleSet:
     def __iter__(self) -> Iterator[AnomalyRule]:
         return iter(self._rules)
 
-    def run(self, log: Log, *, engine: str = "indexed") -> AnomalyReport:
+    def run(self, log: Log, *, engine: str | None = None) -> AnomalyReport:
         """Evaluate every rule; returns the full report."""
         report = AnomalyReport()
         for rule in self._rules:

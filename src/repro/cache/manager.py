@@ -8,9 +8,10 @@
   evaluation's :class:`~repro.core.eval.base.EvaluationStats` for
   ``explain``);
 * the **memo layer** maps ``(memo scope, wid, wid record count,
-  subpattern)`` to the per-instance incident lists the indexed engine
-  computes node by node — the cross-call generalisation of the batch
-  engine's shared-scan memo.
+  subpattern)`` to the per-instance span lists the join kernel computes
+  node by node (``(first, last, is-lsn positions)`` tuples, relative to
+  the instance — no record objects) — the cross-call generalisation of
+  the kernel's in-run subpattern sharing.
 
 Log identity comes from the epoch counters threaded through
 :class:`~repro.core.model.Log` / :class:`~repro.logstore.store.LogStore`:
@@ -32,6 +33,7 @@ from __future__ import annotations
 
 import functools
 import threading
+from collections.abc import Hashable
 from dataclasses import dataclass, field
 from typing import TYPE_CHECKING, Any
 
@@ -40,9 +42,9 @@ if TYPE_CHECKING:  # pragma: no cover - typing only
 
 from repro.cache.lru import LruBytes
 from repro.cache.policy import CachePolicy
-from repro.cache.sizing import incidents_nbytes
+from repro.cache.sizing import MemoSpan, incidents_nbytes, spans_nbytes
 from repro.core.eval.base import EvaluationStats
-from repro.core.incident import Incident, IncidentSet
+from repro.core.incident import IncidentSet
 from repro.core.model import Log
 from repro.core.algebra import canonicalize
 from repro.core.optimizer.rules import normalize
@@ -69,8 +71,9 @@ MemoScope = tuple[str, ...]
 #: ``("eqclass", digest)`` pair naming the proved equivalence class.
 ResultKey = tuple[LogIdentity, Any, tuple[Any, ...]]
 
-#: Full key of one memo-layer entry.
-MemoKey = tuple[MemoScope, int, int, Pattern]
+#: Full key of one memo-layer entry; the last component identifies the
+#: subpattern (the kernel passes a hash-once wrapper around it).
+MemoKey = tuple[MemoScope, int, int, Hashable]
 
 
 @functools.lru_cache(maxsize=1024)
@@ -135,7 +138,7 @@ class QueryCache:
         self._results: LruBytes[ResultKey, CachedResult] = LruBytes(
             self.policy.result_budget_bytes
         )
-        self._memo: LruBytes[MemoKey, tuple[Incident, ...]] = LruBytes(
+        self._memo: LruBytes[MemoKey, tuple[MemoSpan, ...]] = LruBytes(
             self.policy.memo_budget_bytes
         )
 
@@ -257,29 +260,29 @@ class QueryCache:
     # -- memo layer --------------------------------------------------------
 
     def memo_get(
-        self, scope: MemoScope, wid: int, wid_count: int, pattern: Pattern
-    ) -> tuple[Incident, ...] | None:
+        self, scope: MemoScope, wid: int, wid_count: int, subpattern: Hashable
+    ) -> tuple[MemoSpan, ...] | None:
         """Per-(wid, subpattern) lookup; None on miss or when the memo
         layer is off."""
         if not self.policy.caches_memo:
             return None
         with self._lock:
-            return self._memo.get((scope, wid, wid_count, pattern))
+            return self._memo.get((scope, wid, wid_count, subpattern))
 
     def memo_put(
         self,
         scope: MemoScope,
         wid: int,
         wid_count: int,
-        pattern: Pattern,
-        incidents: tuple[Incident, ...],
+        subpattern: Hashable,
+        spans: tuple[MemoSpan, ...],
     ) -> bool:
-        """Store one per-(wid, subpattern) incident list."""
+        """Store one per-(wid, subpattern) span list."""
         if not self.policy.caches_memo:
             return False
-        nbytes = incidents_nbytes(incidents)
+        nbytes = spans_nbytes(spans)
         with self._lock:
-            stored = self._memo.put((scope, wid, wid_count, pattern), incidents, nbytes)
+            stored = self._memo.put((scope, wid, wid_count, subpattern), spans, nbytes)
         self._publish()
         return stored
 

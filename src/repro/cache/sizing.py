@@ -13,11 +13,20 @@ tests rely on (same entry, same charge).
 from __future__ import annotations
 
 import sys
-from collections.abc import Iterable
 
 from repro.core.incident import Incident, IncidentSet
 
-__all__ = ["incident_nbytes", "incidents_nbytes", "POINTER_BYTES"]
+__all__ = [
+    "incident_nbytes",
+    "incidents_nbytes",
+    "spans_nbytes",
+    "MemoSpan",
+    "POINTER_BYTES",
+]
+
+#: One memoised kernel incident: ``(first, last, is-lsn positions)``,
+#: relative to its workflow instance.
+MemoSpan = tuple[int, int, frozenset]
 
 #: Size charged per shared log-record reference.
 POINTER_BYTES = 8
@@ -41,24 +50,26 @@ def incident_nbytes(incident: Incident) -> int:
     )
 
 
-def incidents_nbytes(incidents: Iterable[Incident] | IncidentSet) -> int:
-    """Estimated retained bytes of a cached incident collection.
+def incidents_nbytes(incidents: IncidentSet) -> int:
+    """Estimated retained bytes of one result-layer entry: the set's
+    bookkeeping, one pointer per member, and the members themselves."""
+    return (
+        2 * ENTRY_OVERHEAD_BYTES
+        + POINTER_BYTES * len(incidents)
+        + sum(incident_nbytes(incident) for incident in incidents)
+    )
 
-    Works for :class:`IncidentSet`, tuples and lists; the container
-    itself is charged via ``sys.getsizeof`` when it is a concrete
-    container, else as one pointer per element.
+
+def spans_nbytes(spans: tuple[MemoSpan, ...]) -> int:
+    """Estimated retained bytes of one memo-layer entry: the kernel's
+    ``(first, last, positions)`` tuples of one node over one instance.
+
+    Counts the outer tuple, each span tuple and its position frozenset.
+    The positions themselves are small is-lsn integers (interned by the
+    interpreter or shared with the columnar leaf caches), charged nothing.
     """
-    if isinstance(incidents, IncidentSet):
-        members: Iterable[Incident] = incidents
-        container = ENTRY_OVERHEAD_BYTES + POINTER_BYTES * len(incidents)
-    elif isinstance(incidents, (tuple, list)):
-        members = incidents
-        container = sys.getsizeof(incidents)
-    else:  # generic iterable: materialise once
-        members = list(incidents)
-        container = sys.getsizeof(members)
     return (
         ENTRY_OVERHEAD_BYTES
-        + container
-        + sum(incident_nbytes(incident) for incident in members)
+        + sys.getsizeof(spans)
+        + sum(sys.getsizeof(span) + sys.getsizeof(span[2]) for span in spans)
     )

@@ -190,7 +190,7 @@ def build_parser() -> argparse.ArgumentParser:
         "--engine",
         choices=sorted(ENGINES),
         default=None,
-        help="engine (default: indexed; --backend sqlite implies sqlite)",
+        help="engine (default: vectorized; --backend sqlite implies sqlite)",
     )
     query.add_argument(
         "--no-optimize", action="store_true", help="skip the query optimizer"
@@ -291,7 +291,7 @@ def build_parser() -> argparse.ArgumentParser:
     profile.add_argument("--log", required=True, help="log file (.jsonl/.csv/.xes)")
     profile.add_argument("--pattern", required=True, help='e.g. "A -> (B | C)"')
     profile.add_argument(
-        "--engine", choices=sorted(ENGINES), default="indexed", help="engine"
+        "--engine", choices=sorted(ENGINES), default=None, help="engine"
     )
     profile.add_argument(
         "--no-optimize", action="store_true", help="skip the query optimizer"

@@ -1,16 +1,36 @@
-"""Vectorized pattern evaluation over the columnar log core.
+"""The production join kernel: set-at-a-time evaluation over the columnar log.
 
-Same join algorithms as :class:`~repro.core.eval.indexed.IndexedEngine`
-(sorted-merge ``⊳``, hash-adjacency ``⊙``, span-filtered ``⊕``, hash-set
-``⊗``), evaluated set-at-a-time over :class:`~repro.columnar.ColumnarLog`
-column slices instead of object rows:
+The paper's Algorithm 1 inspects every pair of sub-incidents for every
+operator (:class:`~repro.core.eval.naive.NaiveEngine` keeps that
+procedure verbatim as the reference).  This kernel keeps each
+intermediate incident set sorted by ``first`` (per workflow instance) and
+exploits that order:
+
+* **sequential** ``p1 ⊳ p2`` — for each left incident, the qualifying right
+  incidents form a contiguous slice of the ``first``-sorted right list
+  (a suffix; a window bound clips its end); both boundaries are found by
+  binary search, so no failing pair is ever examined;
+* **consecutive** ``p1 ⊙ p2`` — right incidents are hashed by ``first`` and
+  each left incident probes ``last+1`` (a hash join on the adjacency key);
+* **parallel** ``p1 ⊕ p2`` — pairs whose is-lsn spans do not overlap are
+  disjoint by construction, so the record-level disjointness test runs only
+  for span-overlapping pairs;
+* **choice** — a hash-set union.
+
+Output sizes are unchanged — the optimizations cut the *search*, not the
+result (which Lemma 1 lower-bounds at ``n1·n2`` in the worst case).
+
+The joins run over :class:`~repro.columnar.ColumnarLog` column slices
+instead of object rows:
 
 * each workflow instance is one contiguous row window ``[lo, hi)`` of the
   columnar layout — no per-instance dict probing;
-* activity leaves are answered from the per-activity row index (two
-  binary searches clip it to the instance window), and negated leaves
-  scan the interned ``act_id`` integer column — record objects are never
-  touched for plain leaves;
+* activity leaves are answered from the per-activity row index, and
+  negated leaves scan the interned ``act_id`` integer column — record
+  objects are never touched for plain leaves.  Attribute-guarded leaves
+  (subclasses of :class:`~repro.core.pattern.Atomic`) need the attribute
+  maps and match the window's record objects; everything around them
+  stays columnar;
 * intermediate incidents are plain ``(first, last, positions)`` tuples
   (``positions`` a frozenset of is-lsn values), so the quadratic join
   loops move integers and frozensets instead of allocating
@@ -18,28 +38,28 @@ column slices instead of object rows:
 * :class:`~repro.core.incident.Incident` objects are materialised once,
   at the root, per instance.
 
-Because the per-operator algorithms are unchanged, the engine examines
-exactly the pairs the indexed engine examines (identical
-``EvaluationStats``) and its output is byte-for-byte identical — only
-the constant factor per pair drops.  Attribute-guarded leaves
-(subclasses of :class:`~repro.core.pattern.Atomic`) need the attribute
-maps and fall back to matching the instance's record objects; everything
-around them stays columnar.
+A pattern is compiled once per evaluation into a tree of closures, one
+per pattern node, each a window evaluator ``f(wi, lo, hi)``.  Tracing and
+memoisation are *compile-time hooks* on that one tree, not sibling
+evaluators: with a live tracer every node is wrapped in its span; with a
+cache attached (or ``share=True``) binary nodes and the root are wrapped
+in the memo probe.  Neither hook costs anything when it is off.
 """
 
 from __future__ import annotations
 
 from bisect import bisect_right
-from functools import partial
+from collections.abc import Callable, Sequence
+from functools import lru_cache, partial
 
 from repro.columnar.column_log import ColumnarLog, as_columnar
 from repro.core.eval.base import Engine, EvaluationStats, node_label
-from repro.core.eval.indexed import _earliest_end, _greedy_safe
 from repro.core.incident import Incident, IncidentSet
-from repro.core.model import Log
+from repro.core.model import Log, LogRecord
 from repro.core.pattern import (
     Atomic,
     BinaryPattern,
+    Choice,
     Consecutive,
     Parallel,
     Pattern,
@@ -51,7 +71,14 @@ __all__ = ["VectorizedEngine"]
 #: Intermediate incident: ``(first, last, frozenset of is-lsn positions)``.
 #: Within one workflow instance is-lsn and lsn are in bijection, so the
 #: position set carries exactly the identity an Incident's lsn set does.
+#: Positions are window-relative, so a span list is valid for any log in
+#: which the instance holds the same records — what the memo layer stores.
 _Span = tuple[int, int, frozenset]
+
+#: One compiled pattern node: ``f(wi, lo, hi)`` evaluates the node over the
+#: instance window ``[lo, hi)`` (window number ``wi``), first-sorted.
+#: Results may be shared (leaf caches, memo entries): never mutate one.
+_Node = Callable[[int, int, int], Sequence[_Span]]
 
 
 def _sorted_by_first(incidents: list[_Span]) -> list[_Span]:
@@ -59,28 +86,80 @@ def _sorted_by_first(incidents: list[_Span]) -> list[_Span]:
     return incidents
 
 
+class _SubpatternKey:
+    """A subpattern as a memo key, hashed once.
+
+    Patterns are frozen dataclasses whose hash recurses over the whole
+    subtree on every call; the memo hook probes once per node per
+    instance window, so it keys on this wrapper instead."""
+
+    __slots__ = ("pattern", "_hash")
+
+    def __init__(self, pattern: Pattern):
+        self.pattern = pattern
+        self._hash = hash(pattern)
+
+    def __hash__(self) -> int:
+        return self._hash
+
+    def __eq__(self, other: object) -> bool:
+        return isinstance(other, _SubpatternKey) and self.pattern == other.pattern
+
+    def __repr__(self) -> str:
+        return str(self.pattern)
+
+
+#: Interned, so probes for one subpattern from different engines meet the
+#: stored key by identity instead of a structural comparison.
+_subpattern_key = lru_cache(maxsize=4096)(_SubpatternKey)
+
+
 class VectorizedEngine(Engine):
-    """Columnar set-at-a-time evaluation (see module docs)."""
+    """Sort/hash-join evaluation over columnar windows (see module docs).
+
+    Parameters
+    ----------
+    cache:
+        Optional :class:`~repro.cache.manager.QueryCache`.  When its memo
+        layer is on, node results are written through to it under
+        ``(memo scope, wid, wid record count, subpattern)`` — entries
+        survive across engine instances, across runs, and across
+        snapshots of one store lineage for instances untouched by later
+        appends (``memo_hits`` counts lookups served from there).  The
+        ``max_incidents`` budget participates in the scope, so entries
+        computed under one cap never mask the budget error a stricter
+        cap would have raised.
+    share:
+        Keep node results per ``(window, subpattern)`` for as long as the
+        engine stays on one log, so structurally equal subpatterns —
+        within one pattern or across successive :meth:`evaluate` calls —
+        are scanned and joined once (``shared_hits`` counts the node
+        evaluations elided; implied by ``cache``).  A hit skips its
+        subtree's scans, joins, stats and spans entirely, which is where
+        the batch evaluator's pairs saving comes from.
+    """
 
     name = "vectorized"
+
+    def __init__(self, *, cache=None, share: bool = False, **kwargs):
+        super().__init__(**kwargs)
+        self._memo = cache if cache is not None and cache.policy.caches_memo else None
+        self._share = share or self._memo is not None
+        self._shared: dict[tuple[int, _SubpatternKey], Sequence[_Span]] = {}
+        self._bound: ColumnarLog | None = None
+        self._memo_scope: tuple[str, ...] = ()
+        self.shared_hits = 0
+        self.memo_hits = 0
 
     def evaluate(self, log: "Log | ColumnarLog", pattern: Pattern) -> IncidentSet:
         columnar = as_columnar(log)
         stats = self._new_stats()
         out: list[Incident] = []
         with self.tracer.span("evaluate", key=(), engine=self.name, pattern=str(pattern)):
-            if self.tracer.enabled:
-                for _, lo, hi in columnar.wid_windows():
-                    self._checkpoint(stats)
-                    spans = self._eval_node(columnar, lo, hi, pattern, stats, "root")
-                    out.extend(self._materialize(columnar, lo, spans))
-            else:
-                # span bookkeeping costs a context manager + label per node
-                # per instance; untraced, a compiled closure tree wins
-                plan = self._compile(columnar, pattern, stats)
-                for wi, (_, lo, hi) in enumerate(columnar.wid_windows()):
-                    self._checkpoint(stats)
-                    out.extend(self._materialize(columnar, lo, plan(wi, lo, hi)))
+            root = self._compile(columnar, pattern, stats)
+            for wi, (_, lo, hi) in enumerate(columnar.wid_windows()):
+                self._checkpoint(stats)
+                out.extend(self._materialize(columnar, lo, root(wi, lo, hi)))
             self._check_budget(len(out))
             stats.note_live(len(out))
             stats.incidents_produced += len(out)
@@ -88,8 +167,9 @@ class VectorizedEngine(Engine):
         return IncidentSet(out)
 
     def count(self, log: "Log | ColumnarLog", pattern: Pattern) -> int:
-        """Number of incidents; delegates ⊙/⊳ chains of leaves to the
-        output-free counting DP, exactly as the indexed engine does."""
+        """Number of incidents; uses the output-free counting DP
+        (:mod:`repro.core.eval.counting`) for ⊙/⊳ chains of leaves, where
+        the incident set may be quadratic or worse in the log size."""
         from repro.core.eval.counting import count_incidents, supports_counting
 
         if supports_counting(pattern):
@@ -103,36 +183,36 @@ class VectorizedEngine(Engine):
         return len(self.evaluate(log, pattern))
 
     def exists(self, log: "Log | ColumnarLog", pattern: Pattern) -> bool:
-        """Short-circuit existence check (same strategy split as the
-        indexed engine: greedy scan for {atom, ⊳, ⊗}, else per-instance
-        evaluation stopping at the first hit)."""
+        """Short-circuit existence check.
+
+        For patterns whose operators are only ``⊳`` and ``⊗``, a greedy
+        earliest-completion scan decides existence in time linear in each
+        instance trace, never materialising incident sets.  Other
+        patterns evaluate instance by instance, so a hit in an early
+        instance stops the scan.
+        """
         columnar = as_columnar(log)
-        if _greedy_safe(pattern):
-            stats = self._new_stats()
-            for wid in columnar.wids:
-                self._checkpoint(stats)
-                if _earliest_end(columnar.wid_slice(wid), pattern, 1) is not None:
-                    return True
-            return False
         stats = self._new_stats()
-        if self.tracer.enabled:
-            node = lambda wi, lo, hi: self._eval_node(  # noqa: E731
-                columnar, lo, hi, pattern, stats, "root"
+        if _greedy_safe(pattern):
+            rows = columnar._rows
+            hit = lambda wi, lo, hi: (  # noqa: E731
+                _earliest_end(rows[lo:hi], pattern, 1) is not None
             )
         else:
-            node = self._compile(columnar, pattern, stats)
+            hit = self._compile(columnar, pattern, stats)
+        found = False
         for wi, (_, lo, hi) in enumerate(columnar.wid_windows()):
             self._checkpoint(stats)
-            if node(wi, lo, hi):
-                self._finish(stats)
-                return True
+            if hit(wi, lo, hi):
+                found = True
+                break
         self._finish(stats)
-        return False
+        return found
 
     # -- materialisation -----------------------------------------------------
 
     def _materialize(
-        self, columnar: ColumnarLog, lo: int, spans: list[_Span]
+        self, columnar: ColumnarLog, lo: int, spans: Sequence[_Span]
     ) -> list[Incident]:
         """Root-level position tuples as :class:`Incident` objects.
 
@@ -146,76 +226,46 @@ class VectorizedEngine(Engine):
             for _, _, positions in spans
         ]
 
-    # -- node evaluation -------------------------------------------------------
-
-    def _eval_node(
-        self,
-        columnar: ColumnarLog,
-        lo: int,
-        hi: int,
-        pattern: Pattern,
-        stats: EvaluationStats,
-        key: int | str = "root",
-    ) -> list[_Span]:
-        """Position-tuple incidents of ``pattern`` within the instance
-        window ``[lo, hi)``, sorted by ``first``."""
-        with self.tracer.span(node_label(pattern), key=key) as span:
-            if isinstance(pattern, Atomic):
-                result = self._eval_atomic(columnar, lo, hi, pattern)
-            else:
-                assert isinstance(pattern, BinaryPattern)
-                left = self._eval_node(columnar, lo, hi, pattern.left, stats, 0)
-                right = self._eval_node(columnar, lo, hi, pattern.right, stats, 1)
-                stats.note_operator(pattern.symbol)
-                pairs_before = stats.pairs_examined
-                if isinstance(pattern, Sequential):
-                    result = self._join_sequential(
-                        stats, left, right, bound=getattr(pattern, "bound", None)
-                    )
-                elif isinstance(pattern, Consecutive):
-                    result = self._join_consecutive(stats, left, right)
-                elif isinstance(pattern, Parallel):
-                    result = self._join_parallel(stats, left, right)
-                else:
-                    result = self._union_choice(stats, left, right)
-                span.set_tag("operator", pattern.symbol)
-                span.add(
-                    n1=len(left),
-                    n2=len(right),
-                    pairs=stats.pairs_examined - pairs_before,
-                )
-                self._checkpoint(stats)
-            self._check_budget(len(result))
-            stats.note_live(len(result))
-            stats.incidents_produced += len(result)
-            span.add(incidents=len(result))
-        return result
-
-    # -- the untraced hot path: compile once, run per window -------------------
+    # -- compilation: one closure per pattern node -----------------------------
 
     def _compile(
         self,
         columnar: ColumnarLog,
         pattern: Pattern,
         stats: EvaluationStats,
-    ):
-        """Compile ``pattern`` into a window evaluator ``f(wi, lo, hi)``
-        (``wi`` the window number, ``[lo, hi)`` the row range).
+        key: int | str = "root",
+    ) -> _Node:
+        """Compile ``pattern`` into its window evaluator.
 
-        The untraced twin of :meth:`_eval_node`: dispatch, leaf act-id
-        resolution and join selection happen once per evaluation instead
-        of once per node per instance, positive leaves read the cached
-        per-window spans (:meth:`ColumnarLog.leaf_spans`), and the
+        Dispatch, leaf act-id resolution and join selection happen once
+        per evaluation instead of once per node per instance, and the
         per-node stats epilogue (budget check, live peak, incidents
-        produced) is inlined into the closures — in the same order as the
-        traced path, so counters and governor kill snapshots stay
-        identical.
+        produced) is inlined into the closures.  ``key`` is the node's
+        position under its parent (the span key).  The hooks wrap the
+        finished node: the span outside the node, the memo probe outside
+        the span — so a memo hit records neither stats nor a span.
         """
+        if key == "root" and self._share:
+            self._bind(columnar)
         if isinstance(pattern, Atomic):
-            return self._compile_atomic(columnar, pattern, stats)
-        assert isinstance(pattern, BinaryPattern)
-        left = self._compile(columnar, pattern.left, stats)
-        right = self._compile(columnar, pattern.right, stats)
+            node = self._compile_atomic(columnar, pattern, stats)
+        else:
+            assert isinstance(pattern, BinaryPattern)
+            left = self._compile(columnar, pattern.left, stats, 0)
+            right = self._compile(columnar, pattern.right, stats, 1)
+            node = self._compile_join(pattern, left, right, stats)
+        if self.tracer.enabled:
+            node = self._traced(pattern, key, node)
+        # leaves are answered from the activity index faster than a memo
+        # probe could be; hooking them would make every hit above them pay
+        # for what it skips
+        if self._share and (key == "root" or isinstance(pattern, BinaryPattern)):
+            node = self._memoised(columnar, pattern, node)
+        return node
+
+    def _compile_join(
+        self, pattern: BinaryPattern, left: _Node, right: _Node, stats: EvaluationStats
+    ) -> _Node:
         if isinstance(pattern, Sequential):
             join = partial(
                 self._join_sequential,
@@ -230,6 +280,8 @@ class VectorizedEngine(Engine):
             join = partial(self._union_choice, stats)
 
         symbol = pattern.symbol
+        if self.tracer.enabled:
+            join = self._observed(join, symbol, stats)
         max_incidents = self.max_incidents
         governor = self.governor
         # note_operator mirrors into the metrics registry when one is
@@ -261,9 +313,11 @@ class VectorizedEngine(Engine):
 
     def _compile_atomic(
         self, columnar: ColumnarLog, pattern: Atomic, stats: EvaluationStats
-    ):
-        """Window evaluator of one leaf (see :meth:`_eval_atomic` for the
-        three leaf shapes)."""
+    ) -> _Node:
+        """Window evaluator of one leaf.  Within the window the record at
+        row ``r`` has is-lsn ``r - lo + 1`` (rows are is-lsn ordered,
+        per-instance is-lsn consecutive from 1), so positions come from
+        row arithmetic — no column reads."""
         max_incidents = self.max_incidents
 
         def epilogue(result: list[_Span]) -> list[_Span]:
@@ -276,6 +330,8 @@ class VectorizedEngine(Engine):
             return result
 
         if type(pattern) is not Atomic:
+            # attribute-guarded leaf subclass: needs the attribute maps, so
+            # match the window's record objects (is-lsn order = first-sorted)
             all_rows = columnar._rows
             matches = pattern.matches
 
@@ -290,73 +346,126 @@ class VectorizedEngine(Engine):
 
             return guarded_leaf
         act_id = columnar.act_id_of(pattern.name)
-        if not pattern.negated:
-            if act_id is None:
-                # absent activity: the empty result leaves every counter
-                # unchanged, so no epilogue is needed
-                return lambda wi, lo, hi: []
-            spans_by_window = columnar.leaf_spans(act_id)
+        if pattern.negated:
+            act_col = columnar._act_id
 
-            def positive_leaf(wi: int, lo: int, hi: int) -> list[_Span]:
-                return epilogue(spans_by_window[wi])
+            def negated_leaf(wi: int, lo: int, hi: int) -> list[_Span]:
+                base = 1 - lo
+                return epilogue(
+                    [
+                        (row + base, row + base, frozenset((row + base,)))
+                        for row in range(lo, hi)
+                        if act_col[row] != act_id
+                    ]
+                )
 
-            return positive_leaf
-        act_col = columnar._act_id
+            return negated_leaf
+        if act_id is None:
+            # absent activity: the empty result leaves every counter
+            # unchanged, so no epilogue is needed
+            return lambda wi, lo, hi: []
+        if self._share:
+            # under the memo hook most windows never reach their leaves, so
+            # the whole-log span build would be paid for one window's worth
+            act_rows = columnar.act_rows
 
-        def negated_leaf(wi: int, lo: int, hi: int) -> list[_Span]:
-            base = 1 - lo
-            return epilogue(
-                [
-                    (row + base, row + base, frozenset((row + base,)))
-                    for row in range(lo, hi)
-                    if act_col[row] != act_id
-                ]
+            def indexed_leaf(wi: int, lo: int, hi: int) -> list[_Span]:
+                base = 1 - lo
+                return epilogue(
+                    [
+                        (row + base, row + base, frozenset((row + base,)))
+                        for row in act_rows(act_id, lo, hi)
+                    ]
+                )
+
+            return indexed_leaf
+        spans_by_window = columnar.leaf_spans(act_id)
+
+        def positive_leaf(wi: int, lo: int, hi: int) -> list[_Span]:
+            return epilogue(spans_by_window[wi])
+
+        return positive_leaf
+
+    # -- compile-time hooks ----------------------------------------------------
+
+    def _traced(self, pattern: Pattern, key: int | str, node: _Node) -> _Node:
+        """``node`` inside its key-merged span (children nest under it)."""
+        tracer = self.tracer
+        label = node_label(pattern)
+
+        def traced_node(wi: int, lo: int, hi: int) -> Sequence[_Span]:
+            with tracer.span(label, key=key) as span:
+                result = node(wi, lo, hi)
+                span.add(incidents=len(result))
+            return result
+
+        return traced_node
+
+    def _observed(self, join, symbol: str, stats: EvaluationStats):
+        """``join`` reporting operand sizes and its own pairs to the span
+        of the node that runs it (open, and innermost, at that point)."""
+        tracer = self.tracer
+
+        def observed_join(o1: Sequence[_Span], o2: Sequence[_Span]) -> list[_Span]:
+            pairs_before = stats.pairs_examined
+            result = join(o1, o2)
+            span = tracer.current
+            span.set_tag("operator", symbol)
+            span.add(
+                n1=len(o1),
+                n2=len(o2),
+                pairs=stats.pairs_examined - pairs_before,
+            )
+            return result
+
+        return observed_join
+
+    def _bind(self, columnar: ColumnarLog) -> None:
+        """Point the memo hook at ``columnar``: shared results are keyed by
+        window number, so they are only valid for one columnar log; the
+        persistent scope is derived per log."""
+        if columnar is self._bound:
+            return
+        self._shared.clear()
+        self._bound = columnar
+        if self._memo is not None:
+            self._memo_scope = self._memo.memo_scope(columnar) + (
+                "budget",
+                str(self.max_incidents),
             )
 
-        return negated_leaf
+    def _memoised(self, columnar: ColumnarLog, pattern: Pattern, node: _Node) -> _Node:
+        """``node`` behind the in-run share and the persistent memo layer."""
+        key = _subpattern_key(pattern)
+        shared = self._shared
+        memo, scope = self._memo, self._memo_scope
+        wid_of = columnar.wid_of
 
-    def _eval_atomic(
-        self, columnar: ColumnarLog, lo: int, hi: int, pattern: Atomic
-    ) -> list[_Span]:
-        if type(pattern) is not Atomic:
-            # attribute-guarded leaf subclass: needs the attribute maps, so
-            # match the instance's record objects (is-lsn order = first-sorted)
-            return [
-                (r.is_lsn, r.is_lsn, frozenset((r.is_lsn,)))
-                for r in self._rows_slice(columnar, lo, hi)
-                if pattern.matches(r)
-            ]
-        act_id = columnar.act_id_of(pattern.name)
-        # within the window the record at row ``r`` has is-lsn ``r - lo + 1``
-        # (rows are is-lsn ordered, per-instance is-lsn consecutive from 1),
-        # so positions come from row arithmetic — no column reads
-        base = 1 - lo
-        if not pattern.negated:
-            if act_id is None:
-                return []
-            return [
-                (row + base, row + base, frozenset((row + base,)))
-                for row in columnar.act_rows(act_id, lo, hi)
-            ]
-        # negated leaf: scan the interned activity column of the window
-        act_col = columnar._act_id
-        return [
-            (row + base, row + base, frozenset((row + base,)))
-            for row in range(lo, hi)
-            if act_col[row] != act_id
-        ]
+        def memoised_node(wi: int, lo: int, hi: int) -> Sequence[_Span]:
+            result = shared.get((wi, key))
+            if result is not None:
+                self.shared_hits += 1
+                return result
+            if memo is not None:
+                result = memo.memo_get(scope, wid_of(wi), hi - lo, key)
+                if result is not None:
+                    self.memo_hits += 1
+                    shared[wi, key] = result
+                    return result
+            result = shared[wi, key] = node(wi, lo, hi)
+            if memo is not None:
+                memo.memo_put(scope, wid_of(wi), hi - lo, key, tuple(result))
+            return result
 
-    @staticmethod
-    def _rows_slice(columnar: ColumnarLog, lo: int, hi: int):
-        return columnar._rows[lo:hi]
+        return memoised_node
 
-    # -- joins (same algorithms as IndexedEngine, over position tuples) --------
+    # -- the four joins, over position tuples ----------------------------------
 
     def _join_sequential(
         self,
         stats: EvaluationStats,
-        left: list[_Span],
-        right: list[_Span],
+        left: Sequence[_Span],
+        right: Sequence[_Span],
         *,
         bound: int | None = None,
     ) -> list[_Span]:
@@ -367,7 +476,9 @@ class VectorizedEngine(Engine):
         seen: set[frozenset] = set()
         n = len(right)
         for first1, last1, pos1 in left:
-            # qualifying right incidents form a contiguous first-sorted slice
+            # qualifying right incidents (first > last1, and within the
+            # window bound if one applies) form a contiguous slice of the
+            # first-sorted right list
             start = bisect_right(firsts, last1)
             stop = n if bound is None else bisect_right(firsts, last1 + bound)
             for i in range(start, stop):
@@ -382,8 +493,8 @@ class VectorizedEngine(Engine):
     def _join_consecutive(
         self,
         stats: EvaluationStats,
-        left: list[_Span],
-        right: list[_Span],
+        left: Sequence[_Span],
+        right: Sequence[_Span],
     ) -> list[_Span]:
         if not left or not right:
             return []
@@ -404,8 +515,8 @@ class VectorizedEngine(Engine):
     def _join_parallel(
         self,
         stats: EvaluationStats,
-        left: list[_Span],
-        right: list[_Span],
+        left: Sequence[_Span],
+        right: Sequence[_Span],
     ) -> list[_Span]:
         if not left or not right:
             return []
@@ -432,11 +543,61 @@ class VectorizedEngine(Engine):
     def _union_choice(
         self,
         stats: EvaluationStats,
-        left: list[_Span],
-        right: list[_Span],
+        left: Sequence[_Span],
+        right: Sequence[_Span],
     ) -> list[_Span]:
         stats.pairs_examined += len(left) + len(right)
         seen: set[frozenset] = {o[2] for o in left}
         merged = list(left)
         merged.extend(o for o in right if o[2] not in seen)
         return _sorted_by_first(merged)
+
+
+# ---------------------------------------------------------------------------
+# Greedy existence check for {atom, ⊳, ⊗} patterns.
+# ---------------------------------------------------------------------------
+
+def _greedy_safe(pattern: Pattern) -> bool:
+    """Whether the greedy earliest-completion scan decides existence for
+    ``pattern``.  Sound for atoms, ``⊳`` and ``⊗``: the earliest completion
+    of ``p1`` never rules out a later completion that greedy would need
+    (matches are unconstrained suffix-ward).  ``⊙`` (exact adjacency) and
+    ``⊕`` (record disjointness) break that dominance argument."""
+    if isinstance(pattern, Atomic):
+        return True
+    # note: *subclasses* of Sequential (windowed ⊳) are excluded — an upper
+    # window bound breaks the earliest-completion dominance too.
+    if type(pattern) is Sequential or isinstance(pattern, Choice):
+        return _greedy_safe(pattern.left) and _greedy_safe(pattern.right)
+    return False
+
+
+def _earliest_end(
+    trace: Sequence[LogRecord], pattern: Pattern, start: int
+) -> int | None:
+    """Smallest ``last`` over incidents of ``pattern`` inside ``trace``
+    whose ``first`` is >= ``start`` (is-lsn positions), or None.
+
+    ``trace`` is one instance's records in is-lsn order; position ``i`` in
+    the trace has ``is_lsn == i + 1``.
+    """
+    if isinstance(pattern, Atomic):
+        for record in trace[start - 1 :]:
+            if pattern.matches(record):
+                return record.is_lsn
+        return None
+    if isinstance(pattern, Choice):
+        ends = [
+            e
+            for e in (
+                _earliest_end(trace, pattern.left, start),
+                _earliest_end(trace, pattern.right, start),
+            )
+            if e is not None
+        ]
+        return min(ends) if ends else None
+    assert isinstance(pattern, Sequential)
+    left_end = _earliest_end(trace, pattern.left, start)
+    if left_end is None:
+        return None
+    return _earliest_end(trace, pattern.right, left_end + 1)

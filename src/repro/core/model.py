@@ -437,8 +437,6 @@ class Log:
         :class:`tuple` subclass that is also callable (returning itself), so
         both the legacy attribute style ``log.records`` and the
         :class:`~repro.core.view.LogView` protocol's ``log.records()`` work.
-        The historical list-mutation surface raises with a
-        :class:`DeprecationWarning`.
         """
         view = self._records_view
         if view is None:
@@ -532,6 +530,18 @@ class Log:
 
             self._columnar = ColumnarLog.from_log(self)
         return self._columnar
+
+    def forget_columnar(self) -> None:
+        """Drop the cached columnar view (the next :meth:`columnar` call
+        rebuilds it).
+
+        The view references this log back, so while it is cached the pair
+        is reclaimable only by the cycle collector.  A holder about to
+        let go of the log — a store superseding a snapshot — unlinks the
+        two, and both are freed by reference count the moment their last
+        user is done.
+        """
+        self._columnar = None
 
     def with_activity(self, activity: str) -> tuple[LogRecord, ...]:
         """All records with the given activity name, in lsn order.

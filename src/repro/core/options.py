@@ -12,9 +12,6 @@ travels unchanged into the parallel executor and the CLI::
     opts = EngineOptions(jobs=4, backend="process", cache=True)
     q = Query("UpdateRefer -> GetReimburse", opts)
 
-The legacy keyword arguments still work on :class:`~repro.core.query.Query`
-through a :class:`DeprecationWarning` shim; see ``README.md`` for the
-migration snippet.
 """
 
 from __future__ import annotations
@@ -51,9 +48,9 @@ class EngineOptions:
     Attributes
     ----------
     engine:
-        Engine name (``"naive"``/``"indexed"``), an
+        Engine name (``"naive"``/``"vectorized"``/``"sqlite"``), an
         :class:`~repro.core.eval.base.Engine` instance, or None for the
-        default indexed engine.
+        default: the columnar join kernel.
     optimize:
         Rewrite the pattern per log with the cost-based optimizer before
         evaluation (default True).
@@ -72,8 +69,8 @@ class EngineOptions:
         evaluation (``"auto"`` when only ``jobs`` is given).  The
         sharded-executor members fan evaluation out over wid shards;
         ``Backend.SQLITE`` pushes the pattern down to SQL over the
-        columnar schema instead.  Replaces the legacy ``parallel=``
-        keyword; strings are coerced to members at construction.
+        columnar schema instead.  Strings are coerced to members at
+        construction.
     strategy:
         Shard-partitioning strategy for parallel runs (``"hash"`` or
         ``"range"``).

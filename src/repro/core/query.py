@@ -15,22 +15,13 @@ Execution behaviour is configured with one immutable
 :class:`~repro.core.options.EngineOptions` value::
 
     q = Query(pattern, EngineOptions(jobs=4, cache=True))
-
-The pre-redesign keyword arguments (``engine=``, ``optimize=``,
-``max_incidents=``, ``tracer=``, ``metrics=``, ``jobs=``, ``parallel=``,
-``progress=``) still work but emit a :class:`DeprecationWarning`; they
-are assembled into an equivalent ``EngineOptions`` internally.
 """
 
 from __future__ import annotations
 
-import warnings
-from typing import Any
-
 from repro.core.backend import Backend
 from repro.core.errors import QueryGovernorError, ReproError
 from repro.core.eval.base import Engine
-from repro.core.eval.indexed import IndexedEngine
 from repro.core.eval.naive import NaiveEngine
 from repro.core.eval.tree import render_tree
 from repro.core.eval.vectorized import VectorizedEngine
@@ -44,51 +35,27 @@ from repro.core.pattern import Pattern
 from repro.columnar.sqlite import SqliteEngine
 from repro.obs.tracer import NULL_TRACER
 
-__all__ = ["Query", "ENGINES"]
+__all__ = ["Query", "ENGINES", "engine_class"]
 
 #: Registry of engine constructors, keyed by engine name.
 ENGINES: dict[str, type[Engine]] = {
     NaiveEngine.name: NaiveEngine,
-    IndexedEngine.name: IndexedEngine,
     VectorizedEngine.name: VectorizedEngine,
     SqliteEngine.name: SqliteEngine,
 }
 
-#: Sentinel distinguishing "not passed" from an explicit None.
-_UNSET: Any = object()
 
-#: Legacy Query keyword arguments and the EngineOptions field each maps to.
-_LEGACY_FIELDS = {
-    "engine": "engine",
-    "optimize": "optimize",
-    "max_incidents": "max_incidents",
-    "tracer": "tracer",
-    "metrics": "metrics",
-    "jobs": "jobs",
-    "parallel": "backend",
-    "progress": "progress",
-}
-
-
-def _resolve_engine(
-    engine: str | Engine | None,
-    max_incidents: int | None,
-    tracer=None,
-    metrics=None,
-) -> Engine:
-    if isinstance(engine, Engine):
-        return engine
-    if engine is None:
-        return IndexedEngine(
-            max_incidents=max_incidents, tracer=tracer, metrics=metrics
-        )
+def engine_class(name: str | None) -> type[Engine]:
+    """The engine class registered under ``name``.  ``None`` — what every
+    ``engine=`` parameter in the package defaults to — is the production
+    join kernel."""
+    if name is None:
+        return VectorizedEngine
     try:
-        return ENGINES[engine](
-            max_incidents=max_incidents, tracer=tracer, metrics=metrics
-        )
+        return ENGINES[name]
     except KeyError:
         raise ReproError(
-            f"unknown engine {engine!r}; available: {sorted(ENGINES)}"
+            f"unknown engine {name!r}; available: {sorted(ENGINES)}"
         ) from None
 
 
@@ -102,24 +69,18 @@ class Query:
         the query syntax of :mod:`repro.core.parser`.
     options:
         An :class:`~repro.core.options.EngineOptions` value; None for the
-        defaults (indexed engine, optimizer on, serial, no cache).
-    **legacy:
-        The pre-``EngineOptions`` keyword arguments, accepted with a
-        :class:`DeprecationWarning` and merged into ``options``
-        (``parallel=`` maps to ``EngineOptions.backend``).  Passing both
-        ``options`` and a legacy keyword is an error.
+        defaults (the join kernel, optimizer on, serial, no cache).
 
     Attributes
     ----------
     options:
         The resolved :class:`~repro.core.options.EngineOptions`.
     engine:
-        The live :class:`~repro.core.eval.base.Engine`.  With the memo
-        cache layer active, serial execution, and a default/indexed
-        engine, this is a memo-backed shared-scan engine whose
-        per-``(wid, subpattern)`` results persist across runs (see
-        ``docs/CACHING.md``).  Parallel runs use the result layer only:
-        workers rebuild engines by name per shard.
+        The live :class:`~repro.core.eval.base.Engine`.  On serial runs
+        of the join kernel with a cache attached, the kernel carries the
+        memo hook: per-``(wid, subpattern)`` results persist across runs
+        (see ``docs/CACHING.md``).  Parallel runs use the result layer
+        only: workers rebuild engines by name per shard.
     cache:
         The resolved :class:`~repro.cache.manager.QueryCache`, or None
         when caching is off.
@@ -133,53 +94,12 @@ class Query:
         self,
         pattern: Pattern | str,
         options: EngineOptions | None = None,
-        *,
-        engine: str | Engine | None = _UNSET,
-        optimize: bool = _UNSET,
-        max_incidents: int | None = _UNSET,
-        tracer=_UNSET,
-        metrics=_UNSET,
-        jobs: int | None = _UNSET,
-        parallel: str | None = _UNSET,
-        progress=_UNSET,
     ):
         if isinstance(pattern, str):
             pattern = parse(pattern)
         if not isinstance(pattern, Pattern):
             raise TypeError(f"expected Pattern or str, got {type(pattern).__name__}")
         self.pattern = pattern
-
-        legacy = {
-            name: value
-            for name, value in (
-                ("engine", engine),
-                ("optimize", optimize),
-                ("max_incidents", max_incidents),
-                ("tracer", tracer),
-                ("metrics", metrics),
-                ("jobs", jobs),
-                ("parallel", parallel),
-                ("progress", progress),
-            )
-            if value is not _UNSET
-        }
-        if legacy:
-            if options is not None:
-                raise TypeError(
-                    "pass either an EngineOptions or the legacy keyword "
-                    f"arguments, not both (got options and {sorted(legacy)})"
-                )
-            warnings.warn(
-                f"Query keyword arguments {sorted(legacy)} are deprecated; "
-                "pass an EngineOptions instead, e.g. "
-                "Query(pattern, EngineOptions(jobs=4)) — note parallel= "
-                "is now EngineOptions.backend",
-                DeprecationWarning,
-                stacklevel=2,
-            )
-            options = EngineOptions(
-                **{_LEGACY_FIELDS[name]: value for name, value in legacy.items()}
-            )
         self.options = options if options is not None else EngineOptions()
 
         from repro.cache.manager import resolve_cache
@@ -191,52 +111,21 @@ class Query:
 
     def _build_engine(self) -> Engine:
         opts = self.options
-        if opts.backend is Backend.SQLITE:
-            # the SQL pushdown backend *is* an engine: patterns compile to
-            # SQL over the columnar schema, so there is nothing to shard
-            return SqliteEngine(
-                max_incidents=opts.max_incidents,
-                tracer=opts.tracer,
-                metrics=opts.metrics,
-            )
-        if (
-            self.cache is not None
-            and self.cache.policy.caches_memo
-            and not opts.is_parallel
-            and (opts.engine is None or opts.engine == IndexedEngine.name)
-        ):
-            # memo-backed indexed engine: per-(wid, subpattern) results
-            # persist in the shared cache across runs and across queries
-            from repro.exec.batch import SharedScanEngine
-
-            return SharedScanEngine(
-                max_incidents=opts.max_incidents,
-                tracer=opts.tracer,
-                metrics=opts.metrics,
-                cache=self.cache,
-            )
-        return _resolve_engine(
-            opts.engine, opts.max_incidents, opts.tracer, opts.metrics
-        )
-
-    # -- legacy attribute surface ------------------------------------------
-
-    @property
-    def optimize(self) -> bool:
-        return self.options.optimize
-
-    @property
-    def jobs(self) -> int | None:
-        return self.options.jobs
-
-    @property
-    def parallel(self) -> str | None:
-        """Legacy alias of :attr:`EngineOptions.backend`."""
-        return self.options.backend
-
-    @property
-    def progress(self):
-        return self.options.progress
+        if isinstance(opts.engine, Engine):
+            return opts.engine
+        # the SQL pushdown backend *is* an engine: patterns compile to SQL
+        # over the columnar schema, so there is nothing to shard
+        cls = SqliteEngine if opts.backend is Backend.SQLITE else engine_class(opts.engine)
+        common = {
+            "max_incidents": opts.max_incidents,
+            "tracer": opts.tracer,
+            "metrics": opts.metrics,
+        }
+        if cls is VectorizedEngine and not opts.is_parallel:
+            # the kernel's memo hook: per-(wid, subpattern) results persist
+            # in the shared cache across runs and across queries
+            return VectorizedEngine(cache=self.cache, **common)
+        return cls(**common)
 
     # -- execution -------------------------------------------------------
 

@@ -14,10 +14,7 @@ defines the representation-neutral surface they consume instead:
   ``records``.  It is a :class:`tuple` subclass, so existing callers
   that index/iterate/slice keep working, and it is *callable* (returning
   itself) so the protocol's ``records()`` method form works on both
-  representations.  The historical list-mutation surface
-  (``append``/``extend``/``__setitem__``/...) is shimmed to emit a
-  :class:`DeprecationWarning` and raise, instead of the bare
-  :class:`AttributeError` a tuple would give;
+  representations;
 * :class:`ActivitySet` — the analogous callable :class:`frozenset` for
   ``activities``.
 
@@ -29,7 +26,6 @@ grouped how, from which store state".
 
 from __future__ import annotations
 
-import warnings
 from collections.abc import Iterator, Sequence
 from typing import TYPE_CHECKING, Protocol, runtime_checkable
 
@@ -37,17 +33,6 @@ if TYPE_CHECKING:  # pragma: no cover - typing only
     from repro.core.model import LogRecord
 
 __all__ = ["LogView", "RecordsView", "ActivitySet"]
-
-
-def _deprecated_mutation(name: str) -> None:
-    warnings.warn(
-        f"Log.records is an immutable view; .{name}() mutation is deprecated "
-        "and unsupported — build a new Log (or append through a LogStore) "
-        "instead",
-        DeprecationWarning,
-        stacklevel=3,
-    )
-    raise TypeError(f"RecordsView does not support {name}(); logs are immutable")
 
 
 class RecordsView(tuple):
@@ -62,35 +47,6 @@ class RecordsView(tuple):
 
     def __call__(self) -> "RecordsView":
         return self
-
-    # -- deprecation shims for the historical list-mutation surface -----
-
-    def append(self, *_args, **_kwargs):  # noqa: D102
-        _deprecated_mutation("append")
-
-    def extend(self, *_args, **_kwargs):  # noqa: D102
-        _deprecated_mutation("extend")
-
-    def insert(self, *_args, **_kwargs):  # noqa: D102
-        _deprecated_mutation("insert")
-
-    def remove(self, *_args, **_kwargs):  # noqa: D102
-        _deprecated_mutation("remove")
-
-    def pop(self, *_args, **_kwargs):  # noqa: D102
-        _deprecated_mutation("pop")
-
-    def clear(self, *_args, **_kwargs):  # noqa: D102
-        _deprecated_mutation("clear")
-
-    def sort(self, *_args, **_kwargs):  # noqa: D102
-        _deprecated_mutation("sort")
-
-    def __setitem__(self, *_args):
-        _deprecated_mutation("__setitem__")
-
-    def __delitem__(self, *_args):
-        _deprecated_mutation("__delitem__")
 
     def __repr__(self) -> str:
         return f"RecordsView({len(self)} records)"

@@ -18,9 +18,10 @@ package exploits that:
 * :mod:`repro.exec.batch` — shared-scan evaluation of N queries at
   once, deduplicating common subpatterns across queries.
 
-High-level entry points: ``Query(..., jobs=4)`` routes single queries
-through the executor; :func:`evaluate_batch` (also exposed as
-``Query.evaluate_batch``) runs query batches.  See ``docs/PARALLELISM.md``.
+High-level entry points: ``Query(..., EngineOptions(jobs=4))`` routes
+single queries through the executor; :func:`evaluate_batch` (also exposed
+as ``Query.evaluate_batch``) runs query batches.  See
+``docs/PARALLELISM.md``.
 """
 
 from repro.exec.backends import (
@@ -31,7 +32,7 @@ from repro.exec.backends import (
     ThreadBackend,
     make_backend,
 )
-from repro.exec.batch import BatchResult, SharedScanEngine, evaluate_batch
+from repro.exec.batch import BatchResult, evaluate_batch
 from repro.exec.parallel import ParallelExecutor, ParallelResult, default_jobs
 from repro.exec.shard import (
     SHARD_STRATEGIES,
@@ -50,7 +51,6 @@ __all__ = [
     "ProcessBackend",
     "make_backend",
     "BatchResult",
-    "SharedScanEngine",
     "evaluate_batch",
     "ParallelExecutor",
     "ParallelResult",

@@ -9,11 +9,11 @@ shared subpattern once per query.  :func:`evaluate_batch` instead:
    :func:`~repro.core.optimizer.rules.normalize` (associativity and
    commutativity rewrites bring structurally equal subpatterns to one
    canonical shape, maximising cross-query sharing);
-2. evaluates all patterns with one :class:`SharedScanEngine` per shard —
-   an :class:`~repro.core.eval.indexed.IndexedEngine` whose per-``(wid,
-   subpattern)`` incident lists are memoised, so a subpattern shared by
-   several queries (or appearing twice in one) is scanned and joined
-   exactly once;
+2. evaluates all patterns with one sharing join kernel per shard — a
+   :class:`~repro.core.eval.vectorized.VectorizedEngine` with
+   ``share=True``, whose per-``(instance, subpattern)`` results are
+   kept across the batch, so a composite subpattern shared by several
+   queries (or appearing twice in one) is joined exactly once;
 3. runs the :mod:`repro.analysis` subsumption planner over the still-
    pending queries (``analyze=True``): queries *proved* equivalent to a
    sibling alias its result set outright, and queries proved strictly
@@ -39,7 +39,7 @@ from dataclasses import dataclass, field
 
 from repro.core.errors import QueryGovernorError
 from repro.core.eval.base import EvaluationStats
-from repro.core.eval.indexed import IndexedEngine
+from repro.core.eval.vectorized import VectorizedEngine
 from repro.core.governor import CancelToken, QueryContext, ResourceGovernor
 from repro.core.incident import Incident, IncidentSet
 from repro.core.model import Log
@@ -52,94 +52,7 @@ from repro.obs.journal import QueryJournal, RunRecorder, make_event
 from repro.obs.metrics import MetricsRegistry
 from repro.obs.tracer import NULL_TRACER, NullTracer, Tracer
 
-__all__ = ["SharedScanEngine", "BatchResult", "evaluate_batch"]
-
-
-class SharedScanEngine(IndexedEngine):
-    """Indexed engine with cross-evaluation node memoisation.
-
-    Incident lists are cached per ``(wid, subpattern)``; patterns are
-    frozen dataclasses, so structurally equal subpatterns — within one
-    pattern or across successive :meth:`evaluate` calls on the same log —
-    hit the same entry.  ``shared_hits`` counts the node evaluations the
-    in-run memo elided; every hit skips its subtree's scans and joins
-    entirely, which is where the batch pairs saving comes from.
-
-    The local memo keys contain no log identity, so it is dropped
-    whenever the engine is pointed at a different :class:`Log` object.
-    With a :class:`~repro.cache.manager.QueryCache` attached, node
-    results are *additionally* written through to its persistent memo
-    layer under ``(memo scope, wid, wid record count, subpattern)`` —
-    those entries survive across engine instances, across runs, and
-    across snapshots of one store lineage for instances untouched by
-    later appends (``memo_hits`` counts lookups served from there).  The
-    engine's ``max_incidents`` budget participates in the scope, so
-    entries computed under one cap never mask the budget error a
-    stricter cap would have raised.
-    """
-
-    name = "shared-scan"
-
-    def __init__(self, *, cache=None, **kwargs):
-        super().__init__(**kwargs)
-        self._cache: dict[tuple[int, Pattern], list[Incident]] = {}
-        self.shared_hits = 0
-        self.memo_hits = 0
-        self._shared_cache = cache
-        self._memo_scope: tuple[str, ...] | None = None
-        self._bound_log: Log | None = None
-
-    def _bind(self, log: Log) -> None:
-        """Point the engine at ``log``: the local memo is only valid for
-        one log object, the persistent scope is derived per log."""
-        if log is self._bound_log:
-            return
-        self._cache.clear()
-        self._bound_log = log
-        cache = self._shared_cache
-        if cache is not None and cache.policy.caches_memo:
-            self._memo_scope = cache.memo_scope(log) + (
-                "budget",
-                str(self.max_incidents),
-            )
-        else:
-            self._memo_scope = None
-
-    def evaluate(self, log, pattern):
-        self._bind(log)
-        return super().evaluate(log, pattern)
-
-    def exists(self, log, pattern):
-        self._bind(log)
-        return super().exists(log, pattern)
-
-    def count(self, log, pattern):
-        self._bind(log)
-        return super().count(log, pattern)
-
-    def _eval_node(self, log, wid, pattern, stats, key="root"):
-        cache_key = (wid, pattern)
-        cached = self._cache.get(cache_key)
-        if cached is not None:
-            self.shared_hits += 1
-            return cached
-        scope = self._memo_scope
-        if scope is not None:
-            persisted = self._shared_cache.memo_get(
-                scope, wid, len(log.instance(wid)), pattern
-            )
-            if persisted is not None:
-                self.memo_hits += 1
-                result = list(persisted)
-                self._cache[cache_key] = result
-                return result
-        result = super()._eval_node(log, wid, pattern, stats, key)
-        self._cache[cache_key] = result
-        if scope is not None:
-            self._shared_cache.memo_put(
-                scope, wid, len(log.instance(wid)), pattern, tuple(result)
-            )
-        return result
+__all__ = ["BatchResult", "evaluate_batch"]
 
 
 @dataclass(frozen=True)
@@ -218,8 +131,11 @@ def evaluate_batch_shard(task: _BatchShardTask) -> _BatchShardOutcome:
         else None
     )
     wall0, cpu0 = time.perf_counter(), time.process_time()
-    engine = SharedScanEngine(
-        max_incidents=task.max_incidents, cache=task.cache, governor=governor
+    engine = VectorizedEngine(
+        share=True,
+        cache=task.cache,
+        max_incidents=task.max_incidents,
+        governor=governor,
     )
     per_query: list[tuple[Incident, ...]] = []
     stats = EvaluationStats()
@@ -305,8 +221,8 @@ def evaluate_batch(
         whose result is already cached skip evaluation entirely
         (``cache_hits`` on the returned batch counts them); cold queries
         are evaluated and stored, and — on in-process backends — the
-        shared-scan engines write through to the persistent memo layer,
-        so hits survive across ``evaluate_batch`` calls.
+        kernels write through to the persistent memo layer, so hits
+        survive across ``evaluate_batch`` calls.
     deadline_ms / max_pairs:
         Per-*batch* resource budgets, enforced cooperatively inside the
         shared scans (the pairs budget spans all queries in the batch).

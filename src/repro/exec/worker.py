@@ -41,7 +41,8 @@ class EngineConfig:
     fresh engine locally.
     """
 
-    name: str = "indexed"
+    #: an ``ENGINES`` name, ``"incremental"``, or None for the default engine
+    name: str | None = None
     max_incidents: int | None = None
 
     def build(
@@ -50,16 +51,9 @@ class EngineConfig:
         tracer: Tracer | None = None,
         governor: ResourceGovernor | None = None,
     ) -> Engine:
-        from repro.core.query import ENGINES
+        from repro.core.query import engine_class
 
-        try:
-            cls = ENGINES[self.name]
-        except KeyError:
-            raise ReproError(
-                f"unknown engine {self.name!r}; available: "
-                f"{sorted(ENGINES) + [INCREMENTAL]}"
-            ) from None
-        return cls(
+        return engine_class(self.name)(
             max_incidents=self.max_incidents, tracer=tracer, governor=governor
         )
 
@@ -122,7 +116,12 @@ def _shard_governor(task: ShardTask) -> ResourceGovernor | None:
 
 
 def _shard_event(
-    task: ShardTask, stats: EvaluationStats, count: int, wall_ms: float, cpu_ms: float
+    task: ShardTask,
+    engine: str,
+    stats: EvaluationStats,
+    count: int,
+    wall_ms: float,
+    cpu_ms: float,
 ) -> tuple[dict, ...]:
     """The worker's ``evaluate`` journal event (empty when not journaling)."""
     if not task.journal or task.ctx is None:
@@ -134,7 +133,7 @@ def _shard_event(
         query_id=task.ctx.query_id,
         trace_id=task.ctx.trace_id,
         shard=task.shard_index,
-        engine=task.engine.name,
+        engine=engine,
         mode=task.mode,
         records=len(task.log),
         pairs=stats.pairs_examined,
@@ -182,7 +181,7 @@ def evaluate_shard(task: ShardTask) -> ShardOutcome:
         count=count,
         stats=stats,
         span=tracer.last_root if tracer is not None else None,
-        events=_shard_event(task, stats, count, wall_ms, cpu_ms),
+        events=_shard_event(task, engine.name, stats, count, wall_ms, cpu_ms),
     )
 
 
@@ -217,5 +216,7 @@ def _evaluate_incremental(
         count=len(incidents),
         stats=evaluator.stats,
         span=tracer.last_root if tracer is not None else None,
-        events=_shard_event(task, evaluator.stats, len(incidents), wall_ms, cpu_ms),
+        events=_shard_event(
+            task, INCREMENTAL, evaluator.stats, len(incidents), wall_ms, cpu_ms
+        ),
     )

@@ -192,6 +192,9 @@ class LogStore:
                 # length of the very tuple it holds, whatever appends
                 # land while it is being validated.
                 records = tuple(self._records)
+                if cached is not None:
+                    # megabytes per epoch: not left to the cycle collector
+                    cached.forget_columnar()
                 if self.metrics is not None:
                     self.metrics.counter("logstore.snapshot_builds").inc()
                 logger.debug("snapshot: building epoch %d", len(records))

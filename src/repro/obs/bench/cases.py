@@ -33,13 +33,13 @@ from __future__ import annotations
 from typing import Any, Callable
 
 from repro.core.eval.incremental import IncrementalEvaluator
-from repro.core.eval.indexed import IndexedEngine
 from repro.core.eval.naive import (
     choice_eval,
     consecutive_eval,
     parallel_eval,
     sequential_eval,
 )
+from repro.core.eval.vectorized import VectorizedEngine
 from repro.core.incident import Incident
 from repro.core.model import Log
 from repro.core.optimizer import Optimizer
@@ -113,7 +113,7 @@ def register_standard_cases(registry: BenchRegistry) -> None:
     )
     def _atomic_indexed(instances: int) -> Callable[[], Any]:
         log = clinic_log(instances, seed=3)
-        engine = IndexedEngine()
+        engine = VectorizedEngine()
         pattern = parse("UpdateRefer")
         return lambda: engine.evaluate(log, pattern)
 
@@ -125,7 +125,7 @@ def register_standard_cases(registry: BenchRegistry) -> None:
     )
     def _negated_scan(instances: int) -> Callable[[], Any]:
         log = clinic_log(instances, seed=3)
-        engine = IndexedEngine()
+        engine = VectorizedEngine()
         pattern = parse("!UpdateRefer")
         return lambda: engine.evaluate(log, pattern)
 
@@ -137,7 +137,7 @@ def register_standard_cases(registry: BenchRegistry) -> None:
     )
     def _chain(instances: int) -> Callable[[], Any]:
         log = clinic_log(instances, seed=3)
-        engine = IndexedEngine()
+        engine = VectorizedEngine()
         pattern = parse("GetRefer -> UpdateRefer -> GetReimburse")
         return lambda: engine.evaluate(log, pattern)
 
@@ -155,21 +155,6 @@ def register_standard_cases(registry: BenchRegistry) -> None:
 
         log = clinic_log(instances, seed=3)
         return lambda: ColumnarLog.from_log(log)
-
-    @registry.case(
-        "vector.join",
-        suites=("smoke", "full"),
-        description="the scaling.chain query through the vectorized "
-        "span-tuple engine over a prebuilt columnar view",
-        instances=100,
-    )
-    def _vector_join(instances: int) -> Callable[[], Any]:
-        from repro.core.eval.vectorized import VectorizedEngine
-
-        columnar = clinic_log(instances, seed=3).columnar()
-        engine = VectorizedEngine()
-        pattern = parse("GetRefer -> UpdateRefer -> GetReimburse")
-        return lambda: engine.evaluate(columnar, pattern)
 
     @registry.case(
         "sqlite.pushdown",
@@ -198,7 +183,7 @@ def register_standard_cases(registry: BenchRegistry) -> None:
     )
     def _pathological(instances: int, hot: int) -> Callable[[], Any]:
         log = skewed_log(instances, hot)
-        engine = IndexedEngine()
+        engine = VectorizedEngine()
         pattern = parse("R -> (H -> H)")
         return lambda: engine.evaluate(log, pattern)
 
@@ -211,7 +196,7 @@ def register_standard_cases(registry: BenchRegistry) -> None:
     )
     def _optimized(instances: int, hot: int) -> Callable[[], Any]:
         log = skewed_log(instances, hot)
-        engine = IndexedEngine()
+        engine = VectorizedEngine()
         plan = Optimizer.for_log(log).optimize(parse("R -> (H -> H)"))
         return lambda: engine.evaluate(log, plan.optimized)
 
@@ -238,7 +223,7 @@ def register_standard_cases(registry: BenchRegistry) -> None:
     )
     def _parallel_serial(instances: int) -> Callable[[], Any]:
         log = clinic_log(instances, seed=42)
-        engine = IndexedEngine()
+        engine = VectorizedEngine()
         pattern = parse("GetRefer -> CheckIn -> SeeDoctor")
         return lambda: engine.evaluate(log, pattern)
 

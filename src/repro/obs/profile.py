@@ -26,7 +26,7 @@ from repro.core.optimizer.cost import CostModel, LogStatistics
 from repro.core.optimizer.planner import Optimizer
 from repro.core.parser import parse
 from repro.core.pattern import Atomic, Pattern
-from repro.core.query import ENGINES
+from repro.core.query import engine_class
 from repro.obs.export import PROFILE_SCHEMA
 from repro.obs.metrics import MetricsRegistry
 from repro.obs.tracer import Span, Tracer
@@ -236,7 +236,7 @@ def profile_query(
     log: Log,
     pattern: Pattern | str,
     *,
-    engine: str = "indexed",
+    engine: str | None = None,
     optimize: bool = True,
     max_incidents: int | None = None,
     jobs: int | None = None,
@@ -253,6 +253,8 @@ def profile_query(
     trees merge into one tree of the usual serial shape, so the per-node
     breakdown aggregates work across all workers.
     """
+    if engine is None:
+        engine = engine_class(None).name
     if isinstance(pattern, str):
         pattern = parse(pattern)
     if optimize:
@@ -284,7 +286,7 @@ def profile_query(
             "shards": len(parallel_result.plan),
         }
     else:
-        engine_obj = ENGINES[engine](
+        engine_obj = engine_class(engine)(
             max_incidents=max_incidents, tracer=tracer, metrics=registry
         )
         incidents = len(engine_obj.evaluate(log, evaluated))

@@ -207,6 +207,11 @@ class Tracer:
             span.tags.update(tags)
         return _SpanHandle(self, span)
 
+    @property
+    def current(self) -> Span | None:
+        """The innermost open span, or None when the tracer is idle."""
+        return self._stack[-1] if self._stack else None
+
     def adopt(self, root: Span) -> Span:
         """Install an externally built span tree as a completed root.
 

@@ -18,7 +18,7 @@ from repro.analysis import (
     default_prover,
     equivalent,
 )
-from repro.core.eval.indexed import IndexedEngine
+from repro.core.eval.vectorized import VectorizedEngine
 from repro.core.eval.naive import NaiveEngine
 from repro.core.incident import reference_incidents
 from repro.core.model import Log
@@ -73,8 +73,8 @@ def test_equivalence_agrees_with_engine_output_equality(p, q, log):
     """
     if equivalent(p, q):
         assert (
-            IndexedEngine().evaluate(log, p).to_rows()
-            == IndexedEngine().evaluate(log, q).to_rows()
+            VectorizedEngine().evaluate(log, p).to_rows()
+            == VectorizedEngine().evaluate(log, q).to_rows()
         )
         assert (
             NaiveEngine().evaluate(log, p).to_rows()

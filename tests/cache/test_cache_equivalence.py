@@ -3,16 +3,22 @@ one — same incidents, same canonical order — across the serial and the
 sharded (``jobs=2``) paths, and across store appends (which must
 invalidate exactly the stale entries).
 
+Each property also runs with a live tracer: the memo hook and the tracing
+hook wrap the same compiled closure tree, and together they must yield
+what neither does, with traced and counted pairs still reconciling.
+
 Plus integration assertions for which layer serves which run: memo hits
 across Query runs, ``evaluate_batch`` result-layer reuse, and the
 ParallelExecutor's cache consult.
 """
 
 import hypothesis.strategies as st
+import pytest
 from hypothesis import given, settings
 
 from repro import EngineOptions, IncidentSet, Query
 from repro.cache import CachePolicy, QueryCache
+from repro.core.errors import QueryBudgetExceeded
 from repro.core.pattern import (
     Atomic,
     Choice,
@@ -21,6 +27,7 @@ from repro.core.pattern import (
     Sequential,
 )
 from repro.logstore.store import LogStore
+from repro.obs.tracer import Tracer
 
 ALPHABET = ("A", "B", "C")
 
@@ -67,15 +74,29 @@ def rows(result: IncidentSet):
     return result.to_rows()
 
 
-@settings(max_examples=40, deadline=None)
-@given(traces(), patterns())
-def test_cached_equals_cold_serial(trace_map, pattern):
+def engine_options(cache, traced, **parallel):
+    """Options for a cached query, with or without a live tracer."""
+    return EngineOptions(
+        cache=cache, tracer=Tracer() if traced else None, **parallel
+    )
+
+
+def assert_pairs_reconcile(query):
+    """The traced ``pairs`` of the last run equal the counted ones — memo
+    hits skip both, everything that ran is in both."""
+    root = query.options.tracer.last_root
+    assert root.total("pairs") == query.engine.last_stats.pairs_examined
+
+
+def check_cached_equals_cold(trace_map, pattern, *, traced, **parallel):
     snap = make_store(trace_map).snapshot()
     cold = Query(pattern).run(snap)
 
     cache = QueryCache()
-    query = Query(pattern, EngineOptions(cache=cache))
+    query = Query(pattern, engine_options(cache, traced, **parallel))
     first = query.run(snap)
+    if traced and not parallel:
+        assert_pairs_reconcile(query)
     second = query.run(snap)
 
     assert query.last_cache_layer == "result"
@@ -84,43 +105,10 @@ def test_cached_equals_cold_serial(trace_map, pattern):
     assert cache.stats()["result_hits"] >= 1
 
 
-@settings(max_examples=20, deadline=None)
-@given(traces(), patterns())
-def test_cached_equals_cold_with_two_jobs(trace_map, pattern):
-    snap = make_store(trace_map).snapshot()
-    cold = Query(pattern).run(snap)
-
-    cache = QueryCache()
-    query = Query(
-        pattern, EngineOptions(jobs=2, backend="thread", cache=cache)
-    )
-    first = query.run(snap)
-    second = query.run(snap)
-
-    assert query.last_cache_layer == "result"
-    assert rows(first) == rows(cold)
-    assert rows(second) == rows(cold)
-
-
-@settings(max_examples=25, deadline=None)
-@given(
-    traces(),
-    patterns(),
-    st.lists(
-        st.tuples(
-            st.integers(min_value=1, max_value=4),
-            st.sampled_from(ALPHABET + ("Z",)),
-        ),
-        min_size=1,
-        max_size=4,
-    ),
-)
-def test_appends_invalidate_and_revalidate_correctly(
-    trace_map, pattern, appends
-):
+def check_appends_invalidate(trace_map, pattern, appends, *, traced):
     store = make_store(trace_map)
     cache = QueryCache()
-    query = Query(pattern, EngineOptions(cache=cache))
+    query = Query(pattern, engine_options(cache, traced))
     query.run(store.snapshot())
 
     for wid, activity in appends:
@@ -131,14 +119,98 @@ def test_appends_invalidate_and_revalidate_correctly(
         trace_map[wid].append(activity)
 
     snap = store.snapshot()
+    memo_hits = cache.stats()["memo_hits"]
+    if traced:
+        query.options.tracer.reset()
     warm = query.run(snap)
     assert query.last_cache_layer != "result"  # stale entry must not serve
+    # a run served (in part) from the memo layer says so
+    served_by_memo = cache.stats()["memo_hits"] > memo_hits
+    assert (query.last_cache_layer == "memo") == served_by_memo
+    if traced:
+        assert_pairs_reconcile(query)
     cold = Query(pattern).run(snap)
     assert rows(warm) == rows(cold)
     # and the fresh entry now serves
     again = query.run(snap)
     assert query.last_cache_layer == "result"
     assert rows(again) == rows(warm)
+
+
+APPENDS = st.lists(
+    st.tuples(
+        st.integers(min_value=1, max_value=4),
+        st.sampled_from(ALPHABET + ("Z",)),
+    ),
+    min_size=1,
+    max_size=4,
+)
+
+
+@settings(max_examples=40, deadline=None)
+@given(traces(), patterns())
+def test_cached_equals_cold_serial(trace_map, pattern):
+    check_cached_equals_cold(trace_map, pattern, traced=False)
+
+
+@settings(max_examples=20, deadline=None)
+@given(traces(), patterns())
+def test_cached_equals_cold_with_two_jobs(trace_map, pattern):
+    check_cached_equals_cold(
+        trace_map, pattern, traced=False, jobs=2, backend="thread"
+    )
+
+
+@settings(max_examples=25, deadline=None)
+@given(traces(), patterns(), APPENDS)
+def test_appends_invalidate_and_revalidate_correctly(
+    trace_map, pattern, appends
+):
+    check_appends_invalidate(trace_map, pattern, appends, traced=False)
+
+
+# -- the hooks compose: memo + trace on one closure tree ≡ neither ------------
+
+
+@settings(max_examples=40, deadline=None)
+@given(traces(), patterns())
+def test_traced_cached_equals_cold_serial(trace_map, pattern):
+    check_cached_equals_cold(trace_map, pattern, traced=True)
+
+
+@settings(max_examples=20, deadline=None)
+@given(traces(), patterns())
+def test_traced_cached_equals_cold_with_two_jobs(trace_map, pattern):
+    check_cached_equals_cold(
+        trace_map, pattern, traced=True, jobs=2, backend="thread"
+    )
+
+
+@settings(max_examples=25, deadline=None)
+@given(traces(), patterns(), APPENDS)
+def test_traced_appends_invalidate_and_revalidate_correctly(
+    trace_map, pattern, appends
+):
+    check_appends_invalidate(trace_map, pattern, appends, traced=True)
+
+
+@pytest.mark.parametrize("max_pairs", [1, 4, 12])
+def test_governor_kill_on_a_cold_memo_reports_the_unmemoised_stats(max_pairs):
+    """A miss adds nothing to the accounting: killed at the same
+    checkpoint, the memo-backed kernel has done what the plain one has."""
+    snap = make_store(
+        {wid: ["A", "B", "A", "C", "B"] for wid in range(1, 9)}
+    ).snapshot()
+    partial = []
+    for cache in (None, QueryCache()):
+        query = Query(
+            "(A -> B) -> (C | B)", EngineOptions(cache=cache, max_pairs=max_pairs)
+        )
+        with pytest.raises(QueryBudgetExceeded) as info:
+            query.run(snap)
+        partial.append(info.value.partial_stats)
+    assert partial[0] is not None and partial[0].pairs_examined > max_pairs
+    assert partial[0] == partial[1]
 
 
 class TestLayerIntegration:

@@ -145,7 +145,8 @@ class TestMemoLayer:
         snap = store.snapshot()
         cache = QueryCache()
         scope = QueryCache.memo_scope(snap)
-        incidents = tuple(Query(PATTERN).run(snap))
+        # what the kernel memoises: (first, last, is-lsn positions) tuples
+        incidents = ((1, 2, frozenset({1, 2})),)
         cache.memo_put(scope, 1, 2, PATTERN, incidents)
 
         store.append(wid=2, activity="C")

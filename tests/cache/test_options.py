@@ -1,7 +1,4 @@
-"""EngineOptions: validation, the Query facade integration, and the
-legacy-keyword deprecation shim."""
-
-import warnings
+"""EngineOptions: validation and the Query facade integration."""
 
 import pytest
 
@@ -48,12 +45,15 @@ class TestEngineOptions:
 
 class TestQueryWithOptions:
     def test_query_consumes_options_without_warning(self):
-        with warnings.catch_warnings():
-            warnings.simplefilter("error", DeprecationWarning)
-            query = Query("A -> B", EngineOptions(engine="naive", jobs=2))
+        query = Query("A -> B", EngineOptions(engine="naive", jobs=2))
         assert query.engine.name == "naive"
-        assert query.jobs == 2
+        assert query.options.jobs == 2
         assert query.is_parallel
+
+    def test_options_are_the_only_configuration_surface(self):
+        # the pre-EngineOptions keyword arguments are gone, not shimmed
+        with pytest.raises(TypeError):
+            Query("A -> B", engine="naive")  # type: ignore[call-arg]
 
     def test_one_options_value_is_shareable_across_queries(self):
         opts = EngineOptions(max_incidents=1000)
@@ -61,29 +61,3 @@ class TestQueryWithOptions:
         b = Query("A ; B", opts)
         assert a.options is b.options
         assert a.engine.max_incidents == b.engine.max_incidents == 1000
-
-
-class TestLegacyShim:
-    def test_legacy_kwargs_warn_but_work(self):
-        with pytest.warns(DeprecationWarning, match="EngineOptions"):
-            query = Query("A -> B", engine="naive", optimize=False)
-        assert query.engine.name == "naive"
-        assert query.options.optimize is False
-        # behaviour matches the options spelling
-        assert query.run(LOG) == Query(
-            "A -> B", EngineOptions(engine="naive", optimize=False)
-        ).run(LOG)
-
-    def test_legacy_parallel_maps_to_backend(self):
-        with pytest.warns(DeprecationWarning):
-            query = Query("A -> B", jobs=2, parallel="serial")
-        assert query.options.backend == "serial"
-        assert query.parallel == "serial"  # legacy read alias survives
-
-    def test_options_plus_legacy_kwargs_is_an_error(self):
-        with pytest.raises(TypeError, match="not both"):
-            Query("A -> B", EngineOptions(), engine="naive")
-
-    def test_explicit_none_still_counts_as_legacy_usage(self):
-        with pytest.warns(DeprecationWarning):
-            Query("A -> B", max_incidents=None)

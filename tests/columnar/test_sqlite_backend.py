@@ -7,7 +7,7 @@ from repro.columnar import ColumnarWarehouse, SqliteEngine
 from repro.columnar.sqlite import compile_columnar_sql
 from repro.core import Backend, EngineOptions, Query
 from repro.core.errors import EvaluationError, ReproError
-from repro.core.eval.indexed import IndexedEngine
+from repro.core.eval.vectorized import VectorizedEngine
 from repro.core.parser import parse
 from repro.extensions import Compare, where
 
@@ -25,7 +25,7 @@ class TestQueryWiring:
         assert query.count(figure3_log) == 3
 
     def test_engine_name_sqlite_is_registered(self, figure3_log):
-        query = Query("GetRefer", engine="sqlite")
+        query = Query("GetRefer", EngineOptions(engine="sqlite"))
         assert isinstance(query.engine, SqliteEngine)
         assert query.count(figure3_log) == 3
 
@@ -35,7 +35,7 @@ class TestQueryWiring:
 
     def test_sqlite_backend_rejects_other_engines(self):
         with pytest.raises(ReproError, match="engine"):
-            EngineOptions(backend="sqlite", engine="indexed")
+            EngineOptions(backend="sqlite", engine="vectorized")
 
     def test_sqlite_backend_is_not_parallel(self):
         assert EngineOptions(backend="sqlite").is_parallel is False
@@ -57,14 +57,14 @@ class TestEvaluation:
     )
     def test_matches_indexed_on_every_operator(self, figure3_log, text):
         pattern = parse(text)
-        reference = IndexedEngine().evaluate(figure3_log, pattern)
+        reference = VectorizedEngine().evaluate(figure3_log, pattern)
         pushed = SqliteEngine().evaluate(figure3_log.columnar(), pattern)
         assert pushed.to_rows() == reference.to_rows()
 
     def test_accepts_object_logs_directly(self, figure3_log):
         engine = SqliteEngine()
         assert engine.evaluate(figure3_log, parse("GetRefer")).to_rows() == (
-            IndexedEngine().evaluate(figure3_log, parse("GetRefer")).to_rows()
+            VectorizedEngine().evaluate(figure3_log, parse("GetRefer")).to_rows()
         )
 
     def test_exists_short_circuits(self, figure3_log):

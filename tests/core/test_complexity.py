@@ -9,7 +9,7 @@ import math
 
 import pytest
 
-from repro.core.eval.indexed import IndexedEngine
+from repro.core.eval.vectorized import VectorizedEngine
 from repro.core.eval.naive import NaiveEngine
 from repro.core.model import Log
 from repro.core.parser import parse
@@ -62,7 +62,7 @@ class TestTheorem1WorstCase:
         sizes = []
         for m in (4, 8, 16):
             log = worst_case_log(m)
-            result = IndexedEngine().evaluate(log, parse("t & t & t"))
+            result = VectorizedEngine().evaluate(log, parse("t & t & t"))
             sizes.append(len(result))
         # m^3-ish growth: doubling m should multiply output by ~8
         assert sizes[1] / sizes[0] > 4
@@ -78,7 +78,7 @@ class TestIndexedEngineSavings:
         # ordering test, and the indexed engine never inspects them
         log = Log.from_traces([["P2"] * 5 + ["P1"] * 5 + ["P2"] * 5] * 4)
         pattern = parse("P1 -> P2")
-        naive, indexed = NaiveEngine(), IndexedEngine()
+        naive, indexed = NaiveEngine(), VectorizedEngine()
         naive.evaluate(log, pattern)
         indexed.evaluate(log, pattern)
         assert (
@@ -91,7 +91,7 @@ class TestIndexedEngineSavings:
             20, 30, ["P1", "P2"], plant_rate=0.5, gap=1, seed=6
         )
         pattern = parse("P1 ; P2")
-        indexed = IndexedEngine()
+        indexed = VectorizedEngine()
         result = indexed.evaluate(log, pattern)
         # hash probe only ever lands on qualifying pairs
         assert indexed.last_stats.pairs_examined == len(result)

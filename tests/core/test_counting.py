@@ -6,7 +6,7 @@ import pytest
 
 from repro.core.errors import EvaluationError
 from repro.core.eval.counting import count_incidents, supports_counting
-from repro.core.eval.indexed import IndexedEngine
+from repro.core.eval.vectorized import VectorizedEngine
 from repro.core.eval.naive import NaiveEngine
 from repro.core.model import Log
 from repro.core.parser import parse
@@ -76,11 +76,11 @@ class TestExactness:
 class TestEngineIntegration:
     def test_indexed_count_uses_dp(self):
         log = Log.from_traces([["A"] * 300 + ["B"] * 300])
-        engine = IndexedEngine(max_incidents=10)  # materialising would blow
+        engine = VectorizedEngine(max_incidents=10)  # materialising would blow
         assert engine.count(log, parse("A -> B")) == 300 * 300
 
     def test_indexed_count_falls_back_for_choices(self, figure3_log):
-        engine = IndexedEngine()
+        engine = VectorizedEngine()
         pattern = parse("SeeDoctor | PayTreatment")
         assert engine.count(figure3_log, pattern) == len(
             engine.evaluate(figure3_log, pattern)

@@ -9,12 +9,13 @@ from repro.core.errors import (
     OptimizerError,
     PatternSyntaxError,
 )
-from repro.core.eval.indexed import IndexedEngine
+from repro.core.eval.vectorized import VectorizedEngine
 from repro.core.eval.naive import NaiveEngine
 from repro.core.incident import reference_incidents
 from repro.core.model import END, START, Log, LogRecord
 from repro.core.parser import parse, tokenize
 from repro.core.pattern import act, neg, parallel, sequential
+from repro.core.options import EngineOptions
 from repro.core.query import Query
 
 
@@ -33,7 +34,7 @@ class TestMinimalLogs:
     def test_negation_spans_sentinels(self):
         log = Log.from_traces([["A"]])
         # ¬A matches START and END (Definition 4: act(l) != t, no carve-out)
-        assert Query("!A", optimize=False).count(log) == 2
+        assert Query("!A", EngineOptions(optimize=False)).count(log) == 2
 
     def test_hundreds_of_tiny_instances(self):
         log = Log.from_traces({w: ["A"] for w in range(1, 301)})
@@ -50,7 +51,7 @@ class TestPatternEdges:
         assert pattern.size == 31
         log = Log.from_traces([["A"] * 5])
         # 31 leaves over 5 records: unsatisfiable but must not blow up
-        assert not IndexedEngine().exists(log, pattern)
+        assert not VectorizedEngine().exists(log, pattern)
 
     def test_pattern_with_many_choice_branches(self):
         pattern = parse(" | ".join(f"A{i}" for i in range(30)))
@@ -101,12 +102,12 @@ class TestDslEdges:
 class TestBudgetEdges:
     def test_budget_exactly_at_cap_is_fine(self):
         log = Log.from_traces([["A"] * 10])
-        engine = IndexedEngine(max_incidents=10)
+        engine = VectorizedEngine(max_incidents=10)
         assert len(engine.evaluate(log, parse("A"))) == 10
 
     def test_budget_one_below_output_raises(self):
         log = Log.from_traces([["A"] * 10])
-        engine = IndexedEngine(max_incidents=9)
+        engine = VectorizedEngine(max_incidents=9)
         with pytest.raises(BudgetExceededError):
             engine.evaluate(log, parse("A"))
 

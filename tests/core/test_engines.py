@@ -7,7 +7,7 @@ import pytest
 
 from repro.core.algebra import random_logs
 from repro.core.errors import BudgetExceededError
-from repro.core.eval.indexed import IndexedEngine
+from repro.core.eval.vectorized import VectorizedEngine
 from repro.core.eval.naive import NaiveEngine
 from repro.core.incident import reference_incidents
 from repro.core.model import Log
@@ -38,7 +38,7 @@ class TestDifferentialAgainstOracle:
             "SeeDoctor & PayTreatment",
             "!UpdateRefer ; GetReimburse",
         ]
-        naive, indexed = NaiveEngine(), IndexedEngine()
+        naive, indexed = NaiveEngine(), VectorizedEngine()
         for text in queries:
             pattern = parse(text)
             assert naive.evaluate(clinic_log, pattern) == indexed.evaluate(
@@ -73,13 +73,13 @@ class TestBudget:
         assert excinfo.value.limit == 100
 
     def test_budget_not_triggered_below_cap(self, figure3_log):
-        engine = IndexedEngine(max_incidents=1000)
+        engine = VectorizedEngine(max_incidents=1000)
         engine.evaluate(figure3_log, parse("SeeDoctor -> PayTreatment"))
 
     def test_budget_applies_to_intermediates(self):
         # the final result is empty, but the intermediate ⊕ explodes
         log = worst_case_log(40)
-        engine = IndexedEngine(max_incidents=200)
+        engine = VectorizedEngine(max_incidents=200)
         with pytest.raises(BudgetExceededError):
             engine.evaluate(log, parse("(t & t) ; Ghost"))
 
@@ -96,14 +96,14 @@ class TestExists:
             ), str(pattern)
 
     def test_greedy_fast_path_on_sequential_chains(self, figure3_log):
-        engine = IndexedEngine()
+        engine = VectorizedEngine()
         assert engine.exists(figure3_log, parse("GetRefer -> CheckIn -> SeeDoctor"))
         assert not engine.exists(
             figure3_log, parse("GetReimburse -> UpdateRefer")
         )
 
     def test_greedy_fast_path_with_choice(self, figure3_log):
-        engine = IndexedEngine()
+        engine = VectorizedEngine()
         assert engine.exists(
             figure3_log, parse("(TerminateRefer | CompleteRefer) -> END")
         ) is False  # no END records in the Figure 3 prefix
@@ -115,8 +115,52 @@ class TestExists:
         # Greedy must not commit to the earliest B: pattern (B ; C) needs
         # the *second* B.  exists() falls back to full evaluation for ⊙.
         log = Log.from_traces([["B", "X", "B", "C"]])
-        engine = IndexedEngine()
+        engine = VectorizedEngine()
         assert engine.exists(log, parse("B ; C"))
+
+
+class TestExistsFinishesItsStats:
+    """Both ``exists`` strategies install ``last_stats`` and count one
+    evaluation on every return path, governed or not — the greedy scan
+    used to return without finishing."""
+
+    #: (pattern, expected answer): greedy {atom, ⊳, ⊗} scan, then the
+    #: compiled per-instance fallback, each with a hit and a miss
+    CASES = [
+        ("GetRefer -> CheckIn", True),
+        ("GetReimburse -> UpdateRefer", False),
+        ("SeeDoctor ; PayTreatment", True),
+        ("Ghost ; SeeDoctor", False),
+    ]
+
+    @pytest.mark.parametrize("governed", [False, True], ids=["free", "governed"])
+    @pytest.mark.parametrize("text,expected", CASES)
+    def test_engine_exists(self, figure3_log, text, expected, governed):
+        from repro.core.governor import ResourceGovernor
+        from repro.obs.metrics import MetricsRegistry
+
+        registry = MetricsRegistry()
+        engine = VectorizedEngine(
+            metrics=registry,
+            governor=ResourceGovernor(max_pairs=10**9) if governed else None,
+        )
+        # stale stats from an earlier run must not survive either
+        engine.evaluate(figure3_log, parse("SeeDoctor -> PayTreatment"))
+        stale = engine.last_stats
+        assert engine.exists(figure3_log, parse(text)) is expected
+        assert engine.last_stats is not None and engine.last_stats is not stale
+        assert registry.counter("engine.evaluations").value == 2
+
+    @pytest.mark.parametrize("governed", [False, True], ids=["free", "governed"])
+    @pytest.mark.parametrize("text,expected", CASES)
+    def test_query_exists(self, figure3_log, text, expected, governed):
+        from repro.core.options import EngineOptions
+        from repro.core.query import Query
+
+        options = EngineOptions(max_pairs=10**9) if governed else None
+        query = Query(text, options)
+        assert query.exists(figure3_log) is expected
+        assert query.engine.last_stats is not None
 
 
 class TestStats:
@@ -129,7 +173,7 @@ class TestStats:
         assert stats.operator_evals == len(figure3_log.wids)
 
     def test_indexed_examines_no_failing_sequential_pairs(self, figure3_log):
-        engine = IndexedEngine()
+        engine = VectorizedEngine()
         result = engine.evaluate(figure3_log, parse("SeeDoctor -> PayTreatment"))
         # every examined pair produced an incident (pairs == result size,
         # as unions here are all distinct)

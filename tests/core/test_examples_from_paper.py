@@ -7,14 +7,18 @@ Figure 4 (the incident tree), and Example 5 (the evaluation trace).
 
 import pytest
 
-from repro.core.eval.indexed import IndexedEngine
+from repro.core.eval.vectorized import VectorizedEngine
 from repro.core.eval.naive import NaiveEngine
 from repro.core.eval.tree import build_incident_tree, render_tree
 from repro.core.incident import reference_incidents
 from repro.core.parser import parse
 from repro.core.query import Query
 
-ENGINES = [NaiveEngine(), IndexedEngine()]
+#: ids as in ``tests/conftest.py``: the kernel runs as "indexed"
+ENGINES = [
+    pytest.param(NaiveEngine(), id="naive"),
+    pytest.param(VectorizedEngine(), id="indexed"),
+]
 
 
 class TestExample1:
@@ -59,12 +63,12 @@ class TestExample3:
     correct {l13, l14, l20} — we assert the corrected value.)
     """
 
-    @pytest.mark.parametrize("engine", ENGINES, ids=lambda e: e.name)
+    @pytest.mark.parametrize("engine", ENGINES)
     def test_sequential_pattern_incidents(self, figure3_log, engine):
         result = engine.evaluate(figure3_log, parse("UpdateRefer -> GetReimburse"))
         assert result.lsn_sets() == {frozenset({14, 20})}
 
-    @pytest.mark.parametrize("engine", ENGINES, ids=lambda e: e.name)
+    @pytest.mark.parametrize("engine", ENGINES)
     def test_three_activity_pattern_incidents(self, figure3_log, engine):
         pattern = parse("SeeDoctor -> (UpdateRefer -> GetReimburse)")
         result = engine.evaluate(figure3_log, pattern)

@@ -20,12 +20,13 @@ from repro.core.errors import (
 )
 from repro.core.eval.base import EvaluationStats
 from repro.core.eval.incremental import IncrementalEvaluator
-from repro.core.eval.indexed import IndexedEngine
+from repro.core.eval.vectorized import VectorizedEngine
 from repro.core.eval.naive import NaiveEngine
 from repro.core.governor import CancelToken, QueryContext, ResourceGovernor
 from repro.core.options import EngineOptions
 from repro.core.parser import parse
 from repro.core.query import Query
+from tests.conftest import ENGINE_CLASSES
 
 
 def _stats(pairs: int) -> EvaluationStats:
@@ -150,7 +151,7 @@ class TestErrorHierarchy:
 class TestEngineCheckpoints:
     """Every evaluation path honours the governor cooperatively."""
 
-    @pytest.mark.parametrize("engine_cls", [NaiveEngine, IndexedEngine])
+    @pytest.mark.parametrize("engine_cls", ENGINE_CLASSES)
     def test_pairs_budget_kills_pairwise_evaluation(self, clinic_log, engine_cls):
         engine = engine_cls(governor=ResourceGovernor(max_pairs=3))
         with pytest.raises(QueryBudgetExceeded) as info:
@@ -158,7 +159,7 @@ class TestEngineCheckpoints:
         assert info.value.partial_stats is not None
         assert info.value.partial_stats.pairs_examined > 3
 
-    @pytest.mark.parametrize("engine_cls", [NaiveEngine, IndexedEngine])
+    @pytest.mark.parametrize("engine_cls", ENGINE_CLASSES)
     def test_expired_deadline_kills_promptly(self, clinic_log, engine_cls):
         # an already-passed absolute deadline trips at the first checkpoint
         engine = engine_cls(governor=ResourceGovernor(deadline_unix=0.0))
@@ -166,7 +167,7 @@ class TestEngineCheckpoints:
             engine.evaluate(clinic_log, parse("GetRefer -> CheckIn"))
 
     def test_counting_dp_charges_abstract_units(self, clinic_log):
-        engine = IndexedEngine(governor=ResourceGovernor(max_pairs=3))
+        engine = VectorizedEngine(governor=ResourceGovernor(max_pairs=3))
         with pytest.raises(QueryBudgetExceeded):
             engine.count(clinic_log, parse("GetRefer -> CheckIn"))
 
@@ -182,12 +183,12 @@ class TestEngineCheckpoints:
     def test_cancel_token_stops_mid_evaluation(self, clinic_log):
         cancel = CancelToken()
         cancel.set()
-        engine = IndexedEngine(governor=ResourceGovernor(cancel=cancel))
+        engine = VectorizedEngine(governor=ResourceGovernor(cancel=cancel))
         with pytest.raises(QueryCancelled):
             engine.evaluate(clinic_log, parse("GetRefer -> CheckIn"))
 
     def test_ungoverned_engine_is_unaffected(self, clinic_log):
-        engine = IndexedEngine()
+        engine = VectorizedEngine()
         result = engine.evaluate(clinic_log, parse("GetRefer -> CheckIn"))
         assert len(result) > 0
 

@@ -1,6 +1,5 @@
-"""The LogView access protocol: both representations satisfy it, the
-attribute/method dual access works, and the legacy mutation surface is
-shimmed to a DeprecationWarning + TypeError."""
+"""The LogView access protocol: both representations satisfy it, and the
+attribute/method dual access works."""
 
 import pytest
 
@@ -9,9 +8,6 @@ from repro.core.model import Log
 from repro.core.view import ActivitySet, LogView, RecordsView
 from repro.exec.shard import plan_shards
 from repro.logstore.index import LogIndex
-
-MUTATORS = ["append", "extend", "insert", "remove", "pop", "clear", "sort"]
-
 
 class TestProtocol:
     def test_both_representations_are_log_views(self, figure3_log):
@@ -35,6 +31,10 @@ class TestProtocol:
         assert records() is records
         assert records[0].lsn == 1
         assert list(records[:2]) == list(records)[:2]
+        # a plain immutable tuple: no list-mutation surface, shimmed or not
+        assert not hasattr(records, "append")
+        with pytest.raises(TypeError):
+            records[0] = None  # type: ignore[index]
 
     def test_log_activities_is_a_callable_frozenset(self, figure3_log):
         activities = figure3_log.activities
@@ -48,29 +48,6 @@ class TestProtocol:
         for wid in figure3_log.wids:
             assert columnar.wid_slice(wid) == figure3_log.wid_slice(wid)
         assert columnar.wid_slice(9999) == figure3_log.wid_slice(9999) == ()
-
-
-class TestMutationShims:
-    @pytest.mark.parametrize("name", MUTATORS)
-    def test_list_mutators_warn_then_raise(self, figure3_log, name):
-        with pytest.warns(DeprecationWarning, match="immutable view"):
-            with pytest.raises(TypeError, match=name):
-                getattr(figure3_log.records, name)("anything")
-
-    def test_item_assignment_warns_then_raises(self, figure3_log):
-        with pytest.warns(DeprecationWarning, match="immutable view"):
-            with pytest.raises(TypeError):
-                figure3_log.records[0] = None
-
-    def test_item_deletion_warns_then_raises(self, figure3_log):
-        with pytest.warns(DeprecationWarning, match="immutable view"):
-            with pytest.raises(TypeError):
-                del figure3_log.records[0]
-
-    def test_warning_names_the_log_store_alternative(self, figure3_log):
-        with pytest.warns(DeprecationWarning, match="LogStore"):
-            with pytest.raises(TypeError):
-                figure3_log.records.append(None)
 
 
 class TestViewConsumers:

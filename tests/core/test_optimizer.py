@@ -53,12 +53,12 @@ class TestCardinality:
     def test_sequential_estimate_tracks_reality_in_order_of_magnitude(
         self, skewed_log
     ):
-        from repro.core.eval.indexed import IndexedEngine
+        from repro.core.eval.vectorized import VectorizedEngine
 
         model = CostModel(LogStatistics.from_log(skewed_log))
         pattern = parse("H -> M")
         estimated = model.cardinality(pattern)
-        actual = len(IndexedEngine().evaluate(skewed_log, pattern))
+        actual = len(VectorizedEngine().evaluate(skewed_log, pattern))
         assert actual / 5 <= estimated <= actual * 5
 
     def test_plan_cost_grows_with_pattern(self, figure3_log):

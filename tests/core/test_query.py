@@ -3,8 +3,9 @@
 import pytest
 
 from repro.core.errors import ReproError
-from repro.core.eval.indexed import IndexedEngine
+from repro.core.eval.vectorized import VectorizedEngine
 from repro.core.eval.naive import NaiveEngine
+from repro.core.options import EngineOptions
 from repro.core.query import ENGINES, Query
 from repro.core.parser import parse
 from repro.core.pattern import act
@@ -20,17 +21,23 @@ class TestConstruction:
             Query(42)  # type: ignore[arg-type]
 
     def test_engine_registry(self):
-        assert set(ENGINES) == {"naive", "indexed", "vectorized", "sqlite"}
-        assert isinstance(Query("A", engine="naive").engine, NaiveEngine)
-        assert isinstance(Query("A").engine, IndexedEngine)
+        assert set(ENGINES) == {"naive", "vectorized", "sqlite"}
+        assert isinstance(Query("A", EngineOptions(engine="naive")).engine, NaiveEngine)
+        # one spelling of the default: None resolves to the join kernel
+        assert isinstance(Query("A").engine, VectorizedEngine)
 
     def test_engine_instances_pass_through(self):
         engine = NaiveEngine(max_incidents=5)
-        assert Query("A", engine=engine).engine is engine
+        assert Query("A", EngineOptions(engine=engine)).engine is engine
 
     def test_unknown_engine_name(self):
         with pytest.raises(ReproError):
-            Query("A", engine="warp-drive")
+            Query("A", EngineOptions(engine="warp-drive"))
+
+    def test_the_deleted_indexed_engine_name_is_unknown(self):
+        # no alias is kept: the error lists what is left
+        with pytest.raises(ReproError, match="naive.*sqlite.*vectorized"):
+            Query("A", EngineOptions(engine="indexed"))
 
 
 class TestExecution:
@@ -46,14 +53,14 @@ class TestExecution:
 
     def test_optimization_does_not_change_results(self, clinic_log):
         text = "(GetRefer -> GetReimburse) | (GetRefer -> TerminateRefer)"
-        with_opt = Query(text, optimize=True).run(clinic_log)
-        without = Query(text, optimize=False).run(clinic_log)
+        with_opt = Query(text, EngineOptions(optimize=True)).run(clinic_log)
+        without = Query(text, EngineOptions(optimize=False)).run(clinic_log)
         assert with_opt == without
 
     def test_max_incidents_is_forwarded(self, figure3_log):
         from repro.core.errors import BudgetExceededError
 
-        query = Query("!Ghost & !Ghost & !Ghost", max_incidents=10)
+        query = Query("!Ghost & !Ghost & !Ghost", EngineOptions(max_incidents=10))
         with pytest.raises(BudgetExceededError):
             query.run(figure3_log)
 
@@ -65,7 +72,7 @@ class TestIntrospection:
         assert plan.optimized_cost >= 0
 
     def test_plan_with_optimization_disabled(self, figure3_log):
-        plan = Query("A -> B", optimize=False).plan(figure3_log)
+        plan = Query("A -> B", EngineOptions(optimize=False)).plan(figure3_log)
         assert plan.optimized == plan.original
         assert "disabled" in plan.transformations[0]
 
@@ -73,7 +80,7 @@ class TestIntrospection:
         text = Query("SeeDoctor -> PayTreatment").explain(figure3_log)
         assert "incident tree" in text
         assert "⊳" in text
-        assert "engine: indexed" in text
+        assert "engine: vectorized" in text
 
     def test_repr(self):
         assert "A -> B" in repr(Query("A -> B"))

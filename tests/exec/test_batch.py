@@ -2,10 +2,10 @@
 
 import pytest
 
-from repro.core.eval.indexed import IndexedEngine
+from repro.core.eval.vectorized import VectorizedEngine
 from repro.core.parser import parse
 from repro.core.query import Query
-from repro.exec.batch import SharedScanEngine, evaluate_batch
+from repro.exec.batch import evaluate_batch
 from repro.obs.metrics import MetricsRegistry
 from repro.obs.tracer import Tracer
 
@@ -20,7 +20,7 @@ def independent(log, queries):
     """Per-query results and the total pairs of N separate evaluations."""
     results, pairs = [], 0
     for text in queries:
-        engine = IndexedEngine()
+        engine = VectorizedEngine()
         results.append(engine.evaluate(log, parse(text)))
         pairs += engine.last_stats.pairs_examined
     return results, pairs
@@ -64,12 +64,20 @@ def test_parallel_batch_matches_serial_batch(clinic_log, backend):
 
 
 def test_shared_scan_engine_counts_hits(figure3_log):
-    engine = SharedScanEngine()
-    pattern = parse("(GetRefer -> CheckIn) | (GetRefer -> SeeDoctor)")
+    engine = VectorizedEngine(share=True)
+    pattern = parse("(GetRefer -> CheckIn) | ((GetRefer -> CheckIn) -> SeeDoctor)")
     result = engine.evaluate(figure3_log, pattern)
-    # "GetRefer" appears in both branches: the second occurrence hits
-    assert engine.shared_hits > 0
-    assert result == IndexedEngine().evaluate(figure3_log, pattern)
+    # "GetRefer -> CheckIn" appears in both branches: the second
+    # occurrence hits, once per instance, and skips its join entirely
+    assert engine.shared_hits == len(figure3_log.wids)
+    plain = VectorizedEngine()
+    assert result == plain.evaluate(figure3_log, pattern)
+    assert engine.last_stats.pairs_examined < plain.last_stats.pairs_examined
+    # composite nodes and the root are shared; leaves come off the
+    # activity index faster than a probe, so a repeated leaf is no hit
+    leaves = VectorizedEngine(share=True)
+    leaves.evaluate(figure3_log, parse("(GetRefer -> CheckIn) | (GetRefer -> SeeDoctor)"))
+    assert leaves.shared_hits == 0
 
 
 def test_batch_observability(clinic_log):

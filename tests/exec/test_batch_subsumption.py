@@ -6,7 +6,7 @@ criterion)."""
 import pytest
 
 from repro.cache import QueryCache
-from repro.core.eval.indexed import IndexedEngine
+from repro.core.eval.vectorized import VectorizedEngine
 from repro.core.model import Log
 from repro.core.parser import parse
 from repro.exec.batch import evaluate_batch
@@ -35,7 +35,7 @@ def ab_log():
 
 def independent_rows(log, queries):
     return [
-        IndexedEngine().evaluate(log, parse(text)).to_rows()
+        VectorizedEngine().evaluate(log, parse(text)).to_rows()
         for text in queries
     ]
 
@@ -69,7 +69,7 @@ def test_optimized_batch_still_exact(ab_log):
     result = evaluate_batch(ab_log, CHAINED, optimize=True)
     # set equality: normalisation may reorder ⊗ operands
     for got, text in zip(result.results, CHAINED):
-        assert got == IndexedEngine().evaluate(ab_log, parse(text))
+        assert got == VectorizedEngine().evaluate(ab_log, parse(text))
 
 
 @pytest.mark.parametrize("backend", ["serial", "thread"])
@@ -110,8 +110,8 @@ def test_unprovable_patterns_degrade_to_scan(ab_log):
     guarded = Sequential(Guarded("A"), Guarded("B"))
     result = evaluate_batch(ab_log, [guarded, parse("A -> B")])
     assert batch_rows(result) == [
-        IndexedEngine().evaluate(ab_log, guarded).to_rows(),
-        IndexedEngine().evaluate(ab_log, parse("A -> B")).to_rows(),
+        VectorizedEngine().evaluate(ab_log, guarded).to_rows(),
+        VectorizedEngine().evaluate(ab_log, parse("A -> B")).to_rows(),
     ]
 
 

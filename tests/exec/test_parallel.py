@@ -6,6 +6,7 @@ from repro.core.eval.incremental import IncrementalEvaluator
 from repro.core.model import Log
 from repro.core.optimizer.cost import DispatchCostModel
 from repro.core.parser import parse
+from repro.core.options import EngineOptions
 from repro.core.query import ENGINES, Query
 from repro.exec import ParallelExecutor
 from repro.exec.backends import make_backend
@@ -20,12 +21,16 @@ PATTERN = "GetRefer -> CheckIn -> SeeDoctor"
 COMBOS = [("serial", 1), ("thread", 2), ("process", 2)]
 
 
+#: Worker engines; ids as in ``tests/conftest.py``: the kernel runs as "indexed".
+WORKER_ENGINES = ["naive", pytest.param("vectorized", id="indexed"), "incremental"]
+
+
 def serial_incidents(log, pattern_text=PATTERN):
-    return list(ENGINES["indexed"]().evaluate(log, parse(pattern_text)))
+    return list(ENGINES["naive"]().evaluate(log, parse(pattern_text)))
 
 
 @pytest.mark.parametrize("backend,jobs", COMBOS)
-@pytest.mark.parametrize("engine", ["naive", "indexed", "incremental"])
+@pytest.mark.parametrize("engine", WORKER_ENGINES)
 @pytest.mark.parametrize("strategy", ["hash", "range"])
 def test_parallel_equals_serial(clinic_log, backend, jobs, engine, strategy):
     expected = serial_incidents(clinic_log)
@@ -59,7 +64,7 @@ def test_merged_stats_equal_serial_totals(clinic_log):
     """Per-wid evaluation means sharding re-partitions, never changes,
     the work: summed shard counters equal the serial counters."""
     pattern = parse(PATTERN)
-    engine = ENGINES["indexed"]()
+    engine = ENGINES["vectorized"]()
     engine.evaluate(clinic_log, pattern)
     serial_stats = engine.last_stats
 
@@ -77,7 +82,7 @@ def test_merged_stats_equal_serial_totals(clinic_log):
 def test_span_merge_keeps_serial_shape_and_totals(clinic_log):
     pattern = parse(PATTERN)
     serial_tracer = Tracer()
-    engine = ENGINES["indexed"](tracer=serial_tracer)
+    engine = ENGINES["vectorized"](tracer=serial_tracer)
     engine.evaluate(clinic_log, pattern)
     serial_root = serial_tracer.last_root
 
@@ -142,12 +147,12 @@ def test_unknown_backend_and_engine_are_rejected(figure3_log):
 
 def test_query_jobs_routes_through_executor(clinic_log):
     serial = Query(PATTERN).run(clinic_log)
-    parallel = Query(PATTERN, jobs=2, parallel="serial").run(clinic_log)
+    parallel = Query(PATTERN, EngineOptions(jobs=2, backend="serial")).run(clinic_log)
     assert list(parallel) == list(serial)
 
 
 def test_query_parallel_count_and_stats(clinic_log):
-    query = Query("GetRefer -> CheckIn", jobs=2, parallel="serial")
+    query = Query("GetRefer -> CheckIn", EngineOptions(jobs=2, backend="serial"))
     count = query.count(clinic_log)
     assert count == Query("GetRefer -> CheckIn").count(clinic_log)
     query.run(clinic_log)
@@ -157,15 +162,15 @@ def test_query_parallel_count_and_stats(clinic_log):
 
 def test_query_process_pool_end_to_end(clinic_log):
     serial = Query(PATTERN).run(clinic_log)
-    parallel = Query(PATTERN, jobs=2, parallel="process").run(clinic_log)
+    parallel = Query(PATTERN, EngineOptions(jobs=2, backend="process")).run(clinic_log)
     assert list(parallel) == list(serial)
 
 
 def test_query_serial_by_default(clinic_log):
     query = Query(PATTERN)
     assert not query.is_parallel
-    assert Query(PATTERN, jobs=2).is_parallel
-    assert Query(PATTERN, parallel="process").is_parallel
+    assert Query(PATTERN, EngineOptions(jobs=2)).is_parallel
+    assert Query(PATTERN, EngineOptions(backend="process")).is_parallel
 
 
 # -- profiler ---------------------------------------------------------------

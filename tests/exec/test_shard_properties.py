@@ -9,7 +9,7 @@ incident set — element for element, in the canonical order.
 import hypothesis.strategies as st
 from hypothesis import given, settings
 
-from repro.core.eval.indexed import IndexedEngine
+from repro.core.eval.vectorized import VectorizedEngine
 from repro.core.incident import reference_incidents
 from repro.core.model import Log
 from repro.core.parser import parse
@@ -60,7 +60,7 @@ def test_union_of_shards_is_the_whole_log(log, pattern, n_shards, strategy):
     expected = reference_incidents(log, pattern)
     plan = plan_shards(log, n_shards, strategy=strategy)
     plan.verify_lossless()
-    engine = IndexedEngine()
+    engine = VectorizedEngine()
     union = []
     for shard in plan:
         union.extend(engine.evaluate(shard.log, pattern))
@@ -71,7 +71,7 @@ def test_union_of_shards_is_the_whole_log(log, pattern, n_shards, strategy):
 @given(
     logs(),
     patterns(),
-    st.sampled_from(("naive", "indexed", "incremental")),
+    st.sampled_from(("naive", "vectorized", "incremental")),
     st.sampled_from(("hash", "range")),
 )
 def test_executor_serial_equivalence_all_engines(log, pattern, engine, strategy):
@@ -99,11 +99,11 @@ def test_process_backend_equivalence(log, pattern):
 
 def test_clinic_pathway_on_all_engines_process_pool(clinic_log):
     """The acceptance gate: process backend with >= 2 workers, identical
-    to serial, for all four evaluation paths (naive, indexed,
+    to serial, for all four evaluation paths (naive, the kernel,
     incremental, and the counting DP via count)."""
     pattern = parse("GetRefer -> CheckIn -> SeeDoctor")
-    serial = list(IndexedEngine().evaluate(clinic_log, pattern))
-    for engine in ("naive", "indexed", "incremental"):
+    serial = list(VectorizedEngine().evaluate(clinic_log, pattern))
+    for engine in ("naive", "vectorized", "incremental"):
         executor = ParallelExecutor(jobs=2, backend="process", engine=engine)
         assert list(executor.evaluate(clinic_log, pattern).incidents) == serial
     counted = ParallelExecutor(jobs=2, backend="process").count(

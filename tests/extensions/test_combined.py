@@ -4,7 +4,7 @@
 import pytest
 
 from repro.core.eval.incremental import IncrementalEvaluator
-from repro.core.eval.indexed import IndexedEngine
+from repro.core.eval.vectorized import VectorizedEngine
 from repro.core.eval.naive import NaiveEngine
 from repro.core.eval.counting import count_incidents, supports_counting
 from repro.core.incident import reference_incidents
@@ -45,7 +45,7 @@ def test_all_evaluation_paths_agree(text):
     pattern = parse(text)
     expected = reference_incidents(log, pattern)
     assert NaiveEngine().evaluate(log, pattern) == expected, "naive"
-    assert IndexedEngine().evaluate(log, pattern) == expected, "indexed"
+    assert VectorizedEngine().evaluate(log, pattern) == expected, "indexed"
     streaming = IncrementalEvaluator(pattern)
     streaming.extend(log)
     assert streaming.incidents() == expected, "incremental"

@@ -5,7 +5,7 @@ import random
 import pytest
 
 from repro.core.errors import PatternSyntaxError
-from repro.core.eval.indexed import IndexedEngine
+from repro.core.eval.vectorized import VectorizedEngine
 from repro.core.eval.naive import NaiveEngine
 from repro.core.model import LogRecord
 from repro.core.parser import parse
@@ -121,13 +121,13 @@ class TestGuardedPattern:
 
     def test_guarded_composes_with_operators(self, figure3_log):
         pattern = where("GetRefer", attr("out.balance") >= 2000) >> "CheckIn"
-        result = IndexedEngine().evaluate(figure3_log, pattern)
+        result = VectorizedEngine().evaluate(figure3_log, pattern)
         assert result.lsn_sets() == {frozenset({5, 8})}
 
     def test_engines_agree_on_guarded_patterns(self, clinic_log):
         pattern = parse("GetRefer[out.balance >= 5000] -> GetReimburse")
         assert NaiveEngine().evaluate(clinic_log, pattern) == (
-            IndexedEngine().evaluate(clinic_log, pattern)
+            VectorizedEngine().evaluate(clinic_log, pattern)
         )
 
     def test_query_integration(self, figure3_log):

@@ -5,7 +5,7 @@ import random
 import pytest
 
 from repro.core.algebra import canonicalize, flatten_chain
-from repro.core.eval.indexed import IndexedEngine
+from repro.core.eval.vectorized import VectorizedEngine
 from repro.core.eval.naive import NaiveEngine
 from repro.core.incident import reference_incidents
 from repro.core.model import Log
@@ -51,7 +51,7 @@ class TestEngineAgreement:
         from repro.core.algebra import random_logs
 
         logs = random_logs("AB", cases=6, seed=51)
-        naive, indexed = NaiveEngine(), IndexedEngine()
+        naive, indexed = NaiveEngine(), VectorizedEngine()
         for __ in range(30):
             log = rng.choice(logs)
             pattern = Within(
@@ -66,7 +66,7 @@ class TestEngineAgreement:
     def test_exists_never_uses_unsound_greedy_path(self):
         # within requires late binding: the first A is too early
         log = Log.from_traces([["A", "X", "X", "X", "A", "B"]])
-        assert IndexedEngine().exists(log, within("A", "B", 1))
+        assert VectorizedEngine().exists(log, within("A", "B", 1))
 
 
 class TestAlgebraIntegration:

@@ -130,7 +130,6 @@ class TestRegistry:
             "service",
             "live",
             "columnar",
-            "vector",
             "sqlite",
         }
         assert "smoke" in registry.suites()

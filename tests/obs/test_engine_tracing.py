@@ -9,13 +9,15 @@ to exactly one pattern node.
 import pytest
 
 from repro.core.eval.incremental import IncrementalEvaluator
-from repro.core.eval.indexed import IndexedEngine
+from repro.core.eval.vectorized import VectorizedEngine
 from repro.core.eval.naive import NaiveEngine
 from repro.core.model import Log
 from repro.core.parser import parse
+from repro.core.options import EngineOptions
 from repro.core.query import Query
 from repro.obs.metrics import MetricsRegistry
 from repro.obs.tracer import Tracer
+from tests.conftest import ENGINE_CLASSES
 
 LOG = Log.from_traces(
     [["A", "B", "C", "A", "B"], ["B", "A", "C", "B"]],
@@ -25,7 +27,7 @@ PATTERNS = ["A -> B", "A ; B", "(A -> B) | C", "A & B", "A -> (B | C)"]
 
 
 class TestPairsReconciliation:
-    @pytest.mark.parametrize("engine_cls", [NaiveEngine, IndexedEngine])
+    @pytest.mark.parametrize("engine_cls", ENGINE_CLASSES)
     @pytest.mark.parametrize("text", PATTERNS)
     def test_span_pairs_sum_to_stats(self, engine_cls, text):
         tracer = Tracer()
@@ -85,7 +87,7 @@ class TestQueryForwarding:
     def test_query_threads_tracer_and_metrics(self):
         tracer = Tracer()
         registry = MetricsRegistry()
-        query = Query("A -> B", tracer=tracer, metrics=registry)
+        query = Query("A -> B", EngineOptions(tracer=tracer, metrics=registry))
         result = query.run(LOG)
         assert len(result) > 0
         assert tracer.last_root is not None
@@ -94,8 +96,8 @@ class TestQueryForwarding:
 
     def test_engine_instance_keeps_its_own_hooks(self):
         tracer = Tracer()
-        engine = IndexedEngine(tracer=tracer)
-        Query("A -> B", engine=engine).run(LOG)
+        engine = VectorizedEngine(tracer=tracer)
+        Query("A -> B", EngineOptions(engine=engine)).run(LOG)
         assert engine.tracer is tracer
         assert tracer.last_root is not None
 

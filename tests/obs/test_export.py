@@ -11,7 +11,7 @@ from pathlib import Path
 
 import pytest
 
-from repro.core.eval.indexed import IndexedEngine
+from repro.core.eval.vectorized import VectorizedEngine
 from repro.core.eval.naive import NaiveEngine
 from repro.core.model import Log
 from repro.core.parser import parse
@@ -103,7 +103,7 @@ class TestMetricsExport:
 class TestProfileExport:
     def test_profile_document_validates(self):
         log = Log.from_traces([["A", "B", "C", "A", "B"]] * 3, interleave=True)
-        report = profile_query(log, "A -> (B | C)", engine="indexed")
+        report = profile_query(log, "A -> (B | C)")
         document = report.to_dict()
         validate_profile(document)
         assert document["totals"]["pairs_examined"] == report.stats.pairs_examined
@@ -136,7 +136,7 @@ def test_engines_export_identical_trace_shapes():
     log = Log.from_traces([["A", "B", "A", "B"]])
     pattern = parse("A -> B")
     shapes = []
-    for engine_cls in (NaiveEngine, IndexedEngine):
+    for engine_cls in (NaiveEngine, VectorizedEngine):
         tracer = Tracer()
         engine_cls(tracer=tracer).evaluate(log, pattern)
         document = trace_to_dict(tracer.last_root, include_timing=False)

@@ -5,7 +5,7 @@ import re
 
 import pytest
 
-from repro.core.eval.indexed import IndexedEngine
+from repro.core.eval.vectorized import VectorizedEngine
 from repro.core.model import Log
 from repro.core.parser import parse
 from repro.obs import Tracer, flamegraph_html, folded_stacks, trace_to_dict
@@ -29,7 +29,7 @@ def _tree() -> Span:
 def _traced_evaluation() -> Span:
     log = Log.from_traces([["A", "B", "A"], ["B", "A"]])
     tracer = Tracer()
-    IndexedEngine(tracer=tracer).evaluate(log, parse("A -> B"))
+    VectorizedEngine(tracer=tracer).evaluate(log, parse("A -> B"))
     assert tracer.last_root is not None
     return tracer.last_root
 

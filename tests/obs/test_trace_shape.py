@@ -12,7 +12,7 @@ lets profiles be compared across engines.
 from hypothesis import given, settings
 
 from repro.core.eval.incremental import IncrementalEvaluator
-from repro.core.eval.indexed import IndexedEngine
+from repro.core.eval.vectorized import VectorizedEngine
 from repro.core.eval.naive import NaiveEngine
 from repro.obs.tracer import Tracer
 
@@ -41,7 +41,7 @@ def expected_shape(pattern):
 def test_engines_emit_identical_trace_shapes(log, pattern):
     shapes = {}
     results = {}
-    for name, engine_cls in (("naive", NaiveEngine), ("indexed", IndexedEngine)):
+    for name, engine_cls in (("naive", NaiveEngine), ("indexed", VectorizedEngine)):
         tracer = Tracer()
         results[name] = engine_cls(tracer=tracer).evaluate(log, pattern)
         root = tracer.last_root
@@ -66,7 +66,7 @@ def test_engines_emit_identical_trace_shapes(log, pattern):
 @settings(max_examples=60, deadline=None)
 @given(logs(), patterns())
 def test_traced_pairs_reconcile_with_stats(log, pattern):
-    for engine_cls in (NaiveEngine, IndexedEngine):
+    for engine_cls in (NaiveEngine, VectorizedEngine):
         tracer = Tracer()
         engine = engine_cls(tracer=tracer)
         engine.evaluate(log, pattern)

@@ -188,16 +188,24 @@ class TestClamping:
             "deadline_ms", "jobs", "max_pairs",
         ]
 
-    def test_unknown_engine_is_400(self, service):
+    @staticmethod
+    def assert_unknown_engine(service, name):
         response = post(
             service,
             "/v1/query",
-            {"log": "clinic", "pattern": "A", "options": {"engine": "warp"}},
+            {"log": "clinic", "pattern": "A", "options": {"engine": name}},
         )
         assert response.status == 400
         assert payload(response)["error"]["details"]["available"] == [
-            "indexed", "naive", "sqlite", "vectorized",
+            "naive", "sqlite", "vectorized",
         ]
+
+    def test_unknown_engine_is_400(self, service):
+        self.assert_unknown_engine(service, "warp")
+
+    def test_the_deleted_indexed_engine_is_unknown(self, service):
+        # the one deliberate narrowing of the wire contract: no alias is kept
+        self.assert_unknown_engine(service, "indexed")
 
 
 class TestQueryModes:

@@ -73,6 +73,15 @@ class TestQuery:
                      "--engine", "naive", "--no-optimize", "--mode", "count"])
         assert code == 0
 
+    @pytest.mark.parametrize("command", ["query", "profile"])
+    def test_the_deleted_indexed_engine_is_rejected(self, clinic_file, capsys, command):
+        with pytest.raises(SystemExit) as info:
+            main([command, "--log", clinic_file, "--pattern", "GetRefer",
+                  "--engine", "indexed"])
+        assert info.value.code == 2
+        message = capsys.readouterr().err
+        assert all(name in message for name in ("naive", "sqlite", "vectorized"))
+
     def test_bad_pattern_reports_error(self, clinic_file, capsys):
         code = main(["query", "--log", clinic_file, "--pattern", "A ->",
                      "--mode", "count"])
@@ -303,3 +312,8 @@ class TestProfile:
         main(["profile", "--log", clinic_file, "--pattern", "GetRefer",
               "--engine", "naive", "--format", "json"])
         assert json.loads(capsys.readouterr().out)["engine"] == "naive"
+
+    def test_profile_defaults_to_the_join_kernel(self, clinic_file, capsys):
+        main(["profile", "--log", clinic_file, "--pattern", "GetRefer",
+              "--format", "json"])
+        assert json.loads(capsys.readouterr().out)["engine"] == "vectorized"

@@ -13,7 +13,7 @@ from repro.baselines.automaton import AutomatonBaseline, supports
 from repro.baselines.sql import SqlBaseline
 from repro.core.errors import EvaluationError
 from repro.core.eval.counting import count_incidents
-from repro.core.eval.indexed import IndexedEngine
+from repro.core.eval.vectorized import VectorizedEngine
 from repro.core.eval.naive import NaiveEngine
 from repro.core.model import Log
 from repro.core.optimizer import Optimizer
@@ -26,7 +26,7 @@ class TestF1EtlPipeline:
     def test_sql_route_agrees_on_temporal_fragment(self, figure3_log):
         pattern = parse("UpdateRefer -> GetReimburse")
         assert SqlBaseline().evaluate(figure3_log, pattern) == (
-            IndexedEngine().evaluate(figure3_log, pattern)
+            VectorizedEngine().evaluate(figure3_log, pattern)
         )
 
     def test_sql_route_cannot_answer_attribute_queries(self, figure3_log):
@@ -71,7 +71,7 @@ class TestT1WorstCase:
         from repro.core.pattern import parallel
 
         log = worst_case_log(m)
-        result = IndexedEngine().evaluate(log, parallel(*["t"] * (k + 1)))
+        result = VectorizedEngine().evaluate(log, parallel(*["t"] * (k + 1)))
         assert len(result) == math.comb(m, k + 1)
 
 
@@ -110,7 +110,7 @@ class TestB1ExpressivenessGaps:
         for text in ("SeeDoctor ; PayTreatment",
                      "GetRefer -> (CompleteRefer | UpdateRefer)"):
             pattern = parse(text)
-            expected = IndexedEngine().evaluate(figure3_log, pattern)
+            expected = VectorizedEngine().evaluate(figure3_log, pattern)
             assert NaiveEngine().evaluate(figure3_log, pattern) == expected
             assert SqlBaseline().evaluate(figure3_log, pattern) == expected
             assert AutomatonBaseline().evaluate(figure3_log, pattern) == expected
@@ -118,7 +118,7 @@ class TestB1ExpressivenessGaps:
 
 class TestB2IndexClaims:
     def test_pair_growth_tracks_instance_count(self):
-        engine = IndexedEngine()
+        engine = VectorizedEngine()
         pattern = parse("A -> B")
         pairs = {}
         for n in (10, 40):
@@ -135,7 +135,7 @@ class TestB4StreamingEquivalence:
         pattern = parse("SeeDoctor -> PayTreatment")
         streaming = IncrementalEvaluator(pattern)
         streaming.extend(figure3_log)
-        assert streaming.incidents() == IndexedEngine().evaluate(
+        assert streaming.incidents() == VectorizedEngine().evaluate(
             figure3_log, pattern
         )
 
@@ -148,5 +148,5 @@ class TestB6CountingClaims:
     def test_count_never_materialises(self):
         # a budgeted engine would refuse; the DP cannot hit the budget
         log = Log.from_traces([["A"] * 150 + ["B"] * 150])
-        engine = IndexedEngine(max_incidents=10)
+        engine = VectorizedEngine(max_incidents=10)
         assert engine.count(log, parse("A -> B")) == 22_500

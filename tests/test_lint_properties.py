@@ -17,7 +17,7 @@ from __future__ import annotations
 
 import random
 
-from repro.core.eval.indexed import IndexedEngine
+from repro.core.eval.vectorized import VectorizedEngine
 from repro.core.eval.naive import NaiveEngine
 from repro.core.lint import Linter
 from repro.core.pattern import random_pattern, to_text
@@ -61,7 +61,7 @@ def random_pair(rng: random.Random, index: int):
 
 def test_spec_unsat_verdict_implies_empty_incident_set():
     rng = random.Random(20260806)
-    naive, indexed = NaiveEngine(), IndexedEngine()
+    naive, indexed = NaiveEngine(), VectorizedEngine()
     unsat_checked = 0
     not_flagged = 0
     for index in range(SPEC_LOG_PAIRS):
@@ -89,7 +89,7 @@ def test_spec_unsat_verdict_implies_empty_incident_set():
 
 def test_log_unsat_verdict_implies_empty_on_that_log():
     rng = random.Random(7)
-    indexed = IndexedEngine()
+    indexed = VectorizedEngine()
     unsat_checked = 0
     for index in range(40):
         spec, log = random_pair(rng, index)

@@ -11,7 +11,7 @@ from hypothesis import given, settings
 
 from repro.baselines.automaton import AutomatonBaseline, supports
 from repro.baselines.sql import SqlBaseline
-from repro.core.eval.indexed import IndexedEngine
+from repro.core.eval.vectorized import VectorizedEngine
 from repro.core.eval.naive import NaiveEngine
 from repro.core.incident import reference_incidents
 from repro.core.model import Log
@@ -68,7 +68,7 @@ def logs(draw):
 def test_all_engines_agree_with_the_oracle(log, pattern):
     expected = reference_incidents(log, pattern)
     assert NaiveEngine().evaluate(log, pattern) == expected
-    assert IndexedEngine().evaluate(log, pattern) == expected
+    assert VectorizedEngine().evaluate(log, pattern) == expected
     assert SqlBaseline().evaluate(log, pattern) == expected
     if supports(pattern):
         assert AutomatonBaseline().evaluate(log, pattern) == expected
@@ -78,7 +78,7 @@ def test_all_engines_agree_with_the_oracle(log, pattern):
 @given(logs(), patterns())
 def test_exists_is_consistent_with_evaluate(log, pattern):
     expected = bool(reference_incidents(log, pattern))
-    assert IndexedEngine().exists(log, pattern) == expected
+    assert VectorizedEngine().exists(log, pattern) == expected
     assert NaiveEngine().exists(log, pattern) == expected
 
 

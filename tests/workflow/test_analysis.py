@@ -9,7 +9,7 @@ import random
 
 import pytest
 
-from repro.core.eval.indexed import IndexedEngine
+from repro.core.eval.vectorized import VectorizedEngine
 from repro.core.model import END, START
 from repro.core.parser import parse
 from repro.core.pattern import enumerate_patterns, random_pattern
@@ -147,7 +147,7 @@ class TestSoundness:
         spec = factory()
         profile = analyze(spec)
         log = WorkflowEngine(spec).run(SimulationConfig(instances=60, seed=5))
-        engine = IndexedEngine()
+        engine = VectorizedEngine()
         names = sorted(spec.activity_names())[:5]
         for pattern in enumerate_patterns(names, max_operators=1):
             if not may_match(profile, pattern):
@@ -157,7 +157,7 @@ class TestSoundness:
         spec = clinic_referral_workflow()
         profile = analyze(spec)
         log = WorkflowEngine(spec).run(SimulationConfig(instances=80, seed=9))
-        engine = IndexedEngine()
+        engine = VectorizedEngine()
         rng = random.Random(13)
         names = sorted(spec.activity_names())
         refuted = 0
