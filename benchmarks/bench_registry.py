@@ -38,7 +38,7 @@ def test_registry_case(benchmark, name):
 @pytest.mark.parametrize("name", _FULL_ONLY)
 @pytest.mark.benchmark(warmup=False)
 def test_registry_case_full(benchmark, name):
-    """Full-suite extras (process pools, scans) — heavier, same adapter."""
+    """Full-suite extras (the larger sweeps) — heavier, same adapter."""
     case = _REGISTRY.get(name)
     body = case.build()
     benchmark.group = f"registry-{name.split('.')[0]}"

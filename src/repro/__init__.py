@@ -32,7 +32,6 @@ from repro.core import (  # noqa: E402
     ENGINES,
     START,
     Atomic,
-    Backend,
     BudgetExceededError,
     Choice,
     Consecutive,
@@ -80,7 +79,6 @@ __version__ = "1.0.0"
 __all__ = [
     "__version__",
     "EngineOptions",
-    "Backend",
     "LogView",
     "ColumnarLog",
     "as_columnar",

@@ -23,7 +23,7 @@ an ETL pipeline extracts a *projection* decided up front.
 
 This module remains the *benchmark baseline* (denormalised text schema,
 honest ETL cost).  The production SQL route is the pushdown backend in
-:mod:`repro.columnar.sqlite` (``backend="sqlite"``): same compiler
+:mod:`repro.columnar.sqlite` (``engine="sqlite"``): same compiler
 skeleton, but over interned integer columns mirroring the columnar
 layout, with the warehouse cached per columnar view.
 """

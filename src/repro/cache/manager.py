@@ -20,8 +20,7 @@ without store provenance fall back to a content fingerprint.  The memo
 layer drops the epoch and adds the per-instance record count instead —
 within one append-only lineage, an instance with the same record count
 has exactly the same records, so entries for instances untouched by
-later appends stay valid (the same wid-locality the shard planner
-relies on).
+later appends stay valid (the wid-locality of Definition 4).
 
 Hit/miss/eviction counts mirror into an optional
 :class:`~repro.obs.metrics.MetricsRegistry` as the ``cache.*`` family
@@ -170,11 +169,10 @@ class QueryCache:
     def memo_scope(log: "Log | LogSource") -> MemoScope:
         """Hashable scope of the memo layer for ``log``.
 
-        Store-derived logs (snapshots, projections, shards) share one
-        scope per lineage: memo entries carry the per-instance record
-        count, which within an append-only lineage pins the exact
-        records — so serial runs, sharded runs and later snapshots all
-        hit the same entries for untouched instances.
+        Store-derived logs (snapshots, projections) share one scope per
+        lineage: memo entries carry the per-instance record count, which
+        within an append-only lineage pins the exact records — so later
+        snapshots hit the same entries for untouched instances.
         """
         if log.lineage is not None:
             return ("lineage", log.lineage)

@@ -38,11 +38,6 @@ Subcommands
 * ``top``       — per-pattern resource ranking over a journal;
 * ``convert``   — transcode between jsonl / csv / xes.
 
-``query``, ``profile`` and ``batch`` accept ``--jobs N`` to evaluate over
-wid-disjoint shards on a process pool (see ``docs/PARALLELISM.md``);
-results are identical to serial evaluation.  ``query --progress`` adds
-per-shard completion feedback on stderr.
-
 ``query`` and ``batch`` accept ``--journal PATH`` (append the run's
 lifecycle events as JSONL) and the resource-governor budgets
 ``--deadline-ms`` / ``--max-pairs``; a run killed by the governor exits
@@ -66,7 +61,6 @@ from pathlib import Path
 
 from repro.analytics.anomaly import clinic_rules, loan_rules, order_rules
 from repro.cache import CachePolicy, QueryCache
-from repro.core.backend import Backend
 from repro.core.errors import QueryGovernorError, ReproError
 from repro.core.lint import Linter, Severity, format_diagnostics
 from repro.core.model import Log
@@ -190,7 +184,7 @@ def build_parser() -> argparse.ArgumentParser:
         "--engine",
         choices=sorted(ENGINES),
         default=None,
-        help="engine (default: vectorized; --backend sqlite implies sqlite)",
+        help="engine (default: vectorized)",
     )
     query.add_argument(
         "--no-optimize", action="store_true", help="skip the query optimizer"
@@ -234,25 +228,6 @@ def build_parser() -> argparse.ArgumentParser:
         default="json",
         help="metrics output format: JSON document or Prometheus text "
         "exposition (implies --metrics)",
-    )
-    query.add_argument(
-        "--jobs",
-        type=int,
-        default=None,
-        help="evaluate wid-disjoint shards on this many parallel workers",
-    )
-    query.add_argument(
-        "--backend",
-        choices=tuple(b.value for b in Backend.requestable()),
-        default=None,
-        help="execution backend: a sharded-executor backend (implies "
-        "--jobs; default auto) or 'sqlite' to compile the pattern to SQL "
-        "over the columnar schema",
-    )
-    query.add_argument(
-        "--progress",
-        action="store_true",
-        help="report per-shard completion on stderr (parallel runs)",
     )
     query.add_argument(
         "--cache",
@@ -304,12 +279,6 @@ def build_parser() -> argparse.ArgumentParser:
     )
     profile.add_argument(
         "--format", choices=("text", "json"), default="text", help="output format"
-    )
-    profile.add_argument(
-        "--jobs",
-        type=int,
-        default=None,
-        help="profile a sharded process-pool evaluation with this many workers",
     )
     profile.add_argument(
         "--flamegraph",
@@ -568,20 +537,6 @@ def build_parser() -> argparse.ArgumentParser:
         "findings on stderr)",
     )
     batch.add_argument(
-        "--jobs",
-        type=int,
-        default=1,
-        help="shard the log over this many parallel workers",
-    )
-    batch.add_argument(
-        "--backend",
-        choices=tuple(
-            b.value for b in Backend.executor() if b is not Backend.AUTO
-        ),
-        default="process",
-        help="backend used when --jobs > 1",
-    )
-    batch.add_argument(
         "--max-incidents",
         type=int,
         default=None,
@@ -591,7 +546,7 @@ def build_parser() -> argparse.ArgumentParser:
         "--cache",
         action="store_true",
         help="serve repeated patterns from the result cache and persist "
-        "subpattern memos across the batch (in-process backends)",
+        "subpattern memos across the batch",
     )
     _add_governor_arguments(batch)
 
@@ -741,8 +696,6 @@ def build_parser() -> argparse.ArgumentParser:
                        help="per-request wall-clock budget ceiling")
     serve.add_argument("--max-pairs-ceiling", type=int, default=50_000_000,
                        help="per-request pairs-examined budget ceiling")
-    serve.add_argument("--jobs-ceiling", type=int, default=8,
-                       help="per-request parallel fan-out ceiling")
     serve.add_argument("--cache-bytes", type=int, default=None,
                        help="per-layer byte budget for the shared query cache")
     serve.add_argument("--journal", default=None, metavar="PATH",
@@ -823,26 +776,6 @@ def _cmd_analyze(args: argparse.Namespace) -> int:
         return 3
 
 
-def _shard_progress(stream):
-    """A ``progress(done, total)`` printer for per-shard completion.
-
-    On a TTY the line rewrites in place (carriage return, newline at the
-    end); on anything else — pipes, CI logs, test capture — it prints
-    one plain line per shard so the output stays free of control
-    characters.
-    """
-    is_tty = bool(getattr(stream, "isatty", lambda: False)())
-
-    def progress(done: int, total: int) -> None:
-        if is_tty:
-            end = "\n" if done == total else ""
-            print(f"\rshards {done}/{total}", end=end, file=stream, flush=True)
-        else:
-            print(f"shards {done}/{total}", file=stream, flush=True)
-
-    return progress
-
-
 def _cmd_query(args: argparse.Namespace) -> int:
     log = _load_log(args.log)
     parsed = parse_with_spans(args.pattern)
@@ -873,9 +806,6 @@ def _cmd_query(args: argparse.Namespace) -> int:
             max_incidents=args.max_incidents,
             tracer=tracer,
             metrics=registry,
-            jobs=args.jobs,
-            backend=args.backend,
-            progress=_shard_progress(sys.stderr) if args.progress else None,
             cache=cache,
             deadline_ms=args.deadline_ms,
             max_pairs=args.max_pairs,
@@ -964,18 +894,11 @@ def _cmd_profile(args: argparse.Namespace) -> int:
         engine=args.engine,
         optimize=not args.no_optimize,
         max_incidents=args.max_incidents,
-        jobs=args.jobs,
     )
     if args.format == "json":
         print(json.dumps(report.to_dict(), indent=2, ensure_ascii=False))
     else:
         print(report.format())
-        if report.extra:
-            print(
-                f"parallel: {report.extra['jobs']} worker(s), "
-                f"{report.extra['shards']} shard(s), "
-                f"backend={report.extra['backend']}"
-            )
     if args.flamegraph:
         from repro.obs.flamegraph import flamegraph_html
 
@@ -1194,8 +1117,6 @@ def _cmd_batch(args: argparse.Namespace) -> int:
             patterns,
             optimize=not args.no_optimize,
             analyze=not args.no_analyze,
-            jobs=args.jobs,
-            backend=args.backend,
             max_incidents=args.max_incidents,
             cache=QueryCache() if args.cache else None,
             deadline_ms=args.deadline_ms,
@@ -1210,8 +1131,7 @@ def _cmd_batch(args: argparse.Namespace) -> int:
     summary = (
         f"--- {len(patterns)} query(ies), {result.stats.pairs_examined} pairs "
         f"examined, {result.shared_hits} shared subpattern hit(s), "
-        f"{result.subsumed} subsumed, backend={result.backend}, "
-        f"jobs={result.jobs}"
+        f"{result.subsumed} subsumed"
     )
     if args.cache:
         summary += f", {result.cache_hits} cached result(s)"
@@ -1251,15 +1171,13 @@ def _cmd_events(args: argparse.Namespace) -> int:
             extra = f"changed={event.get('changed')} -> {event.get('optimized')!r}"
         elif kind == "cache":
             extra = f"probe={event.get('probe')} hit={event.get('hit')}"
-        elif kind == "shard":
+        elif kind == "shard":  # journals written before the fan-out was deleted
             extra = (
                 f"shards={event.get('shards')} backend={event.get('backend')} "
                 f"jobs={event.get('jobs')}"
             )
         elif kind == "evaluate":
             extra = f"pairs={event.get('pairs')} incidents={event.get('incidents')}"
-            if "shard" in event:
-                extra = f"shard={event.get('shard')} pid={event.get('pid')} " + extra
         elif kind in ("finish", "killed"):
             extra = (
                 f"wall={event.get('wall_ms', 0):.2f}ms "
@@ -1537,7 +1455,6 @@ def _cmd_serve(args: argparse.Namespace) -> int:
         queue_timeout_ms=args.queue_timeout_ms,
         deadline_ms_ceiling=args.deadline_ms_ceiling,
         max_pairs_ceiling=args.max_pairs_ceiling,
-        jobs_ceiling=args.jobs_ceiling,
         cache_bytes=args.cache_bytes,
         access_log=args.access_log,
     )

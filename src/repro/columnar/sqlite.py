@@ -1,4 +1,4 @@
-"""SQL pushdown backend over the columnar schema (``backend="sqlite"``).
+"""SQL pushdown backend over the columnar schema (``engine="sqlite"``).
 
 :mod:`repro.baselines.sql` implements the paper's Figure 1 strawman — an
 ETL warehouse with one denormalised text table.  This module promotes
@@ -19,9 +19,8 @@ The compiler is the same operator-to-predicate mapping as the baseline
 :func:`~repro.core.algebra.choice_normal_form`), emitting integer
 ``act_id`` comparisons.  Attribute-guarded leaves cannot be compiled —
 the pushed-down projection has no attribute maps — and raise
-:class:`~repro.core.errors.EvaluationError`; the auto dispatch therefore
-never selects this backend, it must be requested
-(``backend=Backend.SQLITE``).
+:class:`~repro.core.errors.EvaluationError`; the engine is never a
+default, it must be requested (``engine="sqlite"``).
 
 Incident identity is reconstructed from the selected per-leaf ``lsn``
 values, so results are byte-for-byte identical to the object engines.
@@ -223,7 +222,7 @@ def compile_columnar_sql(pattern: Pattern, columnar: ColumnarLog) -> list[str]:
 
 class SqliteEngine(Engine):
     """Engine facade over :class:`ColumnarWarehouse` — the engine behind
-    ``backend=Backend.SQLITE``.
+    ``engine="sqlite"``.
 
     The warehouse is cached per columnar view, so repeated queries over
     one log pay the bulk load once; the columnar view itself is cached on

@@ -78,8 +78,8 @@ def _rebuild_error(cls: type, message: str, attrs: dict) -> Exception:
 
     The governor errors carry keyword-only attributes (partial stats,
     budget values); a plain ``Exception.__reduce__`` would re-invoke the
-    constructor with positional args only and fail.  Workers raise these
-    across a ``ProcessPoolExecutor`` boundary, so they must round-trip.
+    constructor with positional args only and fail, so ``copy`` and
+    ``pickle`` of a raised error would too.
     """
     err = cls.__new__(cls)
     Exception.__init__(err, message)
@@ -158,8 +158,8 @@ class QueryTimeout(QueryGovernorError):
 
 
 class QueryCancelled(QueryGovernorError):
-    """A query was cancelled cooperatively (a sibling shard tripped its
-    budget, so the executor asked the remaining shards to stop)."""
+    """A query was cancelled cooperatively: another thread set its
+    :class:`~repro.core.governor.CancelToken` (the admin kill)."""
 
 
 class OptimizerError(ReproError):

@@ -85,10 +85,11 @@ class EvaluationStats:
     def merge(self, other: "EvaluationStats") -> None:
         """Fold another evaluation's counters into this one.
 
-        Counts add; ``max_live_incidents`` takes the maximum (each shard
-        materialises its sets independently, so the peak is the largest
-        per-shard peak).  Used by :mod:`repro.exec` to combine per-shard
-        statistics into one whole-log ``EvaluationStats``.
+        Counts add; ``max_live_incidents`` takes the maximum (each
+        evaluation materialises its sets independently, so the peak is
+        the largest single peak).  Used by
+        :func:`repro.exec.evaluate_batch` to report one
+        ``EvaluationStats`` for all queries of a batch.
         """
         self.operator_evals += other.operator_evals
         self.pairs_examined += other.pairs_examined

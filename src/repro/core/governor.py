@@ -7,22 +7,18 @@ one pathological pattern can starve a whole worker.  This module is the
 admission-control half of the observability journal (PR 7):
 
 * :class:`QueryContext` — the frozen, picklable identity + budget record
-  that travels with a query across thread *and* process backends.  The
-  deadline is stored as an **absolute** wall-clock instant
-  (``deadline_unix``) precisely so that process workers, which cannot
-  share a monotonic clock with the parent, all observe the same cutoff.
-* :class:`ResourceGovernor` — the per-process enforcement object.
+  minted once per run.  The deadline is stored as an **absolute**
+  wall-clock instant (``deadline_unix``), measured from submission.
+* :class:`ResourceGovernor` — the enforcement object.
   Engines call :meth:`ResourceGovernor.check` at cooperative checkpoints
   (per workflow instance and per operator node); the governor raises the
   typed :class:`~repro.core.errors.QueryTimeout` /
   :class:`~repro.core.errors.QueryBudgetExceeded` /
   :class:`~repro.core.errors.QueryCancelled` carrying a detached partial
   :class:`~repro.core.eval.base.EvaluationStats` snapshot.
-* :class:`CancelToken` — a shared flag for in-process sibling shards.
-  It wraps :class:`threading.Event` and is deliberately **not** sent to
-  process workers (events do not pickle); process shards self-enforce
-  via the absolute deadline instead, and the executor cancels their
-  queued siblings with ``cancel_futures``.
+* :class:`CancelToken` — a flag another thread sets to stop a running
+  query: the admin kill behind ``DELETE /v1/admin/inflight/{query_id}``.
+  It wraps :class:`threading.Event`.
 
 Checkpoints are cooperative by design: no signals, no threads killed
 mid-operation, so partially built incident sets are simply dropped and
@@ -56,13 +52,12 @@ def new_trace_id() -> str:
 
 
 class CancelToken:
-    """A cooperative cancellation flag shared by in-process shards.
+    """A cooperative cancellation flag: the evaluating thread polls it
+    at every governor checkpoint, any other thread may set it.
 
-    Not picklable on purpose — see the module docstring for how process
-    backends achieve promptness without one.  ``reason`` (optional,
-    recorded by the first :meth:`set`) travels into the
-    :class:`~repro.core.errors.QueryCancelled` message, so an admin kill
-    reads as an admin kill rather than a sibling budget trip.
+    ``reason`` (optional, recorded by the first :meth:`set`) travels
+    into the :class:`~repro.core.errors.QueryCancelled` message, so an
+    admin kill names who asked for it.
     """
 
     def __init__(self) -> None:
@@ -83,13 +78,12 @@ class CancelToken:
 
 @dataclass(frozen=True)
 class QueryContext:
-    """Identity and budgets of one query, picklable across backends.
+    """Identity and budgets of one query.
 
     ``query_id`` names the query submission; ``trace_id`` names the
     execution attempt.  Both are stamped on every journal event emitted
-    for this query — including per-shard worker events — which is what
-    lets :mod:`repro.obs.journal` stitch a parallel run back into one
-    lifecycle record.
+    for this query, which is what makes the events of one run one
+    lifecycle record in :mod:`repro.obs.journal`.
     """
 
     query_id: str
@@ -97,7 +91,6 @@ class QueryContext:
     deadline_unix: float | None = None
     deadline_ms: float | None = None
     max_pairs: int | None = None
-    journal: bool = False
 
     @classmethod
     def new(
@@ -105,14 +98,12 @@ class QueryContext:
         *,
         deadline_ms: float | None = None,
         max_pairs: int | None = None,
-        journal: bool = False,
         clock: Callable[[], float] = time.time,
     ) -> "QueryContext":
         """Mint a context at submission time.
 
         The relative ``deadline_ms`` budget is converted to an absolute
-        ``deadline_unix`` here, once, so every worker — thread or process
-        — measures against the same instant.
+        ``deadline_unix`` here, once.
         """
         if deadline_ms is not None and deadline_ms <= 0:
             raise ReproError(f"deadline_ms must be > 0, got {deadline_ms}")
@@ -125,7 +116,6 @@ class QueryContext:
             deadline_unix=deadline_unix,
             deadline_ms=deadline_ms,
             max_pairs=max_pairs,
-            journal=journal,
         )
 
     @property
@@ -206,15 +196,15 @@ class ResourceGovernor:
     def check(self, stats: "EvaluationStats | None" = None) -> None:
         """One cooperative checkpoint; raises a typed governor error.
 
-        Order matters: cancellation first (a sibling already tripped, so
-        report the cooperative kill, not a coincidental local budget),
-        then the pairs budget, then the deadline.
+        Order matters: cancellation first (an operator asked, so report
+        the kill, not a coincidental budget trip), then the pairs
+        budget, then the deadline.
         """
         self.checkpoints += 1
         if stats is not None:
             self.pairs_seen = self._charged + stats.pairs_examined
         if self.cancel is not None and self.cancel.is_set():
-            reason = self.cancel.reason or "a sibling shard exhausted the budget"
+            reason = self.cancel.reason or "the cancel token was set"
             raise QueryCancelled(
                 f"query cancelled: {reason}",
                 partial_stats=_detach(stats),

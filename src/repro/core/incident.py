@@ -138,15 +138,14 @@ class Incident:
         by workflow instance, then by start position, then by end position,
         with the sorted record-lsn tuple as the deterministic tiebreak for
         incidents spanning the same positions.  Every engine yields its
-        final incident set in this order (via :class:`IncidentSet`), which
-        is what lets :mod:`repro.exec` assert that a parallel merge is
-        byte-for-byte identical to a serial evaluation.
+        final incident set in this order (via :class:`IncidentSet`), so
+        equal results are equal byte for byte.
         """
         return self._sort_key
 
     def __lt__(self, other: "Incident") -> bool:
         """Incidents sort by :attr:`sort_key` — the canonical order all
-        engines and the parallel executor agree on."""
+        engines agree on."""
         if not isinstance(other, Incident):
             return NotImplemented
         return self._sort_key < other._sort_key
@@ -170,8 +169,8 @@ class IncidentSet:
     accessors.  Iteration is in the *canonical incident order* — ascending
     ``Incident.sort_key``, i.e. ``(wid, first, last, sorted lsns)`` — which
     every engine produces and which makes results reproducible across
-    serial, sharded and parallel evaluation: two equal incident sets
-    iterate in exactly the same order, element for element.
+    engines: two equal incident sets iterate in exactly the same order,
+    element for element.
     """
 
     __slots__ = ("_incidents",)

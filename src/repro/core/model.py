@@ -273,7 +273,7 @@ class Log:
     )
 
     #: Slots that are derived caches, rebuilt lazily — excluded from
-    #: pickling so shard logs shipped to process workers stay lean.
+    #: pickling so a pickled or deep-copied log stays lean.
     _TRANSIENT_SLOTS = ("_records_view", "_columnar")
 
     def __init__(
@@ -478,7 +478,7 @@ class Log:
     @property
     def is_snapshot(self) -> bool:
         """Whether this log is a *complete* store snapshot (as opposed to
-        a projection/shard), making ``(lineage, epoch)`` a sound
+        a projection), making ``(lineage, epoch)`` a sound
         whole-log cache identity."""
         return self._is_snapshot
 
@@ -563,8 +563,8 @@ class Log:
         the record objects are shared, not copied.  Because incidents are
         identified by their record-lsn sets (Definition 4), a pattern's
         incident set over a projection equals the same-wid slice of its
-        incident set over the whole log — the property :mod:`repro.exec`
-        sharding relies on.
+        incident set over the whole log — the property the memo's
+        per-wid windows rest on (``tests/test_properties.py``).
         """
         keep = set(wids)
         return Log(
@@ -599,8 +599,8 @@ class Log:
 
     # -- pickling ------------------------------------------------------------
     # Slotted classes pickle via per-slot state; the derived caches in
-    # _TRANSIENT_SLOTS are dropped so shard logs shipped to process-pool
-    # workers do not also ship a columnar copy of themselves.
+    # _TRANSIENT_SLOTS are dropped so a copy of a log does not also carry
+    # a columnar copy of itself.
 
     def __getstate__(self) -> dict[str, Any]:
         return {

@@ -36,7 +36,7 @@ from repro.core.pattern import (
     Sequential,
 )
 
-__all__ = ["LogStatistics", "CostModel", "DispatchCostModel"]
+__all__ = ["LogStatistics", "CostModel"]
 
 
 @dataclass(frozen=True)
@@ -196,91 +196,3 @@ class CostModel:
         n1 = self.cardinality(pattern.left)
         n2 = self.cardinality(pattern.right)
         return cost_left + cost_right + self.join_cost(pattern, n1, n2)
-
-
-@dataclass(frozen=True)
-class DispatchCostModel:
-    """Overhead model for the parallel execution backends.
-
-    :mod:`repro.exec` fans wid-disjoint shards out over an execution
-    backend; whether that pays off depends on how the (estimated) join
-    work compares with the fixed cost of standing the backend up.  All
-    constants are in the same unit as :meth:`CostModel.plan_cost` — one
-    "pair examined" — calibrated roughly as ~0.5µs of pure-Python work
-    per pair, so e.g. ``process_worker_cost = 60_000`` models the ~30ms
-    a pool worker costs to fork and warm up.
-
-    Attributes
-    ----------
-    process_worker_cost:
-        Fixed cost per process-pool worker (fork + pool bookkeeping).
-    process_record_cost:
-        Per-record cost of shipping a shard to a worker and its results
-        back (pickling both ways).
-    thread_worker_cost:
-        Fixed cost per thread-pool worker.  Threads never beat serial on
-        this pure-Python CPU-bound workload (the GIL serialises the
-        joins), so their parallel fraction is modelled as 1.
-    min_parallel_cost:
-        Plans estimated cheaper than this never leave the calling
-        process, whatever the requested backend count.
-    sqlite_load_cost:
-        Per-record cost of bulk-loading the columnar arrays into the
-        in-memory SQLite warehouse (``backend="sqlite"``), paid once per
-        log thanks to the per-columnar warehouse cache.
-    sqlite_row_cost:
-        Per-pair cost multiplier of evaluating the compiled SQL relative
-        to one pure-Python pair: SQLite's C join loop examines a pair far
-        cheaper than the interpreter does.
-    """
-
-    process_worker_cost: float = 60_000.0
-    process_record_cost: float = 4.0
-    thread_worker_cost: float = 2_000.0
-    min_parallel_cost: float = 250_000.0
-    sqlite_load_cost: float = 6.0
-    sqlite_row_cost: float = 0.1
-
-    def overhead(self, backend: str, jobs: int, records: int) -> float:
-        """Fixed dispatch cost of running ``jobs`` workers over a log of
-        ``records`` records on the named backend."""
-        if backend == "process":
-            return self.process_worker_cost * jobs + self.process_record_cost * records
-        if backend == "thread":
-            return self.thread_worker_cost * jobs
-        if backend == "sqlite":
-            return self.sqlite_load_cost * records
-        return 0.0
-
-    def effective_workers(self, backend: str, jobs: int) -> int:
-        """How many workers actually run joins concurrently: processes
-        sidestep the GIL, threads and serial do not."""
-        return max(1, jobs) if backend == "process" else 1
-
-    def wall_cost(
-        self, backend: str, jobs: int, records: int, plan_cost: float
-    ) -> float:
-        """Estimated wall-clock cost of one evaluation: dispatch overhead
-        plus the plan cost divided by the truly concurrent workers (for
-        ``"sqlite"``, the plan cost scaled by the in-database pair cost)."""
-        if backend == "sqlite":
-            return self.overhead(backend, jobs, records) + plan_cost * self.sqlite_row_cost
-        return self.overhead(backend, jobs, records) + plan_cost / self.effective_workers(
-            backend, jobs
-        )
-
-    def choose_backend(self, jobs: int, records: int, plan_cost: float) -> str:
-        """The backend with the least estimated wall cost for this plan:
-        ``"serial"`` when the plan is too small to amortise a pool,
-        ``"process"`` otherwise.
-
-        ``"sqlite"`` is deliberately not an auto-dispatch candidate: the
-        pushdown schema cannot evaluate attribute-guarded leaves, so it
-        only runs when requested explicitly (``backend="sqlite"``)."""
-        if plan_cost < self.min_parallel_cost or jobs <= 1:
-            return "serial"
-        candidates = ("serial", "process")
-        return min(
-            candidates,
-            key=lambda backend: self.wall_cost(backend, jobs, records, plan_cost),
-        )

@@ -1,7 +1,7 @@
 """High-level query API.
 
-:class:`Query` bundles pattern, engine, optimizer, cache and executor
-behind the interface a downstream application uses::
+:class:`Query` bundles pattern, engine, optimizer and cache behind the
+interface a downstream application uses::
 
     from repro import EngineOptions, Query
 
@@ -14,12 +14,11 @@ behind the interface a downstream application uses::
 Execution behaviour is configured with one immutable
 :class:`~repro.core.options.EngineOptions` value::
 
-    q = Query(pattern, EngineOptions(jobs=4, cache=True))
+    q = Query(pattern, EngineOptions(cache=True, deadline_ms=500))
 """
 
 from __future__ import annotations
 
-from repro.core.backend import Backend
 from repro.core.errors import QueryGovernorError, ReproError
 from repro.core.eval.base import Engine
 from repro.core.eval.naive import NaiveEngine
@@ -69,18 +68,17 @@ class Query:
         the query syntax of :mod:`repro.core.parser`.
     options:
         An :class:`~repro.core.options.EngineOptions` value; None for the
-        defaults (the join kernel, optimizer on, serial, no cache).
+        defaults (the join kernel, optimizer on, no cache).
 
     Attributes
     ----------
     options:
         The resolved :class:`~repro.core.options.EngineOptions`.
     engine:
-        The live :class:`~repro.core.eval.base.Engine`.  On serial runs
-        of the join kernel with a cache attached, the kernel carries the
-        memo hook: per-``(wid, subpattern)`` results persist across runs
-        (see ``docs/CACHING.md``).  Parallel runs use the result layer
-        only: workers rebuild engines by name per shard.
+        The live :class:`~repro.core.eval.base.Engine`.  With a cache
+        attached, the join kernel carries the memo hook:
+        per-``(wid, subpattern)`` results persist across runs (see
+        ``docs/CACHING.md``).
     cache:
         The resolved :class:`~repro.cache.manager.QueryCache`, or None
         when caching is off.
@@ -113,15 +111,13 @@ class Query:
         opts = self.options
         if isinstance(opts.engine, Engine):
             return opts.engine
-        # the SQL pushdown backend *is* an engine: patterns compile to SQL
-        # over the columnar schema, so there is nothing to shard
-        cls = SqliteEngine if opts.backend is Backend.SQLITE else engine_class(opts.engine)
+        cls = engine_class(opts.engine)
         common = {
             "max_incidents": opts.max_incidents,
             "tracer": opts.tracer,
             "metrics": opts.metrics,
         }
-        if cls is VectorizedEngine and not opts.is_parallel:
+        if cls is VectorizedEngine:
             # the kernel's memo hook: per-(wid, subpattern) results persist
             # in the shared cache across runs and across queries
             return VectorizedEngine(cache=self.cache, **common)
@@ -144,37 +140,6 @@ class Query:
         self._last_plan = plan
         return plan
 
-    @property
-    def is_parallel(self) -> bool:
-        """Whether :meth:`run`/:meth:`count` go through the sharded
-        parallel executor."""
-        return self.options.is_parallel
-
-    def _executor(self, ctx: QueryContext | None = None):
-        """Build the parallel executor for this query's configuration
-        (imported lazily — :mod:`repro.exec` is optional machinery).
-
-        The executor runs cache-less: the result layer is consulted and
-        filled here in :meth:`run`, under the key of the *original*
-        pattern (the executor only ever sees the optimized one)."""
-        from repro.exec.parallel import ParallelExecutor
-
-        opts = self.options
-        tracer = opts.tracer
-        if tracer is None and getattr(self.engine.tracer, "enabled", False):
-            tracer = self.engine.tracer
-        return ParallelExecutor(
-            jobs=opts.jobs,
-            backend=opts.backend if opts.backend is not None else "auto",
-            strategy=opts.strategy,
-            engine=self.engine,
-            tracer=tracer,
-            metrics=opts.metrics,
-            progress=opts.progress,
-            ctx=ctx,
-            journal=opts.journal,
-        )
-
     def _begin_run(self, op: str):
         """Mint the per-run query context, recorder and governor.
 
@@ -182,17 +147,15 @@ class Query:
         measured from submission (the deadline is converted to an
         absolute wall-clock cutoff here), and the ``query_id``/
         ``trace_id`` stamped on every journal event are fresh per run.
-        Serial runs attach the governor to the live engine; parallel
-        runs ship the context instead and let each worker build its own.
+        The governor (with the caller's cancel token) is attached to the
+        live engine for the duration of the run.
         """
         opts = self.options
         ctx: QueryContext | None = None
         recorder = None
         if opts.journal is not None or opts.governed or opts.cancel is not None:
             ctx = QueryContext.new(
-                deadline_ms=opts.deadline_ms,
-                max_pairs=opts.max_pairs,
-                journal=opts.journal is not None,
+                deadline_ms=opts.deadline_ms, max_pairs=opts.max_pairs
             )
         if opts.journal is not None and ctx is not None:
             from repro.obs.journal import RunRecorder
@@ -202,13 +165,13 @@ class Query:
             )
             recorder.submit()
         governor = None
-        if ctx is not None and not self.is_parallel:
+        if ctx is not None:
             # a bare cancel token still builds a governor (from_context
             # handles the budget-free case), so external cancellation
             # works even on unbudgeted runs
             governor = ResourceGovernor.from_context(ctx, cancel=opts.cancel)
         self.engine.governor = governor
-        return ctx, recorder
+        return recorder
 
     def _finish_run(self, recorder, *, stats, incidents, cache_before, **payload):
         """Emit the terminal ``finish`` event with cache attribution."""
@@ -254,7 +217,7 @@ class Query:
         ending in a terminal ``finish`` or ``killed`` event.
         """
         self.last_cache_layer = None
-        ctx, recorder = self._begin_run("run")
+        recorder = self._begin_run("run")
         cache_before = (
             self.cache.attribution()
             if recorder is not None and self.cache is not None
@@ -281,22 +244,16 @@ class Query:
                 recorder.plan(
                     optimized=str(optimized), changed=optimized != self.pattern
                 )
-            if self.is_parallel:
-                outcome = self._executor(ctx).evaluate(log, optimized)
-                self.engine.last_stats = outcome.stats
-                assert outcome.incidents is not None
-                result = outcome.incidents
-            else:
-                memo_before = getattr(self.engine, "memo_hits", 0)
-                result = self.engine.evaluate(log, optimized)
-                if getattr(self.engine, "memo_hits", 0) > memo_before:
-                    self.last_cache_layer = "memo"
-                if recorder is not None:
-                    stats = self.engine.last_stats
-                    recorder.evaluate(
-                        pairs=0 if stats is None else stats.pairs_examined,
-                        incidents=len(result),
-                    )
+            memo_before = getattr(self.engine, "memo_hits", 0)
+            result = self.engine.evaluate(log, optimized)
+            if getattr(self.engine, "memo_hits", 0) > memo_before:
+                self.last_cache_layer = "memo"
+            if recorder is not None:
+                stats = self.engine.last_stats
+                recorder.evaluate(
+                    pairs=0 if stats is None else stats.pairs_examined,
+                    incidents=len(result),
+                )
             if key is not None:
                 self.cache.put_result(key, result, self.engine.last_stats)
             self._finish_run(
@@ -315,9 +272,8 @@ class Query:
 
     def exists(self, log: Log) -> bool:
         """Whether at least one incident exists (short-circuits when the
-        engine supports it).  Always serial: the greedy short-circuit
-        scan typically finishes before a worker pool even starts."""
-        _, recorder = self._begin_run("exists")
+        engine supports it)."""
+        recorder = self._begin_run("exists")
         try:
             hit = self._cached_result(self._result_key(log))
             if hit is not None:
@@ -344,9 +300,8 @@ class Query:
         """Number of incidents in ``log``.
 
         Delegates to the engine, which may use the output-free counting
-        DP for ⊙/⊳ chains instead of materialising the incident set.
-        With ``jobs``/``backend`` set, per-shard counts are summed."""
-        ctx, recorder = self._begin_run("count")
+        DP for ⊙/⊳ chains instead of materialising the incident set."""
+        recorder = self._begin_run("count")
         try:
             hit = self._cached_result(self._result_key(log))
             if hit is not None:
@@ -359,10 +314,7 @@ class Query:
                     recorder.plan(
                         optimized=str(optimized), changed=optimized != self.pattern
                     )
-                if self.is_parallel:
-                    n = self._executor(ctx).count(log, optimized)
-                else:
-                    n = self.engine.count(log, optimized)
+                n = self.engine.count(log, optimized)
             self._finish_run(
                 recorder,
                 stats=None if hit is not None else self.engine.last_stats,

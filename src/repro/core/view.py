@@ -1,6 +1,6 @@
 """Unified read-access protocol over log representations.
 
-The engines, the shard planner and the cache used to consume the
+The engines and the cache used to consume the
 concrete :class:`~repro.core.model.Log` (a list of dataclass records)
 directly, leaking the object-row layout into every layer.  This module
 defines the representation-neutral surface they consume instead:
@@ -68,8 +68,8 @@ class LogView(Protocol):
 
     Implemented by :class:`~repro.core.model.Log` (object rows) and
     :class:`~repro.columnar.ColumnarLog` (interned columns).  Engines
-    and the shard planner consume this protocol only; they never reach
-    into a concrete record list.
+    consume this protocol only; they never reach into a concrete record
+    list.
 
     ``records()`` and ``activities()`` are written as methods; both
     implementations expose them as properties whose values are callable

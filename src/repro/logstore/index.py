@@ -145,14 +145,6 @@ class LogIndex:
         """Number of records of instance ``wid``."""
         return self._instance_len.get(wid, 0)
 
-    def wid_record_counts(self) -> dict[int, int]:
-        """Per-instance record counts (the largest is-lsn seen per wid).
-
-        Exposed for the :mod:`repro.exec` shard planner, which balances
-        shards on these sizes without touching the records themselves.
-        """
-        return dict(self._instance_len)
-
     def activity_count(self, activity: str) -> int:
         """Global occurrence count of ``activity``."""
         return self._count.get(activity, 0)

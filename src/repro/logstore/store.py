@@ -228,9 +228,8 @@ class LogStore:
     def wid_record_counts(self) -> dict[int, int]:
         """Per-instance record counts, in one pass over the store.
 
-        This is the size statistic the :mod:`repro.exec` shard planner
-        balances on; it deliberately avoids building a full
-        :meth:`snapshot` first.
+        Deliberately avoids building a full :meth:`snapshot` first (the
+        service's ``/v1/logs`` listing reads it).
         """
         counts: dict[int, int] = {}
         for record in self._records:

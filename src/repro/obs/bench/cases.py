@@ -10,7 +10,6 @@ matches the originating bench module:
 * ``operators.*``    — Lemma 1 per-operator pairwise evaluation;
 * ``scaling.*``      — Section 3.2 index vs scan behaviour;
 * ``optimizer.*``    — Theorems 2-5 plan quality and planning overhead;
-* ``parallel.*``     — wid-disjoint shard fan-out (PR 3);
 * ``batch.*``        — shared-scan multi-query evaluation, including the
   subsumption-planned variant (PR 6);
 * ``analysis.*``     — containment-prover compile + decide cost;
@@ -213,34 +212,7 @@ def register_standard_cases(registry: BenchRegistry) -> None:
         pattern = parse("R -> (H -> H)")
         return lambda: optimizer.optimize(pattern)
 
-    # -- parallel / batch (PR 3) ------------------------------------------
-
-    @registry.case(
-        "parallel.serial_reference",
-        suites=("smoke", "full"),
-        description="direct engine evaluation — the sharding reference",
-        instances=120,
-    )
-    def _parallel_serial(instances: int) -> Callable[[], Any]:
-        log = clinic_log(instances, seed=42)
-        engine = VectorizedEngine()
-        pattern = parse("GetRefer -> CheckIn -> SeeDoctor")
-        return lambda: engine.evaluate(log, pattern)
-
-    @registry.case(
-        "parallel.process_j2",
-        suites=("full",),
-        description="2-worker process-pool shard fan-out, hash strategy",
-        instances=120,
-        jobs=2,
-    )
-    def _parallel_process(instances: int, jobs: int) -> Callable[[], Any]:
-        from repro.exec.parallel import ParallelExecutor
-
-        log = clinic_log(instances, seed=42)
-        pattern = parse("GetRefer -> CheckIn -> SeeDoctor")
-        executor = ParallelExecutor(jobs=jobs, backend="process", strategy="hash")
-        return lambda: executor.evaluate(log, pattern)
+    # -- batch (PR 3) -----------------------------------------------------
 
     @registry.case(
         "batch.shared_scan",

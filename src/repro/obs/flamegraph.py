@@ -21,11 +21,10 @@ spans — the node set of the rendering equals the node set of the trace,
 which is what the tests pin.
 
 Layout note: a span's children can sum to more wall time than the span
-itself records (clock granularity; merged trees sum independently
-measured shards).  The layout normalises each sibling row by
-``max(parent_width, sum(children))`` so frames never overflow their
-parent, at the cost of a slightly compressed row when the anomaly
-occurs.
+itself records (clock granularity).  The layout normalises each
+sibling row by ``max(parent_width, sum(children))`` so frames never
+overflow their parent, at the cost of a slightly compressed row when
+the anomaly occurs.
 """
 
 from __future__ import annotations

@@ -9,20 +9,15 @@ object per line, each tagged ``repro.obs.journal/v1``:
 * ``submit``   — query text, operation, budgets; opens the lifecycle;
 * ``plan``     — optimizer outcome (optimized text, whether it changed);
 * ``cache``    — a cache probe (result/memo layer) and whether it hit;
-* ``shard``    — parallel fan-out shape (shards, backend, jobs, strategy);
-* ``evaluate`` — one evaluation body; in parallel runs, one per shard
-  worker, stamped with the worker pid and shard index;
+* ``evaluate`` — one evaluation body (pairs examined, incidents);
 * ``finish``   — terminal: wall/CPU time, peak allocation
   (``tracemalloc``), pairs examined, incidents, cache attribution;
 * ``killed``   — terminal: the governor stopped the query (reason +
   partial accounting).
 
 Every event carries the ``query_id``/``trace_id`` minted at submission
-(:class:`~repro.core.governor.QueryContext`), which propagate across
-thread *and* process backends — worker events are built in the worker
-(:func:`make_event`), shipped home inside the shard outcome, and
-re-sequenced into the parent journal, so a parallel run stitches back
-into one query record.
+(:class:`~repro.core.governor.QueryContext`), so one run reads back as
+one query record.
 
 Views over a journal — :func:`slow_queries`, :func:`filter_events`,
 :func:`top_patterns` — back the ``repro-logs events`` / ``repro-logs
@@ -70,7 +65,7 @@ EVENT_KINDS: tuple[str, ...] = (
     "submit",
     "plan",
     "cache",
-    "shard",
+    "shard",  # nothing emits it any more; kept so journals on disk still validate
     "evaluate",
     "finish",
     "killed",
@@ -83,12 +78,8 @@ TERMINAL_KINDS: tuple[str, ...] = ("finish", "killed")
 def make_event(
     kind: str, *, query_id: str, trace_id: str, **payload: Any
 ) -> dict[str, Any]:
-    """Build one journal event dict (no sequence number yet).
-
-    Shard workers call this to record their evaluation and ship the
-    plain dict home in the outcome — dicts pickle, journals do not.  The
-    parent journal assigns ``seq`` on adoption (:meth:`QueryJournal.write`).
-    """
+    """Build one journal event dict (no sequence number yet; the journal
+    assigns ``seq`` in :meth:`QueryJournal.write`)."""
     if kind not in EVENT_KINDS:
         raise ValueError(f"unknown journal event kind {kind!r}")
     event: dict[str, Any] = {
@@ -154,13 +145,8 @@ class QueryJournal:
         )
 
     def write(self, event: Mapping[str, Any]) -> dict[str, Any]:
-        """Sequence and persist one event (possibly built elsewhere).
-
-        Worker-built events (:func:`make_event`) pass through here when
-        the parent stitches them in, so ``seq`` is a single monotonic
-        series per journal regardless of which process produced the
-        event.
-        """
+        """Sequence and persist one event: ``seq`` is a single monotonic
+        series per journal, whichever thread produced the event."""
         record = dict(event)
         record.setdefault("schema", JOURNAL_SCHEMA)
         with self._lock:
@@ -196,12 +182,11 @@ class QueryJournal:
 class ResourceAccount:
     """Wall + CPU time and peak-allocation sampling for one query run.
 
-    Wall time uses ``perf_counter``, CPU time ``process_time`` (parent
-    process only — worker CPU shows up in the per-shard ``evaluate``
-    events instead).  Peak allocation is sampled with ``tracemalloc``:
-    if tracing is already on, the peak counter is reset and read;
-    otherwise tracing is started for the duration and stopped after, so
-    the account never disturbs an enclosing profiler.
+    Wall time uses ``perf_counter``, CPU time ``process_time``.  Peak
+    allocation is sampled with ``tracemalloc``: if tracing is already
+    on, the peak counter is reset and read; otherwise tracing is started
+    for the duration and stopped after, so the account never disturbs an
+    enclosing profiler.
     """
 
     def __init__(self, *, memory: bool = True) -> None:
@@ -290,21 +275,8 @@ class RunRecorder:
     def cache_probe(self, *, probe: str, hit: bool, **payload: Any) -> None:
         self._emit("cache", probe=probe, hit=hit, **payload)
 
-    def shard(
-        self, *, shards: int, backend: str, jobs: int, strategy: str
-    ) -> None:
-        self._emit(
-            "shard", shards=shards, backend=backend, jobs=jobs, strategy=strategy
-        )
-
-    def adopt(self, events: Iterable[Mapping[str, Any]]) -> None:
-        """Stitch worker-built events into this journal."""
-        for event in events:
-            self.journal.write(event)
-
     def evaluate(self, *, pairs: int, incidents: int, **payload: Any) -> None:
-        """One (serial) evaluation body; parallel runs adopt per-shard
-        worker events instead."""
+        """One evaluation body."""
         self._emit("evaluate", pairs=pairs, incidents=incidents, **payload)
 
     def finish(

@@ -18,7 +18,7 @@ cycling back through ``repro.core``.
 
 from __future__ import annotations
 
-from dataclasses import dataclass, field
+from dataclasses import dataclass
 
 from repro.core.eval.base import EvaluationStats
 from repro.core.model import Log
@@ -89,7 +89,6 @@ class ProfileReport:
     registry: MetricsRegistry
     elapsed_s: float = 0.0
     incidents: int = 0
-    extra: dict = field(default_factory=dict)
 
     @property
     def hottest(self) -> NodeProfile:
@@ -239,7 +238,6 @@ def profile_query(
     engine: str | None = None,
     optimize: bool = True,
     max_incidents: int | None = None,
-    jobs: int | None = None,
 ) -> ProfileReport:
     """Evaluate ``pattern`` over ``log`` with full instrumentation.
 
@@ -247,11 +245,6 @@ def profile_query(
     engine, and reconciles the span tree with the cost model.  The
     returned report's ``stats``, ``trace`` and ``registry`` carry the raw
     artefacts; ``format()`` / ``to_dict()`` are the CLI surfaces.
-
-    With ``jobs > 1`` the evaluation runs sharded over a process pool
-    (:class:`~repro.exec.parallel.ParallelExecutor`); the per-shard span
-    trees merge into one tree of the usual serial shape, so the per-node
-    breakdown aggregates work across all workers.
     """
     if engine is None:
         engine = engine_class(None).name
@@ -264,34 +257,12 @@ def profile_query(
         evaluated, transformations = pattern, ["optimization disabled"]
     tracer = Tracer()
     registry = MetricsRegistry()
-    extra: dict = {}
-    if jobs is not None and jobs > 1:
-        from repro.exec.parallel import ParallelExecutor
-        from repro.exec.worker import EngineConfig
-
-        executor = ParallelExecutor(
-            jobs=jobs,
-            backend="process",
-            engine=EngineConfig(name=engine, max_incidents=max_incidents),
-            tracer=tracer,
-            metrics=registry,
-        )
-        parallel_result = executor.evaluate(log, evaluated)
-        assert parallel_result.incidents is not None
-        incidents = len(parallel_result.incidents)
-        stats = parallel_result.stats
-        extra = {
-            "jobs": jobs,
-            "backend": parallel_result.backend,
-            "shards": len(parallel_result.plan),
-        }
-    else:
-        engine_obj = engine_class(engine)(
-            max_incidents=max_incidents, tracer=tracer, metrics=registry
-        )
-        incidents = len(engine_obj.evaluate(log, evaluated))
-        assert engine_obj.last_stats is not None
-        stats = engine_obj.last_stats
+    engine_obj = engine_class(engine)(
+        max_incidents=max_incidents, tracer=tracer, metrics=registry
+    )
+    incidents = len(engine_obj.evaluate(log, evaluated))
+    assert engine_obj.last_stats is not None
+    stats = engine_obj.last_stats
 
     root = tracer.last_root
     assert root is not None and root.children, "engine produced no trace"
@@ -309,5 +280,4 @@ def profile_query(
         registry=registry,
         elapsed_s=root.elapsed_s,
         incidents=incidents,
-        extra=extra,
     )

@@ -29,7 +29,7 @@ the total over all entries.
 from __future__ import annotations
 
 import time
-from typing import Any, Iterator, Sequence
+from typing import Any, Iterator
 
 __all__ = [
     "Span",
@@ -37,7 +37,6 @@ __all__ = [
     "NullTracer",
     "NULL_SPAN",
     "NULL_TRACER",
-    "merge_span_trees",
 ]
 
 #: Type of span keys: any hashable value that is stable across re-entries
@@ -212,21 +211,6 @@ class Tracer:
         """The innermost open span, or None when the tracer is idle."""
         return self._stack[-1] if self._stack else None
 
-    def adopt(self, root: Span) -> Span:
-        """Install an externally built span tree as a completed root.
-
-        The parallel executor evaluates per shard in worker processes,
-        each with its own tracer; the merged whole-evaluation tree (see
-        :func:`merge_span_trees`) is adopted into the caller's tracer so
-        ``last_root`` and the exporters see one tree, exactly as a serial
-        evaluation would have produced.
-        """
-        if self._stack:
-            raise RuntimeError("cannot adopt a root while spans are open")
-        self.roots.append(root)
-        self.last_root = root
-        return root
-
     def reset(self) -> None:
         """Drop all recorded spans (the tracer must be idle)."""
         if self._stack:
@@ -237,40 +221,6 @@ class Tracer:
 
     def __repr__(self) -> str:
         return f"Tracer({len(self.roots)} root(s))"
-
-
-def merge_span_trees(roots: Sequence[Span]) -> Span:
-    """Merge structurally matching span trees into one accumulated tree.
-
-    Per-shard workers trace the *same* incident tree over disjoint wid
-    partitions; merging sums their counters (``count``, wall/CPU time,
-    every numeric metric) node by node, so the result reads exactly like
-    the span tree a serial evaluation over the whole log records — the
-    key-merged semantics of :class:`Span`, applied across process
-    boundaries.
-
-    Children are matched by ``(position, label)``; a child present in only
-    some trees (e.g. a shard that skipped a node) still appears once in
-    the merged tree with the counters of the trees that have it.  Tags are
-    first-writer-wins, mirroring ``Span.set_tag`` ordering.
-    """
-    if not roots:
-        raise ValueError("merge_span_trees needs at least one root span")
-    merged = Span(roots[0].label)
-    for root in roots:
-        for name, value in root.tags.items():
-            merged.tags.setdefault(name, value)
-        merged.count += root.count
-        merged.elapsed_s += root.elapsed_s
-        merged.cpu_s += root.cpu_s
-        merged.add(**root.metrics)
-    buckets: dict[tuple[int, str], list[Span]] = {}
-    for root in roots:
-        for position, child in enumerate(root.children):
-            buckets.setdefault((position, child.label), []).append(child)
-    for _key in sorted(buckets, key=lambda k: k[0]):
-        merged.children.append(merge_span_trees(buckets[_key]))
-    return merged
 
 
 class _NullSpan:

@@ -17,7 +17,6 @@ from dataclasses import dataclass
 from typing import TYPE_CHECKING, Any
 
 from repro.core.errors import ReproError
-from repro.core.options import BACKENDS
 from repro.core.query import ENGINES
 
 if TYPE_CHECKING:  # pragma: no cover - typing only
@@ -37,8 +36,6 @@ class ClampedOptions:
     engine: str | None = None
     optimize: bool = True
     max_incidents: int | None = None
-    jobs: int | None = None
-    backend: str | None = None
     deadline_ms: float | None = None
     max_pairs: int | None = None
     cache: bool = True
@@ -64,8 +61,6 @@ class ServiceConfig:
     deadline_ms_ceiling / max_pairs_ceiling / max_incidents_ceiling:
         Per-request governor ceilings.  Requests asking for more are
         clamped down; requests asking for nothing get the ceiling.
-    jobs_ceiling:
-        Upper bound on per-request parallel fan-out (``jobs``).
     cache_bytes:
         Optional per-layer byte budget for the shared query cache.
     max_body_bytes:
@@ -100,7 +95,6 @@ class ServiceConfig:
     deadline_ms_ceiling: float = 30_000.0
     max_pairs_ceiling: int = 50_000_000
     max_incidents_ceiling: int = 1_000_000
-    jobs_ceiling: int = 8
     cache_bytes: int | None = None
     max_body_bytes: int = 8 * 1024 * 1024
     retry_after_s: float = 1.0
@@ -131,8 +125,6 @@ class ServiceConfig:
             raise ReproError(
                 f"max_pairs_ceiling must be >= 1, got {self.max_pairs_ceiling}"
             )
-        if self.jobs_ceiling < 1:
-            raise ReproError(f"jobs_ceiling must be >= 1, got {self.jobs_ceiling}")
         if self.telemetry_bucket_s <= 0:
             raise ReproError(
                 f"telemetry_bucket_s must be > 0, got {self.telemetry_bucket_s}"
@@ -187,7 +179,7 @@ class ServiceConfig:
         ``requested`` is the already schema-validated options dict of a
         wire request (see :mod:`repro.service.schemas`).  Budgets are
         ``min(requested, ceiling)`` with the ceiling as the default;
-        unknown engine/backend names raise the wire-level 400.
+        an unknown engine name raises the wire-level 400.
         """
         from repro.service.errors import bad_request
 
@@ -198,12 +190,6 @@ class ServiceConfig:
             raise bad_request(
                 f"unknown engine {engine!r}",
                 details={"available": sorted(ENGINES)},
-            )
-        backend = requested.get("backend")
-        if backend is not None and backend not in BACKENDS:
-            raise bad_request(
-                f"unknown backend {backend!r}",
-                details={"available": list(BACKENDS)},
             )
 
         deadline_ms = requested.get("deadline_ms")
@@ -224,17 +210,10 @@ class ServiceConfig:
                 clamped.append("max_incidents")
             max_incidents = self.max_incidents_ceiling
 
-        jobs = requested.get("jobs")
-        if jobs is not None and jobs > self.jobs_ceiling:
-            clamped.append("jobs")
-            jobs = self.jobs_ceiling
-
         return ClampedOptions(
             engine=engine,
             optimize=bool(requested.get("optimize", True)),
             max_incidents=max_incidents,
-            jobs=jobs,
-            backend=backend,
             deadline_ms=float(deadline_ms),
             max_pairs=int(max_pairs),
             cache=bool(requested.get("cache", True)),

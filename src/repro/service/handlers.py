@@ -431,8 +431,6 @@ class QueryService:
             optimize=clamped.optimize,
             max_incidents=clamped.max_incidents,
             metrics=self.metrics,
-            jobs=clamped.jobs,
-            backend=clamped.backend,
             cache=self.cache if clamped.cache else None,
             deadline_ms=clamped.deadline_ms,
             max_pairs=clamped.max_pairs,
@@ -454,9 +452,7 @@ class QueryService:
         exactly one submit → finish/killed lifecycle.
         """
         ctx = QueryContext.new(
-            deadline_ms=clamped.deadline_ms,
-            max_pairs=clamped.max_pairs,
-            journal=self.journal is not None,
+            deadline_ms=clamped.deadline_ms, max_pairs=clamped.max_pairs
         )
         headers["X-Query-Id"] = ctx.query_id
         headers["X-Trace-Id"] = ctx.trace_id
@@ -763,8 +759,6 @@ class QueryService:
                 list(request.patterns),
                 optimize=clamped.optimize,
                 analyze=request.analyze,
-                jobs=clamped.jobs or 1,
-                backend=clamped.backend or "serial",
                 max_incidents=clamped.max_incidents,
                 metrics=self.metrics,
                 cache=self.cache if clamped.cache else None,
@@ -796,8 +790,9 @@ class QueryService:
                 "cache_hits": outcome.cache_hits,
                 "subsumed": outcome.subsumed,
                 "proofs": outcome.proofs,
-                "backend": outcome.backend,
-                "jobs": outcome.jobs,
+                # constants of the wire contract: the scan is in-process
+                "backend": "serial",
+                "jobs": 1,
                 "_stats_obj": outcome.stats,
             }
 

@@ -49,8 +49,6 @@ OPTION_FIELDS: dict[str, str] = {
     "engine": "str",
     "optimize": "bool",
     "max_incidents": "posint",
-    "jobs": "posint",
-    "backend": "str",
     "deadline_ms": "posnum",
     "max_pairs": "posint",
     "cache": "bool",

@@ -1,15 +1,13 @@
 """Property: a cached evaluation is byte-for-byte identical to a cold
-one — same incidents, same canonical order — across the serial and the
-sharded (``jobs=2``) paths, and across store appends (which must
-invalidate exactly the stale entries).
+one — same incidents, same canonical order — also across store appends
+(which must invalidate exactly the stale entries).
 
 Each property also runs with a live tracer: the memo hook and the tracing
 hook wrap the same compiled closure tree, and together they must yield
 what neither does, with traced and counted pairs still reconciling.
 
 Plus integration assertions for which layer serves which run: memo hits
-across Query runs, ``evaluate_batch`` result-layer reuse, and the
-ParallelExecutor's cache consult.
+across Query runs and ``evaluate_batch`` result-layer reuse.
 """
 
 import hypothesis.strategies as st
@@ -74,11 +72,9 @@ def rows(result: IncidentSet):
     return result.to_rows()
 
 
-def engine_options(cache, traced, **parallel):
+def engine_options(cache, traced):
     """Options for a cached query, with or without a live tracer."""
-    return EngineOptions(
-        cache=cache, tracer=Tracer() if traced else None, **parallel
-    )
+    return EngineOptions(cache=cache, tracer=Tracer() if traced else None)
 
 
 def assert_pairs_reconcile(query):
@@ -88,14 +84,14 @@ def assert_pairs_reconcile(query):
     assert root.total("pairs") == query.engine.last_stats.pairs_examined
 
 
-def check_cached_equals_cold(trace_map, pattern, *, traced, **parallel):
+def check_cached_equals_cold(trace_map, pattern, *, traced):
     snap = make_store(trace_map).snapshot()
     cold = Query(pattern).run(snap)
 
     cache = QueryCache()
-    query = Query(pattern, engine_options(cache, traced, **parallel))
+    query = Query(pattern, engine_options(cache, traced))
     first = query.run(snap)
-    if traced and not parallel:
+    if traced:
         assert_pairs_reconcile(query)
     second = query.run(snap)
 
@@ -153,14 +149,6 @@ def test_cached_equals_cold_serial(trace_map, pattern):
     check_cached_equals_cold(trace_map, pattern, traced=False)
 
 
-@settings(max_examples=20, deadline=None)
-@given(traces(), patterns())
-def test_cached_equals_cold_with_two_jobs(trace_map, pattern):
-    check_cached_equals_cold(
-        trace_map, pattern, traced=False, jobs=2, backend="thread"
-    )
-
-
 @settings(max_examples=25, deadline=None)
 @given(traces(), patterns(), APPENDS)
 def test_appends_invalidate_and_revalidate_correctly(
@@ -176,14 +164,6 @@ def test_appends_invalidate_and_revalidate_correctly(
 @given(traces(), patterns())
 def test_traced_cached_equals_cold_serial(trace_map, pattern):
     check_cached_equals_cold(trace_map, pattern, traced=True)
-
-
-@settings(max_examples=20, deadline=None)
-@given(traces(), patterns())
-def test_traced_cached_equals_cold_with_two_jobs(trace_map, pattern):
-    check_cached_equals_cold(
-        trace_map, pattern, traced=True, jobs=2, backend="thread"
-    )
 
 
 @settings(max_examples=25, deadline=None)
@@ -253,17 +233,3 @@ class TestLayerIntegration:
         warm = Query.evaluate_batch(snap, ["A -> B", "B | C"], cache=cache)
         assert warm.cache_hits == 1  # "A -> B" served without re-evaluation
         assert warm.results[0].to_rows() == cold.results[0].to_rows()
-
-    def test_parallel_executor_consults_the_cache(self):
-        from repro.exec.parallel import ParallelExecutor
-
-        snap = self.STORE().snapshot()
-        cache = QueryCache()
-        pattern = Query("A -> B").pattern
-        executor = ParallelExecutor(jobs=2, backend="thread", cache=cache)
-        cold = executor.evaluate(snap, pattern)
-        assert cold.cache_layer is None
-        warm = executor.evaluate(snap, pattern)
-        assert warm.cache_layer == "result"
-        assert warm.backend == "cache"
-        assert warm.incidents.to_rows() == cold.incidents.to_rows()

@@ -5,7 +5,6 @@ import pytest
 from repro import EngineOptions, Query
 from repro.core.errors import ReproError
 from repro.core.model import Log
-from repro.core.options import BACKENDS
 
 LOG = Log.from_traces({1: ["A", "B"], 2: ["A"]})
 
@@ -16,39 +15,36 @@ class TestEngineOptions:
         assert opts.engine is None
         assert opts.optimize is True
         assert opts.cache is None
-        assert not opts.is_parallel
-
-    def test_jobs_or_backend_imply_parallel(self):
-        assert EngineOptions(jobs=2).is_parallel
-        assert EngineOptions(backend="thread").is_parallel
 
     def test_validation(self):
         with pytest.raises(ReproError):
-            EngineOptions(backend="gpu")
+            EngineOptions(deadline_ms=0)
         with pytest.raises(ReproError):
-            EngineOptions(jobs=0)
-        with pytest.raises(ReproError):
-            EngineOptions(strategy="round-robin")
-        for backend in BACKENDS:
-            EngineOptions(backend=backend)
+            EngineOptions(max_pairs=0)
+
+    @pytest.mark.parametrize(
+        "removed", ["jobs", "backend", "strategy", "progress"]
+    )
+    def test_parallel_options_are_gone_not_ignored(self, removed):
+        with pytest.raises(TypeError):
+            EngineOptions(**{removed: None})
 
     def test_replace_returns_an_updated_copy(self):
-        opts = EngineOptions(jobs=2)
-        other = opts.replace(jobs=4, cache=True)
-        assert (opts.jobs, other.jobs) == (2, 4)
+        opts = EngineOptions(max_pairs=2)
+        other = opts.replace(max_pairs=4, cache=True)
+        assert (opts.max_pairs, other.max_pairs) == (2, 4)
         assert other.cache is True
 
     def test_options_are_immutable(self):
         with pytest.raises(AttributeError):
-            EngineOptions().jobs = 3
+            EngineOptions().max_pairs = 3
 
 
 class TestQueryWithOptions:
     def test_query_consumes_options_without_warning(self):
-        query = Query("A -> B", EngineOptions(engine="naive", jobs=2))
+        query = Query("A -> B", EngineOptions(engine="naive", max_pairs=2))
         assert query.engine.name == "naive"
-        assert query.options.jobs == 2
-        assert query.is_parallel
+        assert query.options.max_pairs == 2
 
     def test_options_are_the_only_configuration_surface(self):
         # the pre-EngineOptions keyword arguments are gone, not shimmed

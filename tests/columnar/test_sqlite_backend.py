@@ -1,12 +1,12 @@
-"""The SQL pushdown backend: Query wiring, compiled-SQL evaluation,
-guarded-leaf rejection and the option conflicts around it."""
+"""The SQL pushdown engine: Query wiring (``engine="sqlite"``, its one
+spelling), compiled-SQL evaluation and guarded-leaf rejection."""
 
 import pytest
 
 from repro.columnar import ColumnarWarehouse, SqliteEngine
 from repro.columnar.sqlite import compile_columnar_sql
-from repro.core import Backend, EngineOptions, Query
-from repro.core.errors import EvaluationError, ReproError
+from repro.core import EngineOptions, Query
+from repro.core.errors import EvaluationError
 from repro.core.eval.vectorized import VectorizedEngine
 from repro.core.parser import parse
 from repro.extensions import Compare, where
@@ -14,31 +14,15 @@ from repro.extensions import Compare, where
 
 class TestQueryWiring:
     def test_backend_sqlite_builds_the_pushdown_engine(self, figure3_log):
-        query = Query("SeeDoctor -> PayTreatment", EngineOptions(backend="sqlite"))
+        query = Query("SeeDoctor -> PayTreatment", EngineOptions(engine="sqlite"))
         assert isinstance(query.engine, SqliteEngine)
         reference = Query("SeeDoctor -> PayTreatment").run(figure3_log)
         assert query.run(figure3_log).to_rows() == reference.to_rows()
-
-    def test_backend_enum_member_works_too(self, figure3_log):
-        query = Query("GetRefer", EngineOptions(backend=Backend.SQLITE))
-        assert isinstance(query.engine, SqliteEngine)
-        assert query.count(figure3_log) == 3
 
     def test_engine_name_sqlite_is_registered(self, figure3_log):
         query = Query("GetRefer", EngineOptions(engine="sqlite"))
         assert isinstance(query.engine, SqliteEngine)
         assert query.count(figure3_log) == 3
-
-    def test_sqlite_backend_rejects_jobs(self):
-        with pytest.raises(ReproError, match="jobs"):
-            EngineOptions(backend="sqlite", jobs=2)
-
-    def test_sqlite_backend_rejects_other_engines(self):
-        with pytest.raises(ReproError, match="engine"):
-            EngineOptions(backend="sqlite", engine="vectorized")
-
-    def test_sqlite_backend_is_not_parallel(self):
-        assert EngineOptions(backend="sqlite").is_parallel is False
 
 
 class TestEvaluation:

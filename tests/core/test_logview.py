@@ -6,7 +6,6 @@ import pytest
 from repro.columnar import ColumnarLog
 from repro.core.model import Log
 from repro.core.view import ActivitySet, LogView, RecordsView
-from repro.exec.shard import plan_shards
 from repro.logstore.index import LogIndex
 
 class TestProtocol:
@@ -51,15 +50,6 @@ class TestProtocol:
 
 
 class TestViewConsumers:
-    def test_shard_planner_accepts_both_representations(self, figure3_log):
-        from_log = plan_shards(figure3_log, 2)
-        from_columnar = plan_shards(figure3_log.columnar(), 2)
-        from_log.verify_lossless()  # raises on any dropped/duplicated record
-        from_columnar.verify_lossless()
-        assert [s.log.wids for s in from_log.shards] == [
-            s.log.wids for s in from_columnar.shards
-        ]
-
     def test_log_index_builds_from_either_view(self, figure3_log):
         reference = LogIndex.from_log(figure3_log)
         from_view = LogIndex.from_view(figure3_log)

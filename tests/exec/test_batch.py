@@ -54,15 +54,6 @@ def test_duplicate_query_costs_nothing_extra(clinic_log):
     assert doubled.stats.pairs_examined == single.stats.pairs_examined
 
 
-@pytest.mark.parametrize("backend", ["serial", "thread", "process"])
-def test_parallel_batch_matches_serial_batch(clinic_log, backend):
-    serial = evaluate_batch(clinic_log, QUERIES)
-    parallel = evaluate_batch(clinic_log, QUERIES, jobs=2, backend=backend)
-    for got, want in zip(parallel.results, serial.results):
-        assert list(got) == list(want)
-    assert parallel.shared_hits > 0
-
-
 def test_shared_scan_engine_counts_hits(figure3_log):
     engine = VectorizedEngine(share=True)
     pattern = parse("(GetRefer -> CheckIn) | ((GetRefer -> CheckIn) -> SeeDoctor)")

@@ -72,14 +72,6 @@ def test_optimized_batch_still_exact(ab_log):
         assert got == VectorizedEngine().evaluate(ab_log, parse(text))
 
 
-@pytest.mark.parametrize("backend", ["serial", "thread"])
-def test_sharded_batch_matches_serial(ab_log, backend):
-    serial = evaluate_batch(ab_log, CHAINED)
-    sharded = evaluate_batch(ab_log, CHAINED, jobs=2, backend=backend)
-    assert batch_rows(sharded) == batch_rows(serial)
-    assert sharded.subsumed == serial.subsumed
-
-
 def test_metrics_and_trace_report_the_plan(ab_log):
     tracer, registry = Tracer(), MetricsRegistry()
     result = evaluate_batch(

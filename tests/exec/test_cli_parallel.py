@@ -1,4 +1,6 @@
-"""CLI surface of the parallel subsystem: --jobs and the batch command."""
+"""CLI surface of the batch command, and of the deleted parallel flags:
+a command line naming one gets argparse's usage error, never a silent
+serial run."""
 
 import pytest
 
@@ -13,29 +15,37 @@ def clinic_file(tmp_path, clinic_log):
     return str(path)
 
 
-class TestQueryJobs:
-    def test_jobs_count_matches_serial(self, clinic_file, capsys):
-        args = ["query", "--log", clinic_file,
-                "--pattern", "GetRefer -> CheckIn", "--mode", "count"]
-        assert main(args) == 0
-        serial = capsys.readouterr().out
-        assert main(args + ["--jobs", "2", "--backend", "process"]) == 0
-        assert capsys.readouterr().out == serial
+#: (subcommand, its required arguments, the deleted flag)
+REMOVED_FLAGS = [
+    ("query", ["--pattern", "GetRefer"], ["--jobs", "2"]),
+    ("query", ["--pattern", "GetRefer"], ["--backend", "sqlite"]),
+    ("query", ["--pattern", "GetRefer"], ["--progress"]),
+    ("profile", ["--pattern", "GetRefer"], ["--jobs", "2"]),
+    ("batch", ["GetRefer"], ["--jobs", "2"]),
+    ("batch", ["GetRefer"], ["--backend", "process"]),
+]
 
-    def test_jobs_incident_listing_matches_serial(self, clinic_file, capsys):
-        args = ["query", "--log", clinic_file,
-                "--pattern", "GetRefer -> CheckIn -> SeeDoctor",
-                "--limit", "5"]
-        assert main(args) == 0
-        serial = capsys.readouterr().out
-        assert main(args + ["--jobs", "3", "--backend", "serial"]) == 0
-        assert capsys.readouterr().out == serial
 
-    def test_auto_backend_accepted(self, clinic_file, capsys):
-        code = main(["query", "--log", clinic_file, "--pattern", "GetRefer",
-                     "--mode", "count", "--jobs", "2", "--backend", "auto"])
-        assert code == 0
-        assert int(capsys.readouterr().out.strip()) == 40
+class TestRemovedFlags:
+    @pytest.mark.parametrize(
+        "command,required,flag",
+        REMOVED_FLAGS,
+        ids=[f"{command} {flag[0]}" for command, _, flag in REMOVED_FLAGS],
+    )
+    def test_removed_flag_is_a_usage_error(
+        self, clinic_file, capsys, command, required, flag
+    ):
+        with pytest.raises(SystemExit) as info:
+            main([command, "--log", clinic_file, *required, *flag])
+        assert info.value.code == 2
+        assert "unrecognized arguments" in capsys.readouterr().err
+
+    def test_serve_jobs_ceiling_is_a_usage_error(self, clinic_file, capsys):
+        with pytest.raises(SystemExit) as info:
+            main(["serve", "--store", f"clinic={clinic_file}",
+                  "--jobs-ceiling", "4"])
+        assert info.value.code == 2
+        assert "--jobs-ceiling" in capsys.readouterr().err
 
 
 class TestBatch:
@@ -59,21 +69,11 @@ class TestBatch:
             "GetRefer -> CheckIn -> SeeDoctor\n"
         )
         code = main(["batch", "--log", clinic_file,
-                     "--queries", str(queries), "--jobs", "2"])
+                     "--queries", str(queries)])
         assert code == 0
         out = capsys.readouterr().out
         assert len(out.strip().splitlines()) == 3  # 2 queries + summary
         assert "2 query(ies)" in out
-
-    def test_parallel_output_matches_serial(self, clinic_file, capsys):
-        patterns = ["GetRefer -> CheckIn", "GetRefer -> SeeDoctor"]
-        assert main(["batch", "--log", clinic_file, *patterns]) == 0
-        serial = capsys.readouterr().out
-        assert main(["batch", "--log", clinic_file, *patterns,
-                     "--jobs", "2", "--backend", "process"]) == 0
-        parallel = capsys.readouterr().out
-        # per-query counts identical; summary line differs only in backend
-        assert serial.splitlines()[:-1] == parallel.splitlines()[:-1]
 
     def test_no_patterns_is_an_error(self, clinic_file, capsys):
         code = main(["batch", "--log", clinic_file])
@@ -85,13 +85,3 @@ class TestBatch:
         assert code == 2
         assert "error" in capsys.readouterr().err
 
-
-class TestProfileJobs:
-    def test_profile_jobs_prints_parallel_line(self, clinic_file, capsys):
-        code = main(["profile", "--log", clinic_file,
-                     "--pattern", "GetRefer -> CheckIn", "--jobs", "2"])
-        assert code == 0
-        out = capsys.readouterr().out
-        assert "parallel: 2 worker(s)" in out
-        assert "backend=process" in out
-        assert "hottest" in out  # per-node table still present

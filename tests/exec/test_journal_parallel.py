@@ -1,11 +1,10 @@
-"""Journal stitching and governor cancellation across execution backends.
+"""Journal lifecycle and governor kills of ``Query`` runs and batches.
 
-The PR-7 acceptance surface: a parallel run — thread *or* process
-backend — produces one query record (one ``query_id``/``trace_id``
-across every event, including worker-built shard events), with the
-per-shard ``evaluate`` pairs summing exactly to the terminal event's
-total; governed runs die with the typed error on every backend and the
-journal closes with a ``killed`` event.
+One run is one query record: one ``query_id``/``trace_id`` across every
+event, one ``evaluate`` event whose pairs equal the terminal event's
+total; governed runs die with the typed error and the journal closes
+with a ``killed`` event.  (The file and class names predate the removal
+of the parallel backends; they stay so the test ids do.)
 """
 
 import pytest
@@ -23,85 +22,7 @@ def _kinds(journal):
     return [e["event"] for e in journal.events]
 
 
-class TestParallelStitching:
-    @pytest.mark.parametrize("backend", ["serial", "thread"])
-    def test_one_record_per_run_in_process_backends(self, clinic_log, backend):
-        journal = QueryJournal()
-        query = Query(
-            PATTERN, EngineOptions(jobs=4, backend=backend, journal=journal)
-        )
-        result = query.run(clinic_log)
-        validate_journal(journal.events)
-        assert {e["query_id"] for e in journal.events} == {
-            journal.events[0]["query_id"]
-        }
-        assert {e["trace_id"] for e in journal.events} == {
-            journal.events[0]["trace_id"]
-        }
-        shard_meta = [e for e in journal.events if e["event"] == "shard"]
-        assert len(shard_meta) == 1 and shard_meta[0]["jobs"] == 4
-        evaluates = [e for e in journal.events if e["event"] == "evaluate"]
-        assert len(evaluates) == shard_meta[0]["shards"]
-        finish = journal.events[-1]
-        assert finish["event"] == "finish"
-        assert finish["incidents"] == len(result)
-        # exact reconciliation: shard pairs sum to the terminal total
-        assert sum(e["pairs"] for e in evaluates) == finish["pairs"]
-
-    def test_process_backend_stitches_worker_events(self, clinic_log):
-        import os
-
-        journal = QueryJournal()
-        query = Query(
-            PATTERN, EngineOptions(jobs=4, backend="process", journal=journal)
-        )
-        result = query.run(clinic_log)
-        validate_journal(journal.events)
-        assert len({e["query_id"] for e in journal.events}) == 1
-        assert len({e["trace_id"] for e in journal.events}) == 1
-        evaluates = [e for e in journal.events if e["event"] == "evaluate"]
-        # worker events really came from other processes
-        assert any(e["pid"] != os.getpid() for e in evaluates)
-        finish = journal.events[-1]
-        assert sum(e["pairs"] for e in evaluates) == finish["pairs"]
-        assert finish["incidents"] == len(result)
-        # adopted events were re-sequenced into one monotonic series
-        assert [e["seq"] for e in journal.events] == list(
-            range(len(journal.events))
-        )
-
-    def test_parallel_matches_serial_results(self, clinic_log):
-        serial = Query(PATTERN).run(clinic_log)
-        journal = QueryJournal()
-        parallel = Query(
-            PATTERN, EngineOptions(jobs=3, backend="thread", journal=journal)
-        ).run(clinic_log)
-        assert parallel.to_set() == serial.to_set()
-
-
 class TestGovernedParallelRuns:
-    @pytest.mark.parametrize("backend", ["serial", "thread", "process"])
-    def test_budget_kills_every_backend(self, clinic_log, backend):
-        journal = QueryJournal()
-        query = Query(
-            PATTERN,
-            EngineOptions(
-                jobs=4, backend=backend, journal=journal, max_pairs=3
-            ),
-        )
-        with pytest.raises(QueryGovernorError) as info:
-            query.run(clinic_log)
-        assert info.value.partial_stats is not None
-        validate_journal(journal.events)
-        killed = journal.events[-1]
-        assert killed["event"] == "killed"
-        assert killed["reason"] in (
-            "QueryBudgetExceeded",
-            "QueryCancelled",
-            "QueryTimeout",
-        )
-        assert killed["query_id"] == journal.events[0]["query_id"]
-
     def test_serial_killed_event_has_partial_pairs(self, clinic_log):
         journal = QueryJournal()
         query = Query(PATTERN, EngineOptions(journal=journal, max_pairs=3))
@@ -124,44 +45,43 @@ class TestBatchJournal:
         journal = QueryJournal()
         batch = evaluate_batch(clinic_log, self.PATTERNS, journal=journal)
         validate_journal(journal.events)
-        assert _kinds(journal) == ["submit", "shard", "evaluate", "finish"]
-        finish = journal.events[-1]
+        assert _kinds(journal) == ["submit", "evaluate", "finish"]
+        evaluate, finish = journal.events[1], journal.events[-1]
+        assert evaluate["mode"] == "batch"
+        assert evaluate["pairs"] == finish["pairs"]
         assert finish["queries"] == 3
         assert finish["incidents"] == sum(len(r) for r in batch.results)
         assert finish["pairs"] == batch.stats.pairs_examined
 
-    @pytest.mark.parametrize("backend", ["thread", "process"])
-    def test_parallel_batch_stitches_shard_events(self, clinic_log, backend):
-        journal = QueryJournal()
-        batch = evaluate_batch(
-            clinic_log,
-            self.PATTERNS,
-            jobs=4,
-            backend=backend,
-            journal=journal,
-        )
-        validate_journal(journal.events)
-        assert len({e["query_id"] for e in journal.events}) == 1
-        evaluates = [e for e in journal.events if e["event"] == "evaluate"]
-        assert all(e["mode"] == "batch" for e in evaluates)
-        finish = journal.events[-1]
-        assert sum(e["pairs"] for e in evaluates) == finish["pairs"]
-        assert finish["incidents"] == sum(len(r) for r in batch.results)
-
-    @pytest.mark.parametrize("backend", ["serial", "thread"])
-    def test_batch_budget_kills_with_terminal_event(self, clinic_log, backend):
+    def test_batch_budget_kills_with_terminal_event(self, clinic_log):
         journal = QueryJournal()
         with pytest.raises(QueryGovernorError):
             evaluate_batch(
-                clinic_log,
-                self.PATTERNS,
-                jobs=2,
-                backend=backend,
-                journal=journal,
-                max_pairs=3,
+                clinic_log, self.PATTERNS, journal=journal, max_pairs=3
             )
         validate_journal(journal.events)
         assert journal.events[-1]["event"] == "killed"
+
+    def test_max_pairs_bounds_the_whole_batch(self, clinic_log):
+        """Two queries that share nothing: each fits the budget alone,
+        together they do not."""
+        disjoint = ["GetRefer -> CheckIn", "UpdateRefer -> GetReimburse"]
+        alone = []
+        for text in disjoint:
+            query = Query(text, EngineOptions(optimize=False))
+            query.run(clinic_log)
+            alone.append(query.engine.last_stats.pairs_examined)
+        assert min(alone) > 0
+        budget = max(alone)
+        for text in disjoint:
+            Query(text, EngineOptions(optimize=False, max_pairs=budget)).run(
+                clinic_log
+            )
+        with pytest.raises(QueryBudgetExceeded) as info:
+            evaluate_batch(
+                clinic_log, disjoint, optimize=False, max_pairs=budget
+            )
+        assert info.value.examined > budget
 
     def test_batch_cache_probe_event(self, clinic_log):
         from repro.cache import QueryCache

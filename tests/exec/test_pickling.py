@@ -1,9 +1,10 @@
-"""Everything the process backend ships must survive pickling intact.
+"""The value types survive pickling intact.
 
-The process pool moves tasks and results across process boundaries by
-pickling; these round-trips pin that contract explicitly for every
-object class involved, so a future ``__slots__``/``__reduce__`` change
-that silently breaks parallel execution fails here first.
+Patterns, records, logs, incidents, statistics and spans are plain
+values that callers cache, copy and ship; these round-trips pin that
+contract for each class, so a future ``__slots__``/``__reduce__`` change
+that silently breaks it fails here first.  (The governor errors'
+round-trips are in ``tests/core/test_governor.py``.)
 """
 
 import pickle
@@ -12,11 +13,10 @@ import pytest
 
 from repro.core.eval.base import EvaluationStats
 from repro.core.incident import Incident
-from repro.core.model import Log, LogRecord
+from repro.core.model import LogRecord
 from repro.core.parser import parse
 from repro.extensions.conditions import attr, where
 from repro.extensions.windows import within
-from repro.exec.worker import EngineConfig, ShardTask, evaluate_shard
 from repro.obs.tracer import Span, Tracer
 
 
@@ -83,21 +83,6 @@ def test_incident_roundtrip(figure3_log):
     )
 
 
-def test_engine_config_and_task_roundtrip(figure3_log):
-    task = ShardTask(
-        shard_index=1,
-        log=figure3_log,
-        pattern=parse("GetRefer -> CheckIn"),
-        engine=EngineConfig(name="naive", max_incidents=100),
-        mode="evaluate",
-        trace=True,
-    )
-    clone = roundtrip(task)
-    assert clone.engine == task.engine
-    assert clone.pattern == task.pattern
-    assert clone.mode == "evaluate" and clone.trace is True
-
-
 def test_evaluation_stats_roundtrip():
     stats = EvaluationStats(
         operator_evals=3,
@@ -122,17 +107,3 @@ def test_span_roundtrip():
     assert clone.label == root.label
     assert clone.children[0].metrics == {"pairs": 12, "incidents": 4}
 
-
-def test_shard_outcome_roundtrips_through_worker(figure3_log):
-    outcome = evaluate_shard(
-        ShardTask(
-            shard_index=0,
-            log=figure3_log,
-            pattern=parse("GetRefer -> CheckIn"),
-            trace=True,
-        )
-    )
-    clone = roundtrip(outcome)
-    assert clone.incidents == outcome.incidents
-    assert clone.stats == outcome.stats
-    assert clone.span is not None and clone.span.label == "evaluate"

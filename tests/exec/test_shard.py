@@ -1,72 +1,7 @@
-"""Shard planning: losslessness, balance, determinism, extraction."""
+"""Lsn-preserving wid projections: ``Log.project`` and ``LogStore.extract``
+(``tests/test_properties.py`` holds the union-of-projections property)."""
 
-import pytest
-
-from repro.core.errors import ReproError
-from repro.core.model import Log
-from repro.exec.shard import SHARD_STRATEGIES, assign_wids, plan_shards
 from repro.logstore.store import LogStore
-
-
-@pytest.mark.parametrize("strategy", SHARD_STRATEGIES)
-@pytest.mark.parametrize("n_shards", [1, 2, 3, 7, 100])
-def test_plans_are_lossless(clinic_log, strategy, n_shards):
-    plan = plan_shards(clinic_log, n_shards, strategy=strategy)
-    plan.verify_lossless()
-    assert plan.total_records == len(clinic_log)
-    # jointly cover exactly the source wids
-    covered = sorted(w for shard in plan for w in shard.wids)
-    assert covered == sorted(clinic_log.wids)
-
-
-@pytest.mark.parametrize("strategy", SHARD_STRATEGIES)
-def test_more_shards_than_instances_drops_empties(figure3_log, strategy):
-    plan = plan_shards(figure3_log, 50, strategy=strategy)
-    assert 1 <= len(plan) <= len(figure3_log.wids)
-    assert all(shard.record_count > 0 for shard in plan)
-    plan.verify_lossless()
-
-
-def test_shard_logs_preserve_original_lsns(clinic_log):
-    plan = plan_shards(clinic_log, 4)
-    for shard in plan:
-        for record in shard.log:
-            # same record object as the source, not a renumbered copy
-            assert clinic_log.records[record.lsn - 1] is record
-
-
-def test_range_strategy_is_contiguous_and_balanced(clinic_log):
-    plan = plan_shards(clinic_log, 4, strategy="range")
-    boundaries = [shard.wids for shard in plan]
-    # contiguous: each shard's wids form a run, runs are ascending
-    flat = [w for wids in boundaries for w in wids]
-    assert flat == sorted(clinic_log.wids)
-    # balanced: no shard far above the ideal records/n
-    assert plan.skew() < 1.6
-
-
-def test_hash_strategy_is_deterministic(clinic_log):
-    first = plan_shards(clinic_log, 4, strategy="hash")
-    second = plan_shards(clinic_log, 4, strategy="hash")
-    assert [s.wids for s in first] == [s.wids for s in second]
-
-
-def test_assign_wids_disjoint_cover():
-    sizes = {wid: wid % 5 + 1 for wid in range(1, 40)}
-    for strategy in SHARD_STRATEGIES:
-        groups = assign_wids(sizes, 6, strategy)
-        flat = [w for group in groups for w in group]
-        assert sorted(flat) == sorted(sizes)
-        assert len(flat) == len(set(flat))
-
-
-def test_invalid_arguments(clinic_log):
-    with pytest.raises(ReproError):
-        plan_shards(clinic_log, 0)
-    with pytest.raises(ReproError):
-        plan_shards(clinic_log, 2, strategy="zigzag")
-    with pytest.raises(ReproError):
-        plan_shards(Log((), validate=False), 2)
 
 
 def test_logstore_extract_and_counts():
@@ -92,17 +27,3 @@ def test_log_project_preserves_identity(figure3_log):
     assert sorted({r.wid for r in projected}) == [2]
     for record in projected:
         assert figure3_log.records[record.lsn - 1] is record
-
-
-def test_plan_shards_accepts_live_store():
-    store = LogStore()
-    for _ in range(5):
-        wid = store.open_instance()
-        store.append(wid, "A")
-        store.close_instance(wid)
-    # note: no snapshot() — instances may even still be open
-    wid = store.open_instance()
-    store.append(wid, "B")
-    plan = plan_shards(store, 3)
-    plan.verify_lossless()
-    assert plan.total_records == len(store)

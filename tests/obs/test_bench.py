@@ -121,7 +121,6 @@ class TestRegistry:
             "operators",
             "scaling",
             "optimizer",
-            "parallel",
             "batch",
             "analysis",
             "incremental",

@@ -149,7 +149,7 @@ class TestResourceAccount:
 class TestRunRecorder:
     def test_lifecycle_events_share_the_context_ids(self):
         journal = QueryJournal(memory=False)
-        ctx = QueryContext.new(journal=True)
+        ctx = QueryContext.new()
         recorder = RunRecorder(journal, ctx, pattern="A -> B")
         recorder.submit()
         recorder.plan(optimized="A -> B", changed=False)
@@ -165,7 +165,7 @@ class TestRunRecorder:
 
     def test_submit_records_budgets(self):
         journal = QueryJournal()
-        ctx = QueryContext.new(deadline_ms=250, max_pairs=10, journal=True)
+        ctx = QueryContext.new(deadline_ms=250, max_pairs=10)
         RunRecorder(journal, ctx, pattern="A").submit()
         submit = journal.events[0]
         assert submit["deadline_ms"] == 250
@@ -181,7 +181,7 @@ class TestRunRecorder:
             "too much", limit=10, examined=17, partial_stats=stats
         )
         journal = QueryJournal(memory=False)
-        recorder = RunRecorder(journal, QueryContext.new(journal=True), pattern="A")
+        recorder = RunRecorder(journal, QueryContext.new(), pattern="A")
         recorder.submit()
         event = recorder.killed(exc)
         assert event["event"] == "killed"
@@ -257,7 +257,7 @@ class TestReadJournal:
         path = tmp_path / "journal.jsonl"
         with QueryJournal(path, memory=False) as journal:
             recorder = RunRecorder(
-                journal, QueryContext.new(journal=True), pattern="A"
+                journal, QueryContext.new(), pattern="A"
             )
             recorder.submit()
             recorder.finish()

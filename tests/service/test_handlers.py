@@ -172,7 +172,7 @@ class TestClamping:
     def test_over_ceiling_budgets_are_clamped_and_reported(self, make_service):
         service = make_service(
             ServiceConfig(deadline_ms_ceiling=50.0, max_pairs_ceiling=1000,
-                          jobs_ceiling=2)
+                          max_incidents_ceiling=500)
         )
         response = post(
             service,
@@ -180,13 +180,33 @@ class TestClamping:
             {
                 "log": "clinic",
                 "pattern": "GetRefer",
-                "options": {"deadline_ms": 99999, "max_pairs": 10**9, "jobs": 64},
+                "options": {"deadline_ms": 99999, "max_pairs": 10**9,
+                            "max_incidents": 10**7},
             },
         )
         assert response.status == 200
         assert sorted(payload(response)["clamped"]) == [
-            "deadline_ms", "jobs", "max_pairs",
+            "deadline_ms", "max_incidents", "max_pairs",
         ]
+
+    @pytest.mark.parametrize("route", ["/v1/query", "/v1/batch"])
+    @pytest.mark.parametrize(
+        "removed", [{"jobs": 2}, {"backend": "process"}], ids=["jobs", "backend"]
+    )
+    def test_removed_parallel_options_are_400(self, service, route, removed):
+        body = {"log": "clinic", "options": removed}
+        if route == "/v1/query":
+            body["pattern"] = "GetRefer"
+        else:
+            body["patterns"] = ["GetRefer"]
+        response = post(service, route, body)
+        assert response.status == 400
+        (diagnostic,) = payload(response)["error"]["details"]["diagnostics"]
+        (name,) = removed
+        assert diagnostic["message"] == (
+            f"'options.{name}': unknown option (allowed: cache, deadline_ms, "
+            "engine, max_incidents, max_pairs, optimize)"
+        )
 
     @staticmethod
     def assert_unknown_engine(service, name):

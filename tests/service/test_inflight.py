@@ -62,50 +62,53 @@ def _poll_inflight(url: str, *, deadline_s: float = 10.0) -> dict:
     raise AssertionError("query never appeared in /v1/admin/inflight")
 
 
-def test_admin_delete_kills_a_listed_query(server) -> None:
+def _kill_in_flight(server, path: str, body: dict):
+    """POST ``body`` on a client thread, DELETE it once the admin plane
+    lists it; returns (listed snapshot, DELETE reply, client response)."""
     outcome: dict = {}
 
     def client() -> None:
-        outcome["response"] = _request(
-            server.url,
-            "POST",
-            "/v1/query",
-            {
-                "log": "clinic",
-                "pattern": HEAVY_PATTERN,
-                "options": {"cache": False, "optimize": False},
-            },
-        )
+        outcome["response"] = _request(server.url, "POST", path, body)
 
     thread = threading.Thread(target=client)
     thread.start()
     try:
-        listed = _poll_inflight(server.url)
-        (snapshot,) = listed["queries"]
-        assert snapshot["query_id"].startswith("q-")
-        assert snapshot["op"] == "http.query"
-        assert snapshot["store"] == "clinic"
-        assert snapshot["pattern"] == HEAVY_PATTERN
-        assert snapshot["elapsed_s"] >= 0.0
-        assert not snapshot["cancelling"]
-
-        status, _, body = _request(
+        (snapshot,) = _poll_inflight(server.url)["queries"]
+        status, _, reply = _request(
             server.url, "DELETE", "/v1/admin/inflight/" + snapshot["query_id"]
         )
         assert status == 200
-        contract = json.loads(body)
-        assert contract["cancelled"] is True
-        assert contract["cooperative"] is True
-        assert contract["query_id"] == snapshot["query_id"]
-        assert contract["trace_id"].startswith("t-")
-        assert contract["store"] == "clinic"
     finally:
         thread.join(timeout=30)
     assert not thread.is_alive()
+    return snapshot, json.loads(reply), outcome["response"]
+
+
+def test_admin_delete_kills_a_listed_query(server) -> None:
+    snapshot, contract, response = _kill_in_flight(
+        server,
+        "/v1/query",
+        {
+            "log": "clinic",
+            "pattern": HEAVY_PATTERN,
+            "options": {"cache": False, "optimize": False},
+        },
+    )
+    assert snapshot["query_id"].startswith("q-")
+    assert snapshot["op"] == "http.query"
+    assert snapshot["store"] == "clinic"
+    assert snapshot["pattern"] == HEAVY_PATTERN
+    assert snapshot["elapsed_s"] >= 0.0
+    assert not snapshot["cancelling"]
+    assert contract["cancelled"] is True
+    assert contract["cooperative"] is True
+    assert contract["query_id"] == snapshot["query_id"]
+    assert contract["trace_id"].startswith("t-")
+    assert contract["store"] == "clinic"
 
     # the client sees the structured cancellation: 503 unavailable with
     # the reason and the partial stats the governor detached at the kill
-    status, _, body = outcome["response"]
+    status, _, body = response
     assert status == 503
     error = json.loads(body)["error"]
     assert error["code"] == "unavailable"
@@ -139,6 +142,29 @@ def test_admin_delete_kills_a_listed_query(server) -> None:
     # and the operator action is a counter in the exposition
     _, _, body = _request(server.url, "GET", "/metrics")
     assert b"repro_service_admin_cancellations 1" in body
+
+
+def test_admin_delete_kills_a_listed_batch(server) -> None:
+    """``/v1/batch`` hands its cancel token to the one shared scan, so the
+    operator kill reaches a batch exactly as it reaches a query."""
+    snapshot, contract, response = _kill_in_flight(
+        server,
+        "/v1/batch",
+        {
+            "log": "clinic",
+            "patterns": [HEAVY_PATTERN, "GetRefer -> CheckIn"],
+            "options": {"cache": False, "optimize": False},
+        },
+    )
+    assert snapshot["op"] == "http.batch"
+    assert contract["cancelled"] is True
+    status, _, body = response
+    assert status == 503
+    error = json.loads(body)["error"]
+    assert error["code"] == "unavailable"
+    assert "killed by operator" in error["message"]
+    killed = [e for e in server.service.journal.events if e["event"] == "killed"]
+    assert [e["query_id"] for e in killed] == [snapshot["query_id"]]
 
 
 def test_completed_queries_leave_the_registry(server) -> None:

@@ -36,8 +36,9 @@ class TestQueryRequest:
                 "pattern": "A",
                 "mode": "count",
                 "limit": 5,
-                "options": {"engine": "naive", "jobs": 2, "deadline_ms": 10.5,
-                            "max_pairs": 100, "optimize": False, "cache": False},
+                "options": {"engine": "naive", "max_incidents": 7,
+                            "deadline_ms": 10.5, "max_pairs": 100,
+                            "optimize": False, "cache": False},
             }
         )
         assert request.mode == "count"
@@ -64,17 +65,31 @@ class TestQueryRequest:
             )
         assert "'options.max_paris': unknown option" in _messages(excinfo.value)
 
+    @pytest.mark.parametrize(
+        "removed", [{"jobs": 2}, {"backend": "process"}], ids=["jobs", "backend"]
+    )
+    def test_removed_parallel_options_are_unknown(self, removed):
+        """No alias and no accept-and-ignore: the strict-schema 400 that
+        lists what is allowed."""
+        with pytest.raises(ServiceError) as excinfo:
+            parse_query_request({"log": "l", "pattern": "A", "options": removed})
+        (name,) = removed
+        assert (
+            f"'options.{name}': unknown option (allowed: cache, deadline_ms, "
+            "engine, max_incidents, max_pairs, optimize)"
+        ) in _messages(excinfo.value)
+
     def test_bad_option_types(self):
         with pytest.raises(ServiceError) as excinfo:
             parse_query_request(
                 {
                     "log": "l",
                     "pattern": "A",
-                    "options": {"jobs": 0, "deadline_ms": -1, "cache": "yes"},
+                    "options": {"max_pairs": 0, "deadline_ms": -1, "cache": "yes"},
                 }
             )
         messages = _messages(excinfo.value)
-        assert "'options.jobs'" in messages
+        assert "'options.max_pairs'" in messages
         assert "'options.deadline_ms'" in messages
         assert "'options.cache'" in messages
 

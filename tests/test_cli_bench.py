@@ -1,8 +1,7 @@
 """CLI coverage of the perf-observability surface: ``bench
-run|compare|report|list``, ``profile --flamegraph/--folded``,
-``query --progress`` and ``query --metrics-format prom``."""
+run|compare|report|list``, ``profile --flamegraph/--folded`` and
+``query --metrics-format prom``."""
 
-import io
 import json
 import re
 
@@ -231,45 +230,6 @@ class TestBenchReport:
             "bench", "report", "--history", str(tmp_path / "none.jsonl"),
         ]) == 0
         assert "no history" in capsys.readouterr().out
-
-
-class TestQueryProgress:
-    def test_non_tty_progress_is_clean_lines(self, clinic_file, capsys):
-        code = main([
-            "query", "--log", clinic_file,
-            "--pattern", "GetRefer -> CheckIn",
-            "--mode", "count", "--jobs", "2", "--progress",
-        ])
-        assert code == 0
-        err = capsys.readouterr().err
-        assert "\r" not in err  # pytest capture is not a TTY
-        shard_lines = [
-            line for line in err.splitlines() if line.startswith("shards ")
-        ]
-        assert shard_lines, err
-        assert all(re.fullmatch(r"shards \d+/\d+", line) for line in shard_lines)
-        done, total = map(int, shard_lines[-1].split()[1].split("/"))
-        assert done == total == len(shard_lines)
-
-    def test_tty_progress_rewrites_in_place(self):
-        from repro.cli import _shard_progress
-
-        class Tty(io.StringIO):
-            def isatty(self):
-                return True
-
-        stream = Tty()
-        progress = _shard_progress(stream)
-        progress(1, 2)
-        progress(2, 2)
-        assert stream.getvalue() == "\rshards 1/2\rshards 2/2\n"
-
-    def test_progress_without_jobs_is_silent(self, clinic_file, capsys):
-        assert main([
-            "query", "--log", clinic_file, "--pattern", "GetRefer",
-            "--mode", "count", "--progress",
-        ]) == 0
-        assert "shards" not in capsys.readouterr().err
 
 
 class TestQueryPrometheus:

@@ -3,7 +3,8 @@
 These properties tie the subsystems together: any engine must agree with
 the Definition 4 oracle on any log and pattern; serialization must be
 lossless; incidents must satisfy their structural invariants; the
-optimizer must never change results.
+optimizer must never change results; incidents never span instances, so
+any wid partition of a log partitions its incident set.
 """
 
 import hypothesis.strategies as st
@@ -51,8 +52,8 @@ def patterns(max_leaves=4):
 
 
 @st.composite
-def logs(draw):
-    n = draw(st.integers(min_value=1, max_value=3))
+def logs(draw, max_instances=3):
+    n = draw(st.integers(min_value=1, max_value=max_instances))
     traces = {
         wid: [
             draw(st.sampled_from(ALPHABET + ("Z",)))
@@ -72,6 +73,32 @@ def test_all_engines_agree_with_the_oracle(log, pattern):
     assert SqlBaseline().evaluate(log, pattern) == expected
     if supports(pattern):
         assert AutomatonBaseline().evaluate(log, pattern) == expected
+
+
+@settings(max_examples=60, deadline=None)
+@given(logs(max_instances=5), patterns(), st.data())
+def test_union_of_shards_is_the_whole_log(log, pattern, data):
+    """Definition 4 keeps an incident inside one instance: for any wid
+    partition ``W1 ∪ … ∪ Wn`` of ``L``, ``incL(p)`` is the disjoint union
+    of ``inc(L|Wi)(p)`` over the lsn-preserving projections
+    (:meth:`Log.project`), identified by the same record-lsn sets.  The
+    memo's per-wid windows rest on this."""
+    n_parts = data.draw(st.integers(min_value=1, max_value=4))
+    part_of = {
+        wid: data.draw(st.integers(min_value=0, max_value=n_parts - 1))
+        for wid in log.wids
+    }
+    engine = VectorizedEngine()
+    union = []
+    for part in range(n_parts):  # a part may be empty
+        wids = {wid for wid, p in part_of.items() if p == part}
+        incidents = engine.evaluate(log.project(wids), pattern)
+        assert set(incidents.wids()) <= wids
+        union.extend(incidents)
+    expected = reference_incidents(log, pattern)
+    assert len(union) == len(expected)  # disjoint: nothing found twice
+    assert frozenset(union) == expected.to_set()
+    assert frozenset(o.lsns for o in union) == expected.lsn_sets()
 
 
 @settings(max_examples=60, deadline=None)
