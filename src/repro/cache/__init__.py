@@ -1,20 +1,16 @@
-"""Memory-bounded query/subpattern caching (``repro.cache``).
+"""Memory-bounded query result caching (``repro.cache``).
 
-Two layers behind one :class:`QueryCache`:
-
-* a **result layer** for whole-query
-  :class:`~repro.core.incident.IncidentSet` results, keyed on the
-  normalized pattern, the log's epoch identity and the result-relevant
-  options;
-* a **memo layer** for per-``(wid, subpattern)`` intermediates, the
-  cross-call generalisation of the batch engine's shared-scan memo.
+One :class:`QueryCache` keeps whole-query
+:class:`~repro.core.incident.IncidentSet` results, keyed on the
+normalized pattern, the log's epoch identity and the result-relevant
+options.
 
 Invalidation is epoch-based: append-only stores bump an epoch per
-record, snapshots are stamped with ``(lineage, epoch)``, and the memo
-layer exploits wid-locality so entries for instances untouched by later
-appends stay valid.  Both layers are LRU-evicted under configurable
-byte budgets (:class:`CachePolicy`), and all hit/miss/eviction activity
-is observable through :mod:`repro.obs`.
+record and snapshots are stamped with ``(lineage, epoch)``, so a result
+stored for a newer epoch retires the lineage's older entries.  What is
+left is LRU-evicted under one configurable byte budget
+(:class:`CachePolicy`), and all hit/miss/eviction activity is
+observable through :mod:`repro.obs`.
 
 See ``docs/CACHING.md`` for the full model.
 """
@@ -27,17 +23,12 @@ from repro.cache.manager import (
     reset_default_cache,
     resolve_cache,
 )
-from repro.cache.policy import (
-    DEFAULT_MEMO_BUDGET,
-    DEFAULT_RESULT_BUDGET,
-    CachePolicy,
-)
+from repro.cache.policy import DEFAULT_RESULT_BUDGET, CachePolicy
 from repro.cache.sizing import incident_nbytes, incidents_nbytes
 
 __all__ = [
     "CachePolicy",
     "CachedResult",
-    "DEFAULT_MEMO_BUDGET",
     "DEFAULT_RESULT_BUDGET",
     "LruBytes",
     "QueryCache",

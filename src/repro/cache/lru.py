@@ -1,6 +1,6 @@
 """A byte-budgeted LRU map.
 
-:class:`LruBytes` is the storage primitive under both cache layers: a
+:class:`LruBytes` is the storage primitive under the result cache: a
 plain ``OrderedDict`` in recency order with explicit byte accounting.
 Each entry carries the size its creator charged it with
 (:mod:`repro.cache.sizing`); inserting past the budget evicts from the
@@ -86,6 +86,16 @@ class LruBytes(Generic[K, V]):
             self.evictions += 1
             if self._on_evict is not None:
                 self._on_evict(cold_key, cold_value, cold_bytes)
+        return True
+
+    def discard(self, key: K) -> bool:
+        """Drop ``key`` if present, returning whether it was.  The caller
+        decided the entry is dead: not an eviction, not counted as one,
+        and ``on_evict`` is not called."""
+        entry = self._entries.pop(key, None)
+        if entry is None:
+            return False
+        self.total_bytes -= entry[1]
         return True
 
     def clear(self) -> None:

@@ -1,26 +1,18 @@
-"""The two-layer query cache.
+"""The query result cache.
 
-:class:`QueryCache` owns both cache layers behind one lock:
-
-* the **result layer** maps ``(log identity, normalized pattern,
-  result-relevant options)`` to a finished, canonically ordered
-  :class:`~repro.core.incident.IncidentSet` (plus a detached copy of the
-  evaluation's :class:`~repro.core.eval.base.EvaluationStats` for
-  ``explain``);
-* the **memo layer** maps ``(memo scope, wid, wid record count,
-  subpattern)`` to the per-instance span lists the join kernel computes
-  node by node (``(first, last, is-lsn positions)`` tuples, relative to
-  the instance — no record objects) — the cross-call generalisation of
-  the kernel's in-run subpattern sharing.
+:class:`QueryCache` maps ``(log identity, normalized pattern,
+result-relevant options)`` to a finished, canonically ordered
+:class:`~repro.core.incident.IncidentSet` (plus a detached copy of the
+evaluation's :class:`~repro.core.eval.base.EvaluationStats` for
+``explain``), under one byte budget and one lock.
 
 Log identity comes from the epoch counters threaded through
 :class:`~repro.core.model.Log` / :class:`~repro.logstore.store.LogStore`:
 a complete store snapshot is identified by ``(lineage, epoch)``; logs
-without store provenance fall back to a content fingerprint.  The memo
-layer drops the epoch and adds the per-instance record count instead —
-within one append-only lineage, an instance with the same record count
-has exactly the same records, so entries for instances untouched by
-later appends stay valid (the wid-locality of Definition 4).
+without store provenance fall back to a content fingerprint.  A lineage
+only moves forward, so storing a result for epoch *n* drops that
+lineage's entries of earlier epochs — no later probe can name them —
+and a result that arrives for an epoch already superseded is not stored.
 
 Hit/miss/eviction counts mirror into an optional
 :class:`~repro.obs.metrics.MetricsRegistry` as the ``cache.*`` family
@@ -32,7 +24,6 @@ from __future__ import annotations
 
 import functools
 import threading
-from collections.abc import Hashable
 from dataclasses import dataclass, field
 from typing import TYPE_CHECKING, Any
 
@@ -41,7 +32,7 @@ if TYPE_CHECKING:  # pragma: no cover - typing only
 
 from repro.cache.lru import LruBytes
 from repro.cache.policy import CachePolicy
-from repro.cache.sizing import MemoSpan, incidents_nbytes, spans_nbytes
+from repro.cache.sizing import incidents_nbytes
 from repro.core.eval.base import EvaluationStats
 from repro.core.incident import IncidentSet
 from repro.core.model import Log
@@ -62,17 +53,10 @@ __all__ = [
 #: Hashable identity of a whole log, see :meth:`QueryCache.log_identity`.
 LogIdentity = tuple[str, ...]
 
-#: Hashable identity of a memo scope, see :meth:`QueryCache.memo_scope`.
-MemoScope = tuple[str, ...]
-
-#: Full key of one result-layer entry.  The pattern component is the
+#: Full key of one cache entry.  The pattern component is the
 #: AC-canonical pattern, or — under ``policy.equivalence_keys`` — an
 #: ``("eqclass", digest)`` pair naming the proved equivalence class.
 ResultKey = tuple[LogIdentity, Any, tuple[Any, ...]]
-
-#: Full key of one memo-layer entry; the last component identifies the
-#: subpattern (the kernel passes a hash-once wrapper around it).
-MemoKey = tuple[MemoScope, int, int, Hashable]
 
 
 @functools.lru_cache(maxsize=1024)
@@ -103,7 +87,7 @@ def _detach_stats(stats: EvaluationStats | None) -> EvaluationStats | None:
 
 @dataclass(frozen=True)
 class CachedResult:
-    """One result-layer hit: the incident set and a detached copy of the
+    """One cache hit: the incident set and a detached copy of the
     stats recorded when it was computed (None for results stored without
     stats)."""
 
@@ -112,13 +96,13 @@ class CachedResult:
 
 
 class QueryCache:
-    """Memory-bounded result + subpattern cache (see module docs).
+    """Memory-bounded result cache (see module docs).
 
     Parameters
     ----------
     policy:
-        The :class:`~repro.cache.policy.CachePolicy` governing layers
-        and budgets; defaults to the all-on default policy.
+        The :class:`~repro.cache.policy.CachePolicy` carrying the switch
+        and the byte budget; defaults to the default (on) policy.
     metrics:
         Optional registry receiving the ``cache.*`` counter/gauge
         family.  Set at construction so every consumer of a shared cache
@@ -137,15 +121,14 @@ class QueryCache:
         self._results: LruBytes[ResultKey, CachedResult] = LruBytes(
             self.policy.result_budget_bytes
         )
-        self._memo: LruBytes[MemoKey, tuple[MemoSpan, ...]] = LruBytes(
-            self.policy.memo_budget_bytes
-        )
+        #: newest epoch a result was stored for, per store lineage
+        self._newest_epoch: dict[str, int] = {}
 
     # -- key construction --------------------------------------------------
 
     @staticmethod
     def log_identity(log: "Log | LogSource") -> LogIdentity:
-        """Hashable whole-log identity for the result layer.
+        """Hashable whole-log identity.
 
         ``("lineage", <store id>, <epoch>)`` for complete store
         snapshots and for live stores themselves (a store *is* its full
@@ -165,19 +148,6 @@ class QueryCache:
             return ("lineage", log.lineage, str(log.epoch))
         return ("content", log.fingerprint)
 
-    @staticmethod
-    def memo_scope(log: "Log | LogSource") -> MemoScope:
-        """Hashable scope of the memo layer for ``log``.
-
-        Store-derived logs (snapshots, projections) share one scope per
-        lineage: memo entries carry the per-instance record count, which
-        within an append-only lineage pins the exact records — so later
-        snapshots hit the same entries for untouched instances.
-        """
-        if log.lineage is not None:
-            return ("lineage", log.lineage)
-        return ("content", log.fingerprint)
-
     def result_key(
         self,
         log: "Log | LogSource",
@@ -185,7 +155,7 @@ class QueryCache:
         *,
         max_incidents: int | None = None,
     ) -> ResultKey:
-        """The result-layer key for evaluating ``pattern`` over ``log``.
+        """The cache key for evaluating ``pattern`` over ``log``.
 
         The pattern goes through the optimizer's shared
         :func:`~repro.core.optimizer.rules.normalize` and then the
@@ -215,7 +185,7 @@ class QueryCache:
         canonical = canonicalize(normalized)
         return (self.log_identity(log), canonical, ("max_incidents", max_incidents))
 
-    # -- result layer ------------------------------------------------------
+    # -- lookup and store -------------------------------------------------
 
     def get_result(
         self,
@@ -223,9 +193,9 @@ class QueryCache:
         *,
         tracer: Tracer | NullTracer = NULL_TRACER,
     ) -> CachedResult | None:
-        """Result-layer lookup; None on miss.  Hits hand out a *fresh*
-        stats copy, so callers may mutate it freely."""
-        if not self.policy.caches_results:
+        """Cache lookup; None on miss.  Hits hand out a *fresh* stats
+        copy, so callers may mutate it freely."""
+        if not self.policy.enabled:
             return None
         with tracer.span("cache.result", key=()) as span:
             with self._lock:
@@ -244,50 +214,42 @@ class QueryCache:
         incidents: IncidentSet,
         stats: EvaluationStats | None = None,
     ) -> bool:
-        """Store a finished result; returns False when rejected (larger
-        than the whole layer budget) or the layer is off."""
-        if not self.policy.caches_results:
+        """Store a finished result; returns False when it is not kept:
+        larger than the whole budget, the cache off, or computed over an
+        epoch its lineage has already moved past.
+
+        The first result stored for a newer epoch of a lineage drops that
+        lineage's older entries (plain removals, not LRU evictions).
+        Content-fingerprint identities carry no order and are left to the
+        LRU.
+        """
+        if not self.policy.enabled:
             return False
         entry = CachedResult(incidents=incidents, stats=_detach_stats(stats))
         nbytes = incidents_nbytes(incidents)
+        identity = key[0]
         with self._lock:
+            if identity[0] == "lineage":
+                lineage, epoch = identity[1], int(identity[2])
+                newest = self._newest_epoch.get(lineage, -1)
+                if epoch < newest:
+                    return False
+                if epoch > newest:
+                    self._newest_epoch[lineage] = epoch
+                    # every live entry of the lineage is of epoch `newest`;
+                    # one pass per epoch advance over a cache that holds
+                    # budget / entry-size keys
+                    for stale in self._results.keys():
+                        if stale[0][:2] == identity[:2]:
+                            self._results.discard(stale)
             stored = self._results.put(key, entry, nbytes)
-        self._publish()
-        return stored
-
-    # -- memo layer --------------------------------------------------------
-
-    def memo_get(
-        self, scope: MemoScope, wid: int, wid_count: int, subpattern: Hashable
-    ) -> tuple[MemoSpan, ...] | None:
-        """Per-(wid, subpattern) lookup; None on miss or when the memo
-        layer is off."""
-        if not self.policy.caches_memo:
-            return None
-        with self._lock:
-            return self._memo.get((scope, wid, wid_count, subpattern))
-
-    def memo_put(
-        self,
-        scope: MemoScope,
-        wid: int,
-        wid_count: int,
-        subpattern: Hashable,
-        spans: tuple[MemoSpan, ...],
-    ) -> bool:
-        """Store one per-(wid, subpattern) span list."""
-        if not self.policy.caches_memo:
-            return False
-        nbytes = spans_nbytes(spans)
-        with self._lock:
-            stored = self._memo.put((scope, wid, wid_count, subpattern), spans, nbytes)
         self._publish()
         return stored
 
     # -- observability -----------------------------------------------------
 
     def stats(self) -> dict[str, int]:
-        """Counter snapshot over both layers (for tests and the CLI)."""
+        """Counter snapshot (for tests, the CLI and ``/v1/admin/cache``)."""
         with self._lock:
             return {
                 "result_hits": self._results.hits,
@@ -296,16 +258,10 @@ class QueryCache:
                 "result_rejected": self._results.rejected,
                 "result_entries": len(self._results),
                 "result_bytes": self._results.total_bytes,
-                "memo_hits": self._memo.hits,
-                "memo_misses": self._memo.misses,
-                "memo_evictions": self._memo.evictions,
-                "memo_rejected": self._memo.rejected,
-                "memo_entries": len(self._memo),
-                "memo_bytes": self._memo.total_bytes,
             }
 
     def hot_keys(self, *, limit: int = 10) -> dict[str, list[str]]:
-        """The most-recently-served keys per layer, hottest first.
+        """The most-recently-served keys, hottest first.
 
         "Hot" is LRU recency (the eviction order reversed) — the admin
         cache endpoint's view of what the cache is actually earning its
@@ -316,36 +272,10 @@ class QueryCache:
             raise ValueError(f"limit must be >= 1, got {limit}")
         with self._lock:
             results = self._results.keys()[-limit:]
-            memo = self._memo.keys()[-limit:]
-        return {
-            "results": [str(key) for key in reversed(results)],
-            "memo": [str(key) for key in reversed(memo)],
-        }
-
-    #: Counters the journal attributes to individual queries.
-    _ATTRIBUTED = ("result_hits", "result_misses", "memo_hits", "memo_misses")
-
-    def attribution(
-        self, since: dict[str, int] | None = None
-    ) -> dict[str, int]:
-        """Per-query hit attribution over the shared counters.
-
-        The layer counters are process-wide totals; to attribute hits to
-        one query, snapshot before (``since=None`` returns the current
-        hit/miss counters) and diff after (pass the snapshot back to get
-        the query's own delta).  :class:`~repro.core.query.Query` feeds
-        the delta into the journal's terminal ``finish`` event.
-        """
-        snapshot = self.stats()
-        if since is None:
-            return {name: snapshot[name] for name in self._ATTRIBUTED}
-        return {
-            name: snapshot[name] - since.get(name, 0)
-            for name in self._ATTRIBUTED
-        }
+        return {"results": [str(key) for key in reversed(results)]}
 
     def _publish(self) -> None:
-        """Mirror the layer counters into the bound registry.
+        """Mirror the counters into the bound registry.
 
         Counters are monotone totals, so publishing sets them by
         incrementing the registry counter up to the current value —
@@ -366,18 +296,16 @@ class QueryCache:
                     counter.inc(value - counter.value)
 
     def clear(self) -> None:
-        """Drop all entries in both layers (counters survive)."""
+        """Drop all entries (counters survive)."""
         with self._lock:
             self._results.clear()
-            self._memo.clear()
         self._publish()
 
     def __repr__(self) -> str:
         snapshot = self.stats()
         return (
             f"QueryCache(results={snapshot['result_entries']} entries/"
-            f"{snapshot['result_bytes']}B, memo={snapshot['memo_entries']} "
-            f"entries/{snapshot['memo_bytes']}B)"
+            f"{snapshot['result_bytes']}B)"
         )
 
 

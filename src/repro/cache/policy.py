@@ -1,6 +1,6 @@
 """Cache configuration.
 
-A :class:`CachePolicy` is a frozen value object describing *what* to
+A :class:`CachePolicy` is a frozen value object describing *whether* to
 cache and *under which memory budget*; the runtime state lives in
 :class:`~repro.cache.manager.QueryCache`.  Policies travel inside
 :class:`~repro.core.options.EngineOptions`, so one immutable options
@@ -11,40 +11,32 @@ from __future__ import annotations
 
 from dataclasses import dataclass, replace
 
-__all__ = ["CachePolicy", "DEFAULT_RESULT_BUDGET", "DEFAULT_MEMO_BUDGET"]
+__all__ = ["CachePolicy", "DEFAULT_RESULT_BUDGET"]
 
-#: Default byte budget of the whole-query result layer (32 MiB).
+#: Default byte budget of the result cache (32 MiB).
 DEFAULT_RESULT_BUDGET = 32 * 1024 * 1024
-
-#: Default byte budget of the per-(wid, subpattern) memo layer (32 MiB).
-DEFAULT_MEMO_BUDGET = 32 * 1024 * 1024
 
 
 @dataclass(frozen=True)
 class CachePolicy:
-    """What the query cache keeps, and how much memory it may hold.
+    """Whether the query cache keeps results, and how much memory it may
+    hold.
 
     Attributes
     ----------
     enabled:
-        Master switch; :meth:`CachePolicy.disabled` is the canonical off
-        value.
-    results:
-        Keep whole-query :class:`~repro.core.incident.IncidentSet`
-        results, keyed on ``(normalized pattern, log epoch, result-
-        relevant options)``.
-    memo:
-        Keep per-``(wid, subpattern)`` intermediate incident lists, the
-        cross-call generalisation of the batch engine's shared-scan
-        memo.  Entries for instances untouched by later appends stay
-        valid across snapshots of one store lineage.
-    result_budget_bytes / memo_budget_bytes:
-        LRU byte budgets per layer.  Entries are accounted with
+        The one switch; :meth:`CachePolicy.disabled` is the canonical off
+        value.  An enabled cache keeps whole-query
+        :class:`~repro.core.incident.IncidentSet` results, keyed on
+        ``(log epoch identity, normalized pattern, result-relevant
+        options)``.
+    result_budget_bytes:
+        LRU byte budget.  Entries are accounted with
         :func:`~repro.cache.sizing.incidents_nbytes`; the least recently
-        used entries are evicted once a layer exceeds its budget, and an
-        entry larger than the whole budget is rejected outright.
+        used entries are evicted once the cache exceeds its budget, and
+        an entry larger than the whole budget is rejected outright.
     equivalence_keys:
-        Key the result layer on the :func:`repro.analysis.canonical_key`
+        Key results on the :func:`repro.analysis.canonical_key`
         equivalence class of the pattern instead of its AC-canonical
         form: queries *proved* algebraically equal — even when no
         syntactic rewrite relates them, e.g. ``A & B`` vs ``(A -> B) |
@@ -55,33 +47,18 @@ class CachePolicy:
     """
 
     enabled: bool = True
-    results: bool = True
-    memo: bool = True
     result_budget_bytes: int = DEFAULT_RESULT_BUDGET
-    memo_budget_bytes: int = DEFAULT_MEMO_BUDGET
     equivalence_keys: bool = False
 
     def __post_init__(self) -> None:
-        if self.result_budget_bytes < 0 or self.memo_budget_bytes < 0:
-            raise ValueError("cache byte budgets must be >= 0")
+        if self.result_budget_bytes < 0:
+            raise ValueError("cache byte budget must be >= 0")
 
     @classmethod
     def disabled(cls) -> "CachePolicy":
-        """The canonical all-off policy."""
-        return cls(enabled=False, results=False, memo=False)
+        """The canonical off policy."""
+        return cls(enabled=False)
 
     def with_budget(self, budget_bytes: int) -> "CachePolicy":
-        """This policy with both layer budgets set to ``budget_bytes``."""
-        return replace(
-            self,
-            result_budget_bytes=budget_bytes,
-            memo_budget_bytes=budget_bytes,
-        )
-
-    @property
-    def caches_results(self) -> bool:
-        return self.enabled and self.results
-
-    @property
-    def caches_memo(self) -> bool:
-        return self.enabled and self.memo
+        """This policy with the byte budget set to ``budget_bytes``."""
+        return replace(self, result_budget_bytes=budget_bytes)

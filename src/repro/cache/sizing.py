@@ -19,14 +19,8 @@ from repro.core.incident import Incident, IncidentSet
 __all__ = [
     "incident_nbytes",
     "incidents_nbytes",
-    "spans_nbytes",
-    "MemoSpan",
     "POINTER_BYTES",
 ]
-
-#: One memoised kernel incident: ``(first, last, is-lsn positions)``,
-#: relative to its workflow instance.
-MemoSpan = tuple[int, int, frozenset]
 
 #: Size charged per shared log-record reference.
 POINTER_BYTES = 8
@@ -51,25 +45,10 @@ def incident_nbytes(incident: Incident) -> int:
 
 
 def incidents_nbytes(incidents: IncidentSet) -> int:
-    """Estimated retained bytes of one result-layer entry: the set's
+    """Estimated retained bytes of one cache entry: the set's
     bookkeeping, one pointer per member, and the members themselves."""
     return (
         2 * ENTRY_OVERHEAD_BYTES
         + POINTER_BYTES * len(incidents)
         + sum(incident_nbytes(incident) for incident in incidents)
-    )
-
-
-def spans_nbytes(spans: tuple[MemoSpan, ...]) -> int:
-    """Estimated retained bytes of one memo-layer entry: the kernel's
-    ``(first, last, positions)`` tuples of one node over one instance.
-
-    Counts the outer tuple, each span tuple and its position frozenset.
-    The positions themselves are small is-lsn integers (interned by the
-    interpreter or shared with the columnar leaf caches), charged nothing.
-    """
-    return (
-        ENTRY_OVERHEAD_BYTES
-        + sys.getsizeof(spans)
-        + sum(sys.getsizeof(span) + sys.getsizeof(span[2]) for span in spans)
     )

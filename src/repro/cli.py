@@ -232,15 +232,15 @@ def build_parser() -> argparse.ArgumentParser:
     query.add_argument(
         "--cache",
         action="store_true",
-        help="enable the in-process result/memo cache and report which "
-        "layer served the run (see docs/CACHING.md)",
+        help="enable the in-process result cache and report whether "
+        "it served the run (see docs/CACHING.md)",
     )
     query.add_argument(
         "--cache-bytes",
         type=int,
         default=None,
         metavar="N",
-        help="per-layer cache byte budget (default 32 MiB per layer)",
+        help="cache byte budget (default 32 MiB)",
     )
     query.add_argument(
         "--cache-equivalence",
@@ -255,7 +255,7 @@ def build_parser() -> argparse.ArgumentParser:
         default=1,
         metavar="N",
         help="evaluate N times, timing each run on stderr — with --cache "
-        "the warm runs demonstrate the result layer",
+        "the warm runs demonstrate the result cache",
     )
     _add_governor_arguments(query)
 
@@ -545,8 +545,7 @@ def build_parser() -> argparse.ArgumentParser:
     batch.add_argument(
         "--cache",
         action="store_true",
-        help="serve repeated patterns from the result cache and persist "
-        "subpattern memos across the batch",
+        help="serve repeated patterns from the result cache",
     )
     _add_governor_arguments(batch)
 
@@ -697,7 +696,7 @@ def build_parser() -> argparse.ArgumentParser:
     serve.add_argument("--max-pairs-ceiling", type=int, default=50_000_000,
                        help="per-request pairs-examined budget ceiling")
     serve.add_argument("--cache-bytes", type=int, default=None,
-                       help="per-layer byte budget for the shared query cache")
+                       help="byte budget of the shared query cache")
     serve.add_argument("--journal", default=None, metavar="PATH",
                        help="append query lifecycle events to this JSONL file")
     serve.add_argument("--access-log", action="store_true",

@@ -11,7 +11,8 @@ Two in-process engines share one semantics (Definition 4):
   the sequential operator and hash joins for the consecutive operator,
   evaluated set-at-a-time over the columnar log core
   (:mod:`repro.columnar`) with position-tuple intermediates.  Tracing
-  and memoisation are compile-time hooks on its closure tree.
+  and in-run subpattern sharing are compile-time hooks on its closure
+  tree.
 
 (A third, the SQL pushdown :class:`~repro.columnar.SqliteEngine`, lives
 with its schema in :mod:`repro.columnar`.)  All satisfy the

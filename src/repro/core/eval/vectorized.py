@@ -40,10 +40,10 @@ instead of object rows:
 
 A pattern is compiled once per evaluation into a tree of closures, one
 per pattern node, each a window evaluator ``f(wi, lo, hi)``.  Tracing and
-memoisation are *compile-time hooks* on that one tree, not sibling
-evaluators: with a live tracer every node is wrapped in its span; with a
-cache attached (or ``share=True``) binary nodes and the root are wrapped
-in the memo probe.  Neither hook costs anything when it is off.
+subpattern sharing are *compile-time hooks* on that one tree, not sibling
+evaluators: with a live tracer every node is wrapped in its span; with
+``share=True`` binary nodes and the root are wrapped in the share probe.
+Neither hook costs anything when it is off.
 """
 
 from __future__ import annotations
@@ -71,13 +71,11 @@ __all__ = ["VectorizedEngine"]
 #: Intermediate incident: ``(first, last, frozenset of is-lsn positions)``.
 #: Within one workflow instance is-lsn and lsn are in bijection, so the
 #: position set carries exactly the identity an Incident's lsn set does.
-#: Positions are window-relative, so a span list is valid for any log in
-#: which the instance holds the same records — what the memo layer stores.
 _Span = tuple[int, int, frozenset]
 
 #: One compiled pattern node: ``f(wi, lo, hi)`` evaluates the node over the
 #: instance window ``[lo, hi)`` (window number ``wi``), first-sorted.
-#: Results may be shared (leaf caches, memo entries): never mutate one.
+#: Results may be shared (leaf caches, share entries): never mutate one.
 _Node = Callable[[int, int, int], Sequence[_Span]]
 
 
@@ -87,10 +85,10 @@ def _sorted_by_first(incidents: list[_Span]) -> list[_Span]:
 
 
 class _SubpatternKey:
-    """A subpattern as a memo key, hashed once.
+    """A subpattern as a share key, hashed once.
 
     Patterns are frozen dataclasses whose hash recurses over the whole
-    subtree on every call; the memo hook probes once per node per
+    subtree on every call; the share hook probes once per node per
     instance window, so it keys on this wrapper instead."""
 
     __slots__ = ("pattern", "_hash")
@@ -109,8 +107,8 @@ class _SubpatternKey:
         return str(self.pattern)
 
 
-#: Interned, so probes for one subpattern from different engines meet the
-#: stored key by identity instead of a structural comparison.
+#: Interned, so probes for one subpattern from different patterns of a
+#: batch meet the stored key by identity instead of a structural comparison.
 _subpattern_key = lru_cache(maxsize=4096)(_SubpatternKey)
 
 
@@ -119,37 +117,24 @@ class VectorizedEngine(Engine):
 
     Parameters
     ----------
-    cache:
-        Optional :class:`~repro.cache.manager.QueryCache`.  When its memo
-        layer is on, node results are written through to it under
-        ``(memo scope, wid, wid record count, subpattern)`` — entries
-        survive across engine instances, across runs, and across
-        snapshots of one store lineage for instances untouched by later
-        appends (``memo_hits`` counts lookups served from there).  The
-        ``max_incidents`` budget participates in the scope, so entries
-        computed under one cap never mask the budget error a stricter
-        cap would have raised.
     share:
         Keep node results per ``(window, subpattern)`` for as long as the
         engine stays on one log, so structurally equal subpatterns —
         within one pattern or across successive :meth:`evaluate` calls —
         are scanned and joined once (``shared_hits`` counts the node
-        evaluations elided; implied by ``cache``).  A hit skips its
-        subtree's scans, joins, stats and spans entirely, which is where
-        the batch evaluator's pairs saving comes from.
+        evaluations elided).  A hit skips its subtree's scans, joins,
+        stats and spans entirely, which is where the batch evaluator's
+        pairs saving comes from.
     """
 
     name = "vectorized"
 
-    def __init__(self, *, cache=None, share: bool = False, **kwargs):
+    def __init__(self, *, share: bool = False, **kwargs):
         super().__init__(**kwargs)
-        self._memo = cache if cache is not None and cache.policy.caches_memo else None
-        self._share = share or self._memo is not None
+        self._share = share
         self._shared: dict[tuple[int, _SubpatternKey], Sequence[_Span]] = {}
         self._bound: ColumnarLog | None = None
-        self._memo_scope: tuple[str, ...] = ()
         self.shared_hits = 0
-        self.memo_hits = 0
 
     def evaluate(self, log: "Log | ColumnarLog", pattern: Pattern) -> IncidentSet:
         columnar = as_columnar(log)
@@ -242,11 +227,14 @@ class VectorizedEngine(Engine):
         per-node stats epilogue (budget check, live peak, incidents
         produced) is inlined into the closures.  ``key`` is the node's
         position under its parent (the span key).  The hooks wrap the
-        finished node: the span outside the node, the memo probe outside
-        the span — so a memo hit records neither stats nor a span.
+        finished node: the span outside the node, the share probe outside
+        the span — so a shared hit records neither stats nor a span.
         """
-        if key == "root" and self._share:
-            self._bind(columnar)
+        if key == "root" and self._share and columnar is not self._bound:
+            # shared results are keyed by window number, so they are only
+            # valid for one columnar log
+            self._shared.clear()
+            self._bound = columnar
         if isinstance(pattern, Atomic):
             node = self._compile_atomic(columnar, pattern, stats)
         else:
@@ -256,11 +244,11 @@ class VectorizedEngine(Engine):
             node = self._compile_join(pattern, left, right, stats)
         if self.tracer.enabled:
             node = self._traced(pattern, key, node)
-        # leaves are answered from the activity index faster than a memo
+        # leaves are answered from the activity index faster than a share
         # probe could be; hooking them would make every hit above them pay
         # for what it skips
         if self._share and (key == "root" or isinstance(pattern, BinaryPattern)):
-            node = self._memoised(columnar, pattern, node)
+            node = self._shared_node(pattern, node)
         return node
 
     def _compile_join(
@@ -364,21 +352,6 @@ class VectorizedEngine(Engine):
             # absent activity: the empty result leaves every counter
             # unchanged, so no epilogue is needed
             return lambda wi, lo, hi: []
-        if self._share:
-            # under the memo hook most windows never reach their leaves, so
-            # the whole-log span build would be paid for one window's worth
-            act_rows = columnar.act_rows
-
-            def indexed_leaf(wi: int, lo: int, hi: int) -> list[_Span]:
-                base = 1 - lo
-                return epilogue(
-                    [
-                        (row + base, row + base, frozenset((row + base,)))
-                        for row in act_rows(act_id, lo, hi)
-                    ]
-                )
-
-            return indexed_leaf
         spans_by_window = columnar.leaf_spans(act_id)
 
         def positive_leaf(wi: int, lo: int, hi: int) -> list[_Span]:
@@ -420,44 +393,20 @@ class VectorizedEngine(Engine):
 
         return observed_join
 
-    def _bind(self, columnar: ColumnarLog) -> None:
-        """Point the memo hook at ``columnar``: shared results are keyed by
-        window number, so they are only valid for one columnar log; the
-        persistent scope is derived per log."""
-        if columnar is self._bound:
-            return
-        self._shared.clear()
-        self._bound = columnar
-        if self._memo is not None:
-            self._memo_scope = self._memo.memo_scope(columnar) + (
-                "budget",
-                str(self.max_incidents),
-            )
-
-    def _memoised(self, columnar: ColumnarLog, pattern: Pattern, node: _Node) -> _Node:
-        """``node`` behind the in-run share and the persistent memo layer."""
+    def _shared_node(self, pattern: Pattern, node: _Node) -> _Node:
+        """``node`` behind the in-run ``(window, subpattern)`` share."""
         key = _subpattern_key(pattern)
         shared = self._shared
-        memo, scope = self._memo, self._memo_scope
-        wid_of = columnar.wid_of
 
-        def memoised_node(wi: int, lo: int, hi: int) -> Sequence[_Span]:
+        def shared_node(wi: int, lo: int, hi: int) -> Sequence[_Span]:
             result = shared.get((wi, key))
             if result is not None:
                 self.shared_hits += 1
                 return result
-            if memo is not None:
-                result = memo.memo_get(scope, wid_of(wi), hi - lo, key)
-                if result is not None:
-                    self.memo_hits += 1
-                    shared[wi, key] = result
-                    return result
             result = shared[wi, key] = node(wi, lo, hi)
-            if memo is not None:
-                memo.memo_put(scope, wid_of(wi), hi - lo, key, tuple(result))
             return result
 
-        return memoised_node
+        return shared_node
 
     # -- the four joins, over position tuples ----------------------------------
 

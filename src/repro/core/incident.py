@@ -207,8 +207,9 @@ class IncidentSet:
         """The underlying mathematical set."""
         return frozenset(self._incidents)
 
-    def to_rows(self) -> list[dict[str, object]]:
-        """The incidents as plain dict rows, in canonical order.
+    def to_rows(self, limit: int | None = None) -> list[dict[str, object]]:
+        """The incidents as plain dict rows, in canonical order; with a
+        ``limit``, only the first ``limit`` of them.
 
         This is the stable tabular surface for downstream consumers
         (dataframes, JSON serialisation, the CLI): one row per incident
@@ -226,7 +227,7 @@ class IncidentSet:
                 "lsns": tuple(sorted(o.lsns)),
                 "activities": o.activities(),
             }
-            for o in self._incidents
+            for o in self._incidents[:limit]
         ]
 
     def by_wid(self) -> dict[int, list[Incident]]:

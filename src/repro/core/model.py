@@ -470,9 +470,8 @@ class Log:
     def lineage(self) -> str | None:
         """Identity token of the originating append-only store, or None
         for logs without store provenance.  Within one lineage, records
-        are never mutated or removed — the invariant the
-        :mod:`repro.cache` subpattern memo relies on to keep entries for
-        untouched instances valid across appends."""
+        are never mutated or removed, so ``(lineage, epoch)`` names one
+        exact content."""
         return self._lineage
 
     @property
@@ -563,7 +562,7 @@ class Log:
         the record objects are shared, not copied.  Because incidents are
         identified by their record-lsn sets (Definition 4), a pattern's
         incident set over a projection equals the same-wid slice of its
-        incident set over the whole log — the property the memo's
+        incident set over the whole log — the property the kernel's
         per-wid windows rest on (``tests/test_properties.py``).
         """
         keep = set(wids)

@@ -75,17 +75,14 @@ class Query:
     options:
         The resolved :class:`~repro.core.options.EngineOptions`.
     engine:
-        The live :class:`~repro.core.eval.base.Engine`.  With a cache
-        attached, the join kernel carries the memo hook:
-        per-``(wid, subpattern)`` results persist across runs (see
-        ``docs/CACHING.md``).
+        The live :class:`~repro.core.eval.base.Engine`.
     cache:
         The resolved :class:`~repro.cache.manager.QueryCache`, or None
         when caching is off.
     last_cache_layer:
-        Which cache layer served the most recent :meth:`run` —
-        ``"result"``, ``"memo"`` or None (cold).  Reported by
-        :meth:`explain` and the CLI.
+        ``"result"`` when the cache served the most recent :meth:`run`,
+        None when it was evaluated (cold).  Reported by :meth:`explain`
+        and the CLI.
     """
 
     def __init__(
@@ -111,17 +108,11 @@ class Query:
         opts = self.options
         if isinstance(opts.engine, Engine):
             return opts.engine
-        cls = engine_class(opts.engine)
-        common = {
-            "max_incidents": opts.max_incidents,
-            "tracer": opts.tracer,
-            "metrics": opts.metrics,
-        }
-        if cls is VectorizedEngine:
-            # the kernel's memo hook: per-(wid, subpattern) results persist
-            # in the shared cache across runs and across queries
-            return VectorizedEngine(cache=self.cache, **common)
-        return cls(**common)
+        return engine_class(opts.engine)(
+            max_incidents=opts.max_incidents,
+            tracer=opts.tracer,
+            metrics=opts.metrics,
+        )
 
     # -- execution -------------------------------------------------------
 
@@ -173,24 +164,25 @@ class Query:
         self.engine.governor = governor
         return recorder
 
-    def _finish_run(self, recorder, *, stats, incidents, cache_before, **payload):
-        """Emit the terminal ``finish`` event with cache attribution."""
+    def _finish_run(self, recorder, *, stats, incidents, probed=False):
+        """Emit the terminal ``finish`` event with cache attribution: the
+        outcome of this run's own probe (``probed``), never a diff of the
+        cache's process-wide counters, which other queries move."""
         if recorder is None:
             return
-        if cache_before is not None and self.cache is not None:
-            delta = self.cache.attribution(cache_before)
-            payload.setdefault("cache_result_hits", delta["result_hits"])
-            payload.setdefault("cache_memo_hits", delta["memo_hits"])
+        payload = {}
+        if probed:
+            payload["cache_result_hits"] = int(self.last_cache_layer == "result")
         if self.last_cache_layer is not None:
-            payload.setdefault("cache_layer", self.last_cache_layer)
+            payload["cache_layer"] = self.last_cache_layer
         recorder.finish(stats=stats, incidents=incidents, **payload)
 
     def _result_key(self, log: Log):
-        """The result-layer key for this query over ``log``, or None when
-        the result layer is off.  Keyed on the *original* pattern: the
+        """The cache key for this query over ``log``, or None when
+        caching is off.  Keyed on the *original* pattern: the
         cost-based plan may differ per log, but the result it computes
         does not (that is the optimizer's correctness contract)."""
-        if self.cache is None or not self.cache.policy.caches_results:
+        if self.cache is None:
             return None
         return self.cache.result_key(
             log, self.pattern, max_incidents=self.options.max_incidents
@@ -205,9 +197,9 @@ class Query:
     def run(self, log: Log) -> IncidentSet:
         """Evaluate the query, returning the full incident set.
 
-        With caching on, a warm result-layer hit returns before the
-        optimizer even plans; a cold run is evaluated, stored, and
-        reported through :attr:`last_cache_layer`.
+        With caching on, a warm hit returns before the optimizer even
+        plans; a cold run is evaluated, stored, and reported through
+        :attr:`last_cache_layer`.
 
         With budgets configured (``deadline_ms``/``max_pairs``) the run
         is governed: the typed
@@ -218,11 +210,6 @@ class Query:
         """
         self.last_cache_layer = None
         recorder = self._begin_run("run")
-        cache_before = (
-            self.cache.attribution()
-            if recorder is not None and self.cache is not None
-            else None
-        )
         try:
             key = self._result_key(log)
             hit = self._cached_result(key)
@@ -235,7 +222,7 @@ class Query:
                     recorder,
                     stats=hit.stats,
                     incidents=len(hit.incidents),
-                    cache_before=cache_before,
+                    probed=True,
                 )
                 return hit.incidents
 
@@ -244,10 +231,7 @@ class Query:
                 recorder.plan(
                     optimized=str(optimized), changed=optimized != self.pattern
                 )
-            memo_before = getattr(self.engine, "memo_hits", 0)
             result = self.engine.evaluate(log, optimized)
-            if getattr(self.engine, "memo_hits", 0) > memo_before:
-                self.last_cache_layer = "memo"
             if recorder is not None:
                 stats = self.engine.last_stats
                 recorder.evaluate(
@@ -260,7 +244,7 @@ class Query:
                 recorder,
                 stats=self.engine.last_stats,
                 incidents=len(result),
-                cache_before=cache_before,
+                probed=key is not None,
             )
             return result
         except QueryGovernorError as exc:
@@ -286,7 +270,6 @@ class Query:
                 recorder,
                 stats=None if hit is not None else self.engine.last_stats,
                 incidents=int(found),
-                cache_before=None,
             )
             return found
         except QueryGovernorError as exc:
@@ -319,7 +302,6 @@ class Query:
                 recorder,
                 stats=None if hit is not None else self.engine.last_stats,
                 incidents=n,
-                cache_before=None,
             )
             return n
         except QueryGovernorError as exc:

@@ -122,9 +122,8 @@ def evaluate_batch(
         :func:`~repro.cache.manager.resolve_cache` accepts).  Queries
         whose result is already cached skip evaluation entirely
         (``cache_hits`` on the returned batch counts them); cold queries
-        are evaluated and stored, and the kernel writes through to the
-        persistent memo layer, so hits survive across ``evaluate_batch``
-        calls.
+        are evaluated and stored, so hits survive across
+        ``evaluate_batch`` calls.
     deadline_ms / max_pairs:
         Per-*batch* resource budgets, enforced cooperatively inside the
         shared scan (the pairs budget spans all queries in the batch).
@@ -171,11 +170,11 @@ def evaluate_batch(
         recorder = RunRecorder(journal, ctx, pattern=label, op="batch")
         recorder.submit(queries=len(resolved))
 
-    # result-layer pre-pass: finished queries never reach the scan
+    # cache pre-pass: finished queries never reach the scan
     final: list[IncidentSet | None] = [None] * len(resolved)
     keys: list[object | None] = [None] * len(resolved)
     cache_hits = 0
-    if live_cache is not None and live_cache.policy.caches_results:
+    if live_cache is not None:
         for index, pattern in enumerate(resolved):
             key = live_cache.result_key(
                 log, pattern, max_incidents=max_incidents
@@ -223,7 +222,6 @@ def evaluate_batch(
             )
             engine = VectorizedEngine(
                 share=True,
-                cache=live_cache,
                 max_incidents=max_incidents,
                 governor=governor,
             )

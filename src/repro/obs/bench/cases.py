@@ -270,7 +270,7 @@ def register_standard_cases(registry: BenchRegistry) -> None:
 
         return run
 
-    # -- cache (result/memo layers) ---------------------------------------
+    # -- cache ------------------------------------------------------------
 
     @registry.case(
         "cache.cold",
@@ -288,7 +288,7 @@ def register_standard_cases(registry: BenchRegistry) -> None:
     @registry.case(
         "cache.warm_result",
         suites=("smoke", "full"),
-        description="the same chain served from the result layer",
+        description="the same chain served from the result cache",
         instances=120,
     )
     def _cache_warm_result(instances: int) -> Callable[[], Any]:
@@ -301,26 +301,7 @@ def register_standard_cases(registry: BenchRegistry) -> None:
             parse("GetRefer -> CheckIn -> SeeDoctor"),
             EngineOptions(cache=QueryCache()),
         )
-        query.run(log)  # prime: every measured run is a result-layer hit
-        return lambda: query.run(log)
-
-    @registry.case(
-        "cache.warm_memo",
-        suites=("full",),
-        description="the same chain re-joined from memoized sub-scans",
-        instances=120,
-    )
-    def _cache_warm_memo(instances: int) -> Callable[[], Any]:
-        from repro.cache import CachePolicy, QueryCache
-        from repro.core.options import EngineOptions
-        from repro.core.query import Query
-
-        log = clinic_log(instances, seed=42)
-        query = Query(
-            parse("GetRefer -> CheckIn -> SeeDoctor"),
-            EngineOptions(cache=QueryCache(CachePolicy(results=False))),
-        )
-        query.run(log)  # prime the per-(wid, subpattern) memo entries
+        query.run(log)  # prime: every measured run is a cache hit
         return lambda: query.run(log)
 
     # -- journal (query-lifecycle telemetry) ------------------------------

@@ -8,7 +8,7 @@ object per line, each tagged ``repro.obs.journal/v1``:
 
 * ``submit``   — query text, operation, budgets; opens the lifecycle;
 * ``plan``     — optimizer outcome (optimized text, whether it changed);
-* ``cache``    — a cache probe (result/memo layer) and whether it hit;
+* ``cache``    — a result-cache probe and whether it hit;
 * ``evaluate`` — one evaluation body (pairs examined, incidents);
 * ``finish``   — terminal: wall/CPU time, peak allocation
   (``tracemalloc``), pairs examined, incidents, cache attribution;

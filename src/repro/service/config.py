@@ -62,7 +62,7 @@ class ServiceConfig:
         Per-request governor ceilings.  Requests asking for more are
         clamped down; requests asking for nothing get the ceiling.
     cache_bytes:
-        Optional per-layer byte budget for the shared query cache.
+        Optional byte budget of the shared query cache.
     max_body_bytes:
         Request bodies above this are refused with 413.
     retry_after_s:

@@ -181,11 +181,8 @@ async function refresh() {
     const hr = (h, m) => (h + m) ? pct(h / (h + m)) : "—";
     $("cache").innerHTML =
       card("result hit ratio", hr(cache.result_hits, cache.result_misses)) +
-      card("memo hit ratio", hr(cache.memo_hits, cache.memo_misses)) +
       card("result entries", cache.result_entries) +
-      card("result bytes", cache.result_bytes) +
-      card("memo entries", cache.memo_entries) +
-      card("memo bytes", cache.memo_bytes);
+      card("result bytes", cache.result_bytes);
   } catch (e) {
     $("err").textContent = String(e);
   }

@@ -638,12 +638,7 @@ class QueryService:
         payload["result_hit_ratio"] = ratio(
             stats["result_hits"], stats["result_misses"]
         )
-        payload["memo_hit_ratio"] = ratio(stats["memo_hits"], stats["memo_misses"])
         payload["hottest"] = self.cache.hot_keys(limit=10)
-        payload["policy"] = {
-            "caches_results": self.cache.policy.caches_results,
-            "caches_memo": self.cache.policy.caches_memo,
-        }
         return ServiceResponse(200, payload=payload)
 
     def _get_dashboard(self) -> ServiceResponse:
@@ -724,13 +719,9 @@ class QueryService:
                 if request.mode == "instances":
                     payload["instances"] = incidents.wids()
                 else:
-                    rows = incidents.to_rows()
-                    limit = request.limit
-                    shown = rows if limit is None else rows[:limit]
-                    payload["incidents"] = [
-                        {**row, "lsns": list(row["lsns"])} for row in shown
-                    ]
-                    payload["truncated"] = len(shown) < len(rows)
+                    shown = incidents.to_rows(request.limit)
+                    payload["incidents"] = shown
+                    payload["truncated"] = len(shown) < len(incidents)
             stats = query.engine.last_stats
             payload["stats"] = stats_to_dict(stats)
             payload["cache_layer"] = query.last_cache_layer
@@ -768,16 +759,13 @@ class QueryService:
             )
             results = []
             for text, incidents in zip(request.patterns, outcome.results):
-                rows = incidents.to_rows()
-                shown = rows if request.limit is None else rows[: request.limit]
+                shown = incidents.to_rows(request.limit)
                 results.append(
                     {
                         "pattern": text,
-                        "count": len(rows),
-                        "incidents": [
-                            {**row, "lsns": list(row["lsns"])} for row in shown
-                        ],
-                        "truncated": len(shown) < len(rows),
+                        "count": len(incidents),
+                        "incidents": shown,
+                        "truncated": len(shown) < len(incidents),
                     }
                 )
             return {

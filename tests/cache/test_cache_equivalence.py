@@ -2,12 +2,12 @@
 one — same incidents, same canonical order — also across store appends
 (which must invalidate exactly the stale entries).
 
-Each property also runs with a live tracer: the memo hook and the tracing
-hook wrap the same compiled closure tree, and together they must yield
-what neither does, with traced and counted pairs still reconciling.
+Each property also runs with a live tracer: the cache probe is a span
+beside the kernel's own, and traced and counted pairs must still
+reconcile.  A cold run with a cache attached is the plain kernel plus one
+probe, so its ``EvaluationStats`` equal the uncached run's.
 
-Plus integration assertions for which layer serves which run: memo hits
-across Query runs and ``evaluate_batch`` result-layer reuse.
+Plus ``evaluate_batch`` reuse of cached results.
 """
 
 import hypothesis.strategies as st
@@ -15,7 +15,7 @@ import pytest
 from hypothesis import given, settings
 
 from repro import EngineOptions, IncidentSet, Query
-from repro.cache import CachePolicy, QueryCache
+from repro.cache import QueryCache
 from repro.core.errors import QueryBudgetExceeded
 from repro.core.pattern import (
     Atomic,
@@ -78,19 +78,22 @@ def engine_options(cache, traced):
 
 
 def assert_pairs_reconcile(query):
-    """The traced ``pairs`` of the last run equal the counted ones — memo
-    hits skip both, everything that ran is in both."""
+    """The traced ``pairs`` of the last run equal the counted ones."""
     root = query.options.tracer.last_root
     assert root.total("pairs") == query.engine.last_stats.pairs_examined
 
 
 def check_cached_equals_cold(trace_map, pattern, *, traced):
     snap = make_store(trace_map).snapshot()
-    cold = Query(pattern).run(snap)
+    uncached = Query(pattern)
+    cold = uncached.run(snap)
 
     cache = QueryCache()
     query = Query(pattern, engine_options(cache, traced))
     first = query.run(snap)
+    assert query.last_cache_layer is None
+    # the cache adds a probe to a cold run, nothing to the kernel's work
+    assert query.engine.last_stats == uncached.engine.last_stats
     if traced:
         assert_pairs_reconcile(query)
     second = query.run(snap)
@@ -115,18 +118,16 @@ def check_appends_invalidate(trace_map, pattern, appends, *, traced):
         trace_map[wid].append(activity)
 
     snap = store.snapshot()
-    memo_hits = cache.stats()["memo_hits"]
     if traced:
         query.options.tracer.reset()
     warm = query.run(snap)
-    assert query.last_cache_layer != "result"  # stale entry must not serve
-    # a run served (in part) from the memo layer says so
-    served_by_memo = cache.stats()["memo_hits"] > memo_hits
-    assert (query.last_cache_layer == "memo") == served_by_memo
+    assert query.last_cache_layer is None  # stale entry must not serve
     if traced:
         assert_pairs_reconcile(query)
-    cold = Query(pattern).run(snap)
+    uncached = Query(pattern)
+    cold = uncached.run(snap)
     assert rows(warm) == rows(cold)
+    assert query.engine.last_stats == uncached.engine.last_stats
     # and the fresh entry now serves
     again = query.run(snap)
     assert query.last_cache_layer == "result"
@@ -157,7 +158,7 @@ def test_appends_invalidate_and_revalidate_correctly(
     check_appends_invalidate(trace_map, pattern, appends, traced=False)
 
 
-# -- the hooks compose: memo + trace on one closure tree ≡ neither ------------
+# -- the same two properties under a live tracer -------------------------------
 
 
 @settings(max_examples=40, deadline=None)
@@ -177,7 +178,8 @@ def test_traced_appends_invalidate_and_revalidate_correctly(
 @pytest.mark.parametrize("max_pairs", [1, 4, 12])
 def test_governor_kill_on_a_cold_memo_reports_the_unmemoised_stats(max_pairs):
     """A miss adds nothing to the accounting: killed at the same
-    checkpoint, the memo-backed kernel has done what the plain one has."""
+    checkpoint, the run with a cache attached has done what the one with
+    none has.  (The test id predates the memo layer's removal.)"""
     snap = make_store(
         {wid: ["A", "B", "A", "C", "B"] for wid in range(1, 9)}
     ).snapshot()
@@ -199,31 +201,6 @@ class TestLayerIntegration:
             {wid: ["A", "B", "A", "C", "B"] for wid in range(1, 9)}
         )
     )
-
-    def test_memo_layer_serves_a_fresh_query_on_an_updated_log(self):
-        store = self.STORE()
-        cache = QueryCache(CachePolicy(results=False))  # isolate the memo layer
-        query = Query("A -> B", EngineOptions(cache=cache))
-        query.run(store.snapshot())
-        assert query.last_cache_layer is None  # cold
-
-        store.open_instance(99)
-        store.append(wid=99, activity="A")
-        warm = query.run(store.snapshot())
-        # every pre-existing wid is served from the memo layer
-        assert query.last_cache_layer == "memo"
-        assert cache.stats()["memo_hits"] > 0
-        cold = Query("A -> B").run(store.snapshot())
-        assert warm.to_rows() == cold.to_rows()
-
-    def test_memo_hits_cross_query_objects(self):
-        snap = self.STORE().snapshot()
-        cache = QueryCache(CachePolicy(results=False))
-        Query("A -> B", EngineOptions(cache=cache)).run(snap)
-        other = Query("(A -> B) | C", EngineOptions(cache=cache))
-        other.run(snap)
-        # the shared A, B and A -> B sub-scans come from the memo layer
-        assert other.last_cache_layer == "memo"
 
     def test_evaluate_batch_reuses_cached_results(self):
         snap = self.STORE().snapshot()

@@ -76,3 +76,14 @@ def test_negative_sizes_and_budgets_are_rejected():
     lru = LruBytes(10)
     with pytest.raises(ValueError):
         lru.put("a", 1, -5)
+
+
+def test_discard_releases_bytes_without_counting_an_eviction():
+    evicted = []
+    lru = LruBytes(30, on_evict=lambda k, v, n: evicted.append(k))
+    lru.put("a", 1, 10)
+    lru.put("b", 2, 10)
+    assert lru.discard("a") is True
+    assert lru.discard("a") is False
+    assert "a" not in lru and lru.total_bytes == 10
+    assert lru.evictions == 0 and evicted == []

@@ -1,6 +1,9 @@
-"""QueryCache behaviour: epoch-keyed result identity, memo wid-locality
-across appends, byte budgets with observable evictions, and the
+"""QueryCache behaviour: epoch-keyed result identity, superseded epochs
+dropped on store, one byte budget with observable evictions, and the
 ``cache.*`` metrics family."""
+
+import sys
+import threading
 
 import pytest
 
@@ -139,28 +142,155 @@ class TestResultLayer:
         assert cache.get_result(keys[2]) is not None
 
 
-class TestMemoLayer:
-    def test_entries_survive_appends_to_other_instances(self):
-        store = make_store({1: ["A", "B"], 2: ["A", "B"]})
-        snap = store.snapshot()
+class TestSupersededEpochs:
+    """A lineage only moves forward: what was stored for an older epoch
+    can never be probed again, so it does not stay."""
+
+    def test_newer_epoch_drops_the_lineages_older_entries(self):
+        store = make_store({1: ["A", "B"]})
+        other = make_store({1: ["A", "B"]}).snapshot()
+        loose = Log.from_traces({1: ["A", "B"]})
         cache = QueryCache()
-        scope = QueryCache.memo_scope(snap)
-        # what the kernel memoises: (first, last, is-lsn positions) tuples
-        incidents = ((1, 2, frozenset({1, 2})),)
-        cache.memo_put(scope, 1, 2, PATTERN, incidents)
+        old = store.snapshot()
+        old_keys = [cache.result_key(old, parse(text)) for text in ("A -> B", "A")]
+        bystanders = [cache.result_key(log, PATTERN) for log in (other, loose)]
+        for key in old_keys + bystanders:
+            assert cache.put_result(key, Query(PATTERN).run(old))
 
-        store.append(wid=2, activity="C")
-        later = store.snapshot()
-        # same lineage, same wid record count -> still valid and served
-        assert QueryCache.memo_scope(later) == scope
-        assert cache.memo_get(scope, 1, 2, PATTERN) == incidents
-        # the touched instance has a new record count -> miss
-        assert cache.memo_get(scope, 2, 3, PATTERN) is None
+        store.append(wid=1, activity="C")
+        new = store.snapshot()
+        new_key = cache.result_key(new, PATTERN)
+        assert cache.put_result(new_key, Query(PATTERN).run(new))
 
-    def test_disabled_memo_layer_serves_nothing(self):
-        cache = QueryCache(CachePolicy(memo=False))
-        assert not cache.memo_put(("lineage", "x"), 1, 2, PATTERN, ())
-        assert cache.memo_get(("lineage", "x"), 1, 2, PATTERN) is None
+        snapshot = cache.stats()
+        assert snapshot["result_entries"] == 3  # new epoch + the two bystanders
+        assert snapshot["result_evictions"] == 0  # dropped, not evicted
+        for key in old_keys:
+            assert cache.get_result(key) is None
+        # another lineage and a content-fingerprint identity are untouched
+        for key in bystanders + [new_key]:
+            assert cache.get_result(key) is not None
+
+    def test_late_put_for_a_superseded_epoch_is_refused(self):
+        store = make_store({1: ["A", "B"]})
+        old = store.snapshot()
+        store.append(wid=1, activity="B")
+        new = store.snapshot()
+        cache = QueryCache()
+        assert cache.put_result(cache.result_key(new, PATTERN), Query(PATTERN).run(new))
+        # a slow query over the old snapshot finishes after the append
+        late_key = cache.result_key(old, PATTERN)
+        assert cache.put_result(late_key, Query(PATTERN).run(old)) is False
+        assert cache.get_result(late_key) is None
+        assert cache.stats()["result_entries"] == 1
+        # same epoch, another pattern: still welcome
+        assert cache.put_result(cache.result_key(new, parse("A")), Query("A").run(new))
+
+    def test_accounting_holds_under_a_writer_and_four_readers(self):
+        """One writer advances epochs with put_result while four readers
+        probe: the byte total always equals the live entries' charges,
+        stays within budget, and only the newest epoch's keys remain."""
+        patterns = [parse(text) for text in ("A -> B", "A", "B", "A | B")]
+        store = make_store({1: ["A", "B", "A", "B"]})
+        result = Query(PATTERN).run(store.snapshot())
+        budget = incidents_nbytes(result) * 3  # one short of an epoch's puts
+        cache = QueryCache(CachePolicy(result_budget_bytes=budget))
+        keys_lock = threading.Lock()
+        recent_keys: list = []
+        done = threading.Event()
+        failures: list[str] = []
+
+        def check_invariant():
+            with cache._lock:
+                charges = sum(n for _, n in cache._results._entries.values())
+                total = cache._results.total_bytes
+            if total != charges:
+                failures.append(f"result_bytes {total} != charges {charges}")
+            if total > budget:
+                failures.append(f"result_bytes {total} over budget {budget}")
+
+        def advance(count):
+            store.append(wid=1, activity="A")
+            snap = store.snapshot()
+            keys = [cache.result_key(snap, p) for p in patterns[:count]]
+            with keys_lock:
+                recent_keys[:] = keys
+            for key in keys:
+                cache.put_result(key, result)
+                check_invariant()
+
+        def writer():
+            try:
+                for _ in range(150):
+                    advance(len(patterns))
+                # the LRU alone would leave two of the previous epoch's
+                # keys behind this one
+                advance(1)
+            finally:
+                done.set()
+
+        def reader():
+            while not done.is_set():
+                with keys_lock:
+                    keys = list(recent_keys)
+                for key in keys:
+                    cache.get_result(key)
+                check_invariant()
+
+        threads = [threading.Thread(target=writer)] + [
+            threading.Thread(target=reader) for _ in range(4)
+        ]
+        interval = sys.getswitchinterval()
+        sys.setswitchinterval(1e-5)
+        try:
+            for thread in threads:
+                thread.start()
+            for thread in threads:
+                thread.join(timeout=60)
+        finally:
+            sys.setswitchinterval(interval)
+        assert not any(thread.is_alive() for thread in threads)
+        assert failures == []
+        newest = QueryCache.log_identity(store.snapshot())
+        assert cache._results.keys() == recent_keys
+        assert recent_keys[0][0] == newest
+        assert cache.stats()["result_evictions"] > 0  # the budget was exercised
+
+
+class TestDeletedOptions:
+    """The memo layer's switches are gone, not accepted and ignored."""
+
+    @pytest.mark.parametrize(
+        "kwargs",
+        [{"memo": False}, {"results": False}, {"memo_budget_bytes": 1024}],
+    )
+    def test_cache_policy_rejects_them(self, kwargs):
+        with pytest.raises(TypeError):
+            CachePolicy(**kwargs)
+
+    def test_the_kernel_takes_no_cache(self):
+        from repro.core.eval.vectorized import VectorizedEngine
+
+        with pytest.raises(TypeError):
+            VectorizedEngine(cache=QueryCache())
+
+    def test_policy_has_three_fields_and_stats_six_keys(self):
+        import dataclasses
+
+        assert [f.name for f in dataclasses.fields(CachePolicy)] == [
+            "enabled",
+            "result_budget_bytes",
+            "equivalence_keys",
+        ]
+        assert CachePolicy().with_budget(7).result_budget_bytes == 7
+        assert sorted(QueryCache().stats()) == [
+            "result_bytes",
+            "result_entries",
+            "result_evictions",
+            "result_hits",
+            "result_misses",
+            "result_rejected",
+        ]
 
 
 class TestMetrics:
@@ -177,6 +307,7 @@ class TestMetrics:
         assert "repro_cache_result_misses 1" in text
         assert "repro_cache_result_entries 1" in text
         assert "repro_cache_result_evictions 0" in text
+        assert "repro_cache_memo" not in text
 
 
 class TestResolveCache:

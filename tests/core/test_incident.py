@@ -117,6 +117,14 @@ class TestIncidentSet:
         assert s.wids() == (3,)
         assert s.lsn_sets() == {frozenset({1}), frozenset({2})}
 
+    def test_to_rows_limit_is_a_prefix_of_all_rows(self):
+        s = IncidentSet(Incident([rec(lsn, 1, lsn, "A")]) for lsn in range(1, 6))
+        rows = s.to_rows()
+        assert len(rows) == 5
+        for limit in (0, 1, 3, 5, 9):
+            assert s.to_rows(limit) == rows[:limit]
+        assert s.to_rows(None) == rows
+
     def test_bool_and_len(self):
         assert not IncidentSet()
         assert IncidentSet([Incident([rec(1)])])

@@ -32,7 +32,7 @@ def test_batch_equals_independent_with_fewer_pairs(clinic_log):
     for got, want in zip(batch.results, expected):
         assert list(got) == list(want)
     # the acceptance criterion: strictly fewer pairs than N independent
-    # evaluations, via the per-(wid, subpattern) memo
+    # evaluations, via the in-run (window, subpattern) share
     assert batch.stats.pairs_examined < indep_pairs
     assert batch.shared_hits > 0
 
@@ -50,7 +50,7 @@ def test_duplicate_query_costs_nothing_extra(clinic_log):
         clinic_log, [QUERIES[0], QUERIES[0]], optimize=False
     )
     assert doubled.results[0] == doubled.results[1] == single.results[0]
-    # the repeat is answered fully from the memo: zero extra pairs
+    # the repeat is answered fully from the share: zero extra pairs
     assert doubled.stats.pairs_examined == single.stats.pairs_examined
 
 

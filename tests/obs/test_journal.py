@@ -449,6 +449,39 @@ class TestQueryLifecycle:
         assert warm_finish["event"] == "finish"
         assert warm_finish.get("cache_layer") == "result"
         assert warm_finish.get("cache_result_hits") == 1
+        cold_finish = [e for e in journal.events if e["event"] == "finish"][0]
+        assert cold_finish["cache_result_hits"] == 0
+        assert "cache_memo_hits" not in cold_finish
+        # journals written while a memo layer existed still read back
+        validate_journal_event({**warm_finish, "cache_memo_hits": 3})
+
+    def test_cache_attribution_is_the_runs_own_probe(self, clinic_log):
+        """Another query hitting the shared cache while this one evaluates
+        moves the process-wide counters, not this run's attribution."""
+        from repro.cache import QueryCache
+        from repro.core.eval.naive import NaiveEngine
+
+        cache = QueryCache()
+        bystander = Query("GetRefer", EngineOptions(cache=cache))
+        bystander.run(clinic_log)  # warm
+
+        class InterleavedEngine(NaiveEngine):
+            def evaluate(self, log, pattern):
+                bystander.run(log)
+                assert bystander.last_cache_layer == "result"
+                return super().evaluate(log, pattern)
+
+        journal = QueryJournal()
+        query = Query(
+            "GetRefer -> CheckIn",
+            EngineOptions(journal=journal, cache=cache, engine=InterleavedEngine()),
+        )
+        query.run(clinic_log)
+        assert query.last_cache_layer is None
+        assert cache.stats()["result_hits"] == 1  # the bystander's
+        finish = journal.events[-1]
+        assert finish["event"] == "finish"
+        assert finish["cache_result_hits"] == 0
 
 
 # -- property: observing a query never changes its answer -------------------

@@ -329,11 +329,14 @@ class TestCacheOverHttp:
         assert append.headers["X-Query-Id"].startswith("q-")
 
         third = payload(post(service, "/v1/query", body))
-        assert third["cache_layer"] != "result"  # epoch moved: result is cold
+        assert third["cache_layer"] is None  # epoch moved: result is cold
         assert third["epoch"] == first["epoch"] + 2
         text = service.dispatch("GET", "/metrics").body().decode()
         assert metric_value(text, "repro_cache_result_misses") == 2.0
         assert metric_value(text, "repro_cache_result_hits") == 1.0
+        # the superseded epoch's entry is gone, and there is one cache layer
+        assert metric_value(text, "repro_cache_result_entries") == 1.0
+        assert "repro_cache_memo" not in text
 
     def test_requests_share_one_snapshot_per_epoch(self, service):
         body = {"log": "clinic", "pattern": "GetRefer", "mode": "count"}

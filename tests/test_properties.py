@@ -82,7 +82,7 @@ def test_union_of_shards_is_the_whole_log(log, pattern, data):
     partition ``W1 ∪ … ∪ Wn`` of ``L``, ``incL(p)`` is the disjoint union
     of ``inc(L|Wi)(p)`` over the lsn-preserving projections
     (:meth:`Log.project`), identified by the same record-lsn sets.  The
-    memo's per-wid windows rest on this."""
+    kernel's per-wid windows rest on this."""
     n_parts = data.draw(st.integers(min_value=1, max_value=4))
     part_of = {
         wid: data.draw(st.integers(min_value=0, max_value=n_parts - 1))
