@@ -1,12 +1,12 @@
 """Byte accounting for cached incident data.
 
-The cache's memory budget is enforced on *estimated retained bytes*: the
-size of the containers an entry keeps alive beyond the log itself.  Log
-records are shared with the source log (never copied by incidents), so
-they are charged as one pointer each, not deep size — evicting a cache
-entry cannot free the records anyway while the log is alive.
+The cache's memory budget is enforced on *retained bytes*: the size of
+the containers an entry keeps alive beyond the log itself.  Log records
+and columns are shared with the source log (never copied by a result),
+so they are not charged — evicting a cache entry cannot free them
+anyway while the log is alive.
 
-The estimate is deterministic for a given interpreter, which the LRU
+The charge is deterministic for a given interpreter, which the LRU
 tests rely on (same entry, same charge).
 """
 
@@ -45,10 +45,32 @@ def incident_nbytes(incident: Incident) -> int:
 
 
 def incidents_nbytes(incidents: IncidentSet) -> int:
-    """Estimated retained bytes of one cache entry: the set's
-    bookkeeping, one pointer per member, and the members themselves."""
-    return (
-        2 * ENTRY_OVERHEAD_BYTES
-        + POINTER_BYTES * len(incidents)
-        + sum(incident_nbytes(incident) for incident in incidents)
-    )
+    """Retained bytes of one cache entry.
+
+    A kernel result is charged for what it stores: its canonical span
+    form, container by container (the positions inside are small
+    integers shared with the interpreter or the log's leaf index, charged
+    as the pointers the tuples already hold).  Sizing puts the set into
+    that one form, so the charge is the same before and after any hit.
+    A set built from :class:`Incident` objects is charged its
+    bookkeeping, one pointer per member, and the members themselves.
+    """
+    spans = incidents.canonical_spans()
+    if spans is None:
+        return (
+            2 * ENTRY_OVERHEAD_BYTES
+            + POINTER_BYTES * len(incidents)
+            + sum(incident_nbytes(incident) for incident in incidents)
+        )
+    getsizeof = sys.getsizeof
+    total = 2 * ENTRY_OVERHEAD_BYTES + getsizeof(spans)
+    for window in spans:
+        wid, lo, tuples = window
+        total += (
+            getsizeof(window)
+            + getsizeof(wid)
+            + getsizeof(lo)
+            + getsizeof(tuples)
+            + sum(map(getsizeof, tuples))
+        )
+    return total

@@ -209,6 +209,11 @@ class ColumnarLog:
     # -- columns -------------------------------------------------------------
 
     @property
+    def rows(self) -> tuple[LogRecord, ...]:
+        """The record objects in row order (wid asc, is_lsn asc)."""
+        return self._rows
+
+    @property
     def lsn_col(self) -> memoryview:
         """Read-only ``lsn`` column (row order: wid asc, is_lsn asc)."""
         return memoryview(self._lsn).toreadonly()

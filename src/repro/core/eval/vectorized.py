@@ -35,8 +35,10 @@ instead of object rows:
   (``positions`` a frozenset of is-lsn values), so the quadratic join
   loops move integers and frozensets instead of allocating
   :class:`~repro.core.incident.Incident` objects;
-* :class:`~repro.core.incident.Incident` objects are materialised once,
-  at the root, per instance.
+* the root hands its tuples to :meth:`IncidentSet.from_spans
+  <repro.core.incident.IncidentSet.from_spans>` as they are;
+  :class:`~repro.core.incident.Incident` objects exist only once a
+  caller iterates the result.
 
 A pattern is compiled once per evaluation into a tree of closures, one
 per pattern node, each a window evaluator ``f(wi, lo, hi)``.  Tracing and
@@ -54,7 +56,7 @@ from functools import lru_cache, partial
 
 from repro.columnar.column_log import ColumnarLog, as_columnar
 from repro.core.eval.base import Engine, EvaluationStats, node_label
-from repro.core.incident import Incident, IncidentSet
+from repro.core.incident import IncidentSet
 from repro.core.model import Log, LogRecord
 from repro.core.pattern import (
     Atomic,
@@ -139,17 +141,21 @@ class VectorizedEngine(Engine):
     def evaluate(self, log: "Log | ColumnarLog", pattern: Pattern) -> IncidentSet:
         columnar = as_columnar(log)
         stats = self._new_stats()
-        out: list[Incident] = []
+        windows: list[tuple[int, int, Sequence[_Span]]] = []
+        n = 0
         with self.tracer.span("evaluate", key=(), engine=self.name, pattern=str(pattern)):
             root = self._compile(columnar, pattern, stats)
-            for wi, (_, lo, hi) in enumerate(columnar.wid_windows()):
+            for wi, (wid, lo, hi) in enumerate(columnar.wid_windows()):
                 self._checkpoint(stats)
-                out.extend(self._materialize(columnar, lo, root(wi, lo, hi)))
-            self._check_budget(len(out))
-            stats.note_live(len(out))
-            stats.incidents_produced += len(out)
+                spans = root(wi, lo, hi)
+                if spans:
+                    windows.append((wid, lo, spans))
+                    n += len(spans)
+            self._check_budget(n)
+            stats.note_live(n)
+            stats.incidents_produced += n
         self._finish(stats)
-        return IncidentSet(out)
+        return IncidentSet.from_spans(columnar, windows)
 
     def count(self, log: "Log | ColumnarLog", pattern: Pattern) -> int:
         """Number of incidents; uses the output-free counting DP
@@ -193,23 +199,6 @@ class VectorizedEngine(Engine):
                 break
         self._finish(stats)
         return found
-
-    # -- materialisation -----------------------------------------------------
-
-    def _materialize(
-        self, columnar: ColumnarLog, lo: int, spans: Sequence[_Span]
-    ) -> list[Incident]:
-        """Root-level position tuples as :class:`Incident` objects.
-
-        Within one instance window starting at row ``lo``, the record at
-        is-lsn position ``p`` sits at row ``lo + p - 1`` (Definition 2
-        condition 3: per-instance is-lsn values are consecutive from 1).
-        """
-        row_record = columnar.row_record
-        return [
-            Incident([row_record(lo + p - 1) for p in positions])
-            for _, _, positions in spans
-        ]
 
     # -- compilation: one closure per pattern node -----------------------------
 

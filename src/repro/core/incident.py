@@ -21,8 +21,9 @@ should not be used on large logs.
 
 from __future__ import annotations
 
-from collections.abc import Iterable, Iterator
+from collections.abc import Iterable, Iterator, Sequence
 from functools import total_ordering
+from typing import TYPE_CHECKING
 
 from repro.core.model import Log, LogRecord
 from repro.core.pattern import (
@@ -33,6 +34,9 @@ from repro.core.pattern import (
     Pattern,
     Sequential,
 )
+
+if TYPE_CHECKING:
+    from repro.columnar.column_log import ColumnarLog
 
 __all__ = ["Incident", "IncidentSet", "reference_incidents"]
 
@@ -162,6 +166,12 @@ class Incident:
         return tuple(r.activity for r in self._records)
 
 
+#: A kernel result in canonical order: per matching instance, in wid
+#: order, ``(wid, lo, position tuples)`` — the instance's first columnar
+#: row and one ascending is-lsn tuple per incident.
+CanonicalSpans = tuple[tuple[int, int, tuple[tuple[int, ...], ...]], ...]
+
+
 class IncidentSet:
     """The incident set ``incL(p)`` of a pattern ``p`` on a log ``L``.
 
@@ -171,41 +181,137 @@ class IncidentSet:
     every engine produces and which makes results reproducible across
     engines: two equal incident sets iterate in exactly the same order,
     element for element.
+
+    A set is built either from :class:`Incident` objects (this
+    constructor) or by the join kernel from its position tuples
+    (:meth:`from_spans`).  The second kind is a lazy view over the log's
+    columns: ``len``, ``bool``, :meth:`wids` and :meth:`to_rows` read the
+    spans, and the ``Incident`` objects are built once, the first time
+    something hands one out or compares by them.
     """
 
-    __slots__ = ("_incidents",)
+    __slots__ = ("_incidents", "_keys", "_size", "_columns", "_raw", "_spans")
 
     def __init__(self, incidents: Iterable[Incident] = ()):
-        self._incidents: tuple[Incident, ...] = tuple(sorted(set(incidents)))
+        self._incidents: tuple[Incident, ...] | None = tuple(sorted(set(incidents)))
+        self._size = len(self._incidents)
+        self._keys = self._columns = self._raw = self._spans = None
+
+    @classmethod
+    def from_spans(
+        cls,
+        columnar: "ColumnarLog",
+        windows: Sequence[tuple[int, int, Sequence[tuple]]],
+    ) -> "IncidentSet":
+        """The set the join kernel found in ``columnar``, as a view over
+        its spans.
+
+        ``windows`` holds, in wid order, one ``(wid, lo, spans)`` per
+        instance with a match: the instance's first row and its
+        ``(first, last, positions)`` tuples, unique and sorted by
+        ``(first, last)``.  The record at position ``p`` of that instance
+        is row ``lo + p - 1``.  The span lists may be shared with other
+        results; they are read, never changed.
+
+        The set keeps the row tuple and the two columns :meth:`to_rows`
+        reads, not ``columnar`` itself, so a cached result does not keep a
+        superseded snapshot and its indexes alive.
+        """
+        self = cls.__new__(cls)
+        self._incidents = self._keys = self._spans = None
+        self._size = sum(len(spans) for _, _, spans in windows)
+        self._columns = (columnar.rows, columnar.lsn_col, columnar.act_id_col, columnar.act_names)
+        self._raw = windows
+        return self
+
+    def canonical_spans(self) -> CanonicalSpans | None:
+        """A kernel result's spans in canonical order; None for a set
+        built from objects.  Computed once and kept in place of the
+        kernel's lists.
+
+        The kernel's order is ``(first, last)``.  The canonical tie-break,
+        the sorted lsn tuple, orders like the sorted position tuple,
+        because lsn rises with is-lsn inside an instance (Definition 2,
+        condition 3) — so no record is read and no object compared.
+        """
+        raw = self._raw  # before _spans: it is dropped only once _spans is set
+        if self._spans is None and raw is not None:
+            self._spans = tuple(
+                (
+                    wid,
+                    lo,
+                    tuple(
+                        [
+                            positions
+                            for _, _, positions in sorted(
+                                [(first, last, tuple(sorted(p))) for first, last, p in spans]
+                            )
+                        ]
+                    ),
+                )
+                for wid, lo, spans in raw
+            )
+            self._raw = None
+        return self._spans
+
+    def _materialized(self) -> tuple[Incident, ...]:
+        incidents = self._incidents
+        if incidents is None:
+            rows = self._columns[0]
+            incidents = self._incidents = tuple(
+                Incident([rows[lo + p - 1] for p in positions])
+                for _, lo, tuples in self.canonical_spans()
+                for positions in tuples
+            )
+        return incidents
 
     def __len__(self) -> int:
-        return len(self._incidents)
+        return self._size
+
+    def __bool__(self) -> bool:
+        return self._size > 0
 
     def __iter__(self) -> Iterator[Incident]:
-        return iter(self._incidents)
+        return iter(self._materialized())
 
     def __contains__(self, incident: object) -> bool:
-        return isinstance(incident, Incident) and incident in set(self._incidents)
+        if not isinstance(incident, Incident):
+            return False
+        if self._incidents is None:
+            # a kernel result nobody has iterated: look only at the spans
+            # of the incident's own instance
+            lsn = self._columns[1]
+            for wid, lo, tuples in self.canonical_spans():
+                if wid == incident.wid:
+                    records = incident.records
+                    return tuple(r.is_lsn for r in records) in tuples and all(
+                        lsn[lo + r.is_lsn - 1] == r.lsn for r in records
+                    )
+            return False
+        if self._keys is None:
+            self._keys = frozenset(self._incidents)
+        return incident in self._keys
 
     def __eq__(self, other: object) -> bool:
         if isinstance(other, IncidentSet):
-            return self._incidents == other._incidents
+            return self._materialized() == other._materialized()
         if isinstance(other, (set, frozenset)):
-            return set(self._incidents) == other
+            return self.to_set() == other
         return NotImplemented
 
     def __hash__(self) -> int:
-        return hash(self._incidents)
+        return hash(self._materialized())
+
+    def __reduce__(self):
+        # pickles as its incidents, not as a view over a log's columns
+        return (IncidentSet, (self._materialized(),))
 
     def __repr__(self) -> str:
-        return f"IncidentSet({len(self._incidents)} incidents)"
-
-    def __bool__(self) -> bool:
-        return bool(self._incidents)
+        return f"IncidentSet({self._size} incidents)"
 
     def to_set(self) -> frozenset[Incident]:
         """The underlying mathematical set."""
-        return frozenset(self._incidents)
+        return frozenset(self._materialized())
 
     def to_rows(self, limit: int | None = None) -> list[dict[str, object]]:
         """The incidents as plain dict rows, in canonical order; with a
@@ -217,33 +323,57 @@ class IncidentSet:
         global record lsns — the incident's identity) and ``activities``
         (names in execution order).  Row order is the canonical incident
         order (ascending :attr:`Incident.sort_key`), so equal incident
-        sets serialise identically byte for byte.
+        sets serialise identically byte for byte.  A kernel result is
+        read off its spans and the log's columns; it builds no
+        :class:`Incident`.
         """
-        return [
-            {
-                "wid": o.wid,
-                "first": o.first,
-                "last": o.last,
-                "lsns": tuple(sorted(o.lsns)),
-                "activities": o.activities(),
-            }
-            for o in self._incidents[:limit]
-        ]
+        spans = self.canonical_spans()
+        if spans is None:
+            return [
+                {
+                    "wid": o.wid,
+                    "first": o.first,
+                    "last": o.last,
+                    "lsns": tuple(sorted(o.lsns)),
+                    "activities": o.activities(),
+                }
+                for o in self._materialized()[:limit]
+            ]
+        stop = len(range(self._size)[:limit])  # as many as slicing by limit keeps
+        _, lsn, act_id, names = self._columns
+        out: list[dict[str, object]] = []
+        for wid, lo, tuples in spans:
+            if len(out) == stop:
+                break
+            out += [
+                {
+                    "wid": wid,
+                    "first": positions[0],
+                    "last": positions[-1],
+                    "lsns": tuple([lsn[lo + p - 1] for p in positions]),
+                    "activities": tuple([names[act_id[lo + p - 1]] for p in positions]),
+                }
+                for positions in tuples[: stop - len(out)]
+            ]
+        return out
 
     def by_wid(self) -> dict[int, list[Incident]]:
         """Incidents grouped per workflow instance."""
         grouped: dict[int, list[Incident]] = {}
-        for incident in self._incidents:
+        for incident in self._materialized():
             grouped.setdefault(incident.wid, []).append(incident)
         return grouped
 
     def wids(self) -> tuple[int, ...]:
         """Instance ids that have at least one incident."""
-        return tuple(sorted({o.wid for o in self._incidents}))
+        if self._columns is not None:
+            # one entry per matching instance, in wid order, in either form
+            return tuple(wid for wid, _, _ in self._raw or self.canonical_spans())
+        return tuple(sorted({o.wid for o in self._materialized()}))
 
     def lsn_sets(self) -> frozenset[frozenset[int]]:
         """Identity view: the set of record-lsn sets (handy in tests)."""
-        return frozenset(o.lsns for o in self._incidents)
+        return frozenset(o.lsns for o in self._materialized())
 
 
 # ---------------------------------------------------------------------------

@@ -26,6 +26,7 @@ from __future__ import annotations
 from collections import Counter
 from dataclasses import dataclass, field
 
+from repro.columnar.column_log import ColumnarLog, as_columnar
 from repro.core.model import Log
 from repro.core.pattern import (
     Atomic,
@@ -58,15 +59,19 @@ class LogStatistics:
     activity_counts: Counter = field(default_factory=Counter)
 
     @classmethod
-    def from_log(cls, log: Log) -> "LogStatistics":
-        """Collect statistics in one pass over ``log``."""
-        counts: Counter = Counter()
-        for record in log:
-            counts[record.activity] += 1
+    def from_log(cls, log: "Log | ColumnarLog") -> "LogStatistics":
+        """The statistics of ``log``, read off its columnar activity index
+        (built once per log and cached on it) — no record is visited."""
+        columnar = as_columnar(log)
         return cls(
-            total_records=len(log),
-            instance_count=len(log.wids),
-            activity_counts=counts,
+            total_records=len(columnar),
+            instance_count=len(columnar.wids),
+            activity_counts=Counter(
+                {
+                    name: len(columnar.act_rows(act_id))
+                    for act_id, name in enumerate(columnar.act_names)
+                }
+            ),
         )
 
     @property

@@ -9,6 +9,8 @@ matches the originating bench module:
 
 * ``operators.*``    — Lemma 1 per-operator pairwise evaluation;
 * ``scaling.*``      — Section 3.2 index vs scan behaviour;
+* ``kernel.*``       — what the join kernel's result costs before anyone
+  iterates it (``spans_only`` also fails if an ``Incident`` is built);
 * ``optimizer.*``    — Theorems 2-5 plan quality and planning overhead;
 * ``batch.*``        — shared-scan multi-query evaluation, including the
   subsumption-planned variant (PR 6);
@@ -38,6 +40,7 @@ from repro.core.eval.naive import (
     parallel_eval,
     sequential_eval,
 )
+from repro.core.errors import ReproError
 from repro.core.eval.vectorized import VectorizedEngine
 from repro.core.incident import Incident
 from repro.core.model import Log
@@ -63,6 +66,24 @@ def operand_sets(n: int) -> tuple[list[Incident], list[Incident]]:
     a = [Incident([r]) for r in log.with_activity("A")]
     b = [Incident([r]) for r in log.with_activity("B")]
     return a, b
+
+
+def _incidents_built(body: Callable[[], Any]) -> int:
+    """How many :class:`Incident` objects one call of ``body`` constructs."""
+    built = 0
+    construct = Incident.__init__
+
+    def counting(self: Incident, records: Any) -> None:
+        nonlocal built
+        built += 1
+        construct(self, records)
+
+    Incident.__init__ = counting  # type: ignore[method-assign]
+    try:
+        body()
+    finally:
+        Incident.__init__ = construct  # type: ignore[method-assign]
+    return built
 
 
 def clinic_log(instances: int, seed: int = 1) -> Log:
@@ -139,6 +160,29 @@ def register_standard_cases(registry: BenchRegistry) -> None:
         engine = VectorizedEngine()
         pattern = parse("GetRefer -> UpdateRefer -> GetReimburse")
         return lambda: engine.evaluate(log, pattern)
+
+    @registry.case(
+        "kernel.spans_only",
+        suites=("smoke", "full"),
+        description="the scaling.chain query read the way count / exists / "
+        "instances replies read it: evaluate + len + wids, no Incident built",
+        instances=100,
+    )
+    def _spans_only(instances: int) -> Callable[[], Any]:
+        log = clinic_log(instances, seed=3)
+        engine = VectorizedEngine()
+        pattern = parse("GetRefer -> UpdateRefer -> GetReimburse")
+
+        def body() -> tuple[int, tuple[int, ...]]:
+            result = engine.evaluate(log, pattern)
+            return len(result), result.wids()
+
+        # the machine-independent half of the case: fails the run, whatever
+        # the timings, if root materialisation creeps back
+        built = _incidents_built(body)
+        if built:
+            raise ReproError(f"kernel.spans_only: {built} Incident object(s) built")
+        return body
 
     # -- columnar (PR 10) --------------------------------------------------
 

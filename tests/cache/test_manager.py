@@ -257,6 +257,78 @@ class TestSupersededEpochs:
         assert cache.stats()["result_evictions"] > 0  # the budget was exercised
 
 
+class TestSpanBackedEntries:
+    """What a kernel result costs the cache and what it keeps alive."""
+
+    STORE = staticmethod(
+        lambda: make_store({wid: ["A", "B", "A", "C", "B"] for wid in range(1, 9)})
+    )
+
+    def test_the_charge_of_an_entry_is_the_same_before_and_after_hits(self):
+        snap = self.STORE().snapshot()
+        cache = QueryCache()
+        fresh = Query(PATTERN).run(snap)
+        expected = incidents_nbytes(Query(PATTERN).run(snap))
+        key = cache.result_key(snap, PATTERN)
+        assert cache.put_result(key, fresh)
+        assert cache.stats()["result_bytes"] == expected
+        for read in (len, lambda s: s.to_rows(), lambda s: s.to_rows(2), list, hash):
+            hit = cache.get_result(key)
+            read(hit.incidents)
+            assert hit.incidents is fresh
+            assert incidents_nbytes(hit.incidents) == expected
+            assert cache.stats()["result_bytes"] == expected
+
+    def test_spans_are_charged_below_the_objects_they_stand_for(self):
+        from repro.core.incident import IncidentSet
+
+        result = Query(PATTERN).run(self.STORE().snapshot())
+        as_objects = IncidentSet(list(result))
+        assert len(result) == len(as_objects) > 8
+        assert 2 * incidents_nbytes(result) < incidents_nbytes(as_objects)
+
+    def test_a_cached_result_does_not_keep_a_superseded_snapshot_alive(self):
+        """Reference counts alone must free the old ``Log`` and its
+        ``ColumnarLog`` once the store has moved on, whatever the cache
+        still holds for the old epoch.  (Neither class takes weak
+        references, so the test asks the collector what is still
+        allocated, with collection itself switched off.)"""
+        import gc
+
+        from repro.columnar import ColumnarLog
+        from repro.core.options import EngineOptions
+
+        def allocated(epoch):
+            return sorted(
+                type(o).__name__
+                for o in gc.get_objects()
+                if type(o) in (Log, ColumnarLog) and o.epoch == epoch
+            )
+
+        store = self.STORE()
+        cache = QueryCache()
+        options = EngineOptions(cache=cache)
+        gc.collect()
+        gc.disable()
+        try:
+            old = store.snapshot()
+            old_epoch = old.epoch
+            rows = Query(PATTERN, options).run(old).to_rows()
+            old_key = cache.result_key(old, PATTERN)
+            assert allocated(old_epoch) == ["ColumnarLog", "Log"]
+            del old
+            store.append(wid=1, activity="A")
+            new = store.snapshot()  # unlinks the snapshot it replaces
+            assert allocated(old_epoch) == []
+            # the old epoch's entry is still there, and still readable
+            assert cache.get_result(old_key).incidents.to_rows() == rows
+            Query(PATTERN, options).run(new)  # the next put_result drops it
+            assert cache.get_result(old_key) is None
+            assert cache.stats()["result_entries"] == 1
+        finally:
+            gc.enable()
+
+
 class TestDeletedOptions:
     """The memo layer's switches are gone, not accepted and ignored."""
 

@@ -101,8 +101,8 @@ def loan_log() -> Log:
 
 
 #: The two in-process engines as ``parametrize`` values.  The kernel runs
-#: under the ids of the object-row indexed engine whose sort/hash joins it
-#: took over (``indexed`` / ``IndexedEngine``), so test names stay
+#: under the class id of the object-row indexed engine whose sort/hash
+#: joins it took over (``IndexedEngine``), so those test names stay
 #: comparable across the refactor.
 ENGINE_CLASSES = [
     pytest.param(NaiveEngine, id="NaiveEngine"),
@@ -110,11 +110,27 @@ ENGINE_CLASSES = [
 ]
 
 
-@pytest.fixture(params=["naive", "indexed"])
+@pytest.fixture(params=["naive", "vectorized"])
 def engine(request):
-    """Parametrized over the two in-process engines (see
-    :data:`ENGINE_CLASSES` for the ids)."""
-    return {"naive": NaiveEngine, "indexed": VectorizedEngine}[request.param]()
+    """Parametrized over the two in-process engines, by engine name."""
+    return {"naive": NaiveEngine, "vectorized": VectorizedEngine}[request.param]()
+
+
+@pytest.fixture()
+def incidents_built(monkeypatch) -> list[int]:
+    """One entry per :class:`Incident` constructed from here to the end
+    of the test."""
+    from repro.core.incident import Incident
+
+    built: list[int] = []
+    construct = Incident.__init__
+
+    def counting(self, records):
+        built.append(1)
+        construct(self, records)
+
+    monkeypatch.setattr(Incident, "__init__", counting)
+    return built
 
 
 @pytest.fixture()

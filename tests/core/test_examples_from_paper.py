@@ -14,10 +14,10 @@ from repro.core.incident import reference_incidents
 from repro.core.parser import parse
 from repro.core.query import Query
 
-#: ids as in ``tests/conftest.py``: the kernel runs as "indexed"
+#: ids as in ``tests/conftest.py``: by engine name
 ENGINES = [
     pytest.param(NaiveEngine(), id="naive"),
-    pytest.param(VectorizedEngine(), id="indexed"),
+    pytest.param(VectorizedEngine(), id="vectorized"),
 ]
 
 

@@ -128,3 +128,102 @@ class TestIncidentSet:
     def test_bool_and_len(self):
         assert not IncidentSet()
         assert IncidentSet([Incident([rec(1)])])
+
+
+class CountingColumn(list):
+    """A column that counts the entries read from it."""
+
+    reads = 0
+
+    def __getitem__(self, index):
+        self.reads += 1
+        return super().__getitem__(index)
+
+
+class TestSpanBackedSet:
+    """``IncidentSet.from_spans`` over hand-written kernel output: two
+    instances of six records each, rows 0-5 and 6-11."""
+
+    def columnar(self):
+        from types import SimpleNamespace
+
+        rows = tuple(
+            rec(100 + 6 * w + p, wid=w + 1, pos=p, activity="AB"[p % 2])
+            for w in range(2)
+            for p in range(1, 7)
+        )
+        return SimpleNamespace(
+            rows=rows,
+            lsn_col=CountingColumn(r.lsn for r in rows),
+            act_id_col=CountingColumn(p % 2 for _ in range(2) for p in range(1, 7)),
+            act_names=("A", "B"),
+        )
+
+    def spans(self, *position_sets):
+        return [(min(p), max(p), frozenset(p)) for p in position_sets]
+
+    def kernel_result(self, columnar):
+        # (first, last)-sorted per window, ties in the order a join left them
+        return IncidentSet.from_spans(
+            columnar,
+            [
+                (1, 0, self.spans({1, 4, 6}, {1, 3, 6}, {2, 6}, {5})),
+                (2, 6, self.spans({2, 3})),
+            ],
+        )
+
+    def test_ties_on_first_and_last_break_by_position_tuple(self):
+        rows = self.kernel_result(self.columnar()).to_rows()
+        assert [(r["wid"], r["first"], r["last"]) for r in rows] == [
+            (1, 1, 6), (1, 1, 6), (1, 2, 6), (1, 5, 5), (2, 2, 3),
+        ]
+        assert [r["lsns"] for r in rows[:2]] == [(101, 103, 106), (101, 104, 106)]
+        assert rows[0]["activities"] == ("B", "B", "A")
+
+    def test_canonical_order_is_the_eager_order(self):
+        lazy = self.kernel_result(self.columnar())
+        eager = IncidentSet(list(self.kernel_result(self.columnar())))
+        assert list(lazy) == list(eager)
+        assert [o.sort_key for o in lazy] == sorted(o.sort_key for o in eager)
+        assert lazy.to_rows() == eager.to_rows()
+
+    def test_len_bool_and_wids_read_only_the_spans(self):
+        columnar = self.columnar()
+        result = self.kernel_result(columnar)
+        assert (len(result), bool(result), result.wids()) == (5, True, (1, 2))
+        assert result.canonical_spans() is result.canonical_spans()
+        assert result.wids() == (1, 2)  # from the canonical form as well
+        assert columnar.lsn_col.reads == columnar.act_id_col.reads == 0
+
+    def test_a_limit_reads_only_the_rows_it_returns(self):
+        columnar = self.columnar()
+        result = self.kernel_result(columnar)
+        three = result.to_rows(3)
+        assert len(three) == 3
+        assert columnar.lsn_col.reads == columnar.act_id_col.reads == 3 + 3 + 2
+        assert result.to_rows(0) == []
+        assert columnar.lsn_col.reads == 8
+        assert three == result.to_rows()[:3]
+        for limit in (None, 1, 4, 5, 6, -1):
+            assert result.to_rows(limit) == result.to_rows()[:limit]
+
+    def test_the_kernels_lists_are_never_changed(self):
+        windows = [(1, 0, self.spans({1, 4, 6}, {1, 3, 6}))]
+        before = [list(spans) for _, _, spans in windows]
+        result = IncidentSet.from_spans(self.columnar(), windows)
+        result.to_rows(), list(result), result.wids()
+        assert [list(spans) for _, _, spans in windows] == before
+
+    def test_an_empty_kernel_result(self):
+        result = IncidentSet.from_spans(self.columnar(), [])
+        assert not result and len(result) == 0
+        assert result.wids() == () and result.to_rows() == [] and list(result) == []
+        assert result == IncidentSet() and hash(result) == hash(IncidentSet())
+
+    def test_pickles_as_its_incidents(self):
+        import pickle
+
+        result = self.kernel_result(self.columnar())
+        clone = pickle.loads(pickle.dumps(result))
+        assert clone == result and clone.canonical_spans() is None
+        assert clone.to_rows() == result.to_rows()

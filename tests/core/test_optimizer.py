@@ -39,6 +39,32 @@ class TestLogStatistics:
         assert stats.count("Ghost") == 0
         assert stats.mean_instance_length == pytest.approx(20 / 3)
 
+    def test_equals_the_record_walk_on_random_logs(self):
+        from collections import Counter
+
+        logs = random_logs(("A", "B", "C", "D"), cases=25, max_instances=4, max_events=9, seed=5)
+        for log in logs:
+            stats = LogStatistics.from_log(log)
+            assert stats.activity_counts == Counter(r.activity for r in log)
+            assert stats.total_records == len(log)
+            assert stats.instance_count == len(log.wids)
+            assert LogStatistics.from_log(log.columnar()) == stats
+
+    def test_visits_no_record_once_the_columnar_form_exists(self, figure3_log, monkeypatch):
+        from repro.columnar import ColumnarLog
+
+        log = Log(figure3_log.records)
+        expected = LogStatistics.from_log(log)  # builds log.columnar()
+
+        def visited(self):
+            raise AssertionError("statistics walked the records")
+
+        monkeypatch.setattr(Log, "__iter__", visited)
+        monkeypatch.setattr(ColumnarLog, "__iter__", visited)
+        monkeypatch.setattr(ColumnarLog, "from_log", visited)
+        assert LogStatistics.from_log(log) == expected
+        assert Optimizer.for_log(log).model.stats == expected
+
 
 class TestCardinality:
     def test_atoms_are_exact(self, figure3_log):

@@ -120,6 +120,7 @@ class TestRegistry:
         assert scenarios == {
             "operators",
             "scaling",
+            "kernel",
             "optimizer",
             "batch",
             "analysis",
