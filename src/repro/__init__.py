@@ -44,7 +44,6 @@ from repro.core import (  # noqa: E402
     Log,
     LogRecord,
     LogValidationError,
-    LogView,
     OptimizerError,
     Parallel,
     Pattern,
@@ -79,7 +78,6 @@ __version__ = "1.0.0"
 __all__ = [
     "__version__",
     "EngineOptions",
-    "LogView",
     "ColumnarLog",
     "as_columnar",
     "CachePolicy",

@@ -7,13 +7,11 @@ honestly so the benchmark comparison is fair:
 * :class:`SqlWarehouse` — loads a log into an in-memory SQLite database
   (``records(lsn, wid, is_lsn, activity)`` with covering indices), the
   "data warehouse" after ETL;
-* :func:`compile_to_sql` — compiles a choice-free incident pattern into
-  one self-join ``SELECT``: one table alias per atomic leaf, a join
-  predicate per operator node.  The per-node constraints use SQLite's
-  scalar ``MIN``/``MAX`` over each subtree's leaf positions — exactly the
-  ``first``/``last`` functions of Definition 4;
-* choice patterns are compiled branch-wise (``⊗`` = UNION of branch
-  queries), mirroring how an analyst would write them;
+* :func:`compile_to_sql` — compiles an incident pattern into one
+  self-join ``SELECT`` per choice-free branch (``⊗`` = UNION of branch
+  queries, mirroring how an analyst would write them) through the
+  operator→SQL mapping of :func:`repro.columnar.sqlite.compile_branches`,
+  supplying the text schema's activity-string predicate;
 * :class:`SqlBaseline` — an :class:`~repro.core.eval.base.Engine` facade
   so the harness can swap it in anywhere.
 
@@ -23,27 +21,20 @@ an ETL pipeline extracts a *projection* decided up front.
 
 This module remains the *benchmark baseline* (denormalised text schema,
 honest ETL cost).  The production SQL route is the pushdown backend in
-:mod:`repro.columnar.sqlite` (``engine="sqlite"``): same compiler
-skeleton, but over interned integer columns mirroring the columnar
-layout, with the warehouse cached per columnar view.
+:mod:`repro.columnar.sqlite` (``engine="sqlite"``): the same compiler
+over interned integer columns mirroring the columnar layout, with the
+warehouse cached per columnar view.
 """
 
 from __future__ import annotations
 
 import sqlite3
-from repro.core.algebra import choice_normal_form
-from repro.core.errors import EvaluationError
+
+from repro.columnar.sqlite import compile_branches
 from repro.core.eval.base import Engine, EvaluationStats
 from repro.core.incident import Incident, IncidentSet
 from repro.core.model import Log
-from repro.core.pattern import (
-    Atomic,
-    BinaryPattern,
-    Consecutive,
-    Parallel,
-    Pattern,
-    Sequential,
-)
+from repro.core.pattern import Atomic, Pattern
 
 __all__ = ["SqlWarehouse", "SqlBaseline", "compile_to_sql"]
 
@@ -113,94 +104,21 @@ class SqlWarehouse:
         return len(wids)
 
 
-def _scalar_min(columns: list[str]) -> str:
-    return columns[0] if len(columns) == 1 else f"MIN({', '.join(columns)})"
-
-
-def _scalar_max(columns: list[str]) -> str:
-    return columns[0] if len(columns) == 1 else f"MAX({', '.join(columns)})"
-
-
-def _compile_branch(pattern: Pattern, *, project_wid: bool) -> str:
-    """One choice-free branch → one self-join SELECT."""
-    aliases: list[str] = []
-    predicates: list[str] = []
-
-    def leaf_positions(node: Pattern, collected: list[str]) -> list[str]:
-        """Compile ``node``; returns the is-lsn column list of its leaves."""
-        if isinstance(node, Atomic):
-            if type(node) is not Atomic:
-                # e.g. attribute-guarded atoms: the warehouse schema only
-                # carries the projection chosen at ETL time (the paper's
-                # core criticism of the ETL route), so richer leaves
-                # cannot be compiled.
-                raise EvaluationError(
-                    "the SQL warehouse projection has no attribute maps; "
-                    f"cannot compile leaf {node!r}"
-                )
-            alias = f"r{len(aliases)}"
-            aliases.append(alias)
-            comparison = "!=" if node.negated else "="
-            predicates.append(
-                f"{alias}.activity {comparison} '{node.name.replace(chr(39), chr(39)*2)}'"
-            )
-            if aliases[0] != alias:
-                predicates.append(f"{alias}.wid = {aliases[0]}.wid")
-            column = f"{alias}.is_lsn"
-            collected.append(column)
-            return [column]
-        assert isinstance(node, BinaryPattern)
-        left_columns = leaf_positions(node.left, collected)
-        right_columns = leaf_positions(node.right, collected)
-        if isinstance(node, Consecutive):
-            predicates.append(
-                f"{_scalar_max(left_columns)} + 1 = {_scalar_min(right_columns)}"
-            )
-        elif isinstance(node, Sequential):
-            predicates.append(
-                f"{_scalar_max(left_columns)} < {_scalar_min(right_columns)}"
-            )
-            window = getattr(node, "bound", None)
-            if window is not None:
-                predicates.append(
-                    f"{_scalar_min(right_columns)} <= "
-                    f"{_scalar_max(left_columns)} + {int(window)}"
-                )
-        elif isinstance(node, Parallel):
-            for left_column in left_columns:
-                for right_column in right_columns:
-                    predicates.append(f"{left_column} != {right_column}")
-        else:  # pragma: no cover - choices were expanded away
-            raise EvaluationError("unexpected choice in a compiled branch")
-        return left_columns + right_columns
-
-    columns: list[str] = []
-    leaf_positions(pattern, columns)
-    if project_wid:
-        select = f"SELECT DISTINCT {aliases[0]}.wid"
-    else:
-        select = "SELECT " + ", ".join(f"{alias}.lsn" for alias in aliases)
-    sql = (
-        f"{select} FROM "
-        + ", ".join(f"records {alias}" for alias in aliases)
-    )
-    if predicates:
-        sql += " WHERE " + " AND ".join(predicates)
-    return sql
-
-
 def compile_to_sql(pattern: Pattern, *, project_wid: bool = False) -> list[str]:
-    """Compile ``pattern`` into one SELECT per choice-free branch.
+    """Compile ``pattern`` into one SELECT per choice-free branch over the
+    text schema: :func:`~repro.columnar.sqlite.compile_branches` with the
+    activity-string predicate an analyst would write.
 
     Each row of a branch query is one incident: the ``lsn`` of the record
     matched by each atomic leaf (or, with ``project_wid``, just the
-    instance id).  Rows may repeat record sets across branches — the caller
-    deduplicates, as ``incL`` is a set.
+    instance id).
     """
-    return [
-        _compile_branch(branch, project_wid=project_wid)
-        for branch in choice_normal_form(pattern)
-    ]
+
+    def leaf_predicate(alias: str, leaf: Atomic) -> str:
+        quoted = leaf.name.replace("'", "''")
+        return f"{alias}.activity {'!=' if leaf.negated else '='} '{quoted}'"
+
+    return compile_branches(pattern, leaf_predicate, "wid", project_wid=project_wid)
 
 
 class SqlBaseline(Engine):

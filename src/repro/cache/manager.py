@@ -137,9 +137,8 @@ class QueryCache:
         fingerprint, which is always sound but costs one pass on first
         use per :class:`Log` instance.
 
-        The identity is duck-typed on the provenance surface of
-        :class:`~repro.core.view.LogView` (``lineage``/``epoch`` plus
-        ``is_snapshot``/``fingerprint``), so a
+        The identity is duck-typed on the provenance attributes
+        (``lineage``/``epoch`` plus ``is_snapshot``/``fingerprint``), so a
         :class:`~repro.columnar.ColumnarLog` — which delegates all four
         to its source log — keys identically to that source: warm
         entries are shared across representations.

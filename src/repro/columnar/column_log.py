@@ -34,7 +34,6 @@ from bisect import bisect_left, bisect_right
 from collections.abc import Iterator
 
 from repro.core.model import Log, LogRecord
-from repro.core.view import ActivitySet, RecordsView
 
 __all__ = ["ColumnarLog", "as_columnar"]
 
@@ -42,9 +41,9 @@ __all__ = ["ColumnarLog", "as_columnar"]
 class ColumnarLog:
     """Columnar, interned view of one immutable log (see module docs).
 
-    Satisfies the :class:`~repro.core.view.LogView` protocol: engines that
-    consume ``LogView`` accept a :class:`ColumnarLog` wherever they accept
-    a :class:`~repro.core.model.Log`.
+    Exposes the read surface of :class:`~repro.core.model.Log`
+    (``records``, ``instance``, ``activities``, ``wids``, provenance), so
+    the engines accept either through :func:`as_columnar`.
     """
 
     __slots__ = (
@@ -59,8 +58,6 @@ class ColumnarLog:
         "_act_names",
         "_act_index",
         "_act_rows",
-        "_by_wid_rows",
-        "_records_view",
         "_leaf_spans",
     )
 
@@ -111,8 +108,6 @@ class ColumnarLog:
         self._is_lsn = isl_col
         self._act_id = act_col
         self._act_rows = act_rows
-        self._by_wid_rows: dict[int, tuple[LogRecord, ...]] | None = None
-        self._records_view: RecordsView | None = None
         self._leaf_spans: dict[int, list[list[tuple]]] = {}
 
     # -- construction --------------------------------------------------------
@@ -143,32 +138,26 @@ class ColumnarLog:
         """The object-row log this view was built from."""
         return self._source
 
-    # -- LogView protocol ----------------------------------------------------
+    # -- the read surface of Log ---------------------------------------------
 
-    def records(self) -> RecordsView:
-        """All records in ascending ``lsn`` order (callable view, like
-        ``Log.records``)."""
-        view = self._records_view
-        if view is None:
-            view = RecordsView(sorted(self._rows, key=lambda r: r.lsn))
-            self._records_view = view
-        return view
+    @property
+    def records(self) -> tuple[LogRecord, ...]:
+        """All records in ascending ``lsn`` order: the source log's tuple
+        (the rows here are those same objects, grouped by instance)."""
+        return self._source.records
 
-    def wid_slice(self, wid_value: int) -> tuple[LogRecord, ...]:
+    def instance(self, wid_value: int) -> tuple[LogRecord, ...]:
         """The records of one instance in ``is_lsn`` order (empty when
-        absent) — a zero-copy slice of the grouped row tuple."""
+        absent) — a slice of the grouped row tuple."""
         i = bisect_left(self._wid_values, wid_value)
         if i == len(self._wid_values) or self._wid_values[i] != wid_value:
             return ()
         return self._rows[self._starts[i]:self._starts[i + 1]]
 
-    def instance(self, wid_value: int) -> tuple[LogRecord, ...]:
-        """Alias of :meth:`wid_slice` (``Log``-compat name)."""
-        return self.wid_slice(wid_value)
-
-    def activities(self) -> ActivitySet:
+    @property
+    def activities(self) -> frozenset[str]:
         """The set of activity names occurring in the log."""
-        return ActivitySet(self._act_names)
+        return frozenset(self._act_names)
 
     @property
     def wids(self) -> tuple[int, ...]:
@@ -259,14 +248,6 @@ class ColumnarLog:
     def wid_of(self, wid_id: int) -> int:
         """The wid interned as ``wid_id``."""
         return self._wid_values[wid_id]
-
-    def wid_range(self, wid_value: int) -> tuple[int, int]:
-        """The contiguous row range ``[lo, hi)`` of one instance
-        (``(0, 0)`` when absent)."""
-        i = bisect_left(self._wid_values, wid_value)
-        if i == len(self._wid_values) or self._wid_values[i] != wid_value:
-            return (0, 0)
-        return (self._starts[i], self._starts[i + 1])
 
     def wid_windows(self) -> Iterator[tuple[int, int, int]]:
         """``(wid, lo, hi)`` per instance in wid order — the engines' scan

@@ -13,11 +13,13 @@ integers instead of comparing activity strings:
   interning dictionaries, used only to decode results and to resolve
   leaf names at compile time (an unknown activity never reaches SQL).
 
-The compiler is the same operator-to-predicate mapping as the baseline
-(one alias per leaf; scalar ``MIN``/``MAX`` over subtree positions for
+The one operator-to-predicate mapping lives here (:func:`compile_branches`:
+one alias per leaf; scalar ``MIN``/``MAX`` over subtree positions for
 ``first``/``last``; ``⊗`` expanded branch-wise through
-:func:`~repro.core.algebra.choice_normal_form`), emitting integer
-``act_id`` comparisons.  Attribute-guarded leaves cannot be compiled —
+:func:`~repro.core.algebra.choice_normal_form`), parameterised by the
+schema's leaf predicate and instance column: this backend supplies
+integer ``act_id`` comparisons, the baseline its text ones.
+Attribute-guarded leaves cannot be compiled —
 the pushed-down projection has no attribute maps — and raise
 :class:`~repro.core.errors.EvaluationError`; the engine is never a
 default, it must be requested (``engine="sqlite"``).
@@ -29,6 +31,7 @@ values, so results are byte-for-byte identical to the object engines.
 from __future__ import annotations
 
 import sqlite3
+from collections.abc import Callable
 
 from repro.columnar.column_log import ColumnarLog, as_columnar
 from repro.core.algebra import choice_normal_form
@@ -45,7 +48,7 @@ from repro.core.pattern import (
     Sequential,
 )
 
-__all__ = ["ColumnarWarehouse", "SqliteEngine", "compile_columnar_sql"]
+__all__ = ["ColumnarWarehouse", "SqliteEngine", "compile_branches", "compile_columnar_sql"]
 
 
 class ColumnarWarehouse:
@@ -110,17 +113,6 @@ class ColumnarWarehouse:
         """One integer-predicate SELECT per choice-free branch."""
         return compile_columnar_sql(pattern, self.columnar)
 
-    def incidents(self, pattern: Pattern) -> IncidentSet:
-        """Evaluate ``pattern`` through SQL and return its incident set."""
-        found: set[frozenset[int]] = set()
-        for sql in self.branch_queries(pattern):
-            for row in self.connection.execute(sql):
-                found.add(frozenset(row))
-        record = self.columnar.record
-        return IncidentSet(
-            Incident(record(lsn) for lsn in lsns) for lsns in found
-        )
-
     def exists(self, pattern: Pattern) -> bool:
         """EXISTS-style evaluation with LIMIT 1 per branch."""
         for sql in self.branch_queries(pattern):
@@ -138,8 +130,13 @@ def _scalar_max(columns: list[str]) -> str:
     return columns[0] if len(columns) == 1 else f"MAX({', '.join(columns)})"
 
 
-def _compile_branch(pattern: Pattern, columnar: ColumnarLog) -> str:
-    """One choice-free branch → one self-join SELECT over interned ids."""
+def _compile_branch(
+    pattern: Pattern,
+    leaf_predicate: Callable[[str, Atomic], str | None],
+    wid_column: str,
+    project_wid: bool,
+) -> str:
+    """One choice-free branch → one self-join SELECT."""
     aliases: list[str] = []
     predicates: list[str] = []
 
@@ -148,26 +145,19 @@ def _compile_branch(pattern: Pattern, columnar: ColumnarLog) -> str:
         if isinstance(node, Atomic):
             if type(node) is not Atomic:
                 # attribute-guarded leaves need the attribute maps, which
-                # the pushed-down projection deliberately omits
+                # the projection loaded into SQL deliberately omits (the
+                # paper's core criticism of the ETL route)
                 raise EvaluationError(
-                    "the sqlite pushdown schema has no attribute maps; "
-                    f"cannot compile leaf {node!r} — use an in-process engine"
+                    "the SQL projection has no attribute maps; cannot "
+                    f"compile leaf {node!r} — use an in-process engine"
                 )
             alias = f"r{len(aliases)}"
             aliases.append(alias)
-            act_id = columnar.act_id_of(node.name)
-            if act_id is None:
-                if not node.negated:
-                    # positive leaf on an activity absent from the log:
-                    # the branch is unsatisfiable
-                    predicates.append("0 = 1")
-                # negated leaf on an absent activity matches every record —
-                # no activity predicate at all
-            else:
-                comparison = "!=" if node.negated else "="
-                predicates.append(f"{alias}.act_id {comparison} {act_id}")
+            predicate = leaf_predicate(alias, node)
+            if predicate is not None:
+                predicates.append(predicate)
             if aliases[0] != alias:
-                predicates.append(f"{alias}.wid_id = {aliases[0]}.wid_id")
+                predicates.append(f"{alias}.{wid_column} = {aliases[0]}.{wid_column}")
             return [f"{alias}.is_lsn"]
         assert isinstance(node, BinaryPattern)
         left_columns = leaf_positions(node.left)
@@ -195,29 +185,53 @@ def _compile_branch(pattern: Pattern, columnar: ColumnarLog) -> str:
         return left_columns + right_columns
 
     leaf_positions(pattern)
-    sql = (
-        "SELECT "
-        + ", ".join(f"{alias}.lsn" for alias in aliases)
-        + " FROM "
-        + ", ".join(f"records {alias}" for alias in aliases)
-    )
+    if project_wid:
+        select = f"SELECT DISTINCT {aliases[0]}.{wid_column}"
+    else:
+        select = "SELECT " + ", ".join(f"{alias}.lsn" for alias in aliases)
+    sql = f"{select} FROM " + ", ".join(f"records {alias}" for alias in aliases)
     if predicates:
         sql += " WHERE " + " AND ".join(predicates)
     return sql
 
 
-def compile_columnar_sql(pattern: Pattern, columnar: ColumnarLog) -> list[str]:
-    """Compile ``pattern`` into one SELECT per choice-free branch, with
-    activity names resolved to interned ``act_id`` integers up front.
+def compile_branches(
+    pattern: Pattern,
+    leaf_predicate: Callable[[str, Atomic], str | None],
+    wid_column: str,
+    *,
+    project_wid: bool = False,
+) -> list[str]:
+    """Compile ``pattern`` into one SELECT per choice-free branch — the one
+    operator→SQL mapping, parameterised by schema.
 
-    Each result row is one incident: the ``lsn`` matched by each leaf.
-    Rows may repeat record sets across branches — the caller deduplicates,
-    as ``incL`` is a set.
+    ``leaf_predicate(alias, leaf)`` is the schema's activity test for a
+    plain atomic leaf (None when the leaf matches every record) and
+    ``wid_column`` the instance column the leaf aliases are joined on.
+    Each result row is one incident: the ``lsn`` matched by each leaf (or,
+    with ``project_wid``, just the instance column).  Rows may repeat
+    record sets across branches — the caller deduplicates, as ``incL`` is
+    a set.
     """
     return [
-        _compile_branch(branch, columnar)
+        _compile_branch(branch, leaf_predicate, wid_column, project_wid)
         for branch in choice_normal_form(pattern)
     ]
+
+
+def compile_columnar_sql(pattern: Pattern, columnar: ColumnarLog) -> list[str]:
+    """:func:`compile_branches` over the integer schema, with activity
+    names resolved to interned ``act_id`` integers up front."""
+
+    def leaf_predicate(alias: str, leaf: Atomic) -> str | None:
+        act_id = columnar.act_id_of(leaf.name)
+        if act_id is None:
+            # a positive leaf on an activity absent from the log makes the
+            # branch unsatisfiable; a negated one matches every record
+            return None if leaf.negated else "0 = 1"
+        return f"{alias}.act_id {'!=' if leaf.negated else '='} {act_id}"
+
+    return compile_branches(pattern, leaf_predicate, "wid_id")
 
 
 class SqliteEngine(Engine):

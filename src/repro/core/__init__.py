@@ -30,12 +30,9 @@ from repro.core.pattern import (
 )
 from repro.core.options import EngineOptions
 from repro.core.query import ENGINES, Query
-from repro.core.view import LogView, RecordsView
 
 __all__ = [
     "EngineOptions",
-    "LogView",
-    "RecordsView",
     "ReproError",
     "LogValidationError",
     "PatternSyntaxError",

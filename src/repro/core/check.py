@@ -13,9 +13,11 @@ set belongs to ``incL(p)`` iff it can be split per Definition 4's
 recursive cases.  Sets are tiny (pattern-sized), so the exponential
 worst case of the search is irrelevant in practice.
 
-Uses: verifying results imported from other tools, explaining matches to
-analysts (the CLI's incident listing), and as an independent oracle in
-the test-suite (completely different code path from the engines).
+Uses: verifying results imported from other tools, and as an independent
+oracle in the test-suite — ``tests/test_properties.py`` puts every
+incident the join kernel returns through :func:`is_incident`, a code path
+that shares nothing with the engines.  No entry point imports it
+(``docs/REACHABILITY.md``).
 """
 
 from __future__ import annotations

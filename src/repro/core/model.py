@@ -27,7 +27,6 @@ from types import MappingProxyType
 from typing import TYPE_CHECKING, Any
 
 from repro.core.errors import LogValidationError
-from repro.core.view import ActivitySet, RecordsView
 
 if TYPE_CHECKING:  # pragma: no cover - typing only
     from repro.columnar.column_log import ColumnarLog
@@ -268,13 +267,12 @@ class Log:
         "_lineage",
         "_is_snapshot",
         "_fingerprint",
-        "_records_view",
         "_columnar",
     )
 
     #: Slots that are derived caches, rebuilt lazily — excluded from
     #: pickling so a pickled or deep-copied log stays lean.
-    _TRANSIENT_SLOTS = ("_records_view", "_columnar")
+    _TRANSIENT_SLOTS = ("_columnar",)
 
     def __init__(
         self,
@@ -291,7 +289,6 @@ class Log:
         self._lineage = lineage
         self._is_snapshot = snapshot
         self._fingerprint: str | None = None
-        self._records_view: RecordsView | None = None
         self._columnar: "ColumnarLog | None" = None
         if validate:
             _validate_records(self._records)
@@ -430,18 +427,9 @@ class Log:
     # -- views ---------------------------------------------------------------
 
     @property
-    def records(self) -> RecordsView:
-        """All records in ascending ``lsn`` order.
-
-        Returned as a :class:`~repro.core.view.RecordsView` — an immutable
-        :class:`tuple` subclass that is also callable (returning itself), so
-        both the legacy attribute style ``log.records`` and the
-        :class:`~repro.core.view.LogView` protocol's ``log.records()`` work.
-        """
-        view = self._records_view
-        if view is None:
-            view = self._records_view = RecordsView(self._records)
-        return view
+    def records(self) -> tuple[LogRecord, ...]:
+        """All records in ascending ``lsn`` order."""
+        return self._records
 
     @property
     def wids(self) -> tuple[int, ...]:
@@ -449,9 +437,9 @@ class Log:
         return tuple(sorted(self._by_wid))
 
     @property
-    def activities(self) -> ActivitySet:
-        """The set of activity names occurring in the log (callable view)."""
-        return ActivitySet(self._by_activity)
+    def activities(self) -> frozenset[str]:
+        """The set of activity names occurring in the log."""
+        return frozenset(self._by_activity)
 
     # -- provenance (cache invalidation, see repro.cache) -------------------
 
@@ -511,10 +499,6 @@ class Log:
 
     def instance(self, wid_value: int) -> tuple[LogRecord, ...]:
         """All records of workflow instance ``wid_value`` in is-lsn order."""
-        return self._by_wid.get(wid_value, ())
-
-    def wid_slice(self, wid_value: int) -> tuple[LogRecord, ...]:
-        """:class:`~repro.core.view.LogView` name for :meth:`instance`."""
         return self._by_wid.get(wid_value, ())
 
     def columnar(self) -> "ColumnarLog":

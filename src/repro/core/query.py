@@ -44,6 +44,15 @@ ENGINES: dict[str, type[Engine]] = {
 }
 
 
+#: op -> (the engine method a miss runs, what a cached incident set
+#: answers in its place)
+_OPS = {
+    "run": ("evaluate", lambda incidents: incidents),
+    "exists": ("exists", bool),
+    "count": ("count", len),
+}
+
+
 def engine_class(name: str | None) -> type[Engine]:
     """The engine class registered under ``name``.  ``None`` — what every
     ``engine=`` parameter in the package defaults to — is the production
@@ -81,8 +90,8 @@ class Query:
         when caching is off.
     last_cache_layer:
         ``"result"`` when the cache served the most recent :meth:`run`,
-        None when it was evaluated (cold).  Reported by :meth:`explain`
-        and the CLI.
+        :meth:`exists` or :meth:`count`, None when it was evaluated
+        (cold).  Reported by :meth:`explain` and the CLI.
     """
 
     def __init__(
@@ -164,19 +173,6 @@ class Query:
         self.engine.governor = governor
         return recorder
 
-    def _finish_run(self, recorder, *, stats, incidents, probed=False):
-        """Emit the terminal ``finish`` event with cache attribution: the
-        outcome of this run's own probe (``probed``), never a diff of the
-        cache's process-wide counters, which other queries move."""
-        if recorder is None:
-            return
-        payload = {}
-        if probed:
-            payload["cache_result_hits"] = int(self.last_cache_layer == "result")
-        if self.last_cache_layer is not None:
-            payload["cache_layer"] = self.last_cache_layer
-        recorder.finish(stats=stats, incidents=incidents, **payload)
-
     def _result_key(self, log: Log):
         """The cache key for this query over ``log``, or None when
         caching is off.  Keyed on the *original* pattern: the
@@ -194,6 +190,67 @@ class Query:
         tracer = self.options.tracer if self.options.tracer is not None else NULL_TRACER
         return self.cache.get_result(key, tracer=tracer)
 
+    def _execute(self, op: str, log: Log):
+        """The one run scaffold behind :meth:`run`, :meth:`exists` and
+        :meth:`count`: begin → cache probe → (plan → evaluate) → terminal
+        ``finish`` / ``killed`` event.
+
+        Every op probes the cache and journals the probe; the ``finish``
+        event carries the outcome of this run's own probe
+        (``cache_result_hits``), never a diff of the cache's process-wide
+        counters, which other queries move.  Only ``run`` produces a full
+        incident set, so only ``run`` stores one — and, on a hit, reports
+        the stored stats as its own.
+        """
+        engine_method, from_cached = _OPS[op]
+        self.last_cache_layer = None
+        recorder = self._begin_run(op)
+        try:
+            key = self._result_key(log)
+            hit = self._cached_result(key)
+            if recorder is not None and key is not None:
+                recorder.cache_probe(probe="result", hit=hit is not None)
+            stats = None
+            if hit is not None:
+                self.last_cache_layer = "result"
+                value = from_cached(hit.incidents)
+                if op == "run":
+                    stats = self.engine.last_stats = hit.stats
+            else:
+                optimized = self.plan(log).optimized
+                if recorder is not None:
+                    recorder.plan(
+                        optimized=str(optimized), changed=optimized != self.pattern
+                    )
+                value = getattr(self.engine, engine_method)(log, optimized)
+                stats = self.engine.last_stats
+                if op == "run":
+                    if recorder is not None:
+                        recorder.evaluate(
+                            pairs=0 if stats is None else stats.pairs_examined,
+                            incidents=len(value),
+                        )
+                    if key is not None:
+                        self.cache.put_result(key, value, stats)
+            if recorder is not None:
+                payload = {}
+                if key is not None:
+                    payload["cache_result_hits"] = int(hit is not None)
+                if hit is not None:
+                    payload["cache_layer"] = "result"
+                recorder.finish(
+                    stats=stats,
+                    incidents=len(value) if op == "run" else int(value),
+                    **payload,
+                )
+            return value
+        except QueryGovernorError as exc:
+            if recorder is not None:
+                recorder.killed(exc)
+            raise
+        finally:
+            self.engine.governor = None
+
     def run(self, log: Log) -> IncidentSet:
         """Evaluate the query, returning the full incident set.
 
@@ -208,108 +265,19 @@ class Query:
         partial stats, and a configured journal records the lifecycle
         ending in a terminal ``finish`` or ``killed`` event.
         """
-        self.last_cache_layer = None
-        recorder = self._begin_run("run")
-        try:
-            key = self._result_key(log)
-            hit = self._cached_result(key)
-            if recorder is not None and key is not None:
-                recorder.cache_probe(probe="result", hit=hit is not None)
-            if hit is not None:
-                self.last_cache_layer = "result"
-                self.engine.last_stats = hit.stats
-                self._finish_run(
-                    recorder,
-                    stats=hit.stats,
-                    incidents=len(hit.incidents),
-                    probed=True,
-                )
-                return hit.incidents
-
-            optimized = self.plan(log).optimized
-            if recorder is not None:
-                recorder.plan(
-                    optimized=str(optimized), changed=optimized != self.pattern
-                )
-            result = self.engine.evaluate(log, optimized)
-            if recorder is not None:
-                stats = self.engine.last_stats
-                recorder.evaluate(
-                    pairs=0 if stats is None else stats.pairs_examined,
-                    incidents=len(result),
-                )
-            if key is not None:
-                self.cache.put_result(key, result, self.engine.last_stats)
-            self._finish_run(
-                recorder,
-                stats=self.engine.last_stats,
-                incidents=len(result),
-                probed=key is not None,
-            )
-            return result
-        except QueryGovernorError as exc:
-            if recorder is not None:
-                recorder.killed(exc)
-            raise
-        finally:
-            self.engine.governor = None
+        return self._execute("run", log)
 
     def exists(self, log: Log) -> bool:
         """Whether at least one incident exists (short-circuits when the
         engine supports it)."""
-        recorder = self._begin_run("exists")
-        try:
-            hit = self._cached_result(self._result_key(log))
-            if hit is not None:
-                self.last_cache_layer = "result"
-                found = bool(hit.incidents)
-            else:
-                self.last_cache_layer = None
-                found = self.engine.exists(log, self.plan(log).optimized)
-            self._finish_run(
-                recorder,
-                stats=None if hit is not None else self.engine.last_stats,
-                incidents=int(found),
-            )
-            return found
-        except QueryGovernorError as exc:
-            if recorder is not None:
-                recorder.killed(exc)
-            raise
-        finally:
-            self.engine.governor = None
+        return self._execute("exists", log)
 
     def count(self, log: Log) -> int:
         """Number of incidents in ``log``.
 
         Delegates to the engine, which may use the output-free counting
         DP for ⊙/⊳ chains instead of materialising the incident set."""
-        recorder = self._begin_run("count")
-        try:
-            hit = self._cached_result(self._result_key(log))
-            if hit is not None:
-                self.last_cache_layer = "result"
-                n = len(hit.incidents)
-            else:
-                self.last_cache_layer = None
-                optimized = self.plan(log).optimized
-                if recorder is not None:
-                    recorder.plan(
-                        optimized=str(optimized), changed=optimized != self.pattern
-                    )
-                n = self.engine.count(log, optimized)
-            self._finish_run(
-                recorder,
-                stats=None if hit is not None else self.engine.last_stats,
-                incidents=n,
-            )
-            return n
-        except QueryGovernorError as exc:
-            if recorder is not None:
-                recorder.killed(exc)
-            raise
-        finally:
-            self.engine.governor = None
+        return self._execute("count", log)
 
     @staticmethod
     def evaluate_batch(log: Log, patterns, **kwargs):

@@ -1,4 +1,4 @@
-"""Log storage, serialization, indexing, statistics and validation.
+"""Log storage, serialization, statistics, validation and rendering.
 
 The paper notes there is "no standard structure for workflow logs"; this
 package provides one concrete, production-usable realisation:
@@ -8,16 +8,13 @@ package provides one concrete, production-usable realisation:
 * :mod:`repro.logstore.io_jsonl` / :mod:`repro.logstore.io_csv` /
   :mod:`repro.logstore.io_xes` — serialization to JSON-lines, CSV and the
   XES process-mining interchange format;
-* :mod:`repro.logstore.index` — standalone activity/instance indices;
 * :mod:`repro.logstore.stats` — descriptive statistics and the
   directly-follows graph;
 * :mod:`repro.logstore.validate` — non-throwing validation reports and
   log repair;
-* :mod:`repro.logstore.transform` — filtering, slicing, projection,
-  merging and anonymisation of logs.
+* :mod:`repro.logstore.render` — text and DOT renderings for the CLI.
 """
 
-from repro.logstore.index import LogIndex
 from repro.logstore.io_csv import read_csv, write_csv
 from repro.logstore.io_jsonl import read_jsonl, write_jsonl
 from repro.logstore.io_xes import read_xes, write_xes
@@ -29,19 +26,10 @@ from repro.logstore.render import (
 )
 from repro.logstore.stats import LogSummary, directly_follows_graph, summarize
 from repro.logstore.store import LogStore
-from repro.logstore.transform import (
-    anonymize,
-    filter_instances,
-    merge_logs,
-    project_activities,
-    renumber,
-    slice_lsn,
-)
 from repro.logstore.validate import ValidationIssue, repair_log, validation_report
 
 __all__ = [
     "LogStore",
-    "LogIndex",
     "read_jsonl",
     "write_jsonl",
     "read_csv",
@@ -54,12 +42,6 @@ __all__ = [
     "ValidationIssue",
     "validation_report",
     "repair_log",
-    "renumber",
-    "filter_instances",
-    "slice_lsn",
-    "project_activities",
-    "merge_logs",
-    "anonymize",
     "render_instance",
     "render_log_table",
     "render_swimlanes",

@@ -100,14 +100,9 @@ def loan_log() -> Log:
     return engine.run(SimulationConfig(instances=40, seed=7))
 
 
-#: The two in-process engines as ``parametrize`` values.  The kernel runs
-#: under the class id of the object-row indexed engine whose sort/hash
-#: joins it took over (``IndexedEngine``), so those test names stay
-#: comparable across the refactor.
-ENGINE_CLASSES = [
-    pytest.param(NaiveEngine, id="NaiveEngine"),
-    pytest.param(VectorizedEngine, id="IndexedEngine"),
-]
+#: The two in-process engines as ``parametrize`` values (pytest ids a
+#: class by its name).
+ENGINE_CLASSES = [NaiveEngine, VectorizedEngine]
 
 
 @pytest.fixture(params=["naive", "vectorized"])

@@ -3,8 +3,7 @@
 One run is one query record: one ``query_id``/``trace_id`` across every
 event, one ``evaluate`` event whose pairs equal the terminal event's
 total; governed runs die with the typed error and the journal closes
-with a ``killed`` event.  (The file and class names predate the removal
-of the parallel backends; they stay so the test ids do.)
+with a ``killed`` event.
 """
 
 import pytest
@@ -22,7 +21,7 @@ def _kinds(journal):
     return [e["event"] for e in journal.events]
 
 
-class TestGovernedParallelRuns:
+class TestGovernedRuns:
     def test_serial_killed_event_has_partial_pairs(self, clinic_log):
         journal = QueryJournal()
         query = Query(PATTERN, EngineOptions(journal=journal, max_pairs=3))

@@ -1,59 +1,14 @@
-"""Unit tests for LogIndex, statistics and validation/repair."""
+"""Unit tests for statistics and validation/repair."""
 
 import pytest
 
 from repro.core.model import END, START, Log, LogRecord
-from repro.logstore.index import LogIndex
 from repro.logstore.stats import (
     directly_follows_graph,
     summarize,
     variant_counts,
 )
 from repro.logstore.validate import repair_log, validation_report
-
-
-class TestLogIndex:
-    def test_positions(self, figure3_log):
-        index = LogIndex.from_log(figure3_log)
-        assert index.positions(1, "SeeDoctor") == [4, 6]
-        assert index.positions(2, "SeeDoctor") == [4, 6]
-        assert index.positions(3, "SeeDoctor") == []
-
-    def test_record_at(self, figure3_log):
-        index = LogIndex.from_log(figure3_log)
-        assert index.record_at(2, 5).activity == "UpdateRefer"
-        assert index.record_at(9, 1) is None
-
-    def test_first_last_occurrence(self, figure3_log):
-        index = LogIndex.from_log(figure3_log)
-        assert index.first_occurrence(1, "PayTreatment") == 5
-        assert index.last_occurrence(1, "PayTreatment") == 7
-        assert index.first_occurrence(1, "Ghost") is None
-
-    def test_occurrences_between(self, figure3_log):
-        index = LogIndex.from_log(figure3_log)
-        assert index.occurrences_between(1, "SeeDoctor", 5, 9) == [6]
-        assert index.occurrences_between(1, "SeeDoctor", 1, 9) == [4, 6]
-
-    def test_directly_follows(self, figure3_log):
-        index = LogIndex.from_log(figure3_log)
-        assert index.directly_follows(1, "SeeDoctor", "PayTreatment") == 2
-        assert index.directly_follows(1, "PayTreatment", "SeeDoctor") == 1
-
-    def test_counts_and_lengths(self, figure3_log):
-        index = LogIndex.from_log(figure3_log)
-        assert index.activity_count("GetRefer") == 3
-        assert index.instance_length(1) == 9
-        assert index.instance_length(3) == 2
-        assert len(index) == 20
-        assert index.wids == (1, 2, 3)
-        assert "CheckIn" in index.activities
-
-    def test_incremental_adds_must_be_ordered(self, figure3_log):
-        index = LogIndex()
-        index.add(figure3_log.record(1))
-        with pytest.raises(ValueError):
-            index.add(figure3_log.record(1))
 
 
 class TestStats:

@@ -432,7 +432,8 @@ class TestQueryLifecycle:
         # two independent runs mint two distinct query ids
         assert len({e["query_id"] for e in journal.events}) == 2
 
-    def test_cache_hit_records_probe_and_finishes(self, clinic_log):
+    @pytest.mark.parametrize("op", ["run", "count", "exists"])
+    def test_cache_hit_records_probe_and_finishes(self, clinic_log, op):
         from repro.cache import QueryCache
 
         journal = QueryJournal()
@@ -440,13 +441,13 @@ class TestQueryLifecycle:
             "GetRefer -> CheckIn",
             EngineOptions(journal=journal, cache=QueryCache()),
         )
-        query.run(clinic_log)
-        query.run(clinic_log)
+        query.run(clinic_log)  # cold: evaluated and stored
+        getattr(query, op)(clinic_log)  # warm, whatever the op
         validate_journal(journal.events)
         probes = [e for e in journal.events if e["event"] == "cache"]
         assert [e["hit"] for e in probes] == [False, True]
         warm_finish = journal.events[-1]
-        assert warm_finish["event"] == "finish"
+        assert warm_finish["event"] == "finish" and warm_finish["op"] == op
         assert warm_finish.get("cache_layer") == "result"
         assert warm_finish.get("cache_result_hits") == 1
         cold_finish = [e for e in journal.events if e["event"] == "finish"][0]

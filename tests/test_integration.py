@@ -22,7 +22,6 @@ from repro.logstore import (
     write_jsonl,
     write_xes,
 )
-from repro.logstore.io_sqlite import SqliteLogStore
 from repro.workflow import SimulationConfig, WorkflowEngine, analyze, may_match
 from repro.workflow.models import clinic_referral_workflow
 
@@ -46,10 +45,6 @@ class TestPipeline:
         xes = tmp_path / "log.xes"
         write_xes(clinic_log, xes)
         assert Query(FRAUD).run(read_xes(xes)).lsn_sets() == expected
-
-        with SqliteLogStore(tmp_path / "log.db") as store:
-            store.save(clinic_log)
-            assert Query(FRAUD).run(store.load()).lsn_sets() == expected
 
     def test_cli_agrees_with_api(self, tmp_path, capsys):
         out = tmp_path / "cli.jsonl"

@@ -12,6 +12,7 @@ from hypothesis import given, settings
 
 from repro.baselines.automaton import AutomatonBaseline, supports
 from repro.baselines.sql import SqlBaseline
+from repro.core.check import is_incident
 from repro.core.eval.vectorized import VectorizedEngine
 from repro.core.eval.naive import NaiveEngine
 from repro.core.incident import reference_incidents
@@ -69,7 +70,11 @@ def logs(draw, max_instances=3):
 def test_all_engines_agree_with_the_oracle(log, pattern):
     expected = reference_incidents(log, pattern)
     assert NaiveEngine().evaluate(log, pattern) == expected
-    assert VectorizedEngine().evaluate(log, pattern) == expected
+    kernel = VectorizedEngine().evaluate(log, pattern)
+    assert kernel == expected
+    # soundness by a third code path: Definition 4 membership per record
+    # set, with no join and no enumeration of the log
+    assert all(is_incident(pattern, incident) for incident in kernel)
     assert SqlBaseline().evaluate(log, pattern) == expected
     if supports(pattern):
         assert AutomatonBaseline().evaluate(log, pattern) == expected
