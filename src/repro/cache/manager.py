@@ -10,9 +10,13 @@ Log identity comes from the epoch counters threaded through
 :class:`~repro.core.model.Log` / :class:`~repro.logstore.store.LogStore`:
 a complete store snapshot is identified by ``(lineage, epoch)``; logs
 without store provenance fall back to a content fingerprint.  A lineage
-only moves forward, so storing a result for epoch *n* drops that
-lineage's entries of earlier epochs — no later probe can name them —
-and a result that arrives for an epoch already superseded is not stored.
+only moves forward, so the cache keeps one entry per ``(lineage,
+pattern, options)``, the newest epoch's: storing a result for epoch *n*
+replaces the one held for an earlier epoch, and a result that arrives for
+an epoch already superseded is not stored.  A store that takes appends
+thus holds as many entries as a static one, one per distinct pattern,
+and the entry of an earlier epoch is what the next evaluation of its
+pattern starts from (:meth:`QueryCache.peek_base`).
 
 Hit/miss/eviction counts mirror into an optional
 :class:`~repro.obs.metrics.MetricsRegistry` as the ``cache.*`` family
@@ -85,6 +89,18 @@ def _detach_stats(stats: EvaluationStats | None) -> EvaluationStats | None:
     )
 
 
+def _slot(key: ResultKey) -> tuple[ResultKey, int | None]:
+    """Where ``key``'s entry is kept, and the epoch it must be of.
+
+    A lineage's snapshots of every epoch share the slot of their pattern
+    and options, which holds the newest epoch stored; a
+    content-fingerprint identity is a slot of its own, of no epoch."""
+    identity, pattern, options = key
+    if identity[0] == "lineage":
+        return (identity[:2], pattern, options), int(identity[2])
+    return key, None
+
+
 @dataclass(frozen=True)
 class CachedResult:
     """One cache hit: the incident set and a detached copy of the
@@ -118,11 +134,10 @@ class QueryCache:
         self.policy = policy if policy is not None else CachePolicy()
         self.metrics = metrics
         self._lock = threading.RLock()
-        self._results: LruBytes[ResultKey, CachedResult] = LruBytes(
+        #: slot -> (epoch, entry); see :func:`_slot`
+        self._results: LruBytes[ResultKey, tuple[int | None, CachedResult]] = LruBytes(
             self.policy.result_budget_bytes
         )
-        #: newest epoch a result was stored for, per store lineage
-        self._newest_epoch: dict[str, int] = {}
 
     # -- key construction --------------------------------------------------
 
@@ -196,9 +211,15 @@ class QueryCache:
         copy, so callers may mutate it freely."""
         if not self.policy.enabled:
             return None
+        slot, epoch = _slot(key)
         with tracer.span("cache.result", key=()) as span:
             with self._lock:
-                cached = self._results.get(key)
+                held = self._results.peek(slot)
+                if held is not None and held[0] == epoch:
+                    _, cached = self._results.get(slot)
+                else:  # empty, or filled for another epoch
+                    self._results.misses += 1
+                    cached = None
             span.add(hit=1 if cached is not None else 0)
         self._publish()
         if cached is None:
@@ -206,6 +227,21 @@ class QueryCache:
         return CachedResult(
             incidents=cached.incidents, stats=_detach_stats(cached.stats)
         )
+
+    def peek_base(self, key: ResultKey) -> tuple[int, IncidentSet] | None:
+        """What is held for ``key``'s lineage, pattern and options at an
+        epoch before ``key``'s, as ``(epoch, incidents)``; None when
+        nothing is, or ``key`` names no lineage.  Neither a hit nor a
+        miss, and recency is left alone: the caller still has to
+        evaluate, from this."""
+        slot, epoch = _slot(key)
+        if epoch is None or not self.policy.enabled:
+            return None
+        with self._lock:
+            held = self._results.peek(slot)
+        if held is None or held[0] >= epoch:
+            return None
+        return held[0], held[1].incidents
 
     def put_result(
         self,
@@ -215,33 +251,22 @@ class QueryCache:
     ) -> bool:
         """Store a finished result; returns False when it is not kept:
         larger than the whole budget, the cache off, or computed over an
-        epoch its lineage has already moved past.
+        epoch older than the one its slot is filled for.
 
-        The first result stored for a newer epoch of a lineage drops that
-        lineage's older entries (plain removals, not LRU evictions).
-        Content-fingerprint identities carry no order and are left to the
-        LRU.
+        A result for a newer epoch replaces the slot's older one (a plain
+        replacement, not an LRU eviction).  Content-fingerprint
+        identities carry no order; each is its own slot, left to the LRU.
         """
         if not self.policy.enabled:
             return False
         entry = CachedResult(incidents=incidents, stats=_detach_stats(stats))
         nbytes = incidents_nbytes(incidents)
-        identity = key[0]
+        slot, epoch = _slot(key)
         with self._lock:
-            if identity[0] == "lineage":
-                lineage, epoch = identity[1], int(identity[2])
-                newest = self._newest_epoch.get(lineage, -1)
-                if epoch < newest:
-                    return False
-                if epoch > newest:
-                    self._newest_epoch[lineage] = epoch
-                    # every live entry of the lineage is of epoch `newest`;
-                    # one pass per epoch advance over a cache that holds
-                    # budget / entry-size keys
-                    for stale in self._results.keys():
-                        if stale[0][:2] == identity[:2]:
-                            self._results.discard(stale)
-            stored = self._results.put(key, entry, nbytes)
+            held = self._results.peek(slot)
+            if held is not None and epoch is not None and epoch < held[0]:
+                return False
+            stored = self._results.put(slot, (epoch, entry), nbytes)
         self._publish()
         return stored
 
@@ -270,8 +295,14 @@ class QueryCache:
         if limit < 1:
             raise ValueError(f"limit must be >= 1, got {limit}")
         with self._lock:
-            results = self._results.keys()[-limit:]
-        return {"results": [str(key) for key in reversed(results)]}
+            slots = self._results.keys()[-limit:]
+            held = [(slot, self._results.peek(slot)[0]) for slot in reversed(slots)]
+        return {
+            "results": [
+                str(slot) if epoch is None else f"{slot} @ epoch {epoch}"
+                for slot, epoch in held
+            ]
+        }
 
     def _publish(self) -> None:
         """Mirror the counters into the bound registry.

@@ -24,14 +24,16 @@ full record objects) and :meth:`to_log` reconstructs an equal log from
 the source rows.  Provenance (``epoch``/``lineage``/``is_snapshot``/
 ``fingerprint``) delegates to the source so cache identity is unchanged.
 Construction is cached per :class:`Log` (via ``Log.columnar()``) and per
-store epoch (via ``LogStore.columnar()``).
+store epoch (via ``LogStore.columnar()``); the next snapshot of a store
+gets its view from its predecessor's by :meth:`ColumnarLog.extended`, and
+:meth:`ColumnarLog.from_log` is the one full build.
 """
 
 from __future__ import annotations
 
 from array import array
 from bisect import bisect_left, bisect_right
-from collections.abc import Iterator
+from collections.abc import Iterator, Sequence
 
 from repro.core.model import Log, LogRecord
 
@@ -118,6 +120,123 @@ class ColumnarLog:
         which caches the result on the log)."""
         return cls(log, _trusted=True)
 
+    def extended(self, source: Log, tail: Sequence[LogRecord]) -> "ColumnarLog":
+        """The columnar form of ``source``, which is this view's log
+        followed by ``tail`` (:meth:`Log.extended
+        <repro.core.model.Log.extended>`), without a pass over the log.
+
+        Each touched instance's new rows are spliced in after its window
+        (a new instance's after the last window) by slice concatenation;
+        the offsets and the activity index behind the first splice move
+        up by what went in before them, so an append to the newest
+        instances costs the batch and one to an old instance a renumbering
+        at ``map`` speed.  The row-number arrays of activities with no row
+        behind the first splice, and the cached ``leaf_spans`` lists of
+        every untouched window, are shared with this view.
+
+        A tail that re-interns a dictionary, an activity name this view
+        has not seen or a new wid below the highest, changes the ids in
+        every row and takes the full :meth:`from_log`.
+        """
+        act_index = self._act_index
+        wid_values = self._wid_values
+        windows = len(wid_values)
+        by_wid: dict[int, list[LogRecord]] = {}
+        for rec in tail:
+            if rec.activity not in act_index:
+                return ColumnarLog.from_log(source)
+            by_wid.setdefault(rec.wid, []).append(rec)
+        new_wids = array("q", [w for w in sorted(by_wid) if w > wid_values[-1]])
+        # per touched instance, in row order: (wid id, old row its new
+        # rows go before, the rows)
+        splices: list[tuple[int, int, list[LogRecord]]] = []
+        for w in sorted(by_wid.keys() - set(new_wids)):
+            i = bisect_left(wid_values, w)
+            if wid_values[i] != w:
+                return ColumnarLog.from_log(source)
+            splices.append((i, self._starts[i + 1], by_wid[w]))
+        for i, w in enumerate(new_wids, start=windows):
+            splices.append((i, len(self._rows), by_wid[w]))
+
+        def spliced(out, column, inserts):
+            """``column`` with ``inserts[k]`` put in before old row
+            ``splices[k][1]``, accumulated in ``out``."""
+            prev = 0
+            for (_, at, _), insert in zip(splices, inserts):
+                out += column[prev:at]
+                out += insert
+                prev = at
+            out += column[prev:]
+            return out
+
+        def ints(value):
+            return [array("q", [value(r) for r in recs]) for _, _, recs in splices]
+
+        new = ColumnarLog.__new__(ColumnarLog)
+        new._source = source
+        new._rows = tuple(spliced([], self._rows, [recs for _, _, recs in splices]))
+        new._lsn = spliced(array("q"), self._lsn, ints(lambda r: r.lsn))
+        new._wid_id = spliced(
+            array("q"), self._wid_id, [array("q", [i]) * len(recs) for i, _, recs in splices]
+        )
+        new._is_lsn = spliced(array("q"), self._is_lsn, ints(lambda r: r.is_lsn))
+        new._act_id = spliced(array("q"), self._act_id, ints(lambda r: act_index[r.activity]))
+        new._wid_values = wid_values + new_wids
+        new._act_names = self._act_names
+        new._act_index = act_index
+
+        # a window ends later by what it and the windows before it grew
+        starts = array("q", self._starts)
+        grown = {i: len(recs) for i, _, recs in splices if i < windows}
+        shift = 0
+        for i in range(min(grown, default=windows), windows):
+            shift += grown.get(i, 0)
+            starts[i + 1] += shift
+        for _, _, recs in splices[len(grown) :]:
+            starts.append(starts[-1] + len(recs))
+        new._starts = starts
+
+        # an activity's rows keep their numbers up to the first splice and
+        # move up behind it by what went in before them; the array of an
+        # activity with no row from there on is shared
+        cut = splices[0][1] if splices else len(self._rows)
+        tail_ids = {act_index[rec.activity] for rec in tail}
+
+        def renumbered(aid: int, rows: array) -> array:
+            if aid not in tail_ids and not (rows and rows[-1] >= cut):
+                return rows
+            prev = bisect_left(rows, cut)
+            out = rows[:prev]
+            shift = 0
+            for _, at, recs in splices:
+                upto = bisect_left(rows, at, prev)
+                out.extend(map(shift.__add__, rows[prev:upto]))
+                out.extend(
+                    [at + shift + k for k, r in enumerate(recs) if act_index[r.activity] == aid]
+                )
+                shift += len(recs)
+                prev = upto
+            out.extend(map(shift.__add__, rows[prev:]))
+            return out
+
+        new._act_rows = tuple(renumbered(aid, rows) for aid, rows in enumerate(self._act_rows))
+
+        new._leaf_spans = {}
+        for aid, by_window in list(self._leaf_spans.items()):  # queries add to it
+            by_window = list(by_window)
+            for i, _, recs in splices:
+                added = [
+                    (r.is_lsn, r.is_lsn, frozenset((r.is_lsn,)))
+                    for r in recs
+                    if act_index[r.activity] == aid
+                ]
+                if i == len(by_window):
+                    by_window.append(added)
+                elif added:
+                    by_window[i] = by_window[i] + added
+            new._leaf_spans[aid] = by_window
+        return new
+
     def to_log(self) -> Log:
         """Reconstruct an object-row :class:`Log` equal to the source.
 
@@ -149,10 +268,11 @@ class ColumnarLog:
     def instance(self, wid_value: int) -> tuple[LogRecord, ...]:
         """The records of one instance in ``is_lsn`` order (empty when
         absent) — a slice of the grouped row tuple."""
-        i = bisect_left(self._wid_values, wid_value)
-        if i == len(self._wid_values) or self._wid_values[i] != wid_value:
+        try:
+            _, lo, hi = self.window(wid_value)
+        except KeyError:
             return ()
-        return self._rows[self._starts[i]:self._starts[i + 1]]
+        return self._rows[lo:hi]
 
     @property
     def activities(self) -> frozenset[str]:
@@ -255,6 +375,14 @@ class ColumnarLog:
         starts = self._starts
         for i, wid in enumerate(self._wid_values):
             yield wid, starts[i], starts[i + 1]
+
+    def window(self, wid_value: int) -> tuple[int, int, int]:
+        """``(window number, lo, hi)`` of one instance; ``KeyError`` when
+        the log has no such instance."""
+        i = bisect_left(self._wid_values, wid_value)
+        if i == len(self._wid_values) or self._wid_values[i] != wid_value:
+            raise KeyError(wid_value)
+        return i, self._starts[i], self._starts[i + 1]
 
     def act_rows(self, act_id: int, lo: int = 0, hi: int | None = None) -> array:
         """Ascending row numbers of records with activity ``act_id``,

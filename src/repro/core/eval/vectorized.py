@@ -51,7 +51,7 @@ Neither hook costs anything when it is off.
 from __future__ import annotations
 
 from bisect import bisect_right
-from collections.abc import Callable, Sequence
+from collections.abc import Callable, Iterable, Sequence, Set
 from functools import lru_cache, partial
 
 from repro.columnar.column_log import ColumnarLog, as_columnar
@@ -140,22 +140,69 @@ class VectorizedEngine(Engine):
 
     def evaluate(self, log: "Log | ColumnarLog", pattern: Pattern) -> IncidentSet:
         columnar = as_columnar(log)
+        return self._evaluate(
+            columnar,
+            pattern,
+            enumerate(columnar.wid_windows()),
+            partial(IncidentSet.from_spans, columnar),
+        )
+
+    def evaluate_delta(
+        self,
+        log: "Log | ColumnarLog",
+        pattern: Pattern,
+        base: IncidentSet,
+        touched: Set[int],
+    ) -> IncidentSet:
+        """``evaluate(log, pattern)`` from ``base``, the pattern's kernel
+        result at an earlier epoch of the store ``log`` is a snapshot of,
+        and ``touched``, the instances with a record since: the pattern
+        is compiled once, only the touched windows are joined, and every
+        other instance keeps what it has in ``base``
+        (:meth:`IncidentSet.carried_to
+        <repro.core.incident.IncidentSet.carried_to>`).
+
+        The stats count the joins done, so they are the kernel's over
+        ``log.project(touched)``; ``max_incidents`` bounds the whole
+        result as it does in :meth:`evaluate`.
+        """
+        columnar = as_columnar(log)
+        windows = [
+            (wi, (wid, lo, hi))
+            for wid in sorted(touched)
+            for wi, lo, hi in (columnar.window(wid),)
+        ]
+        return self._evaluate(
+            columnar, pattern, windows, partial(base.carried_to, columnar, touched)
+        )
+
+    def _evaluate(
+        self,
+        columnar: ColumnarLog,
+        pattern: Pattern,
+        windows: Iterable[tuple[int, tuple[int, int, int]]],
+        result: Callable[[list[tuple[int, int, Sequence[_Span]]]], IncidentSet],
+    ) -> IncidentSet:
+        """Join ``windows``, each ``(window number, (wid, lo, hi))`` in wid
+        order; ``result`` makes the incident set of the ``(wid, lo,
+        spans)`` found."""
         stats = self._new_stats()
-        windows: list[tuple[int, int, Sequence[_Span]]] = []
+        found: list[tuple[int, int, Sequence[_Span]]] = []
         n = 0
         with self.tracer.span("evaluate", key=(), engine=self.name, pattern=str(pattern)):
             root = self._compile(columnar, pattern, stats)
-            for wi, (wid, lo, hi) in enumerate(columnar.wid_windows()):
+            for wi, (wid, lo, hi) in windows:
                 self._checkpoint(stats)
                 spans = root(wi, lo, hi)
                 if spans:
-                    windows.append((wid, lo, spans))
+                    found.append((wid, lo, spans))
                     n += len(spans)
-            self._check_budget(n)
+            incidents = result(found)
+            self._check_budget(len(incidents))
             stats.note_live(n)
             stats.incidents_produced += n
         self._finish(stats)
-        return IncidentSet.from_spans(columnar, windows)
+        return incidents
 
     def count(self, log: "Log | ColumnarLog", pattern: Pattern) -> int:
         """Number of incidents; uses the output-free counting DP

@@ -21,8 +21,10 @@ should not be used on large logs.
 
 from __future__ import annotations
 
-from collections.abc import Iterable, Iterator, Sequence
+from bisect import bisect_left
+from collections.abc import Iterable, Iterator, Sequence, Set
 from functools import total_ordering
+from operator import itemgetter
 from typing import TYPE_CHECKING
 
 from repro.core.model import Log, LogRecord
@@ -172,6 +174,19 @@ class Incident:
 CanonicalSpans = tuple[tuple[int, int, tuple[tuple[int, ...], ...]], ...]
 
 
+def _canonical(spans: Sequence[tuple]) -> tuple[tuple[int, ...], ...]:
+    """One instance's kernel spans as ascending position tuples, in
+    canonical order."""
+    return tuple(
+        [
+            positions
+            for _, _, positions in sorted(
+                [(first, last, tuple(sorted(p))) for first, last, p in spans]
+            )
+        ]
+    )
+
+
 class IncidentSet:
     """The incident set ``incL(p)`` of a pattern ``p`` on a log ``L``.
 
@@ -217,11 +232,17 @@ class IncidentSet:
         reads, not ``columnar`` itself, so a cached result does not keep a
         superseded snapshot and its indexes alive.
         """
+        return cls._over(columnar, windows, None)
+
+    @classmethod
+    def _over(cls, columnar: "ColumnarLog", raw, spans) -> "IncidentSet":
+        """A view over ``columnar`` of the kernel's lists ``raw`` or of
+        canonical ``spans`` (one is None)."""
         self = cls.__new__(cls)
-        self._incidents = self._keys = self._spans = None
-        self._size = sum(len(spans) for _, _, spans in windows)
+        self._incidents = self._keys = None
+        self._size = sum(len(found) for _, _, found in (raw if spans is None else spans))
         self._columns = (columnar.rows, columnar.lsn_col, columnar.act_id_col, columnar.act_names)
-        self._raw = windows
+        self._raw, self._spans = raw, spans
         return self
 
     def canonical_spans(self) -> CanonicalSpans | None:
@@ -236,23 +257,38 @@ class IncidentSet:
         """
         raw = self._raw  # before _spans: it is dropped only once _spans is set
         if self._spans is None and raw is not None:
-            self._spans = tuple(
-                (
-                    wid,
-                    lo,
-                    tuple(
-                        [
-                            positions
-                            for _, _, positions in sorted(
-                                [(first, last, tuple(sorted(p))) for first, last, p in spans]
-                            )
-                        ]
-                    ),
-                )
-                for wid, lo, spans in raw
-            )
+            self._spans = tuple((wid, lo, _canonical(spans)) for wid, lo, spans in raw)
             self._raw = None
         return self._spans
+
+    def carried_to(
+        self,
+        columnar: "ColumnarLog",
+        touched: Set[int],
+        windows: Sequence[tuple[int, int, Sequence[tuple]]],
+    ) -> "IncidentSet":
+        """This kernel result at a later epoch of its store, whose
+        snapshot is ``columnar``: the instances in ``touched`` (every one
+        that got a record since) take the spans in ``windows`` (as for
+        :meth:`from_spans`), and every other keeps its canonical tuples
+        with its first row in ``columnar``.
+
+        Exact, because an incident lies inside one instance (Definition
+        4) and an untouched instance has the same records at the same
+        positions.  The new set is in canonical form already.
+        """
+        spans = self.canonical_spans()
+        # rows move only behind the first instance that grew
+        stay = bisect_left(spans, min(touched), key=itemgetter(0))
+        merged = list(spans[:stay])
+        merged += [
+            (wid, columnar.window(wid)[1], tuples)
+            for wid, _, tuples in spans[stay:]
+            if wid not in touched
+        ]
+        merged += [(wid, lo, _canonical(found)) for wid, lo, found in windows]
+        merged.sort(key=itemgetter(0))
+        return IncidentSet._over(columnar, None, tuple(merged))
 
     def _materialized(self) -> tuple[Incident, ...]:
         incidents = self._incidents

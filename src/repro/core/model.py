@@ -23,6 +23,7 @@ from __future__ import annotations
 
 from collections.abc import Iterable, Iterator, Mapping, Sequence
 from dataclasses import dataclass, field
+from operator import attrgetter
 from types import MappingProxyType
 from typing import TYPE_CHECKING, Any
 
@@ -294,14 +295,13 @@ class Log:
             _validate_records(self._records)
         by_wid: dict[int, list[LogRecord]] = {}
         by_activity: dict[str, list[LogRecord]] = {}
-        by_lsn: dict[int, LogRecord] = {}
         for rec in self._records:
             by_wid.setdefault(rec.wid, []).append(rec)
             by_activity.setdefault(rec.activity, []).append(rec)
-            by_lsn[rec.lsn] = rec
         self._by_wid = {w: tuple(rs) for w, rs in by_wid.items()}
         self._by_activity = {a: tuple(rs) for a, rs in by_activity.items()}
-        self._by_lsn = by_lsn
+        # lsn -> record, built by the first record() / `in` that needs it
+        self._by_lsn: dict[int, LogRecord] | None = None
 
     # -- construction -------------------------------------------------------
 
@@ -411,7 +411,7 @@ class Log:
     def __contains__(self, record: object) -> bool:
         if not isinstance(record, LogRecord):
             return False
-        return self._by_lsn.get(record.lsn) == record
+        return self._lsn_index().get(record.lsn) == record
 
     def __eq__(self, other: object) -> bool:
         if not isinstance(other, Log):
@@ -495,7 +495,13 @@ class Log:
 
         Raises ``KeyError`` if no such record exists.
         """
-        return self._by_lsn[lsn_value]
+        return self._lsn_index()[lsn_value]
+
+    def _lsn_index(self) -> dict[int, LogRecord]:
+        index = self._by_lsn
+        if index is None:
+            index = self._by_lsn = {r.lsn: r for r in self._records}
+        return index
 
     def instance(self, wid_value: int) -> tuple[LogRecord, ...]:
         """All records of workflow instance ``wid_value`` in is-lsn order."""
@@ -525,6 +531,34 @@ class Log:
         user is done.
         """
         self._columnar = None
+
+    def extended(self, tail: Iterable[LogRecord]) -> "Log":
+        """This log followed by ``tail``: the next snapshot of the
+        append-only store this one was taken of.
+
+        Definition 2 is checked for ``tail`` only, against what this log
+        already proves, and fails with the errors the whole-log check
+        raises.  The index entries of the instances and activities
+        ``tail`` leaves alone are shared with this log, and a columnar
+        form this log has built is extended, not rebuilt
+        (:meth:`ColumnarLog.extended
+        <repro.columnar.column_log.ColumnarLog.extended>`).  The epoch
+        advances by ``len(tail)``, a store's epoch being its record count.
+        """
+        tail = tuple(tail)
+        records = self._records + tail
+        _validate_records(records, len(self._records), self._by_wid)
+        new = Log.__new__(Log)
+        new._records = records
+        new._epoch = self._epoch + len(tail)
+        new._lineage = self._lineage
+        new._is_snapshot = self._is_snapshot
+        new._fingerprint = new._by_lsn = None
+        new._by_wid = _index_extended(self._by_wid, tail, attrgetter("wid"))
+        new._by_activity = _index_extended(self._by_activity, tail, attrgetter("activity"))
+        columnar = self._columnar
+        new._columnar = None if columnar is None else columnar.extended(new, tail)
+        return new
 
     def with_activity(self, activity: str) -> tuple[LogRecord, ...]:
         """All records with the given activity name, in lsn order.
@@ -599,14 +633,37 @@ class Log:
             object.__setattr__(self, slot, value)
 
 
-def _validate_records(records: Sequence[LogRecord]) -> None:
-    """Enforce the four conditions of Definition 2 on sorted records."""
+def _index_extended(index: dict, tail: Sequence[LogRecord], key) -> dict:
+    """``index`` (key -> record tuple) with ``tail`` filed under ``key``;
+    the tuples of keys ``tail`` does not mention are shared, not copied."""
+    fresh: dict[Any, list[LogRecord]] = {}
+    for record in tail:
+        fresh.setdefault(key(record), []).append(record)
+    index = dict(index)
+    for k, added in fresh.items():
+        index[k] = index.get(k, ()) + tuple(added)
+    return index
+
+
+def _validate_records(
+    records: Sequence[LogRecord],
+    checked: int = 0,
+    proven: Mapping[int, Sequence[LogRecord]] | None = None,
+) -> None:
+    """Enforce the four conditions of Definition 2 on sorted records.
+
+    The first ``checked`` records are taken as well-formed already, with
+    ``proven`` their per-instance index: the last record of an instance
+    gives the next is-lsn to expect and whether the instance has ended,
+    which is all the conditions ask of what came before.
+    """
     if not records:
         raise LogValidationError("a log must be a nonempty set of records")
+    tail = records[checked:]
 
     # Condition 1: lsn values are exactly 1..|L| (bijection with an initial
     # segment of the positive naturals).
-    for position, record in enumerate(records, start=1):
+    for position, record in enumerate(tail, start=checked + 1):
         if record.lsn != position:
             raise LogValidationError(
                 f"lsn values must be exactly 1..{len(records)}; "
@@ -617,7 +674,14 @@ def _validate_records(records: Sequence[LogRecord]) -> None:
 
     last_is_lsn: dict[int, int] = {}
     ended: set[int] = set()
-    for record in records:
+    if proven:
+        for wid_value in {record.wid for record in tail}:
+            seen = proven.get(wid_value)
+            if seen:
+                last_is_lsn[wid_value] = seen[-1].is_lsn
+                if seen[-1].is_end:
+                    ended.add(wid_value)
+    for record in tail:
         if record.wid in ended:
             raise LogValidationError(
                 f"instance {record.wid} has records after its END record",

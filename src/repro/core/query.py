@@ -90,8 +90,10 @@ class Query:
         when caching is off.
     last_cache_layer:
         ``"result"`` when the cache served the most recent :meth:`run`,
-        :meth:`exists` or :meth:`count`, None when it was evaluated
-        (cold).  Reported by :meth:`explain` and the CLI.
+        :meth:`exists` or :meth:`count`; ``"delta"`` when :meth:`run`
+        evaluated only the instances appended to since an earlier epoch's
+        cached result; None when it was evaluated whole (cold).  Reported
+        by :meth:`explain` and the CLI.
     """
 
     def __init__(
@@ -190,6 +192,18 @@ class Query:
         tracer = self.options.tracer if self.options.tracer is not None else NULL_TRACER
         return self.cache.get_result(key, tracer=tracer)
 
+    def _delta_base(self, op: str, key):
+        """``(epoch, incidents)`` a kernel ``run`` that missed can start
+        from — what the cache holds for this query at an earlier epoch of
+        the same store, in span form — or None: then the log is evaluated
+        whole."""
+        if op != "run" or key is None or not isinstance(self.engine, VectorizedEngine):
+            return None
+        base = self.cache.peek_base(key)
+        if base is None or base[1].canonical_spans() is None:
+            return None
+        return base
+
     def _execute(self, op: str, log: Log):
         """The one run scaffold behind :meth:`run`, :meth:`exists` and
         :meth:`count`: begin → cache probe → (plan → evaluate) → terminal
@@ -200,7 +214,9 @@ class Query:
         (``cache_result_hits``), never a diff of the cache's process-wide
         counters, which other queries move.  Only ``run`` produces a full
         incident set, so only ``run`` stores one — and, on a hit, reports
-        the stored stats as its own.
+        the stored stats as its own.  A kernel ``run`` that misses
+        evaluates only the instances appended to since the epoch the
+        cache holds its pattern at, when it holds one (``"delta"``).
         """
         engine_method, from_cached = _OPS[op]
         self.last_cache_layer = None
@@ -222,7 +238,14 @@ class Query:
                     recorder.plan(
                         optimized=str(optimized), changed=optimized != self.pattern
                     )
-                value = getattr(self.engine, engine_method)(log, optimized)
+                base = self._delta_base(op, key)
+                if base is not None:
+                    self.last_cache_layer = "delta"
+                    epoch, incidents = base
+                    touched = {record.wid for record in log.records[epoch:]}
+                    value = self.engine.evaluate_delta(log, optimized, incidents, touched)
+                else:
+                    value = getattr(self.engine, engine_method)(log, optimized)
                 stats = self.engine.last_stats
                 if op == "run":
                     if recorder is not None:
@@ -236,8 +259,8 @@ class Query:
                 payload = {}
                 if key is not None:
                     payload["cache_result_hits"] = int(hit is not None)
-                if hit is not None:
-                    payload["cache_layer"] = "result"
+                if self.last_cache_layer is not None:
+                    payload["cache_layer"] = self.last_cache_layer
                 recorder.finish(
                     stats=stats,
                     incidents=len(value) if op == "run" else int(value),

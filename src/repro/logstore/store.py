@@ -85,26 +85,13 @@ class LogStore:
 
         Returns the instance id (auto-assigned when ``wid`` is None).
         """
-        if wid is None:
-            wid = self._next_wid
-        if wid in self._next_is_lsn:
-            raise LogStoreError(f"instance {wid} is already open")
-        if wid < 1:
-            raise LogStoreError("wid must be a positive integer")
-        self._next_wid = max(self._next_wid, wid + 1)
-        self._next_is_lsn[wid] = 1
-        self._append_raw(wid, START)
-        if self.metrics is not None:
-            self.metrics.counter("logstore.instances_opened").inc()
-        logger.debug("opened instance %d", wid)
-        return wid
+        (record,) = self.append_batch([(wid, START, None, None)])
+        logger.debug("opened instance %d", record.wid)
+        return record.wid
 
     def close_instance(self, wid: int) -> LogRecord:
         """Write the instance's ``END`` record; further appends fail."""
-        record = self._append_raw(wid, END)
-        self._closed.add(wid)
-        if self.metrics is not None:
-            self.metrics.counter("logstore.instances_closed").inc()
+        (record,) = self.append_batch([(wid, END, None, None)])
         logger.debug("closed instance %d at lsn %d", wid, record.lsn)
         return record
 
@@ -127,32 +114,68 @@ class LogStore:
             raise LogStoreError(
                 f"{activity} records are written by open/close_instance"
             )
-        return self._append_raw(wid, activity, attrs_in, attrs_out)
-
-    def _append_raw(
-        self,
-        wid: int,
-        activity: str,
-        attrs_in: AttrMap | None = None,
-        attrs_out: AttrMap | None = None,
-    ) -> LogRecord:
-        if wid not in self._next_is_lsn:
-            raise LogStoreError(f"unknown instance {wid}; call open_instance first")
-        if wid in self._closed:
-            raise LogStoreError(f"instance {wid} is closed")
-        record = LogRecord(
-            lsn=len(self._records) + 1,
-            wid=wid,
-            is_lsn=self._next_is_lsn[wid],
-            activity=activity,
-            attrs_in=attrs_in,
-            attrs_out=attrs_out,
-        )
-        self._records.append(record)
-        self._next_is_lsn[wid] += 1
-        if self.metrics is not None:
-            self.metrics.counter("logstore.records_appended").inc()
+        (record,) = self.append_batch([(wid, activity, attrs_in, attrs_out)])
         return record
+
+    def append_batch(
+        self,
+        operations: Iterable[tuple[int | None, str, AttrMap | None, AttrMap | None]],
+    ) -> list[LogRecord]:
+        """Append ``(wid, activity, attrs_in, attrs_out)`` operations as one
+        step: all of them, or none if any breaks a rule.
+
+        ``START`` opens ``wid`` (the next free id when None), ``END``
+        closes it, anything else is an activity of an open instance.  The
+        whole batch is checked against the store's state and its own
+        earlier operations before the store changes; the records then
+        land in one ``list.extend``, so the epoch moves once and a
+        snapshot holds all of the batch or none of it.
+        """
+        next_is_lsn: dict[int, int] = {}
+        closed: set[int] = set()
+        next_wid = self._next_wid
+        records: list[LogRecord] = []
+        for wid, activity, attrs_in, attrs_out in operations:
+            if activity == START:
+                if wid is None:
+                    wid = next_wid
+                if wid in next_is_lsn or wid in self._next_is_lsn:
+                    raise LogStoreError(f"instance {wid} is already open")
+                if wid < 1:
+                    raise LogStoreError("wid must be a positive integer")
+                next_wid = max(next_wid, wid + 1)
+                is_lsn = 1
+            else:
+                is_lsn = next_is_lsn.get(wid) or self._next_is_lsn.get(wid)
+                if is_lsn is None:
+                    raise LogStoreError(
+                        f"unknown instance {wid}; call open_instance first"
+                    )
+                if wid in closed or wid in self._closed:
+                    raise LogStoreError(f"instance {wid} is closed")
+                if activity == END:
+                    closed.add(wid)
+            records.append(
+                LogRecord(
+                    lsn=len(self._records) + len(records) + 1,
+                    wid=wid,
+                    is_lsn=is_lsn,
+                    activity=activity,
+                    attrs_in=attrs_in,
+                    attrs_out=attrs_out,
+                )
+            )
+            next_is_lsn[wid] = is_lsn + 1
+        self._records.extend(records)
+        self._next_is_lsn.update(next_is_lsn)
+        self._closed |= closed
+        self._next_wid = next_wid
+        if self.metrics is not None:
+            counter = self.metrics.counter
+            counter("logstore.records_appended").inc(len(records))
+            counter("logstore.instances_opened").inc(sum(r.is_start for r in records))
+            counter("logstore.instances_closed").inc(len(closed))
+        return records
 
     # -- reading -----------------------------------------------------------
 
@@ -178,8 +201,11 @@ class LogStore:
         current contents.  Queries run over snapshots; the store can keep
         appending afterwards.
 
-        The log is built (and checked against Definition 2) once per
-        epoch: every call until the next append returns the same object.
+        The log is built once per epoch: every call until the next
+        append returns the same object.  The first one is built from, and
+        checked against Definition 2 over, every record; each later one
+        extends its predecessor by the records appended since
+        (:meth:`Log.extended <repro.core.model.Log.extended>`).
         """
         if not self._records:
             raise LogStoreError("cannot snapshot an empty store")
@@ -188,22 +214,26 @@ class LogStore:
         with self._snapshot_lock:
             cached = self._snapshot
             if cached is None or cached.epoch != len(self._records):
-                # One atomic capture: the epoch stamped on the log is the
-                # length of the very tuple it holds, whatever appends
-                # land while it is being validated.
-                records = tuple(self._records)
-                if cached is not None:
-                    # megabytes per epoch: not left to the cycle collector
-                    cached.forget_columnar()
                 if self.metrics is not None:
                     self.metrics.counter("logstore.snapshot_builds").inc()
-                logger.debug("snapshot: building epoch %d", len(records))
-                cached = self._snapshot = Log(
-                    records,
-                    epoch=len(records),
-                    lineage=self._lineage,
-                    snapshot=True,
-                )
+                # Either way one atomic capture: the epoch stamped on the
+                # log is the count of the very records it holds, whatever
+                # appends land while they are being validated.
+                if cached is None:
+                    records = tuple(self._records)
+                    cached = Log(
+                        records,
+                        epoch=len(records),
+                        lineage=self._lineage,
+                        snapshot=True,
+                    )
+                else:
+                    previous = cached
+                    cached = previous.extended(self._records[previous.epoch :])
+                    # megabytes per epoch: not left to the cycle collector
+                    previous.forget_columnar()
+                logger.debug("snapshot: built epoch %d", cached.epoch)
+                self._snapshot = cached
         return cached
 
     def columnar(self) -> "ColumnarLog":

@@ -21,7 +21,11 @@ matches the originating bench module:
   tracemalloc peak-allocation probe (PR 7);
 * ``service.*``      — the HTTP daemon driven in-process through
   ``QueryService.dispatch``: warm-cache query latency and saturation
-  shedding under a full worker pool (PR 8).
+  shedding under a full worker pool (PR 8);
+* ``live.*``         — what a running store costs: the windowed telemetry
+  hot path, and the first cached run after an append batch
+  (``delta_append`` also fails if the columns are rebuilt or more than
+  the appended instance is joined).
 
 The ``smoke`` suite is the cheap CI subset (sub-second per case on any
 host); ``full`` adds the larger sweeps.  Import cost: this module pulls
@@ -421,6 +425,56 @@ def register_standard_cases(registry: BenchRegistry) -> None:
                 evaluator.append(record)
             return evaluator.incidents()
 
+        return run
+
+    @registry.case(
+        "live.delta_append",
+        suites=("smoke", "full"),
+        description="append one 10-record instance, snapshot, first cached "
+        "run of the chain: the epoch is extended, only the new instance joined",
+        instances=120,
+    )
+    def _live_delta_append(instances: int) -> Callable[[], Any]:
+        from repro.cache import QueryCache
+        from repro.core.model import END, START
+        from repro.core.options import EngineOptions
+        from repro.core.query import Query
+        from repro.logstore import LogStore
+
+        store = LogStore.from_log(clinic_log(instances, seed=42))
+        query = Query(
+            parse("GetRefer -> CheckIn -> SeeDoctor"),
+            EngineOptions(cache=QueryCache()),
+        )
+        query.run(store.snapshot())
+        batch = (
+            START, "GetRefer", "CheckIn", "SeeDoctor", "PayTreatment",
+            "TakeTreatment", "UpdateRefer", "GetReimburse", "CompleteRefer", END,
+        )  # fmt: skip
+
+        def run() -> Any:
+            wid = len(store) + 1  # above every wid there is
+            store.append_batch([(wid, activity, None, None) for activity in batch])
+            return query.run(store.snapshot())
+
+        # machine-independent: the columns were extended, not rebuilt (the
+        # first window's leaf spans are the previous epoch's very list),
+        # and one join ran per binary node for the one instance appended to
+        columnar = store.snapshot().columnar()
+        leaf = columnar.act_id_of("GetRefer")
+        before = columnar.leaf_spans(leaf)[0]
+        run()
+        stats = query.engine.last_stats
+        if (
+            store.snapshot().columnar().leaf_spans(leaf)[0] is not before
+            or query.last_cache_layer != "delta"
+            or stats.operator_evals != 2
+        ):
+            raise ReproError(
+                f"live.delta_append: served by {query.last_cache_layer!r} with "
+                f"{stats.operator_evals} operator evaluation(s) (expected 'delta' "
+                "with 2), or the whole log's columns were rebuilt"
+            )
         return run
 
     # -- service (the HTTP daemon, driven in-process) ---------------------

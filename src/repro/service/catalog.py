@@ -17,13 +17,16 @@ Stores stay *live*: ``POST /v1/logs/{name}/records`` appends through
 signal the PR-5 result cache keys on (``("lineage", store_id, epoch)``)
 — so a hot append invalidates precisely the cached results of that one
 log.  All mutation goes through one catalog lock, so appenders
-interleave at batch granularity.  Queries do not take that lock: they
-read through :meth:`LogStore.snapshot`, which captures the record list
-in one atomic step (the epoch it stamps is the length of that capture)
+interleave at batch granularity, and a batch is atomic
+(:meth:`LogStore.append_batch <repro.logstore.store.LogStore.append_batch>`):
+it is checked whole against the store before anything changes, one that
+breaks a rule changes nothing, and one that passes lands in a single
+step that moves the epoch once.  Queries do not take the catalog lock:
+they read through :meth:`LogStore.snapshot`, which captures the records
+in one atomic step (the epoch it stamps is the count of that capture)
 and builds the validated log at most once per epoch under the store's
-own snapshot lock.  A query that arrives while a batch is being applied
-can therefore see a prefix of the batch, always a well-formed log whose
-epoch names exactly the records it holds, never a torn one.
+own snapshot lock.  A query therefore sees all of a batch or none of it,
+always a well-formed log whose epoch names exactly the records it holds.
 """
 
 from __future__ import annotations
@@ -217,13 +220,10 @@ class StoreCatalog:
         return self.get(name).snapshot()
 
     def describe(self) -> list[dict[str, Any]]:
-        """Catalog listing for ``GET /v1/logs``."""
+        """Catalog listing for ``GET /v1/logs``; each row is read between
+        batches, under the lock they are applied under."""
         with self._lock:
-            items = sorted(self._stores.items())
-            sources = dict(self._sources)
-        listing = []
-        for name, store in items:
-            listing.append(
+            return [
                 {
                     "name": name,
                     "records": len(store),
@@ -231,49 +231,35 @@ class StoreCatalog:
                     "open_instances": list(store.open_instances),
                     "epoch": store.epoch,
                     "lineage": store.lineage,
-                    "source": sources.get(name, "<memory>"),
+                    "source": self._sources.get(name, "<memory>"),
                 }
-            )
-        return listing
+                for name, store in sorted(self._stores.items())
+            ]
 
     def append_batch(self, name: str, records: Any) -> dict[str, Any]:
         """Apply one validated append request to the named store.
 
         ``records`` is the tuple of
         :class:`~repro.service.schemas.AppendRecord` operations.  The
-        whole batch runs under the catalog lock so concurrent appenders
-        interleave at batch granularity, and the response reports the
-        resulting epoch (what cache-invalidation tests assert on).
+        batch is applied whole or, on a :class:`LogStoreError`, not at
+        all, under the catalog lock so concurrent appenders interleave at
+        batch granularity; the response reports the epoch it left the
+        store at (what cache-invalidation tests assert on).
         """
         store = self.get(name)
-        appended = opened = closed = 0
-        wids: list[int] = []
         with self._lock:
-            for record in records:
-                if record.activity == "START":
-                    wid = store.open_instance(record.wid)
-                    wids.append(wid)
-                    opened += 1
-                elif record.activity == "END":
-                    assert record.wid is not None  # schema guarantees it
-                    store.close_instance(record.wid)
-                    wids.append(record.wid)
-                    closed += 1
-                else:
-                    assert record.wid is not None  # schema guarantees it
-                    store.append(
-                        record.wid,
-                        record.activity,
-                        attrs_in=record.attrs_in,
-                        attrs_out=record.attrs_out,
-                    )
-                    wids.append(record.wid)
-                    appended += 1
+            written = store.append_batch(
+                (record.wid, record.activity, record.attrs_in, record.attrs_out)
+                for record in records
+            )
+            epoch = store.epoch
+        opened = sum(r.is_start for r in written)
+        closed = sum(r.is_end for r in written)
         return {
             "log": name,
-            "appended": appended,
+            "appended": len(written) - opened - closed,
             "opened": opened,
             "closed": closed,
-            "wids": wids,
-            "epoch": store.epoch,
+            "wids": [r.wid for r in written],
+            "epoch": epoch,
         }

@@ -1,6 +1,6 @@
-"""QueryCache behaviour: epoch-keyed result identity, superseded epochs
-dropped on store, one byte budget with observable evictions, and the
-``cache.*`` metrics family."""
+"""QueryCache behaviour: epoch-keyed result identity, a pattern's
+superseded epoch replaced on store, one byte budget with observable
+evictions, and the ``cache.*`` metrics family."""
 
 import sys
 import threading
@@ -143,33 +143,46 @@ class TestResultLayer:
 
 
 class TestSupersededEpochs:
-    """A lineage only moves forward: what was stored for an older epoch
-    can never be probed again, so it does not stay."""
+    """A lineage only moves forward, so a pattern is held at one epoch,
+    the newest stored: the cache of a store that takes appends is as
+    large as a static one's."""
 
-    def test_newer_epoch_drops_the_lineages_older_entries(self):
+    def test_newer_epoch_replaces_the_patterns_older_entry(self):
         store = make_store({1: ["A", "B"]})
         other = make_store({1: ["A", "B"]}).snapshot()
         loose = Log.from_traces({1: ["A", "B"]})
         cache = QueryCache()
         old = store.snapshot()
-        old_keys = [cache.result_key(old, parse(text)) for text in ("A -> B", "A")]
+        replaced, kept = (cache.result_key(old, parse(text)) for text in ("A -> B", "A"))
         bystanders = [cache.result_key(log, PATTERN) for log in (other, loose)]
-        for key in old_keys + bystanders:
+        for key in [replaced, kept] + bystanders:
             assert cache.put_result(key, Query(PATTERN).run(old))
 
         store.append(wid=1, activity="C")
         new = store.snapshot()
         new_key = cache.result_key(new, PATTERN)
+        assert cache.peek_base(new_key)[0] == old.epoch
         assert cache.put_result(new_key, Query(PATTERN).run(new))
 
         snapshot = cache.stats()
-        assert snapshot["result_entries"] == 3  # new epoch + the two bystanders
-        assert snapshot["result_evictions"] == 0  # dropped, not evicted
-        for key in old_keys:
-            assert cache.get_result(key) is None
-        # another lineage and a content-fingerprint identity are untouched
-        for key in bystanders + [new_key]:
+        # "A -> B" at the new epoch, "A" still at the old, the two bystanders
+        assert snapshot["result_entries"] == 4
+        assert snapshot["result_evictions"] == 0  # replaced, not evicted
+        assert snapshot["result_bytes"] == sum(
+            n for _, n in cache._results._entries.values()
+        )
+        assert cache.get_result(replaced) is None
+        assert cache.peek_base(new_key) is None
+        # another pattern, another lineage and a content-fingerprint
+        # identity are untouched; the other pattern's entry is what its
+        # next evaluation starts from
+        for key in [kept, new_key] + bystanders:
             assert cache.get_result(key) is not None
+        epoch, base = cache.peek_base(cache.result_key(new, parse("A")))
+        assert epoch == old.epoch and base is cache.get_result(kept).incidents
+        # looking at a base is neither a hit nor a miss
+        assert cache.stats()["result_hits"] == snapshot["result_hits"] + 5
+        assert cache.stats()["result_misses"] == snapshot["result_misses"] + 1
 
     def test_late_put_for_a_superseded_epoch_is_refused(self):
         store = make_store({1: ["A", "B"]})
@@ -186,10 +199,11 @@ class TestSupersededEpochs:
         # same epoch, another pattern: still welcome
         assert cache.put_result(cache.result_key(new, parse("A")), Query("A").run(new))
 
-    def test_accounting_holds_under_a_writer_and_four_readers(self):
+    def test_accounting_holds_per_pattern_under_a_writer_and_four_readers(self):
         """One writer advances epochs with put_result while four readers
         probe: the byte total always equals the live entries' charges,
-        stays within budget, and only the newest epoch's keys remain."""
+        stays within budget, and no pattern is ever held twice or at an
+        epoch older than the last one stored for it."""
         patterns = [parse(text) for text in ("A -> B", "A", "B", "A | B")]
         store = make_store({1: ["A", "B", "A", "B"]})
         result = Query(PATTERN).run(store.snapshot())
@@ -197,17 +211,21 @@ class TestSupersededEpochs:
         cache = QueryCache(CachePolicy(result_budget_bytes=budget))
         keys_lock = threading.Lock()
         recent_keys: list = []
+        stored_at: dict = {}  # pattern component of the key -> epoch of its last put
         done = threading.Event()
         failures: list[str] = []
 
         def check_invariant():
             with cache._lock:
-                charges = sum(n for _, n in cache._results._entries.values())
+                held = dict(cache._results._entries)
                 total = cache._results.total_bytes
+            charges = sum(n for _, n in held.values())
             if total != charges:
                 failures.append(f"result_bytes {total} != charges {charges}")
             if total > budget:
                 failures.append(f"result_bytes {total} over budget {budget}")
+            if len({slot[1] for slot in held}) != len(held):
+                failures.append(f"a pattern is held twice: {sorted(map(str, held))}")
 
         def advance(count):
             store.append(wid=1, activity="A")
@@ -217,14 +235,13 @@ class TestSupersededEpochs:
                 recent_keys[:] = keys
             for key in keys:
                 cache.put_result(key, result)
+                stored_at[key[1]] = snap.epoch
                 check_invariant()
 
         def writer():
             try:
                 for _ in range(150):
                     advance(len(patterns))
-                # the LRU alone would leave two of the previous epoch's
-                # keys behind this one
                 advance(1)
             finally:
                 done.set()
@@ -235,6 +252,7 @@ class TestSupersededEpochs:
                     keys = list(recent_keys)
                 for key in keys:
                     cache.get_result(key)
+                    cache.peek_base(key)
                 check_invariant()
 
         threads = [threading.Thread(target=writer)] + [
@@ -251,9 +269,11 @@ class TestSupersededEpochs:
             sys.setswitchinterval(interval)
         assert not any(thread.is_alive() for thread in threads)
         assert failures == []
-        newest = QueryCache.log_identity(store.snapshot())
-        assert cache._results.keys() == recent_keys
-        assert recent_keys[0][0] == newest
+        held = {slot[1]: epoch for slot, ((epoch, _), _) in cache._results._entries.items()}
+        assert 1 <= len(held) <= 3
+        assert all(epoch == stored_at[pattern] for pattern, epoch in held.items())
+        # the last put is held, at the store's epoch
+        assert held[recent_keys[0][1]] == store.epoch
         assert cache.stats()["result_evictions"] > 0  # the budget was exercised
 
 

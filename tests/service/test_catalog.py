@@ -123,3 +123,97 @@ def test_append_to_closed_instance_raises() -> None:
     )
     with pytest.raises(LogStoreError, match="closed"):
         catalog.append_batch("log", request.records)
+
+
+def _state(catalog: StoreCatalog) -> tuple:
+    store = catalog.get("log")
+    return store.epoch, len(store), store.open_instances, catalog.describe()
+
+
+@pytest.mark.parametrize(
+    "bad",
+    [
+        {"activity": "A", "wid": 99},  # unknown instance
+        {"activity": "A", "wid": 1},  # closed before the batch
+        {"activity": "START", "wid": 7},  # opened twice by the batch itself
+        {"activity": "START", "wid": 1},  # already in the store
+        {"activity": "END", "wid": 99},
+    ],
+)
+def test_a_failing_batch_changes_nothing(bad) -> None:
+    catalog = StoreCatalog()
+    catalog.add("log", _store_with(["A"]))
+    before = _state(catalog)
+    request = parse_append_request(
+        {"records": [{"activity": "START", "wid": 7}, {"activity": "A", "wid": 7}, bad]}
+    )
+    with pytest.raises(LogStoreError):
+        catalog.append_batch("log", request.records)
+    assert _state(catalog) == before
+    # the same batch without its bad record goes through, as one epoch step
+    result = catalog.append_batch("log", request.records[:2])
+    assert result["epoch"] == before[0] + 2 and result["wids"] == [7, 7]
+    assert catalog.get("log").open_instances == (7,)
+
+
+def test_a_batch_sees_its_own_earlier_records() -> None:
+    catalog = StoreCatalog()
+    catalog.add("log", _store_with(["A"]))
+    closed_then_used = parse_append_request(
+        {
+            "records": [
+                {"activity": "START"},
+                {"activity": "END", "wid": 2},
+                {"activity": "A", "wid": 2},
+            ]
+        }
+    )
+    with pytest.raises(LogStoreError, match="instance 2 is closed"):
+        catalog.append_batch("log", closed_then_used.records)
+    assert catalog.get("log").epoch == 3
+
+
+def test_snapshots_never_hold_part_of_a_batch() -> None:
+    """Readers that snapshot a store while batches land on it see every
+    batch whole: the epoch only ever stands between two batches."""
+    import threading
+
+    catalog = StoreCatalog()
+    catalog.add("log", _store_with(["A"]))
+    store = catalog.get("log")
+    base, batch, rounds = store.epoch, 40, 150
+    done = threading.Event()
+    torn: list[int] = []
+
+    def writer() -> None:
+        try:
+            for _ in range(rounds):
+                wid = len(store.wid_record_counts()) + 1
+                records = [{"activity": "START", "wid": wid}]
+                records += [{"activity": "A", "wid": wid}] * (batch - 2)
+                records.append({"activity": "END", "wid": wid})
+                catalog.append_batch("log", parse_append_request({"records": records}).records)
+        finally:
+            done.set()
+
+    def reader() -> None:
+        while not done.is_set():
+            snapshot = store.snapshot()
+            if (snapshot.epoch - base) % batch or len(snapshot) != snapshot.epoch:
+                torn.append(snapshot.epoch)
+
+    threads = [threading.Thread(target=writer)] + [
+        threading.Thread(target=reader) for _ in range(4)
+    ]
+    interval = sys.getswitchinterval()
+    sys.setswitchinterval(1e-5)
+    try:
+        for thread in threads:
+            thread.start()
+        for thread in threads:
+            thread.join(timeout=120)
+    finally:
+        sys.setswitchinterval(interval)
+    assert not any(thread.is_alive() for thread in threads)
+    assert torn == []
+    assert store.epoch == base + rounds * batch

@@ -329,7 +329,11 @@ class TestCacheOverHttp:
         assert append.headers["X-Query-Id"].startswith("q-")
 
         third = payload(post(service, "/v1/query", body))
-        assert third["cache_layer"] is None  # epoch moved: result is cold
+        # epoch moved: the held result does not serve, the run starts from
+        # it and joins only the instance appended to
+        assert third["cache_layer"] == "delta"
+        assert third["count"] == first["count"]
+        assert third["stats"]["operator_evals"] == 1 < first["stats"]["operator_evals"]
         assert third["epoch"] == first["epoch"] + 2
         text = service.dispatch("GET", "/metrics").body().decode()
         assert metric_value(text, "repro_cache_result_misses") == 2.0
@@ -378,6 +382,22 @@ class TestCacheOverHttp:
         )
         assert response.status == 422
         assert payload(response)["error"]["code"] == "unprocessable"
+
+    def test_a_422_batch_leaves_the_store_as_it_was(self, service):
+        listing = service.dispatch("GET", "/v1/logs").body()
+        response = post(
+            service, "/v1/logs/clinic/records",
+            {"records": [
+                {"activity": "START", "wid": 7000},
+                {"activity": "GetRefer", "wid": 7000},
+                {"activity": "GetRefer", "wid": 9999},  # never opened
+            ]},
+        )
+        assert response.status == 422
+        assert "unknown instance 9999" in payload(response)["error"]["message"]
+        # no record of the batch stayed behind the error: same epoch, same
+        # record count, instance 7000 not left open
+        assert service.dispatch("GET", "/v1/logs").body() == listing
 
 
 class TestJournal:

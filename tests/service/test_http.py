@@ -156,3 +156,77 @@ def test_server_stop_drains(server) -> None:
     assert status == 200
     server.stop()
     assert server.service.draining
+
+
+def test_no_reader_sees_part_of_a_batch(server) -> None:
+    """While one client posts append batches, four others read the epoch
+    (``/v1/logs`` and query replies): it only ever stands between
+    batches, and what a query counts is what that epoch holds."""
+    import sys
+    import threading
+
+    batch = 3000  # records per batch, one whole instance: milliseconds to apply
+    rounds = 8
+    _, _, body = _request(server.url, "GET", "/v1/logs")
+    base = json.loads(body)["logs"][0]["epoch"]
+    _, _, body = _request(
+        server.url, "POST", "/v1/query", {"log": "clinic", "pattern": "Tick", "mode": "count"}
+    )
+    assert json.loads(body)["count"] == 0
+    done = threading.Event()
+    seen: list[tuple[int, int | None]] = []  # (epoch, Tick count or None)
+    errors: list[str] = []
+
+    def writer() -> None:
+        try:
+            for _ in range(rounds):
+                _, _, body = _request(server.url, "GET", "/v1/logs")
+                wid = json.loads(body)["logs"][0]["instances"] + 1
+                records = [{"activity": "START", "wid": wid}]
+                records += [{"activity": "Tick", "wid": wid}] * (batch - 2)
+                records.append({"activity": "END", "wid": wid})
+                status, _, body = _request(
+                    server.url, "POST", "/v1/logs/clinic/records", {"records": records}
+                )
+                if status != 200:
+                    errors.append(f"append answered {status}: {body[:200]!r}")
+        finally:
+            done.set()
+
+    def reader(query: bool) -> None:
+        while not done.is_set():
+            if query:
+                status, _, body = _request(
+                    server.url,
+                    "POST",
+                    "/v1/query",
+                    {"log": "clinic", "pattern": "Tick", "mode": "count"},
+                )
+                doc = json.loads(body)
+                seen.append((doc["epoch"], doc["count"]))
+            else:
+                status, _, body = _request(server.url, "GET", "/v1/logs")
+                seen.append((json.loads(body)["logs"][0]["epoch"], None))
+            if status != 200:
+                errors.append(f"reader got {status}")
+
+    threads = [threading.Thread(target=writer)] + [
+        threading.Thread(target=reader, args=(i % 2 == 0,)) for i in range(4)
+    ]
+    interval = sys.getswitchinterval()
+    sys.setswitchinterval(1e-5)
+    try:
+        for thread in threads:
+            thread.start()
+        for thread in threads:
+            thread.join(timeout=120)
+    finally:
+        sys.setswitchinterval(interval)
+    assert not any(thread.is_alive() for thread in threads)
+    assert errors == []
+    assert len(seen) > rounds
+    torn = [(e, c) for e, c in seen if (e - base) % batch]
+    assert torn == []
+    assert all(c == (e - base) // batch * (batch - 2) for e, c in seen if c is not None)
+    _, _, body = _request(server.url, "GET", "/v1/logs")
+    assert json.loads(body)["logs"][0]["epoch"] == base + rounds * batch
