@@ -21,6 +21,7 @@ should not be used on large logs.
 
 from __future__ import annotations
 
+import json
 from bisect import bisect_left
 from collections.abc import Iterable, Iterator, Sequence, Set
 from functools import total_ordering
@@ -363,8 +364,7 @@ class IncidentSet:
         read off its spans and the log's columns; it builds no
         :class:`Incident`.
         """
-        spans = self.canonical_spans()
-        if spans is None:
+        if self._columns is None:
             return [
                 {
                     "wid": o.wid,
@@ -375,23 +375,57 @@ class IncidentSet:
                 }
                 for o in self._materialized()[:limit]
             ]
-        stop = len(range(self._size)[:limit])  # as many as slicing by limit keeps
         _, lsn, act_id, names = self._columns
-        out: list[dict[str, object]] = []
-        for wid, lo, tuples in spans:
-            if len(out) == stop:
-                break
+        return [
+            {
+                "wid": wid,
+                "first": positions[0],
+                "last": positions[-1],
+                "lsns": tuple([lsn[base + p] for p in positions]),
+                "activities": tuple([names[act_id[base + p]] for p in positions]),
+            }
+            for wid, base, tuples in self._shown(limit)
+            for positions in tuples
+        ]
+
+    def _shown(self, limit: int | None) -> Iterator[tuple[int, int, tuple]]:
+        """A kernel result's first ``limit`` incidents, instance by
+        instance: ``(wid, base, position tuples)`` with the record at
+        position ``p`` in row ``base + p``."""
+        left = len(range(self._size)[:limit])  # as many as slicing by limit keeps
+        for wid, lo, tuples in self.canonical_spans():
+            if not left:
+                return
+            tuples = tuples[:left]
+            left -= len(tuples)
+            yield wid, lo - 1, tuples
+
+    def rows_json(self, limit: int | None = None) -> tuple[str, int]:
+        """``json.dumps(self.to_rows(limit), sort_keys=True)`` and the
+        number of rows in it.
+
+        A kernel result is written from its spans and the log's columns
+        with no row in between: one string per incident, the activity
+        names quoted once per call.
+        """
+        if self._columns is None:
+            rows = self.to_rows(limit)
+            return json.dumps(rows, sort_keys=True), len(rows)
+        _, lsn, act_id, names = self._columns
+        quoted = [json.dumps(name) for name in names]
+        out: list[str] = []
+        for wid, base, tuples in self._shown(limit):
+            tail = f'], "wid": {wid}}}'
             out += [
-                {
-                    "wid": wid,
-                    "first": positions[0],
-                    "last": positions[-1],
-                    "lsns": tuple([lsn[lo + p - 1] for p in positions]),
-                    "activities": tuple([names[act_id[lo + p - 1]] for p in positions]),
-                }
-                for positions in tuples[: stop - len(out)]
+                f'{{"activities": [{", ".join([quoted[act_id[base + p]] for p in positions])}], '
+                f'"first": {positions[0]}, "last": {positions[-1]}, '
+                f'"lsns": [{", ".join([str(lsn[base + p]) for p in positions])}{tail}'
+                for positions in tuples
             ]
-        return out
+        if out:  # the brackets go into the join: a fat text is built once
+            out[0] = "[" + out[0]
+            out[-1] += "]"
+        return ", ".join(out) or "[]", len(out)
 
     def by_wid(self) -> dict[int, list[Incident]]:
         """Incidents grouped per workflow instance."""

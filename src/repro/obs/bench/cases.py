@@ -22,6 +22,9 @@ matches the originating bench module:
 * ``service.*``      — the HTTP daemon driven in-process through
   ``QueryService.dispatch``: warm-cache query latency and saturation
   shedding under a full worker pool (PR 8);
+* ``reply.*``        — what a fat ``mode: incidents`` reply costs once
+  its result is cached (``rows_json`` also fails if the body is not the
+  one the row dicts give, or if a row dict is built);
 * ``live.*``         — what a running store costs: the windowed telemetry
   hot path, and the first cached run after an append batch
   (``delta_append`` also fails if the columns are rebuilt or more than
@@ -72,22 +75,22 @@ def operand_sets(n: int) -> tuple[list[Incident], list[Incident]]:
     return a, b
 
 
-def _incidents_built(body: Callable[[], Any]) -> int:
-    """How many :class:`Incident` objects one call of ``body`` constructs."""
-    built = 0
-    construct = Incident.__init__
+def _calls(owner: type, name: str, body: Callable[[], Any]) -> int:
+    """How many times one call of ``body`` enters ``owner.name``."""
+    entered = 0
+    method = getattr(owner, name)
 
-    def counting(self: Incident, records: Any) -> None:
-        nonlocal built
-        built += 1
-        construct(self, records)
+    def counting(*args: Any, **kwargs: Any) -> Any:
+        nonlocal entered
+        entered += 1
+        return method(*args, **kwargs)
 
-    Incident.__init__ = counting  # type: ignore[method-assign]
+    setattr(owner, name, counting)
     try:
         body()
     finally:
-        Incident.__init__ = construct  # type: ignore[method-assign]
-    return built
+        setattr(owner, name, method)
+    return entered
 
 
 def clinic_log(instances: int, seed: int = 1) -> Log:
@@ -183,7 +186,7 @@ def register_standard_cases(registry: BenchRegistry) -> None:
 
         # the machine-independent half of the case: fails the run, whatever
         # the timings, if root materialisation creeps back
-        built = _incidents_built(body)
+        built = _calls(Incident, "__init__", body)
         if built:
             raise ReproError(f"kernel.spans_only: {built} Incident object(s) built")
         return body
@@ -504,6 +507,43 @@ def register_standard_cases(registry: BenchRegistry) -> None:
             assert response.status == 200
             return response
 
+        return run
+
+    @registry.case(
+        "reply.rows_json",
+        suites=("smoke", "full"),
+        description="POST /v1/query mode incidents from the warm result "
+        "layer: the rows go from the spans and the columns to JSON text",
+        instances=120,
+    )
+    def _reply_rows_json(instances: int) -> Callable[[], Any]:
+        import json
+
+        from repro.core.incident import IncidentSet
+        from repro.service import QueryService, StoreCatalog
+
+        log = clinic_log(instances, seed=42)
+        catalog = StoreCatalog()
+        catalog.add_log("clinic", log)
+        service = QueryService(catalog)
+        pattern = "SeeDoctor & PayTreatment"
+        request = json.dumps({"log": "clinic", "pattern": pattern}).encode()
+
+        def run() -> bytes:
+            return service.dispatch("POST", "/v1/query", request).body()
+
+        run()  # prime the result layer
+        # machine-independent: the cached reply builds no row dict, and
+        # its body is the one the row dicts encode to
+        body = run()
+        rows = VectorizedEngine().evaluate(log, parse(pattern)).to_rows()
+        expected = json.dumps({**json.loads(body), "incidents": rows}, sort_keys=True)
+        entered = _calls(IncidentSet, "to_rows", run)
+        if entered or body != expected.encode() + b"\n":
+            raise ReproError(
+                f"reply.rows_json: to_rows entered {entered} time(s) (expected 0), "
+                "or the body is not the one its row dicts encode to"
+            )
         return run
 
     @registry.case(

@@ -83,6 +83,60 @@ __all__ = ["QueryService", "ServiceResponse"]
 _ACCESS_LOG = get_logger("service.access")
 
 
+class EncodedJson:
+    """JSON text a handler wrote ahead of the response encoder, which
+    copies it into the document as it stands (the rows of a fat reply)."""
+
+    __slots__ = ("text",)
+
+    def __init__(self, text: str) -> None:
+        self.text = text
+
+
+class _HoldsEncoded(Exception):
+    """Raised out of ``json.dumps`` on reaching an :class:`EncodedJson`."""
+
+
+def _default(value: Any) -> str:
+    if isinstance(value, EncodedJson):
+        raise _HoldsEncoded
+    return str(value)
+
+
+def _write(value: Any, parts: list[str]) -> None:
+    """Append ``json.dumps(value, sort_keys=True, default=str)`` to
+    ``parts``, with every :class:`EncodedJson` in ``value`` as the text
+    it holds.
+
+    Whatever holds none is encoded by that one call.  A dict (string
+    keys) or a sequence that holds one is written member by member
+    around it; nothing stands in for the text and is searched for
+    afterwards, so no request text echoed in the same document can be
+    mistaken for it, and a fat text is copied once, by the final join.
+    """
+    try:
+        parts.append(json.dumps(value, sort_keys=True, default=_default))
+        return
+    except _HoldsEncoded:
+        pass
+    if isinstance(value, EncodedJson):
+        parts.append(value.text)
+    elif isinstance(value, dict):
+        before = "{"
+        for key in sorted(value):
+            parts.append(f"{before}{json.dumps(key)}: ")
+            _write(value[key], parts)
+            before = ", "
+        parts.append("}")
+    else:
+        before = "["
+        for item in value:
+            parts.append(before)
+            _write(item, parts)
+            before = ", "
+        parts.append("]")
+
+
 @dataclass
 class ServiceResponse:
     """One rendered response: status, JSON payload (or raw text), headers.
@@ -114,9 +168,10 @@ class ServiceResponse:
             if self.text is not None:
                 self._encoded = self.text.encode("utf-8")
             else:
-                self._encoded = (
-                    json.dumps(self.payload, sort_keys=True, default=str) + "\n"
-                ).encode("utf-8")
+                parts: list[str] = []
+                _write(self.payload, parts)
+                parts.append("\n")
+                self._encoded = "".join(parts).encode("utf-8")
         return self._encoded
 
 
@@ -719,9 +774,9 @@ class QueryService:
                 if request.mode == "instances":
                     payload["instances"] = incidents.wids()
                 else:
-                    shown = incidents.to_rows(request.limit)
-                    payload["incidents"] = shown
-                    payload["truncated"] = len(shown) < len(incidents)
+                    rows, shown = incidents.rows_json(request.limit)
+                    payload["incidents"] = EncodedJson(rows)
+                    payload["truncated"] = shown < len(incidents)
             stats = query.engine.last_stats
             payload["stats"] = stats_to_dict(stats)
             payload["cache_layer"] = query.last_cache_layer
@@ -759,13 +814,13 @@ class QueryService:
             )
             results = []
             for text, incidents in zip(request.patterns, outcome.results):
-                shown = incidents.to_rows(request.limit)
+                rows, shown = incidents.rows_json(request.limit)
                 results.append(
                     {
                         "pattern": text,
                         "count": len(incidents),
-                        "incidents": shown,
-                        "truncated": len(shown) < len(incidents),
+                        "incidents": EncodedJson(rows),
+                        "truncated": shown < len(incidents),
                     }
                 )
             return {

@@ -60,11 +60,11 @@ class _Handler(BaseHTTPRequestHandler):
         self.send_header("Content-Length", str(len(body)))
         for name, value in response.headers.items():
             self.send_header(name, value)
-        self.end_headers()
         try:
+            self.end_headers()  # the first write: a client may be gone already
             self.wfile.write(body)
-        except (BrokenPipeError, ConnectionResetError):  # client went away
-            pass
+        except (BrokenPipeError, ConnectionResetError):
+            self.close_connection = True
 
     def _handle(self, method: str) -> None:
         try:

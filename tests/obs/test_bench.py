@@ -128,6 +128,7 @@ class TestRegistry:
             "cache",
             "journal",
             "service",
+            "reply",
             "live",
             "columnar",
             "sqlite",

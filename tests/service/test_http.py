@@ -158,6 +158,67 @@ def test_server_stop_drains(server) -> None:
     assert server.service.draining
 
 
+def test_a_client_that_resets_before_the_reply_is_not_an_error(server, monkeypatch) -> None:
+    """The client is gone (RST) by the time the reply is ready: neither
+    write raises out of the handler, the daemon prints no traceback, the
+    request leaves nothing behind and the next connection is served."""
+    import socket
+    import struct
+    import threading
+
+    gone, finished, errors = threading.Event(), threading.Event(), []
+    dispatch = server.service.dispatch
+
+    def reply_after_the_reset(method, path, body=None):
+        response = dispatch(method, path, body)
+        if path == "/v1/query":
+            assert gone.wait(timeout=30)
+        return response
+
+    shutdown_request = server._httpd.shutdown_request
+
+    def shutdown_and_tell(request):
+        shutdown_request(request)
+        finished.set()
+
+    monkeypatch.setattr(server.service, "dispatch", reply_after_the_reset)
+    monkeypatch.setattr(server._httpd, "shutdown_request", shutdown_and_tell)
+    monkeypatch.setattr(server._httpd, "handle_error", lambda *args: errors.append(args))
+
+    body = json.dumps(
+        {
+            "log": "clinic",
+            "pattern": "SeeDoctor & PayTreatment",
+            "mode": "incidents",
+            "options": {"cache": False},
+        }
+    ).encode()
+    head = (
+        f"POST /v1/query HTTP/1.1\r\nHost: {server.host}\r\n"
+        f"Content-Type: application/json\r\nContent-Length: {len(body)}\r\n\r\n"
+    ).encode()
+    client = socket.create_connection((server.host, server.port), timeout=30)
+    client.setsockopt(socket.SOL_SOCKET, socket.SO_LINGER, struct.pack("ii", 1, 0))
+    client.sendall(head + body)
+    while server.service.admission.snapshot()["admitted"] < 1:  # it was read
+        assert not finished.wait(timeout=0.01)
+    client.close()  # linger 0: a reset, not a FIN
+    gone.set()
+    assert finished.wait(timeout=30)
+    assert errors == []
+
+    status, _, reply = _request(server.url, "GET", "/v1/admin/inflight")
+    assert status == 200
+    assert json.loads(reply)["count"] == 0
+    status, _, reply = _request(server.url, "GET", "/healthz")
+    admission = json.loads(reply)["admission"]
+    assert (admission["in_flight"], admission["queued"], admission["admitted"]) == (0, 0, 1)
+    status, _, reply = _request(
+        server.url, "POST", "/v1/query", {"log": "clinic", "pattern": "SeeDoctor & PayTreatment"}
+    )
+    assert status == 200 and json.loads(reply)["count"] > 0
+
+
 def test_no_reader_sees_part_of_a_batch(server) -> None:
     """While one client posts append batches, four others read the epoch
     (``/v1/logs`` and query replies): it only ever stands between

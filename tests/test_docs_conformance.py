@@ -1,10 +1,12 @@
 """The docs name only what exists: every backticked ``repro.x.y`` path,
 every ``src/`` / ``tests/`` / ``benchmarks/`` / ``examples/`` file and
 every ``--flag`` in README.md, DESIGN.md, EXPERIMENTS.md and docs/*.md
-resolves against the tree, and every CLI flag is named in some doc."""
+resolves against the tree, every CLI flag is named in some doc, and
+docs/SERVICE.md's reply-field table is the key set of the golden bodies."""
 
 import argparse
 import importlib
+import json
 import re
 from functools import lru_cache
 from pathlib import Path
@@ -95,3 +97,18 @@ def test_every_cli_flag_is_documented():
     named = set(FLAG.findall(everything))
     undocumented = sorted(cli_flags() - named - {"--help"})
     assert not undocumented, f"CLI flags no doc names: {undocumented}"
+
+
+#: reply keys present only under a condition no golden request meets
+CONDITIONAL_FIELDS = {"clamped"}  # the server reduced a requested budget
+
+
+def test_service_doc_and_golden_bodies_name_the_same_reply_fields():
+    bodies = json.loads((ROOT / "tests/service/golden/bodies.json").read_text(encoding="utf-8"))
+    in_bodies = {key for body in bodies.values() for key in json.loads(body)}
+    text = (ROOT / "docs/SERVICE.md").read_text(encoding="utf-8")
+    section = re.search(r"(?ms)^### Reply fields.*?(?=^#{2,3} )", text).group(0)
+    in_table = set(re.findall(r"(?m)^\| `(\w+)` \|", section))
+    assert in_bodies - in_table == set(), "golden reply keys docs/SERVICE.md does not list"
+    assert in_table - in_bodies == set(), "docs/SERVICE.md lists reply keys no golden body has"
+    assert all(f"`{field}`" in section for field in CONDITIONAL_FIELDS - in_table)
