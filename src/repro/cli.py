@@ -162,6 +162,61 @@ def _add_governor_arguments(command: argparse.ArgumentParser) -> None:
     )
 
 
+def _add_engine_arguments(
+    command: argparse.ArgumentParser,
+    *,
+    engine_help: str | None,
+    optimize_help: str = "skip the query optimizer",
+) -> None:
+    """The evaluation flags shared by ``query``, ``profile`` and ``batch``
+    (``engine_help=None``: no ``--engine``, a batch runs on the kernel)."""
+    if engine_help is not None:
+        command.add_argument(
+            "--engine", choices=sorted(ENGINES), default=None, help=engine_help
+        )
+    command.add_argument("--no-optimize", action="store_true", help=optimize_help)
+    command.add_argument(
+        "--max-incidents",
+        type=int,
+        default=None,
+        help="abort if an incident set exceeds this size",
+    )
+
+
+def _engine_options(args: argparse.Namespace) -> EngineOptions:
+    """The :class:`EngineOptions` of a ``query``, ``batch`` or ``profile``
+    command line; a flag the command does not have keeps its default.
+    A ``--journal`` is opened here and closed by the caller."""
+    flags = vars(args)
+    registry = (
+        MetricsRegistry()
+        if flags.get("metrics") or flags.get("metrics_format", "json") != "json"
+        else None
+    )
+    cache = None
+    if flags.get("cache") or flags.get("cache_equivalence"):
+        policy = CachePolicy(equivalence_keys=flags.get("cache_equivalence", False))
+        if flags.get("cache_bytes") is not None:
+            policy = policy.with_budget(flags["cache_bytes"])
+        cache = QueryCache(policy, metrics=registry)
+    journal = None
+    if flags.get("journal") is not None:
+        from repro.obs.journal import QueryJournal
+
+        journal = QueryJournal(flags["journal"], metrics=registry)
+    return EngineOptions(
+        engine=flags.get("engine"),
+        optimize=not args.no_optimize,
+        max_incidents=args.max_incidents,
+        tracer=Tracer() if flags.get("trace") else None,
+        metrics=registry,
+        cache=cache,
+        deadline_ms=flags.get("deadline_ms"),
+        max_pairs=flags.get("max_pairs"),
+        journal=journal,
+    )
+
+
 def build_parser() -> argparse.ArgumentParser:
     """Construct the argparse tree (exposed for the test-suite)."""
     parser = argparse.ArgumentParser(
@@ -180,15 +235,7 @@ def build_parser() -> argparse.ArgumentParser:
     query = commands.add_parser("query", help="evaluate an incident pattern")
     query.add_argument("--log", required=True, help="log file (.jsonl/.csv/.xes)")
     query.add_argument("--pattern", required=True, help='e.g. "A -> (B | C)"')
-    query.add_argument(
-        "--engine",
-        choices=sorted(ENGINES),
-        default=None,
-        help="engine (default: vectorized)",
-    )
-    query.add_argument(
-        "--no-optimize", action="store_true", help="skip the query optimizer"
-    )
+    _add_engine_arguments(query, engine_help="engine (default: vectorized)")
     query.add_argument(
         "--mode",
         choices=("incidents", "count", "exists", "instances"),
@@ -200,12 +247,6 @@ def build_parser() -> argparse.ArgumentParser:
     )
     query.add_argument(
         "--explain", action="store_true", help="print the chosen plan"
-    )
-    query.add_argument(
-        "--max-incidents",
-        type=int,
-        default=None,
-        help="abort if an incident set exceeds this size",
     )
     query.add_argument(
         "--no-lint",
@@ -265,18 +306,7 @@ def build_parser() -> argparse.ArgumentParser:
     )
     profile.add_argument("--log", required=True, help="log file (.jsonl/.csv/.xes)")
     profile.add_argument("--pattern", required=True, help='e.g. "A -> (B | C)"')
-    profile.add_argument(
-        "--engine", choices=sorted(ENGINES), default=None, help="engine"
-    )
-    profile.add_argument(
-        "--no-optimize", action="store_true", help="skip the query optimizer"
-    )
-    profile.add_argument(
-        "--max-incidents",
-        type=int,
-        default=None,
-        help="abort if an incident set exceeds this size",
-    )
+    _add_engine_arguments(profile, engine_help="engine")
     profile.add_argument(
         "--format", choices=("text", "json"), default="text", help="output format"
     )
@@ -519,10 +549,10 @@ def build_parser() -> argparse.ArgumentParser:
         default=None,
         help="file with one pattern per line (# comments allowed; - for stdin)",
     )
-    batch.add_argument(
-        "--no-optimize",
-        action="store_true",
-        help="skip rule-based canonicalisation (reduces subpattern sharing)",
+    _add_engine_arguments(
+        batch,
+        engine_help=None,
+        optimize_help="skip rule-based canonicalisation (reduces subpattern sharing)",
     )
     batch.add_argument(
         "--no-analyze",
@@ -535,12 +565,6 @@ def build_parser() -> argparse.ArgumentParser:
         action="store_true",
         help="skip the pre-flight lint_batch pass (QW501 subsumption "
         "findings on stderr)",
-    )
-    batch.add_argument(
-        "--max-incidents",
-        type=int,
-        default=None,
-        help="abort if an incident set exceeds this size",
     )
     batch.add_argument(
         "--cache",
@@ -783,34 +807,9 @@ def _cmd_query(args: argparse.Namespace) -> int:
         diagnostics = Linter.for_log(log).lint(parsed)
         for diagnostic in diagnostics:
             print(diagnostic.format(parsed.text), file=sys.stderr)
-    tracer = Tracer() if args.trace else None
-    want_metrics = args.metrics or args.metrics_format != "json"
-    registry = MetricsRegistry() if want_metrics else None
-    cache = None
-    if args.cache or args.cache_equivalence:
-        policy = CachePolicy(equivalence_keys=args.cache_equivalence)
-        if args.cache_bytes is not None:
-            policy = policy.with_budget(args.cache_bytes)
-        cache = QueryCache(policy, metrics=registry)
-    journal = None
-    if args.journal is not None:
-        from repro.obs.journal import QueryJournal
-
-        journal = QueryJournal(args.journal, metrics=registry)
-    query = Query(
-        parsed.pattern,
-        EngineOptions(
-            engine=args.engine,
-            optimize=not args.no_optimize,
-            max_incidents=args.max_incidents,
-            tracer=tracer,
-            metrics=registry,
-            cache=cache,
-            deadline_ms=args.deadline_ms,
-            max_pairs=args.max_pairs,
-            journal=journal,
-        ),
-    )
+    options = _engine_options(args)
+    tracer, registry, journal = options.tracer, options.metrics, options.journal
+    query = Query(parsed.pattern, options)
     if args.explain:
         print(query.explain(log))
         print()
@@ -858,7 +857,7 @@ def _cmd_query(args: argparse.Namespace) -> int:
         # the terminal `killed` event is flushed to disk
         if journal is not None:
             journal.close()
-    if cache is not None:
+    if query.cache is not None:
         print(f"cache: served by {query.last_cache_layer or 'none (cold)'}")
     if tracer is not None:
         print()
@@ -887,13 +886,7 @@ def _cmd_profile(args: argparse.Namespace) -> int:
     from repro.obs.profile import profile_query
 
     log = _load_log(args.log)
-    report = profile_query(
-        log,
-        args.pattern,
-        engine=args.engine,
-        optimize=not args.no_optimize,
-        max_incidents=args.max_incidents,
-    )
+    report = profile_query(log, args.pattern, _engine_options(args))
     if args.format == "json":
         print(json.dumps(report.to_dict(), indent=2, ensure_ascii=False))
     else:
@@ -1007,13 +1000,7 @@ def _cmd_bench(args: argparse.Namespace) -> int:
             return 0
         shown = documents[-args.tail:] if args.tail else documents
         for document in shown:
-            stamp = _format_unix(int(document.get("created_unix", 0)))
-            cases = document.get("cases", [])
-            total_ms = sum(c["stats"]["median_s"] for c in cases) * 1e3
-            print(
-                f"{stamp}  suite={document.get('suite', '?'):8s}  "
-                f"{len(cases):2d} case(s)  sum-of-medians {total_ms:9.3f}ms"
-            )
+            _print_run_summary(document)
         print(
             f"--- showing {len(shown)} of {len(documents)} recorded run(s) "
             f"in {args.history} ---"
@@ -1037,13 +1024,7 @@ def _cmd_bench(args: argparse.Namespace) -> int:
             )
         return 0
     for document in documents[-args.last:]:
-        stamp = _format_unix(int(document.get("created_unix", 0)))
-        cases = document.get("cases", [])
-        total_ms = sum(c["stats"]["median_s"] for c in cases) * 1e3
-        print(
-            f"{stamp}  suite={document.get('suite', '?'):8s}  "
-            f"{len(cases):2d} case(s)  sum-of-medians {total_ms:9.3f}ms"
-        )
+        _print_run_summary(document)
     print(f"--- {len(documents)} recorded run(s) in {args.history} ---")
     return 0
 
@@ -1066,6 +1047,17 @@ def _read_bench_document(path: str) -> dict:
     except SchemaError as exc:
         raise ReproError(f"{path}: {exc}") from None
     return document
+
+
+def _print_run_summary(document: dict) -> None:
+    """One recorded bench run on one line (``bench history`` / ``report``)."""
+    stamp = _format_unix(int(document.get("created_unix", 0)))
+    cases = document.get("cases", [])
+    total_ms = sum(c["stats"]["median_s"] for c in cases) * 1e3
+    print(
+        f"{stamp}  suite={document.get('suite', '?'):8s}  "
+        f"{len(cases):2d} case(s)  sum-of-medians {total_ms:9.3f}ms"
+    )
 
 
 def _format_unix(created: int) -> str:
@@ -1105,26 +1097,12 @@ def _cmd_batch(args: argparse.Namespace) -> int:
         for text, diagnostics in zip(patterns, lint_batch(patterns, log=log)):
             for diagnostic in diagnostics:
                 print(f"{text}: {diagnostic.format()}", file=sys.stderr)
-    journal = None
-    if args.journal is not None:
-        from repro.obs.journal import QueryJournal
-
-        journal = QueryJournal(args.journal)
+    options = _engine_options(args)
     try:
-        result = evaluate_batch(
-            log,
-            patterns,
-            optimize=not args.no_optimize,
-            analyze=not args.no_analyze,
-            max_incidents=args.max_incidents,
-            cache=QueryCache() if args.cache else None,
-            deadline_ms=args.deadline_ms,
-            max_pairs=args.max_pairs,
-            journal=journal,
-        )
+        result = evaluate_batch(log, patterns, options, analyze=not args.no_analyze)
     finally:
-        if journal is not None:
-            journal.close()
+        if options.journal is not None:
+            options.journal.close()
     for text, incidents in zip(patterns, result.results):
         print(f"{len(incidents):6d}  {text}")
     summary = (

@@ -7,9 +7,10 @@ one pathological pattern can starve a whole worker.  This module is the
 admission-control half of the observability journal (PR 7):
 
 * :class:`QueryContext` — the frozen, picklable identity + budget record
-  minted once per run.  The deadline is stored as an **absolute**
-  wall-clock instant (``deadline_unix``), measured from submission.
-* :class:`ResourceGovernor` — the enforcement object.
+  a journaled run stamps on its events.
+* :class:`ResourceGovernor` — the enforcement object.  The deadline is
+  held as an **absolute** wall-clock instant (``deadline_unix``),
+  measured from submission.
   Engines call :meth:`ResourceGovernor.check` at cooperative checkpoints
   (per workflow instance and per operator node); the governor raises the
   typed :class:`~repro.core.errors.QueryTimeout` /
@@ -19,6 +20,9 @@ admission-control half of the observability journal (PR 7):
 * :class:`CancelToken` — a flag another thread sets to stop a running
   query: the admin kill behind ``DELETE /v1/admin/inflight/{query_id}``.
   It wraps :class:`threading.Event`.
+* :func:`begin_run` — the one place a run begins: it builds the journal
+  recorder and the governor that one
+  :class:`~repro.core.options.EngineOptions` value asks for.
 
 Checkpoints are cooperative by design: no signals, no threads killed
 mid-operation, so partially built incident sets are simply dropped and
@@ -31,14 +35,24 @@ import threading
 import time
 import uuid
 from dataclasses import dataclass
-from typing import TYPE_CHECKING, Callable
+from typing import TYPE_CHECKING, Any, Callable, Sequence
 
 from repro.core.errors import QueryBudgetExceeded, QueryCancelled, QueryTimeout, ReproError
 
 if TYPE_CHECKING:  # pragma: no cover - typing only
     from repro.core.eval.base import EvaluationStats
+    from repro.core.options import EngineOptions
+    from repro.core.pattern import Pattern
+    from repro.obs.journal import RunRecorder
 
-__all__ = ["QueryContext", "ResourceGovernor", "CancelToken", "new_query_id", "new_trace_id"]
+__all__ = [
+    "QueryContext",
+    "ResourceGovernor",
+    "CancelToken",
+    "begin_run",
+    "new_query_id",
+    "new_trace_id",
+]
 
 
 def new_query_id() -> str:
@@ -57,12 +71,15 @@ class CancelToken:
 
     ``reason`` (optional, recorded by the first :meth:`set`) travels
     into the :class:`~repro.core.errors.QueryCancelled` message, so an
-    admin kill names who asked for it.
+    admin kill names who asked for it.  ``governor`` is the governor of
+    the run that polls the token (set by :func:`begin_run`): whoever
+    holds the token reads that run's live progress off it.
     """
 
     def __init__(self) -> None:
         self._event = threading.Event()
         self.reason: str | None = None
+        self.governor: ResourceGovernor | None = None
 
     def set(self, reason: str | None = None) -> None:
         if reason is not None and self.reason is None:
@@ -83,45 +100,30 @@ class QueryContext:
     ``query_id`` names the query submission; ``trace_id`` names the
     execution attempt.  Both are stamped on every journal event emitted
     for this query, which is what makes the events of one run one
-    lifecycle record in :mod:`repro.obs.journal`.
+    lifecycle record in :mod:`repro.obs.journal`; the budgets are
+    recorded on its ``submit`` event.
     """
 
     query_id: str
     trace_id: str
-    deadline_unix: float | None = None
     deadline_ms: float | None = None
     max_pairs: int | None = None
 
     @classmethod
     def new(
-        cls,
-        *,
-        deadline_ms: float | None = None,
-        max_pairs: int | None = None,
-        clock: Callable[[], float] = time.time,
+        cls, *, deadline_ms: float | None = None, max_pairs: int | None = None
     ) -> "QueryContext":
-        """Mint a context at submission time.
-
-        The relative ``deadline_ms`` budget is converted to an absolute
-        ``deadline_unix`` here, once.
-        """
+        """Mint a context, with fresh ids, at submission time."""
         if deadline_ms is not None and deadline_ms <= 0:
             raise ReproError(f"deadline_ms must be > 0, got {deadline_ms}")
         if max_pairs is not None and max_pairs < 1:
             raise ReproError(f"max_pairs must be >= 1, got {max_pairs}")
-        deadline_unix = None if deadline_ms is None else clock() + deadline_ms / 1000.0
         return cls(
             query_id=new_query_id(),
             trace_id=new_trace_id(),
-            deadline_unix=deadline_unix,
             deadline_ms=deadline_ms,
             max_pairs=max_pairs,
         )
-
-    @property
-    def governed(self) -> bool:
-        """Whether any budget is set (a governor is worth building)."""
-        return self.deadline_unix is not None or self.max_pairs is not None
 
 
 class ResourceGovernor:
@@ -164,25 +166,6 @@ class ResourceGovernor:
         #: without any locking (single int/float writes are atomic).
         self.checkpoints = 0
         self.pairs_seen = 0
-
-    @classmethod
-    def from_context(
-        cls,
-        ctx: QueryContext,
-        *,
-        cancel: CancelToken | None = None,
-        clock: Callable[[], float] = time.time,
-    ) -> "ResourceGovernor | None":
-        """The governor for ``ctx``, or None when nothing is budgeted."""
-        if not ctx.governed and cancel is None:
-            return None
-        return cls(
-            deadline_unix=ctx.deadline_unix,
-            deadline_ms=ctx.deadline_ms,
-            max_pairs=ctx.max_pairs,
-            cancel=cancel,
-            clock=clock,
-        )
 
     def charge(self, units: int) -> None:
         """Charge abstract work units against the ``max_pairs`` budget.
@@ -242,6 +225,48 @@ class ResourceGovernor:
             f"ResourceGovernor(deadline_unix={self.deadline_unix}, "
             f"max_pairs={self.max_pairs}, cancel={self.cancel!r})"
         )
+
+
+def begin_run(
+    options: "EngineOptions",
+    patterns: "Sequence[Pattern]",
+    op: str,
+    **submit: Any,
+) -> "tuple[RunRecorder | None, ResourceGovernor | None]":
+    """Begin one run under ``options``: its journal recorder and governor.
+
+    A :class:`QueryContext` is minted only when there is a journal to
+    stamp; its ``query_id``/``trace_id`` label every event of the run,
+    and the ``submit`` event (carrying ``submit``) opens the lifecycle
+    under the first of ``patterns`` and how many more there are.  A
+    governor exists when a budget or a cancel token is set; its deadline
+    becomes an absolute instant here, so budgets are measured from
+    submission, and the cancel token is pointed at it.
+    """
+    recorder = None
+    if options.journal is not None:
+        from repro.obs.journal import RunRecorder
+
+        ctx = QueryContext.new(
+            deadline_ms=options.deadline_ms, max_pairs=options.max_pairs
+        )
+        label = str(patterns[0])
+        if len(patterns) > 1:
+            label += f" (+{len(patterns) - 1} more)"
+        recorder = RunRecorder(options.journal, ctx, pattern=label, op=op)
+        recorder.submit(**submit)
+    governor = None
+    if options.governed or options.cancel is not None:
+        deadline_ms = options.deadline_ms
+        governor = ResourceGovernor(
+            deadline_unix=None if deadline_ms is None else time.time() + deadline_ms / 1000.0,
+            deadline_ms=deadline_ms,
+            max_pairs=options.max_pairs,
+            cancel=options.cancel,
+        )
+        if options.cancel is not None:
+            options.cancel.governor = governor
+    return recorder, governor
 
 
 def _detach(stats: "EvaluationStats | None") -> "EvaluationStats | None":

@@ -24,7 +24,7 @@ from repro.core.eval.base import Engine
 from repro.core.eval.naive import NaiveEngine
 from repro.core.eval.tree import render_tree
 from repro.core.eval.vectorized import VectorizedEngine
-from repro.core.governor import QueryContext, ResourceGovernor
+from repro.core.governor import begin_run
 from repro.core.incident import IncidentSet
 from repro.core.model import Log
 from repro.core.optimizer.planner import OptimizedPlan, Optimizer
@@ -94,6 +94,9 @@ class Query:
         evaluated only the instances appended to since an earlier epoch's
         cached result; None when it was evaluated whole (cold).  Reported
         by :meth:`explain` and the CLI.
+    last_plan:
+        The plan :meth:`plan` chose most recently (a cache hit plans
+        nothing); :func:`~repro.obs.profile.profile_query` reads it.
     """
 
     def __init__(
@@ -113,7 +116,7 @@ class Query:
         self.cache = resolve_cache(self.options.cache)
         self.engine = self._build_engine()
         self.last_cache_layer: str | None = None
-        self._last_plan: OptimizedPlan | None = None
+        self.last_plan: OptimizedPlan | None = None
 
     def _build_engine(self) -> Engine:
         opts = self.options
@@ -139,41 +142,8 @@ class Query:
                 optimized_cost=float("nan"),
                 transformations=["optimization disabled"],
             )
-        self._last_plan = plan
+        self.last_plan = plan
         return plan
-
-    def _begin_run(self, op: str):
-        """Mint the per-run query context, recorder and governor.
-
-        One context per ``run``/``exists``/``count`` call: budgets are
-        measured from submission (the deadline is converted to an
-        absolute wall-clock cutoff here), and the ``query_id``/
-        ``trace_id`` stamped on every journal event are fresh per run.
-        The governor (with the caller's cancel token) is attached to the
-        live engine for the duration of the run.
-        """
-        opts = self.options
-        ctx: QueryContext | None = None
-        recorder = None
-        if opts.journal is not None or opts.governed or opts.cancel is not None:
-            ctx = QueryContext.new(
-                deadline_ms=opts.deadline_ms, max_pairs=opts.max_pairs
-            )
-        if opts.journal is not None and ctx is not None:
-            from repro.obs.journal import RunRecorder
-
-            recorder = RunRecorder(
-                opts.journal, ctx, pattern=str(self.pattern), op=op
-            )
-            recorder.submit()
-        governor = None
-        if ctx is not None:
-            # a bare cancel token still builds a governor (from_context
-            # handles the budget-free case), so external cancellation
-            # works even on unbudgeted runs
-            governor = ResourceGovernor.from_context(ctx, cancel=opts.cancel)
-        self.engine.governor = governor
-        return recorder
 
     def _result_key(self, log: Log):
         """The cache key for this query over ``log``, or None when
@@ -207,7 +177,9 @@ class Query:
     def _execute(self, op: str, log: Log):
         """The one run scaffold behind :meth:`run`, :meth:`exists` and
         :meth:`count`: begin → cache probe → (plan → evaluate) → terminal
-        ``finish`` / ``killed`` event.
+        ``finish`` / ``killed`` event.  The run's governor (see
+        :func:`~repro.core.governor.begin_run`) is attached to the live
+        engine for the duration of the run.
 
         Every op probes the cache and journals the probe; the ``finish``
         event carries the outcome of this run's own probe
@@ -220,7 +192,7 @@ class Query:
         """
         engine_method, from_cached = _OPS[op]
         self.last_cache_layer = None
-        recorder = self._begin_run(op)
+        recorder, self.engine.governor = begin_run(self.options, (self.pattern,), op)
         try:
             key = self._result_key(log)
             hit = self._cached_result(key)
@@ -303,7 +275,13 @@ class Query:
         return self._execute("count", log)
 
     @staticmethod
-    def evaluate_batch(log: Log, patterns, **kwargs):
+    def evaluate_batch(
+        log: Log,
+        patterns,
+        options: EngineOptions | None = None,
+        *,
+        analyze: bool = True,
+    ):
         """Evaluate many queries over one log with shared subpattern
         scans — see :func:`repro.exec.batch.evaluate_batch`, of which
         this is a convenience re-export.
@@ -314,7 +292,7 @@ class Query:
         """
         from repro.exec.batch import evaluate_batch
 
-        return evaluate_batch(log, patterns, **kwargs)
+        return evaluate_batch(log, patterns, options, analyze=analyze)
 
     def matching_instances(self, log: Log) -> tuple[int, ...]:
         """The workflow instance ids containing at least one incident."""

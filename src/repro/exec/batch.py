@@ -34,18 +34,17 @@ from __future__ import annotations
 import time
 from dataclasses import dataclass
 
-from repro.core.errors import QueryGovernorError
+from repro.core.errors import QueryGovernorError, ReproError
 from repro.core.eval.base import EvaluationStats
 from repro.core.eval.vectorized import VectorizedEngine
-from repro.core.governor import CancelToken, QueryContext, ResourceGovernor
+from repro.core.governor import begin_run
 from repro.core.incident import IncidentSet
 from repro.core.model import Log
 from repro.core.optimizer.rules import normalize
+from repro.core.options import EngineOptions
 from repro.core.parser import parse
 from repro.core.pattern import Pattern
-from repro.obs.journal import QueryJournal, RunRecorder
-from repro.obs.metrics import MetricsRegistry
-from repro.obs.tracer import NULL_TRACER, NullTracer, Tracer
+from repro.obs.tracer import NULL_TRACER
 
 __all__ = ["BatchResult", "evaluate_batch"]
 
@@ -87,17 +86,9 @@ class BatchResult:
 def evaluate_batch(
     log: Log,
     patterns,
+    options: EngineOptions | None = None,
     *,
-    optimize: bool = True,
     analyze: bool = True,
-    max_incidents: int | None = None,
-    tracer: Tracer | NullTracer | None = None,
-    metrics: MetricsRegistry | None = None,
-    cache=None,
-    deadline_ms: float | None = None,
-    max_pairs: int | None = None,
-    journal: QueryJournal | None = None,
-    cancel: CancelToken | None = None,
 ) -> BatchResult:
     """Evaluate N queries over one log with shared subpattern scans.
 
@@ -105,10 +96,26 @@ def evaluate_batch(
     ----------
     patterns:
         Patterns or query-text strings (mixed freely).
-    optimize:
-        Apply rule-based canonicalisation before evaluation (default).
-        Unlike the per-query cost-based optimizer, normalisation never
-        trades sharing away: equal subpatterns stay equal.
+    options:
+        The :class:`~repro.core.options.EngineOptions` of the whole batch
+        (None for the defaults).  A batch is one shared scan on the join
+        kernel, so ``engine`` must be None or ``"vectorized"``; anything
+        else raises :class:`~repro.core.errors.ReproError`.  ``optimize``
+        applies rule-based canonicalisation before evaluation: unlike the
+        per-query cost-based optimizer, normalisation never trades
+        sharing away, equal subpatterns stay equal.  ``cache``: queries
+        whose result is already cached skip evaluation entirely
+        (``cache_hits`` on the returned batch counts them); cold queries
+        are evaluated and stored, so hits survive across
+        ``evaluate_batch`` calls.  ``deadline_ms`` / ``max_pairs`` are
+        per-*batch* budgets, enforced cooperatively inside the shared
+        scan (the pairs budget spans all queries in the batch): tripping
+        one raises the typed :class:`~repro.core.errors.QueryTimeout` /
+        :class:`~repro.core.errors.QueryBudgetExceeded` and, with a
+        ``journal``, records a terminal ``killed`` event (one
+        ``query_id`` for the whole batch).  Setting the ``cancel`` token
+        stops the scan at its next checkpoint with
+        :class:`~repro.core.errors.QueryCancelled` (the admin-kill hook).
     analyze:
         Run the :func:`repro.analysis.plan_subsumption` prover pass over
         the pending queries (default).  Queries proved equivalent to or
@@ -117,58 +124,26 @@ def evaluate_batch(
         returned batch reports them in ``subsumed`` (``proofs`` counts
         the containment proofs used).  Queries the prover cannot handle
         fall back to a normal scan — analysis never fails a batch.
-    cache:
-        Optional :class:`~repro.cache.manager.QueryCache` (or any value
-        :func:`~repro.cache.manager.resolve_cache` accepts).  Queries
-        whose result is already cached skip evaluation entirely
-        (``cache_hits`` on the returned batch counts them); cold queries
-        are evaluated and stored, so hits survive across
-        ``evaluate_batch`` calls.
-    deadline_ms / max_pairs:
-        Per-*batch* resource budgets, enforced cooperatively inside the
-        shared scan (the pairs budget spans all queries in the batch).
-        Tripping one raises the typed
-        :class:`~repro.core.errors.QueryTimeout` /
-        :class:`~repro.core.errors.QueryBudgetExceeded` and — with a
-        journal attached — records a terminal ``killed`` event.
-    journal:
-        Optional :class:`~repro.obs.journal.QueryJournal` receiving the
-        batch's lifecycle events (one ``query_id`` for the whole batch).
-    cancel:
-        Optional :class:`~repro.core.governor.CancelToken`; setting it
-        stops the scan at its next checkpoint with
-        :class:`~repro.core.errors.QueryCancelled` (the admin-kill hook).
     """
     from repro.cache.manager import resolve_cache
 
-    live_cache = resolve_cache(cache)
+    opts = options if options is not None else EngineOptions()
+    if opts.engine not in (None, VectorizedEngine.name):
+        raise ReproError(
+            f"a batch is one shared scan on the {VectorizedEngine.name!r} "
+            f"engine; got engine {opts.engine!r}"
+        )
+    live_cache = resolve_cache(opts.cache)
     resolved: list[Pattern] = []
     for pattern in patterns:
         if isinstance(pattern, str):
             pattern = parse(pattern)
-        if optimize:
+        if opts.optimize:
             pattern, _ = normalize(pattern)
         resolved.append(pattern)
     if not resolved:
         raise ValueError("evaluate_batch needs at least one pattern")
-
-    ctx: QueryContext | None = None
-    recorder: RunRecorder | None = None
-    if (
-        journal is not None
-        or deadline_ms is not None
-        or max_pairs is not None
-        or cancel is not None
-    ):
-        ctx = QueryContext.new(deadline_ms=deadline_ms, max_pairs=max_pairs)
-    if journal is not None and ctx is not None:
-        label = (
-            str(resolved[0])
-            if len(resolved) == 1
-            else f"{resolved[0]} (+{len(resolved) - 1} more)"
-        )
-        recorder = RunRecorder(journal, ctx, pattern=label, op="batch")
-        recorder.submit(queries=len(resolved))
+    recorder, governor = begin_run(opts, resolved, "batch", queries=len(resolved))
 
     # cache pre-pass: finished queries never reach the scan
     final: list[IncidentSet | None] = [None] * len(resolved)
@@ -177,7 +152,7 @@ def evaluate_batch(
     if live_cache is not None:
         for index, pattern in enumerate(resolved):
             key = live_cache.result_key(
-                log, pattern, max_incidents=max_incidents
+                log, pattern, max_incidents=opts.max_incidents
             )
             keys[index] = key
             hit = live_cache.get_result(key)
@@ -210,19 +185,15 @@ def evaluate_batch(
         else [p for p, action in enumerate(plan.actions) if action.kind == "scan"]
     )
 
+    metrics = opts.metrics
     merged_stats = EvaluationStats(registry=metrics)
     shared_hits = 0
-    trc = tracer if tracer is not None else NULL_TRACER
+    trc = opts.tracer if opts.tracer is not None else NULL_TRACER
     with trc.span("batch", key=()) as span:
         if pending:
-            governor = (
-                ResourceGovernor.from_context(ctx, cancel=cancel)
-                if ctx is not None
-                else None
-            )
             engine = VectorizedEngine(
                 share=True,
-                max_incidents=max_incidents,
+                max_incidents=opts.max_incidents,
                 governor=governor,
             )
             wall0, cpu0 = time.perf_counter(), time.process_time()

@@ -52,6 +52,7 @@ from repro.core.eval.vectorized import VectorizedEngine
 from repro.core.incident import Incident
 from repro.core.model import Log
 from repro.core.optimizer import Optimizer
+from repro.core.options import EngineOptions
 from repro.core.parser import parse
 from repro.obs.bench.registry import BenchRegistry
 
@@ -280,7 +281,7 @@ def register_standard_cases(registry: BenchRegistry) -> None:
             parse("GetRefer -> CheckIn -> SeeDoctor"),
             parse("GetRefer -> CheckIn -> UpdateRefer"),
         ]
-        return lambda: evaluate_batch(log, patterns, optimize=False)
+        return lambda: evaluate_batch(log, patterns, EngineOptions(optimize=False))
 
     @registry.case(
         "batch.subsumed",
@@ -300,7 +301,7 @@ def register_standard_cases(registry: BenchRegistry) -> None:
             parse("(GetRefer -> CheckIn) | (CheckIn -> GetRefer)"),
         ]
         plan_subsumption(patterns)  # warm the shared prover's DFA memo
-        return lambda: evaluate_batch(log, patterns, optimize=False)
+        return lambda: evaluate_batch(log, patterns, EngineOptions(optimize=False))
 
     # -- analysis (containment prover) ------------------------------------
 
@@ -344,7 +345,6 @@ def register_standard_cases(registry: BenchRegistry) -> None:
     )
     def _cache_warm_result(instances: int) -> Callable[[], Any]:
         from repro.cache import QueryCache
-        from repro.core.options import EngineOptions
         from repro.core.query import Query
 
         log = clinic_log(instances, seed=42)
@@ -364,7 +364,6 @@ def register_standard_cases(registry: BenchRegistry) -> None:
         instances=120,
     )
     def _journal_off(instances: int) -> Callable[[], Any]:
-        from repro.core.options import EngineOptions
         from repro.core.query import Query
 
         log = clinic_log(instances, seed=42)
@@ -381,7 +380,6 @@ def register_standard_cases(registry: BenchRegistry) -> None:
         instances=120,
     )
     def _journal_events(instances: int) -> Callable[[], Any]:
-        from repro.core.options import EngineOptions
         from repro.core.query import Query
         from repro.obs.journal import QueryJournal
 
@@ -399,7 +397,6 @@ def register_standard_cases(registry: BenchRegistry) -> None:
         instances=120,
     )
     def _journal_traced(instances: int) -> Callable[[], Any]:
-        from repro.core.options import EngineOptions
         from repro.core.query import Query
         from repro.obs.journal import QueryJournal
 
@@ -440,7 +437,6 @@ def register_standard_cases(registry: BenchRegistry) -> None:
     def _live_delta_append(instances: int) -> Callable[[], Any]:
         from repro.cache import QueryCache
         from repro.core.model import END, START
-        from repro.core.options import EngineOptions
         from repro.core.query import Query
         from repro.logstore import LogStore
 

@@ -20,13 +20,13 @@ from __future__ import annotations
 
 from dataclasses import dataclass
 
+from repro.core.errors import ReproError
 from repro.core.eval.base import EvaluationStats
 from repro.core.model import Log
 from repro.core.optimizer.cost import CostModel, LogStatistics
-from repro.core.optimizer.planner import Optimizer
-from repro.core.parser import parse
+from repro.core.options import EngineOptions
 from repro.core.pattern import Atomic, Pattern
-from repro.core.query import engine_class
+from repro.core.query import Query
 from repro.obs.export import PROFILE_SCHEMA
 from repro.obs.metrics import MetricsRegistry
 from repro.obs.tracer import Span, Tracer
@@ -234,46 +234,40 @@ def _collect(
 def profile_query(
     log: Log,
     pattern: Pattern | str,
-    *,
-    engine: str | None = None,
-    optimize: bool = True,
-    max_incidents: int | None = None,
+    options: EngineOptions | None = None,
 ) -> ProfileReport:
     """Evaluate ``pattern`` over ``log`` with full instrumentation.
 
-    Runs the optimizer (unless disabled), evaluates with a tracing
-    engine, and reconciles the span tree with the cost model.  The
-    returned report's ``stats``, ``trace`` and ``registry`` carry the raw
-    artefacts; ``format()`` / ``to_dict()`` are the CLI surfaces.
+    The run is a :meth:`~repro.core.query.Query.run` under ``options``
+    (engine, optimizer, budgets and journal as there), traced into
+    ``options.tracer`` and metered into ``options.metrics``, or into a
+    fresh :class:`~repro.obs.tracer.Tracer` / registry when those are
+    None; the span tree is then reconciled with the cost model.  A
+    profile measures an evaluation, so ``options.cache`` must be off.
+    The returned report's ``stats``, ``trace`` and ``registry`` carry the
+    raw artefacts; ``format()`` / ``to_dict()`` are the CLI surfaces.
     """
-    if engine is None:
-        engine = engine_class(None).name
-    if isinstance(pattern, str):
-        pattern = parse(pattern)
-    if optimize:
-        plan = Optimizer.for_log(log).optimize(pattern)
-        evaluated, transformations = plan.optimized, list(plan.transformations)
-    else:
-        evaluated, transformations = pattern, ["optimization disabled"]
-    tracer = Tracer()
-    registry = MetricsRegistry()
-    engine_obj = engine_class(engine)(
-        max_incidents=max_incidents, tracer=tracer, metrics=registry
-    )
-    incidents = len(engine_obj.evaluate(log, evaluated))
-    assert engine_obj.last_stats is not None
-    stats = engine_obj.last_stats
+    opts = options if options is not None else EngineOptions()
+    tracer = opts.tracer if opts.tracer is not None else Tracer()
+    registry = opts.metrics if opts.metrics is not None else MetricsRegistry()
+    query = Query(pattern, opts.replace(tracer=tracer, metrics=registry))
+    if query.cache is not None:
+        raise ReproError("profile_query evaluates cold: options.cache must be off")
+    incidents = len(query.run(log))
+    plan = query.last_plan
+    stats = query.engine.last_stats
+    assert plan is not None and stats is not None
 
     root = tracer.last_root
     assert root is not None and root.children, "engine produced no trace"
     cost = CostModel(LogStatistics.from_log(log))
     nodes: list[NodeProfile] = []
-    _collect(root.children[0], evaluated, cost, "root", 0, nodes)
+    _collect(root.children[0], plan.optimized, cost, "root", 0, nodes)
     return ProfileReport(
-        engine=engine,
-        pattern_text=str(pattern),
-        optimized_text=str(evaluated),
-        transformations=transformations,
+        engine=query.engine.name,
+        pattern_text=str(query.pattern),
+        optimized_text=str(plan.optimized),
+        transformations=list(plan.transformations),
         stats=stats,
         nodes=nodes,
         trace=root,

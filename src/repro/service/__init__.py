@@ -26,7 +26,7 @@ for the endpoint reference and curl examples.
 
 from repro.service.admission import AdmissionController
 from repro.service.catalog import StoreCatalog
-from repro.service.config import ClampedOptions, ServiceConfig
+from repro.service.config import ServiceConfig
 from repro.service.errors import ServiceError, map_exception
 from repro.service.handlers import QueryService, ServiceResponse
 from repro.service.inflight import InflightEntry, InflightRegistry
@@ -34,7 +34,6 @@ from repro.service.server import ServiceServer, serve
 
 __all__ = [
     "AdmissionController",
-    "ClampedOptions",
     "InflightEntry",
     "InflightRegistry",
     "QueryService",

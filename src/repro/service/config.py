@@ -17,29 +17,13 @@ from dataclasses import dataclass
 from typing import TYPE_CHECKING, Any
 
 from repro.core.errors import ReproError
+from repro.core.options import EngineOptions
 from repro.core.query import ENGINES
 
 if TYPE_CHECKING:  # pragma: no cover - typing only
     from repro.obs.live import SloPolicy
 
-__all__ = ["ServiceConfig", "ClampedOptions"]
-
-
-@dataclass(frozen=True)
-class ClampedOptions:
-    """The per-request knobs after server-side clamping.
-
-    ``clamped`` names the request fields that were reduced to a ceiling,
-    so responses can report the adjustment (and tests can assert it).
-    """
-
-    engine: str | None = None
-    optimize: bool = True
-    max_incidents: int | None = None
-    deadline_ms: float | None = None
-    max_pairs: int | None = None
-    cache: bool = True
-    clamped: tuple[str, ...] = ()
+__all__ = ["ServiceConfig"]
 
 
 @dataclass(frozen=True)
@@ -173,17 +157,21 @@ class ServiceConfig:
             burn_threshold=self.slo_burn_threshold,
         )
 
-    def clamp(self, requested: dict[str, Any]) -> ClampedOptions:
+    def clamp(
+        self, requested: dict[str, Any]
+    ) -> tuple[EngineOptions, tuple[str, ...]]:
         """Clamp one request's ``options`` object against the ceilings.
 
         ``requested`` is the already schema-validated options dict of a
-        wire request (see :mod:`repro.service.schemas`).  Budgets are
-        ``min(requested, ceiling)`` with the ceiling as the default;
-        an unknown engine name raises the wire-level 400.
+        wire request (see :mod:`repro.service.schemas`).  Returns the
+        request's :class:`~repro.core.options.EngineOptions` and the
+        names of the fields reduced to a ceiling, so replies can report
+        the adjustment.  Budgets are ``min(requested, ceiling)`` with the
+        ceiling as the default; ``cache`` is the request's switch (on
+        unless it says false), for the handler to swap for the shared
+        cache; an unknown engine name raises the wire-level 400.
         """
         from repro.service.errors import bad_request
-
-        clamped: list[str] = []
 
         engine = requested.get("engine")
         if engine is not None and engine not in ENGINES:
@@ -191,31 +179,24 @@ class ServiceConfig:
                 f"unknown engine {engine!r}",
                 details={"available": sorted(ENGINES)},
             )
-
-        deadline_ms = requested.get("deadline_ms")
-        if deadline_ms is None or deadline_ms > self.deadline_ms_ceiling:
-            if deadline_ms is not None:
-                clamped.append("deadline_ms")
-            deadline_ms = self.deadline_ms_ceiling
-
-        max_pairs = requested.get("max_pairs")
-        if max_pairs is None or max_pairs > self.max_pairs_ceiling:
-            if max_pairs is not None:
-                clamped.append("max_pairs")
-            max_pairs = self.max_pairs_ceiling
-
-        max_incidents = requested.get("max_incidents")
-        if max_incidents is None or max_incidents > self.max_incidents_ceiling:
-            if max_incidents is not None:
-                clamped.append("max_incidents")
-            max_incidents = self.max_incidents_ceiling
-
-        return ClampedOptions(
+        budgets: dict[str, Any] = {}
+        clamped: list[str] = []
+        for name, ceiling in (
+            ("deadline_ms", self.deadline_ms_ceiling),
+            ("max_pairs", self.max_pairs_ceiling),
+            ("max_incidents", self.max_incidents_ceiling),
+        ):
+            value = requested.get(name)
+            if value is not None and value > ceiling:
+                clamped.append(name)
+                value = None
+            budgets[name] = ceiling if value is None else value
+        options = EngineOptions(
             engine=engine,
             optimize=bool(requested.get("optimize", True)),
-            max_incidents=max_incidents,
-            deadline_ms=float(deadline_ms),
-            max_pairs=int(max_pairs),
+            max_incidents=budgets["max_incidents"],
             cache=bool(requested.get("cache", True)),
-            clamped=tuple(clamped),
+            deadline_ms=float(budgets["deadline_ms"]),
+            max_pairs=int(budgets["max_pairs"]),
         )
+        return options, tuple(clamped)

@@ -173,10 +173,11 @@ def unavailable(message: str, *, retry_after_s: float | None = None) -> ServiceE
 
 
 def map_exception(exc: Exception) -> ServiceError:
-    """The single library-exception → wire-error mapping (see module docs).
+    """The single exception → wire-error mapping (see module docs).
 
-    Unrecognised exceptions are *not* mapped here; the dispatch loop
-    converts them to an opaque 500 so internal details never leak.
+    A :class:`ServiceError` is returned as it is; anything the table
+    does not name becomes an opaque 500 (``internal``), so internal
+    details never leak onto the wire.
     """
     if isinstance(exc, ServiceError):
         return exc
@@ -233,4 +234,4 @@ def map_exception(exc: Exception) -> ServiceError:
         )
     if isinstance(exc, ReproError):
         return ServiceError(str(exc), status=422, code="unprocessable")
-    raise TypeError(f"unmapped exception {type(exc).__name__}") from exc
+    return ServiceError("internal server error", status=500, code="internal")

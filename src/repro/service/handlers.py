@@ -17,12 +17,16 @@ Request lifecycle of an evaluation endpoint (``/v1/query``,
 1. schema-validate the body (:mod:`repro.service.schemas`, 400 on
    violation);
 2. clamp the requested options against the server ceilings
-   (:meth:`~repro.service.config.ServiceConfig.clamp`);
+   (:meth:`~repro.service.config.ServiceConfig.clamp`, which returns
+   the request's :class:`~repro.core.options.EngineOptions`);
 3. take an admission slot (429 when saturated);
-4. mint a :class:`~repro.core.governor.QueryContext` — its
-   ``query_id``/``trace_id`` are echoed as ``X-Query-Id`` /
-   ``X-Trace-Id`` response headers and stamp the journal lifecycle;
-5. evaluate under the governor; map kills and library errors through
+4. build the request's :class:`~repro.core.governor.QueryContext` from
+   the ``query_id``/``trace_id`` :meth:`QueryService.dispatch` minted —
+   echoed as ``X-Query-Id`` / ``X-Trace-Id`` response headers, stamped
+   on the journal lifecycle and the in-flight entry;
+5. finish the options with the shared metrics, the shared cache and the
+   in-flight entry's cancel token, and evaluate under the governor they
+   ask for; map kills and library errors through
    :func:`~repro.service.errors.map_exception` (the server survives,
    the client gets structured JSON with partial stats).
 
@@ -43,24 +47,27 @@ from repro import __version__
 from repro.cache.manager import QueryCache
 from repro.cache.policy import CachePolicy
 from repro.core.errors import LogStoreError, ReproError
+from repro.core.eval.vectorized import VectorizedEngine
 from repro.core.governor import QueryContext, new_query_id, new_trace_id
 from repro.core.options import EngineOptions
 from repro.core.query import Query
+from repro.obs.journal import RunRecorder
 from repro.obs.live import SloEngine, WindowedAggregator
 from repro.obs.log import get_logger
 from repro.obs.metrics import DEFAULT_SIZE_BUCKETS, MetricsRegistry
 from repro.service.admission import AdmissionController
 from repro.service.catalog import StoreCatalog
-from repro.service.config import ClampedOptions, ServiceConfig
+from repro.service.config import ServiceConfig
 from repro.service.errors import (
     ServiceError,
+    bad_request,
     map_exception,
     method_not_allowed,
     not_found,
     stats_to_dict,
     unavailable,
 )
-from repro.service.inflight import InflightEntry, InflightRegistry
+from repro.service.inflight import InflightRegistry
 from repro.service.schemas import (
     decode_json_body,
     parse_analyze_request,
@@ -74,7 +81,7 @@ from repro.service.schemas import (
 
 if TYPE_CHECKING:  # pragma: no cover - typing only
     from repro.core.model import Log
-    from repro.obs.journal import QueryJournal, RunRecorder
+    from repro.obs.journal import QueryJournal
 
 __all__ = ["QueryService", "ServiceResponse"]
 
@@ -188,14 +195,12 @@ class _RequestNote(threading.local):
     pattern: str | None = None
     pairs: int = 0
     clamped: tuple[str, ...] = ()
-    query_id: str | None = None
 
     def reset(self) -> None:
         self.store = None
         self.pattern = None
         self.pairs = 0
         self.clamped = ()
-        self.query_id = None
 
 
 def _error_response(
@@ -297,16 +302,8 @@ class QueryService:
             response = self._route(
                 method, path.rstrip("/") or "/", body, headers, params
             )
-        except ServiceError as error:
-            killed = error.partial_stats is not None
-            response = _error_response(error, headers=headers)
         except Exception as exc:  # noqa: BLE001 - the opaque-500 contract
-            try:
-                error = map_exception(exc)
-            except TypeError:
-                error = ServiceError(
-                    "internal server error", status=500, code="internal"
-                )
+            error = map_exception(exc)
             killed = error.partial_stats is not None
             response = _error_response(error, headers=headers)
         self._observe(method, path, response, started, killed=killed)
@@ -445,8 +442,7 @@ class QueryService:
                         "status": status,
                         "duration_ms": round(duration_s * 1000.0, 3),
                         "bytes": len(response.body()),
-                        "query_id": note.query_id
-                        or response.headers.get("X-Query-Id"),
+                        "query_id": response.headers.get("X-Query-Id"),
                         "killed": killed,
                         "shed": status == 429,
                         "clamped": list(note.clamped),
@@ -478,81 +474,55 @@ class QueryService:
                 ) from None
             raise
 
-    def _engine_options(
-        self, clamped: ClampedOptions, *, entry: InflightEntry | None = None
-    ) -> EngineOptions:
-        return EngineOptions(
-            engine=clamped.engine,
-            optimize=clamped.optimize,
-            max_incidents=clamped.max_incidents,
-            metrics=self.metrics,
-            cache=self.cache if clamped.cache else None,
-            deadline_ms=clamped.deadline_ms,
-            max_pairs=clamped.max_pairs,
-            cancel=None if entry is None else entry.cancel,
-        )
-
-    def _begin(
-        self,
-        *,
-        pattern: str,
-        op: str,
-        clamped: ClampedOptions,
-        headers: dict[str, str],
-    ) -> "tuple[QueryContext, RunRecorder | None]":
-        """Mint the request's context and (optional) journal recorder.
-
-        The service journals at the HTTP boundary with its own context;
-        the inner :class:`Query` runs journal-free so each request owns
-        exactly one submit → finish/killed lifecycle.
-        """
-        ctx = QueryContext.new(
-            deadline_ms=clamped.deadline_ms, max_pairs=clamped.max_pairs
-        )
-        headers["X-Query-Id"] = ctx.query_id
-        headers["X-Trace-Id"] = ctx.trace_id
-        recorder = None
-        if self.journal is not None:
-            from repro.obs.journal import RunRecorder
-
-            recorder = RunRecorder(self.journal, ctx, pattern=pattern, op=op)
-            recorder.submit()
-        return ctx, recorder
-
     def _evaluate(
         self,
         *,
         pattern: str,
         op: str,
-        clamped: ClampedOptions,
+        options: EngineOptions,
+        clamped: tuple[str, ...],
         headers: dict[str, str],
-        body: Callable[[InflightEntry], dict[str, Any]],
+        body: Callable[[EngineOptions], dict[str, Any]],
         store: str | None = None,
     ) -> ServiceResponse:
         """Run ``body`` under admission control, governor mapping, the
-        inflight registry and the journal lifecycle; ``body`` receives
-        the request's :class:`InflightEntry` (its cancel token and the
-        engine-attachment hook) and returns the success payload."""
+        inflight registry and the journal lifecycle.
+
+        The request's context carries the ids :meth:`dispatch` minted;
+        the service journals at the HTTP boundary under them, and
+        ``body`` evaluates journal-free, so each request owns exactly one
+        submit → finish/killed lifecycle.  ``body`` receives ``options``
+        finished with the shared metrics, the shared cache (when the
+        request left it on) and the in-flight entry's cancel token, and
+        returns the success payload.
+        """
         self._check_draining()
         with self.admission.slot():
-            ctx, recorder = self._begin(
-                pattern=pattern, op=op, clamped=clamped, headers=headers
+            ctx = QueryContext(
+                query_id=headers["X-Query-Id"],
+                trace_id=headers["X-Trace-Id"],
+                deadline_ms=options.deadline_ms,
+                max_pairs=options.max_pairs,
             )
+            recorder = None
+            if self.journal is not None:
+                recorder = RunRecorder(self.journal, ctx, pattern=pattern, op=op)
+                recorder.submit()
             note = self._note
             note.pattern = pattern
             note.store = store
-            note.clamped = clamped.clamped
-            note.query_id = ctx.query_id
+            note.clamped = clamped
             entry = self.inflight.register(ctx, pattern=pattern, op=op, store=store)
             try:
-                payload = body(entry)
-            except Exception as exc:  # noqa: BLE001 - mapped below
-                try:
-                    error = map_exception(exc)
-                except TypeError:
-                    error = ServiceError(
-                        "internal server error", status=500, code="internal"
+                payload = body(
+                    options.replace(
+                        metrics=self.metrics,
+                        cache=self.cache if options.cache else None,
+                        cancel=entry.cancel,
                     )
+                )
+            except Exception as exc:  # noqa: BLE001 - mapped below
+                error = map_exception(exc)
                 note.pairs = int(
                     getattr(error.partial_stats, "pairs_examined", 0) or 0
                 )
@@ -583,8 +553,8 @@ class QueryService:
                     store=store,
                     http_status=200,
                 )
-            if clamped.clamped:
-                payload["clamped"] = list(clamped.clamped)
+            if clamped:
+                payload["clamped"] = list(clamped)
             return ServiceResponse(200, payload=payload, headers=dict(headers))
 
     # ------------------------------------------------------------------
@@ -751,12 +721,11 @@ class QueryService:
         self, body: bytes | None, headers: dict[str, str]
     ) -> ServiceResponse:
         request = parse_query_request(decode_json_body(body, what="query"))
-        clamped = self.config.clamp(request.options)
+        options, clamped = self.config.clamp(request.options)
         snapshot = self._snapshot(request.log)
 
-        def run(entry: InflightEntry) -> dict[str, Any]:
-            query = Query(request.pattern, self._engine_options(clamped, entry=entry))
-            entry.engine = query.engine
+        def run(options: EngineOptions) -> dict[str, Any]:
+            query = Query(request.pattern, options)
             payload: dict[str, Any] = {
                 "log": request.log,
                 "pattern": request.pattern,
@@ -786,6 +755,7 @@ class QueryService:
         return self._evaluate(
             pattern=request.pattern,
             op="http.query",
+            options=options,
             clamped=clamped,
             headers=headers,
             body=run,
@@ -796,21 +766,18 @@ class QueryService:
         self, body: bytes | None, headers: dict[str, str]
     ) -> ServiceResponse:
         request = parse_batch_request(decode_json_body(body, what="batch"))
-        clamped = self.config.clamp(request.options)
+        options, clamped = self.config.clamp(request.options)
+        if options.engine not in (None, VectorizedEngine.name):
+            raise bad_request(
+                f"a batch is one shared scan on the {VectorizedEngine.name!r} "
+                f"engine; got engine {options.engine!r}",
+                details={"available": [VectorizedEngine.name]},
+            )
         snapshot = self._snapshot(request.log)
 
-        def run(entry: InflightEntry) -> dict[str, Any]:
+        def run(options: EngineOptions) -> dict[str, Any]:
             outcome = Query.evaluate_batch(
-                snapshot,
-                list(request.patterns),
-                optimize=clamped.optimize,
-                analyze=request.analyze,
-                max_incidents=clamped.max_incidents,
-                metrics=self.metrics,
-                cache=self.cache if clamped.cache else None,
-                deadline_ms=clamped.deadline_ms,
-                max_pairs=clamped.max_pairs,
-                cancel=entry.cancel,
+                snapshot, request.patterns, options, analyze=request.analyze
             )
             results = []
             for text, incidents in zip(request.patterns, outcome.results):
@@ -842,6 +809,7 @@ class QueryService:
         return self._evaluate(
             pattern=" ; ".join(request.patterns),
             op="http.batch",
+            options=options,
             clamped=clamped,
             headers=headers,
             body=run,
@@ -870,12 +838,11 @@ class QueryService:
         self, body: bytes | None, headers: dict[str, str]
     ) -> ServiceResponse:
         request = parse_explain_request(decode_json_body(body, what="explain"))
-        clamped = self.config.clamp(request.options)
+        options, clamped = self.config.clamp(request.options)
         snapshot = self._snapshot(request.log)
 
-        def run(entry: InflightEntry) -> dict[str, Any]:
-            query = Query(request.pattern, self._engine_options(clamped, entry=entry))
-            entry.engine = query.engine
+        def run(options: EngineOptions) -> dict[str, Any]:
+            query = Query(request.pattern, options)
             plan = query.plan(snapshot)
             return {
                 "log": request.log,
@@ -889,6 +856,7 @@ class QueryService:
         return self._evaluate(
             pattern=request.pattern,
             op="http.explain",
+            options=options,
             clamped=clamped,
             headers=headers,
             body=run,
@@ -902,9 +870,9 @@ class QueryService:
         from repro.core.parser import parse
 
         request = parse_analyze_request(decode_json_body(body, what="analyze"))
-        clamped = self.config.clamp({})
+        options, clamped = self.config.clamp({})
 
-        def run(entry: InflightEntry) -> dict[str, Any]:
+        def run(_: EngineOptions) -> dict[str, Any]:
             prover = (
                 PatternProver(max_states=request.max_states)
                 if request.max_states is not None
@@ -927,6 +895,7 @@ class QueryService:
         return self._evaluate(
             pattern=f"{request.p} ~ {request.q}",
             op="http.analyze",
+            options=options,
             clamped=clamped,
             headers=headers,
             body=run,

@@ -5,9 +5,10 @@ Every evaluation request the service admits registers an
 :class:`InflightEntry` for its lifetime.  The entry carries the query's
 identity (``query_id``/``trace_id``), what it is doing (pattern, op,
 store), when it started, and — the operational teeth — a shared
-:class:`~repro.core.governor.CancelToken` plus a reference to the live
-engine, whose :class:`~repro.core.governor.ResourceGovernor` exposes
-checkpoint progress (``pairs_seen``).  ``GET /v1/admin/inflight`` lists
+:class:`~repro.core.governor.CancelToken`.  The run the token is handed
+to points it at its :class:`~repro.core.governor.ResourceGovernor`,
+whose ``pairs_seen`` is the run's checkpoint progress, so a query and a
+batch report progress the same way.  ``GET /v1/admin/inflight`` lists
 snapshots; ``DELETE /v1/admin/inflight/{query_id}`` sets the token, and
 the run dies at its next cooperative checkpoint with the standard
 structured-cancellation contract (503 ``unavailable`` + partial
@@ -24,7 +25,6 @@ from typing import TYPE_CHECKING, Any
 from repro.core.governor import CancelToken
 
 if TYPE_CHECKING:  # pragma: no cover - typing only
-    from repro.core.eval.base import Engine
     from repro.core.governor import QueryContext
 
 __all__ = ["InflightEntry", "InflightRegistry"]
@@ -41,7 +41,6 @@ class InflightEntry:
         "store",
         "started_unix",
         "cancel",
-        "engine",
         "cancelled_by_admin",
     )
 
@@ -62,22 +61,13 @@ class InflightEntry:
         self.store = store
         self.started_unix = started_unix
         self.cancel = CancelToken()
-        #: attached by the handler once the Query's engine exists; its
-        #: governor carries live checkpoint progress
-        self.engine: "Engine | None" = None
         self.cancelled_by_admin = False
 
     def pairs_so_far(self) -> int:
         """Best-effort pairs examined so far, read lock-free from the
-        engine's governor (refreshed at every cooperative checkpoint)."""
-        engine = self.engine
-        if engine is None:
-            return 0
-        governor = getattr(engine, "governor", None)
-        if governor is not None:
-            return int(getattr(governor, "pairs_seen", 0))
-        stats = getattr(engine, "last_stats", None)
-        return int(getattr(stats, "pairs_examined", 0) or 0)
+        run's governor (refreshed at every cooperative checkpoint)."""
+        governor = self.cancel.governor
+        return 0 if governor is None else governor.pairs_seen
 
     def snapshot(self, *, now: float | None = None) -> dict[str, Any]:
         when = time.time() if now is None else now

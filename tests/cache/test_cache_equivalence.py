@@ -216,8 +216,8 @@ class TestLayerIntegration:
     def test_evaluate_batch_reuses_cached_results(self):
         snap = self.STORE().snapshot()
         cache = QueryCache()
-        cold = Query.evaluate_batch(snap, ["A -> B", "A ; B"], cache=cache)
+        cold = Query.evaluate_batch(snap, ["A -> B", "A ; B"], EngineOptions(cache=cache))
         assert cold.cache_hits == 0
-        warm = Query.evaluate_batch(snap, ["A -> B", "B | C"], cache=cache)
+        warm = Query.evaluate_batch(snap, ["A -> B", "B | C"], EngineOptions(cache=cache))
         assert warm.cache_hits == 1  # "A -> B" served without re-evaluation
         assert warm.results[0].to_rows() == cold.results[0].to_rows()

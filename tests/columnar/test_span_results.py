@@ -21,7 +21,7 @@ from hypothesis import given, settings
 
 from repro.core.errors import BudgetExceededError, QueryBudgetExceeded
 from repro.core.eval.vectorized import VectorizedEngine
-from repro.core.governor import QueryContext, ResourceGovernor
+from repro.core.governor import ResourceGovernor
 from repro.core.incident import Incident, IncidentSet
 from repro.core.model import LogRecord
 
@@ -127,7 +127,7 @@ def run_killed(index, kind, budget):
     cost, or its full stats when the budget was enough."""
     pattern, log = ALL_CASES[index]
     if kind == "max_pairs":
-        governor = ResourceGovernor.from_context(QueryContext.new(max_pairs=budget))
+        governor = ResourceGovernor(max_pairs=budget)
         engine = VectorizedEngine(governor=governor)
     else:
         engine = VectorizedEngine(max_incidents=budget)
@@ -157,7 +157,7 @@ def test_a_killed_shared_run_leaves_nothing_a_later_run_can_see():
     for index in range(0, len(ALL_CASES), 15):
         pattern, log = ALL_CASES[index]
         engine = VectorizedEngine(share=True)
-        engine.governor = ResourceGovernor.from_context(QueryContext.new(max_pairs=1))
+        engine.governor = ResourceGovernor(max_pairs=1)
         try:
             engine.evaluate(log, pattern)
         except QueryBudgetExceeded:

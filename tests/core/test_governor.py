@@ -22,7 +22,7 @@ from repro.core.eval.base import EvaluationStats
 from repro.core.eval.incremental import IncrementalEvaluator
 from repro.core.eval.vectorized import VectorizedEngine
 from repro.core.eval.naive import NaiveEngine
-from repro.core.governor import CancelToken, QueryContext, ResourceGovernor
+from repro.core.governor import CancelToken, QueryContext, ResourceGovernor, begin_run
 from repro.core.options import EngineOptions
 from repro.core.parser import parse
 from repro.core.query import Query
@@ -42,16 +42,6 @@ class TestQueryContext:
         assert a.trace_id != b.trace_id
         assert a.query_id.startswith("q-") and a.trace_id.startswith("t-")
 
-    def test_deadline_becomes_absolute_at_submission(self):
-        ctx = QueryContext.new(deadline_ms=500, clock=lambda: 1000.0)
-        assert ctx.deadline_unix == 1000.5
-        assert ctx.deadline_ms == 500
-
-    def test_governed_property(self):
-        assert not QueryContext.new().governed
-        assert QueryContext.new(deadline_ms=1).governed
-        assert QueryContext.new(max_pairs=1).governed
-
     @pytest.mark.parametrize(
         "kwargs", [{"deadline_ms": 0}, {"deadline_ms": -5}, {"max_pairs": 0}]
     )
@@ -66,16 +56,58 @@ class TestQueryContext:
             pickle.dumps(CancelToken())
 
 
-class TestResourceGovernor:
-    def test_from_context_is_none_when_ungoverned(self):
-        assert ResourceGovernor.from_context(QueryContext.new()) is None
+class TestBeginRun:
+    PATTERNS = (parse("A -> B"),)
 
-    def test_from_context_with_cancel_token_only(self):
-        governor = ResourceGovernor.from_context(
-            QueryContext.new(), cancel=CancelToken()
+    def test_begin_run_builds_nothing_when_ungoverned(self):
+        assert begin_run(EngineOptions(), self.PATTERNS, "run") == (None, None)
+
+    def test_begin_run_with_cancel_token_only(self):
+        cancel = CancelToken()
+        recorder, governor = begin_run(
+            EngineOptions(cancel=cancel), self.PATTERNS, "run"
         )
-        assert governor is not None
+        assert recorder is None and governor is not None
         governor.check(_stats(10**9))  # no budgets: nothing trips
+        assert cancel.governor is governor  # the token's holder reads progress
+
+    def test_deadline_becomes_absolute_at_begin(self, monkeypatch):
+        monkeypatch.setattr("repro.core.governor.time.time", lambda: 1000.0)
+        _, governor = begin_run(EngineOptions(deadline_ms=500), self.PATTERNS, "run")
+        assert governor.deadline_unix == 1000.5
+        assert governor.deadline_ms == 500
+
+    def test_governed_options_build_a_governor(self):
+        assert not EngineOptions().governed
+        for options in (EngineOptions(deadline_ms=1), EngineOptions(max_pairs=1)):
+            assert options.governed
+            assert begin_run(options, self.PATTERNS, "run")[1] is not None
+
+    def test_a_context_is_minted_only_for_a_journal(self, monkeypatch):
+        from repro.obs.journal import QueryJournal
+
+        minted = []
+        real = QueryContext.new.__func__
+        monkeypatch.setattr(
+            QueryContext,
+            "new",
+            classmethod(lambda cls, **kw: minted.append(kw) or real(cls, **kw)),
+        )
+        begin_run(EngineOptions(max_pairs=5, deadline_ms=9.0), self.PATTERNS, "run")
+        assert minted == []
+        journal = QueryJournal()
+        patterns = self.PATTERNS + (parse("C"), parse("D"))
+        recorder, _ = begin_run(
+            EngineOptions(journal=journal, max_pairs=5), patterns, "batch", queries=3
+        )
+        assert minted == [{"deadline_ms": None, "max_pairs": 5}]
+        (submit,) = journal.events
+        assert submit["query_id"] == recorder.ctx.query_id
+        assert submit["pattern"] == "A -> B (+2 more)"
+        assert submit["op"] == "batch" and submit["queries"] == 3
+
+
+class TestResourceGovernor:
 
     def test_max_pairs_budget_trips_with_partial_stats(self):
         governor = ResourceGovernor(max_pairs=10)

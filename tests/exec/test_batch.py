@@ -3,6 +3,7 @@
 import pytest
 
 from repro.core.eval.vectorized import VectorizedEngine
+from repro.core.options import EngineOptions
 from repro.core.parser import parse
 from repro.core.query import Query
 from repro.exec.batch import evaluate_batch
@@ -28,7 +29,7 @@ def independent(log, queries):
 
 def test_batch_equals_independent_with_fewer_pairs(clinic_log):
     expected, indep_pairs = independent(clinic_log, QUERIES)
-    batch = evaluate_batch(clinic_log, QUERIES, optimize=False)
+    batch = evaluate_batch(clinic_log, QUERIES, EngineOptions(optimize=False))
     for got, want in zip(batch.results, expected):
         assert list(got) == list(want)
     # the acceptance criterion: strictly fewer pairs than N independent
@@ -39,15 +40,15 @@ def test_batch_equals_independent_with_fewer_pairs(clinic_log):
 
 def test_batch_with_normalisation_still_equal(clinic_log):
     expected, _ = independent(clinic_log, QUERIES)
-    batch = evaluate_batch(clinic_log, QUERIES, optimize=True)
+    batch = evaluate_batch(clinic_log, QUERIES, EngineOptions(optimize=True))
     for got, want in zip(batch.results, expected):
         assert got == want  # set equality (normalisation may reorder ⊗)
 
 
 def test_duplicate_query_costs_nothing_extra(clinic_log):
-    single = evaluate_batch(clinic_log, [QUERIES[0]], optimize=False)
+    single = evaluate_batch(clinic_log, [QUERIES[0]], EngineOptions(optimize=False))
     doubled = evaluate_batch(
-        clinic_log, [QUERIES[0], QUERIES[0]], optimize=False
+        clinic_log, [QUERIES[0], QUERIES[0]], EngineOptions(optimize=False)
     )
     assert doubled.results[0] == doubled.results[1] == single.results[0]
     # the repeat is answered fully from the share: zero extra pairs
@@ -75,7 +76,7 @@ def test_batch_observability(clinic_log):
     tracer = Tracer()
     registry = MetricsRegistry()
     batch = evaluate_batch(
-        clinic_log, QUERIES, tracer=tracer, metrics=registry
+        clinic_log, QUERIES, EngineOptions(tracer=tracer, metrics=registry)
     )
     root = tracer.last_root
     assert root is not None and root.label == "batch"

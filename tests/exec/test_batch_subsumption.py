@@ -8,6 +8,7 @@ import pytest
 from repro.cache import QueryCache
 from repro.core.eval.vectorized import VectorizedEngine
 from repro.core.model import Log
+from repro.core.options import EngineOptions
 from repro.core.parser import parse
 from repro.exec.batch import evaluate_batch
 from repro.obs.metrics import MetricsRegistry
@@ -17,6 +18,7 @@ from repro.obs.tracer import Tracer
 # strict containments plus one proved-equivalent alias.
 SUBSUMED = ["A ; B", "A -> B"]
 CHAINED = ["A ; B", "A -> B", "(A -> B) | (B -> A)", "A & B", "C"]
+NO_OPTIMIZE = EngineOptions(optimize=False)
 
 
 @pytest.fixture(scope="module")
@@ -45,28 +47,28 @@ def batch_rows(result):
 
 
 def test_subsumed_pair_meets_the_acceptance_criterion(ab_log):
-    result = evaluate_batch(ab_log, SUBSUMED, optimize=False)
+    result = evaluate_batch(ab_log, SUBSUMED, NO_OPTIMIZE)
     assert result.subsumed >= 1
     assert result.proofs >= 1
     assert batch_rows(result) == independent_rows(ab_log, SUBSUMED)
 
 
 def test_chained_derivations_and_alias_stay_exact(ab_log):
-    result = evaluate_batch(ab_log, CHAINED, optimize=False)
+    result = evaluate_batch(ab_log, CHAINED, NO_OPTIMIZE)
     # A;B derives from A->B derives from the choice; A&B aliases it
     assert result.subsumed == 3
     assert batch_rows(result) == independent_rows(ab_log, CHAINED)
 
 
 def test_analyze_flag_off_restores_the_status_quo(ab_log):
-    planned = evaluate_batch(ab_log, CHAINED, optimize=False)
-    plain = evaluate_batch(ab_log, CHAINED, optimize=False, analyze=False)
+    planned = evaluate_batch(ab_log, CHAINED, NO_OPTIMIZE)
+    plain = evaluate_batch(ab_log, CHAINED, NO_OPTIMIZE, analyze=False)
     assert plain.subsumed == 0 and plain.proofs == 0
     assert batch_rows(plain) == batch_rows(planned)
 
 
 def test_optimized_batch_still_exact(ab_log):
-    result = evaluate_batch(ab_log, CHAINED, optimize=True)
+    result = evaluate_batch(ab_log, CHAINED, EngineOptions(optimize=True))
     # set equality: normalisation may reorder ⊗ operands
     for got, text in zip(result.results, CHAINED):
         assert got == VectorizedEngine().evaluate(ab_log, parse(text))
@@ -75,7 +77,7 @@ def test_optimized_batch_still_exact(ab_log):
 def test_metrics_and_trace_report_the_plan(ab_log):
     tracer, registry = Tracer(), MetricsRegistry()
     result = evaluate_batch(
-        ab_log, SUBSUMED, tracer=tracer, metrics=registry
+        ab_log, SUBSUMED, EngineOptions(tracer=tracer, metrics=registry)
     )
     assert registry.counter("analysis.subsumed").value == result.subsumed
     assert registry.counter("analysis.proofs").value == result.proofs
@@ -87,8 +89,8 @@ def test_metrics_and_trace_report_the_plan(ab_log):
 
 def test_derived_results_populate_the_result_cache(ab_log):
     cache = QueryCache()
-    evaluate_batch(ab_log, SUBSUMED, cache=cache)
-    warm = evaluate_batch(ab_log, SUBSUMED, cache=cache)
+    evaluate_batch(ab_log, SUBSUMED, EngineOptions(cache=cache))
+    warm = evaluate_batch(ab_log, SUBSUMED, EngineOptions(cache=cache))
     # both the scanned and the derived query answer from the cache
     assert warm.cache_hits == len(SUBSUMED)
 
@@ -108,7 +110,7 @@ def test_unprovable_patterns_degrade_to_scan(ab_log):
 
 
 def test_duplicate_queries_alias_without_rescanning(ab_log):
-    result = evaluate_batch(ab_log, ["A -> B", "A -> B"], optimize=False)
+    result = evaluate_batch(ab_log, ["A -> B", "A -> B"], NO_OPTIMIZE)
     assert batch_rows(result)[0] == batch_rows(result)[1]
 
 

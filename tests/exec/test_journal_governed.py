@@ -42,7 +42,7 @@ class TestBatchJournal:
 
     def test_serial_batch_lifecycle(self, clinic_log):
         journal = QueryJournal()
-        batch = evaluate_batch(clinic_log, self.PATTERNS, journal=journal)
+        batch = evaluate_batch(clinic_log, self.PATTERNS, EngineOptions(journal=journal))
         validate_journal(journal.events)
         assert _kinds(journal) == ["submit", "evaluate", "finish"]
         evaluate, finish = journal.events[1], journal.events[-1]
@@ -56,7 +56,7 @@ class TestBatchJournal:
         journal = QueryJournal()
         with pytest.raises(QueryGovernorError):
             evaluate_batch(
-                clinic_log, self.PATTERNS, journal=journal, max_pairs=3
+                clinic_log, self.PATTERNS, EngineOptions(journal=journal, max_pairs=3)
             )
         validate_journal(journal.events)
         assert journal.events[-1]["event"] == "killed"
@@ -78,7 +78,7 @@ class TestBatchJournal:
             )
         with pytest.raises(QueryBudgetExceeded) as info:
             evaluate_batch(
-                clinic_log, disjoint, optimize=False, max_pairs=budget
+                clinic_log, disjoint, EngineOptions(optimize=False, max_pairs=budget)
             )
         assert info.value.examined > budget
 
@@ -87,12 +87,9 @@ class TestBatchJournal:
 
         cache = QueryCache()
         journal = QueryJournal()
-        evaluate_batch(
-            clinic_log, self.PATTERNS, cache=cache, journal=journal
-        )
-        evaluate_batch(
-            clinic_log, self.PATTERNS, cache=cache, journal=journal
-        )
+        options = EngineOptions(cache=cache, journal=journal)
+        evaluate_batch(clinic_log, self.PATTERNS, options)
+        evaluate_batch(clinic_log, self.PATTERNS, options)
         validate_journal(journal.events)
         probes = [e for e in journal.events if e["event"] == "cache"]
         assert [e["hit"] for e in probes] == [False, True]
@@ -100,6 +97,6 @@ class TestBatchJournal:
     def test_journal_off_results_unchanged(self, clinic_log):
         plain = evaluate_batch(clinic_log, self.PATTERNS)
         journal = QueryJournal()
-        journaled = evaluate_batch(clinic_log, self.PATTERNS, journal=journal)
+        journaled = evaluate_batch(clinic_log, self.PATTERNS, EngineOptions(journal=journal))
         for a, b in zip(plain.results, journaled.results):
             assert a.to_set() == b.to_set()

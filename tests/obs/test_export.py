@@ -14,6 +14,7 @@ import pytest
 from repro.core.eval.vectorized import VectorizedEngine
 from repro.core.eval.naive import NaiveEngine
 from repro.core.model import Log
+from repro.core.options import EngineOptions
 from repro.core.parser import parse
 from repro.obs.export import (
     METRICS_SCHEMA,
@@ -103,14 +104,14 @@ class TestMetricsExport:
 class TestProfileExport:
     def test_profile_document_validates(self):
         log = Log.from_traces([["A", "B", "C", "A", "B"]] * 3, interleave=True)
-        report = profile_query(log, "A -> (B | C)")
+        report = profile_query(log, "A -> (B | C)", EngineOptions())
         document = report.to_dict()
         validate_profile(document)
         assert document["totals"]["pairs_examined"] == report.stats.pairs_examined
 
     def test_hottest_must_reference_a_node(self):
         log = Log.from_traces([["A", "B"]])
-        document = profile_query(log, "A -> B").to_dict()
+        document = profile_query(log, "A -> B", EngineOptions(optimize=False)).to_dict()
         document["hottest"]["path"] = "root.9"
         with pytest.raises(SchemaError):
             validate_profile(document)

@@ -227,6 +227,55 @@ class TestClamping:
         # the one deliberate narrowing of the wire contract: no alias is kept
         self.assert_unknown_engine(service, "indexed")
 
+    @pytest.mark.parametrize("engine", ["naive", "sqlite"])
+    def test_a_batch_refuses_an_engine_it_cannot_run(self, service, engine):
+        # a batch is one shared scan on the kernel: another engine is a
+        # 400 naming the one allowed, never a kernel answer under its name
+        response = post(
+            service,
+            "/v1/batch",
+            {"log": "clinic", "patterns": ["GetRefer"], "options": {"engine": engine}},
+        )
+        assert response.status == 400
+        error = payload(response)["error"]
+        assert error["code"] == "bad_request"
+        assert error["details"]["available"] == ["vectorized"]
+        assert repr(engine) in error["message"]
+
+    def test_a_batch_accepts_the_kernel_by_name(self, service):
+        response = post(
+            service,
+            "/v1/batch",
+            {"log": "clinic", "patterns": ["GetRefer"],
+             "options": {"engine": "vectorized"}},
+        )
+        assert response.status == 200
+
+    def test_clamp_returns_engine_options_and_the_clamped_names(self):
+        config = ServiceConfig(deadline_ms_ceiling=50.0, max_pairs_ceiling=1000)
+        options, clamped = config.clamp(
+            {"engine": "naive", "optimize": False, "deadline_ms": 20,
+             "max_pairs": 10**9, "cache": False}
+        )
+        assert options == EngineOptions(
+            engine="naive",
+            optimize=False,
+            max_incidents=config.max_incidents_ceiling,
+            cache=False,
+            deadline_ms=20.0,
+            max_pairs=1000,
+        )
+        assert clamped == ("max_pairs",)
+        assert config.clamp({}) == (
+            EngineOptions(
+                max_incidents=config.max_incidents_ceiling,
+                cache=True,
+                deadline_ms=50.0,
+                max_pairs=1000,
+            ),
+            (),
+        )
+
 
 class TestQueryModes:
     def test_incidents_match_direct_query(self, service, clinic_log):
@@ -426,6 +475,44 @@ class TestJournal:
             and e["event"] == "submit"
         )
         assert submit["op"] == "http.query"
+
+    @pytest.mark.parametrize(
+        "path, body",
+        [
+            ("/v1/query", {"log": "clinic", "pattern": "GetRefer -> CheckIn",
+                           "options": {"cache": False}}),
+            ("/v1/batch", {"log": "clinic", "patterns": ["GetRefer", "CheckIn"],
+                           "options": {"cache": False}}),
+        ],
+        ids=["query", "batch"],
+    )
+    def test_one_request_mints_one_query_id_and_one_trace_id(
+        self, make_service, monkeypatch, path, body
+    ):
+        import repro.core.governor as governor
+        import repro.service.handlers as handlers
+
+        minted = {"query_id": [], "trace_id": []}
+        for name, kind in (("new_query_id", "query_id"), ("new_trace_id", "trace_id")):
+            real = getattr(governor, name)
+
+            def counted(real=real, kind=kind):
+                minted[kind].append(real())
+                return minted[kind][-1]
+
+            monkeypatch.setattr(governor, name, counted)
+            monkeypatch.setattr(handlers, name, counted)
+        service = make_service(journal=True)
+        response = post(service, path, body)
+        assert response.status == 200
+        assert minted == {
+            "query_id": [response.headers["X-Query-Id"]],
+            "trace_id": [response.headers["X-Trace-Id"]],
+        }
+        # the one lifecycle is journaled under the ids the client got
+        assert {(e["query_id"], e["trace_id"]) for e in service.journal.events} == {
+            (response.headers["X-Query-Id"], response.headers["X-Trace-Id"])
+        }
 
     def test_response_ids_match_journal(self, make_service):
         service = make_service(journal=True)

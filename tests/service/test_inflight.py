@@ -167,6 +167,48 @@ def test_admin_delete_kills_a_listed_batch(server) -> None:
     assert [e["query_id"] for e in killed] == [snapshot["query_id"]]
 
 
+#: A batch that runs long enough (≈ 1.3 s in process) to be seen
+#: mid-scan, with headroom under the 1 000 000 ``max_incidents`` ceiling
+#: (≈ 450 000 incidents); ``limit: 0`` keeps the reply small.
+LONG_BATCH = {
+    "log": "clinic",
+    "patterns": ["!GetRefer -> !CheckIn -> !SeeDoctor", "GetRefer -> CheckIn"],
+    "limit": 0,
+    "options": {"cache": False, "optimize": False},
+}
+
+
+def test_a_running_batch_reports_live_pairs(server) -> None:
+    """``/v1/admin/inflight`` and the DELETE reply read a batch's pairs
+    off its governor, the way they read a query's."""
+    outcome: dict = {}
+
+    def client() -> None:
+        outcome["response"] = _request(server.url, "POST", "/v1/batch", LONG_BATCH)
+
+    thread = threading.Thread(target=client)
+    thread.start()
+    try:
+        seen = None
+        deadline = time.monotonic() + 30.0
+        while seen is None and thread.is_alive() and time.monotonic() < deadline:
+            _, _, body = _request(server.url, "GET", "/v1/admin/inflight")
+            rows = json.loads(body)["queries"]
+            seen = next((row for row in rows if row["pairs"] > 0), None)
+            time.sleep(0.002)
+        assert seen is not None, "the batch never showed pairs > 0 while running"
+        status, _, reply = _request(
+            server.url, "DELETE", "/v1/admin/inflight/" + seen["query_id"]
+        )
+    finally:
+        thread.join(timeout=30)
+    assert not thread.is_alive()
+    assert seen["op"] == "http.batch"
+    assert status == 200
+    assert json.loads(reply)["pairs"] >= seen["pairs"] > 0
+    assert outcome["response"][0] == 503  # and the kill reached the scan
+
+
 def test_completed_queries_leave_the_registry(server) -> None:
     status, _, _ = _request(
         server.url,

@@ -1,10 +1,13 @@
 """The docs name only what exists: every backticked ``repro.x.y`` path,
 every ``src/`` / ``tests/`` / ``benchmarks/`` / ``examples/`` file and
 every ``--flag`` in README.md, DESIGN.md, EXPERIMENTS.md and docs/*.md
-resolves against the tree, every CLI flag is named in some doc, and
-docs/SERVICE.md's reply-field table is the key set of the golden bodies."""
+resolves against the tree, every CLI flag is named in some doc,
+docs/SERVICE.md's reply-field table is the key set of the golden bodies,
+its request-option table is the key set of the wire schema, and the
+README's ``EngineOptions`` table is the dataclass's field set."""
 
 import argparse
+import dataclasses
 import importlib
 import json
 import re
@@ -14,6 +17,8 @@ from pathlib import Path
 import pytest
 
 from repro.cli import build_parser
+from repro.core.options import EngineOptions
+from repro.service.schemas import OPTION_FIELDS
 
 ROOT = Path(__file__).resolve().parents[1]
 DOCS = [ROOT / "README.md", ROOT / "DESIGN.md", ROOT / "EXPERIMENTS.md"] + sorted(
@@ -112,3 +117,28 @@ def test_service_doc_and_golden_bodies_name_the_same_reply_fields():
     assert in_bodies - in_table == set(), "golden reply keys docs/SERVICE.md does not list"
     assert in_table - in_bodies == set(), "docs/SERVICE.md lists reply keys no golden body has"
     assert all(f"`{field}`" in section for field in CONDITIONAL_FIELDS - in_table)
+
+
+def table_keys(path: str, heading: str) -> set[str]:
+    """The backticked first cells of the table under ``heading``."""
+    text = (ROOT / path).read_text(encoding="utf-8")
+    section = re.search(rf"(?ms)^#{{2,3}} {re.escape(heading)}.*?(?=^#{{2,3}} )", text).group(0)
+    return set(re.findall(r"(?m)^\| `(\w+)` \|", section))
+
+
+def test_service_doc_and_wire_schema_name_the_same_request_options():
+    in_table = table_keys("docs/SERVICE.md", "Request options")
+    assert set(OPTION_FIELDS) - in_table == set(), "wire options docs/SERVICE.md does not list"
+    assert in_table - set(OPTION_FIELDS) == set(), "docs/SERVICE.md lists options the wire refuses"
+    # and every example request sends only options that exist
+    for doc in DOCS:
+        for body in re.findall(r'"options":\s*\{([^}]*)\}', doc_text(doc)):
+            sent = set(re.findall(r'"(\w+)":', body))
+            assert sent <= set(OPTION_FIELDS), f"{doc.name} sends unknown options {sent}"
+
+
+def test_readme_and_engine_options_name_the_same_fields():
+    in_table = table_keys("README.md", "Execution options: `EngineOptions`")
+    fields = {field.name for field in dataclasses.fields(EngineOptions)}
+    assert fields - in_table == set(), "EngineOptions fields the README does not list"
+    assert in_table - fields == set(), "the README lists EngineOptions fields that do not exist"
