@@ -4,52 +4,28 @@ The paper's related-work section argues warehousing "is not efficient
 [for] runtime execution monitoring over a data warehousing approach".
 This example shows the direct-log alternative end to end:
 
-1. **mine** a first batch of history for dominant orderings and turn the
-   rare inversions into candidate anomaly rules (``repro.mining``);
-2. attach the mined rules plus the curated clinic rules to a
+1. attach the curated clinic rules to a
    :class:`~repro.analytics.monitor.LiveMonitor`;
-3. **stream** a second day of traffic record by record — alerts fire at
-   the exact record that completes an incident, while instances are still
+2. **stream** a day of traffic record by record — alerts fire at the
+   exact record that completes an incident, while instances are still
    running.
 
 Run:  python examples/live_monitoring.py
 """
 
 from repro.analytics import LiveMonitor, clinic_rules
-from repro.mining import footprint, suggest_anomaly_rules
 from repro.workflow import SimulationConfig, WorkflowEngine
 from repro.workflow.models import clinic_referral_workflow
 
 
 def main() -> None:
-    engine = WorkflowEngine(clinic_referral_workflow())
-
-    # --- day 1: historical batch, used for mining -----------------------
-    history = engine.run(SimulationConfig(instances=150, seed=100))
-    print(f"history: {len(history)} records, {len(history.wids)} referrals")
-
-    mined = footprint(history, noise=0.05)
-    print("\nfootprint over the clinic activities (excerpt):")
-    print("  causal pairs:", ", ".join(
-        f"{a}→{b}" for a, b in mined.causal_pairs()[:6]
-    ))
-
-    mined_rules = suggest_anomaly_rules(history, max_inversion_rate=0.15,
-                                        min_support=10)
-    print(f"\nmined {len(mined_rules)} candidate anomaly rule(s):")
-    for rule in mined_rules:
-        print(f"  {rule.name}: {rule.pattern}  ({rule.description})")
-
-    # --- day 2: live traffic through the monitor ------------------------
     ruleset = clinic_rules()
-    for rule in mined_rules:
-        ruleset.add(rule)
     monitor = LiveMonitor(ruleset)
 
     live = WorkflowEngine(clinic_referral_workflow()).run(
         SimulationConfig(instances=40, seed=200, arrival_stagger=1)
     )
-    print(f"\nstreaming {len(live)} live records through "
+    print(f"streaming {len(live)} live records through "
           f"{len(ruleset)} rules...")
     shown = 0
     for record in live:

@@ -1,4 +1,4 @@
-"""A full process audit: satisfiability, compliance, durations, anomalies.
+"""A process audit: satisfiability first, then anomalies.
 
 Plays the role of a process analyst auditing the loan-approval process:
 
@@ -7,31 +7,13 @@ Plays the role of a process analyst auditing the loan-approval process:
    (`repro.workflow.analysis`), before scanning any data.  Note the
    "Reject -> Disburse" verdict: the *model* cannot produce it, so any
    log where it matches (see examples/fraud_detection.py) is forged;
-2. run the **DECLARE-style compliance battery** over the quarter's log;
-3. compute **duration KPIs** from the simulated timestamps (cycle times,
-   per-activity sojourns, and the duration of specific incident matches);
-4. finish with the **anomaly rules**.
+2. run the **anomaly rules** over the quarter's log.
 
 Run:  python examples/process_audit.py
 """
 
-from repro.analytics import (
-    activity_sojourns,
-    cycle_times,
-    incident_durations,
-    loan_rules,
-)
-from repro.analytics.compliance import (
-    check,
-    exactly_once,
-    existence,
-    init,
-    not_succession,
-    precedence,
-    response,
-)
+from repro.analytics import loan_rules
 from repro.core.parser import parse
-from repro.core.query import Query
 from repro.workflow import SimulationConfig, WorkflowEngine, analyze, explain_mismatch, may_match
 from repro.workflow.models import loan_approval_workflow
 
@@ -52,41 +34,16 @@ def main() -> None:
     profile = analyze(spec)
 
     print("=== 1. static validation of the question bank ===")
-    runnable = []
     for text in QUESTION_BANK:
         pattern = parse(text)
         if may_match(profile, pattern):
             print(f"  OK      {text}")
-            runnable.append(pattern)
         else:
             reason = explain_mismatch(profile, pattern)[0]
             print(f"  REJECT  {text}\n            ({reason})")
 
-    log = WorkflowEngine(spec).run(
-        SimulationConfig(instances=250, seed=314, record_timestamps=True)
-    )
-    print(f"\n=== 2. compliance battery over {len(log.wids)} applications ===")
-    report = check(log, [
-        init("SubmitApplication"),
-        existence("CreditCheck"),
-        exactly_once("CreditCheck"),
-        precedence("CreditCheck", "Approve"),
-        response("RequestDocuments", "ReceiveDocuments"),
-        not_succession("Reject", "Disburse"),
-    ])
-    print(report.format())
-
-    print("\n=== 3. duration KPIs (simulated clock) ===")
-    print(f"  cycle time: {cycle_times(log).format()}")
-    sojourns = activity_sojourns(log)
-    for activity in ("CreditCheck", "ManualReview", "Disburse"):
-        if activity in sojourns:
-            print(f"  {activity:<14} {sojourns[activity].format()}")
-    review_to_decision = Query("ManualReview -> (Approve | Reject)").run(log)
-    print(f"  manual review -> decision: "
-          f"{incident_durations(review_to_decision).format()}")
-
-    print("\n=== 4. anomaly rules ===")
+    log = WorkflowEngine(spec).run(SimulationConfig(instances=250, seed=314))
+    print(f"\n=== 2. anomaly rules over {len(log.wids)} applications ===")
     print(loan_rules().run(log).format())
 
 

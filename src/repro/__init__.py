@@ -52,16 +52,10 @@ from repro.core import (  # noqa: E402
     ReproError,
     Sequential,
     Severity,
-    act,
-    choice,
-    consecutive,
-    lint_pattern,
-    neg,
     parallel,
     parse,
     parse_with_spans,
     reference_incidents,
-    sequential,
 )
 from repro.analysis import (  # noqa: E402
     AnalysisError,
@@ -103,18 +97,12 @@ __all__ = [
     "Diagnostic",
     "Linter",
     "Severity",
-    "lint_pattern",
     "Pattern",
     "Atomic",
     "Consecutive",
     "Sequential",
     "Choice",
     "Parallel",
-    "act",
-    "neg",
-    "consecutive",
-    "sequential",
-    "choice",
     "parallel",
     "Query",
     "ENGINES",

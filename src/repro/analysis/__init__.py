@@ -3,9 +3,9 @@ prover over a canonical automaton IR, with counterexample witnesses.
 
 The public surface:
 
-* :class:`PatternProver` / :func:`contains` / :func:`equivalent` /
-  :func:`witness` — the decision procedures (per-wid incident
-  semantics, Definition 4);
+* :class:`PatternProver` (``contains`` / ``equivalent`` / ``witness``;
+  :func:`default_prover` is the shared one) — the decision procedures
+  (per-wid incident semantics, Definition 4);
 * :class:`Witness` — a replayable counterexample trace + incident;
 * :class:`IncidentMatcher` — exact incident-membership filter;
 * :func:`canonical_key` — an equivalence-class key for result caching;
@@ -31,11 +31,8 @@ from repro.analysis.prover import (
     SubsumptionPlan,
     Witness,
     canonical_key,
-    contains,
     default_prover,
-    equivalent,
     plan_subsumption,
-    witness,
 )
 from repro.analysis.verify import (
     SHIPPED_RULES,
@@ -63,9 +60,6 @@ __all__ = [
     "PlanAction",
     "SubsumptionPlan",
     "plan_subsumption",
-    "contains",
-    "equivalent",
-    "witness",
     "canonical_key",
     "default_prover",
     "SHIPPED_RULES",

@@ -3,12 +3,12 @@ counterexample witnesses, incident membership, canonical language keys,
 and the batch subsumption planner.
 
 All procedures reason about the *per-wid incident semantics* of
-Definition 4: ``contains(p, q)`` holds iff for every well-formed log
-``L``, ``incL(p) ⊆ incL(q)``.  Because incidents never span workflow
-instances and the core atoms ignore attributes, this reduces to
-language containment of the compiled marked-trace automata over a
-single shared alphabet (see :mod:`repro.analysis.automaton`), which
-also means a refutation always decodes into a *single-instance*
+Definition 4: ``PatternProver.contains(p, q)`` holds iff for every
+well-formed log ``L``, ``incL(p) ⊆ incL(q)``.  Because incidents never
+span workflow instances and the core atoms ignore attributes, this
+reduces to language containment of the compiled marked-trace automata
+over a single shared alphabet (see :mod:`repro.analysis.automaton`),
+which also means a refutation always decodes into a *single-instance*
 counterexample log — the :class:`Witness`.
 """
 
@@ -40,9 +40,6 @@ __all__ = [
     "SubsumptionPlan",
     "PlanAction",
     "plan_subsumption",
-    "contains",
-    "equivalent",
-    "witness",
     "canonical_key",
     "default_prover",
 ]
@@ -235,18 +232,6 @@ def default_prover() -> PatternProver:
     """The process-wide shared prover (its DFA memo amortises repeated
     lint/batch/cache proofs over the same patterns)."""
     return _DEFAULT_PROVER
-
-
-def contains(p: Pattern, q: Pattern) -> bool:
-    return _DEFAULT_PROVER.contains(p, q)
-
-
-def equivalent(p: Pattern, q: Pattern) -> bool:
-    return _DEFAULT_PROVER.equivalent(p, q)
-
-
-def witness(p: Pattern, q: Pattern) -> Witness | None:
-    return _DEFAULT_PROVER.witness(p, q)
 
 
 def canonical_key(pattern: Pattern) -> str:

@@ -117,14 +117,10 @@ class RuleReport:
     def ok(self) -> bool:
         return all(v.sound for v in self.verifications)
 
-    @property
-    def failures(self) -> tuple[RuleVerification, ...]:
-        return tuple(v for v in self.verifications if not v.sound)
-
     def format(self) -> str:
         lines = [v.format() for v in self.verifications]
         verdict = "all rules sound" if self.ok else (
-            f"{len(self.failures)} unsound rule(s)"
+            f"{sum(not v.sound for v in self.verifications)} unsound rule(s)"
         )
         lines.append(f"verified {len(self.verifications)} rule(s): {verdict}")
         return "\n".join(lines)

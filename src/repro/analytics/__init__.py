@@ -1,38 +1,15 @@
 """Analytics over incident sets.
 
-* :mod:`repro.analytics.aggregate` — grouping and counting incidents by
-  attribute values or extraction functions (the "how many per year"
-  queries of the paper's introduction);
+* :mod:`repro.analytics.aggregate` — counting incidents by attribute
+  values (the "how many per year" queries of the paper's introduction);
 * :mod:`repro.analytics.anomaly` — a library of reusable anomaly /
   compliance queries (the fraud-detection application the paper's
   conclusion proposes);
 * :mod:`repro.analytics.monitor` — live rule monitoring over an
-  append-only record stream via the incremental evaluator;
-* :mod:`repro.analytics.compliance` — DECLARE-style constraint templates
-  decided through witness queries and trace checks;
-* :mod:`repro.analytics.durations` — duration statistics over timestamped
-  logs (activity sojourns, cycle times, incident durations).
+  append-only record stream via the incremental evaluator.
 """
 
-from repro.analytics.aggregate import (
-    count_by,
-    group_incidents,
-    incident_table,
-    instance_counts,
-)
-from repro.analytics.compliance import (
-    ComplianceReport,
-    Constraint,
-    ConstraintResult,
-    check,
-)
-from repro.analytics.durations import (
-    DurationStats,
-    activity_sojourns,
-    cycle_times,
-    incident_durations,
-    waiting_times,
-)
+from repro.analytics.aggregate import attr_of, count_by
 from repro.analytics.monitor import Alert, LiveMonitor
 from repro.analytics.anomaly import (
     AnomalyReport,
@@ -44,10 +21,8 @@ from repro.analytics.anomaly import (
 )
 
 __all__ = [
-    "group_incidents",
     "count_by",
-    "instance_counts",
-    "incident_table",
+    "attr_of",
     "AnomalyRule",
     "AnomalyReport",
     "RuleSet",
@@ -56,13 +31,4 @@ __all__ = [
     "loan_rules",
     "Alert",
     "LiveMonitor",
-    "Constraint",
-    "ConstraintResult",
-    "ComplianceReport",
-    "check",
-    "DurationStats",
-    "activity_sojourns",
-    "cycle_times",
-    "incident_durations",
-    "waiting_times",
 ]

@@ -1,19 +1,12 @@
-"""Grouping and counting over incident sets.
+"""Counting over incident sets.
 
 The paper's motivating questions are aggregates over incidents — "how many
 students *every year* get referrals with balance > $5,000?".  Incident
-sets are plain collections, so aggregation is a library of small
-composable helpers rather than new language operators:
-
-* :func:`group_incidents` — bucket incidents by any key function;
-* :func:`count_by` — histogram of a key (e.g. an attribute value);
-* :func:`instance_counts` — incidents per workflow instance;
-* :func:`incident_table` — flatten incidents into rows for numpy/pandas-
-  style downstream processing.
-
-Key functions receive the :class:`~repro.core.incident.Incident`; the
-:func:`attr_of` helper builds keys that read an attribute off the record
-matching a given activity inside each incident.
+sets are plain collections, so the aggregate is a helper rather than a new
+language operator: :func:`count_by` is the histogram of a key function of
+the :class:`~repro.core.incident.Incident`, and :func:`attr_of` builds the
+key that reads an attribute off the record matching a given activity
+inside each incident.
 """
 
 from __future__ import annotations
@@ -24,28 +17,7 @@ from typing import Any
 
 from repro.core.incident import Incident
 
-__all__ = [
-    "group_incidents",
-    "count_by",
-    "instance_counts",
-    "incident_table",
-    "attr_of",
-]
-
-
-def group_incidents(
-    incidents: Iterable[Incident],
-    key: Callable[[Incident], Hashable],
-) -> dict[Hashable, list[Incident]]:
-    """Bucket incidents by ``key(incident)``.
-
-    Incidents whose key function returns ``None`` are collected under the
-    ``None`` bucket (callers often drop it).
-    """
-    groups: dict[Hashable, list[Incident]] = {}
-    for incident in incidents:
-        groups.setdefault(key(incident), []).append(incident)
-    return groups
+__all__ = ["count_by", "attr_of"]
 
 
 def count_by(
@@ -57,11 +29,6 @@ def count_by(
     for incident in incidents:
         counts[key(incident)] += 1
     return counts
-
-
-def instance_counts(incidents: Iterable[Incident]) -> Counter:
-    """Number of incidents per workflow instance id."""
-    return count_by(incidents, lambda o: o.wid)
 
 
 def attr_of(
@@ -93,24 +60,3 @@ def attr_of(
         return None
 
     return key
-
-
-def incident_table(incidents: Iterable[Incident]) -> list[dict[str, Any]]:
-    """Flatten incidents into row dicts for downstream tabular analysis.
-
-    One row per incident: ``wid``, ``first``, ``last``, ``size``,
-    ``activities`` (execution-ordered tuple) and ``lsns``.
-    """
-    rows = []
-    for incident in incidents:
-        rows.append(
-            {
-                "wid": incident.wid,
-                "first": incident.first,
-                "last": incident.last,
-                "size": len(incident),
-                "activities": incident.activities(),
-                "lsns": tuple(sorted(incident.lsns)),
-            }
-        )
-    return rows

@@ -132,12 +132,6 @@ class RuleSet:
         if len(names) != len(set(names)):
             raise ValueError("rule names must be unique")
 
-    def add(self, rule: AnomalyRule) -> "RuleSet":
-        if any(r.name == rule.name for r in self._rules):
-            raise ValueError(f"duplicate rule name {rule.name!r}")
-        self._rules.append(rule)
-        return self
-
     def __len__(self) -> int:
         return len(self._rules)
 

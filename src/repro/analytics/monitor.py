@@ -18,7 +18,7 @@ Example
 
 from __future__ import annotations
 
-from collections.abc import Callable, Iterable
+from collections.abc import Callable
 from dataclasses import dataclass
 from time import perf_counter
 
@@ -119,20 +119,10 @@ class LiveMonitor:
             )
         return new_alerts
 
-    def observe_all(self, records: Iterable[LogRecord]) -> list[Alert]:
-        """Feed many records; returns all alerts raised."""
-        out: list[Alert] = []
-        for record in records:
-            out.extend(self.observe(record))
-        return out
-
     @property
     def alerts(self) -> tuple[Alert, ...]:
         """Every alert raised since construction."""
         return tuple(self._alerts)
-
-    def alerts_for_rule(self, name: str) -> tuple[Alert, ...]:
-        return tuple(a for a in self._alerts if a.rule.name == name)
 
     def offending_instances(self) -> dict[str, tuple[int, ...]]:
         """Per rule name, the instances with at least one alert."""

@@ -7,12 +7,9 @@ patterns built from atoms, ``⊙``, ``⊳`` and ``⊗`` (no ``⊕``) — with:
 
 * :class:`ChainMatcher` — compiles the pattern into a set of *chains*
   (one per ⊗-branch; each chain is a list of (atom, gap) steps via
-  :func:`repro.core.algebra.flatten_chain`) and then
-
-  - ``exists``: one left-to-right NFA pass per instance trace, O(trace ×
-    chain length) — no materialisation;
-  - ``matches``: enumerates all incidents by recursive pointer descent
-    over per-activity position lists (output-sensitive);
+  :func:`repro.core.algebra.flatten_chain`) and enumerates all incidents
+  by recursive pointer descent over per-activity position lists
+  (output-sensitive);
 
 * :class:`AutomatonBaseline` — an Engine facade, raising
   :class:`~repro.core.errors.EvaluationError` for patterns containing
@@ -103,44 +100,6 @@ class ChainMatcher:
         self.pattern = pattern
         self.chains = _compile_chains(pattern)
 
-    # -- existence: NFA pass ----------------------------------------------
-
-    def exists_in_trace(self, trace: Sequence[LogRecord]) -> bool:
-        """One left-to-right pass; True iff some chain matches ``trace``."""
-        return any(self._chain_matches(chain, trace) for chain in self.chains)
-
-    @staticmethod
-    def _chain_matches(chain: list[_Step], trace: Sequence[LogRecord]) -> bool:
-        """NFA subset simulation, linear in ``len(trace) * len(chain)``.
-
-        State ``s`` means steps ``0..s-1`` are matched.  A state whose next
-        step attaches with "after"/"start" is *persistent* (the step may
-        fire at any later event); a state whose next step attaches with
-        "adjacent" is *volatile* (the step must fire at the very next
-        event or that thread dies).
-        """
-        n_steps = len(chain)
-        persistent = [False] * (n_steps + 1)
-        persistent[0] = True
-        volatile: set[int] = set()
-        for record in trace:
-            next_volatile: set[int] = set()
-            active = {s for s in range(n_steps) if persistent[s]} | volatile
-            for s in active:
-                atom, __ = chain[s]
-                if not atom.matches(record):
-                    continue  # no match for this step at this event
-                if s + 1 == n_steps:
-                    return True
-                if chain[s + 1][1] == "adjacent":
-                    next_volatile.add(s + 1)
-                else:
-                    persistent[s + 1] = True
-            volatile = next_volatile
-        return False
-
-    # -- enumeration --------------------------------------------------------
-
     def matches_in_trace(self, trace: Sequence[LogRecord]) -> Iterator[Incident]:
         """Yield every incident in one instance trace (may repeat record
         sets across ⊗ branches; callers deduplicate)."""
@@ -181,9 +140,6 @@ class ChainMatcher:
 
     # -- log-level API -------------------------------------------------------
 
-    def exists(self, log: Log) -> bool:
-        return any(self.exists_in_trace(log.instance(wid)) for wid in log.wids)
-
     def evaluate(self, log: Log) -> IncidentSet:
         incidents: list[Incident] = []
         for wid in log.wids:
@@ -201,6 +157,3 @@ class AutomatonBaseline(Engine):
         result = ChainMatcher(pattern).evaluate(log)
         self._check_budget(len(result))
         return result
-
-    def exists(self, log: Log, pattern: Pattern) -> bool:
-        return ChainMatcher(pattern).exists(log)

@@ -88,37 +88,21 @@ class SqlWarehouse:
             Incident(self.log.record(lsn) for lsn in lsns) for lsns in found
         )
 
-    def exists(self, pattern: Pattern) -> bool:
-        """EXISTS-style evaluation with LIMIT 1 per branch."""
-        for sql in compile_to_sql(pattern):
-            cursor = self.connection.execute(f"{sql} LIMIT 1")
-            if cursor.fetchone() is not None:
-                return True
-        return False
 
-    def count_matching_instances(self, pattern: Pattern) -> int:
-        """Number of distinct instances with at least one incident."""
-        wids: set[int] = set()
-        for sql in compile_to_sql(pattern, project_wid=True):
-            wids.update(row[0] for row in self.connection.execute(sql))
-        return len(wids)
-
-
-def compile_to_sql(pattern: Pattern, *, project_wid: bool = False) -> list[str]:
+def compile_to_sql(pattern: Pattern) -> list[str]:
     """Compile ``pattern`` into one SELECT per choice-free branch over the
     text schema: :func:`~repro.columnar.sqlite.compile_branches` with the
     activity-string predicate an analyst would write.
 
     Each row of a branch query is one incident: the ``lsn`` of the record
-    matched by each atomic leaf (or, with ``project_wid``, just the
-    instance id).
+    matched by each atomic leaf.
     """
 
     def leaf_predicate(alias: str, leaf: Atomic) -> str:
         quoted = leaf.name.replace("'", "''")
         return f"{alias}.activity {'!=' if leaf.negated else '='} '{quoted}'"
 
-    return compile_branches(pattern, leaf_predicate, "wid", project_wid=project_wid)
+    return compile_branches(pattern, leaf_predicate, "wid")
 
 
 class SqlBaseline(Engine):
@@ -149,6 +133,3 @@ class SqlBaseline(Engine):
         result = self._warehouse(log).incidents(pattern)
         self._check_budget(len(result))
         return result
-
-    def exists(self, log: Log, pattern: Pattern) -> bool:
-        return self._warehouse(log).exists(pattern)

@@ -20,11 +20,10 @@ from repro.cache.manager import (
     CachedResult,
     QueryCache,
     get_default_cache,
-    reset_default_cache,
     resolve_cache,
 )
 from repro.cache.policy import DEFAULT_RESULT_BUDGET, CachePolicy
-from repro.cache.sizing import incident_nbytes, incidents_nbytes
+from repro.cache.sizing import incidents_nbytes
 
 __all__ = [
     "CachePolicy",
@@ -33,8 +32,6 @@ __all__ = [
     "LruBytes",
     "QueryCache",
     "get_default_cache",
-    "incident_nbytes",
     "incidents_nbytes",
-    "reset_default_cache",
     "resolve_cache",
 ]

@@ -88,21 +88,6 @@ class LruBytes(Generic[K, V]):
                 self._on_evict(cold_key, cold_value, cold_bytes)
         return True
 
-    def discard(self, key: K) -> bool:
-        """Drop ``key`` if present, returning whether it was.  The caller
-        decided the entry is dead: not an eviction, not counted as one,
-        and ``on_evict`` is not called."""
-        entry = self._entries.pop(key, None)
-        if entry is None:
-            return False
-        self.total_bytes -= entry[1]
-        return True
-
-    def clear(self) -> None:
-        """Drop every entry (counters are preserved)."""
-        self._entries.clear()
-        self.total_bytes = 0
-
     def keys(self) -> list[K]:
         """Keys from least to most recently used (for tests/introspection)."""
         return list(self._entries)

@@ -50,7 +50,6 @@ __all__ = [
     "CachedResult",
     "QueryCache",
     "get_default_cache",
-    "reset_default_cache",
     "resolve_cache",
 ]
 
@@ -325,12 +324,6 @@ class QueryCache:
                 if value > counter.value:
                     counter.inc(value - counter.value)
 
-    def clear(self) -> None:
-        """Drop all entries (counters survive)."""
-        with self._lock:
-            self._results.clear()
-        self._publish()
-
     def __repr__(self) -> str:
         snapshot = self.stats()
         return (
@@ -356,13 +349,6 @@ def get_default_cache() -> QueryCache:
         if _default_cache is None:
             _default_cache = QueryCache()
         return _default_cache
-
-
-def reset_default_cache() -> None:
-    """Drop the shared cache (tests; a fresh one is created on demand)."""
-    global _default_cache
-    with _default_lock:
-        _default_cache = None
 
 
 def resolve_cache(

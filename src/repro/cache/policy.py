@@ -25,8 +25,7 @@ class CachePolicy:
     Attributes
     ----------
     enabled:
-        The one switch; :meth:`CachePolicy.disabled` is the canonical off
-        value.  An enabled cache keeps whole-query
+        The one switch.  An enabled cache keeps whole-query
         :class:`~repro.core.incident.IncidentSet` results, keyed on
         ``(log epoch identity, normalized pattern, result-relevant
         options)``.
@@ -53,11 +52,6 @@ class CachePolicy:
     def __post_init__(self) -> None:
         if self.result_budget_bytes < 0:
             raise ValueError("cache byte budget must be >= 0")
-
-    @classmethod
-    def disabled(cls) -> "CachePolicy":
-        """The canonical off policy."""
-        return cls(enabled=False)
 
     def with_budget(self, budget_bytes: int) -> "CachePolicy":
         """This policy with the byte budget set to ``budget_bytes``."""

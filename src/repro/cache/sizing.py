@@ -14,34 +14,15 @@ from __future__ import annotations
 
 import sys
 
-from repro.core.incident import Incident, IncidentSet
+from repro.core.incident import IncidentSet
 
-__all__ = [
-    "incident_nbytes",
-    "incidents_nbytes",
-    "POINTER_BYTES",
-]
+__all__ = ["incidents_nbytes", "POINTER_BYTES"]
 
 #: Size charged per shared log-record reference.
 POINTER_BYTES = 8
 
 #: Flat charge for an entry's key and LRU bookkeeping.
 ENTRY_OVERHEAD_BYTES = 64
-
-
-def incident_nbytes(incident: Incident) -> int:
-    """Estimated retained bytes of one cached :class:`Incident`.
-
-    Counts the incident object, its record tuple, its lsn frozenset and
-    its sort key, plus one pointer per member record.
-    """
-    return (
-        sys.getsizeof(incident)
-        + sys.getsizeof(incident.records)
-        + sys.getsizeof(incident.lsns)
-        + sys.getsizeof(incident.sort_key)
-        + POINTER_BYTES * len(incident)
-    )
 
 
 def incidents_nbytes(incidents: IncidentSet) -> int:
@@ -53,14 +34,23 @@ def incidents_nbytes(incidents: IncidentSet) -> int:
     as the pointers the tuples already hold).  Sizing puts the set into
     that one form, so the charge is the same before and after any hit.
     A set built from :class:`Incident` objects is charged its
-    bookkeeping, one pointer per member, and the members themselves.
+    bookkeeping, one pointer per member, and the members themselves: each
+    incident object, its record tuple, its lsn frozenset and its sort key,
+    plus one pointer per member record.
     """
     spans = incidents.canonical_spans()
     if spans is None:
         return (
             2 * ENTRY_OVERHEAD_BYTES
             + POINTER_BYTES * len(incidents)
-            + sum(incident_nbytes(incident) for incident in incidents)
+            + sum(
+                sys.getsizeof(incident)
+                + sys.getsizeof(incident.records)
+                + sys.getsizeof(incident.lsns)
+                + sys.getsizeof(incident.sort_key)
+                + POINTER_BYTES * len(incident)
+                for incident in incidents
+            )
         )
     getsizeof = sys.getsizeof
     total = 2 * ENTRY_OVERHEAD_BYTES + getsizeof(spans)

@@ -20,13 +20,12 @@ per ``act_id``) gives the bitmap-filter equivalent of
 
 The representation is *derived*, never primary: it keeps a reference to
 its source :class:`Log` (for attribute-guarded predicates that need the
-full record objects) and :meth:`to_log` reconstructs an equal log from
-the source rows.  Provenance (``epoch``/``lineage``/``is_snapshot``/
-``fingerprint``) delegates to the source so cache identity is unchanged.
-Construction is cached per :class:`Log` (via ``Log.columnar()``) and per
-store epoch (via ``LogStore.columnar()``); the next snapshot of a store
-gets its view from its predecessor's by :meth:`ColumnarLog.extended`, and
-:meth:`ColumnarLog.from_log` is the one full build.
+full record objects, and for :meth:`record`), and the engines take the
+log's provenance (epoch, lineage) from the log they were handed.
+Construction is cached per :class:`Log` (via ``Log.columnar()``); the
+next snapshot of a store gets its view from its predecessor's by
+:meth:`ColumnarLog.extended`, and :meth:`ColumnarLog.from_log` is the one
+full build.
 """
 
 from __future__ import annotations
@@ -41,11 +40,8 @@ __all__ = ["ColumnarLog", "as_columnar"]
 
 
 class ColumnarLog:
-    """Columnar, interned view of one immutable log (see module docs).
-
-    Exposes the read surface of :class:`~repro.core.model.Log`
-    (``records``, ``instance``, ``activities``, ``wids``, provenance), so
-    the engines accept either through :func:`as_columnar`.
+    """Columnar, interned view of one immutable log (see module docs);
+    the engines accept a log or its view through :func:`as_columnar`.
     """
 
     __slots__ = (
@@ -237,47 +233,7 @@ class ColumnarLog:
             new._leaf_spans[aid] = by_window
         return new
 
-    def to_log(self) -> Log:
-        """Reconstruct an object-row :class:`Log` equal to the source.
-
-        Rebuilds from this view's own rows (not by returning the source),
-        so the round-trip property ``ColumnarLog.from_log(log).to_log() ==
-        log`` genuinely exercises the columnar row set.
-        """
-        return Log(
-            self._rows,
-            validate=False,
-            epoch=self._source.epoch,
-            lineage=self._source.lineage,
-            snapshot=self._source.is_snapshot,
-        )
-
-    @property
-    def source(self) -> Log:
-        """The object-row log this view was built from."""
-        return self._source
-
-    # -- the read surface of Log ---------------------------------------------
-
-    @property
-    def records(self) -> tuple[LogRecord, ...]:
-        """All records in ascending ``lsn`` order: the source log's tuple
-        (the rows here are those same objects, grouped by instance)."""
-        return self._source.records
-
-    def instance(self, wid_value: int) -> tuple[LogRecord, ...]:
-        """The records of one instance in ``is_lsn`` order (empty when
-        absent) — a slice of the grouped row tuple."""
-        try:
-            _, lo, hi = self.window(wid_value)
-        except KeyError:
-            return ()
-        return self._rows[lo:hi]
-
-    @property
-    def activities(self) -> frozenset[str]:
-        """The set of activity names occurring in the log."""
-        return frozenset(self._act_names)
+    # -- instances and rows ----------------------------------------------------
 
     @property
     def wids(self) -> tuple[int, ...]:
@@ -294,26 +250,8 @@ class ColumnarLog:
         return (
             f"ColumnarLog({len(self._rows)} rows, "
             f"{len(self._wid_values)} instances, "
-            f"{len(self._act_names)} activities, {self.nbytes} column bytes)"
+            f"{len(self._act_names)} activities, {8 * 4 * len(self._rows)} column bytes)"
         )
-
-    # -- provenance (cache identity delegates to the source log) -------------
-
-    @property
-    def epoch(self) -> int:
-        return self._source.epoch
-
-    @property
-    def lineage(self) -> str | None:
-        return self._source.lineage
-
-    @property
-    def is_snapshot(self) -> bool:
-        return self._source.is_snapshot
-
-    @property
-    def fingerprint(self) -> str:
-        return self._source.fingerprint
 
     # -- columns -------------------------------------------------------------
 
@@ -328,27 +266,9 @@ class ColumnarLog:
         return memoryview(self._lsn).toreadonly()
 
     @property
-    def wid_id_col(self) -> memoryview:
-        """Read-only interned-wid column."""
-        return memoryview(self._wid_id).toreadonly()
-
-    @property
-    def is_lsn_col(self) -> memoryview:
-        """Read-only ``is_lsn`` column."""
-        return memoryview(self._is_lsn).toreadonly()
-
-    @property
     def act_id_col(self) -> memoryview:
         """Read-only interned-activity column."""
         return memoryview(self._act_id).toreadonly()
-
-    @property
-    def nbytes(self) -> int:
-        """Total bytes held by the four integer columns."""
-        return sum(
-            col.itemsize * len(col)
-            for col in (self._lsn, self._wid_id, self._is_lsn, self._act_id)
-        )
 
     # -- dictionaries and indexes --------------------------------------------
 
@@ -360,14 +280,6 @@ class ColumnarLog:
     def act_id_of(self, activity: str) -> int | None:
         """Interned id of ``activity``, or None when it never occurs."""
         return self._act_index.get(activity)
-
-    def act_name_of(self, act_id: int) -> str:
-        """Inverse of :meth:`act_id_of`."""
-        return self._act_names[act_id]
-
-    def wid_of(self, wid_id: int) -> int:
-        """The wid interned as ``wid_id``."""
-        return self._wid_values[wid_id]
 
     def wid_windows(self) -> Iterator[tuple[int, int, int]]:
         """``(wid, lo, hi)`` per instance in wid order — the engines' scan
@@ -418,23 +330,8 @@ class ColumnarLog:
             self._leaf_spans[act_id] = spans
         return spans
 
-    def row_record(self, row: int) -> LogRecord:
-        """The record object at columnar row ``row``."""
-        return self._rows[row]
-
-    def with_activity(self, activity: str) -> tuple[LogRecord, ...]:
-        """All records with the given activity, in lsn order
-        (``Log``-compat name, used by the counting evaluator)."""
-        aid = self._act_index.get(activity)
-        if aid is None:
-            return ()
-        recs = [self._rows[row] for row in self._act_rows[aid]]
-        recs.sort(key=lambda r: r.lsn)
-        return tuple(recs)
-
     def record(self, lsn_value: int) -> LogRecord:
-        """The record with log sequence number ``lsn_value``
-        (``Log``-compat name)."""
+        """The record with log sequence number ``lsn_value``."""
         return self._source.record(lsn_value)
 
 

@@ -7,11 +7,12 @@ over a schema that *mirrors the columnar layout* of
 :class:`~repro.columnar.ColumnarLog`, so the database joins interned
 integers instead of comparing activity strings:
 
-* ``records(row, lsn, wid_id, is_lsn, act_id)`` — the four integer
-  columns, bulk-loaded straight from the columnar arrays;
-* ``activities(act_id, name)`` / ``instances(wid_id, wid)`` — the
-  interning dictionaries, used only to decode results and to resolve
-  leaf names at compile time (an unknown activity never reaches SQL).
+``records(row, lsn, wid_id, is_lsn, act_id)`` holds the four integer
+columns, bulk-loaded straight from the columnar arrays.  No name is
+stored: leaf names resolve to ``act_id`` at compile time (an unknown
+activity never reaches SQL) and results decode through the columnar
+view, so a name SQLite cannot hold as text (a lone surrogate, which
+JSON carries) is never handed to it.
 
 The one operator-to-predicate mapping lives here (:func:`compile_branches`:
 one alias per leaf; scalar ``MIN``/``MAX`` over subtree positions for
@@ -65,14 +66,6 @@ class ColumnarWarehouse:
                 is_lsn INTEGER NOT NULL,
                 act_id INTEGER NOT NULL
             );
-            CREATE TABLE activities (
-                act_id INTEGER PRIMARY KEY,
-                name   TEXT NOT NULL
-            );
-            CREATE TABLE instances (
-                wid_id INTEGER PRIMARY KEY,
-                wid    INTEGER NOT NULL
-            );
             CREATE INDEX idx_wid_act ON records (wid_id, act_id, is_lsn);
             CREATE UNIQUE INDEX idx_wid_pos ON records (wid_id, is_lsn);
         """
@@ -88,38 +81,11 @@ class ColumnarWarehouse:
                 columnar._act_id,
             ),
         )
-        self.connection.executemany(
-            "INSERT INTO activities VALUES (?, ?)",
-            enumerate(columnar.act_names),
-        )
-        self.connection.executemany(
-            "INSERT INTO instances VALUES (?, ?)",
-            enumerate(columnar.wids),
-        )
         self.connection.commit()
-
-    def close(self) -> None:
-        self.connection.close()
-
-    def __enter__(self) -> "ColumnarWarehouse":
-        return self
-
-    def __exit__(self, *exc_info) -> None:
-        self.close()
-
-    # -- query execution -----------------------------------------------------
 
     def branch_queries(self, pattern: Pattern) -> list[str]:
         """One integer-predicate SELECT per choice-free branch."""
         return compile_columnar_sql(pattern, self.columnar)
-
-    def exists(self, pattern: Pattern) -> bool:
-        """EXISTS-style evaluation with LIMIT 1 per branch."""
-        for sql in self.branch_queries(pattern):
-            cursor = self.connection.execute(f"{sql} LIMIT 1")
-            if cursor.fetchone() is not None:
-                return True
-        return False
 
 
 def _scalar_min(columns: list[str]) -> str:
@@ -134,7 +100,6 @@ def _compile_branch(
     pattern: Pattern,
     leaf_predicate: Callable[[str, Atomic], str | None],
     wid_column: str,
-    project_wid: bool,
 ) -> str:
     """One choice-free branch → one self-join SELECT."""
     aliases: list[str] = []
@@ -185,10 +150,7 @@ def _compile_branch(
         return left_columns + right_columns
 
     leaf_positions(pattern)
-    if project_wid:
-        select = f"SELECT DISTINCT {aliases[0]}.{wid_column}"
-    else:
-        select = "SELECT " + ", ".join(f"{alias}.lsn" for alias in aliases)
+    select = "SELECT " + ", ".join(f"{alias}.lsn" for alias in aliases)
     sql = f"{select} FROM " + ", ".join(f"records {alias}" for alias in aliases)
     if predicates:
         sql += " WHERE " + " AND ".join(predicates)
@@ -199,8 +161,6 @@ def compile_branches(
     pattern: Pattern,
     leaf_predicate: Callable[[str, Atomic], str | None],
     wid_column: str,
-    *,
-    project_wid: bool = False,
 ) -> list[str]:
     """Compile ``pattern`` into one SELECT per choice-free branch — the one
     operator→SQL mapping, parameterised by schema.
@@ -208,13 +168,12 @@ def compile_branches(
     ``leaf_predicate(alias, leaf)`` is the schema's activity test for a
     plain atomic leaf (None when the leaf matches every record) and
     ``wid_column`` the instance column the leaf aliases are joined on.
-    Each result row is one incident: the ``lsn`` matched by each leaf (or,
-    with ``project_wid``, just the instance column).  Rows may repeat
-    record sets across branches — the caller deduplicates, as ``incL`` is
-    a set.
+    Each result row is one incident: the ``lsn`` matched by each leaf.
+    Rows may repeat record sets across branches — the caller
+    deduplicates, as ``incL`` is a set.
     """
     return [
-        _compile_branch(branch, leaf_predicate, wid_column, project_wid)
+        _compile_branch(branch, leaf_predicate, wid_column)
         for branch in choice_normal_form(pattern)
     ]
 
@@ -254,7 +213,7 @@ class SqliteEngine(Engine):
         if cache is not None and cache[0] is columnar:
             return cache[1]
         if cache is not None:
-            cache[1].close()
+            cache[1].connection.close()
         warehouse = ColumnarWarehouse(columnar)
         self._cache = (columnar, warehouse)
         return warehouse
@@ -281,11 +240,3 @@ class SqliteEngine(Engine):
             stats.incidents_produced += len(result)
         self._finish(stats)
         return result
-
-    def exists(self, log: "Log | ColumnarLog", pattern: Pattern) -> bool:
-        columnar = as_columnar(log)
-        stats = self._new_stats()
-        self._checkpoint(stats)
-        hit = self._warehouse(columnar).exists(pattern)
-        self._finish(stats)
-        return hit

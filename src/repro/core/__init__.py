@@ -11,7 +11,7 @@ from repro.core.errors import (
 )
 from repro.core.check import assignment, is_incident
 from repro.core.incident import Incident, IncidentSet, reference_incidents
-from repro.core.lint import Diagnostic, Linter, Severity, lint_pattern
+from repro.core.lint import Diagnostic, Linter, Severity
 from repro.core.model import END, START, Log, LogRecord
 from repro.core.parser import ParseResult, SourceSpan, parse, parse_with_spans
 from repro.core.pattern import (
@@ -21,12 +21,7 @@ from repro.core.pattern import (
     Parallel,
     Pattern,
     Sequential,
-    act,
-    choice,
-    consecutive,
-    neg,
     parallel,
-    sequential,
 )
 from repro.core.options import EngineOptions
 from repro.core.query import ENGINES, Query
@@ -55,18 +50,12 @@ __all__ = [
     "Diagnostic",
     "Linter",
     "Severity",
-    "lint_pattern",
     "Pattern",
     "Atomic",
     "Consecutive",
     "Sequential",
     "Choice",
     "Parallel",
-    "act",
-    "neg",
-    "consecutive",
-    "sequential",
-    "choice",
     "parallel",
     "Query",
     "ENGINES",

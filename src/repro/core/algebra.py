@@ -1,14 +1,10 @@
 """Algebraic laws of the pattern operators (Section 4 of the paper).
 
 Implements the equivalences proven in Theorems 2-5 as executable rewrite
-steps, a canonicalisation procedure built from them, and two equivalence
-checkers:
-
-* :func:`provably_equivalent` — sound but incomplete: patterns are
-  equivalent if their canonical forms (modulo Theorems 2-5) coincide;
-* :func:`randomized_equivalent` — Definition 5 tested on a battery of
-  random logs; sound refutations, probabilistic confirmations.  Used by the
-  property-based test-suite and by the optimizer's self-checks.
+steps and a canonicalisation procedure built from them (patterns with
+equal canonical forms are equivalent; the converse does not hold), plus
+:func:`random_logs`, the battery of small random logs the property-based
+test-suite checks Definition 5 on.
 
 The laws, for all patterns ``p1, p2, p3`` and operators
 ``θ ∈ {⊙, ⊳, ⊗, ⊕}``:
@@ -29,7 +25,7 @@ The laws, for all patterns ``p1, p2, p3`` and operators
    equivalent.  (The last sentence of the paper's Theorem 4 proof writes
    ``p1 ⊳ (p2 ⊙ p3)`` where ``(p1 ⊙ p2) ⊳ p3`` is meant — a typo; the
    theorem statement itself matches the gap model.)  See
-   :func:`flatten_chain` / :func:`build_chain`.
+   :func:`flatten_chain`.
 """
 
 from __future__ import annotations
@@ -37,7 +33,6 @@ from __future__ import annotations
 import random
 from collections.abc import Iterable, Sequence
 
-from repro.core.incident import reference_incidents
 from repro.core.model import Log
 from repro.core.pattern import (
     Atomic,
@@ -50,13 +45,10 @@ from repro.core.pattern import (
 
 __all__ = [
     "flatten_chain",
-    "build_chain",
     "flatten_assoc",
     "build_left_deep",
     "canonicalize",
     "choice_normal_form",
-    "provably_equivalent",
-    "randomized_equivalent",
     "random_logs",
 ]
 
@@ -98,36 +90,6 @@ def flatten_chain(
     walk(pattern)
     assert len(gaps) == max(0, len(items) - 1)
     return items, gaps
-
-
-def build_chain(
-    items: Sequence[Pattern],
-    gaps: Sequence[BinaryPattern],
-    *,
-    association: Sequence[tuple[int, int]] | None = None,
-) -> Pattern:
-    """Rebuild a ⊙/⊳ chain from items and gap operators.
-
-    Without ``association`` the chain is built left-deep.  With it, each
-    ``(i, j)`` pair denotes combining the current items at positions ``i``
-    and ``j = i+1`` (positions shift as items merge) — used by the
-    optimizer to realise an arbitrary parenthesisation chosen by its DP.
-    """
-    if len(items) != len(gaps) + 1:
-        raise ValueError("need exactly one gap operator between adjacent items")
-    work = list(items)
-    ops = list(gaps)
-    if association is None:
-        association = [(0, 1)] * len(gaps)
-    for i, j in association:
-        if j != i + 1:
-            raise ValueError("chain merges must combine adjacent items")
-        gap = ops.pop(i)
-        work[i] = gap.with_children(work[i], work[j])
-        del work[j]
-    if len(work) != 1:
-        raise ValueError("association did not reduce the chain to one pattern")
-    return work[0]
 
 
 def flatten_assoc(pattern: Pattern, cls: type) -> list[Pattern]:
@@ -238,13 +200,8 @@ def _choice_branches(pattern: Pattern):
             yield pattern.with_children(left, right)
 
 
-def provably_equivalent(p1: Pattern, p2: Pattern) -> bool:
-    """Sound, incomplete equivalence: equal canonical forms."""
-    return canonicalize(p1) == canonicalize(p2)
-
-
 # ---------------------------------------------------------------------------
-# Randomized testing of Definition 5
+# Random logs for testing Definition 5
 # ---------------------------------------------------------------------------
 
 def random_logs(
@@ -269,28 +226,3 @@ def random_logs(
             Log.from_traces(traces, interleave=rng.random() < 0.5)
         )
     return logs
-
-
-def randomized_equivalent(
-    p1: Pattern,
-    p2: Pattern,
-    *,
-    logs: Sequence[Log] | None = None,
-    seed: int = 0,
-) -> bool:
-    """Test Definition 5 on a battery of random logs.
-
-    Returns False on the first log where the incident sets differ (a sound
-    refutation); True if all logs agree (equivalence is then likely but not
-    certain).  The battery always draws the logs' alphabet from the
-    activity names of both patterns plus one fresh name, so negated atoms
-    are exercised against unmentioned activities too.
-    """
-    if logs is None:
-        alphabet = sorted(p1.activity_names() | p2.activity_names()) or ["A"]
-        alphabet.append("__fresh__")
-        logs = random_logs(alphabet, seed=seed)
-    for log in logs:
-        if reference_incidents(log, p1) != reference_incidents(log, p2):
-            return False
-    return True

@@ -12,7 +12,7 @@ from repro.core.model import Log
 from repro.core.pattern import Atomic, Pattern
 from repro.obs.log import get_logger
 from repro.obs.metrics import MetricsRegistry
-from repro.obs.tracer import NULL_TRACER, NullTracer, Span, Tracer
+from repro.obs.tracer import NULL_TRACER, NullTracer, Tracer
 
 if TYPE_CHECKING:  # pragma: no cover - typing only
     from repro.core.governor import ResourceGovernor
@@ -158,12 +158,6 @@ class Engine(ABC):
         self.metrics = metrics
         self.governor = governor
         self.last_stats: EvaluationStats | None = None
-
-    @property
-    def last_trace(self) -> Span | None:
-        """Root span of the most recent traced evaluation (None when the
-        engine runs with the null tracer)."""
-        return self.tracer.last_root
 
     def _new_stats(self) -> EvaluationStats:
         return EvaluationStats(registry=self.metrics)

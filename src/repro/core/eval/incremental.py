@@ -215,15 +215,6 @@ class IncrementalEvaluator:
             out.extend(node_state.incidents)
         return IncidentSet(out)
 
-    def incidents_for(self, wid: int) -> IncidentSet:
-        """Accumulated incidents of one workflow instance."""
-        node_state = self._root.state.get(wid)
-        return IncidentSet(node_state.incidents if node_state else ())
-
-    @property
-    def records_seen(self) -> int:
-        return self._records_seen
-
     def __repr__(self) -> str:
         return (
             f"IncrementalEvaluator({str(self.pattern)!r}, "

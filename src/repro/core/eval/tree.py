@@ -5,8 +5,8 @@ internal nodes carry pattern operators and whose leaves carry (possibly
 negated) activity names.  Our :class:`~repro.core.pattern.Pattern` AST is
 already isomorphic to that tree; this module provides the explicit tagged
 form used by the paper's pseudo-code (node ``type`` in ``{ATOMIC, CONS,
-SEQU, CHOICE, PARA}``), conversion in both directions, and an ASCII
-renderer that regenerates Figure 4.
+SEQU, CHOICE, PARA}``), the conversion into it, and an ASCII renderer
+that regenerates Figure 4.
 """
 
 from __future__ import annotations
@@ -31,7 +31,6 @@ __all__ = [
     "PARA",
     "IncidentTreeNode",
     "build_incident_tree",
-    "tree_to_pattern",
     "render_tree",
 ]
 
@@ -48,8 +47,6 @@ _TYPE_OF: dict[type, str] = {
     Choice: CHOICE,
     Parallel: PARA,
 }
-
-_CLASS_OF: dict[str, type] = {v: k for k, v in _TYPE_OF.items()}
 
 _SYMBOL_OF: dict[str, str] = {CONS: "⊙", SEQU: "⊳", CHOICE: "⊗", PARA: "⊕"}
 
@@ -87,14 +84,6 @@ class IncidentTreeNode:
             return ("¬" if self.negated else "") + self.activity_name
         return _SYMBOL_OF[self.type]
 
-    def post_order(self):
-        """Yield nodes in post-order — the paper's evaluation order."""
-        if self.left is not None:
-            yield from self.left.post_order()
-        if self.right is not None:
-            yield from self.right.post_order()
-        yield self
-
     def __repr__(self) -> str:
         if self.is_leaf:
             return f"IncidentTreeNode({self.label})"
@@ -114,9 +103,7 @@ def build_incident_tree(pattern: Pattern) -> IncidentTreeNode:
     (the output of the paper's Algorithm 3).
 
     Extended nodes keep their base tag but carry a display label: a
-    guarded leaf shows its guard, a windowed ⊳ its bound.  (The reverse
-    direction, :func:`tree_to_pattern`, is exact for the paper's core
-    algebra only.)"""
+    guarded leaf shows its guard, a windowed ⊳ its bound."""
     if isinstance(pattern, Atomic):
         override = None
         if type(pattern) is not Atomic:
@@ -139,16 +126,6 @@ def build_incident_tree(pattern: Pattern) -> IncidentTreeNode:
         right=build_incident_tree(pattern.right),
         label_override=override,
     )
-
-
-def tree_to_pattern(node: IncidentTreeNode) -> Pattern:
-    """Inverse of :func:`build_incident_tree`."""
-    if node.is_leaf:
-        assert node.activity_name is not None
-        return Atomic(node.activity_name, negated=node.negated)
-    assert node.left is not None and node.right is not None
-    cls = _CLASS_OF[node.type]
-    return cls(tree_to_pattern(node.left), tree_to_pattern(node.right))
 
 
 def render_tree(node: IncidentTreeNode | Pattern, *, indent: str = "") -> str:

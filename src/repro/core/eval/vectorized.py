@@ -204,7 +204,7 @@ class VectorizedEngine(Engine):
         self._finish(stats)
         return incidents
 
-    def count(self, log: "Log | ColumnarLog", pattern: Pattern) -> int:
+    def count(self, log: Log, pattern: Pattern) -> int:
         """Number of incidents; uses the output-free counting DP
         (:mod:`repro.core.eval.counting`) for ⊙/⊳ chains of leaves, where
         the incident set may be quadratic or worse in the log size."""

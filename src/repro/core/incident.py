@@ -164,10 +164,6 @@ class Incident:
         members = ",".join(f"l{r.lsn}" for r in self._records)
         return f"Incident(wid={self.wid}, first={self.first}, last={self.last}, {{{members}}})"
 
-    def activities(self) -> tuple[str, ...]:
-        """Activity names of the member records, in execution order."""
-        return tuple(r.activity for r in self._records)
-
 
 #: A kernel result in canonical order: per matching instance, in wid
 #: order, ``(wid, lo, position tuples)`` — the instance's first columnar
@@ -333,7 +329,7 @@ class IncidentSet:
         if isinstance(other, IncidentSet):
             return self._materialized() == other._materialized()
         if isinstance(other, (set, frozenset)):
-            return self.to_set() == other
+            return frozenset(self._materialized()) == other
         return NotImplemented
 
     def __hash__(self) -> int:
@@ -345,10 +341,6 @@ class IncidentSet:
 
     def __repr__(self) -> str:
         return f"IncidentSet({self._size} incidents)"
-
-    def to_set(self) -> frozenset[Incident]:
-        """The underlying mathematical set."""
-        return frozenset(self._materialized())
 
     def to_rows(self, limit: int | None = None) -> list[dict[str, object]]:
         """The incidents as plain dict rows, in canonical order; with a
@@ -371,7 +363,7 @@ class IncidentSet:
                     "first": o.first,
                     "last": o.last,
                     "lsns": tuple(sorted(o.lsns)),
-                    "activities": o.activities(),
+                    "activities": tuple(r.activity for r in o.records),
                 }
                 for o in self._materialized()[:limit]
             ]
@@ -426,13 +418,6 @@ class IncidentSet:
             out[0] = "[" + out[0]
             out[-1] += "]"
         return ", ".join(out) or "[]", len(out)
-
-    def by_wid(self) -> dict[int, list[Incident]]:
-        """Incidents grouped per workflow instance."""
-        grouped: dict[int, list[Incident]] = {}
-        for incident in self._materialized():
-            grouped.setdefault(incident.wid, []).append(incident)
-        return grouped
 
     def wids(self) -> tuple[int, ...]:
         """Instance ids that have at least one incident."""

@@ -107,7 +107,6 @@ __all__ = [
     "Diagnostic",
     "DIAGNOSTIC_CODES",
     "Linter",
-    "lint_pattern",
     "lint_batch",
     "format_diagnostics",
 ]
@@ -282,11 +281,6 @@ class Linter:
     def for_log(cls, log: Log, **kwargs) -> "Linter":
         """A linter checking queries against one log's statistics."""
         return cls(stats=LogStatistics.from_log(log), **kwargs)
-
-    @classmethod
-    def for_spec(cls, spec: WorkflowSpec, **kwargs) -> "Linter":
-        """A linter checking queries against a workflow specification."""
-        return cls(profile=analyze(spec), **kwargs)
 
     @classmethod
     def for_context(
@@ -746,18 +740,6 @@ class Linter:
             "cap materialisation with max_incidents, or use exists()/count() "
             "instead of run()"
         )
-
-
-def lint_pattern(
-    query: str | Pattern | ParseResult,
-    *,
-    log: Log | None = None,
-    spec: WorkflowSpec | None = None,
-    **kwargs,
-) -> list[Diagnostic]:
-    """One-shot convenience: lint ``query`` against an optional log and/or
-    workflow specification.  See :class:`Linter` for keyword options."""
-    return Linter.for_context(log=log, spec=spec, **kwargs).lint(query)
 
 
 #: Skip the cross-query prover pass on batches larger than this.

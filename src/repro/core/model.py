@@ -38,12 +38,6 @@ __all__ = [
     "AttrMap",
     "LogRecord",
     "Log",
-    "lsn",
-    "wid",
-    "is_lsn",
-    "act",
-    "attrs_in",
-    "attrs_out",
 ]
 
 #: Activity name of the mandatory first record of every workflow instance.
@@ -157,14 +151,6 @@ class LogRecord:
         """Whether this record is a ``START`` or ``END`` sentinel."""
         return self.is_start or self.is_end
 
-    def reads(self, attribute: str) -> bool:
-        """Whether the activity read ``attribute`` (it appears in αin)."""
-        return attribute in self.attrs_in
-
-    def writes(self, attribute: str) -> bool:
-        """Whether the activity wrote ``attribute`` (it appears in αout)."""
-        return attribute in self.attrs_out
-
     def to_dict(self) -> dict[str, Any]:
         """Plain-dict representation used by the serialization modules."""
         return {
@@ -193,40 +179,6 @@ class LogRecord:
             f"LogRecord(lsn={self.lsn}, wid={self.wid}, is_lsn={self.is_lsn}, "
             f"activity={self.activity!r})"
         )
-
-
-# ---------------------------------------------------------------------------
-# Component-extraction helpers matching the paper's notation.
-# ---------------------------------------------------------------------------
-
-def lsn(record: LogRecord) -> int:
-    """The log sequence number of ``record`` (paper: ``lsn(l)``)."""
-    return record.lsn
-
-
-def wid(record: LogRecord) -> int:
-    """The workflow instance id of ``record`` (paper: ``wid(l)``)."""
-    return record.wid
-
-
-def is_lsn(record: LogRecord) -> int:
-    """The instance-specific sequence number (paper: ``is-lsn(l)``)."""
-    return record.is_lsn
-
-
-def act(record: LogRecord) -> str:
-    """The activity name of ``record`` (paper: ``act(l)``)."""
-    return record.activity
-
-
-def attrs_in(record: LogRecord) -> AttrMap:
-    """The input attribute map (paper: ``αin(l)``)."""
-    return record.attrs_in
-
-
-def attrs_out(record: LogRecord) -> AttrMap:
-    """The output attribute map (paper: ``αout(l)``)."""
-    return record.attrs_out
 
 
 class Log:
@@ -591,24 +543,6 @@ class Log:
             lineage=self._lineage,
             snapshot=False,
         )
-
-    def restrict_to(self, wids: Iterable[int]) -> "Log":
-        """A new log containing only the given instances, with lsn values
-        compacted to remain well-formed (Definition 2 condition 1)."""
-        keep = set(wids)
-        kept = [r for r in self._records if r.wid in keep]
-        out = [
-            LogRecord(
-                lsn=i + 1,
-                wid=r.wid,
-                is_lsn=r.is_lsn,
-                activity=r.activity,
-                attrs_in=r.attrs_in,
-                attrs_out=r.attrs_out,
-            )
-            for i, r in enumerate(kept)
-        ]
-        return Log(out)
 
     def validate(self) -> None:
         """Re-run the Definition 2 well-formedness checks."""

@@ -120,10 +120,6 @@ class SourceSpan:
         if self.start < 0 or self.end < self.start:
             raise ValueError(f"invalid span [{self.start}, {self.end})")
 
-    def slice(self, text: str) -> str:
-        """The source text the span covers."""
-        return text[self.start : self.end]
-
     def caret_line(self) -> str:
         """An underline (``^^^``) aligned with the span, for CLI output."""
         return " " * self.start + "^" * max(1, self.end - self.start)

@@ -12,12 +12,12 @@ An *incident pattern* is one of
 Patterns are immutable, hashable AST nodes.  A small Python DSL is provided
 via operator overloading::
 
-    from repro import act
-    p = act("SeeDoctor") >> (act("UpdateRefer") >> act("GetReimburse"))
-    q = act("A") * act("B")          # consecutive
-    r = act("A") | act("B")          # choice
-    s = act("A") & act("B")          # parallel
-    n = ~act("A")                    # negated atom
+    from repro import Atomic
+    p = Atomic("SeeDoctor") >> (Atomic("UpdateRefer") >> "GetReimburse")
+    q = Atomic("A") * "B"            # consecutive
+    r = Atomic("A") | "B"            # choice
+    s = Atomic("A") & "B"            # parallel
+    n = ~Atomic("A")                 # negated atom
 
 The textual surface syntax lives in :mod:`repro.core.parser`; this module
 also provides :func:`to_text`, which renders a pattern back into that
@@ -28,7 +28,6 @@ from __future__ import annotations
 
 import dataclasses
 import itertools
-from collections import Counter
 from collections.abc import Iterator
 from dataclasses import dataclass
 from typing import Union
@@ -41,11 +40,6 @@ __all__ = [
     "Choice",
     "Parallel",
     "BinaryPattern",
-    "act",
-    "neg",
-    "consecutive",
-    "sequential",
-    "choice",
     "parallel",
     "to_text",
 ]
@@ -54,8 +48,8 @@ __all__ = [
 class Pattern:
     """Base class of all incident-pattern AST nodes.
 
-    Provides the operator DSL, structural introspection (size, depth,
-    activity multiset), and traversal helpers shared by all node types.
+    Provides the operator DSL, structural introspection (size, activity
+    names), and traversal helpers shared by all node types.
     """
 
     __slots__ = ()
@@ -100,33 +94,6 @@ class Pattern:
     def size(self) -> int:
         """Number of atomic leaves (``k_i`` in Lemma 1's cost analysis)."""
         return sum(1 for _ in self.atoms())
-
-    @property
-    def operator_count(self) -> int:
-        """Number of binary operators (``k`` in Theorem 1)."""
-        return sum(1 for node in self.walk() if isinstance(node, BinaryPattern))
-
-    @property
-    def depth(self) -> int:
-        """Height of the pattern tree (an atom has depth 1)."""
-        if isinstance(self, Atomic):
-            return 1
-        assert isinstance(self, BinaryPattern)
-        return 1 + max(self.left.depth, self.right.depth)
-
-    def activity_multiset(self) -> Counter:
-        """Multiset of activity names in the pattern.
-
-        Section 3.1 of the paper uses multiset equality to decide whether a
-        choice operator needs duplicate elimination.  Negated atoms are
-        counted under a distinct ``("¬", name)`` key so that ``A`` and
-        ``¬A`` do not collide.
-        """
-        counts: Counter = Counter()
-        for atom in self.atoms():
-            key = ("¬", atom.name) if atom.negated else atom.name
-            counts[key] += 1
-        return counts
 
     def activity_names(self) -> frozenset[str]:
         """Set of activity names mentioned (ignoring negation)."""
@@ -273,47 +240,19 @@ class Parallel(BinaryPattern):
 
 
 # ---------------------------------------------------------------------------
-# Convenience constructors
+# Convenience constructor
 # ---------------------------------------------------------------------------
 
-def act(name: str) -> Atomic:
-    """A positive atomic pattern matching activity ``name``."""
-    return Atomic(name)
 
-
-def neg(name: str) -> Atomic:
-    """A negative atomic pattern ``¬name``."""
-    return Atomic(name, negated=True)
-
-
-def _fold(cls: type, patterns: tuple) -> Pattern:
+def parallel(*patterns: Pattern | str) -> Pattern:
+    """Left-fold patterns with the parallel operator ``⊕``."""
     items = [_as_pattern(p) for p in patterns]
     if not items:
         raise ValueError("need at least one pattern")
     result = items[0]
     for item in items[1:]:
-        result = cls(result, item)
+        result = Parallel(result, item)
     return result
-
-
-def consecutive(*patterns: Pattern | str) -> Pattern:
-    """Left-fold patterns with the consecutive operator ``⊙``."""
-    return _fold(Consecutive, patterns)
-
-
-def sequential(*patterns: Pattern | str) -> Pattern:
-    """Left-fold patterns with the sequential operator ``⊳``."""
-    return _fold(Sequential, patterns)
-
-
-def choice(*patterns: Pattern | str) -> Pattern:
-    """Left-fold patterns with the choice operator ``⊗``."""
-    return _fold(Choice, patterns)
-
-
-def parallel(*patterns: Pattern | str) -> Pattern:
-    """Left-fold patterns with the parallel operator ``⊕``."""
-    return _fold(Parallel, patterns)
 
 
 # ---------------------------------------------------------------------------

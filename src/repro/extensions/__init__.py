@@ -18,9 +18,8 @@ from repro.extensions.conditions import (
     Not,
     attr,
     parse_guard,
-    where,
 )
-from repro.extensions.windows import Within, within
+from repro.extensions.windows import Within
 
 __all__ = [
     "Condition",
@@ -32,8 +31,6 @@ __all__ = [
     "AttrRef",
     "attr",
     "Guarded",
-    "where",
     "parse_guard",
     "Within",
-    "within",
 ]

@@ -17,10 +17,9 @@ API
 ---
 Fluent condition builders::
 
-    from repro.extensions import attr, where
-    from repro import act
+    from repro.extensions import Guarded, attr
 
-    p = where("GetRefer", attr("out.balance") > 5000) >> act("GetReimburse")
+    p = Guarded("GetRefer", False, attr("out.balance") > 5000) >> "GetReimburse"
 
 Textual guards (parsed by :func:`parse_guard`, and embedded in query text
 as ``GetRefer[out.balance > 5000]``)::
@@ -47,7 +46,6 @@ __all__ = [
     "AttrRef",
     "attr",
     "Guarded",
-    "where",
     "parse_guard",
 ]
 
@@ -251,13 +249,6 @@ class AttrRef:
     def __ne__(self, value) -> Compare:  # type: ignore[override]
         return Compare(self.scope, self.name, "!=", value)
 
-    def contains(self, value) -> Compare:
-        """Substring containment (string attributes)."""
-        return Compare(self.scope, self.name, "~=", value)
-
-    def exists(self) -> Exists:
-        return Exists(self.scope, self.name)
-
     def __hash__(self) -> int:  # __eq__ is hijacked for the DSL
         return hash((self.scope, self.name))
 
@@ -300,19 +291,6 @@ class Guarded(Atomic):
             f"Guarded({'¬' if self.negated else ''}{self.name}"
             f"[{self.condition!r}])"
         )
-
-
-def where(pattern: Atomic | str, condition: Condition) -> Guarded:
-    """Attach an attribute guard to an atomic pattern (or bare name)."""
-    if isinstance(pattern, str):
-        pattern = Atomic(pattern)
-    if not isinstance(pattern, Atomic):
-        raise TypeError("guards apply to atomic patterns only")
-    if isinstance(pattern, Guarded):
-        return Guarded(
-            pattern.name, pattern.negated, AllOf((pattern.condition, condition))
-        )
-    return Guarded(pattern.name, pattern.negated, condition)
 
 
 # ---------------------------------------------------------------------------

@@ -19,9 +19,9 @@ from __future__ import annotations
 
 from dataclasses import dataclass
 
-from repro.core.pattern import Pattern, Sequential
+from repro.core.pattern import Sequential
 
-__all__ = ["Within", "within"]
+__all__ = ["Within"]
 
 
 @dataclass(frozen=True, slots=True, repr=False)
@@ -46,10 +46,3 @@ class Within(Sequential):
 
     def gap_ok(self, last1: int, first2: int) -> bool:
         return last1 < first2 <= last1 + self.bound
-
-
-def within(p1: Pattern | str, p2: Pattern | str, bound: int) -> Within:
-    """Build ``p1 ⊳[bound] p2`` (strings become positive atoms)."""
-    from repro.core.pattern import _as_pattern
-
-    return Within(_as_pattern(p1), _as_pattern(p2), bound)

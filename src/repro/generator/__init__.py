@@ -1,29 +1,18 @@
 """Synthetic workload generation for tests and the benchmark harness."""
 
-from repro.generator.distributions import (
-    Distribution,
-    Fixed,
-    Geometric,
-    UniformInt,
-    Zipf,
-)
+from repro.generator.distributions import Distribution, UniformInt
 from repro.generator.synthetic import (
     SyntheticLogConfig,
     generate_log,
     planted_pattern_log,
-    uniform_log,
     worst_case_log,
 )
 
 __all__ = [
     "Distribution",
-    "Fixed",
     "UniformInt",
-    "Geometric",
-    "Zipf",
     "SyntheticLogConfig",
     "generate_log",
-    "uniform_log",
     "worst_case_log",
     "planted_pattern_log",
 ]

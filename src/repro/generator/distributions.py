@@ -1,8 +1,8 @@
-"""Small sampling-distribution abstractions for workload generation.
+"""Sampling distributions for workload generation.
 
-Benchmark configurations express "instance length ~ Uniform(20, 60)" or
-"activity frequency ~ Zipf(1.1)" declaratively; these classes make such
-settings serialisable and reusable across generators.
+Configurations express "instance length ~ Uniform(5, 15)" declaratively;
+these classes make such settings serialisable and reusable across
+generators.
 """
 
 from __future__ import annotations
@@ -11,9 +11,7 @@ import random
 from abc import ABC, abstractmethod
 from dataclasses import dataclass
 
-import numpy as np
-
-__all__ = ["Distribution", "Fixed", "UniformInt", "Geometric", "Zipf"]
+__all__ = ["Distribution", "UniformInt"]
 
 
 class Distribution(ABC):
@@ -22,27 +20,6 @@ class Distribution(ABC):
     @abstractmethod
     def sample(self, rng: random.Random) -> int:
         """Draw one value."""
-
-    @abstractmethod
-    def mean(self) -> float:
-        """Expected value (used by cost estimation in benchmarks)."""
-
-
-@dataclass(frozen=True)
-class Fixed(Distribution):
-    """Always ``value``."""
-
-    value: int
-
-    def __post_init__(self) -> None:
-        if self.value < 0:
-            raise ValueError("Fixed value must be >= 0")
-
-    def sample(self, rng: random.Random) -> int:
-        return self.value
-
-    def mean(self) -> float:
-        return float(self.value)
 
 
 @dataclass(frozen=True)
@@ -58,60 +35,3 @@ class UniformInt(Distribution):
 
     def sample(self, rng: random.Random) -> int:
         return rng.randint(self.low, self.high)
-
-    def mean(self) -> float:
-        return (self.low + self.high) / 2.0
-
-
-@dataclass(frozen=True)
-class Geometric(Distribution):
-    """Number of trials until success (support >= 1), truncated at
-    ``maximum``."""
-
-    p: float
-    maximum: int = 1_000
-
-    def __post_init__(self) -> None:
-        if not 0.0 < self.p <= 1.0:
-            raise ValueError("p must be in (0, 1]")
-        if self.maximum < 1:
-            raise ValueError("maximum must be >= 1")
-
-    def sample(self, rng: random.Random) -> int:
-        trials = 1
-        while trials < self.maximum and rng.random() >= self.p:
-            trials += 1
-        return trials
-
-    def mean(self) -> float:
-        return min(1.0 / self.p, float(self.maximum))
-
-
-@dataclass(frozen=True)
-class Zipf(Distribution):
-    """Zipf-ranked index in ``[0, n)``: rank ``r`` drawn with probability
-    proportional to ``1 / (r+1)**s``.  Used for skewed activity-frequency
-    histograms (a few hot activities, a long tail)."""
-
-    n: int
-    s: float = 1.0
-
-    def __post_init__(self) -> None:
-        if self.n < 1:
-            raise ValueError("n must be >= 1")
-        if self.s < 0:
-            raise ValueError("s must be >= 0")
-
-    def _weights(self) -> np.ndarray:
-        ranks = np.arange(1, self.n + 1, dtype=float)
-        weights = ranks ** (-self.s)
-        return weights / weights.sum()
-
-    def sample(self, rng: random.Random) -> int:
-        weights = self._weights()
-        u = rng.random()
-        return int(np.searchsorted(np.cumsum(weights), u))
-
-    def mean(self) -> float:
-        weights = self._weights()
-        return float((weights * np.arange(self.n)).sum())

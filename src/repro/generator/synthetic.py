@@ -2,9 +2,9 @@
 
 Three families, each targeting a benchmark need:
 
-* :func:`generate_log` / :func:`uniform_log` — general random logs with
-  controllable instance count, instance-length distribution and activity
-  skew (Lemma 1 and baseline-comparison sweeps);
+* :func:`generate_log` — general random logs with controllable instance
+  count, instance-length distribution and alphabet (``repro-logs
+  generate --model synthetic``);
 * :func:`worst_case_log` — the single-instance, single-activity log of
   Theorem 1's worst case, where ``(((t ⊕ t) ⊕ t) … ⊕ t)`` explodes;
 * :func:`planted_pattern_log` — logs with a *planted* activity sequence
@@ -19,12 +19,11 @@ from collections.abc import Sequence
 from dataclasses import dataclass, field
 
 from repro.core.model import Log
-from repro.generator.distributions import Distribution, Fixed, UniformInt, Zipf
+from repro.generator.distributions import Distribution, UniformInt
 
 __all__ = [
     "SyntheticLogConfig",
     "generate_log",
-    "uniform_log",
     "worst_case_log",
     "planted_pattern_log",
     "default_alphabet",
@@ -50,9 +49,7 @@ class SyntheticLogConfig:
     length:
         Distribution of per-instance event counts (sentinels excluded).
     alphabet:
-        Activity names to draw from.
-    skew:
-        Zipf exponent for activity frequencies (0 = uniform).
+        Activity names to draw from, uniformly.
     interleave:
         Round-robin interleave instance records in the global order
         (True, the realistic shape) or lay instances back to back.
@@ -63,7 +60,6 @@ class SyntheticLogConfig:
     instances: int = 10
     length: Distribution = field(default_factory=lambda: UniformInt(5, 15))
     alphabet: tuple[str, ...] = field(default_factory=lambda: default_alphabet(8))
-    skew: float = 0.0
     interleave: bool = True
     seed: int = 0
 
@@ -72,46 +68,16 @@ class SyntheticLogConfig:
             raise ValueError("need at least one instance")
         if not self.alphabet:
             raise ValueError("alphabet must be nonempty")
-        if self.skew < 0:
-            raise ValueError("skew must be >= 0")
 
 
 def generate_log(config: SyntheticLogConfig) -> Log:
     """Generate a log per ``config``."""
     rng = random.Random(config.seed)
-    picker = Zipf(len(config.alphabet), config.skew) if config.skew > 0 else None
     traces: dict[int, list[str]] = {}
     for wid in range(1, config.instances + 1):
         n_events = config.length.sample(rng)
-        names = []
-        for __ in range(n_events):
-            if picker is None:
-                names.append(rng.choice(config.alphabet))
-            else:
-                names.append(config.alphabet[picker.sample(rng)])
-        traces[wid] = names
+        traces[wid] = [rng.choice(config.alphabet) for __ in range(n_events)]
     return Log.from_traces(traces, interleave=config.interleave)
-
-
-def uniform_log(
-    instances: int,
-    length: int,
-    alphabet_size: int = 8,
-    *,
-    seed: int = 0,
-    interleave: bool = True,
-) -> Log:
-    """Shorthand: ``instances`` instances of exactly ``length`` events over
-    a uniform alphabet."""
-    return generate_log(
-        SyntheticLogConfig(
-            instances=instances,
-            length=Fixed(length),
-            alphabet=default_alphabet(alphabet_size),
-            interleave=interleave,
-            seed=seed,
-        )
-    )
 
 
 def worst_case_log(m: int, activity: str = "t") -> Log:

@@ -22,16 +22,12 @@ from __future__ import annotations
 
 import threading
 from collections.abc import Iterable, Iterator
-from typing import TYPE_CHECKING
 from uuid import uuid4
 
 from repro.core.errors import LogStoreError
 from repro.core.model import END, START, AttrMap, Log, LogRecord
 from repro.obs.log import get_logger
 from repro.obs.metrics import MetricsRegistry
-
-if TYPE_CHECKING:  # pragma: no cover - typing only
-    from repro.columnar.column_log import ColumnarLog
 
 __all__ = ["LogStore"]
 
@@ -61,7 +57,6 @@ class LogStore:
         self._lineage = f"logstore:{uuid4().hex}"
         self._snapshot: Log | None = None
         self._snapshot_lock = threading.Lock()
-        self._columnar: "ColumnarLog | None" = None
         self.metrics = metrics
 
     @property
@@ -94,10 +89,6 @@ class LogStore:
         (record,) = self.append_batch([(wid, END, None, None)])
         logger.debug("closed instance %d at lsn %d", wid, record.lsn)
         return record
-
-    def is_open(self, wid: int) -> bool:
-        """Whether the instance exists and has not been closed."""
-        return wid in self._next_is_lsn and wid not in self._closed
 
     # -- appending ---------------------------------------------------------
 
@@ -190,12 +181,6 @@ class LogStore:
         """Instance ids that are open (no ``END`` yet)."""
         return tuple(sorted(set(self._next_is_lsn) - self._closed))
 
-    def tail(self, n: int = 10) -> tuple[LogRecord, ...]:
-        """The last ``n`` records."""
-        if n < 0:
-            raise ValueError("n must be >= 0")
-        return tuple(self._records[-n:]) if n else ()
-
     def snapshot(self) -> Log:
         """An immutable, validated :class:`~repro.core.model.Log` of the
         current contents.  Queries run over snapshots; the store can keep
@@ -236,25 +221,6 @@ class LogStore:
                 self._snapshot = cached
         return cached
 
-    def columnar(self) -> "ColumnarLog":
-        """The columnar form of the current contents, cached per epoch.
-
-        The first call after any append builds the epoch's
-        :meth:`snapshot` (unless a query already did) and its
-        :class:`~repro.columnar.ColumnarLog`; subsequent calls at
-        the same epoch return the cached view (the store's epoch advances
-        with every record, so staleness is impossible).  This is the
-        store-side entry point the vectorized and sqlite backends use to
-        amortise the columnar build across queries.
-        """
-        cached = self._columnar
-        if cached is not None and cached.epoch == self.epoch:
-            return cached
-        if self.metrics is not None:
-            self.metrics.counter("logstore.columnar_builds").inc()
-        self._columnar = self.snapshot().columnar()
-        return self._columnar
-
     def wid_record_counts(self) -> dict[int, int]:
         """Per-instance record counts, in one pass over the store.
 
@@ -265,25 +231,6 @@ class LogStore:
         for record in self._records:
             counts[record.wid] = counts.get(record.wid, 0) + 1
         return counts
-
-    def extract(self, wids: Iterable[int]) -> Log:
-        """A wid-projection of the store's current contents.
-
-        Unlike :meth:`snapshot`, this never materialises (or validates)
-        the whole log: records of other instances are filtered out in one
-        pass and the kept record objects are shared, not copied.  The
-        original ``lsn`` values are preserved, so incident identities in
-        the extracted log match those in the full snapshot (see
-        :meth:`repro.core.model.Log.project`).
-        """
-        keep = set(wids)
-        return Log(
-            (r for r in self._records if r.wid in keep),
-            validate=False,
-            epoch=self.epoch,
-            lineage=self._lineage,
-            snapshot=False,
-        )
 
     @classmethod
     def from_log(cls, log: Log) -> "LogStore":

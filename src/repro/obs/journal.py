@@ -247,7 +247,6 @@ class RunRecorder:
         self.pattern = pattern
         self.op = op
         self.account = ResourceAccount(memory=journal.memory)
-        self._closed = False
 
     def _emit(self, kind: str, **payload: Any) -> dict[str, Any]:
         return self.journal.emit(
@@ -287,7 +286,6 @@ class RunRecorder:
         **payload: Any,
     ) -> dict[str, Any]:
         """Terminal success event with the full resource account."""
-        self._closed = True
         self.account.stop()
         return self._emit(
             "finish",
@@ -305,7 +303,6 @@ class RunRecorder:
 
     def killed(self, exc: BaseException, **payload: Any) -> dict[str, Any]:
         """Terminal governor-kill event with partial accounting."""
-        self._closed = True
         self.account.stop()
         stats = getattr(exc, "partial_stats", None)
         return self._emit(
@@ -320,11 +317,6 @@ class RunRecorder:
             pairs=0 if stats is None else stats.pairs_examined,
             **payload,
         )
-
-    @property
-    def closed(self) -> bool:
-        """Whether a terminal event has been emitted."""
-        return self._closed
 
 
 # ---------------------------------------------------------------------------

@@ -110,13 +110,6 @@ class _Cell:
         self.pairs += pairs
         self.latency.observe(duration_s)
 
-    def merge(self, other: "_Cell") -> None:
-        self.count += other.count
-        self.errors += other.errors
-        self.killed += other.killed
-        self.pairs += other.pairs
-        self.latency.merge(other.latency)
-
 
 class _Bucket:
     """One ring slot: the totals and per-dimension cells of one epoch."""
@@ -129,13 +122,6 @@ class _Bucket:
         self.routes: dict[str, _Cell] = {}
         self.stores: dict[str, _Cell] = {}
         self.patterns: dict[str, _Cell] = {}
-
-    def reset(self, epoch: int) -> None:
-        self.epoch = epoch
-        self.total = _Cell()
-        self.routes.clear()
-        self.stores.clear()
-        self.patterns.clear()
 
     def cell(self, dimension: dict[str, _Cell], key: str, cap: int) -> _Cell:
         found = dimension.get(key)
@@ -394,17 +380,15 @@ class WindowedAggregator:
     def _bucket_at(self, when: float) -> _Bucket:
         """The live bucket for instant ``when`` (lock held by caller).
 
-        Rotation is lazy: a slot is reset the first time a new epoch
-        lands on it, so an idle aggregator costs nothing and a reused
+        Rotation is lazy: a slot gets a fresh bucket the first time a new
+        epoch lands on it, so an idle aggregator costs nothing and a reused
         slot can never leak a previous lap's counts.
         """
         epoch = int(when // self.bucket_s)
         slot = epoch % self._ring_len
         bucket = self._ring[slot]
-        if bucket is None:
+        if bucket is None or bucket.epoch != epoch:
             bucket = self._ring[slot] = _Bucket(epoch)
-        elif bucket.epoch != epoch:
-            bucket.reset(epoch)
         return bucket
 
     def __repr__(self) -> str:  # pragma: no cover - debug aid

@@ -239,13 +239,6 @@ class Histogram:
         self.sum += other.sum
         self.count += other.count
 
-    def reset(self) -> None:
-        """Zero every counter in place (ring-bucket reuse)."""
-        for index in range(len(self.counts)):
-            self.counts[index] = 0
-        self.sum = 0.0
-        self.count = 0
-
     def __repr__(self) -> str:
         return f"Histogram({self.name!r}, n={self.count}, mean={self.mean:.6g})"
 

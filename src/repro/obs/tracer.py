@@ -176,8 +176,8 @@ class Tracer:
     roots:
         Completed or in-progress root spans, in first-open order.
     last_root:
-        The most recently *closed* root span (what ``Engine.last_trace``
-        reports after an evaluation).
+        The most recently *closed* root span (the trace of the last
+        evaluation).
     """
 
     enabled = True
@@ -211,14 +211,6 @@ class Tracer:
         """The innermost open span, or None when the tracer is idle."""
         return self._stack[-1] if self._stack else None
 
-    def reset(self) -> None:
-        """Drop all recorded spans (the tracer must be idle)."""
-        if self._stack:
-            raise RuntimeError("cannot reset a tracer with open spans")
-        self.roots.clear()
-        self.last_root = None
-        self._root_by_key.clear()
-
     def __repr__(self) -> str:
         return f"Tracer({len(self.roots)} root(s))"
 
@@ -250,12 +242,6 @@ class _NullSpan:
     def set_tag(self, name: str, value: Any) -> None:
         return None
 
-    def walk(self) -> Iterator["_NullSpan"]:
-        yield self
-
-    def total(self, metric: str) -> float:
-        return 0.0
-
     def __repr__(self) -> str:
         return "NULL_SPAN"
 
@@ -279,9 +265,6 @@ class NullTracer:
 
     def span(self, label: str, *, key: Key = None, **tags: Any) -> _NullSpan:
         return NULL_SPAN
-
-    def reset(self) -> None:
-        return None
 
     def __repr__(self) -> str:
         return "NULL_TRACER"

@@ -120,10 +120,6 @@ class InflightRegistry:
         with self._lock:
             self._entries.pop(query_id, None)
 
-    def get(self, query_id: str) -> InflightEntry | None:
-        with self._lock:
-            return self._entries.get(query_id)
-
     def list(self, *, now: float | None = None) -> list[dict[str, Any]]:
         """Snapshots of every live entry, longest-running first."""
         with self._lock:

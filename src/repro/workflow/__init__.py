@@ -9,9 +9,8 @@ package simulates that engine:
   (tasks, sequence, exclusive/parallel gateways, loops, optional blocks)
   with attribute read/write effects;
 * :mod:`repro.workflow.engine` — a multi-instance interpreter that
-  interleaves instances under a pluggable scheduler and emits well-formed
-  logs (Definition 2 by construction);
-* :mod:`repro.workflow.scheduler` — interleaving policies;
+  interleaves instances at random and emits well-formed logs
+  (Definition 2 by construction);
 * :mod:`repro.workflow.models` — ready-made processes, including the
   medical-clinic referral workflow of the paper's Example 2 which
   regenerates logs shaped like Figure 3;
@@ -26,12 +25,6 @@ from repro.workflow.analysis import (
     may_match,
 )
 from repro.workflow.engine import SimulationConfig, WorkflowEngine
-from repro.workflow.scheduler import (
-    RandomScheduler,
-    RoundRobinScheduler,
-    Scheduler,
-    WeightedScheduler,
-)
 from repro.workflow.spec import (
     ActivityDef,
     Block,
@@ -60,8 +53,4 @@ __all__ = [
     "Maybe",
     "WorkflowEngine",
     "SimulationConfig",
-    "Scheduler",
-    "RoundRobinScheduler",
-    "RandomScheduler",
-    "WeightedScheduler",
 ]

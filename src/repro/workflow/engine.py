@@ -1,9 +1,9 @@
 """Multi-instance workflow execution engine.
 
 Simulates the runtime of the paper's Figure 2: many concurrently active
-workflow instances advance step by step under a scheduler, and every
-activity execution appends one log record — with the activity's input and
-output attribute maps — to a single global log.
+workflow instances advance step by step in a seeded random interleaving,
+and every activity execution appends one log record — with the activity's
+input and output attribute maps — to a single global log.
 
 Logs produced here are well-formed by construction (Definition 2): each
 instance starts with ``START``, instance-specific sequence numbers are
@@ -27,33 +27,9 @@ from dataclasses import dataclass
 
 from repro.core.errors import WorkflowRuntimeError
 from repro.core.model import END, START, Log, LogRecord
-from repro.workflow.scheduler import RandomScheduler, Scheduler
 from repro.workflow.spec import WorkflowSpec
 
 __all__ = ["SimulationConfig", "WorkflowEngine"]
-
-
-class _SimClock:
-    """Global simulated wall clock with exponential inter-event gaps.
-
-    The clock draws from its own derived RNG so that enabling timestamps
-    never changes the simulated control flow for a given seed.
-    """
-
-    __slots__ = ("_enabled", "_mean", "_rng", "now")
-
-    def __init__(self, config: "SimulationConfig", rng: random.Random):
-        self._enabled = config.record_timestamps
-        self._mean = config.mean_step_seconds
-        seed = None if config.seed is None else config.seed ^ 0x5F5E1007
-        self._rng = random.Random(seed)
-        self.now = 0.0
-
-    def stamp(self) -> dict:
-        if not self._enabled:
-            return {}
-        self.now += self._rng.expovariate(1.0 / self._mean)
-        return {"_ts": round(self.now, 3)}
 
 
 @dataclass(frozen=True)
@@ -77,15 +53,6 @@ class SimulationConfig:
         the paper notes logs may contain unfinished instances.
     max_steps:
         Safety bound on total simulated steps.
-    record_timestamps:
-        When True, every record's output map carries a ``_ts`` attribute:
-        the simulated wall-clock seconds (from a global exponential-gap
-        clock) at which the activity executed.  This enables the duration
-        analytics of :mod:`repro.analytics.durations` — the analysis the
-        paper's introduction notes is impossible "if timestamps are not
-        extracted".
-    mean_step_seconds:
-        Mean of the exponential inter-event gap of the simulated clock.
     """
 
     instances: int = 10
@@ -93,8 +60,6 @@ class SimulationConfig:
     arrival_stagger: int = 0
     complete_probability: float = 1.0
     max_steps: int = 1_000_000
-    record_timestamps: bool = False
-    mean_step_seconds: float = 60.0
 
     def __post_init__(self) -> None:
         if self.instances < 1:
@@ -103,8 +68,6 @@ class SimulationConfig:
             raise ValueError("arrival_stagger must be >= 0")
         if not 0.0 <= self.complete_probability <= 1.0:
             raise ValueError("complete_probability must be in [0, 1]")
-        if self.mean_step_seconds <= 0:
-            raise ValueError("mean_step_seconds must be positive")
 
 
 class _InstanceRun:
@@ -132,14 +95,13 @@ class WorkflowEngine:
     Parameters
     ----------
     spec:
-        The workflow model to run.
-    scheduler:
-        Interleaving policy; defaults to uniform-random.
+        The workflow model to run.  At every step a uniformly random ready
+        instance executes next, which is how instance records interleave
+        in the global log (the ``wid`` column pattern of Figure 3).
     """
 
-    def __init__(self, spec: WorkflowSpec, scheduler: Scheduler | None = None):
+    def __init__(self, spec: WorkflowSpec):
         self.spec = spec
-        self.scheduler = scheduler or RandomScheduler()
 
     def run(self, config: SimulationConfig | None = None, **kwargs) -> Log:
         """Simulate and return the resulting log.
@@ -152,7 +114,6 @@ class WorkflowEngine:
         elif kwargs:
             raise TypeError("pass either a SimulationConfig or field kwargs")
         rng = random.Random(config.seed)
-        clock = _SimClock(config, rng)
 
         runs: dict[int, _InstanceRun] = {}
         records: list[LogRecord] = []
@@ -172,7 +133,6 @@ class WorkflowEngine:
                     wid=wid,
                     is_lsn=run.is_lsn,
                     activity=START,
-                    attrs_out=clock.stamp(),
                 )
             )
             next_lsn += 1
@@ -205,9 +165,9 @@ class WorkflowEngine:
                     break
                 continue
 
-            wid = self.scheduler.pick(ready, rng)
+            wid = rng.choice(ready)
             run = runs[wid]
-            next_lsn = self._execute_one(run, records, next_lsn, rng, clock)
+            next_lsn = self._execute_one(run, records, next_lsn, rng)
 
             if not run.has_work and not run.finished:
                 run.finished = True
@@ -219,7 +179,6 @@ class WorkflowEngine:
                             wid=wid,
                             is_lsn=run.is_lsn,
                             activity=END,
-                            attrs_out=clock.stamp(),
                         )
                     )
                     next_lsn += 1
@@ -232,7 +191,6 @@ class WorkflowEngine:
         records: list[LogRecord],
         next_lsn: int,
         rng: random.Random,
-        clock: "_SimClock",
     ) -> int:
         """Execute ``run``'s next activity, appending its log record."""
         activity_name = run.pending[run.cursor]
@@ -250,7 +208,6 @@ class WorkflowEngine:
                 f"{sorted(illegal)}"
             )
         run.state.update(written)
-        written.update(clock.stamp())
 
         run.is_lsn += 1
         records.append(

@@ -323,13 +323,3 @@ class WorkflowSpec:
                     f"undeclared activity {activity!r} in workflow {self.name!r}"
                 ) from None
             return ActivityDef(activity)
-
-    def activity_names(self) -> frozenset[str]:
-        """All activity names reachable from the root block."""
-        return self.root.activities()
-
-    def sample_trace(self, rng: random.Random | int | None = None) -> list[str]:
-        """One randomly resolved activity sequence (without sentinels)."""
-        if not isinstance(rng, random.Random):
-            rng = random.Random(rng)
-        return list(self.root.unfold(rng))

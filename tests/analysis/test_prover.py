@@ -15,10 +15,7 @@ from repro.analysis import (
     PatternProver,
     UnsupportedPatternError,
     canonical_key,
-    contains,
     default_prover,
-    equivalent,
-    witness,
 )
 from repro.core.eval.naive import NaiveEngine
 from repro.core.incident import reference_incidents
@@ -32,6 +29,10 @@ from repro.core.pattern import (
 )
 from repro.extensions.conditions import Guarded
 from repro.extensions.windows import Within
+
+contains = default_prover().contains
+equivalent = default_prover().equivalent
+witness = default_prover().witness
 
 A, B, C = Atomic("A"), Atomic("B"), Atomic("C")
 NOT_A = Atomic("A", negated=True)
@@ -225,7 +226,7 @@ class TestIncidentMatcher:
     )
     def test_accepts_exactly_the_oracle_incidents(self, pattern):
         matcher = IncidentMatcher(pattern)
-        oracle = reference_incidents(self.LOG, pattern).to_set()
+        oracle = frozenset(reference_incidents(self.LOG, pattern))
         # every oracle incident is accepted ...
         for incident in oracle:
             instance = self.LOG.instance(incident.wid)

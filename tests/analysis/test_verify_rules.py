@@ -19,11 +19,15 @@ def seq_to_consec(pattern):
 UNSOUND_RULE = RewriteRule("seq-to-consec", "bogus", seq_to_consec)
 
 
+def unsound(report):
+    return tuple(v for v in report.verifications if not v.sound)
+
+
 class TestShippedRules:
     def test_every_shipped_rule_is_proved_sound(self):
         report = verify_rules()
         assert report.ok
-        assert report.failures == ()
+        assert unsound(report) == ()
         assert len(report.verifications) == len(SHIPPED_RULES)
 
     def test_shipped_set_covers_the_optimizer_registry(self):
@@ -52,13 +56,13 @@ class TestUnsoundRuleIsCaught:
 
     def test_report_flags_exactly_the_bogus_rule(self, report):
         assert not report.ok
-        assert [v.rule.name for v in report.failures] == ["seq-to-consec"]
+        assert [v.rule.name for v in unsound(report)] == ["seq-to-consec"]
         # the sound rules still verify alongside it
         sound = [v for v in report.verifications if v.sound]
         assert {v.rule.name for v in sound} == {r.name for r in REWRITE_RULES}
 
     def test_failure_carries_a_replayable_witness(self, report):
-        failure = report.failures[0]
+        failure = unsound(report)[0]
         assert failure.unsound_on is not None
         assert failure.rewritten_to is not None
         w = failure.witness
@@ -70,7 +74,7 @@ class TestUnsoundRuleIsCaught:
         assert in_original != in_rewritten
 
     def test_failure_formats_with_the_trace(self, report):
-        text = report.failures[0].format()
+        text = unsound(report)[0].format()
         assert "UNSOUND" in text
         assert "counterexample trace" in text
         assert "seq-to-consec" in text
@@ -80,7 +84,7 @@ class TestUnsoundRuleIsCaught:
         corpus = [Sequential(a, b), Choice(a, b)]
         report = verify_rules([UNSOUND_RULE], corpus=corpus)
         assert not report.ok
-        assert report.failures[0].unsound_on == Sequential(a, b)
+        assert unsound(report)[0].unsound_on == Sequential(a, b)
 
     def test_rule_that_never_fires_is_vacuously_sound(self):
         inert = RewriteRule("inert", "n/a", lambda pattern: None)

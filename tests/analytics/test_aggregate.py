@@ -1,33 +1,16 @@
-"""Unit tests for incident aggregation."""
+"""Unit tests for the incident aggregate (count_by / attr_of)."""
 
 import pytest
 
-from repro.analytics.aggregate import (
-    attr_of,
-    count_by,
-    group_incidents,
-    incident_table,
-    instance_counts,
-)
+from repro.analytics.aggregate import attr_of, count_by
 from repro.core.query import Query
 
 
 class TestGrouping:
-    def test_group_incidents_buckets_by_key(self, figure3_log):
-        incidents = Query("SeeDoctor").run(figure3_log)
-        grouped = group_incidents(incidents, lambda o: o.wid)
-        assert {w: len(v) for w, v in grouped.items()} == {1: 2, 2: 2}
-
     def test_count_by(self, figure3_log):
         incidents = Query("PayTreatment").run(figure3_log)
         counts = count_by(incidents, lambda o: o.wid)
         assert counts == {1: 2, 2: 1}
-
-    def test_instance_counts(self, figure3_log):
-        incidents = Query("SeeDoctor -> PayTreatment").run(figure3_log)
-        counts = instance_counts(incidents)
-        assert set(counts) <= {1, 2}
-        assert sum(counts.values()) == len(incidents)
 
 
 class TestAttrOf:
@@ -61,18 +44,3 @@ class TestAttrOf:
         assert sum(per_hospital.values()) == len(incidents)
         assert None not in per_hospital
 
-
-class TestIncidentTable:
-    def test_rows_carry_incident_shape(self, figure3_log):
-        incidents = Query("UpdateRefer -> GetReimburse").run(figure3_log)
-        rows = incident_table(incidents)
-        assert rows == [
-            {
-                "wid": 2,
-                "first": 5,
-                "last": 9,
-                "size": 2,
-                "activities": ("UpdateRefer", "GetReimburse"),
-                "lsns": (14, 20),
-            }
-        ]

@@ -28,9 +28,8 @@ class TestRuleSet:
         rule = AnomalyRule.from_text("r", "A", "d")
         with pytest.raises(ValueError):
             RuleSet([rule, rule])
-        ruleset = RuleSet([rule])
         with pytest.raises(ValueError):
-            ruleset.add(AnomalyRule.from_text("r", "B", "d"))
+            RuleSet([rule, AnomalyRule.from_text("r", "B", "d")])
 
     def test_run_produces_findings_for_every_rule(self, figure3_log):
         ruleset = clinic_rules()

@@ -63,16 +63,6 @@ class TestWarehouse:
             result = warehouse.incidents(parse("UpdateRefer -> GetReimburse"))
             assert result.lsn_sets() == {frozenset({14, 20})}
 
-    def test_exists_short_circuits(self, figure3_log):
-        with SqlWarehouse(figure3_log) as warehouse:
-            assert warehouse.exists(parse("GetRefer -> CheckIn"))
-            assert not warehouse.exists(parse("GetReimburse -> GetRefer"))
-
-    def test_count_matching_instances(self, figure3_log):
-        with SqlWarehouse(figure3_log) as warehouse:
-            assert warehouse.count_matching_instances(parse("GetRefer")) == 3
-            assert warehouse.count_matching_instances(parse("UpdateRefer")) == 1
-
     def test_differential_against_oracle(self):
         rng = random.Random(31)
         logs = random_logs("ABC", cases=8, seed=23)

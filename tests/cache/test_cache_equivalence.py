@@ -122,8 +122,10 @@ def check_appends_are_evaluated_as_a_delta(trace_map, pattern, appends, optimize
         trace_map[wid].append(activity)
 
     snap = store.snapshot()
-    if traced:
-        query.options.tracer.reset()
+    if traced:  # a fresh tracer, as the engine's root span merges across runs
+        query = Query(
+            pattern, EngineOptions(cache=cache, tracer=Tracer(), optimize=optimize)
+        )
     warm = query.run(snap)
     # the stale entry does not serve: it is what the evaluation starts from
     assert query.last_cache_layer == "delta"

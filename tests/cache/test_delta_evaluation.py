@@ -24,9 +24,9 @@ from repro.core.errors import BudgetExceededError, QueryBudgetExceeded
 from repro.core.eval.vectorized import VectorizedEngine
 from repro.core.incident import reference_incidents
 from repro.core.parser import parse
-from repro.core.pattern import Sequential
-from repro.extensions.conditions import attr, where
-from repro.extensions.windows import within
+from repro.core.pattern import Atomic, Sequential
+from repro.extensions.conditions import Guarded, attr
+from repro.extensions.windows import Within
 from repro.logstore import LogStore
 from tests.support.histories import histories, play
 
@@ -40,9 +40,9 @@ PATTERNS = (
     parse("!A ; B"),
     parse("B | A"),
     parse("A | B"),
-    within("A", "B", 2),
+    Within(Atomic("A"), Atomic("B"), 2),
     parse("A -> B -> A"),
-    Sequential(where("A", attr("out.amount") >= 1), parse("B")),
+    Sequential(Guarded("A", False, attr("out.amount") >= 1), parse("B")),
 )
 
 

@@ -39,9 +39,6 @@ def test_byte_accounting_tracks_puts_replacements_and_evictions():
     lru.put("a", 9, 10)  # replacement: old 40 bytes released
     assert lru.total_bytes == 40
     assert lru.get("a") == 9
-    lru.clear()
-    assert lru.total_bytes == 0
-    assert len(lru) == 0
 
 
 def test_entry_larger_than_budget_is_rejected_not_stored():
@@ -77,13 +74,3 @@ def test_negative_sizes_and_budgets_are_rejected():
     with pytest.raises(ValueError):
         lru.put("a", 1, -5)
 
-
-def test_discard_releases_bytes_without_counting_an_eviction():
-    evicted = []
-    lru = LruBytes(30, on_evict=lambda k, v, n: evicted.append(k))
-    lru.put("a", 1, 10)
-    lru.put("b", 2, 10)
-    assert lru.discard("a") is True
-    assert lru.discard("a") is False
-    assert "a" not in lru and lru.total_bytes == 10
-    assert lru.evictions == 0 and evicted == []

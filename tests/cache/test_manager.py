@@ -12,9 +12,9 @@ from repro.cache import (
     QueryCache,
     get_default_cache,
     incidents_nbytes,
-    reset_default_cache,
     resolve_cache,
 )
+from repro.cache import manager
 from repro.core.model import Log
 from repro.core.parser import parse
 from repro.core.query import Query
@@ -34,10 +34,8 @@ def make_store(traces):
 
 
 @pytest.fixture(autouse=True)
-def _fresh_default_cache():
-    reset_default_cache()
-    yield
-    reset_default_cache()
+def _fresh_default_cache(monkeypatch):
+    monkeypatch.setattr(manager, "_default_cache", None)
 
 
 class TestLogIdentity:
@@ -322,7 +320,7 @@ class TestSpanBackedEntries:
             return sorted(
                 type(o).__name__
                 for o in gc.get_objects()
-                if type(o) in (Log, ColumnarLog) and o.epoch == epoch
+                if type(o) in (Log, ColumnarLog) and getattr(o, "_source", o).epoch == epoch
             )
 
         store = self.STORE()
@@ -416,7 +414,7 @@ class TestResolveCache:
         cache = resolve_cache(policy)
         assert isinstance(cache, QueryCache)
         assert cache.policy is policy
-        assert resolve_cache(CachePolicy.disabled()) is None
+        assert resolve_cache(CachePolicy(enabled=False)) is None
 
     def test_instances_pass_through(self):
         cache = QueryCache()

@@ -1,5 +1,5 @@
-"""The columnar log core: layout invariants, round-trip fidelity and
-per-epoch caching (``Log.columnar()`` / ``LogStore.columnar()``)."""
+"""The columnar log core: layout invariants, fidelity to the source log
+and per-log caching (``Log.columnar()``)."""
 
 import pickle
 
@@ -9,8 +9,6 @@ from hypothesis import given, settings
 
 from repro.columnar import ColumnarLog, as_columnar
 from repro.core.model import Log
-from repro.logstore.store import LogStore
-from repro.obs.metrics import MetricsRegistry
 
 ALPHABET = ("A", "B", "C")
 
@@ -28,21 +26,6 @@ def logs(draw):
     return Log.from_traces(traces, interleave=draw(st.booleans()))
 
 
-class TestRoundTrip:
-    @settings(max_examples=60, deadline=None)
-    @given(logs())
-    def test_to_log_is_byte_identical(self, log):
-        rebuilt = ColumnarLog.from_log(log).to_log()
-        assert rebuilt == log
-        assert rebuilt.records == log.records
-        assert rebuilt.epoch == log.epoch
-        assert rebuilt.lineage == log.lineage
-        assert rebuilt.is_snapshot == log.is_snapshot
-
-    def test_round_trip_on_figure3(self, figure3_log):
-        assert ColumnarLog.from_log(figure3_log).to_log() == figure3_log
-
-
 class TestLayout:
     @settings(max_examples=40, deadline=None)
     @given(logs())
@@ -53,7 +36,7 @@ class TestLayout:
         for wid, lo, hi in columnar.wid_windows():
             assert lo == covered and hi > lo
             covered = hi
-            window = columnar.instance(wid)
+            window = columnar.rows[lo:hi]
             assert window == log.instance(wid)
             # is-lsn consecutive from 1 within the window (Definition 2)
             assert [r.is_lsn for r in window] == list(range(1, hi - lo + 1))
@@ -63,14 +46,11 @@ class TestLayout:
     @given(logs())
     def test_columns_intern_losslessly(self, log):
         columnar = ColumnarLog.from_log(log)
-        lsn, wid_id = columnar.lsn_col, columnar.wid_id_col
-        is_lsn, act_id = columnar.is_lsn_col, columnar.act_id_col
+        lsn, act_id = columnar.lsn_col, columnar.act_id_col
         for row, record in enumerate(columnar):
             assert lsn[row] == record.lsn
-            assert columnar.wid_of(wid_id[row]) == record.wid
-            assert is_lsn[row] == record.is_lsn
-            assert columnar.act_name_of(act_id[row]) == record.activity
-        assert columnar.nbytes == 4 * 8 * len(columnar)
+            assert columnar.act_names[act_id[row]] == record.activity
+            assert columnar.record(record.lsn) is record
 
     def test_columns_are_read_only(self, figure3_log):
         columnar = figure3_log.columnar()
@@ -83,7 +63,7 @@ class TestLayout:
             act_id = columnar.act_id_of(name)
             assert act_id is not None
             records = sorted(
-                (columnar.row_record(row) for row in columnar.act_rows(act_id)),
+                (columnar.rows[row] for row in columnar.act_rows(act_id)),
                 key=lambda r: r.lsn,
             )
             assert tuple(records) == figure3_log.with_activity(name)
@@ -94,35 +74,18 @@ class TestLayout:
         act_id = columnar.act_id_of("GetRefer")
         spans = columnar.leaf_spans(act_id)
         assert columnar.leaf_spans(act_id) is spans  # cached
+        windows = [columnar.rows[lo:hi] for _, lo, hi in columnar.wid_windows()]
         per_window = [
-            sum(1 for r in columnar.instance(wid) if r.activity == "GetRefer")
-            for wid in columnar.wids
+            sum(1 for r in window if r.activity == "GetRefer") for window in windows
         ]
         assert [len(s) for s in spans] == per_window
-        for wi, window_spans in enumerate(spans):
-            window = columnar.instance(columnar.wids[wi])
+        for window, window_spans in zip(windows, spans):
             for first, last, positions in window_spans:
                 assert first == last and positions == frozenset((first,))
                 assert window[first - 1].activity == "GetRefer"
 
 
 class TestProtocolSurface:
-    def test_reads_like_the_source_log(self, figure3_log):
-        columnar = figure3_log.columnar()
-        for log in (columnar, figure3_log):
-            assert type(log.records) is tuple
-            assert type(log.activities) is frozenset
-        assert columnar.records == figure3_log.records
-        assert columnar.activities == figure3_log.activities
-        assert len(columnar) == len(figure3_log)
-
-    def test_provenance_delegates_to_source(self, figure3_log):
-        columnar = figure3_log.columnar()
-        assert columnar.epoch == figure3_log.epoch
-        assert columnar.lineage == figure3_log.lineage
-        assert columnar.fingerprint == figure3_log.fingerprint
-        assert columnar.source is figure3_log
-
     def test_direct_construction_is_rejected(self, figure3_log):
         with pytest.raises(TypeError, match="from_log"):
             ColumnarLog(figure3_log)
@@ -137,23 +100,9 @@ class TestCaching:
         assert as_columnar(columnar) is columnar
         assert as_columnar(figure3_log) is columnar
 
-    def test_store_columnar_is_cached_per_epoch(self, figure3_log):
-        metrics = MetricsRegistry()
-        store = LogStore(metrics=metrics)
-        wid = store.open_instance()
-        store.append(wid, "A")
-        first = store.columnar()
-        assert store.columnar() is first  # same epoch: cache hit
-        assert metrics.counter("logstore.columnar_builds").value == 1
-        store.append(wid, "B")  # epoch advances
-        second = store.columnar()
-        assert second is not first
-        assert metrics.counter("logstore.columnar_builds").value == 2
-        assert [r.activity for r in second] == ["START", "A", "B"]
-
     def test_pickled_log_drops_the_columnar_cache(self, figure3_log):
         figure3_log.columnar()
         clone = pickle.loads(pickle.dumps(figure3_log))
         assert clone == figure3_log
         assert clone._columnar is None  # transient slot, rebuilt on demand
-        assert clone.columnar().to_log() == figure3_log
+        assert clone.columnar().rows == figure3_log.columnar().rows

@@ -44,8 +44,7 @@ ACCESSORS = {
     "iter": list,
     "sort_keys": lambda s: [o.sort_key for o in s],
     "hash": hash,
-    "to_set": IncidentSet.to_set,
-    "by_wid": IncidentSet.by_wid,
+    "to_set": frozenset,
     "lsn_sets": IncidentSet.lsn_sets,
     "contains": lambda s: [o in s for o in list(s)[:3]],
     "repr": repr,
@@ -66,7 +65,7 @@ def test_span_backed_set_answers_like_the_eager_one(case, share, order):
     for name in order:
         assert ACCESSORS[name](lazy) == ACCESSORS[name](eager), (name, order)
     assert lazy == eager and eager == lazy
-    assert lazy == eager.to_set()
+    assert lazy == set(eager)
 
 
 def test_batch_results_equal_their_eager_copies():

@@ -3,13 +3,13 @@ spelling), compiled-SQL evaluation and guarded-leaf rejection."""
 
 import pytest
 
-from repro.columnar import ColumnarWarehouse, SqliteEngine
+from repro.columnar import ColumnarLog, ColumnarWarehouse, SqliteEngine
 from repro.columnar.sqlite import compile_columnar_sql
 from repro.core import EngineOptions, Query
 from repro.core.errors import EvaluationError
 from repro.core.eval.vectorized import VectorizedEngine
 from repro.core.parser import parse
-from repro.extensions import Compare, where
+from repro.extensions import Compare, Guarded
 
 
 class TestQueryWiring:
@@ -69,7 +69,7 @@ class TestEvaluation:
 
 class TestGuardedLeaves:
     def test_guarded_leaf_is_rejected_with_a_clear_error(self, figure3_log):
-        guarded = where("GetRefer", Compare("out", "balance", ">=", 1000))
+        guarded = Guarded("GetRefer", False, Compare("out", "balance", ">=", 1000))
         with pytest.raises(EvaluationError, match="attribute"):
             SqliteEngine().evaluate(figure3_log, guarded)
 
@@ -82,7 +82,7 @@ class TestWarehouse:
         warehouse = engine._cache[1]
         engine.evaluate(columnar, parse("CheckIn"))
         assert engine._cache[1] is warehouse  # same view: reuse
-        other = figure3_log.columnar().to_log().columnar()
+        other = ColumnarLog.from_log(figure3_log)
         engine.evaluate(other, parse("GetRefer"))
         assert engine._cache[1] is not warehouse  # new view: reload
 

@@ -1,19 +1,14 @@
-"""Unit tests for the algebra toolkit: chain views, canonicalisation and
-the two equivalence checkers."""
+"""Unit tests for the algebra toolkit: chain views, canonicalisation, and
+equivalence by canonical form and on random logs."""
 
 import random
 
-import pytest
-
 from repro.core.algebra import (
-    build_chain,
     build_left_deep,
     canonicalize,
     flatten_assoc,
     flatten_chain,
-    provably_equivalent,
     random_logs,
-    randomized_equivalent,
 )
 from repro.core.incident import reference_incidents
 from repro.core.parser import parse
@@ -21,9 +16,19 @@ from repro.core.pattern import (
     Choice,
     Consecutive,
     Sequential,
-    act,
+    Atomic,
     random_pattern,
 )
+
+
+def _agree_on_random_logs(p, q):
+    """Definition 5 on a battery of random logs over both patterns' names
+    plus one fresh name (so negated atoms meet unmentioned activities)."""
+    alphabet = sorted(p.activity_names() | q.activity_names()) + ["__fresh__"]
+    return all(
+        reference_incidents(log, p) == reference_incidents(log, q)
+        for log in random_logs(alphabet, seed=0)
+    )
 
 
 class TestFlattenChain:
@@ -48,41 +53,21 @@ class TestFlattenChain:
         assert isinstance(items[0], Choice)
 
     def test_atom_is_a_singleton_chain(self):
-        items, gaps = flatten_chain(act("A"))
+        items, gaps = flatten_chain(Atomic("A"))
         assert len(items) == 1 and not gaps
 
 
 class TestBuildChain:
-    def test_left_deep_default(self):
-        items, gaps = flatten_chain(parse("A -> B ; C"))
-        rebuilt = build_chain(items, gaps)
-        assert rebuilt == parse("A -> B ; C")  # parser is left-associative
-
-    def test_custom_association(self):
-        items, gaps = flatten_chain(parse("A -> B -> C"))
-        rebuilt = build_chain(items, gaps, association=[(1, 2), (0, 1)])
-        assert rebuilt == parse("A -> (B -> C)")
-
-    def test_association_must_merge_adjacent(self):
-        items, gaps = flatten_chain(parse("A -> B -> C"))
-        with pytest.raises(ValueError):
-            build_chain(items, gaps, association=[(0, 2)])
-
-    def test_items_gaps_length_mismatch(self):
-        with pytest.raises(ValueError):
-            build_chain([act("A")], [parse("A -> B")])
-
     def test_all_associations_are_equivalent(self):
         """Theorems 2+4 as an exhaustive check on a 4-item mixed chain."""
         pattern = parse("A ; B -> C ; A")
-        items, gaps = flatten_chain(pattern)
         log_battery = random_logs("ABC", cases=10, seed=3)
         variants = [
-            build_chain(items, gaps, association=assoc)
-            for assoc in ([(0, 1), (0, 1), (0, 1)],
-                          [(1, 2), (1, 2), (0, 1)],
-                          [(2, 3), (0, 1), (0, 1)],
-                          [(1, 2), (0, 1), (0, 1)])
+            parse(text)
+            for text in ("((A ; B) -> C) ; A",
+                         "A ; ((B -> C) ; A)",
+                         "(A ; B) -> (C ; A)",
+                         "(A ; (B -> C)) ; A")
         ]
         for log in log_battery:
             expected = reference_incidents(log, pattern)
@@ -101,7 +86,7 @@ class TestFlattenAssoc:
         assert len(operands) == 2
 
     def test_build_left_deep_inverts(self):
-        operands = [act(x) for x in "ABC"]
+        operands = [Atomic(x) for x in "ABC"]
         assert build_left_deep(Choice, operands) == parse("A | B | C")
 
 
@@ -128,7 +113,7 @@ class TestCanonicalize:
         assert canonicalize(parse("A -> B")) != canonicalize(parse("B -> A"))
 
     def test_choice_duplicates_removed(self):
-        assert canonicalize(parse("A | A")) == act("A")
+        assert canonicalize(parse("A | A")) == Atomic("A")
         assert canonicalize(parse("(A -> B) | (B -> A) | (A -> B)")) == (
             canonicalize(parse("(A -> B) | (B -> A)"))
         )
@@ -144,20 +129,18 @@ class TestCanonicalize:
 
 class TestEquivalenceCheckers:
     def test_provably_equivalent_accepts_rewrites(self):
-        assert provably_equivalent(parse("A | B"), parse("B | A"))
-        assert provably_equivalent(parse("(A -> B) -> C"), parse("A -> (B -> C)"))
+        assert canonicalize(parse("A | B")) == canonicalize(parse("B | A"))
+        assert canonicalize(parse("(A -> B) -> C")) == canonicalize(parse("A -> (B -> C)"))
 
     def test_provably_equivalent_rejects_different_patterns(self):
-        assert not provably_equivalent(parse("A -> B"), parse("A ; B"))
+        assert canonicalize(parse("A -> B")) != canonicalize(parse("A ; B"))
 
     def test_randomized_equivalent_confirms_theorem_instances(self):
-        assert randomized_equivalent(
-            parse("A -> (B | C)"), parse("(A -> B) | (A -> C)")
-        )
+        assert _agree_on_random_logs(parse("A -> (B | C)"), parse("(A -> B) | (A -> C)"))
 
     def test_randomized_equivalent_refutes_inequivalence(self):
-        assert not randomized_equivalent(parse("A -> B"), parse("B -> A"))
-        assert not randomized_equivalent(parse("A"), parse("!A"))
+        assert not _agree_on_random_logs(parse("A -> B"), parse("B -> A"))
+        assert not _agree_on_random_logs(parse("A"), parse("!A"))
 
     def test_random_logs_deterministic(self):
         a = random_logs("AB", cases=5, seed=9)
@@ -169,7 +152,7 @@ class TestChoiceNormalForm:
     def test_atom_is_its_own_branch(self):
         from repro.core.algebra import choice_normal_form
 
-        assert choice_normal_form(act("A")) == [act("A")]
+        assert choice_normal_form(Atomic("A")) == [Atomic("A")]
 
     def test_distributes_through_operators(self):
         from repro.core.algebra import choice_normal_form
@@ -205,7 +188,7 @@ class TestChoiceNormalForm:
             for log in logs[:3]:
                 union = set()
                 for branch in branches:
-                    union |= reference_incidents(log, branch).to_set()
-                assert union == reference_incidents(log, pattern).to_set(), (
+                    union |= frozenset(reference_incidents(log, branch))
+                assert union == frozenset(reference_incidents(log, pattern)), (
                     str(pattern)
                 )

@@ -17,7 +17,6 @@ from repro.core.pattern import (
     Consecutive,
     Parallel,
     Sequential,
-    act,
 )
 
 ALPHABET = ("A", "B", "C")
@@ -88,12 +87,12 @@ def test_theorem3_commutativity(log, op, p1, p2):
 
 def test_consecutive_is_not_commutative():
     log = Log.from_traces([["A", "B"]])
-    assert not equivalent_on(log, act("A") * act("B"), act("B") * act("A"))
+    assert not equivalent_on(log, Atomic("A") * Atomic("B"), Atomic("B") * Atomic("A"))
 
 
 def test_sequential_is_not_commutative():
     log = Log.from_traces([["A", "B"]])
-    assert not equivalent_on(log, act("A") >> act("B"), act("B") >> act("A"))
+    assert not equivalent_on(log, Atomic("A") >> Atomic("B"), Atomic("B") >> Atomic("A"))
 
 
 # -- Theorem 4: mixed ⊙/⊳ chains re-associate per-gap -------------------------
@@ -120,7 +119,7 @@ def test_theorem4_operators_do_not_swap():
     """The *operators* stay attached to their gaps: swapping them is NOT an
     equivalence (this pins down the typo in the paper's proof text)."""
     log = Log.from_traces([["A", "B", "X", "C"]])
-    a, b, c = act("A"), act("B"), act("C")
+    a, b, c = Atomic("A"), Atomic("B"), Atomic("C")
     attached = Consecutive(a, Sequential(b, c))   # A⊙B then gap to C
     swapped = Sequential(a, Consecutive(b, c))    # A gap to B⊙C
     assert not equivalent_on(log, attached, swapped)
@@ -161,6 +160,6 @@ def test_choice_idempotence(log, p):
 def test_choice_absorption_is_false_in_general(log, p1, p2):
     """⊗ is set union, so p1 ⊗ p2 contains incL(p1); sanity-check the
     subset relation the choice semantics promises."""
-    union = reference_incidents(log, Choice(p1, p2)).to_set()
-    assert reference_incidents(log, p1).to_set() <= union
-    assert reference_incidents(log, p2).to_set() <= union
+    union = frozenset(reference_incidents(log, Choice(p1, p2)))
+    assert frozenset(reference_incidents(log, p1)) <= union
+    assert frozenset(reference_incidents(log, p2)) <= union

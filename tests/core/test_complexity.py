@@ -13,7 +13,7 @@ from repro.core.eval.vectorized import VectorizedEngine
 from repro.core.eval.naive import NaiveEngine
 from repro.core.model import Log
 from repro.core.parser import parse
-from repro.core.pattern import act, parallel
+from repro.core.pattern import parallel
 from repro.generator.synthetic import planted_pattern_log, worst_case_log
 
 

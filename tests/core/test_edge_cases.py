@@ -14,7 +14,7 @@ from repro.core.eval.naive import NaiveEngine
 from repro.core.incident import reference_incidents
 from repro.core.model import END, START, Log, LogRecord
 from repro.core.parser import parse, tokenize
-from repro.core.pattern import act, neg, parallel, sequential
+from repro.core.pattern import Atomic, parallel
 from repro.core.options import EngineOptions
 from repro.core.query import Query
 
@@ -33,7 +33,7 @@ class TestMinimalLogs:
 
     def test_negation_spans_sentinels(self):
         log = Log.from_traces([["A"]])
-        # ¬A matches START and END (Definition 4: act(l) != t, no carve-out)
+        # ¬A matches START and END (Definition 4: Atomic(l) != t, no carve-out)
         assert Query("!A", EngineOptions(optimize=False)).count(log) == 2
 
     def test_hundreds_of_tiny_instances(self):
@@ -89,12 +89,9 @@ class TestDslEdges:
         p2 = parallel("C", "A", "B")
         assert reference_incidents(log, p1) == reference_incidents(log, p2)
 
-    def test_sequential_of_one(self):
-        assert sequential("A") == act("A")
-
     def test_neg_and_act_compose(self):
         log = Log.from_traces([["A", "B"]])
-        assert reference_incidents(log, neg("A") >> act("B")).lsn_sets() == {
+        assert reference_incidents(log, ~Atomic("A") >> Atomic("B")).lsn_sets() == {
             frozenset({1, 3})  # START -> B (l1 is START, l3 is B)
         }
 
@@ -131,19 +128,19 @@ class TestOptimizerEdges:
 
         model = CostModel(LogStatistics.from_log(figure3_log))
         with pytest.raises(OptimizerError):
-            reassociate_chain([act("A")], [parse("A -> B")], model)
+            reassociate_chain([Atomic("A")], [parse("A -> B")], model)
 
     def test_optimizing_single_atom_is_identity(self, figure3_log):
         from repro.core.optimizer import Optimizer
 
-        plan = Optimizer.for_log(figure3_log).optimize(act("SeeDoctor"))
-        assert plan.optimized == act("SeeDoctor")
+        plan = Optimizer.for_log(figure3_log).optimize(Atomic("SeeDoctor"))
+        assert plan.optimized == Atomic("SeeDoctor")
         assert plan.estimated_speedup == pytest.approx(1.0)
 
     def test_estimated_speedup_with_zero_cost(self):
         from repro.core.optimizer.planner import OptimizedPlan
 
-        plan = OptimizedPlan(act("A"), act("A"), 0.0, 0.0)
+        plan = OptimizedPlan(Atomic("A"), Atomic("A"), 0.0, 0.0)
         assert plan.estimated_speedup == 1.0
 
 

@@ -246,7 +246,7 @@ class TestQueryIntegration:
             EngineOptions(deadline_ms=60_000, max_pairs=10**9),
         )
         plain = Query("GetRefer -> CheckIn")
-        assert governed.run(clinic_log).to_set() == plain.run(clinic_log).to_set()
+        assert frozenset(governed.run(clinic_log)) == frozenset(plain.run(clinic_log))
 
     def test_options_validate_budgets(self):
         with pytest.raises(ReproError):

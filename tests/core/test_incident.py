@@ -77,7 +77,7 @@ class TestIncident:
 
     def test_activities_in_execution_order(self):
         o = Incident([rec(2, pos=4, activity="B"), rec(1, pos=1, activity="A")])
-        assert o.activities() == ("A", "B")
+        assert [r.activity for r in o] == ["A", "B"]
 
     def test_len_and_iteration(self):
         o = Incident([rec(1), rec(2)])
@@ -100,16 +100,6 @@ class TestIncidentSet:
         a = Incident([rec(1)])
         assert IncidentSet([a]) == {a}
         assert IncidentSet([a]) == IncidentSet([a])
-
-    def test_by_wid_grouping(self):
-        items = [
-            Incident([rec(1, wid=1)]),
-            Incident([rec(2, wid=2, pos=1)]),
-            Incident([rec(3, wid=2, pos=2)]),
-        ]
-        grouped = IncidentSet(items).by_wid()
-        assert set(grouped) == {1, 2}
-        assert len(grouped[2]) == 2
 
     def test_wids_and_lsn_sets(self):
         items = [Incident([rec(1, wid=3)]), Incident([rec(2, wid=3, pos=2)])]

@@ -8,12 +8,6 @@ from repro.core.model import (
     START,
     Log,
     LogRecord,
-    act,
-    attrs_in,
-    attrs_out,
-    is_lsn,
-    lsn,
-    wid,
 )
 
 
@@ -29,12 +23,12 @@ class TestLogRecord:
             lsn=4, wid=1, is_lsn=3, activity="CheckIn",
             attrs_in={"referId": "034d1"}, attrs_out={"referState": "active"},
         )
-        assert lsn(record) == 4
-        assert wid(record) == 1
-        assert is_lsn(record) == 3
-        assert act(record) == "CheckIn"
-        assert attrs_in(record) == {"referId": "034d1"}
-        assert attrs_out(record) == {"referState": "active"}
+        assert record.lsn == 4
+        assert record.wid == 1
+        assert record.is_lsn == 3
+        assert record.activity == "CheckIn"
+        assert record.attrs_in == {"referId": "034d1"}
+        assert record.attrs_out == {"referState": "active"}
 
     def test_attribute_maps_default_to_empty(self):
         record = make_record()
@@ -77,14 +71,6 @@ class TestLogRecord:
         assert end.is_end and end.is_sentinel
         plain = make_record(activity="CheckIn", is_lsn=2)
         assert not plain.is_sentinel
-
-    def test_reads_and_writes_predicates(self):
-        record = make_record(
-            activity="CheckIn", is_lsn=2,
-            attrs_in={"balance": 1}, attrs_out={"state": "active"},
-        )
-        assert record.reads("balance") and not record.reads("state")
-        assert record.writes("state") and not record.writes("balance")
 
     def test_dict_roundtrip(self):
         record = make_record(
@@ -219,13 +205,6 @@ class TestLogViews:
         outsider = LogRecord(lsn=1, wid=9, is_lsn=1, activity=START)
         assert outsider not in figure3_log
         assert "not a record" not in figure3_log
-
-    def test_restrict_to_compacts_lsns(self, figure3_log):
-        restricted = figure3_log.restrict_to([2])
-        restricted.validate()
-        assert restricted.wids == (2,)
-        assert [r.lsn for r in restricted] == list(range(1, 10))
-        assert [r.activity for r in restricted][:3] == [START, "GetRefer", "CheckIn"]
 
     def test_equality_and_hash(self, figure3_log):
         clone = Log(figure3_log.records)

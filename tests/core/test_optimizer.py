@@ -17,7 +17,7 @@ from repro.core.optimizer.rules import (
     push_choice_out,
 )
 from repro.core.parser import parse
-from repro.core.pattern import Choice, act, random_pattern
+from repro.core.pattern import Atomic, Choice, random_pattern
 
 
 @pytest.fixture()
@@ -69,8 +69,8 @@ class TestLogStatistics:
 class TestCardinality:
     def test_atoms_are_exact(self, figure3_log):
         model = CostModel(LogStatistics.from_log(figure3_log))
-        assert model.cardinality(act("SeeDoctor")) == 4
-        assert model.cardinality(~act("SeeDoctor")) == 16
+        assert model.cardinality(Atomic("SeeDoctor")) == 4
+        assert model.cardinality(~Atomic("SeeDoctor")) == 16
 
     def test_choice_adds(self, figure3_log):
         model = CostModel(LogStatistics.from_log(figure3_log))
@@ -103,7 +103,7 @@ class TestCardinality:
 
 class TestRewriteRules:
     def test_dedup_choice(self):
-        assert dedup_choice(parse("A | A")) == act("A")
+        assert dedup_choice(parse("A | A")) == Atomic("A")
         assert dedup_choice(parse("A | B")) is None
         # detects duplicates modulo commutativity of the operands
         assert dedup_choice(parse("(A & B) | (B & A)")) is not None
@@ -164,8 +164,8 @@ class TestChainReassociation:
 
     def test_single_item_chain(self, figure3_log):
         model = CostModel(LogStatistics.from_log(figure3_log))
-        rebuilt, cost = reassociate_chain([act("A")], [], model)
-        assert rebuilt == act("A") and cost == 0.0
+        rebuilt, cost = reassociate_chain([Atomic("A")], [], model)
+        assert rebuilt == Atomic("A") and cost == 0.0
 
     def test_reassociation_preserves_semantics(self, rng, skewed_log):
         model = CostModel(LogStatistics.from_log(skewed_log))

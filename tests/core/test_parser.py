@@ -10,8 +10,6 @@ from repro.core.pattern import (
     Consecutive,
     Parallel,
     Sequential,
-    act,
-    neg,
 )
 
 
@@ -60,9 +58,9 @@ class TestTokenizer:
 
 class TestParsing:
     def test_atoms(self):
-        assert parse("A") == act("A")
-        assert parse("!A") == neg("A")
-        assert parse('"Check In"') == act("Check In")
+        assert parse("A") == Atomic("A")
+        assert parse("!A") == ~Atomic("A")
+        assert parse('"Check In"') == Atomic("Check In")
 
     @pytest.mark.parametrize("text,cls", [
         ("A ; B", Consecutive),
@@ -73,18 +71,18 @@ class TestParsing:
     def test_each_operator(self, text, cls):
         pattern = parse(text)
         assert isinstance(pattern, cls)
-        assert pattern.left == act("A") and pattern.right == act("B")
+        assert pattern.left == Atomic("A") and pattern.right == Atomic("B")
 
     def test_left_associativity(self):
-        assert parse("A -> B -> C") == (act("A") >> act("B")) >> act("C")
+        assert parse("A -> B -> C") == (Atomic("A") >> Atomic("B")) >> Atomic("C")
 
     def test_parentheses_override_associativity(self):
-        assert parse("A -> (B -> C)") == act("A") >> (act("B") >> act("C"))
+        assert parse("A -> (B -> C)") == Atomic("A") >> (Atomic("B") >> Atomic("C"))
 
     def test_consecutive_and_sequential_share_a_level(self):
         # Theorem 4 licenses a shared precedence level for ⊙ and ⊳
-        assert parse("A ; B -> C") == (act("A") * act("B")) >> act("C")
-        assert parse("A -> B ; C") == (act("A") >> act("B")) * act("C")
+        assert parse("A ; B -> C") == (Atomic("A") * Atomic("B")) >> Atomic("C")
+        assert parse("A -> B ; C") == (Atomic("A") >> Atomic("B")) * Atomic("C")
 
     def test_parallel_binds_tighter_than_choice(self):
         pattern = parse("A | B & C")
@@ -98,7 +96,7 @@ class TestParsing:
 
     def test_paper_figure4_pattern(self):
         pattern = parse("SeeDoctor -> (UpdateRefer -> GetReimburse)")
-        expected = act("SeeDoctor") >> (act("UpdateRefer") >> act("GetReimburse"))
+        expected = Atomic("SeeDoctor") >> (Atomic("UpdateRefer") >> Atomic("GetReimburse"))
         assert pattern == expected
 
     def test_deeply_nested(self):

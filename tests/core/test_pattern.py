@@ -12,28 +12,23 @@ from repro.core.pattern import (
     Consecutive,
     Parallel,
     Sequential,
-    act,
-    choice,
-    consecutive,
     enumerate_patterns,
-    neg,
     parallel,
     precedence,
     random_pattern,
-    sequential,
     to_text,
 )
 
 
 class TestAtomic:
     def test_positive_and_negative_atoms(self):
-        assert act("A") == Atomic("A")
-        assert neg("A") == Atomic("A", negated=True)
-        assert act("A") != neg("A")
+        assert Atomic("A") == Atomic("A", negated=False)
+        assert ~Atomic("A") == Atomic("A", negated=True)
+        assert Atomic("A") != ~Atomic("A")
 
     def test_invert_flips_polarity(self):
-        assert ~act("A") == neg("A")
-        assert ~~act("A") == act("A")
+        assert (~Atomic("A")).negated
+        assert ~~Atomic("A") == Atomic("A")
 
     def test_empty_name_rejected(self):
         with pytest.raises(ValueError):
@@ -41,81 +36,63 @@ class TestAtomic:
 
     def test_matches_by_activity_name(self):
         record = LogRecord(lsn=1, wid=1, is_lsn=1, activity="START")
-        assert act("START").matches(record)
-        assert not act("A").matches(record)
-        assert neg("A").matches(record)  # negation matches sentinels too
-        assert not neg("START").matches(record)
+        assert Atomic("START").matches(record)
+        assert not Atomic("A").matches(record)
+        assert (~Atomic("A")).matches(record)  # negation matches sentinels too
+        assert not (~Atomic("START")).matches(record)
 
     def test_atoms_are_hashable(self):
-        assert len({act("A"), Atomic("A"), neg("A")}) == 2
+        assert len({Atomic("A"), Atomic("A"), ~Atomic("A")}) == 2
 
 
 class TestDSL:
     def test_operator_overloads_build_correct_nodes(self):
-        a, b = act("A"), act("B")
+        a, b = Atomic("A"), Atomic("B")
         assert isinstance(a * b, Consecutive)
         assert isinstance(a >> b, Sequential)
         assert isinstance(a | b, Choice)
         assert isinstance(a & b, Parallel)
 
     def test_strings_coerce_to_atoms(self):
-        p = act("A") >> "B"
-        assert p.right == act("B")
+        p = Atomic("A") >> "B"
+        assert p.right == Atomic("B")
 
     def test_invalid_operand_type_raises(self):
         with pytest.raises(TypeError):
-            act("A") >> 42  # type: ignore[operator]
+            Atomic("A") >> 42  # type: ignore[operator]
 
     def test_variadic_constructors_left_fold(self):
-        p = sequential("A", "B", "C")
-        assert p == (act("A") >> act("B")) >> act("C")
-        assert consecutive("A", "B") == act("A") * act("B")
-        assert choice("A", "B", "C") == (act("A") | act("B")) | act("C")
-        assert parallel("A", "B") == act("A") & act("B")
+        assert parallel("A", "B", "C") == (Atomic("A") & Atomic("B")) & Atomic("C")
+        assert parallel("A") == Atomic("A")
 
     def test_variadic_constructors_require_an_operand(self):
         with pytest.raises(ValueError):
-            sequential()
+            parallel()
 
     def test_with_children_preserves_operator(self):
-        node = act("A") >> act("B")
-        rebuilt = node.with_children(act("X"), act("Y"))
+        node = Atomic("A") >> Atomic("B")
+        rebuilt = node.with_children(Atomic("X"), Atomic("Y"))
         assert isinstance(rebuilt, Sequential)
-        assert rebuilt == act("X") >> act("Y")
+        assert rebuilt == Atomic("X") >> Atomic("Y")
 
 
 class TestIntrospection:
     def test_size_counts_leaves(self):
-        p = (act("A") >> act("B")) & (act("A") | act("C"))
+        p = (Atomic("A") >> Atomic("B")) & (Atomic("A") | Atomic("C"))
         assert p.size == 4
 
-    def test_operator_count_matches_theorem1_k(self):
-        p = (act("A") >> act("B")) & (act("A") | act("C"))
-        assert p.operator_count == 3
-
-    def test_depth(self):
-        assert act("A").depth == 1
-        assert (act("A") >> act("B")).depth == 2
-        assert ((act("A") >> act("B")) >> act("C")).depth == 3
-
     def test_atoms_yielded_left_to_right(self):
-        p = (act("A") >> act("B")) | act("C")
+        p = (Atomic("A") >> Atomic("B")) | Atomic("C")
         assert [a.name for a in p.atoms()] == ["A", "B", "C"]
 
     def test_walk_visits_every_node(self):
-        p = (act("A") >> act("B")) | act("C")
+        p = (Atomic("A") >> Atomic("B")) | Atomic("C")
         kinds = [type(node).__name__ for node in p.walk()]
         assert kinds.count("Atomic") == 3
         assert "Choice" in kinds and "Sequential" in kinds
 
-    def test_activity_multiset_distinguishes_negation(self):
-        p = act("A") >> (neg("A") >> act("A"))
-        counts = p.activity_multiset()
-        assert counts["A"] == 2
-        assert counts[("¬", "A")] == 1
-
     def test_activity_names_ignores_negation(self):
-        p = neg("A") >> act("B")
+        p = ~Atomic("A") >> Atomic("B")
         assert p.activity_names() == {"A", "B"}
 
 
@@ -141,17 +118,17 @@ class TestTextRendering:
         assert parse(to_text(pattern)) == pattern
 
     def test_quoted_names_rendered_with_quotes(self):
-        assert to_text(act("Check In")) == '"Check In"'
+        assert to_text(Atomic("Check In")) == '"Check In"'
 
     def test_str_uses_to_text(self):
-        assert str(act("A") >> act("B")) == "A -> B"
+        assert str(Atomic("A") >> Atomic("B")) == "A -> B"
 
     def test_precedence_values(self):
-        assert precedence(act("A")) == 4
-        assert precedence(act("A") * act("B")) == 3
-        assert precedence(act("A") >> act("B")) == 3
-        assert precedence(act("A") & act("B")) == 2
-        assert precedence(act("A") | act("B")) == 1
+        assert precedence(Atomic("A")) == 4
+        assert precedence(Atomic("A") * Atomic("B")) == 3
+        assert precedence(Atomic("A") >> Atomic("B")) == 3
+        assert precedence(Atomic("A") & Atomic("B")) == 2
+        assert precedence(Atomic("A") | Atomic("B")) == 1
 
 
 class TestGenerators:

@@ -1,5 +1,5 @@
-"""Lsn-preserving wid projections: ``Log.project`` and ``LogStore.extract``
-(``tests/test_properties.py`` holds the union-of-projections property)."""
+"""Lsn-preserving wid projections with ``Log.project`` (``tests/test_properties.py``
+holds the union-of-projections property)."""
 
 from repro.logstore.store import LogStore
 
@@ -14,9 +14,9 @@ def test_logstore_extract_and_counts():
     counts = store.wid_record_counts()
     assert counts == {1: 4, 2: 4, 3: 4}  # START + A + B + END
 
-    extracted = store.extract([2])
+    extracted = store.snapshot().project([2])
     assert sorted({r.wid for r in extracted}) == [2]
-    # original global lsns survive extraction
+    # original global lsns survive the projection
     assert [r.lsn for r in extracted] == [
         r.lsn for r in store if r.wid == 2
     ]

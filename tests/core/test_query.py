@@ -8,13 +8,13 @@ from repro.core.eval.naive import NaiveEngine
 from repro.core.options import EngineOptions
 from repro.core.query import ENGINES, Query
 from repro.core.parser import parse
-from repro.core.pattern import act
+from repro.core.pattern import Atomic
 
 
 class TestConstruction:
     def test_accepts_text_and_patterns(self):
         assert Query("A -> B").pattern == parse("A -> B")
-        assert Query(act("A") >> act("B")).pattern == parse("A -> B")
+        assert Query(Atomic("A") >> Atomic("B")).pattern == parse("A -> B")
 
     def test_rejects_other_types(self):
         with pytest.raises(TypeError):

@@ -8,22 +8,21 @@ from repro.core.eval.tree import (
     SEQU,
     build_incident_tree,
     render_tree,
-    tree_to_pattern,
 )
 from repro.core.parser import parse
-from repro.core.pattern import act, neg
+from repro.core.pattern import Atomic
 
 
 class TestBuild:
     def test_leaf(self):
-        tree = build_incident_tree(act("A"))
+        tree = build_incident_tree(Atomic("A"))
         assert tree.is_leaf
         assert tree.type == ATOMIC
         assert tree.activity_name == "A"
         assert not tree.negated
 
     def test_negated_leaf_label(self):
-        tree = build_incident_tree(neg("A"))
+        tree = build_incident_tree(~Atomic("A"))
         assert tree.negated
         assert tree.label == "¬A"
 
@@ -38,20 +37,6 @@ class TestBuild:
         assert build_incident_tree(parse("A -> B")).label == "⊳"
         assert build_incident_tree(parse("A | B")).label == "⊗"
         assert build_incident_tree(parse("A & B")).label == "⊕"
-
-
-class TestRoundTrip:
-    def test_tree_to_pattern_inverts_build(self):
-        for text in ["A", "!A", "A ; (B | !C) & D", "(A -> B) -> (C ; D)"]:
-            pattern = parse(text)
-            assert tree_to_pattern(build_incident_tree(pattern)) == pattern
-
-
-class TestPostOrder:
-    def test_post_order_visits_leaves_before_operators(self):
-        tree = build_incident_tree(parse("A -> (B ; C)"))
-        labels = [node.label for node in tree.post_order()]
-        assert labels == ["A", "B", "C", "⊙", "⊳"]
 
 
 class TestRender:

@@ -99,4 +99,4 @@ class TestBatchJournal:
         journal = QueryJournal()
         journaled = evaluate_batch(clinic_log, self.PATTERNS, EngineOptions(journal=journal))
         for a, b in zip(plain.results, journaled.results):
-            assert a.to_set() == b.to_set()
+            assert set(a) == set(b)

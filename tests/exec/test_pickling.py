@@ -15,8 +15,9 @@ from repro.core.eval.base import EvaluationStats
 from repro.core.incident import Incident
 from repro.core.model import LogRecord
 from repro.core.parser import parse
-from repro.extensions.conditions import attr, where
-from repro.extensions.windows import within
+from repro.core.pattern import Atomic
+from repro.extensions.conditions import Guarded, attr
+from repro.extensions.windows import Within
 from repro.obs.tracer import Span, Tracer
 
 
@@ -46,12 +47,12 @@ def test_patterns_roundtrip(text):
 
 
 def test_windowed_and_guarded_patterns_roundtrip():
-    bounded = within("A", "B", 3)
+    bounded = Within(Atomic("A"), Atomic("B"), 3)
     clone = roundtrip(bounded)
     assert clone == bounded
     assert clone.bound == 3
 
-    guarded = where("GetRefer", attr("out.balance") > 500)
+    guarded = Guarded("GetRefer", False, attr("out.balance") > 500)
     clone = roundtrip(guarded)
     assert clone == guarded
     record = LogRecord(

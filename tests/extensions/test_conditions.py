@@ -19,7 +19,6 @@ from repro.extensions.conditions import (
     Not,
     attr,
     parse_guard,
-    where,
 )
 
 
@@ -89,8 +88,6 @@ class TestCombinators:
         assert (reference <= 5).op == "<="
         assert (reference == 5).op == "=="
         assert (reference != 5).op == "!="
-        assert reference.contains("x").op == "~="
-        assert isinstance(reference.exists(), Exists)
 
     def test_attr_parsing(self):
         assert attr("out.balance").scope == "out"
@@ -103,24 +100,13 @@ class TestCombinators:
 
 class TestGuardedPattern:
     def test_matches_requires_name_and_condition(self):
-        guard = where("GetRefer", attr("out.balance") > 500)
+        guard = Guarded("GetRefer", False, attr("out.balance") > 500)
         assert guard.matches(record("GetRefer", attrs_out={"balance": 1000}))
         assert not guard.matches(record("GetRefer", attrs_out={"balance": 100}))
         assert not guard.matches(record("Other", attrs_out={"balance": 1000}))
 
-    def test_where_stacks_conditions(self):
-        stacked = where(
-            where("A", attr("x") > 1), attr("y") > 1
-        )
-        assert stacked.matches(record(attrs_out={"x": 2, "y": 2}))
-        assert not stacked.matches(record(attrs_out={"x": 2, "y": 0}))
-
-    def test_where_rejects_composites(self):
-        with pytest.raises(TypeError):
-            where(parse("A -> B"), attr("x") > 1)  # type: ignore[arg-type]
-
     def test_guarded_composes_with_operators(self, figure3_log):
-        pattern = where("GetRefer", attr("out.balance") >= 2000) >> "CheckIn"
+        pattern = Guarded("GetRefer", False, attr("out.balance") >= 2000) >> "CheckIn"
         result = VectorizedEngine().evaluate(figure3_log, pattern)
         assert result.lsn_sets() == {frozenset({5, 8})}
 
@@ -181,7 +167,7 @@ class TestParseGuard:
             o for o in Query("GetRefer").run(clinic_log)
             if o.records[0].attrs_out.get("balance", 0) >= 5000
         }
-        assert guarded.to_set() == manual
+        assert set(guarded) == manual
 
 
 class TestGuardTextRoundtrip:

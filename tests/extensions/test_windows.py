@@ -10,32 +10,32 @@ from repro.core.eval.naive import NaiveEngine
 from repro.core.incident import reference_incidents
 from repro.core.model import Log
 from repro.core.parser import parse
-from repro.core.pattern import Consecutive, act, random_pattern
-from repro.extensions.windows import Within, within
+from repro.core.pattern import Atomic, Consecutive, random_pattern
+from repro.extensions.windows import Within
 
 
 class TestSemantics:
     def test_bound_one_equals_consecutive_on_atoms(self):
         log = Log.from_traces([["A", "B", "A", "X", "B"]])
-        windowed = within("A", "B", 1)
-        consecutive = act("A") * act("B")
+        windowed = Within(Atomic("A"), Atomic("B"), 1)
+        consecutive = Atomic("A") * Atomic("B")
         assert reference_incidents(log, windowed) == reference_incidents(
             log, consecutive
         )
 
     def test_larger_bounds_admit_more(self):
         log = Log.from_traces([["A", "X", "X", "B"]])
-        assert not reference_incidents(log, within("A", "B", 2))
-        assert reference_incidents(log, within("A", "B", 3))
+        assert not reference_incidents(log, Within(Atomic("A"), Atomic("B"), 2))
+        assert reference_incidents(log, Within(Atomic("A"), Atomic("B"), 3))
 
     def test_unbounded_sequential_is_upper_envelope(self):
         log = Log.from_traces([["A", "X"] * 5 + ["B"]])
-        seq = reference_incidents(log, parse("A -> B")).to_set()
-        win = reference_incidents(log, within("A", "B", 3)).to_set()
+        seq = set(reference_incidents(log, parse("A -> B")))
+        win = set(reference_incidents(log, Within(Atomic("A"), Atomic("B"), 3)))
         assert win <= seq
 
     def test_gap_ok(self):
-        w = within("A", "B", 2)
+        w = Within(Atomic("A"), Atomic("B"), 2)
         assert not w.gap_ok(3, 3)
         assert w.gap_ok(3, 4)
         assert w.gap_ok(3, 5)
@@ -43,7 +43,7 @@ class TestSemantics:
 
     def test_bound_validation(self):
         with pytest.raises(ValueError):
-            within("A", "B", 0)
+            Within(Atomic("A"), Atomic("B"), 0)
 
 
 class TestEngineAgreement:
@@ -66,7 +66,7 @@ class TestEngineAgreement:
     def test_exists_never_uses_unsound_greedy_path(self):
         # within requires late binding: the first A is too early
         log = Log.from_traces([["A", "X", "X", "X", "A", "B"]])
-        assert VectorizedEngine().exists(log, within("A", "B", 1))
+        assert VectorizedEngine().exists(log, Within(Atomic("A"), Atomic("B"), 1))
 
 
 class TestAlgebraIntegration:
@@ -85,8 +85,8 @@ class TestAlgebraIntegration:
         )
 
     def test_with_children_preserves_bound(self):
-        pattern = within("A", "B", 7)
-        rebuilt = pattern.with_children(act("X"), act("Y"))
+        pattern = Within(Atomic("A"), Atomic("B"), 7)
+        rebuilt = pattern.with_children(Atomic("X"), Atomic("Y"))
         assert isinstance(rebuilt, Within) and rebuilt.bound == 7
 
     def test_optimizer_keeps_window_semantics(self):
@@ -114,7 +114,7 @@ class TestAlgebraIntegration:
 
 class TestTextRendering:
     def test_token_includes_bound(self):
-        assert str(within("A", "B", 9)) == "A ->[9] B"
+        assert str(Within(Atomic("A"), Atomic("B"), 9)) == "A ->[9] B"
 
     def test_parse_roundtrip(self):
         pattern = parse("(A ->[4] B) ; C")

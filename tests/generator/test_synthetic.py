@@ -4,57 +4,25 @@ import random
 
 import pytest
 
-from repro.generator.distributions import Fixed, Geometric, UniformInt, Zipf
+from repro.generator.distributions import UniformInt
 from repro.generator.synthetic import (
     SyntheticLogConfig,
     default_alphabet,
     generate_log,
     planted_pattern_log,
-    uniform_log,
     worst_case_log,
 )
 from repro.core.query import Query
 
 
 class TestDistributions:
-    def test_fixed(self):
-        assert Fixed(5).sample(random.Random(0)) == 5
-        assert Fixed(5).mean() == 5.0
-        with pytest.raises(ValueError):
-            Fixed(-1)
-
     def test_uniform_int_range(self):
         dist = UniformInt(2, 6)
         rng = random.Random(1)
         samples = [dist.sample(rng) for __ in range(200)]
         assert min(samples) == 2 and max(samples) == 6
-        assert dist.mean() == 4.0
         with pytest.raises(ValueError):
             UniformInt(5, 2)
-
-    def test_geometric_support_and_truncation(self):
-        dist = Geometric(0.5, maximum=4)
-        rng = random.Random(2)
-        samples = [dist.sample(rng) for __ in range(200)]
-        assert min(samples) >= 1 and max(samples) <= 4
-        with pytest.raises(ValueError):
-            Geometric(0.0)
-
-    def test_zipf_is_skewed(self):
-        dist = Zipf(10, s=1.5)
-        rng = random.Random(3)
-        samples = [dist.sample(rng) for __ in range(500)]
-        assert all(0 <= s < 10 for s in samples)
-        assert samples.count(0) > samples.count(9)
-        with pytest.raises(ValueError):
-            Zipf(0)
-
-    def test_zipf_s_zero_is_uniformish(self):
-        dist = Zipf(4, s=0.0)
-        rng = random.Random(4)
-        samples = [dist.sample(rng) for __ in range(800)]
-        for value in range(4):
-            assert samples.count(value) > 120
 
 
 class TestGenerateLog:
@@ -74,33 +42,11 @@ class TestGenerateLog:
         for seed in range(5):
             generate_log(SyntheticLogConfig(instances=3, seed=seed)).validate()
 
-    def test_skew_concentrates_activity_mass(self):
-        flat = generate_log(SyntheticLogConfig(instances=50, seed=1, skew=0.0))
-        skewed = generate_log(SyntheticLogConfig(instances=50, seed=1, skew=2.0))
-
-        def top_share(log):
-            counts = sorted(
-                (len(log.with_activity(a)) for a in log.activities
-                 if a not in ("START", "END")),
-                reverse=True,
-            )
-            return counts[0] / sum(counts)
-
-        assert top_share(skewed) > top_share(flat)
-
     def test_config_validation(self):
         with pytest.raises(ValueError):
             SyntheticLogConfig(instances=0)
         with pytest.raises(ValueError):
             SyntheticLogConfig(alphabet=())
-        with pytest.raises(ValueError):
-            SyntheticLogConfig(skew=-1)
-
-    def test_uniform_log_shape(self):
-        log = uniform_log(6, 10, alphabet_size=4, seed=2)
-        assert len(log.wids) == 6
-        for wid in log.wids:
-            assert len(log.instance(wid)) == 12  # 10 events + sentinels
 
     def test_default_alphabet(self):
         assert default_alphabet(3) == ("A00", "A01", "A02")

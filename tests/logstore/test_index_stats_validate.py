@@ -1,7 +1,10 @@
 """Unit tests for statistics and validation/repair."""
 
+import hypothesis.strategies as st
 import pytest
+from hypothesis import given, settings
 
+from repro.core.errors import LogValidationError
 from repro.core.model import END, START, Log, LogRecord
 from repro.logstore.stats import (
     directly_follows_graph,
@@ -74,6 +77,54 @@ class TestValidationReport:
         records = [LogRecord(lsn=1, wid=1, is_lsn=1, activity="A")]
         issue = validation_report(records)[0]
         assert "condition 2" in str(issue)
+
+
+@st.composite
+def damaged_logs(draw):
+    """1–6 records: a well-formed log of one or two interleaved
+    instances, then one kind of damage Definition 2 forbids (or none)."""
+    queues = []
+    for wid in range(1, draw(st.integers(1, 2)) + 1):
+        body = draw(st.lists(st.sampled_from(("A", "B")), max_size=2))
+        names = [START, *body] + ([END] if draw(st.booleans()) else [])
+        queues.append([[wid, i, name] for i, name in enumerate(names, start=1)])
+    rows = []  # [lsn, wid, is_lsn, activity]
+    while any(queues):
+        queue = draw(st.sampled_from([q for q in queues if q]))
+        rows.append([len(rows) + 1, *queue.pop(0)])
+    damage = draw(st.sampled_from(
+        ("none", "is-lsn order", "duplicate lsn", "after END", "no START", "lsn gap")
+    ))
+    if damage == "is-lsn order" and len(rows) > 1:
+        i = draw(st.integers(0, len(rows) - 2))
+        rows[i][2], rows[i + 1][2] = rows[i + 1][2], rows[i][2]
+    elif damage == "duplicate lsn" and len(rows) > 1:
+        rows[draw(st.integers(1, len(rows) - 1))][0] = 1
+    elif damage == "after END":
+        wid = rows[-1][1]
+        last = max(row[2] for row in rows if row[1] == wid)
+        rows += [[len(rows) + 1, wid, last + 1, END], [len(rows) + 2, wid, last + 2, "A"]]
+    elif damage == "no START":
+        rows = [row for row in rows if row[1] != 1 or row[3] != START]
+        rows = [[lsn, wid, pos - (wid == 1), name]
+                for lsn, (_, wid, pos, name) in enumerate(rows, start=1)]
+    elif damage == "lsn gap":
+        for row in rows[draw(st.integers(0, len(rows) - 1)):]:
+            row[0] += 1
+    return [LogRecord(lsn=l, wid=w, is_lsn=i, activity=a) for l, w, i, a in rows[:6]]
+
+
+@settings(max_examples=400, deadline=None)
+@given(damaged_logs())
+def test_the_report_is_empty_exactly_when_the_log_constructs(records):
+    """``repro-logs validate`` and ``Log(...)`` are two Definition 2
+    checkers; they must accept the same record lists."""
+    try:
+        Log(records)
+        constructs = True
+    except LogValidationError:
+        constructs = False
+    assert (validation_report(records) == []) == constructs
 
 
 class TestRepair:

@@ -25,7 +25,7 @@ class TestLifecycle:
         store = LogStore()
         wid = store.open_instance()
         store.close_instance(wid)
-        assert not store.is_open(wid)
+        assert wid not in store.open_instances
         with pytest.raises(LogStoreError):
             store.append(wid, "A")
 
@@ -113,7 +113,7 @@ class TestSnapshots:
             assert after is store.snapshot()
             assert after is not before
             assert len(after) == after.epoch == store.epoch == len(store)
-            assert after.records[-1] is store.tail(1)[0]
+            assert after.records[-1] is list(store)[-1]
             after.validate()
         assert [r.activity for r in store.snapshot()] == [START, "A", END]
 
@@ -126,7 +126,7 @@ class TestSnapshots:
         assert metrics.counter("logstore.snapshot_builds").value == 1
         assert metrics.counter("logstore.snapshots").value == 3
         store.append(wid, "A")
-        store.columnar()  # builds the epoch's snapshot ...
+        store.snapshot().columnar()  # builds the epoch's snapshot ...
         store.snapshot()  # ... which a later query reuses
         assert metrics.counter("logstore.snapshot_builds").value == 2
         assert metrics.counter("logstore.snapshots").value == 5
@@ -176,16 +176,6 @@ class TestSnapshots:
             sys.setswitchinterval(interval)
         assert not any(thread.is_alive() for thread in threads)
         assert torn == []
-
-    def test_tail(self):
-        store = LogStore()
-        wid = store.open_instance()
-        for name in ("A", "B", "C"):
-            store.append(wid, name)
-        assert [r.activity for r in store.tail(2)] == ["B", "C"]
-        assert store.tail(0) == ()
-        with pytest.raises(ValueError):
-            store.tail(-1)
 
     def test_open_instances_listing(self):
         store = LogStore()

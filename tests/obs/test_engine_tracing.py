@@ -105,5 +105,5 @@ class TestQueryForwarding:
 def test_disabled_tracing_records_nothing():
     engine = NaiveEngine()
     engine.evaluate(LOG, parse("A -> B"))
-    assert engine.last_trace is None
+    assert engine.tracer.last_root is None
     assert engine.last_stats.pairs_examined > 0

@@ -154,9 +154,7 @@ class TestRunRecorder:
         recorder.submit()
         recorder.plan(optimized="A -> B", changed=False)
         recorder.evaluate(pairs=4, incidents=1)
-        assert not recorder.closed
         recorder.finish(incidents=1)
-        assert recorder.closed
         kinds = [e["event"] for e in journal.events]
         assert kinds == ["submit", "plan", "evaluate", "finish"]
         assert {e["query_id"] for e in journal.events} == {ctx.query_id}
@@ -187,7 +185,6 @@ class TestRunRecorder:
         assert event["event"] == "killed"
         assert event["reason"] == "QueryBudgetExceeded"
         assert event["pairs"] == 17
-        assert recorder.closed
         validate_journal(journal.events)
 
 

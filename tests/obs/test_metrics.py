@@ -99,14 +99,6 @@ class TestHistogram:
         with pytest.raises(ValueError):
             a.merge(Histogram("h", buckets=(1.0, 3.0)))
 
-    def test_reset_zeroes_everything(self):
-        histogram = Histogram("h", buckets=(1.0, 2.0))
-        histogram.observe(1.5)
-        histogram.reset()
-        assert histogram.count == 0
-        assert histogram.sum == 0.0
-        assert histogram.counts == [0, 0, 0]
-
 
 class TestRegistry:
     def test_same_name_returns_same_object(self):

@@ -68,22 +68,6 @@ class TestSpanTree:
         assert root.total("pairs") == 3
         assert root.total("incidents") == 1
 
-    def test_reset(self):
-        tracer = Tracer()
-        with tracer.span("root"):
-            pass
-        tracer.reset()
-        assert tracer.roots == []
-        assert tracer.last_root is None
-
-    def test_reset_with_open_span_raises(self):
-        tracer = Tracer()
-        handle = tracer.span("root")
-        handle.__enter__()
-        with pytest.raises(RuntimeError):
-            tracer.reset()
-        handle.__exit__(None, None, None)
-
     def test_exception_still_closes_span(self):
         tracer = Tracer()
         with pytest.raises(ValueError):
@@ -105,8 +89,6 @@ class TestNullTracer:
         assert NULL_TRACER.roots == ()
 
     def test_null_span_reads_as_empty_leaf(self):
-        assert list(NULL_SPAN.walk()) == [NULL_SPAN]
-        assert NULL_SPAN.total("pairs") == 0.0
         assert NULL_SPAN.children == ()
         assert NULL_SPAN.count == 0
 

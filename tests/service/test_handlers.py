@@ -325,6 +325,29 @@ class TestQueryModes:
         ]
         assert doc["backend"] == "serial"
 
+    def test_every_engine_answers_a_store_holding_a_lone_surrogate_name(self, service):
+        # JSON carries "\ud800" over the wire; SQLite cannot store it as text
+        append = post(
+            service, "/v1/logs/clinic/records",
+            {"records": [
+                {"activity": "START", "wid": 7000},
+                {"activity": "A\ud800", "wid": 7000},
+                {"activity": "GetRefer", "wid": 7000},
+            ]},
+        )
+        assert append.status == 200
+        body = {"log": "clinic", "pattern": "GetRefer -> CheckIn", "options": {"cache": False}}
+        kernel = payload(post(service, "/v1/query", body))
+        assert kernel["count"] > 0
+        for options in ({"engine": "sqlite", "cache": False}, {"engine": "naive"}):
+            for mode in ("incidents", "exists"):
+                response = post(service, "/v1/query", {**body, "mode": mode, "options": options})
+                assert response.status == 200, (options, payload(response))
+                if mode == "incidents":
+                    assert payload(response)["incidents"] == kernel["incidents"], options
+                else:
+                    assert payload(response)["exists"] is True
+
     def test_lint(self, service):
         doc = payload(
             post(service, "/v1/lint", {"log": "clinic", "pattern": "NoSuchActivity"})

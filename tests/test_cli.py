@@ -82,6 +82,16 @@ class TestQuery:
         message = capsys.readouterr().err
         assert all(name in message for name in ("naive", "sqlite", "vectorized"))
 
+    def test_compound_guard_round_trips_and_filters(self, clinic_file, capsys):
+        # existence, and, or, not: every GetRefer record satisfies this guard
+        guard = "out.referId and (out.balance < 0 or not out.balance < 0)"
+        code = main(["query", "--log", clinic_file, "--pattern",
+                     f"GetRefer[{guard}]", "--mode", "count", "--explain"])
+        assert code == 0
+        out = capsys.readouterr().out
+        assert "out.referId and (out.balance < 0 or not (out.balance < 0))" in out
+        assert out.split()[-1] == "40"
+
     def test_bad_pattern_reports_error(self, clinic_file, capsys):
         code = main(["query", "--log", clinic_file, "--pattern", "A ->",
                      "--mode", "count"])
@@ -152,6 +162,10 @@ class TestLint:
     def test_syntax_error_exits_two(self, capsys):
         assert main(["lint", "A ->"]) == 2
         assert "error" in capsys.readouterr().err
+
+    def test_factored_choice_is_offered_only_once_proved_equivalent(self, capsys):
+        assert main(["lint", "(A ; B) | (A ; C)"]) == 0
+        assert "QW402" in capsys.readouterr().out
 
 
 class TestStatsValidateConvert:

@@ -66,6 +66,15 @@ class TestBenchRun:
         assert FAST_CASE in captured.out and "median" in captured.out
         assert "bench 1/1" in captured.err  # per-case progress on stderr
 
+    def test_a_case_with_a_machine_independent_assertion_runs(self, tmp_path, capsys):
+        # kernel.spans_only fails the run if evaluating builds an Incident
+        code = main([
+            "bench", "run", "--case", "kernel.spans_only", "--repeats", "1",
+            "--warmup", "0", "--out", str(tmp_path / "r.json"), "--history", "-",
+        ])
+        assert code == 0
+        assert "kernel.spans_only" in capsys.readouterr().out
+
     def test_history_accumulates_across_runs(self, tmp_path):
         _, history_path = _run_bench(tmp_path)
         _run_bench(tmp_path)

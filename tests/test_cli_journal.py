@@ -76,6 +76,18 @@ class TestQueryJournalFlag:
         assert evaluate["pairs"] == events[-1]["pairs"] > 0
 
 
+    def test_a_cached_run_journals_its_cache_probe(self, tmp_path, clinic_file):
+        path = tmp_path / "journal.jsonl"
+        code = main([
+            "query", "--log", clinic_file, "--pattern", CHAIN,
+            "--mode", "count", "--journal", str(path), "--cache",
+        ])
+        assert code == 0
+        events = read_journal(path, validate=True)
+        (probe,) = [e for e in events if e["event"] == "cache"]
+        assert probe["probe"] == "result" and probe["hit"] is False
+
+
 class TestGovernorExitCode:
     def test_max_pairs_kill_exits_4(self, tmp_path, clinic_file, capsys):
         path = tmp_path / "journal.jsonl"

@@ -30,6 +30,7 @@ FOREIGN_FLAGS = {
     "--jobs-ceiling",  # deleted with the parallel backend; SERVICE.md says so
     "--workload", "--seconds", "--no-trace",  # benchmarks/e2e's own parsers
     "--benchmark-only", "--no-build-isolation",  # pytest-benchmark, pip
+    "--functions", "--check",  # python -m tests.support.census
 }
 
 

@@ -4,7 +4,7 @@ code runs)."""
 
 import pytest
 
-from repro.analytics import count_by, instance_counts
+from repro.analytics import count_by
 from repro.analytics.aggregate import attr_of
 from repro.core.query import Query
 from repro.workflow import SimulationConfig, WorkflowEngine
@@ -57,8 +57,8 @@ class TestPaperMotivatingQueries:
     def test_per_instance_incident_counts_bound(self, population):
         """Each instance has exactly one GetRefer, so 'GetRefer ->
         SeeDoctor' incidents per instance == SeeDoctor visits."""
-        counts = instance_counts(
-            Query("GetRefer -> SeeDoctor").run(population)
+        counts = count_by(
+            Query("GetRefer -> SeeDoctor").run(population), lambda o: o.wid
         )
         for wid, count in counts.items():
             visits = sum(
@@ -79,12 +79,12 @@ class TestPaperMotivatingQueries:
         assert not (completed & terminated)
 
     def test_consecutive_strengthens_sequential_on_real_data(self, population):
-        seq = Query("SeeDoctor -> PayTreatment").run(population).to_set()
-        cons = Query("SeeDoctor ; PayTreatment").run(population).to_set()
+        seq = set(Query("SeeDoctor -> PayTreatment").run(population))
+        cons = set(Query("SeeDoctor ; PayTreatment").run(population))
         assert cons <= seq
         assert len(cons) < len(seq)
 
     def test_parallel_subsumes_ordered_disjoint_pairs(self, population):
-        seq = Query("UpdateRefer -> GetReimburse").run(population).to_set()
-        par = Query("UpdateRefer & GetReimburse").run(population).to_set()
+        seq = set(Query("UpdateRefer -> GetReimburse").run(population))
+        par = set(Query("UpdateRefer & GetReimburse").run(population))
         assert seq <= par

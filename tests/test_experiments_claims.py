@@ -9,6 +9,7 @@ import math
 
 import pytest
 
+from repro.analytics import attr_of, count_by
 from repro.baselines.automaton import AutomatonBaseline, supports
 from repro.baselines.sql import SqlBaseline
 from repro.core.errors import EvaluationError
@@ -34,6 +35,13 @@ class TestF1EtlPipeline:
             SqlBaseline().evaluate(
                 figure3_log, parse("GetRefer[out.balance > 500]")
             )
+
+    def test_the_introductions_aggregate_counts_incidents_per_value(self, figure3_log):
+        """'How many referrals with balance >= 1000, per hospital?' — asked
+        of the log directly, with the attributes the ETL route drops."""
+        incidents = Query("GetRefer[out.balance >= 1000]").run(figure3_log)
+        per_hospital = count_by(incidents, attr_of("GetRefer", "hospital"))
+        assert per_hospital == {"Public Hospital": 1, "People Hospital": 1}
 
 
 class TestF3F4PaperArtifacts:

@@ -65,7 +65,8 @@ class TestPipeline:
         assert streamed.incidents() == batch
 
         monitor = LiveMonitor(clinic_rules())
-        monitor.observe_all(clinic_log)
+        for record in clinic_log:
+            monitor.observe(record)
         live_wids = monitor.offending_instances().get(
             "update-before-reimburse", ()
         )

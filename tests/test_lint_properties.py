@@ -66,7 +66,7 @@ def test_spec_unsat_verdict_implies_empty_incident_set():
     not_flagged = 0
     for index in range(SPEC_LOG_PAIRS):
         spec, log = random_pair(rng, index)
-        linter = Linter.for_spec(spec)
+        linter = Linter.for_context(spec=spec)
         for _ in range(PATTERNS_PER_PAIR):
             pattern = random_pattern(rng, ALPHABET + (GHOST,), max_depth=3)
             if not any(d.code == "QW201" for d in linter.lint(pattern)):

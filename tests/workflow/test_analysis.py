@@ -148,7 +148,7 @@ class TestSoundness:
         profile = analyze(spec)
         log = WorkflowEngine(spec).run(SimulationConfig(instances=60, seed=5))
         engine = VectorizedEngine()
-        names = sorted(spec.activity_names())[:5]
+        names = sorted(spec.root.activities())[:5]
         for pattern in enumerate_patterns(names, max_operators=1):
             if not may_match(profile, pattern):
                 assert not engine.exists(log, pattern), str(pattern)
@@ -159,7 +159,7 @@ class TestSoundness:
         log = WorkflowEngine(spec).run(SimulationConfig(instances=80, seed=9))
         engine = VectorizedEngine()
         rng = random.Random(13)
-        names = sorted(spec.activity_names())
+        names = sorted(spec.root.activities())
         refuted = 0
         for __ in range(200):
             pattern = random_pattern(rng, names, max_depth=3,

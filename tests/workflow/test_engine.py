@@ -1,17 +1,10 @@
 """Unit tests for the workflow execution engine."""
 
-import random
-
 import pytest
 
 from repro.core.errors import WorkflowRuntimeError
 from repro.core.model import END, START
 from repro.workflow.engine import SimulationConfig, WorkflowEngine
-from repro.workflow.scheduler import (
-    RandomScheduler,
-    RoundRobinScheduler,
-    WeightedScheduler,
-)
 from repro.workflow.spec import ActivityDef, Sequence, Step, WorkflowSpec
 
 
@@ -128,40 +121,3 @@ class TestAttributeEffects:
             if record.is_sentinel:
                 assert not record.attrs_in and not record.attrs_out
 
-
-class TestSchedulers:
-    def test_round_robin_cycles_fairly(self):
-        scheduler = RoundRobinScheduler()
-        rng = random.Random(0)
-        picks = [scheduler.pick([1, 2, 3], rng) for __ in range(6)]
-        assert picks == [1, 2, 3, 1, 2, 3]
-
-    def test_round_robin_skips_absent_instances(self):
-        scheduler = RoundRobinScheduler()
-        rng = random.Random(0)
-        assert scheduler.pick([1, 2], rng) == 1
-        assert scheduler.pick([2, 3], rng) == 2
-        assert scheduler.pick([3], rng) == 3
-
-    def test_random_scheduler_covers_all_instances(self):
-        scheduler = RandomScheduler()
-        rng = random.Random(1)
-        picks = {scheduler.pick([1, 2, 3], rng) for __ in range(60)}
-        assert picks == {1, 2, 3}
-
-    def test_weighted_scheduler_biases_heavy_instance(self):
-        scheduler = WeightedScheduler({1: 100.0, 2: 1.0})
-        rng = random.Random(2)
-        picks = [scheduler.pick([1, 2], rng) for __ in range(100)]
-        assert picks.count(1) > 80
-
-    def test_weighted_scheduler_validation(self):
-        with pytest.raises(ValueError):
-            WeightedScheduler(default=0)
-
-    def test_round_robin_interleaving_in_engine(self):
-        log = WorkflowEngine(tiny_spec(), RoundRobinScheduler()).run(
-            instances=3, seed=0
-        )
-        body = [r.wid for r in log if not r.is_sentinel]
-        assert body == [1, 2, 3, 1, 2, 3]

@@ -70,7 +70,7 @@ class TestClinicModel:
         incidents = Query("UpdateRefer -> GetReimburse").run(clinic_log)
         assert incidents  # update_probability makes these near-certain
         for incident in incidents:
-            names = incident.activities()
+            names = tuple(r.activity for r in incident)
             assert names == ("UpdateRefer", "GetReimburse")
 
     def test_update_probability_zero_removes_updates(self):

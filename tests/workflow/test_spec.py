@@ -131,16 +131,3 @@ class TestWorkflowSpec:
         with pytest.raises(WorkflowDefinitionError):
             ActivityDef("END")
 
-    def test_sample_trace_is_deterministic_per_seed(self):
-        spec = WorkflowSpec.from_definitions(
-            "w",
-            Sequence("A", Xor("B", "C"), Maybe("D")),
-            [ActivityDef(x) for x in "ABCD"],
-        )
-        assert spec.sample_trace(3) == spec.sample_trace(3)
-
-    def test_activity_names(self):
-        spec = WorkflowSpec.from_definitions(
-            "w", Sequence("A", "B"), [ActivityDef("A"), ActivityDef("B")]
-        )
-        assert spec.activity_names() == {"A", "B"}
