@@ -3,18 +3,23 @@
 Plays the role of a process analyst auditing the loan-approval process:
 
 1. **validate the question bank** against the deployed model — queries
-   that can never match are rejected up front with an explanation
-   (`repro.workflow.analysis`), before scanning any data.  Note the
-   "Reject -> Disburse" verdict: the *model* cannot produce it, so any
-   log where it matches (see examples/fraud_detection.py) is forged;
+   that no run of the model can match are rejected up front with the
+   linter's explanation, before scanning any data; an accepted question
+   comes with one run of the model that matches it
+   (`PatternProver.spec_witness`; `other` stands for any activity the
+   question does not name).  Note the "Reject -> Disburse"
+   verdict: the *model* cannot produce it, so any log where it matches
+   (see examples/fraud_detection.py) is forged;
 2. run the **anomaly rules** over the quarter's log.
 
 Run:  python examples/process_audit.py
 """
 
+from repro.analysis import default_prover
 from repro.analytics import loan_rules
+from repro.core.lint import Linter, Severity
 from repro.core.parser import parse
-from repro.workflow import SimulationConfig, WorkflowEngine, analyze, explain_mismatch, may_match
+from repro.workflow import SimulationConfig, WorkflowEngine
 from repro.workflow.models import loan_approval_workflow
 
 
@@ -31,16 +36,20 @@ QUESTION_BANK = [
 
 def main() -> None:
     spec = loan_approval_workflow()
-    profile = analyze(spec)
+    linter = Linter.for_context(spec=spec)
 
     print("=== 1. static validation of the question bank ===")
     for text in QUESTION_BANK:
-        pattern = parse(text)
-        if may_match(profile, pattern):
-            print(f"  OK      {text}")
-        else:
-            reason = explain_mismatch(profile, pattern)[0]
-            print(f"  REJECT  {text}\n            ({reason})")
+        errors = [d for d in linter.lint(text) if d.severity == Severity.ERROR]
+        if errors:
+            print(f"  REJECT  {text}\n            ({errors[0].message})")
+            continue
+        log, incident = default_prover().spec_witness(spec, parse(text))
+        run = " ".join(
+            f"[{r.activity}]" if r.lsn in incident.lsns else r.activity
+            for r in log
+        )
+        print(f"  OK      {text}\n            (a matching run: {run})")
 
     log = WorkflowEngine(spec).run(SimulationConfig(instances=250, seed=314))
     print(f"\n=== 2. anomaly rules over {len(log.wids)} applications ===")

@@ -42,6 +42,11 @@ nowhere else).  The WF intersection is load-bearing: patterns such as
 ``START ⊙ START`` differ only on ill-formed traces and must not be
 distinguished.
 
+:func:`compile_spec` builds the runs of a workflow specification over the
+same alphabet, ``START · runs(root) · END?`` with every record marked or
+not, so "can ``p`` match some run of the spec" is non-emptiness of its
+product with ``lang(p)`` (:func:`common_word`).
+
 Complexity: NFA sizes are linear in pattern size except for parallel
 (a product) and the final determinization (exponential worst case, per
 Theorem 1's lower bound); every product and subset construction takes a
@@ -53,7 +58,8 @@ from __future__ import annotations
 
 from collections import deque
 from dataclasses import dataclass
-from typing import Callable, Iterable, Iterator, Sequence
+from functools import reduce
+from typing import Callable, Iterable, Iterator
 
 from repro.core.errors import AnalysisBudgetError, UnsupportedPatternError
 from repro.core.model import END, START
@@ -66,6 +72,16 @@ from repro.core.pattern import (
     Sequential,
 )
 from repro.extensions.windows import Within
+from repro.workflow.spec import (
+    Block,
+    Loop,
+    Maybe,
+    Par,
+    Sequence,
+    Step,
+    WorkflowSpec,
+    Xor,
+)
 
 __all__ = [
     "DEFAULT_MAX_STATES",
@@ -73,8 +89,10 @@ __all__ = [
     "NFA",
     "DFA",
     "compile_pattern",
+    "compile_spec",
     "determinize",
     "difference_word",
+    "common_word",
     "canonical_dfa_bytes",
     "simulate",
 ]
@@ -98,15 +116,11 @@ class MarkedAlphabet:
         self.names: tuple[str, ...] = tuple(base)
         self.other_index = len(base)
         other = "other"
-        while other in self._taken(base):
+        while other in base:
             other += "_"
         self.other_name = other
         self._index = {name: i for i, name in enumerate(base)}
         self.n_symbols = 2 * (len(base) + 1)
-
-    @staticmethod
-    def _taken(base: list[str]) -> set[str]:
-        return set(base)
 
     @classmethod
     def for_patterns(cls, *patterns: Pattern) -> "MarkedAlphabet":
@@ -334,9 +348,28 @@ def _shuffle_marked(a: NFA, b: NFA, limit: int) -> NFA:
     return _pair_product(a, b, move, limit)
 
 
+def _shuffle(a: NFA, b: NFA, limit: int) -> NFA:
+    """Plain interleaving: every letter moves exactly one side."""
+
+    def move(qa: int, qb: int, sym: int) -> Iterator[tuple[int, int]]:
+        for ta in a.delta[qa].get(sym, ()):
+            yield ta, qb
+        for tb in b.delta[qb].get(sym, ()):
+            yield qa, tb
+
+    return _pair_product(a, b, move, limit)
+
+
 # ---------------------------------------------------------------------------
 # primitive automata
 # ---------------------------------------------------------------------------
+
+
+def _record(alphabet: MarkedAlphabet, activity: str) -> NFA:
+    """One record of ``activity``, marked or not."""
+    index = alphabet.classify(activity)
+    row = {alphabet.symbol(index, m): frozenset({1}) for m in (False, True)}
+    return NFA(alphabet.n_symbols, (row, {}), frozenset({0}), frozenset({1}))
 
 
 def _pad(alphabet: MarkedAlphabet) -> NFA:
@@ -463,6 +496,58 @@ def compile_pattern(
 
 
 # ---------------------------------------------------------------------------
+# workflow-specification compilation
+# ---------------------------------------------------------------------------
+
+
+def _runs(block: Block, alphabet: MarkedAlphabet, limit: int) -> NFA:
+    """The runs of one block: every way its gateways can resolve."""
+    if isinstance(block, Step):
+        return _record(alphabet, block.activity)
+    if isinstance(block, Sequence):
+        return _concat(*(_runs(b, alphabet, limit) for b in block.blocks))
+    if isinstance(block, Xor):
+        return reduce(_union, (_runs(b, alphabet, limit) for b in block.branches))
+    empty = _gap_up_to(alphabet, 0)  # {ε}
+    if isinstance(block, Maybe):
+        return _union(_runs(block.block, alphabet, limit), empty)
+    if isinstance(block, Loop):
+        body = _runs(block.body, alphabet, limit)
+        runs = body
+        for _ in range(block.max_iterations - 1):
+            runs = _concat(body, _union(runs, empty))
+            if runs.n_states > limit:
+                raise AnalysisBudgetError(
+                    f"loop unrolling exceeded the {limit}-state budget",
+                    limit=limit,
+                )
+        return runs
+    if isinstance(block, Par):
+        return reduce(
+            lambda a, b: _shuffle(a, b, limit),
+            (_runs(b, alphabet, limit) for b in block.branches),
+        )
+    raise TypeError(f"unknown block type {type(block).__name__}")
+
+
+def compile_spec(
+    spec: WorkflowSpec,
+    alphabet: MarkedAlphabet,
+    max_states: int = DEFAULT_MAX_STATES,
+) -> NFA:
+    """Every instance ``spec`` can log, ``START · runs(root) · END?``,
+    with each record marked or not: intersected with
+    :func:`compile_pattern`, it holds exactly the spec's runs that carry
+    an incident of the pattern (``Par`` is a plain shuffle, ``Loop``
+    nests ``max_iterations`` optional copies of its body)."""
+    return _concat(
+        _record(alphabet, START),
+        _runs(spec.root, alphabet, max_states),
+        _union(_record(alphabet, END), _gap_up_to(alphabet, 0)),
+    )
+
+
+# ---------------------------------------------------------------------------
 # decision-procedure machinery
 # ---------------------------------------------------------------------------
 
@@ -536,6 +621,29 @@ def difference_word(p: DFA, q: DFA) -> list[int] | None:
     return word
 
 
+def common_word(
+    a: NFA, b: NFA, max_states: int = DEFAULT_MAX_STATES
+) -> list[int] | None:
+    """A shortest word in ``L(a) ∩ L(b)``, or ``None`` when the two
+    languages are disjoint — BFS over the product with parent pointers."""
+    nfa = _intersect(a, b, max_states)
+    parents: dict[int, tuple[int, int] | None] = dict.fromkeys(nfa.starts)
+    queue = deque(nfa.starts)
+    while queue:
+        state = queue.popleft()
+        if state in nfa.accepts:
+            word = []
+            while (step := parents[state]) is not None:
+                state, sym = step
+                word.append(sym)
+            return word[::-1]
+        for sym, targets in nfa.delta[state].items():
+            for target in targets - parents.keys():
+                parents[target] = (state, sym)
+                queue.append(target)
+    return None
+
+
 def canonical_dfa_bytes(dfa: DFA) -> bytes:
     """A canonical byte serialization of the DFA's minimal form.
 
@@ -579,7 +687,7 @@ def canonical_dfa_bytes(dfa: DFA) -> bytes:
     return "".join(pieces).encode("ascii")
 
 
-def simulate(nfa: NFA, word: Sequence[int]) -> bool:
+def simulate(nfa: NFA, word: Iterable[int]) -> bool:
     """NFA membership in ``O(len(word) × states)``."""
     current = set(nfa.starts)
     for sym in word:

@@ -21,9 +21,12 @@ from typing import Sequence
 from repro.analysis.automaton import (
     DEFAULT_MAX_STATES,
     DFA,
+    NFA,
     MarkedAlphabet,
     canonical_dfa_bytes,
+    common_word,
     compile_pattern,
+    compile_spec,
     determinize,
     difference_word,
     simulate,
@@ -31,7 +34,8 @@ from repro.analysis.automaton import (
 from repro.core.errors import AnalysisError
 from repro.core.incident import Incident, reference_incidents
 from repro.core.model import Log, LogRecord
-from repro.core.pattern import Pattern, to_text
+from repro.core.pattern import Atomic, BinaryPattern, Pattern, to_text
+from repro.workflow.spec import Block, WorkflowSpec
 
 __all__ = [
     "PatternProver",
@@ -115,6 +119,7 @@ class PatternProver:
     def __init__(self, *, max_states: int = DEFAULT_MAX_STATES):
         self.max_states = max_states
         self._memo: dict[tuple[Pattern, tuple[str, ...]], DFA] = {}
+        self._specs: dict[tuple[Block, tuple[str, ...]], NFA] = {}
 
     def alphabet(self, *patterns: Pattern) -> MarkedAlphabet:
         return MarkedAlphabet.for_patterns(*patterns)
@@ -190,6 +195,38 @@ class PatternProver:
         ).hexdigest()
         return "v1:" + ",".join(alphabet.names) + ":" + digest
 
+    def spec_witness(
+        self,
+        spec: WorkflowSpec,
+        pattern: Pattern,
+        *,
+        alphabet: MarkedAlphabet | None = None,
+    ) -> tuple[Log, Incident] | None:
+        """A run of ``spec`` (one instance) holding an incident of
+        ``pattern``, or ``None`` when no run of ``spec`` holds one.
+
+        Attribute guards are erased first: a guard only removes matches,
+        so ``None`` stays a sound refutation of the guarded pattern (the
+        witness then holds an incident of the unguarded one).  The spec
+        automaton is memoized per alphabet; pass the root pattern's
+        alphabet to compile it once for all of the root's subpatterns.
+        """
+        pattern = _erase_guards(pattern)
+        alphabet = alphabet or self.alphabet(pattern)
+        key = (spec.root, alphabet.names)
+        runs = self._specs.get(key)
+        if runs is None:
+            if len(self._specs) > 64:
+                self._specs.clear()
+            runs = compile_spec(spec, alphabet, self.max_states)
+            self._specs[key] = runs
+        word = common_word(
+            compile_pattern(pattern, alphabet, self.max_states),
+            runs,
+            self.max_states,
+        )
+        return None if word is None else _decode(word, alphabet)
+
     def _decode_witness(
         self,
         p: Pattern,
@@ -199,22 +236,7 @@ class PatternProver:
         *,
         in_left: bool,
     ) -> Witness:
-        records = []
-        marked_positions = []
-        for position, sym in enumerate(word):
-            index, marked = alphabet.decode(sym)
-            records.append(
-                LogRecord(
-                    lsn=position + 1,
-                    wid=1,
-                    is_lsn=position + 1,
-                    activity=alphabet.activity_name(index),
-                )
-            )
-            if marked:
-                marked_positions.append(position)
-        log = Log(records)  # construction re-checks Definition 2
-        incident = Incident(records[i] for i in marked_positions)
+        log, incident = _decode(word, alphabet)
         return Witness(
             left=p,
             right=q,
@@ -223,6 +245,38 @@ class PatternProver:
             in_left=in_left,
             in_right=not in_left,
         )
+
+
+def _decode(word: list[int], alphabet: MarkedAlphabet) -> tuple[Log, Incident]:
+    """A marked word as a one-instance log and the incident its marked
+    letters form."""
+    records = []
+    marked_positions = []
+    for position, sym in enumerate(word):
+        index, marked = alphabet.decode(sym)
+        records.append(
+            LogRecord(
+                lsn=position + 1,
+                wid=1,
+                is_lsn=position + 1,
+                activity=alphabet.activity_name(index),
+            )
+        )
+        if marked:
+            marked_positions.append(position)
+    log = Log(records)  # construction re-checks Definition 2
+    return log, Incident(records[i] for i in marked_positions)
+
+
+def _erase_guards(pattern: Pattern) -> Pattern:
+    """``pattern`` with every attribute-guarded atom replaced by its
+    plain atom."""
+    if isinstance(pattern, Atomic):
+        return Atomic(pattern.name, pattern.negated)
+    assert isinstance(pattern, BinaryPattern)
+    return pattern.with_children(
+        _erase_guards(pattern.left), _erase_guards(pattern.right)
+    )
 
 
 _DEFAULT_PROVER = PatternProver()

@@ -47,9 +47,13 @@ Satisfiability here is always *relative to a context*: in the core
 algebra every pattern is satisfiable on some log (even ``t ⊙ ¬t`` —
 a ``t`` record directly followed by any other record), so QW201/QW202
 require a log (vocabulary and record counts) and/or a
-:class:`~repro.workflow.spec.WorkflowSpec` (block-structure refutation
-via :mod:`repro.workflow.analysis`).  All emptiness verdicts are sound:
-a pattern flagged QW201 has a provably empty incident set.
+:class:`~repro.workflow.spec.WorkflowSpec`.  Against a spec the verdict
+is exact up to the prover's state budget: the spec's runs and the
+pattern's incidents are both regular languages over the marked
+alphabet, and :meth:`~repro.analysis.PatternProver.spec_witness` decides
+whether their product is empty (over budget, lint stays silent).  All
+emptiness verdicts are sound: a pattern flagged QW201 has a provably
+empty incident set.
 
 The linter and the query planner share one canonical form
 (:func:`repro.core.optimizer.rules.normalize`), so a query is planned in
@@ -76,7 +80,7 @@ from __future__ import annotations
 import difflib
 from collections import Counter
 from collections.abc import Iterator, Sequence
-from dataclasses import dataclass
+from dataclasses import dataclass, field
 from enum import IntEnum
 
 from repro.core.algebra import (
@@ -85,7 +89,7 @@ from repro.core.algebra import (
     choice_normal_form,
     flatten_assoc,
 )
-from repro.core.model import Log
+from repro.core.model import END, START, Log
 from repro.core.optimizer.cost import CostModel, LogStatistics
 from repro.core.optimizer.rules import normalize
 from repro.core.parser import ParseResult, SourceSpan, parse_with_spans
@@ -99,7 +103,6 @@ from repro.core.pattern import (
     Sequential,
     to_text,
 )
-from repro.workflow.analysis import ModelProfile, analyze, explain_mismatch
 from repro.workflow.spec import WorkflowSpec
 
 __all__ = [
@@ -127,6 +130,29 @@ def _proved(kind: str, p: Pattern, q: Pattern) -> bool | None:
         return prover.contains(p, q)
     except AnalysisError:
         return None
+
+
+def _spec_refutes(spec: WorkflowSpec, node: Pattern, root: Pattern) -> bool:
+    """Whether no run of ``spec`` holds an incident of ``node``, a
+    subpattern of ``root``: the spec is compiled once, over ``root``'s
+    alphabet.  ``False`` when the prover cannot decide (state budget)."""
+    from repro.analysis import AnalysisError, default_prover
+
+    prover = default_prover()
+    try:
+        witness = prover.spec_witness(spec, node, alphabet=prover.alphabet(root))
+    except AnalysisError:
+        return False
+    return witness is None
+
+
+@dataclass
+class _Emptiness:
+    """One :meth:`Linter.lint` call's emptiness verdicts, by node id,
+    for the subpatterns of ``root``."""
+
+    root: Pattern
+    reasons: dict[int, str | None] = field(default_factory=dict)
 
 
 class Severity(IntEnum):
@@ -242,9 +268,9 @@ class Linter:
     stats:
         Log statistics; enables the vocabulary (QW101), record-demand
         (QW201) and cost-model (QW401) checks.
-    profile:
-        A workflow model's :class:`~repro.workflow.analysis.ModelProfile`;
-        enables the specification checks (QW102, QW201, QW202).
+    spec:
+        A workflow model; enables the specification checks (QW102,
+        QW201, QW202).
     cost_threshold:
         Estimated plan cost above which QW401 fires (with ``stats``).
     incident_threshold:
@@ -261,14 +287,14 @@ class Linter:
         self,
         *,
         stats: LogStatistics | None = None,
-        profile: ModelProfile | None = None,
+        spec: WorkflowSpec | None = None,
         cost_threshold: float = 1e7,
         incident_threshold: float = 1e6,
         max_pairwise_operators: int = 6,
         max_choice_nodes: int = 7,
     ):
         self.stats = stats
-        self.profile = profile
+        self.spec = spec
         self.cost_threshold = cost_threshold
         self.incident_threshold = incident_threshold
         self.max_pairwise_operators = max_pairwise_operators
@@ -293,7 +319,7 @@ class Linter:
         """A linter using whichever of log / spec are provided."""
         return cls(
             stats=None if log is None else LogStatistics.from_log(log),
-            profile=None if spec is None else analyze(spec),
+            spec=spec,
             **kwargs,
         )
 
@@ -316,10 +342,10 @@ class Linter:
             span_of = lambda node: None  # noqa: E731 - trivial fallback
 
         diagnostics: list[Diagnostic] = []
-        empty_memo: dict[int, str | None] = {}
+        empty = _Emptiness(pattern)
         diagnostics += self._check_vocabulary(pattern, span_of)
-        diagnostics += self._check_satisfiability(pattern, span_of, empty_memo)
-        diagnostics += self._check_dead_branches(pattern, span_of, empty_memo)
+        diagnostics += self._check_satisfiability(pattern, span_of, empty)
+        diagnostics += self._check_dead_branches(pattern, span_of, empty)
         diagnostics += self._check_redundancy(pattern, span_of)
         diagnostics += self._check_subsumption(pattern, span_of)
         diagnostics += self._check_complexity(pattern, span_of)
@@ -361,7 +387,7 @@ class Linter:
                             ),
                         )
                     )
-            if self.profile is not None and atom.name not in self.profile.alphabet:
+            if self.spec is not None and atom.name not in self._spec_vocabulary():
                 out.append(
                     Diagnostic(
                         code="QW102",
@@ -371,10 +397,14 @@ class Linter:
                             f"workflow specification"
                         ),
                         span=span_of(atom),
-                        suggestion=self._closest(atom.name, self.profile.alphabet),
+                        suggestion=self._closest(atom.name, self._spec_vocabulary()),
                     )
                 )
         return out
+
+    def _spec_vocabulary(self) -> frozenset[str]:
+        assert self.spec is not None
+        return self.spec.root.activities() | {START, END}
 
     @staticmethod
     def _closest(name: str, vocabulary) -> str | None:
@@ -384,14 +414,14 @@ class Linter:
     # -- satisfiability (QW201) --------------------------------------------
 
     def _check_satisfiability(
-        self, pattern: Pattern, span_of, memo: dict[int, str | None]
+        self, pattern: Pattern, span_of, empty: _Emptiness
     ) -> list[Diagnostic]:
-        reason = self._empty_reason(pattern, memo)
+        reason = self._empty_reason(pattern, empty)
         if reason is None:
             return []
-        locus = self._empty_locus(pattern, memo)
+        locus = self._empty_locus(pattern, empty)
         suggestion = None
-        if self.profile is not None and locus is not pattern:
+        if self.spec is not None and locus is not pattern:
             suggestion = (
                 "the rest of the query cannot compensate: fix or drop "
                 f"the marked subexpression {to_text(locus)!r}"
@@ -406,28 +436,22 @@ class Linter:
             )
         ]
 
-    def _empty_reason(
-        self, node: Pattern, memo: dict[int, str | None]
-    ) -> str | None:
+    def _empty_reason(self, node: Pattern, empty: _Emptiness) -> str | None:
         """A reason ``incL(node)`` is provably empty in this context, or
         None when emptiness cannot be proven.  Sound: a non-None return
         means no log of the context can contain an incident of ``node``."""
         key = id(node)
-        if key in memo:
-            return memo[key]
-        reason = self._compute_empty(node, memo)
-        memo[key] = reason
-        return reason
+        if key not in empty.reasons:
+            empty.reasons[key] = self._compute_empty(node, empty)
+        return empty.reasons[key]
 
-    def _compute_empty(
-        self, node: Pattern, memo: dict[int, str | None]
-    ) -> str | None:
+    def _compute_empty(self, node: Pattern, empty: _Emptiness) -> str | None:
         if isinstance(node, Atomic):
             if node.negated:
                 return None
             if self.stats is not None and self.stats.count(node.name) == 0:
                 return f"activity {node.name!r} never occurs in the log"
-            if self.profile is not None and node.name not in self.profile.alphabet:
+            if self.spec is not None and node.name not in self._spec_vocabulary():
                 return (
                     f"activity {node.name!r} is not reachable in the "
                     f"workflow specification"
@@ -435,23 +459,24 @@ class Linter:
             return None
         assert isinstance(node, BinaryPattern)
         if isinstance(node, Choice):
-            left = self._empty_reason(node.left, memo)
+            left = self._empty_reason(node.left, empty)
             if left is None:
                 return None
-            right = self._empty_reason(node.right, memo)
+            right = self._empty_reason(node.right, empty)
             if right is None:
                 return None
             return f"no alternative of the choice can match ({left})"
-        # pairwise operator: empty when either input is, or the node's own
-        # constraints are refuted by the specification / the log's counts
+        # pairwise operator: empty when either input is, or no run of the
+        # specification holds an incident / the log's counts fall short
         for child in (node.left, node.right):
-            child_reason = self._empty_reason(child, memo)
+            child_reason = self._empty_reason(child, empty)
             if child_reason is not None:
                 return child_reason
-        if self.profile is not None and self._cnf_tractable(node):
-            reasons = explain_mismatch(self.profile, node)
-            if reasons:
-                return reasons[0]
+        if self.spec is not None and _spec_refutes(self.spec, node, empty.root):
+            return (
+                f"no run of the workflow specification holds an incident "
+                f"of {to_text(node)!r}"
+            )
         if self.stats is not None and self._cnf_tractable(node):
             over = self._overdemand(node)
             if over is not None:
@@ -489,21 +514,21 @@ class Linter:
             f"instance but the whole log contains {have}"
         )
 
-    def _empty_locus(self, node: Pattern, memo: dict[int, str | None]) -> Pattern:
+    def _empty_locus(self, node: Pattern, empty: _Emptiness) -> Pattern:
         """The deepest subexpression that is provably empty on its own —
         where the diagnostic's span should point."""
         if isinstance(node, Atomic) or isinstance(node, Choice):
             return node
         assert isinstance(node, BinaryPattern)
         for child in (node.left, node.right):
-            if self._empty_reason(child, memo) is not None:
-                return self._empty_locus(child, memo)
+            if self._empty_reason(child, empty) is not None:
+                return self._empty_locus(child, empty)
         return node
 
     # -- dead branches (QW202) ---------------------------------------------
 
     def _check_dead_branches(
-        self, pattern: Pattern, span_of, memo: dict[int, str | None]
+        self, pattern: Pattern, span_of, empty: _Emptiness
     ) -> list[Diagnostic]:
         out: list[Diagnostic] = []
         for node, _parent in _walk_with_parent(pattern):
@@ -511,8 +536,8 @@ class Linter:
                 continue
             sides = ((node.left, node.right), (node.right, node.left))
             for branch, sibling in sides:
-                reason = self._empty_reason(branch, memo)
-                if reason is None or self._empty_reason(sibling, memo) is not None:
+                reason = self._empty_reason(branch, empty)
+                if reason is None or self._empty_reason(sibling, empty) is not None:
                     continue
                 out.append(
                     Diagnostic(

@@ -13,17 +13,9 @@ package simulates that engine:
   (Definition 2 by construction);
 * :mod:`repro.workflow.models` — ready-made processes, including the
   medical-clinic referral workflow of the paper's Example 2 which
-  regenerates logs shaped like Figure 3;
-* :mod:`repro.workflow.analysis` — static may-analysis of specs and
-  sound refutation of unsatisfiable incident queries (`may_match`).
+  regenerates logs shaped like Figure 3.
 """
 
-from repro.workflow.analysis import (
-    ModelProfile,
-    analyze,
-    explain_mismatch,
-    may_match,
-)
 from repro.workflow.engine import SimulationConfig, WorkflowEngine
 from repro.workflow.spec import (
     ActivityDef,
@@ -38,10 +30,6 @@ from repro.workflow.spec import (
 )
 
 __all__ = [
-    "ModelProfile",
-    "analyze",
-    "may_match",
-    "explain_mismatch",
     "WorkflowSpec",
     "ActivityDef",
     "Block",

@@ -73,7 +73,7 @@ class SimulationConfig:
 class _InstanceRun:
     """Mutable execution state of one workflow instance."""
 
-    __slots__ = ("wid", "pending", "cursor", "state", "is_lsn", "finished")
+    __slots__ = ("wid", "pending", "cursor", "state", "is_lsn")
 
     def __init__(self, wid: int, pending: list[str], state: dict):
         self.wid = wid
@@ -81,7 +81,6 @@ class _InstanceRun:
         self.cursor = 0
         self.state = state  # current attribute values
         self.is_lsn = 0
-        self.finished = False
 
     @property
     def has_work(self) -> bool:
@@ -116,6 +115,8 @@ class WorkflowEngine:
         rng = random.Random(config.seed)
 
         runs: dict[int, _InstanceRun] = {}
+        # wids with work left, ascending (launch order is wid order)
+        ready: list[int] = []
         records: list[LogRecord] = []
         next_lsn = 1
         steps = 0
@@ -126,6 +127,8 @@ class WorkflowEngine:
             trace = list(self.spec.root.unfold(rng))
             run = _InstanceRun(wid, trace, self.spec.initial_attrs())
             runs[wid] = run
+            if run.has_work:
+                ready.append(wid)
             run.is_lsn += 1
             records.append(
                 LogRecord(
@@ -157,9 +160,6 @@ class WorkflowEngine:
                     launched += 1
                     launch(launched)
 
-            ready = sorted(
-                w for w, run in runs.items() if run.has_work and not run.finished
-            )
             if not ready:
                 if launched >= config.instances:
                     break
@@ -169,8 +169,8 @@ class WorkflowEngine:
             run = runs[wid]
             next_lsn = self._execute_one(run, records, next_lsn, rng)
 
-            if not run.has_work and not run.finished:
-                run.finished = True
+            if not run.has_work:
+                ready.remove(wid)
                 if rng.random() < config.complete_probability:
                     run.is_lsn += 1
                     records.append(

@@ -145,9 +145,31 @@ class TestUnsatisfiability:
         # the clinic workflow never checks in before the referral is issued
         diagnostics = clinic_linter.lint("CheckIn -> GetRefer")
         d = only(diagnostics, "QW201")
-        assert "can never occur after" in d.message
+        assert "no run of the workflow specification holds an incident" in d.message
         assert "QW101" not in codes(diagnostics)
         assert "QW102" not in codes(diagnostics)
+
+    @pytest.mark.parametrize("text", [
+        # CheckIn always sits between the referral and the first visit
+        "GetRefer ->[1] SeeDoctor",
+        # the clinic model has max_visits=4
+        "SeeDoctor & SeeDoctor & SeeDoctor & SeeDoctor & SeeDoctor",
+    ])
+    def test_qw201_from_the_spec_runs(self, clinic_linter, text):
+        d = only(clinic_linter.lint(text), "QW201")
+        assert repr(text) in d.message
+
+    @pytest.mark.parametrize("text", [
+        "GetRefer ->[2] SeeDoctor",
+        "SeeDoctor & SeeDoctor & SeeDoctor & SeeDoctor",
+    ])
+    def test_qw201_negative_some_spec_run_matches(self, clinic_linter, text):
+        assert "QW201" not in codes(clinic_linter.lint(text))
+
+    def test_qw201_guarded_query_refuted_through_its_plain_atoms(self, clinic_linter):
+        # a guard only removes matches, so the unguarded refutation holds
+        text = 'CheckIn[out.referState == "active"] -> GetRefer'
+        only(clinic_linter.lint(text), "QW201")
 
     def test_qw201_from_record_overdemand(self):
         log = Log.from_traces([["A", "B"]])

@@ -132,6 +132,18 @@ class TestLint:
         assert "QW201" in out
         assert "^" in out  # caret line under the offending span
 
+    @pytest.mark.parametrize("model, text, code", [
+        # CheckIn always sits between the referral and the first visit
+        ("clinic", "GetRefer ->[1] SeeDoctor", 1),
+        ("clinic", "GetRefer ->[2] SeeDoctor", 0),
+        # picking and packing run in parallel branches, in either order
+        ("order", "PackItems ; PickItems", 0),
+        ("order", "PrintLabel -> PackItems", 1),
+    ])
+    def test_spec_runs_decide_satisfiability(self, capsys, model, text, code):
+        assert main(["lint", text, "--model", model]) == code
+        assert ("QW201" in capsys.readouterr().out) == bool(code)
+
     def test_warnings_alone_exit_zero(self, capsys):
         code = main(["lint", "A | B | A"])
         assert code == 0

@@ -7,6 +7,7 @@ identical at every representation change.
 
 import pytest
 
+from repro.analysis import default_prover
 from repro.analytics import LiveMonitor, clinic_rules, count_by
 from repro.analytics.aggregate import attr_of
 from repro.cli import main
@@ -22,7 +23,7 @@ from repro.logstore import (
     write_jsonl,
     write_xes,
 )
-from repro.workflow import SimulationConfig, WorkflowEngine, analyze, may_match
+from repro.workflow import SimulationConfig, WorkflowEngine
 from repro.workflow.models import clinic_referral_workflow
 
 FRAUD = "UpdateRefer -> GetReimburse"
@@ -73,16 +74,15 @@ class TestPipeline:
         assert live_wids == batch.wids()
 
     def test_static_analysis_agrees_with_simulation(self):
-        """Queries refuted by the model profile must be empty on any
+        """Queries no run of the spec can match must be empty on any
         simulated log; feasible core-path queries must match."""
         spec = clinic_referral_workflow()
-        profile = analyze(spec)
         log = WorkflowEngine(spec).run(SimulationConfig(instances=50, seed=3))
         feasible = parse("GetRefer ; CheckIn")
         infeasible = parse("CheckIn ; GetRefer")
-        assert may_match(profile, feasible)
+        assert default_prover().spec_witness(spec, feasible) is not None
         assert Query(feasible).exists(log)
-        assert not may_match(profile, infeasible)
+        assert default_prover().spec_witness(spec, infeasible) is None
         assert not Query(infeasible).exists(log)
 
     def test_aggregation_pipeline(self, clinic_log):
