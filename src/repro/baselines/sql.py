@@ -102,7 +102,7 @@ def compile_to_sql(pattern: Pattern) -> list[str]:
         quoted = leaf.name.replace("'", "''")
         return f"{alias}.activity {'!=' if leaf.negated else '='} '{quoted}'"
 
-    return compile_branches(pattern, leaf_predicate, "wid")
+    return compile_branches(pattern, leaf_predicate, "wid", "lsn")
 
 
 class SqlBaseline(Engine):

@@ -152,10 +152,10 @@ class QueryCache:
         use per :class:`Log` instance.
 
         The identity is duck-typed on the provenance attributes
-        (``lineage``/``epoch`` plus ``is_snapshot``/``fingerprint``), so a
-        :class:`~repro.columnar.ColumnarLog` — which delegates all four
-        to its source log — keys identically to that source: warm
-        entries are shared across representations.
+        (``lineage``/``epoch`` plus ``is_snapshot``/``fingerprint``),
+        which a :class:`Log` and a live store carry and a
+        :class:`~repro.columnar.ColumnarLog` does not: the view holds no
+        reference back to its log.
         """
         if log.lineage is not None and getattr(log, "is_snapshot", True):
             return ("lineage", log.lineage, str(log.epoch))

@@ -1,29 +1,28 @@
-"""Immutable columnar representation of a workflow log.
+"""Immutable columnar representation of a workflow log: the log's index.
 
-:class:`ColumnarLog` stores one :class:`~repro.core.model.Log` as four
-contiguous integer columns plus two interning dictionaries:
+:class:`ColumnarLog` stores one :class:`~repro.core.model.Log` as its
+records regrouped per instance, two integer columns, the instance
+offsets and an activity index:
 
-* ``lsn``, ``wid_id``, ``is_lsn``, ``act_id`` — ``array('q')`` columns,
-  one entry per record, exposed as read-only :class:`memoryview`\\ s;
-* the *wid dictionary* — sorted distinct wids; ``wid_id`` holds the
-  index of each record's wid in that list;
-* the *activity dictionary* — sorted distinct activity names; ``act_id``
-  holds the index of each record's activity.
+* ``rows`` — the record objects, ordered by ``(wid ascending, is_lsn
+  ascending)``, so every workflow instance occupies one contiguous row
+  range ``[starts[i], starts[i+1])`` (its *window*);
+* ``lsn``, ``act_id`` — ``array('q')`` columns, one entry per row,
+  exposed as read-only :class:`memoryview`\\ s; ``act_id`` holds the
+  index of each row's activity in the *activity dictionary* (sorted
+  distinct names);
+* the *wid dictionary* (sorted distinct wids) and the offsets ``starts``;
+  a row's instance is its window number and, in a well-formed log, its
+  is-lsn is ``row - starts[i] + 1`` — no column holds either;
+* the activity index — ascending row numbers per ``act_id``, which
+  clipped to a window (:meth:`ColumnarLog.act_rows`) answer Algorithm 2's
+  per-(instance, activity) lookup.
 
-Rows are ordered by ``(wid ascending, is_lsn ascending)``, so every
-workflow instance occupies one contiguous row range ``[starts[i],
-starts[i+1])``.  Engines operating set-at-a-time (the vectorized engine,
-the sqlite pushdown backend) slice per-wid column windows instead of
-walking object records; a per-activity row index (ascending row numbers
-per ``act_id``) gives the bitmap-filter equivalent of
-``Log.with_activity``.
-
-The representation is *derived*, never primary: it keeps a reference to
-its source :class:`Log` (for attribute-guarded predicates that need the
-full record objects, and for :meth:`record`), and the engines take the
-log's provenance (epoch, lineage) from the log they were handed.
-Construction is cached per :class:`Log` (via ``Log.columnar()``); the
-next snapshot of a store gets its view from its predecessor's by
+A :class:`Log` builds its view when it is made and answers ``wids``,
+``instance``, ``with_activity`` and ``is_complete`` off it; the view
+holds no reference back to the log.  The engines take the log's
+provenance (epoch, lineage) from the log they were handed.  The next
+snapshot of a store gets its view from its predecessor's by
 :meth:`ColumnarLog.extended`, and :meth:`ColumnarLog.from_log` is the one
 full build.
 """
@@ -32,7 +31,10 @@ from __future__ import annotations
 
 from array import array
 from bisect import bisect_left, bisect_right
+from collections import Counter
 from collections.abc import Iterator, Sequence
+from itertools import accumulate
+from operator import attrgetter
 
 from repro.core.model import Log, LogRecord
 
@@ -45,11 +47,8 @@ class ColumnarLog:
     """
 
     __slots__ = (
-        "_source",
         "_rows",
         "_lsn",
-        "_wid_id",
-        "_is_lsn",
         "_act_id",
         "_wid_values",
         "_starts",
@@ -59,65 +58,50 @@ class ColumnarLog:
         "_leaf_spans",
     )
 
-    def __init__(self, source: Log, *, _trusted: bool = False):
-        if not _trusted:
-            raise TypeError(
-                "use ColumnarLog.from_log(log) (or log.columnar()) instead of "
-                "constructing ColumnarLog directly"
-            )
-        self._source = source
-        # Rows grouped per instance: (wid asc, is_lsn asc).  Within one wid
-        # is_lsn order equals lsn order (Definition 2, condition 3), so each
-        # instance window is ascending in every column.
-        rows: list[LogRecord] = []
-        wid_values = array("q")
-        starts = array("q", [0])
-        for w in source.wids:
-            wid_values.append(w)
-            rows.extend(source.instance(w))
-            starts.append(len(rows))
-        self._rows: tuple[LogRecord, ...] = tuple(rows)
-        self._wid_values = wid_values
-        self._starts = starts
-
-        act_names = tuple(sorted(source.activities))
-        act_index = {name: i for i, name in enumerate(act_names)}
-        self._act_names = act_names
-        self._act_index = act_index
-
-        n = len(rows)
-        lsn_col = array("q", bytes(8 * n))
-        wid_col = array("q", bytes(8 * n))
-        isl_col = array("q", bytes(8 * n))
-        act_col = array("q", bytes(8 * n))
-        act_rows: tuple[array, ...] = tuple(array("q") for _ in act_names)
-        wid_cursor = 0
-        for row, rec in enumerate(rows):
-            while row >= starts[wid_cursor + 1]:
-                wid_cursor += 1
-            aid = act_index[rec.activity]
-            lsn_col[row] = rec.lsn
-            wid_col[row] = wid_cursor
-            isl_col[row] = rec.is_lsn
-            act_col[row] = aid
-            act_rows[aid].append(row)
-        self._lsn = lsn_col
-        self._wid_id = wid_col
-        self._is_lsn = isl_col
-        self._act_id = act_col
-        self._act_rows = act_rows
-        self._leaf_spans: dict[int, list[list[tuple]]] = {}
+    def __init__(self, *args, **kwargs):
+        raise TypeError(
+            "use ColumnarLog.from_log(log) (or log.columnar()) instead of "
+            "constructing ColumnarLog directly"
+        )
 
     # -- construction --------------------------------------------------------
 
     @classmethod
     def from_log(cls, log: Log) -> "ColumnarLog":
-        """The columnar form of ``log`` (fresh; prefer ``log.columnar()``
-        which caches the result on the log)."""
-        return cls(log, _trusted=True)
+        """The columnar form of ``log``, built from its records: the one
+        full build (a :class:`Log` makes it when it is made; use
+        ``log.columnar()``)."""
+        # Rows grouped per instance: (wid asc, is_lsn asc).  The sort is
+        # stable and the records come in lsn order, and within one wid
+        # is_lsn order equals lsn order (Definition 2, condition 3), so
+        # each instance window is ascending in every column.
+        rows = tuple(sorted(log.records, key=_wid_of))
+        per_wid = Counter(map(_wid_of, rows))  # counted in ascending wid order
+        starts = array("q", [0])
+        starts.extend(accumulate(per_wid.values()))
 
-    def extended(self, source: Log, tail: Sequence[LogRecord]) -> "ColumnarLog":
-        """The columnar form of ``source``, which is this view's log
+        activities = list(map(_activity_of, rows))
+        act_names = tuple(sorted(set(activities)))
+        act_index = {name: i for i, name in enumerate(act_names)}
+        act_col = array("q", map(act_index.__getitem__, activities))
+        act_rows: tuple[array, ...] = tuple(array("q") for _ in act_names)
+        for row, aid in enumerate(act_col):
+            act_rows[aid].append(row)
+
+        new = cls.__new__(cls)
+        new._rows = rows
+        new._lsn = array("q", map(_lsn_of, rows))
+        new._act_id = act_col
+        new._wid_values = array("q", per_wid)
+        new._starts = starts
+        new._act_names = act_names
+        new._act_index = act_index
+        new._act_rows = act_rows
+        new._leaf_spans = {}
+        return new
+
+    def extended(self, log: Log, tail: Sequence[LogRecord]) -> "ColumnarLog":
+        """The columnar form of ``log``, which is this view's log
         followed by ``tail`` (:meth:`Log.extended
         <repro.core.model.Log.extended>`), without a pass over the log.
 
@@ -140,7 +124,7 @@ class ColumnarLog:
         by_wid: dict[int, list[LogRecord]] = {}
         for rec in tail:
             if rec.activity not in act_index:
-                return ColumnarLog.from_log(source)
+                return ColumnarLog.from_log(log)
             by_wid.setdefault(rec.wid, []).append(rec)
         new_wids = array("q", [w for w in sorted(by_wid) if w > wid_values[-1]])
         # per touched instance, in row order: (wid id, old row its new
@@ -149,7 +133,7 @@ class ColumnarLog:
         for w in sorted(by_wid.keys() - set(new_wids)):
             i = bisect_left(wid_values, w)
             if wid_values[i] != w:
-                return ColumnarLog.from_log(source)
+                return ColumnarLog.from_log(log)
             splices.append((i, self._starts[i + 1], by_wid[w]))
         for i, w in enumerate(new_wids, start=windows):
             splices.append((i, len(self._rows), by_wid[w]))
@@ -169,13 +153,8 @@ class ColumnarLog:
             return [array("q", [value(r) for r in recs]) for _, _, recs in splices]
 
         new = ColumnarLog.__new__(ColumnarLog)
-        new._source = source
         new._rows = tuple(spliced([], self._rows, [recs for _, _, recs in splices]))
         new._lsn = spliced(array("q"), self._lsn, ints(lambda r: r.lsn))
-        new._wid_id = spliced(
-            array("q"), self._wid_id, [array("q", [i]) * len(recs) for i, _, recs in splices]
-        )
-        new._is_lsn = spliced(array("q"), self._is_lsn, ints(lambda r: r.is_lsn))
         new._act_id = spliced(array("q"), self._act_id, ints(lambda r: act_index[r.activity]))
         new._wid_values = wid_values + new_wids
         new._act_names = self._act_names
@@ -250,7 +229,7 @@ class ColumnarLog:
         return (
             f"ColumnarLog({len(self._rows)} rows, "
             f"{len(self._wid_values)} instances, "
-            f"{len(self._act_names)} activities, {8 * 4 * len(self._rows)} column bytes)"
+            f"{len(self._act_names)} activities, {8 * 2 * len(self._rows)} column bytes)"
         )
 
     # -- columns -------------------------------------------------------------
@@ -330,14 +309,15 @@ class ColumnarLog:
             self._leaf_spans[act_id] = spans
         return spans
 
-    def record(self, lsn_value: int) -> LogRecord:
-        """The record with log sequence number ``lsn_value``."""
-        return self._source.record(lsn_value)
+
+_lsn_of = attrgetter("lsn")
+_wid_of = attrgetter("wid")
+_activity_of = attrgetter("activity")
 
 
 def as_columnar(log: "Log | ColumnarLog") -> ColumnarLog:
     """``log`` as a :class:`ColumnarLog` — passes columnar views through,
-    and uses the per-log cache (``Log.columnar()``) for object logs."""
+    and takes an object log's own view (``Log.columnar()``)."""
     if isinstance(log, ColumnarLog):
         return log
     return log.columnar()

@@ -7,26 +7,29 @@ over a schema that *mirrors the columnar layout* of
 :class:`~repro.columnar.ColumnarLog`, so the database joins interned
 integers instead of comparing activity strings:
 
-``records(row, lsn, wid_id, is_lsn, act_id)`` holds the four integer
-columns, bulk-loaded straight from the columnar arrays.  No name is
-stored: leaf names resolve to ``act_id`` at compile time (an unknown
-activity never reaches SQL) and results decode through the columnar
-view, so a name SQLite cannot hold as text (a lone surrogate, which
-JSON carries) is never handed to it.
+``records(row, wid_id, is_lsn, act_id)`` holds one row per columnar
+row, bulk-loaded from the view: ``act_id`` straight from its column,
+``wid_id`` (the window number) and ``is_lsn`` (``row - lo + 1``) derived
+from the instance offsets at load.  No name is stored: leaf names
+resolve to ``act_id`` at compile time (an unknown activity never reaches
+SQL) and results decode through the columnar rows, so a name SQLite
+cannot hold as text (a lone surrogate, which JSON carries) is never
+handed to it.
 
 The one operator-to-predicate mapping lives here (:func:`compile_branches`:
 one alias per leaf; scalar ``MIN``/``MAX`` over subtree positions for
 ``first``/``last``; ``⊗`` expanded branch-wise through
 :func:`~repro.core.algebra.choice_normal_form`), parameterised by the
-schema's leaf predicate and instance column: this backend supplies
-integer ``act_id`` comparisons, the baseline its text ones.
+schema's leaf predicate, instance column and record-identity column:
+this backend supplies integer ``act_id`` comparisons and ``row``, the
+baseline its text ones and ``lsn``.
 Attribute-guarded leaves cannot be compiled —
 the pushed-down projection has no attribute maps — and raise
 :class:`~repro.core.errors.EvaluationError`; the engine is never a
 default, it must be requested (``engine="sqlite"``).
 
-Incident identity is reconstructed from the selected per-leaf ``lsn``
-values, so results are byte-for-byte identical to the object engines.
+Incident identity is reconstructed from the selected per-leaf row
+numbers, so results are byte-for-byte identical to the object engines.
 """
 
 from __future__ import annotations
@@ -61,7 +64,6 @@ class ColumnarWarehouse:
         script = """
             CREATE TABLE records (
                 row    INTEGER PRIMARY KEY,
-                lsn    INTEGER NOT NULL,
                 wid_id INTEGER NOT NULL,
                 is_lsn INTEGER NOT NULL,
                 act_id INTEGER NOT NULL
@@ -70,15 +72,13 @@ class ColumnarWarehouse:
             CREATE UNIQUE INDEX idx_wid_pos ON records (wid_id, is_lsn);
         """
         self.connection.executescript(script)
-        n = len(columnar)
+        act_id = columnar.act_id_col
         self.connection.executemany(
-            "INSERT INTO records VALUES (?, ?, ?, ?, ?)",
-            zip(
-                range(n),
-                columnar._lsn,
-                columnar._wid_id,
-                columnar._is_lsn,
-                columnar._act_id,
+            "INSERT INTO records VALUES (?, ?, ?, ?)",
+            (
+                (row, wid_id, row - lo + 1, act_id[row])
+                for wid_id, (_, lo, hi) in enumerate(columnar.wid_windows())
+                for row in range(lo, hi)
             ),
         )
         self.connection.commit()
@@ -100,6 +100,7 @@ def _compile_branch(
     pattern: Pattern,
     leaf_predicate: Callable[[str, Atomic], str | None],
     wid_column: str,
+    key_column: str,
 ) -> str:
     """One choice-free branch → one self-join SELECT."""
     aliases: list[str] = []
@@ -150,7 +151,7 @@ def _compile_branch(
         return left_columns + right_columns
 
     leaf_positions(pattern)
-    select = "SELECT " + ", ".join(f"{alias}.lsn" for alias in aliases)
+    select = "SELECT " + ", ".join(f"{alias}.{key_column}" for alias in aliases)
     sql = f"{select} FROM " + ", ".join(f"records {alias}" for alias in aliases)
     if predicates:
         sql += " WHERE " + " AND ".join(predicates)
@@ -161,6 +162,7 @@ def compile_branches(
     pattern: Pattern,
     leaf_predicate: Callable[[str, Atomic], str | None],
     wid_column: str,
+    key_column: str,
 ) -> list[str]:
     """Compile ``pattern`` into one SELECT per choice-free branch — the one
     operator→SQL mapping, parameterised by schema.
@@ -168,12 +170,13 @@ def compile_branches(
     ``leaf_predicate(alias, leaf)`` is the schema's activity test for a
     plain atomic leaf (None when the leaf matches every record) and
     ``wid_column`` the instance column the leaf aliases are joined on.
-    Each result row is one incident: the ``lsn`` matched by each leaf.
+    Each result row is one incident: the ``key_column`` (a record
+    identity) of the record matched by each leaf.
     Rows may repeat record sets across branches — the caller
     deduplicates, as ``incL`` is a set.
     """
     return [
-        _compile_branch(branch, leaf_predicate, wid_column)
+        _compile_branch(branch, leaf_predicate, wid_column, key_column)
         for branch in choice_normal_form(pattern)
     ]
 
@@ -190,7 +193,7 @@ def compile_columnar_sql(pattern: Pattern, columnar: ColumnarLog) -> list[str]:
             return None if leaf.negated else "0 = 1"
         return f"{alias}.act_id {'!=' if leaf.negated else '='} {act_id}"
 
-    return compile_branches(pattern, leaf_predicate, "wid_id")
+    return compile_branches(pattern, leaf_predicate, "wid_id", "row")
 
 
 class SqliteEngine(Engine):
@@ -198,8 +201,8 @@ class SqliteEngine(Engine):
     ``engine="sqlite"``.
 
     The warehouse is cached per columnar view, so repeated queries over
-    one log pay the bulk load once; the columnar view itself is cached on
-    the log, making the cache key stable across queries.
+    one log pay the bulk load once; a log has one columnar view, built
+    with it, making the cache key stable across queries.
     """
 
     name = "sqlite"
@@ -231,10 +234,8 @@ class SqliteEngine(Engine):
                 with self.tracer.span("branch", key=branch, sql=sql):
                     for row in warehouse.connection.execute(sql):
                         found.add(frozenset(row))
-            record = columnar.record
-            result = IncidentSet(
-                Incident(record(lsn) for lsn in lsns) for lsns in found
-            )
+            record = columnar.rows.__getitem__
+            result = IncidentSet(Incident(map(record, rows)) for rows in found)
             self._check_budget(len(result))
             stats.note_live(len(result))
             stats.incidents_produced += len(result)

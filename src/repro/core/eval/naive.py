@@ -5,11 +5,11 @@ This engine is a faithful transcription of Section 3:
 * each of the four operators is evaluated by pairwise iteration over the
   two input incident sets (Algorithm 1) — ``O(n1*n2)`` pairs per operator;
 * a query is evaluated by post-order traversal of its incident tree
-  (Algorithm 2), evaluating each workflow instance separately against a
-  per-``wid`` record dictionary built in one pass over the log
-  (Algorithm 3's ``LogRecordsDict``);
-* atomic leaves use the per-activity index, so generating the incidents of
-  an activity node is proportional to its output size.
+  (Algorithm 2), evaluating each workflow instance separately against its
+  window of the log's columnar index (Algorithm 3's ``LogRecordsDict``);
+* atomic leaves read the per-activity row index clipped to that window,
+  so generating the incidents of an activity node costs a bisection plus
+  its output size.
 
 It exists both as the baseline whose measured complexity the benchmark
 harness compares against Lemma 1/Theorem 1 and as a second implementation
@@ -20,6 +20,7 @@ from __future__ import annotations
 
 from collections.abc import Callable, Sequence
 
+from repro.columnar.column_log import ColumnarLog, as_columnar
 from repro.core.eval.base import Engine, EvaluationStats, node_label
 from repro.core.incident import Incident, IncidentSet
 from repro.core.model import Log
@@ -137,20 +138,21 @@ class NaiveEngine(Engine):
     """Algorithm 2: post-order incident-tree evaluation with the pairwise
     operator algorithms of Algorithm 1.
 
-    The log's per-activity/per-instance indices play the role of
-    ``LogRecordsDict``; each workflow instance is evaluated independently
+    The log's columnar index plays the role of ``LogRecordsDict``: each
+    workflow instance is its window of rows, evaluated independently
     (incidents never span instances), matching lines 13-14 of Algorithm 2.
     """
 
     name = "naive"
 
-    def evaluate(self, log: Log, pattern: Pattern) -> IncidentSet:
+    def evaluate(self, log: "Log | ColumnarLog", pattern: Pattern) -> IncidentSet:
+        columnar = as_columnar(log)
         stats = self._new_stats()
         incidents: list[Incident] = []
         with self.tracer.span("evaluate", key=(), engine=self.name, pattern=str(pattern)):
-            for wid in log.wids:
+            for _, lo, hi in columnar.wid_windows():
                 self._checkpoint(stats)
-                incidents.extend(self._eval_node(log, wid, pattern, stats, "root"))
+                incidents.extend(self._eval_node(columnar, lo, hi, pattern, stats, "root"))
             self._check_budget(len(incidents))
             stats.note_live(len(incidents))
             stats.incidents_produced += len(incidents)
@@ -159,26 +161,30 @@ class NaiveEngine(Engine):
 
     def _eval_node(
         self,
-        log: Log,
-        wid: int,
+        columnar: ColumnarLog,
+        lo: int,
+        hi: int,
         pattern: Pattern,
         stats: EvaluationStats,
         key: int | str = "root",
     ) -> list[Incident]:
         with self.tracer.span(node_label(pattern), key=key) as span:
             if isinstance(pattern, Atomic):
+                rows = columnar.rows
+                act_id = columnar.act_id_of(pattern.name)
                 if pattern.negated:
-                    candidates = log.instance(wid)
+                    candidates = rows[lo:hi]
+                elif act_id is None:
+                    candidates = ()
                 else:
-                    # per-activity index lookup ("constant time" per Section 3.2)
-                    candidates = [
-                        r for r in log.with_activity(pattern.name) if r.wid == wid
-                    ]
+                    # per-activity index lookup, clipped to the instance's
+                    # rows ("constant time" per Section 3.2)
+                    candidates = map(rows.__getitem__, columnar.act_rows(act_id, lo, hi))
                 result = [Incident([r]) for r in candidates if pattern.matches(r)]
             else:
                 assert isinstance(pattern, BinaryPattern)
-                left = self._eval_node(log, wid, pattern.left, stats, 0)
-                right = self._eval_node(log, wid, pattern.right, stats, 1)
+                left = self._eval_node(columnar, lo, hi, pattern.left, stats, 0)
+                right = self._eval_node(columnar, lo, hi, pattern.right, stats, 1)
                 stats.note_operator(pattern.symbol)
                 pairs_before = stats.pairs_examined
                 if isinstance(pattern, Consecutive):

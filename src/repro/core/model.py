@@ -10,19 +10,21 @@ activity execution inside one workflow instance:
 * ``attrs_in`` / ``attrs_out`` — the input/output attribute maps.
 
 A *log* is a finite set of records satisfying the four well-formedness
-conditions of Definition 2; :meth:`Log.validate` enforces them.  Each
-workflow instance begins with a ``START`` record and optionally ends with an
-``END`` record.
+conditions of Definition 2; :func:`definition2_violations` lists the
+violations, and :class:`Log` raises the first.  Each workflow instance
+begins with a ``START`` record and optionally ends with an ``END`` record.
 
-The module-level helpers :func:`lsn`, :func:`wid`, :func:`is_lsn`,
-:func:`act`, :func:`attrs_in` and :func:`attrs_out` mirror the component
-extraction functions used throughout the paper's definitions.
+A :class:`Log` holds its records in lsn order and one index, its
+:class:`~repro.columnar.column_log.ColumnarLog` (per-instance row windows
+and per-activity row numbers), built with the log.
 """
 
 from __future__ import annotations
 
+from bisect import bisect_left
 from collections.abc import Iterable, Iterator, Mapping, Sequence
 from dataclasses import dataclass, field
+from functools import partial
 from operator import attrgetter
 from types import MappingProxyType
 from typing import TYPE_CHECKING, Any
@@ -38,6 +40,7 @@ __all__ = [
     "AttrMap",
     "LogRecord",
     "Log",
+    "definition2_violations",
 ]
 
 #: Activity name of the mandatory first record of every workflow instance.
@@ -213,19 +216,12 @@ class Log:
 
     __slots__ = (
         "_records",
-        "_by_wid",
-        "_by_activity",
-        "_by_lsn",
         "_epoch",
         "_lineage",
         "_is_snapshot",
         "_fingerprint",
         "_columnar",
     )
-
-    #: Slots that are derived caches, rebuilt lazily — excluded from
-    #: pickling so a pickled or deep-copied log stays lean.
-    _TRANSIENT_SLOTS = ("_columnar",)
 
     def __init__(
         self,
@@ -236,24 +232,16 @@ class Log:
         lineage: str | None = None,
         snapshot: bool = False,
     ):
-        recs = sorted(records, key=lambda r: r.lsn)
-        self._records: tuple[LogRecord, ...] = tuple(recs)
+        from repro.columnar.column_log import ColumnarLog
+
+        self._records: tuple[LogRecord, ...] = tuple(sorted(records, key=_lsn_of))
         self._epoch = epoch
         self._lineage = lineage
         self._is_snapshot = snapshot
         self._fingerprint: str | None = None
-        self._columnar: "ColumnarLog | None" = None
         if validate:
-            _validate_records(self._records)
-        by_wid: dict[int, list[LogRecord]] = {}
-        by_activity: dict[str, list[LogRecord]] = {}
-        for rec in self._records:
-            by_wid.setdefault(rec.wid, []).append(rec)
-            by_activity.setdefault(rec.activity, []).append(rec)
-        self._by_wid = {w: tuple(rs) for w, rs in by_wid.items()}
-        self._by_activity = {a: tuple(rs) for a, rs in by_activity.items()}
-        # lsn -> record, built by the first record() / `in` that needs it
-        self._by_lsn: dict[int, LogRecord] | None = None
+            self.validate()
+        self._columnar = ColumnarLog.from_log(self)
 
     # -- construction -------------------------------------------------------
 
@@ -363,7 +351,10 @@ class Log:
     def __contains__(self, record: object) -> bool:
         if not isinstance(record, LogRecord):
             return False
-        return self._lsn_index().get(record.lsn) == record
+        try:
+            return self.record(record.lsn) == record
+        except KeyError:
+            return False
 
     def __eq__(self, other: object) -> bool:
         if not isinstance(other, Log):
@@ -374,7 +365,7 @@ class Log:
         return hash(self._records)
 
     def __repr__(self) -> str:
-        return f"Log({len(self)} records, {len(self._by_wid)} instances)"
+        return f"Log({len(self)} records, {len(self.wids)} instances)"
 
     # -- views ---------------------------------------------------------------
 
@@ -386,12 +377,12 @@ class Log:
     @property
     def wids(self) -> tuple[int, ...]:
         """All workflow instance ids present in the log, sorted."""
-        return tuple(sorted(self._by_wid))
+        return self._columnar.wids
 
     @property
     def activities(self) -> frozenset[str]:
         """The set of activity names occurring in the log."""
-        return frozenset(self._by_activity)
+        return frozenset(self._columnar.act_names)
 
     # -- provenance (cache invalidation, see repro.cache) -------------------
 
@@ -447,76 +438,60 @@ class Log:
 
         Raises ``KeyError`` if no such record exists.
         """
-        return self._lsn_index()[lsn_value]
-
-    def _lsn_index(self) -> dict[int, LogRecord]:
-        index = self._by_lsn
-        if index is None:
-            index = self._by_lsn = {r.lsn: r for r in self._records}
-        return index
+        records = self._records  # bisected: a projection's lsn values have gaps
+        i = bisect_left(records, lsn_value, key=_lsn_of)
+        if i == len(records) or records[i].lsn != lsn_value:
+            raise KeyError(lsn_value)
+        return records[i]
 
     def instance(self, wid_value: int) -> tuple[LogRecord, ...]:
-        """All records of workflow instance ``wid_value`` in is-lsn order."""
-        return self._by_wid.get(wid_value, ())
+        """All records of workflow instance ``wid_value`` in is-lsn order:
+        its window of the columnar rows."""
+        columnar = self._columnar
+        try:
+            _, lo, hi = columnar.window(wid_value)
+        except KeyError:
+            return ()
+        return columnar.rows[lo:hi]
 
     def columnar(self) -> "ColumnarLog":
-        """The cached columnar representation of this log.
-
-        Built on first use and kept for the lifetime of the log (logs are
-        immutable, so the columnar form never goes stale).  Excluded from
-        pickling — see ``_TRANSIENT_SLOTS``.
-        """
-        if self._columnar is None:
-            from repro.columnar.column_log import ColumnarLog
-
-            self._columnar = ColumnarLog.from_log(self)
+        """The columnar form of this log, built with it: the log's one
+        per-instance and per-activity index."""
         return self._columnar
-
-    def forget_columnar(self) -> None:
-        """Drop the cached columnar view (the next :meth:`columnar` call
-        rebuilds it).
-
-        The view references this log back, so while it is cached the pair
-        is reclaimable only by the cycle collector.  A holder about to
-        let go of the log — a store superseding a snapshot — unlinks the
-        two, and both are freed by reference count the moment their last
-        user is done.
-        """
-        self._columnar = None
 
     def extended(self, tail: Iterable[LogRecord]) -> "Log":
         """This log followed by ``tail``: the next snapshot of the
         append-only store this one was taken of.
 
-        Definition 2 is checked for ``tail`` only, against what this log
-        already proves, and fails with the errors the whole-log check
-        raises.  The index entries of the instances and activities
-        ``tail`` leaves alone are shared with this log, and a columnar
-        form this log has built is extended, not rebuilt
-        (:meth:`ColumnarLog.extended
+        Definition 2 is checked for ``tail`` only, against the last record
+        of each touched instance in this log's columnar windows, and fails
+        with the errors the whole-log check raises.  The columnar form is
+        extended, not rebuilt (:meth:`ColumnarLog.extended
         <repro.columnar.column_log.ColumnarLog.extended>`).  The epoch
         advances by ``len(tail)``, a store's epoch being its record count.
         """
         tail = tuple(tail)
         records = self._records + tail
-        _validate_records(records, len(self._records), self._by_wid)
+        for error in definition2_violations(records, len(self._records), self._columnar):
+            raise error
         new = Log.__new__(Log)
         new._records = records
         new._epoch = self._epoch + len(tail)
         new._lineage = self._lineage
         new._is_snapshot = self._is_snapshot
-        new._fingerprint = new._by_lsn = None
-        new._by_wid = _index_extended(self._by_wid, tail, attrgetter("wid"))
-        new._by_activity = _index_extended(self._by_activity, tail, attrgetter("activity"))
-        columnar = self._columnar
-        new._columnar = None if columnar is None else columnar.extended(new, tail)
+        new._fingerprint = None
+        new._columnar = self._columnar.extended(new, tail)
         return new
 
     def with_activity(self, activity: str) -> tuple[LogRecord, ...]:
-        """All records with the given activity name, in lsn order.
-
-        This is the constant-time activity index used by Algorithm 2."""
-        return self._by_activity.get(activity, ())
+        """All records with the given activity name, in lsn order: the
+        activity's rows of the columnar index (Algorithm 2's lookup)."""
+        columnar = self._columnar
+        act_id = columnar.act_id_of(activity)
+        if act_id is None:
+            return ()
+        rows = columnar.rows
+        return tuple(sorted(map(rows.__getitem__, columnar.act_rows(act_id)), key=_lsn_of))
 
     def is_complete(self, wid_value: int) -> bool:
         """Whether instance ``wid_value`` has reached its ``END`` record."""
@@ -546,87 +521,88 @@ class Log:
 
     def validate(self) -> None:
         """Re-run the Definition 2 well-formedness checks."""
-        _validate_records(self._records)
+        for error in definition2_violations(self._records):
+            raise error
 
-    # -- pickling ------------------------------------------------------------
-    # Slotted classes pickle via per-slot state; the derived caches in
-    # _TRANSIENT_SLOTS are dropped so a copy of a log does not also carry
-    # a columnar copy of itself.
-
-    def __getstate__(self) -> dict[str, Any]:
-        return {
-            slot: getattr(self, slot)
-            for slot in self.__slots__
-            if slot not in self._TRANSIENT_SLOTS
-        }
-
-    def __setstate__(self, state: dict[str, Any]) -> None:
-        for slot in self._TRANSIENT_SLOTS:
-            object.__setattr__(self, slot, None)
-        for slot, value in state.items():
-            object.__setattr__(self, slot, value)
+    def __reduce__(self):
+        # rebuilt from the records: the columnar form is built anew, not
+        # pickled alongside them
+        return (
+            partial(
+                Log,
+                validate=False,
+                epoch=self._epoch,
+                lineage=self._lineage,
+                snapshot=self._is_snapshot,
+            ),
+            (self._records,),
+        )
 
 
-def _index_extended(index: dict, tail: Sequence[LogRecord], key) -> dict:
-    """``index`` (key -> record tuple) with ``tail`` filed under ``key``;
-    the tuples of keys ``tail`` does not mention are shared, not copied."""
-    fresh: dict[Any, list[LogRecord]] = {}
-    for record in tail:
-        fresh.setdefault(key(record), []).append(record)
-    index = dict(index)
-    for k, added in fresh.items():
-        index[k] = index.get(k, ()) + tuple(added)
-    return index
+_lsn_of = attrgetter("lsn")
 
 
-def _validate_records(
+def definition2_violations(
     records: Sequence[LogRecord],
     checked: int = 0,
-    proven: Mapping[int, Sequence[LogRecord]] | None = None,
-) -> None:
-    """Enforce the four conditions of Definition 2 on sorted records.
+    proven: "ColumnarLog | None" = None,
+) -> Iterator[LogValidationError]:
+    """Every violation of Definition 2 in the lsn-sorted ``records``, in
+    the order the conditions are numbered: the lsn conditions over the
+    whole input first, then conditions 2–4 record by record.
 
-    The first ``checked`` records are taken as well-formed already, with
-    ``proven`` their per-instance index: the last record of an instance
-    gives the next is-lsn to expect and whether the instance has ended,
-    which is all the conditions ask of what came before.
+    ``Log`` raises the first one and ``repro-logs validate`` reports them
+    all.  The first ``checked`` records are taken as well-formed already,
+    with ``proven`` their columnar form: the last row of an instance's
+    window gives the next is-lsn to expect and whether the instance has
+    ended, which is all the conditions ask of what came before.
     """
     if not records:
-        raise LogValidationError("a log must be a nonempty set of records")
+        yield LogValidationError("log is empty")
+        return
     tail = records[checked:]
 
-    # Condition 1: lsn values are exactly 1..|L| (bijection with an initial
-    # segment of the positive naturals).
-    for position, record in enumerate(tail, start=checked + 1):
-        if record.lsn != position:
-            raise LogValidationError(
+    # Condition 1: lsn values are exactly 1..|L|.  Sorted, that is each
+    # one following its predecessor by exactly 1.
+    previous = records[checked - 1].lsn if checked else 0
+    for record in tail:
+        if record.lsn == previous:
+            yield LogValidationError(
+                "duplicate log sequence number", condition=1, lsn=record.lsn
+            )
+        elif record.lsn != previous + 1:
+            yield LogValidationError(
                 f"lsn values must be exactly 1..{len(records)}; "
-                f"found lsn={record.lsn} at position {position}",
+                f"found lsn={record.lsn} after lsn={previous}",
                 condition=1,
                 lsn=record.lsn,
             )
+        previous = record.lsn
 
     last_is_lsn: dict[int, int] = {}
     ended: set[int] = set()
-    if proven:
+    if proven is not None:
+        rows = proven.rows
         for wid_value in {record.wid for record in tail}:
-            seen = proven.get(wid_value)
-            if seen:
-                last_is_lsn[wid_value] = seen[-1].is_lsn
-                if seen[-1].is_end:
-                    ended.add(wid_value)
+            try:
+                _, _, hi = proven.window(wid_value)
+            except KeyError:
+                continue
+            last_is_lsn[wid_value] = rows[hi - 1].is_lsn
+            if rows[hi - 1].is_end:
+                ended.add(wid_value)
     for record in tail:
         if record.wid in ended:
-            raise LogValidationError(
+            yield LogValidationError(
                 f"instance {record.wid} has records after its END record",
                 condition=4,
                 lsn=record.lsn,
             )
         # Condition 2: is_lsn == 1 iff activity == START.
         if (record.is_lsn == 1) != record.is_start:
-            raise LogValidationError(
-                f"record lsn={record.lsn}: is-lsn==1 iff activity==START "
-                f"(got is-lsn={record.is_lsn}, activity={record.activity!r})",
+            yield LogValidationError(
+                f"is-lsn==1 iff activity==START violated at lsn={record.lsn} "
+                f"(is-lsn={record.is_lsn}, activity={record.activity!r})",
                 condition=2,
                 lsn=record.lsn,
             )
@@ -634,8 +610,8 @@ def _validate_records(
         # in ascending lsn order.
         expected = last_is_lsn.get(record.wid, 0) + 1
         if record.is_lsn != expected:
-            raise LogValidationError(
-                f"instance {record.wid}: expected is-lsn={expected}, "
+            yield LogValidationError(
+                f"instance {record.wid}: expected is-lsn {expected}, "
                 f"got {record.is_lsn} at lsn={record.lsn}",
                 condition=3,
                 lsn=record.lsn,

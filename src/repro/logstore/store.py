@@ -213,10 +213,7 @@ class LogStore:
                         snapshot=True,
                     )
                 else:
-                    previous = cached
-                    cached = previous.extended(self._records[previous.epoch :])
-                    # megabytes per epoch: not left to the cycle collector
-                    previous.forget_columnar()
+                    cached = cached.extended(self._records[cached.epoch :])
                 logger.debug("snapshot: built epoch %d", cached.epoch)
                 self._snapshot = cached
         return cached

@@ -1,6 +1,6 @@
 """Non-throwing log validation and repair.
 
-:class:`~repro.core.model.Log` raises on the first Definition 2 violation;
+:class:`~repro.core.model.Log` raises the first Definition 2 violation;
 operational tooling usually wants *all* problems listed
 (:func:`validation_report`) and, where possible, a best-effort repair
 (:func:`repair_log`) that salvages the valid prefix of each instance and
@@ -11,8 +11,9 @@ from __future__ import annotations
 
 from collections.abc import Iterable
 from dataclasses import dataclass
+from operator import attrgetter
 
-from repro.core.model import END, START, Log, LogRecord
+from repro.core.model import END, START, Log, LogRecord, definition2_violations
 
 __all__ = ["ValidationIssue", "validation_report", "repair_log"]
 
@@ -33,71 +34,14 @@ class ValidationIssue:
 def validation_report(records: Iterable[LogRecord]) -> list[ValidationIssue]:
     """All Definition 2 violations in ``records`` (empty list = valid).
 
-    Unlike :meth:`Log.validate`, this scans the whole input and reports
-    every violation, which is what log-ingestion tooling needs.
+    The violations are :func:`~repro.core.model.definition2_violations`'s,
+    the generator whose first item :class:`Log` raises; this lists them
+    all, which is what log-ingestion tooling needs.
     """
-    issues: list[ValidationIssue] = []
-    recs = sorted(records, key=lambda r: r.lsn)
-    if not recs:
-        return [ValidationIssue(0, None, "log is empty")]
-
-    seen_lsn: set[int] = set()
-    for record in recs:
-        if record.lsn in seen_lsn:
-            issues.append(
-                ValidationIssue(1, record.lsn, "duplicate log sequence number")
-            )
-        seen_lsn.add(record.lsn)
-    expected = set(range(1, len(recs) + 1))
-    missing = sorted(expected - seen_lsn)
-    extra = sorted(seen_lsn - expected)
-    if missing:
-        issues.append(
-            ValidationIssue(
-                1, None, f"lsn values are not 1..{len(recs)}: missing {missing[:10]}"
-            )
-        )
-    if extra:
-        issues.append(
-            ValidationIssue(
-                1, None, f"lsn values are not 1..{len(recs)}: unexpected {extra[:10]}"
-            )
-        )
-
-    last_is_lsn: dict[int, int] = {}
-    ended: set[int] = set()
-    for record in recs:
-        if record.wid in ended:
-            issues.append(
-                ValidationIssue(
-                    4, record.lsn, f"instance {record.wid} continues after END"
-                )
-            )
-        if (record.is_lsn == 1) != (record.activity == START):
-            issues.append(
-                ValidationIssue(
-                    2,
-                    record.lsn,
-                    f"is-lsn==1 iff activity==START violated "
-                    f"(is-lsn={record.is_lsn}, activity={record.activity!r})",
-                )
-            )
-        expected_pos = last_is_lsn.get(record.wid, 0) + 1
-        if record.is_lsn != expected_pos:
-            issues.append(
-                ValidationIssue(
-                    3,
-                    record.lsn,
-                    f"instance {record.wid}: expected is-lsn {expected_pos}, "
-                    f"got {record.is_lsn}",
-                )
-            )
-        last_is_lsn[record.wid] = max(
-            last_is_lsn.get(record.wid, 0), record.is_lsn
-        )
-        if record.activity == END:
-            ended.add(record.wid)
-    return issues
+    return [
+        ValidationIssue(error.condition, error.lsn, str(error))
+        for error in definition2_violations(sorted(records, key=attrgetter("lsn")))
+    ]
 
 
 def repair_log(records: Iterable[LogRecord]) -> tuple[Log, list[LogRecord]]:

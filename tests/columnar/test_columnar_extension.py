@@ -21,8 +21,6 @@ from tests.support.histories import histories, play
 FIELDS = (
     "_rows",
     "_lsn",
-    "_wid_id",
-    "_is_lsn",
     "_act_id",
     "_wid_values",
     "_starts",
@@ -36,7 +34,6 @@ def assert_same_columns(extended: ColumnarLog, log: Log) -> None:
     full = ColumnarLog.from_log(log)
     for name in FIELDS:
         assert getattr(extended, name) == getattr(full, name), name
-    assert extended._source is log
     assert list(extended.wid_windows()) == list(full.wid_windows())
     for act_id in range(len(full.act_names)):
         assert extended.leaf_spans(act_id) == full.leaf_spans(act_id)

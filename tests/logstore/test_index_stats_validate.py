@@ -117,8 +117,9 @@ def damaged_logs(draw):
 @settings(max_examples=400, deadline=None)
 @given(damaged_logs())
 def test_the_report_is_empty_exactly_when_the_log_constructs(records):
-    """``repro-logs validate`` and ``Log(...)`` are two Definition 2
-    checkers; they must accept the same record lists."""
+    """``repro-logs validate`` lists and ``Log(...)`` raises the
+    violations of one Definition 2 checker; they must accept the same
+    record lists."""
     try:
         Log(records)
         constructs = True

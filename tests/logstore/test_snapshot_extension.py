@@ -43,7 +43,6 @@ def assert_same_log(extended: Log, whole: Log) -> None:
 @given(histories())
 def test_a_snapshot_by_extension_is_the_whole_log_constructors(history):
     store = LogStore()
-    previous = None
     for operations in history:
         play(store, operations)
         snapshot = store.snapshot()
@@ -52,14 +51,6 @@ def test_a_snapshot_by_extension_is_the_whole_log_constructors(history):
             tuple(store), epoch=store.epoch, lineage=store.lineage, snapshot=True
         )
         assert_same_log(snapshot, whole)
-        if previous is not None and previous is not snapshot:
-            # instances and activities the tail left alone are shared
-            tail = snapshot.records[previous.epoch :]
-            for wid in set(previous.wids) - {r.wid for r in tail}:
-                assert snapshot.instance(wid) is previous.instance(wid)
-            for activity in previous.activities - {r.activity for r in tail}:
-                assert snapshot.with_activity(activity) is previous.with_activity(activity)
-        previous = snapshot
 
 
 def _prefix() -> Log:
