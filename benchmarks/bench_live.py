@@ -8,7 +8,7 @@ plane is that this whole observation layer costs within 5% of an
 otherwise-identical service with ``ServiceConfig(telemetry=False)`` on
 the warm-cache query path (the cheapest real request, so the worst case
 for relative overhead).  A second measurement records the raw cost of
-one ``observe_request`` + trailing-window merge, unasserted, so the
+one ``observe_event`` + trailing-window merge, unasserted, so the
 bench history shows drift in the aggregator itself.
 """
 
@@ -92,28 +92,37 @@ def test_live_telemetry_overhead(bench_metrics):
 
 
 def test_aggregator_costs_recorded(bench_metrics):
-    """Unasserted raw costs: one ``observe_request`` into a populated
+    """Unasserted raw costs: one ``observe_event`` into a populated
     ring, and one 5-minute window merge over 30 buckets — the two
     operations the admin plane performs, isolated from HTTP dispatch."""
     aggregator = WindowedAggregator(bucket_s=10.0, window_s=900.0)
     for i in range(5_000):
-        aggregator.observe_request(
-            "/v1/query",
-            200 if i % 17 else 408,
-            0.001 + (i % 50) / 1000.0,
-            store=("clinic", "orders", "loans")[i % 3],
-            pattern=f"A -> B{i % 7}",
-            pairs=100,
-            killed=i % 17 == 0,
-            ts=600.0 + i * 0.12,
+        aggregator.observe_event(
+            {
+                "event": "killed" if i % 17 == 0 else "finish",
+                "endpoint": "/v1/query",
+                "http_status": 200 if i % 17 else 408,
+                "wall_ms": 1.0 + i % 50,
+                "store": ("clinic", "orders", "loans")[i % 3],
+                "pattern": f"A -> B{i % 7}",
+                "pairs": 100,
+                "ts_unix": 600.0 + i * 0.12,
+            }
         )
+    event = {
+        "event": "finish",
+        "endpoint": "/v1/query",
+        "http_status": 200,
+        "wall_ms": 2.0,
+        "store": "clinic",
+        "pattern": "A -> B1",
+        "pairs": 10,
+        "ts_unix": 1190.0,
+    }
 
     def observe() -> None:
-        for i in range(1_000):
-            aggregator.observe_request(
-                "/v1/query", 200, 0.002, store="clinic",
-                pattern="A -> B1", pairs=10, ts=1190.0,
-            )
+        for _ in range(1_000):
+            aggregator.observe_event(event)
 
     def merge() -> None:
         for _ in range(100):

@@ -1144,17 +1144,11 @@ def _cmd_events(args: argparse.Namespace) -> int:
         kind = event.get("event")
         if kind == "submit":
             extra = f"op={event.get('op')} pattern={event.get('pattern')!r}"
-        elif kind == "plan":
-            extra = f"changed={event.get('changed')} -> {event.get('optimized')!r}"
-        elif kind == "cache":
-            extra = f"probe={event.get('probe')} hit={event.get('hit')}"
         elif kind == "shard":  # journals written before the fan-out was deleted
             extra = (
                 f"shards={event.get('shards')} backend={event.get('backend')} "
                 f"jobs={event.get('jobs')}"
             )
-        elif kind == "evaluate":
-            extra = f"pairs={event.get('pairs')} incidents={event.get('incidents')}"
         elif kind in ("finish", "killed"):
             extra = (
                 f"wall={event.get('wall_ms', 0):.2f}ms "

@@ -176,19 +176,20 @@ class Query:
 
     def _execute(self, op: str, log: Log):
         """The one run scaffold behind :meth:`run`, :meth:`exists` and
-        :meth:`count`: begin → cache probe → (plan → evaluate) → terminal
-        ``finish`` / ``killed`` event.  The run's governor (see
-        :func:`~repro.core.governor.begin_run`) is attached to the live
-        engine for the duration of the run.
+        :meth:`count`: begin (``submit``) → cache probe → (plan →
+        evaluate) → terminal ``finish`` / ``killed`` event.  The run's
+        governor (see :func:`~repro.core.governor.begin_run`) is attached
+        to the live engine for the duration of the run.
 
-        Every op probes the cache and journals the probe; the ``finish``
-        event carries the outcome of this run's own probe
-        (``cache_result_hits``), never a diff of the cache's process-wide
-        counters, which other queries move.  Only ``run`` produces a full
-        incident set, so only ``run`` stores one — and, on a hit, reports
-        the stored stats as its own.  A kernel ``run`` that misses
-        evaluates only the instances appended to since the epoch the
-        cache holds its pattern at, when it holds one (``"delta"``).
+        The ``finish`` event is the run's whole account: the plan
+        (``optimized``, ``changed``) when one was made, and the outcome
+        of this run's own cache probe (``cache_result_hits``), never a
+        diff of the cache's process-wide counters, which other queries
+        move.  Only ``run`` produces a full incident set, so only ``run``
+        stores one — and, on a hit, reports the stored stats as its own.
+        A kernel ``run`` that misses evaluates only the instances
+        appended to since the epoch the cache holds its pattern at, when
+        it holds one (``"delta"``).
         """
         engine_method, from_cached = _OPS[op]
         self.last_cache_layer = None
@@ -196,9 +197,7 @@ class Query:
         try:
             key = self._result_key(log)
             hit = self._cached_result(key)
-            if recorder is not None and key is not None:
-                recorder.cache_probe(probe="result", hit=hit is not None)
-            stats = None
+            stats = optimized = None
             if hit is not None:
                 self.last_cache_layer = "result"
                 value = from_cached(hit.incidents)
@@ -206,10 +205,6 @@ class Query:
                     stats = self.engine.last_stats = hit.stats
             else:
                 optimized = self.plan(log).optimized
-                if recorder is not None:
-                    recorder.plan(
-                        optimized=str(optimized), changed=optimized != self.pattern
-                    )
                 base = self._delta_base(op, key)
                 if base is not None:
                     self.last_cache_layer = "delta"
@@ -219,16 +214,13 @@ class Query:
                 else:
                     value = getattr(self.engine, engine_method)(log, optimized)
                 stats = self.engine.last_stats
-                if op == "run":
-                    if recorder is not None:
-                        recorder.evaluate(
-                            pairs=0 if stats is None else stats.pairs_examined,
-                            incidents=len(value),
-                        )
-                    if key is not None:
-                        self.cache.put_result(key, value, stats)
+                if op == "run" and key is not None:
+                    self.cache.put_result(key, value, stats)
             if recorder is not None:
                 payload = {}
+                if optimized is not None:
+                    payload["optimized"] = str(optimized)
+                    payload["changed"] = optimized != self.pattern
                 if key is not None:
                     payload["cache_result_hits"] = int(hit is not None)
                 if self.last_cache_layer is not None:

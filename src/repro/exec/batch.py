@@ -31,7 +31,6 @@ shrinks whenever any subpattern is shared or any query is subsumed.
 
 from __future__ import annotations
 
-import time
 from dataclasses import dataclass
 
 from repro.core.errors import QueryGovernorError, ReproError
@@ -159,8 +158,6 @@ def evaluate_batch(
             if hit is not None:
                 final[index] = hit.incidents
                 cache_hits += 1
-        if recorder is not None:
-            recorder.cache_probe(probe="result", hit=cache_hits > 0)
     pending = [i for i in range(len(resolved)) if final[i] is None]
 
     # subsumption pre-pass: prove containment/equivalence across the
@@ -196,7 +193,6 @@ def evaluate_batch(
                 max_incidents=opts.max_incidents,
                 governor=governor,
             )
-            wall0, cpu0 = time.perf_counter(), time.process_time()
             position_sets: dict[int, IncidentSet] = {}
             try:
                 for position in scan_positions:
@@ -216,16 +212,6 @@ def evaluate_batch(
                     recorder.killed(exc, queries=len(resolved))
                 raise
             shared_hits = engine.shared_hits
-            if recorder is not None:
-                recorder.evaluate(
-                    pairs=merged_stats.pairs_examined,
-                    incidents=sum(len(r) for r in position_sets.values()),
-                    engine=engine.name,
-                    mode="batch",
-                    records=len(log),
-                    wall_ms=(time.perf_counter() - wall0) * 1000.0,
-                    cpu_ms=(time.process_time() - cpu0) * 1000.0,
-                )
             if plan is not None:
                 # resolve aliases/derivations in dependency order; strict
                 # containment is a partial order, so every pass makes

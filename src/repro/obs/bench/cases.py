@@ -545,7 +545,7 @@ def register_standard_cases(registry: BenchRegistry) -> None:
     @registry.case(
         "live.window",
         suites=("smoke", "full"),
-        description="windowed telemetry hot path: observe_request into the "
+        description="windowed telemetry hot path: observe_event into the "
         "ring + merge a trailing 5-minute WindowSnapshot",
         observations=2_000,
     )
@@ -556,31 +556,24 @@ def register_standard_cases(registry: BenchRegistry) -> None:
         # window merge walks many buckets with mixed attribution keys
         routes = ("/v1/query", "/v1/batch", "/v1/explain")
         stores = ("clinic", "orders", "loans")
-        outcomes = [
-            (
-                routes[i % 3],
-                stores[i % 3],
-                f"A -> B{i % 7}",
-                200 if i % 17 else 408,
-                0.001 + (i % 50) / 1000.0,
-                600.0 + i * (600.0 / observations),
-            )
+        events = [
+            {
+                "event": "killed" if i % 17 == 0 else "finish",
+                "endpoint": routes[i % 3],
+                "store": stores[i % 3],
+                "pattern": f"A -> B{i % 7}",
+                "http_status": 200 if i % 17 else 408,
+                "wall_ms": 1.0 + i % 50,
+                "pairs": 100,
+                "ts_unix": 600.0 + i * (600.0 / observations),
+            }
             for i in range(observations)
         ]
 
         def run() -> Any:
             aggregator = WindowedAggregator(bucket_s=10.0, window_s=900.0)
-            for route, store, pattern, status, duration, ts in outcomes:
-                aggregator.observe_request(
-                    route,
-                    status,
-                    duration,
-                    store=store,
-                    pattern=pattern,
-                    pairs=100,
-                    killed=status == 408,
-                    ts=ts,
-                )
+            for event in events:
+                aggregator.observe_event(event)
             snapshot = aggregator.window(300.0, now=1200.0)
             assert snapshot.total.count > 0
             return snapshot.total.latency.quantile(0.95)

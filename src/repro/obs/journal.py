@@ -7,17 +7,18 @@ aggregates.  The journal is the per-query record in between, one JSON
 object per line, each tagged ``repro.obs.journal/v1``:
 
 * ``submit``   — query text, operation, budgets; opens the lifecycle;
-* ``plan``     — optimizer outcome (optimized text, whether it changed);
-* ``cache``    — a result-cache probe and whether it hit;
-* ``evaluate`` — one evaluation body (pairs examined, incidents);
 * ``finish``   — terminal: wall/CPU time, peak allocation
-  (``tracemalloc``), pairs examined, incidents, cache attribution;
+  (``tracemalloc``), pairs examined, incidents, the plan and the cache
+  attribution;
 * ``killed``   — terminal: the governor stopped the query (reason +
   partial accounting).
 
-Every event carries the ``query_id``/``trace_id`` minted at submission
+A run is those two events.  Every event carries the
+``query_id``/``trace_id`` minted at submission
 (:class:`~repro.core.governor.QueryContext`), so one run reads back as
-one query record.
+one query record.  The reader still accepts the ``plan``, ``cache``,
+``shard`` and ``evaluate`` kinds that journals on disk hold; nothing
+writes them any more.
 
 Views over a journal — :func:`slow_queries`, :func:`filter_events`,
 :func:`top_patterns` — back the ``repro-logs events`` / ``repro-logs
@@ -60,12 +61,14 @@ __all__ = [
 
 JOURNAL_SCHEMA = "repro.obs.journal/v1"
 
-#: Every event kind, in rough lifecycle order.
+#: Every event kind, in rough lifecycle order.  Nothing emits ``plan``,
+#: ``cache``, ``shard`` or ``evaluate`` any more; they are kept so
+#: journals on disk still validate.
 EVENT_KINDS: tuple[str, ...] = (
     "submit",
     "plan",
     "cache",
-    "shard",  # nothing emits it any more; kept so journals on disk still validate
+    "shard",
     "evaluate",
     "finish",
     "killed",
@@ -182,7 +185,8 @@ class QueryJournal:
 class ResourceAccount:
     """Wall + CPU time and peak-allocation sampling for one query run.
 
-    Wall time uses ``perf_counter``, CPU time ``process_time``.  Peak
+    Wall time uses ``perf_counter``, CPU time ``thread_time``: the
+    calling thread's own CPU, which a neighbour thread does not move.  Peak
     allocation is sampled with ``tracemalloc``: if tracing is already
     on, the peak counter is reset and read; otherwise tracing is started
     for the duration and stopped after, so the account never disturbs an
@@ -208,7 +212,7 @@ class ResourceAccount:
                 tracemalloc.start()
                 self._owns_tracemalloc = True
         self._wall0 = time.perf_counter()
-        self._cpu0 = time.process_time()
+        self._cpu0 = time.thread_time()
 
     def stop(self) -> None:
         """Freeze the counters (idempotent; safe if never started)."""
@@ -216,7 +220,7 @@ class ResourceAccount:
             return
         self._started = False
         self.wall_ms = (time.perf_counter() - self._wall0) * 1000.0
-        self.cpu_ms = (time.process_time() - self._cpu0) * 1000.0
+        self.cpu_ms = (time.thread_time() - self._cpu0) * 1000.0
         if self.memory:
             self.peak_alloc_bytes = tracemalloc.get_traced_memory()[1]
             if self._owns_tracemalloc:
@@ -225,13 +229,14 @@ class ResourceAccount:
 
 
 class RunRecorder:
-    """One query run's lifecycle: stamps context onto journal events.
+    """One library run's lifecycle: a ``submit`` event and one terminal
+    event, stamped with the run's ``query_id`` / ``trace_id``.
 
     Built by :class:`~repro.core.query.Query` (and the batch evaluator)
-    when a journal is configured; every method is a thin, typed wrapper
-    over :meth:`QueryJournal.emit` with the run's ``query_id`` /
-    ``trace_id`` applied, plus resource accounting for the terminal
-    event.
+    when a journal is configured; the terminal event carries the
+    resource account started at ``submit`` and whatever the run passes
+    (its plan, its cache attribution).  The query service writes its
+    own terminal event, built by its dispatch loop.
     """
 
     def __init__(
@@ -267,16 +272,6 @@ class RunRecorder:
             **payload,
         )
         self.account.start()
-
-    def plan(self, *, optimized: str, changed: bool, **payload: Any) -> None:
-        self._emit("plan", optimized=optimized, changed=changed, **payload)
-
-    def cache_probe(self, *, probe: str, hit: bool, **payload: Any) -> None:
-        self._emit("cache", probe=probe, hit=hit, **payload)
-
-    def evaluate(self, *, pairs: int, incidents: int, **payload: Any) -> None:
-        """One evaluation body."""
-        self._emit("evaluate", pairs=pairs, incidents=incidents, **payload)
 
     def finish(
         self,

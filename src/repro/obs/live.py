@@ -21,12 +21,13 @@ healthy right now?*  This module is that missing layer:
   live incident, the slow window confirms it is not a blip; a breach
   requires both to burn).
 
-The same aggregator serves two ingestion paths so live and post-hoc
-views share one code path: :meth:`WindowedAggregator.observe_request`
-is fed by the service's HTTP dispatch loop, and
-:meth:`WindowedAggregator.observe_event` replays journal terminal
-events — the ``repro-logs slo`` subcommand builds the identical report
-offline from a journal file.
+The aggregator has one ingestion method,
+:meth:`WindowedAggregator.observe_event`, which reads a terminal
+journal event.  The service's dispatch loop feeds it the terminal event
+of every request it answers, the same record it journals, and the
+``repro-logs slo`` subcommand replays a journal file through it; so a
+replay of a service journal reports what the live hub reported for the
+requests that journal holds.
 """
 
 from __future__ import annotations
@@ -260,30 +261,46 @@ class WindowedAggregator:
 
     # -- ingestion ---------------------------------------------------------
 
-    def observe_request(
-        self,
-        route: str,
-        status: int,
-        duration_s: float,
-        *,
-        store: str | None = None,
-        pattern: str | None = None,
-        pairs: int = 0,
-        killed: bool = False,
-        ts: float | None = None,
-    ) -> None:
-        """Record one finished request outcome into its time bucket."""
-        when = self._clock() if ts is None else ts
+    def observe_event(self, event: Mapping[str, Any]) -> bool:
+        """Record one **terminal** event (``finish``/``killed``) into the
+        bucket of its ``ts_unix`` (the clock's now when it has none).
+
+        This is the aggregator's one ingestion method: the service feeds
+        it the terminal event of every request it answers, and
+        ``repro-logs slo`` replays a journal through it.  Non-terminal
+        kinds are ignored (returns False), so a whole journal can be
+        streamed through unfiltered.  The route is the event's
+        ``endpoint`` label, else its ``op`` (library runs, older
+        journals); an event without ``http_status`` is a 500 when killed
+        and a 200 otherwise.
+        """
+        kind = event.get("event")
+        if kind not in ("finish", "killed"):
+            return False
+        killed = kind == "killed"
+        status = event.get("http_status")
+        if not isinstance(status, int):
+            status = 500 if killed else 200
         error = _classify_error(status, killed)
-        shape = None if pattern is None else pattern_shape(pattern)
-        duration_s = max(0.0, float(duration_s))
+        route = str(event.get("endpoint") or event.get("op", "?"))
+        store = event.get("store")
+        pattern = event.get("pattern")
+        shape = pattern_shape(pattern) if isinstance(pattern, str) else None
+        wall_ms = event.get("wall_ms")
+        duration_s = (
+            max(0.0, wall_ms / 1000.0) if isinstance(wall_ms, (int, float)) else 0.0
+        )
+        pairs = event.get("pairs")
+        pairs = pairs if isinstance(pairs, int) else 0
+        ts = event.get("ts_unix")
+        when = ts if isinstance(ts, (int, float)) else self._clock()
         with self._lock:
             bucket = self._bucket_at(when)
             bucket.total.add(duration_s, error=error, killed=killed, pairs=pairs)
             bucket.cell(bucket.routes, route, self.top_k).add(
                 duration_s, error=error, killed=killed, pairs=pairs
             )
-            if store is not None:
+            if isinstance(store, str):
                 bucket.cell(bucket.stores, store, self.top_k).add(
                     duration_s, error=error, killed=killed, pairs=pairs
                 )
@@ -292,41 +309,6 @@ class WindowedAggregator:
                     duration_s, error=error, killed=killed, pairs=pairs
                 )
             self.observed += 1
-
-    def observe_event(self, event: Mapping[str, Any]) -> bool:
-        """Record one journal **terminal** event (``finish``/``killed``).
-
-        Non-terminal kinds are ignored (returns False), so a whole
-        journal can be streamed through unfiltered — this is the offline
-        half of the shared code path (``repro-logs slo``).
-        """
-        kind = event.get("event")
-        if kind not in ("finish", "killed"):
-            return False
-        killed = kind == "killed" or event.get("status_override") == "error"
-        status = event.get("http_status")
-        if not isinstance(status, int):
-            status = 500 if killed else 200
-        wall_ms = event.get("wall_ms")
-        duration_s = float(wall_ms) / 1000.0 if isinstance(wall_ms, (int, float)) else 0.0
-        pairs = event.get("pairs")
-        ts = event.get("ts_unix")
-        self.observe_request(
-            str(event.get("op", "?")),
-            status,
-            duration_s,
-            store=(
-                str(event["store"]) if isinstance(event.get("store"), str) else None
-            ),
-            pattern=(
-                str(event["pattern"])
-                if isinstance(event.get("pattern"), str)
-                else None
-            ),
-            pairs=int(pairs) if isinstance(pairs, int) else 0,
-            killed=killed,
-            ts=float(ts) if isinstance(ts, (int, float)) else None,
-        )
         return True
 
     def replay(self, events: Iterable[Mapping[str, Any]]) -> int:

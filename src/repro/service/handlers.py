@@ -28,7 +28,10 @@ Request lifecycle of an evaluation endpoint (``/v1/query``,
    in-flight entry's cancel token, and evaluate under the governor they
    ask for; map kills and library errors through
    :func:`~repro.service.errors.map_exception` (the server survives,
-   the client gets structured JSON with partial stats).
+   the client gets structured JSON with partial stats);
+6. close the request's record, the lifecycle's terminal event, from
+   which the metrics, the live hub, the journal and the access log are
+   all written.
 
 Anything not mapped there becomes an opaque 500 — internal details
 never leak onto the wire.
@@ -51,7 +54,7 @@ from repro.core.eval.vectorized import VectorizedEngine
 from repro.core.governor import QueryContext, new_query_id, new_trace_id
 from repro.core.options import EngineOptions
 from repro.core.query import Query
-from repro.obs.journal import RunRecorder
+from repro.obs.journal import make_event
 from repro.obs.live import SloEngine, WindowedAggregator
 from repro.obs.log import get_logger
 from repro.obs.metrics import DEFAULT_SIZE_BUCKETS, MetricsRegistry
@@ -182,33 +185,17 @@ class ServiceResponse:
         return self._encoded
 
 
-class _RequestNote(threading.local):
-    """Per-thread attribution scratchpad for the request in flight.
-
-    The evaluation plumbing knows the pattern/store/pairs; the dispatch
-    loop owns timing and the single telemetry ingestion point.  A
-    thread-local bridges them without touching handler signatures on
-    the error unwind path.
-    """
-
-    store: str | None = None
-    pattern: str | None = None
-    pairs: int = 0
-    clamped: tuple[str, ...] = ()
-
-    def reset(self) -> None:
-        self.store = None
-        self.pattern = None
-        self.pairs = 0
-        self.clamped = ()
+def _ids(record: dict[str, Any]) -> dict[str, str]:
+    """The response headers that echo a request's ids."""
+    return {"X-Query-Id": record["query_id"], "X-Trace-Id": record["trace_id"]}
 
 
 def _error_response(
-    error: ServiceError, *, headers: dict[str, str] | None = None
+    error: ServiceError, record: dict[str, Any] | None = None
 ) -> ServiceResponse:
-    merged = dict(headers or {})
-    merged.update(error.headers())
-    return ServiceResponse(error.status, payload=error.payload(), headers=merged)
+    headers = {} if record is None else _ids(record)
+    headers.update(error.headers())
+    return ServiceResponse(error.status, payload=error.payload(), headers=headers)
 
 
 class QueryService:
@@ -249,7 +236,6 @@ class QueryService:
                 top_k=self.config.telemetry_top_k,
             )
             self.slo = SloEngine(self.config.slo_policy(), self.live)
-        self._note = _RequestNote()
         self._draining = threading.Event()
 
     # ------------------------------------------------------------------
@@ -279,34 +265,50 @@ class QueryService:
     ) -> ServiceResponse:
         """Route one request; never raises — errors become responses.
 
-        This is also the single telemetry ingestion point: every
-        response — success, mapped error, opaque 500 — flows through
-        :meth:`_observe` exactly once, so the windowed aggregator, the
-        ``service.*`` duration/size histograms and the access log can
-        never disagree about what happened.
+        Each request gets one record, a plain dict in the shape of a
+        journal terminal event: its ids, its endpoint label, and what
+        the handlers fill in (store, pattern, pairs, incidents, cache
+        layer, clamped options).  It is passed down the call like the
+        request itself, so it survives the error unwind, and
+        :meth:`_observe` derives every output from it — so the
+        ``service.*`` metrics, the live hub, the journal and the access
+        log can never disagree about what happened.
         """
-        started = time.perf_counter()
+        started, cpu0 = time.perf_counter(), time.thread_time()
         method = method.upper()
         path, _, query_string = path.partition("?")
         params: dict[str, list[str]] = (
             parse_qs(query_string) if query_string else {}
         )
-        headers = {
-            "X-Query-Id": new_query_id(),
-            "X-Trace-Id": new_trace_id(),
-        }
-        note = self._note
-        note.reset()
-        killed = False
+        record = make_event(
+            "finish",
+            query_id=new_query_id(),
+            trace_id=new_trace_id(),
+            endpoint=self._endpoint(path),
+            status="ok",
+            store=None,
+            pattern=None,
+            pairs=0,
+            incidents=0,
+            cache_layer=None,
+            clamped=[],
+        )
         try:
             response = self._route(
-                method, path.rstrip("/") or "/", body, headers, params
+                method, path.rstrip("/") or "/", body, record, params
             )
         except Exception as exc:  # noqa: BLE001 - the opaque-500 contract
             error = map_exception(exc)
-            killed = error.partial_stats is not None
-            response = _error_response(error, headers=headers)
-        self._observe(method, path, response, started, killed=killed)
+            record.update(status="error", error=error.code)
+            if error.partial_stats is not None:  # a governor kill
+                record.update(
+                    event="killed",
+                    reason=type(exc).__name__,
+                    message=str(exc),
+                    pairs=error.partial_stats.pairs_examined,
+                )
+            response = _error_response(error, record)
+        self._observe(method, path, response, record, started, cpu0)
         return response
 
     def _route(
@@ -314,7 +316,7 @@ class QueryService:
         method: str,
         path: str,
         body: bytes | None,
-        headers: dict[str, str],
+        record: dict[str, Any],
         params: Mapping[str, list[str]],
     ) -> ServiceResponse:
         route: Callable[..., ServiceResponse] | None = None
@@ -358,26 +360,26 @@ class QueryService:
                 args = (rest,)
         elif path == "/v1/query":
             route, allowed = self._post_query, ("POST",)
-            args = (body, headers)
+            args = (body, record)
         elif path == "/v1/batch":
             route, allowed = self._post_batch, ("POST",)
-            args = (body, headers)
+            args = (body, record)
         elif path == "/v1/lint":
             route, allowed = self._post_lint, ("POST",)
             args = (body,)
         elif path == "/v1/explain":
             route, allowed = self._post_explain, ("POST",)
-            args = (body, headers)
+            args = (body, record)
         elif path == "/v1/analyze":
             route, allowed = self._post_analyze, ("POST",)
-            args = (body, headers)
+            args = (body, record)
 
         if route is None:
             raise not_found(f"no route for {path}")
         if method not in allowed:
             raise method_not_allowed(method, path, allowed)
         response = route(*args)
-        for name, value in headers.items():
+        for name, value in _ids(record).items():
             response.headers.setdefault(name, value)
         return response
 
@@ -401,37 +403,39 @@ class QueryService:
         method: str,
         path: str,
         response: ServiceResponse,
+        record: dict[str, Any],
         started: float,
-        *,
-        killed: bool,
+        cpu0: float,
     ) -> None:
-        """Record one finished request everywhere it is observable."""
-        duration_s = time.perf_counter() - started
-        endpoint = self._endpoint(path)
-        status = response.status
-        note = self._note
+        """Close the request's record and derive every output from it.
+
+        The clocks stop after the response is encoded, so ``wall_ms`` is
+        the whole dispatch: admission wait and encode included.
+        """
+        size = len(response.body())
+        record["wall_ms"] = (time.perf_counter() - started) * 1000.0
+        record["cpu_ms"] = (time.thread_time() - cpu0) * 1000.0
+        record["ts_unix"] = time.time()
+        record["http_status"] = status = response.status
+        endpoint = record["endpoint"]
         self.metrics.counter(
             "service.requests",
             labels={"endpoint": endpoint, "status": str(status)},
         ).inc()
         self.metrics.histogram(
             "service.request_seconds", labels={"endpoint": endpoint}
-        ).observe(duration_s)
+        ).observe(record["wall_ms"] / 1000.0)
         self.metrics.histogram(
             "service.response_bytes",
             DEFAULT_SIZE_BUCKETS,
             labels={"endpoint": endpoint},
-        ).observe(float(len(response.body())))
+        ).observe(float(size))
+        # a record with a pattern was admitted: _evaluate opened its
+        # lifecycle with a submit event
+        if self.journal is not None and record["pattern"] is not None:
+            self.journal.write(record)
         if self.live is not None:
-            self.live.observe_request(
-                endpoint,
-                status,
-                duration_s,
-                store=note.store,
-                pattern=note.pattern,
-                pairs=note.pairs,
-                killed=killed,
-            )
+            self.live.observe_event(record)
         if self.config.access_log:
             _ACCESS_LOG.info(
                 json.dumps(
@@ -440,13 +444,13 @@ class QueryService:
                         "path": path,
                         "endpoint": endpoint,
                         "status": status,
-                        "duration_ms": round(duration_s * 1000.0, 3),
-                        "bytes": len(response.body()),
-                        "query_id": response.headers.get("X-Query-Id"),
-                        "killed": killed,
+                        "duration_ms": round(record["wall_ms"], 3),
+                        "bytes": size,
+                        "query_id": record["query_id"],
+                        "killed": record["event"] == "killed",
                         "shed": status == 429,
-                        "clamped": list(note.clamped),
-                        "store": note.store,
+                        "clamped": record["clamped"],
+                        "store": record["store"],
                     },
                     sort_keys=True,
                 )
@@ -481,37 +485,42 @@ class QueryService:
         op: str,
         options: EngineOptions,
         clamped: tuple[str, ...],
-        headers: dict[str, str],
+        record: dict[str, Any],
         body: Callable[[EngineOptions], dict[str, Any]],
         store: str | None = None,
     ) -> ServiceResponse:
-        """Run ``body`` under admission control, governor mapping, the
-        inflight registry and the journal lifecycle.
+        """Run ``body`` under admission control, the inflight registry
+        and the journal lifecycle.
 
         The request's context carries the ids :meth:`dispatch` minted;
-        the service journals at the HTTP boundary under them, and
-        ``body`` evaluates journal-free, so each request owns exactly one
-        submit → finish/killed lifecycle.  ``body`` receives ``options``
+        an admitted request opens its lifecycle with a ``submit`` event,
+        and :meth:`_observe` closes it with the request's record, so each
+        request owns exactly one submit → finish/killed lifecycle
+        (``body`` evaluates journal-free).  ``body`` receives ``options``
         finished with the shared metrics, the shared cache (when the
         request left it on) and the in-flight entry's cancel token, and
-        returns the success payload.
+        returns the success payload; what it raises, :meth:`dispatch`
+        maps.
         """
         self._check_draining()
         with self.admission.slot():
             ctx = QueryContext(
-                query_id=headers["X-Query-Id"],
-                trace_id=headers["X-Trace-Id"],
+                query_id=record["query_id"],
+                trace_id=record["trace_id"],
                 deadline_ms=options.deadline_ms,
                 max_pairs=options.max_pairs,
             )
-            recorder = None
             if self.journal is not None:
-                recorder = RunRecorder(self.journal, ctx, pattern=pattern, op=op)
-                recorder.submit()
-            note = self._note
-            note.pattern = pattern
-            note.store = store
-            note.clamped = clamped
+                self.journal.emit(
+                    "submit",
+                    query_id=ctx.query_id,
+                    trace_id=ctx.trace_id,
+                    pattern=pattern,
+                    op=op,
+                    deadline_ms=ctx.deadline_ms,
+                    max_pairs=ctx.max_pairs,
+                )
+            record.update(pattern=pattern, store=store, clamped=list(clamped))
             entry = self.inflight.register(ctx, pattern=pattern, op=op, store=store)
             try:
                 payload = body(
@@ -521,41 +530,17 @@ class QueryService:
                         cancel=entry.cancel,
                     )
                 )
-            except Exception as exc:  # noqa: BLE001 - mapped below
-                error = map_exception(exc)
-                note.pairs = int(
-                    getattr(error.partial_stats, "pairs_examined", 0) or 0
-                )
-                if recorder is not None:
-                    if error.partial_stats is not None:
-                        recorder.killed(
-                            exc, store=store, http_status=error.status
-                        )
-                    else:
-                        recorder.finish(
-                            stats=None,
-                            incidents=0,
-                            status_override="error",
-                            error=error.code,
-                            http_status=error.status,
-                            store=store,
-                        )
-                raise error from exc
             finally:
                 self.inflight.remove(ctx.query_id)
-            stats_obj = payload.pop("_stats_obj", None)
-            note.pairs = int(getattr(stats_obj, "pairs_examined", 0) or 0)
-            if recorder is not None:
-                recorder.finish(
-                    stats=stats_obj,
-                    incidents=int(payload.get("count", 0) or 0),
-                    endpoint=op,
-                    store=store,
-                    http_status=200,
-                )
-            if clamped:
-                payload["clamped"] = list(clamped)
-            return ServiceResponse(200, payload=payload, headers=dict(headers))
+        stats = payload.pop("_stats_obj", None)
+        record.update(
+            pairs=0 if stats is None else stats.pairs_examined,
+            incidents=payload["count"],
+            cache_layer=payload.get("cache_layer"),
+        )
+        if clamped:
+            payload["clamped"] = list(clamped)
+        return ServiceResponse(200, payload=payload)
 
     # ------------------------------------------------------------------
     # GET endpoints
@@ -718,7 +703,7 @@ class QueryService:
         return ServiceResponse(200, payload=result)
 
     def _post_query(
-        self, body: bytes | None, headers: dict[str, str]
+        self, body: bytes | None, record: dict[str, Any]
     ) -> ServiceResponse:
         request = parse_query_request(decode_json_body(body, what="query"))
         options, clamped = self.config.clamp(request.options)
@@ -757,13 +742,13 @@ class QueryService:
             op="http.query",
             options=options,
             clamped=clamped,
-            headers=headers,
+            record=record,
             body=run,
             store=request.log,
         )
 
     def _post_batch(
-        self, body: bytes | None, headers: dict[str, str]
+        self, body: bytes | None, record: dict[str, Any]
     ) -> ServiceResponse:
         request = parse_batch_request(decode_json_body(body, what="batch"))
         options, clamped = self.config.clamp(request.options)
@@ -811,7 +796,7 @@ class QueryService:
             op="http.batch",
             options=options,
             clamped=clamped,
-            headers=headers,
+            record=record,
             body=run,
             store=request.log,
         )
@@ -835,7 +820,7 @@ class QueryService:
         )
 
     def _post_explain(
-        self, body: bytes | None, headers: dict[str, str]
+        self, body: bytes | None, record: dict[str, Any]
     ) -> ServiceResponse:
         request = parse_explain_request(decode_json_body(body, what="explain"))
         options, clamped = self.config.clamp(request.options)
@@ -858,13 +843,13 @@ class QueryService:
             op="http.explain",
             options=options,
             clamped=clamped,
-            headers=headers,
+            record=record,
             body=run,
             store=request.log,
         )
 
     def _post_analyze(
-        self, body: bytes | None, headers: dict[str, str]
+        self, body: bytes | None, record: dict[str, Any]
     ) -> ServiceResponse:
         from repro.analysis import PatternProver, default_prover
         from repro.core.parser import parse
@@ -897,6 +882,6 @@ class QueryService:
             op="http.analyze",
             options=options,
             clamped=clamped,
-            headers=headers,
+            record=record,
             body=run,
         )

@@ -10,6 +10,7 @@ reimbursement activity ``GetReimberse``; the running text uses
 from __future__ import annotations
 
 import random
+import threading
 
 import pytest
 
@@ -131,3 +132,21 @@ def incidents_built(monkeypatch) -> list[int]:
 @pytest.fixture()
 def rng() -> random.Random:
     return random.Random(20240704)
+
+
+@pytest.fixture()
+def spinner():
+    """A pure-Python thread competing for the interpreter lock for the
+    whole test, as a neighbour request does in the threaded daemon."""
+    stop = threading.Event()
+
+    def spin() -> None:
+        while not stop.is_set():
+            pass
+
+    thread = threading.Thread(target=spin, daemon=True)
+    thread.start()
+    yield
+    stop.set()
+    thread.join(timeout=5)
+    assert not thread.is_alive()

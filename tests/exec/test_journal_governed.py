@@ -1,9 +1,9 @@
 """Journal lifecycle and governor kills of ``Query`` runs and batches.
 
-One run is one query record: one ``query_id``/``trace_id`` across every
-event, one ``evaluate`` event whose pairs equal the terminal event's
-total; governed runs die with the typed error and the journal closes
-with a ``killed`` event.
+One run is one query record: one ``query_id``/``trace_id`` across its
+``submit`` and its terminal event, which carries the run's pairs;
+governed runs die with the typed error and the journal closes with a
+``killed`` event.
 """
 
 import pytest
@@ -44,10 +44,8 @@ class TestBatchJournal:
         journal = QueryJournal()
         batch = evaluate_batch(clinic_log, self.PATTERNS, EngineOptions(journal=journal))
         validate_journal(journal.events)
-        assert _kinds(journal) == ["submit", "evaluate", "finish"]
-        evaluate, finish = journal.events[1], journal.events[-1]
-        assert evaluate["mode"] == "batch"
-        assert evaluate["pairs"] == finish["pairs"]
+        assert _kinds(journal) == ["submit", "finish"]
+        finish = journal.events[-1]
         assert finish["queries"] == 3
         assert finish["incidents"] == sum(len(r) for r in batch.results)
         assert finish["pairs"] == batch.stats.pairs_examined
@@ -91,8 +89,9 @@ class TestBatchJournal:
         evaluate_batch(clinic_log, self.PATTERNS, options)
         evaluate_batch(clinic_log, self.PATTERNS, options)
         validate_journal(journal.events)
-        probes = [e for e in journal.events if e["event"] == "cache"]
-        assert [e["hit"] for e in probes] == [False, True]
+        assert _kinds(journal) == ["submit", "finish"] * 2
+        finishes = [e for e in journal.events if e["event"] == "finish"]
+        assert [e["cache_hits"] for e in finishes] == [0, 3]
 
     def test_journal_off_results_unchanged(self, clinic_log):
         plain = evaluate_batch(clinic_log, self.PATTERNS)

@@ -29,6 +29,18 @@ class _FakeClock:
         return self.now
 
 
+def _request(http_status=200, duration_s=0.01, *, killed=False, **fields) -> dict:
+    """The terminal event the service writes for one ``/v1/query`` it
+    answered (no ``ts_unix``: the aggregator's clock places it)."""
+    return {
+        "event": "killed" if killed else "finish",
+        "endpoint": "/v1/query",
+        "http_status": http_status,
+        "wall_ms": duration_s * 1000.0,
+        **fields,
+    }
+
+
 def _aggregator(**kwargs) -> tuple[WindowedAggregator, _FakeClock]:
     clock = _FakeClock()
     kwargs.setdefault("bucket_s", 10.0)
@@ -41,9 +53,9 @@ class TestRotation:
         aggregator, clock = _aggregator()
         # one request right before the boundary, one right after
         clock.now = 1009.999
-        aggregator.observe_request("/v1/query", 200, 0.01)
+        aggregator.observe_event(_request(200, 0.01))
         clock.now = 1010.001
-        aggregator.observe_request("/v1/query", 200, 0.01)
+        aggregator.observe_event(_request(200, 0.01))
         snapshot = aggregator.window(60.0)
         assert snapshot.total.count == 2
         # a window covering only the newer bucket sees exactly one
@@ -51,26 +63,26 @@ class TestRotation:
 
     def test_old_bucket_falls_out_of_the_window(self):
         aggregator, clock = _aggregator()
-        aggregator.observe_request("/v1/query", 200, 0.01)
+        aggregator.observe_event(_request(200, 0.01))
         clock.now += 60.0  # a full ring later
         assert aggregator.window(60.0).total.count == 0
 
     def test_ring_lap_resets_the_slot_instead_of_merging(self):
         aggregator, clock = _aggregator()
-        aggregator.observe_request("/v1/query", 500, 0.01)
+        aggregator.observe_event(_request(500, 0.01))
         # exactly one ring length later the same slot is reused: the old
         # epoch's error must not leak into the new bucket
         clock.now += 60.0
-        aggregator.observe_request("/v1/query", 200, 0.01)
+        aggregator.observe_event(_request(200, 0.01))
         snapshot = aggregator.window(60.0)
         assert snapshot.total.count == 1
         assert snapshot.total.errors == 0
 
     def test_quiet_gap_is_not_back_filled(self):
         aggregator, clock = _aggregator()
-        aggregator.observe_request("/v1/query", 200, 0.01)
+        aggregator.observe_event(_request(200, 0.01))
         clock.now += 30.0  # three silent buckets
-        aggregator.observe_request("/v1/query", 200, 0.01)
+        aggregator.observe_event(_request(200, 0.01))
         assert aggregator.window(60.0).total.count == 2
         # the trailing 20s covers only the newest bucket + one silent one
         assert aggregator.window(20.0).total.count == 1
@@ -82,12 +94,12 @@ class TestRotation:
         times = [1000.0 + i * 3.7 for i in range(25)]  # spans ~92s
         for when in times:
             clock.now = when
-            aggregator.observe_request("/v1/query", 200, 0.001)
+            aggregator.observe_event(_request(200, 0.001))
         assert aggregator.window(100.0).total.count == len(times)
 
     def test_window_clamps_to_ring_span_and_bucket_floor(self):
         aggregator, clock = _aggregator()
-        aggregator.observe_request("/v1/query", 200, 0.01)
+        aggregator.observe_event(_request(200, 0.01))
         assert aggregator.window(10_000.0).window_s == 60.0
         assert aggregator.window(0.001).window_s == 10.0
 
@@ -97,7 +109,7 @@ class TestRotation:
 
         def write() -> None:
             for _ in range(per_thread):
-                aggregator.observe_request("/v1/query", 200, 0.001)
+                aggregator.observe_event(_request(200, 0.001))
 
         threads = [threading.Thread(target=write) for _ in range(8)]
         for thread in threads:
@@ -111,13 +123,13 @@ class TestRotation:
 class TestAttribution:
     def test_dimensions_and_error_classification(self):
         aggregator, _ = _aggregator()
-        aggregator.observe_request(
-            "/v1/query", 200, 0.01, store="clinic", pattern="A -> B", pairs=5
+        aggregator.observe_event(
+            _request(200, 0.01, store="clinic", pattern="A -> B", pairs=5)
         )
-        aggregator.observe_request("/v1/query", 408, 0.02, store="clinic", killed=True)
-        aggregator.observe_request("/v1/query", 429, 0.001)  # shed: not an error
-        aggregator.observe_request("/v1/query", 400, 0.001)  # client fault: no burn
-        aggregator.observe_request("/v1/query", 500, 0.001)
+        aggregator.observe_event(_request(408, 0.02, store="clinic", killed=True))
+        aggregator.observe_event(_request(429, 0.001))  # shed: not an error
+        aggregator.observe_event(_request(400, 0.001))  # client fault: no burn
+        aggregator.observe_event(_request(500, 0.001))
         snapshot = aggregator.window(60.0)
         assert snapshot.total.count == 5
         assert snapshot.total.errors == 2  # the 408 kill and the 500
@@ -128,8 +140,8 @@ class TestAttribution:
 
     def test_pattern_attribution_uses_normalised_shape(self):
         aggregator, _ = _aggregator()
-        aggregator.observe_request("/v1/query", 200, 0.01, pattern="A -> B")
-        aggregator.observe_request("/v1/query", 200, 0.01, pattern="A->B")
+        aggregator.observe_event(_request(200, 0.01, pattern="A -> B"))
+        aggregator.observe_event(_request(200, 0.01, pattern="A->B"))
         snapshot = aggregator.window(60.0)
         assert len(snapshot.patterns) == 1  # both spell the same shape
         (cell,) = snapshot.patterns.values()
@@ -138,7 +150,7 @@ class TestAttribution:
     def test_top_k_overflow_folds_into_other(self):
         aggregator, _ = _aggregator(top_k=2)
         for name in ("s1", "s2", "s3", "s4"):
-            aggregator.observe_request("/v1/query", 200, 0.01, store=name)
+            aggregator.observe_event(_request(200, 0.01, store=name))
         snapshot = aggregator.window(60.0)
         assert set(snapshot.stores) == {"s1", "s2", OTHER_KEY}
         assert snapshot.stores[OTHER_KEY].count == 2
@@ -147,8 +159,8 @@ class TestAttribution:
     def test_report_ranks_by_count_and_caps_rows(self):
         aggregator, _ = _aggregator()
         for _ in range(3):
-            aggregator.observe_request("/v1/query", 200, 0.01, store="busy")
-        aggregator.observe_request("/v1/query", 200, 0.01, store="quiet")
+            aggregator.observe_event(_request(200, 0.01, store="busy"))
+        aggregator.observe_event(_request(200, 0.01, store="quiet"))
         report = aggregator.window(60.0).report(top=1)
         assert [row["key"] for row in report["stores"]] == ["busy"]
         assert report["requests"] == 4
@@ -188,6 +200,25 @@ class TestJournalReplay:
         assert snapshot.total.errors == 1
         assert snapshot.stores["clinic"].count == 1
         assert snapshot.routes["http.query"].count == 2
+
+    def test_route_is_the_endpoint_label_else_the_op(self):
+        aggregator, clock = _aggregator()
+        aggregator.observe_event(_request(200, op="http.query"))
+        aggregator.observe_event({"event": "finish", "op": "run"})
+        snapshot = aggregator.window(60.0)
+        assert sorted(snapshot.routes) == ["/v1/query", "run"]
+
+    def test_an_answered_client_error_burns_nothing(self):
+        """A 400 the service answered after admission (a pattern that
+        does not parse) is a ``finish`` with ``status: "error"``: neither
+        an error against the budget nor a kill."""
+        aggregator, _ = _aggregator()
+        aggregator.observe_event(
+            _request(400, status="error", error="bad_request", pattern="A ->")
+        )
+        snapshot = aggregator.window(60.0)
+        assert (snapshot.total.count, snapshot.total.errors) == (1, 0)
+        assert snapshot.total.killed == 0
 
     def test_killed_without_status_defaults_to_error(self):
         aggregator, clock = _aggregator()
@@ -234,10 +265,10 @@ class TestSloEngine:
         aggregator, clock = _aggregator()
         # old clean traffic dilutes the slow window below the threshold
         for _ in range(50):
-            aggregator.observe_request("/v1/query", 200, 0.001)
+            aggregator.observe_event(_request(200, 0.001))
         clock.now += 50.0
         for _ in range(5):
-            aggregator.observe_request("/v1/query", 500, 0.001)
+            aggregator.observe_event(_request(500, 0.001))
         (row,) = self._engine(aggregator).evaluate()
         assert row["burn_fast"] == pytest.approx(10.0)  # 100% bad / 10% budget
         assert row["burn_slow"] < 1.0
@@ -246,7 +277,7 @@ class TestSloEngine:
     def test_sustained_burn_breaches(self):
         aggregator, _ = _aggregator()
         for _ in range(10):
-            aggregator.observe_request("/v1/query", 500, 0.001)
+            aggregator.observe_event(_request(500, 0.001))
         engine = self._engine(aggregator)
         (row,) = engine.evaluate()
         assert row["breach"]
@@ -257,9 +288,9 @@ class TestSloEngine:
     def test_latency_objective_burns_on_slow_requests(self):
         aggregator, _ = _aggregator()
         for _ in range(5):
-            aggregator.observe_request("/v1/query", 200, 0.001)
+            aggregator.observe_event(_request(200, 0.001))
         for _ in range(5):
-            aggregator.observe_request("/v1/query", 200, 5.0)
+            aggregator.observe_event(_request(200, 5.0))
         (row,) = self._engine(
             aggregator, kind="latency", target=0.9, latency_threshold_s=0.5
         ).evaluate()
@@ -271,9 +302,9 @@ class TestSloEngine:
     def test_scoped_objective_reads_only_its_cell(self):
         aggregator, _ = _aggregator()
         for _ in range(5):
-            aggregator.observe_request("/v1/query", 500, 0.001, store="sick")
+            aggregator.observe_event(_request(500, 0.001, store="sick"))
         for _ in range(5):
-            aggregator.observe_request("/v1/query", 200, 0.001, store="healthy")
+            aggregator.observe_event(_request(200, 0.001, store="healthy"))
         (sick,) = self._engine(aggregator, store="sick").evaluate()
         (healthy,) = self._engine(aggregator, store="healthy").evaluate()
         assert sick["breach"]

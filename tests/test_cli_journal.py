@@ -61,20 +61,21 @@ class TestQueryJournalFlag:
         events = read_journal(path, validate=True)
         assert len({e["query_id"] for e in events}) == 2
 
-    def test_one_evaluate_event_carries_the_finish_pairs(
-        self, tmp_path, clinic_file
+    def test_the_terminal_event_carries_the_runs_stats_pairs(
+        self, tmp_path, clinic_file, capsys
     ):
         path = tmp_path / "journal.jsonl"
         code = main([
             "query", "--log", clinic_file, "--pattern", CHAIN,
-            "--journal", str(path),
+            "--journal", str(path), "--trace",
         ])
         assert code == 0
+        out = capsys.readouterr().out
         events = read_journal(path, validate=True)
+        assert [e["event"] for e in events] == ["submit", "finish"]
         assert len({e["query_id"] for e in events}) == 1
-        (evaluate,) = [e for e in events if e["event"] == "evaluate"]
-        assert evaluate["pairs"] == events[-1]["pairs"] > 0
-
+        assert events[-1]["pairs"] > 0
+        assert f"traced / {events[-1]['pairs']} counted" in out
 
     def test_a_cached_run_journals_its_cache_probe(self, tmp_path, clinic_file):
         path = tmp_path / "journal.jsonl"
@@ -84,8 +85,8 @@ class TestQueryJournalFlag:
         ])
         assert code == 0
         events = read_journal(path, validate=True)
-        (probe,) = [e for e in events if e["event"] == "cache"]
-        assert probe["probe"] == "result" and probe["hit"] is False
+        assert [e["event"] for e in events] == ["submit", "finish"]
+        assert events[-1]["cache_result_hits"] == 0
 
 
 class TestGovernorExitCode:
@@ -200,6 +201,29 @@ class TestEventsCommand:
         assert read_journal(journal_file, validate=True)[-1]["event"] == "shard"
         assert main(["events", "--journal", journal_file, "--kind", "shard"]) == 0
         assert "shards=8 backend=process jobs=4" in capsys.readouterr().out
+
+    def test_a_journal_holding_plan_cache_and_evaluate_events_still_reads(
+        self, journal_file, capsys
+    ):
+        """Nothing emits them any more; files on disk have them between a
+        run's ``submit`` and its terminal event."""
+        with open(journal_file, encoding="utf-8") as handle:
+            submit = json.loads(handle.readline())
+        old = [
+            dict(submit, event="plan", optimized=CHAIN, changed=False),
+            dict(submit, event="cache", probe="result", hit=False),
+            dict(submit, event="evaluate", pairs=12, incidents=3),
+        ]
+        with open(journal_file, "a", encoding="utf-8") as handle:
+            for seq, event in enumerate(old, start=100):
+                del event["pattern"], event["op"]
+                handle.write(json.dumps(dict(event, seq=seq)) + "\n")
+        events = read_journal(journal_file, validate=True)
+        assert [e["event"] for e in events[-3:]] == ["plan", "cache", "evaluate"]
+        assert main(["slo", "--journal", journal_file, "--format", "json"]) in (0, 1)
+        assert json.loads(capsys.readouterr().out)["replayed"] == 2
+        assert main(["events", "--journal", journal_file, "--kind", "evaluate"]) == 0
+        assert "--- 1 of 7 event(s) ---" in capsys.readouterr().out
 
     def test_missing_journal_is_a_usage_error(self, tmp_path, capsys):
         code = main(["events", "--journal", str(tmp_path / "absent.jsonl")])

@@ -3,8 +3,10 @@ every ``src/`` / ``tests/`` / ``benchmarks/`` / ``examples/`` file and
 every ``--flag`` in README.md, DESIGN.md, EXPERIMENTS.md and docs/*.md
 resolves against the tree, every CLI flag is named in some doc,
 docs/SERVICE.md's reply-field table is the key set of the golden bodies,
-its request-option table is the key set of the wire schema, and the
-README's ``EngineOptions`` table is the dataclass's field set."""
+its request-option table is the key set of the wire schema and its
+access-log table the key set of a logged line, docs/OBSERVABILITY.md's
+journal table lists the fields journaled runs and requests write, and
+the README's ``EngineOptions`` table is the dataclass's field set."""
 
 import argparse
 import dataclasses
@@ -143,3 +145,75 @@ def test_readme_and_engine_options_name_the_same_fields():
     fields = {field.name for field in dataclasses.fields(EngineOptions)}
     assert fields - in_table == set(), "EngineOptions fields the README does not list"
     assert in_table - fields == set(), "the README lists EngineOptions fields that do not exist"
+
+
+def journal_row_fields(kind: str) -> set[str]:
+    """The backticked names in the fields cell of ``kind``'s row of the
+    journal table in docs/OBSERVABILITY.md."""
+    text = (ROOT / "docs/OBSERVABILITY.md").read_text(encoding="utf-8")
+    label = "every event" if kind == "*" else f"`{kind}`"
+    (row,) = re.findall(rf"(?m)^\| {re.escape(label)} \|.*$", text)
+    return set(re.findall(r"`(\w+)`", row.split("|")[3]))
+
+
+def emitted_journal_fields(tmp_path, clinic_log) -> dict[str, set[str]]:
+    """Every field, per event kind, that journaled ``repro-logs query`` /
+    ``batch`` runs and journaled service ``/v1/query`` requests write:
+    finished, cached, failed and killed ones."""
+    from repro.cli import main
+    from repro.logstore.io_jsonl import write_jsonl
+    from repro.obs.journal import QueryJournal, read_journal
+    from repro.service import QueryService, StoreCatalog
+
+    log_file, journal_file = tmp_path / "clinic.jsonl", tmp_path / "journal.jsonl"
+    write_jsonl(clinic_log, log_file)
+    base = ["--log", str(log_file), "--journal", str(journal_file)]
+    assert main(["query", *base, "--pattern", "GetRefer -> CheckIn", "--cache"]) == 0
+    assert main(["query", *base, "--pattern", "GetRefer -> CheckIn", "--max-pairs", "3"]) == 4
+    assert main(["batch", *base, "GetRefer", "GetRefer -> CheckIn"]) == 0
+    assert main(["batch", *base, "GetRefer -> CheckIn", "--max-pairs", "3"]) == 4
+    events = read_journal(journal_file, validate=True)
+
+    catalog = StoreCatalog()
+    catalog.add_log("clinic", clinic_log)
+    service = QueryService(catalog, journal=QueryJournal())
+    for body, status in (
+        ({"pattern": "GetRefer -> CheckIn"}, 200),
+        ({"pattern": "A ->"}, 400),
+        ({"pattern": "GetRefer -> CheckIn", "options": {"deadline_ms": 0.001, "cache": False}}, 408),
+    ):
+        body = json.dumps({"log": "clinic", **body}).encode()
+        assert service.dispatch("POST", "/v1/query", body).status == status
+    events += service.journal.events
+
+    fields: dict[str, set[str]] = {}
+    for event in events:
+        fields.setdefault(event["event"], set()).update(event)
+    return fields
+
+
+def test_observability_doc_and_journal_name_the_same_event_fields(tmp_path, clinic_log):
+    emitted = emitted_journal_fields(tmp_path, clinic_log)
+    assert set(emitted) == {"submit", "finish", "killed"}
+    envelope = journal_row_fields("*")
+    for kind, written in emitted.items():
+        documented = envelope | journal_row_fields(kind)
+        assert written - documented == set(), f"{kind} fields docs/OBSERVABILITY.md does not list"
+        assert documented - written == set(), f"docs/OBSERVABILITY.md lists {kind} fields no run writes"
+
+
+def test_service_doc_and_access_log_name_the_same_keys(clinic_log, caplog):
+    import logging
+
+    from repro.service import QueryService, ServiceConfig, StoreCatalog
+
+    catalog = StoreCatalog()
+    catalog.add_log("clinic", clinic_log)
+    service = QueryService(catalog, ServiceConfig(access_log=True))
+    with caplog.at_level(logging.INFO, logger="repro.service.access"):
+        service.dispatch("POST", "/v1/query", b'{"log": "clinic", "pattern": "GetRefer"}')
+    (record,) = caplog.records
+    logged = set(json.loads(record.message))
+    in_table = table_keys("docs/SERVICE.md", "Access log")
+    assert logged - in_table == set(), "access-log keys docs/SERVICE.md does not list"
+    assert in_table - logged == set(), "docs/SERVICE.md lists access-log keys no line has"
