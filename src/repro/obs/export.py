@@ -11,9 +11,11 @@ tooling can dispatch and version-check:
   summaries and a machine fingerprint
   (:func:`repro.obs.bench.runner.run_suite`).
 
-``validate_*`` functions are dependency-free structural validators (no
-jsonschema): they raise :class:`SchemaError` on the first violation and
-are what the CI smoke job and the golden-file tests run.  Timing fields
+Each schema is one field table (``TRACE_FIELDS``, ``METRICS_FIELDS``,
+``PROFILE_FIELDS``, ``BENCH_FIELDS``) checked by :func:`repro.fields.walk`;
+a ``validate_*`` function raises :class:`SchemaError` on the walk's first
+finding, then runs the document's few cross-field checks.  They are what
+the CI smoke job and the golden-file tests run.  Timing fields
 are the only non-deterministic part of a trace; ``include_timing=False``
 omits them, giving byte-stable documents for golden files.
 """
@@ -22,6 +24,7 @@ from __future__ import annotations
 
 from typing import Any, Mapping
 
+from repro.fields import Field, table, walk
 from repro.obs.metrics import MetricsRegistry
 from repro.obs.tracer import Span
 
@@ -115,228 +118,151 @@ def _render_children(
 
 
 # ---------------------------------------------------------------------------
-# validators
+# validators: one field table per document, walked by repro.fields.walk
 # ---------------------------------------------------------------------------
 
-def _require(condition: bool, message: str) -> None:
-    if not condition:
-        raise SchemaError(message)
+def conform(rows: Mapping[str, Field], doc: Any, what: str) -> None:
+    """Raise :class:`SchemaError` on the first way ``doc`` breaks ``rows``."""
+    _, found = walk(rows, doc)
+    if found:
+        path, message = found[0]
+        raise SchemaError(f"{what}: {path} {message}" if path else f"{what} {message}")
 
 
-def _require_mapping(doc: Any, what: str) -> Mapping[str, Any]:
-    _require(isinstance(doc, Mapping), f"{what} must be an object")
-    return doc
+def _schema(tag: str) -> Field:
+    return Field("schema", "str", choices=(tag,), doc="the document's version tag")
 
 
-def _validate_span(node: Any, path: str) -> None:
-    node = _require_mapping(node, f"span {path}")
-    for field in ("label", "count", "tags", "metrics", "children"):
-        _require(field in node, f"span {path} is missing {field!r}")
-    _require(isinstance(node["label"], str), f"span {path}: label must be a string")
-    _require(
-        isinstance(node["count"], int) and node["count"] >= 0,
-        f"span {path}: count must be a non-negative integer",
-    )
-    _require_mapping(node["tags"], f"span {path} tags")
-    metrics = _require_mapping(node["metrics"], f"span {path} metrics")
-    for name, value in metrics.items():
-        _require(
-            isinstance(value, (int, float)) and not isinstance(value, bool),
-            f"span {path}: metric {name!r} must be numeric",
-        )
-    for field in ("elapsed_s", "cpu_s"):
-        if field in node:
-            _require(
-                isinstance(node[field], (int, float)) and node[field] >= 0,
-                f"span {path}: {field} must be a non-negative number",
-            )
-    _require(isinstance(node["children"], list), f"span {path}: children must be a list")
-    for index, child in enumerate(node["children"]):
-        _validate_span(child, f"{path}.{index}")
+#: One span of a trace; ``children`` are spans again.
+SPAN_FIELDS = table(
+    Field("label", "text", doc="operator symbol or activity"),
+    Field("count", "nonneg_int", doc="evaluations folded into the span"),
+    Field("tags", "object", doc="string annotations"),
+    Field("metrics", ("map", "num"), doc="amounts: n1, n2, pairs, incidents, ..."),
+    Field("elapsed_s", "nonneg_num", False, doc="wall time (omitted without timing)"),
+    Field("cpu_s", "nonneg_num", False, doc="CPU time (omitted without timing)"),
+)
+SPAN_FIELDS["children"] = Field("children", ("list", SPAN_FIELDS), doc="child spans")
+
+TRACE_FIELDS = table(_schema(TRACE_SCHEMA), Field("root", SPAN_FIELDS, doc="the root span"))
+
+HISTOGRAM_FIELDS = table(
+    Field("buckets", ("list", "num"), doc="upper bounds, unique and ascending"),
+    Field("counts", ("list", "nonneg_int"), doc="per bucket, then the overflow bucket"),
+    Field("sum", "num", doc="sum of the observations"),
+    Field("count", "nonneg_int", doc="number of observations"),
+)
+
+METRICS_FIELDS = table(
+    _schema(METRICS_SCHEMA),
+    Field("counters", ("map", "nonneg_int"), doc="monotonic counts"),
+    Field("gauges", ("map", "num"), doc="last or peak values"),
+    Field("histograms", ("map", HISTOGRAM_FIELDS), doc="bucketed observations"),
+)
+
+#: One node of a profile; operator nodes carry every row, leaves only
+#: the required ones.
+PROFILE_NODE_FIELDS = table(
+    Field("path", "text", doc="root, root.0, root.0.1, ..."),
+    Field("label", "text", doc="operator symbol or activity"),
+    Field("kind", "text", choices=("operator", "leaf"), doc="operator or leaf"),
+    Field("count", "int", doc="evaluations of the node"),
+    Field("incidents", "num", doc="incidents the node produced"),
+    Field("elapsed_s", "num", doc="wall time in the node and below"),
+    Field("self_s", "num", doc="wall time in the node alone"),
+    Field("operator", "text", False, doc="operator symbol"),
+    Field("n1", "num", False, doc="left input size"),
+    Field("n2", "num", False, doc="right input size"),
+    Field("pairs", "num", False, doc="pairs examined"),
+    Field("predicted_pairs", "num", False, doc="the cost model's pair estimate"),
+)
+
+PROFILE_FIELDS = table(
+    _schema(PROFILE_SCHEMA),
+    Field("engine", "text", doc="engine that ran the query"),
+    Field("pattern", "text", doc="pattern as written"),
+    Field("optimized", "text", doc="pattern as evaluated"),
+    Field("totals", table(*(
+        Field(name, "num", doc=f"whole-query {name}")
+        for name in ("operator_evals", "pairs_examined", "incidents_produced",
+                     "max_live_incidents", "predicted_pairs", "elapsed_s")
+    )), doc="whole-query totals"),
+    Field("nodes", ("nonempty_list", PROFILE_NODE_FIELDS), doc="per-node costs"),
+    Field("hottest", table(Field("path", "text"), Field("label", "any")),
+          doc="the node with the most self time"),
+)
+
+BENCH_STATS_FIELDS = table(
+    *(Field(name, "nonneg_num", doc=f"{name[:-2]} of the kept samples")
+      for name in ("median_s", "min_s", "max_s", "mean_s", "iqr_s", "mad_s")),
+    Field("n", "pos_int", doc="kept samples (the median always survives)"),
+    Field("rejected", "nonneg_int", doc="samples rejected as outliers"),
+)
+
+BENCH_CASE_FIELDS = table(
+    Field("name", "str", doc="unique case name"),
+    Field("suites", ("list", "text"), doc="suites the case belongs to"),
+    Field("params", "object", doc="the case's parameters"),
+    Field("samples_s", ("nonempty_list", "nonneg_num"), doc="timed repetitions"),
+    Field("stats", BENCH_STATS_FIELDS, doc="robust summary of the samples"),
+)
+
+BENCH_FIELDS = table(
+    _schema(BENCH_SCHEMA),
+    Field("suite", "str", doc="suite name"),
+    Field("created_unix", "nonneg_int", doc="when the run finished"),
+    Field("machine", table(*(
+        Field(name, "any", doc="machine fingerprint")
+        for name in ("platform", "machine", "python", "implementation", "cpu_count")
+    )), doc="machine fingerprint"),
+    Field("config", table(
+        Field("warmup", "any", doc="untimed repetitions"),
+        Field("repeats", "pos_int", doc="timed repetitions"),
+        Field("mad_k", "any", doc="outlier cut in MADs"),
+    ), doc="runner configuration"),
+    Field("cases", ("nonempty_list", BENCH_CASE_FIELDS), doc="one entry per case"),
+)
 
 
 def validate_trace(doc: Any) -> None:
     """Raise :class:`SchemaError` unless ``doc`` is a valid trace export."""
-    doc = _require_mapping(doc, "trace document")
-    _require(doc.get("schema") == TRACE_SCHEMA, f"schema must be {TRACE_SCHEMA!r}")
-    _require("root" in doc, "trace document is missing 'root'")
-    _validate_span(doc["root"], "root")
+    conform(TRACE_FIELDS, doc, "trace document")
 
 
 def validate_metrics(doc: Any) -> None:
     """Raise :class:`SchemaError` unless ``doc`` is a valid metrics export."""
-    doc = _require_mapping(doc, "metrics document")
-    _require(doc.get("schema") == METRICS_SCHEMA, f"schema must be {METRICS_SCHEMA!r}")
-    for section in ("counters", "gauges", "histograms"):
-        _require(section in doc, f"metrics document is missing {section!r}")
-    for name, value in _require_mapping(doc["counters"], "counters").items():
-        _require(
-            isinstance(value, int) and value >= 0,
-            f"counter {name!r} must be a non-negative integer",
-        )
-    for name, value in _require_mapping(doc["gauges"], "gauges").items():
-        _require(
-            isinstance(value, (int, float)) and not isinstance(value, bool),
-            f"gauge {name!r} must be numeric",
-        )
-    for name, hist in _require_mapping(doc["histograms"], "histograms").items():
-        hist = _require_mapping(hist, f"histogram {name!r}")
-        for field in ("buckets", "counts", "sum", "count"):
-            _require(field in hist, f"histogram {name!r} is missing {field!r}")
+    conform(METRICS_FIELDS, doc, "metrics document")
+    for name, hist in doc["histograms"].items():
         buckets, counts = hist["buckets"], hist["counts"]
-        _require(
-            isinstance(buckets, list) and isinstance(counts, list),
-            f"histogram {name!r}: buckets/counts must be lists",
-        )
-        _require(
-            len(counts) == len(buckets) + 1,
-            f"histogram {name!r}: need len(buckets)+1 counts (overflow bucket)",
-        )
-        _require(
-            list(buckets) == sorted(set(float(b) for b in buckets)),
-            f"histogram {name!r}: boundaries must be unique and ascending",
-        )
-        _require(
-            sum(counts) == hist["count"],
-            f"histogram {name!r}: counts must sum to 'count'",
-        )
-
-
-_PROFILE_NODE_FIELDS: dict[str, type | tuple[type, ...]] = {
-    "path": str,
-    "label": str,
-    "kind": str,
-    "count": int,
-    "incidents": (int, float),
-    "elapsed_s": (int, float),
-    "self_s": (int, float),
-}
-
-_PROFILE_TOTAL_FIELDS = (
-    "operator_evals",
-    "pairs_examined",
-    "incidents_produced",
-    "max_live_incidents",
-    "predicted_pairs",
-    "elapsed_s",
-)
+        if len(counts) != len(buckets) + 1:
+            raise SchemaError(f"histogram {name!r}: need len(buckets)+1 counts (overflow bucket)")
+        if list(buckets) != sorted(set(buckets)):
+            raise SchemaError(f"histogram {name!r}: boundaries must be unique and ascending")
+        if sum(counts) != hist["count"]:
+            raise SchemaError(f"histogram {name!r}: counts must sum to 'count'")
 
 
 def validate_profile(doc: Any) -> None:
     """Raise :class:`SchemaError` unless ``doc`` is a valid profile export."""
-    doc = _require_mapping(doc, "profile document")
-    _require(doc.get("schema") == PROFILE_SCHEMA, f"schema must be {PROFILE_SCHEMA!r}")
-    for field in ("engine", "pattern", "optimized", "totals", "nodes", "hottest"):
-        _require(field in doc, f"profile document is missing {field!r}")
-    _require(isinstance(doc["engine"], str), "engine must be a string")
-    _require(isinstance(doc["pattern"], str), "pattern must be a string")
-    _require(isinstance(doc["optimized"], str), "optimized must be a string")
-    totals = _require_mapping(doc["totals"], "totals")
-    for field in _PROFILE_TOTAL_FIELDS:
-        _require(field in totals, f"totals is missing {field!r}")
-        _require(
-            isinstance(totals[field], (int, float)) and not isinstance(totals[field], bool),
-            f"totals[{field!r}] must be numeric",
-        )
-    nodes = doc["nodes"]
-    _require(isinstance(nodes, list) and nodes, "nodes must be a non-empty list")
-    paths = set()
-    for node in nodes:
-        node = _require_mapping(node, "profile node")
-        for field, kinds in _PROFILE_NODE_FIELDS.items():
-            _require(field in node, f"profile node is missing {field!r}")
-            _require(
-                isinstance(node[field], kinds) and not isinstance(node[field], bool),
-                f"profile node field {field!r} has the wrong type",
-            )
-        _require(node["kind"] in ("operator", "leaf"), "node kind must be operator|leaf")
-        if node["kind"] == "operator":
-            for field in ("operator", "n1", "n2", "pairs", "predicted_pairs"):
-                _require(field in node, f"operator node is missing {field!r}")
-        paths.add(node["path"])
-    hottest = _require_mapping(doc["hottest"], "hottest")
-    _require("path" in hottest and "label" in hottest, "hottest needs path and label")
-    _require(hottest["path"] in paths, "hottest.path must name an exported node")
-
-
-_BENCH_MACHINE_FIELDS = ("platform", "machine", "python", "implementation", "cpu_count")
-
-_BENCH_STAT_FIELDS = ("median_s", "min_s", "max_s", "mean_s", "iqr_s", "mad_s")
-
-
-def _require_number(value: Any, what: str, *, nonnegative: bool = True) -> None:
-    _require(
-        isinstance(value, (int, float)) and not isinstance(value, bool),
-        f"{what} must be numeric",
-    )
-    if nonnegative:
-        _require(value >= 0, f"{what} must be non-negative")
+    conform(PROFILE_FIELDS, doc, "profile document")
+    for node in doc["nodes"]:
+        missing = PROFILE_NODE_FIELDS.keys() - node.keys()
+        if node["kind"] == "operator" and missing:
+            raise SchemaError(f"operator node {node['path']!r} is missing {sorted(missing)}")
+    if doc["hottest"]["path"] not in {node["path"] for node in doc["nodes"]}:
+        raise SchemaError("hottest.path must name an exported node")
 
 
 def validate_bench(doc: Any) -> None:
     """Raise :class:`SchemaError` unless ``doc`` is a valid bench export."""
-    doc = _require_mapping(doc, "bench document")
-    _require(doc.get("schema") == BENCH_SCHEMA, f"schema must be {BENCH_SCHEMA!r}")
-    for field in ("suite", "created_unix", "machine", "config", "cases"):
-        _require(field in doc, f"bench document is missing {field!r}")
-    _require(isinstance(doc["suite"], str) and doc["suite"], "suite must be a string")
-    _require(
-        isinstance(doc["created_unix"], int) and doc["created_unix"] >= 0,
-        "created_unix must be a non-negative integer",
-    )
-    machine = _require_mapping(doc["machine"], "machine")
-    for field in _BENCH_MACHINE_FIELDS:
-        _require(field in machine, f"machine is missing {field!r}")
-    config = _require_mapping(doc["config"], "config")
-    for field in ("warmup", "repeats", "mad_k"):
-        _require(field in config, f"config is missing {field!r}")
-    _require(
-        isinstance(config["repeats"], int) and config["repeats"] >= 1,
-        "config.repeats must be a positive integer",
-    )
-    cases = doc["cases"]
-    _require(isinstance(cases, list) and cases, "cases must be a non-empty list")
+    conform(BENCH_FIELDS, doc, "bench document")
     seen: set[str] = set()
-    for case in cases:
-        case = _require_mapping(case, "bench case")
-        for field in ("name", "suites", "params", "samples_s", "stats"):
-            _require(field in case, f"bench case is missing {field!r}")
-        name = case["name"]
-        _require(isinstance(name, str) and bool(name), "case name must be a string")
-        _require(name not in seen, f"duplicate bench case {name!r}")
+    for case in doc["cases"]:
+        name, stats = case["name"], case["stats"]
+        if name in seen:
+            raise SchemaError(f"duplicate bench case {name!r}")
         seen.add(name)
-        _require(
-            isinstance(case["suites"], list)
-            and all(isinstance(s, str) for s in case["suites"]),
-            f"case {name!r}: suites must be a list of strings",
-        )
-        _require_mapping(case["params"], f"case {name!r} params")
-        samples = case["samples_s"]
-        _require(
-            isinstance(samples, list) and samples,
-            f"case {name!r}: samples_s must be a non-empty list",
-        )
-        for sample in samples:
-            _require_number(sample, f"case {name!r}: sample")
-        stats = _require_mapping(case["stats"], f"case {name!r} stats")
-        for field in _BENCH_STAT_FIELDS:
-            _require(field in stats, f"case {name!r}: stats missing {field!r}")
-            _require_number(stats[field], f"case {name!r}: stats[{field!r}]")
-        for field in ("n", "rejected"):
-            _require(field in stats, f"case {name!r}: stats missing {field!r}")
-            _require(
-                isinstance(stats[field], int) and stats[field] >= 0,
-                f"case {name!r}: stats[{field!r}] must be a non-negative integer",
-            )
-        _require(
-            stats["n"] >= 1,
-            f"case {name!r}: stats.n must be >= 1 (the median always survives)",
-        )
-        _require(
-            stats["n"] + stats["rejected"] == len(samples),
-            f"case {name!r}: kept + rejected must equal the sample count",
-        )
-        _require(
-            stats["min_s"] <= stats["median_s"] <= stats["max_s"],
-            f"case {name!r}: median must lie within [min, max]",
-        )
+        if stats["n"] + stats["rejected"] != len(case["samples_s"]):
+            raise SchemaError(f"case {name!r}: kept + rejected must equal the sample count")
+        if not stats["min_s"] <= stats["median_s"] <= stats["max_s"]:
+            raise SchemaError(f"case {name!r}: median must lie within [min, max]")

@@ -22,9 +22,10 @@ writes them any more.
 
 Views over a journal — :func:`slow_queries`, :func:`filter_events`,
 :func:`top_patterns` — back the ``repro-logs events`` / ``repro-logs
-top`` CLI surfaces.  :func:`validate_journal_event` is the
-dependency-free structural validator in the :mod:`repro.obs.export`
-style; the CI smoke job runs it over every line it produces.
+top`` CLI surfaces.  :func:`validate_journal_event` checks an event
+against :data:`ENVELOPE_FIELDS` and its kind's table in
+:data:`EVENT_FIELDS` (one :func:`repro.fields.walk` each); the CI smoke
+job runs it over every line it produces.
 """
 
 from __future__ import annotations
@@ -36,7 +37,8 @@ import time
 import tracemalloc
 from typing import IO, Any, Iterable, Mapping, Sequence, TYPE_CHECKING
 
-from repro.obs.export import SchemaError
+from repro.fields import Field, is_a, table
+from repro.obs.export import SchemaError, conform
 from repro.obs.metrics import MetricsRegistry
 
 if TYPE_CHECKING:  # pragma: no cover - typing only
@@ -61,17 +63,89 @@ __all__ = [
 
 JOURNAL_SCHEMA = "repro.obs.journal/v1"
 
-#: Every event kind, in rough lifecycle order.  Nothing emits ``plan``,
-#: ``cache``, ``shard`` or ``evaluate`` any more; they are kept so
-#: journals on disk still validate.
-EVENT_KINDS: tuple[str, ...] = (
-    "submit",
-    "plan",
-    "cache",
-    "shard",
-    "evaluate",
-    "finish",
-    "killed",
+_STATUS = Field("status", "str", doc="ok, or error on an error reply")
+_PATTERN = Field("pattern", "str", doc="the pattern text")
+_WALL_MS = Field("wall_ms", "nonneg_num", doc="wall time")
+_CPU_MS = Field("cpu_ms", "nonneg_num", False, doc="CPU time of the answering thread")
+_PAIRS = Field("pairs", "nonneg_int", doc="pairs examined (partial on a kill)")
+_INCIDENTS = Field("incidents", "nonneg_int", doc="incidents produced")
+_OP = Field("op", "str", False, doc="run / exists / count / batch, or http.* on the service")
+_PEAK = Field("peak_alloc_bytes", "nonneg_int", False, doc="tracemalloc peak")
+_QUERIES = Field("queries", "nonneg_int", False, doc="patterns in a batch")
+_CACHE_LAYER = Field("cache_layer", "str", False, doc="result or delta, when a cache answered")
+_ENDPOINT = Field("endpoint", "str", False, doc="the route a service request took")
+_HTTP_STATUS = Field("http_status", "pos_int", False, doc="the service reply's status")
+_STORE = Field("store", "str", False, doc="the store a service request named")
+_CLAMPED = Field("clamped", ("list", "str"), False, doc="options the service reduced")
+_ERROR = Field("error", "str", False, doc="the wire error code of an error reply")
+
+#: Each event kind's own fields, in rough lifecycle order; optional ones
+#: are ``required=False``.  Nothing emits ``plan``, ``cache``, ``shard``
+#: or ``evaluate`` any more; they are kept so journals on disk still
+#: validate.
+EVENT_FIELDS: dict[str, dict[str, Field]] = {
+    "submit": table(
+        _PATTERN,
+        Field("op", "str", doc="what the run computes"),
+        Field("deadline_ms", "nonneg_num", False, doc="the run's deadline"),
+        Field("max_pairs", "nonneg_int", False, doc="the run's pair budget"),
+        _QUERIES,
+    ),
+    "plan": table(
+        Field("optimized", "str", doc="the pattern as evaluated"),
+        Field("changed", "bool", doc="whether the optimizer rewrote it"),
+    ),
+    "cache": table(
+        Field("probe", "str", doc="the cache probed"),
+        Field("hit", "bool", doc="whether it answered"),
+    ),
+    "shard": table(
+        Field("shards", "nonneg_int", doc="shard count"),
+        Field("backend", "str", doc="execution backend"),
+        Field("jobs", "nonneg_int", doc="worker count"),
+        Field("strategy", "str", doc="sharding strategy"),
+    ),
+    "evaluate": table(
+        Field("pairs", "nonneg_int", doc="pairs examined"),
+        Field("incidents", "nonneg_int", doc="incidents produced"),
+    ),
+    "finish": table(
+        _STATUS, _PATTERN, _WALL_MS,
+        Field("cpu_ms", "nonneg_num", doc="CPU time of the answering thread"),
+        _PAIRS, _INCIDENTS, _CACHE_LAYER, _OP, _PEAK,
+        Field("operator_evals", "nonneg_int", False, doc="operator evaluations"),
+        Field("optimized", "str", False, doc="the pattern as evaluated"),
+        Field("changed", "bool", False, doc="whether the optimizer rewrote it"),
+        Field("cache_result_hits", "nonneg_int", False, doc="result-cache hits"),
+        _QUERIES,
+        Field("shared_hits", "nonneg_int", False, doc="batch nodes shared"),
+        Field("cache_hits", "nonneg_int", False, doc="batch cache hits"),
+        Field("subsumed", "nonneg_int", False, doc="batch patterns answered by another"),
+        _ENDPOINT, _HTTP_STATUS, _STORE, _CLAMPED, _ERROR,
+    ),
+    "killed": table(
+        Field("reason", "str", doc="the governor error type"),
+        Field("message", "text", False, doc="the governor error text"),
+        _PATTERN, _WALL_MS, _CPU_MS, _PAIRS, _OP, _PEAK, _QUERIES,
+        Field("status", "str", False, doc="error, on a service request"),
+        _ERROR, _ENDPOINT, _HTTP_STATUS, _STORE,
+        Field("incidents", "nonneg_int", False, doc="incidents produced"),
+        _CACHE_LAYER, _CLAMPED,
+    ),
+}
+
+#: Every event kind, in rough lifecycle order.
+EVENT_KINDS: tuple[str, ...] = tuple(EVENT_FIELDS)
+
+#: The fields every event carries.
+ENVELOPE_FIELDS = table(
+    Field("schema", "str", choices=(JOURNAL_SCHEMA,), doc="the version tag"),
+    Field("event", "str", choices=EVENT_KINDS, doc="the event kind"),
+    Field("query_id", "str", doc="minted at submission"),
+    Field("trace_id", "str", doc="minted at submission"),
+    Field("ts_unix", "nonneg_num", doc="wall-clock time"),
+    Field("seq", "nonneg_int", doc="journal-assigned monotonic number"),
+    Field("pid", "pos_int", doc="the producing process"),
 )
 
 #: The kinds that close a lifecycle (exactly one per query run).
@@ -315,80 +389,14 @@ class RunRecorder:
 
 
 # ---------------------------------------------------------------------------
-# validation
+# validation: the envelope table, then the event kind's table
 # ---------------------------------------------------------------------------
-
-def _require(condition: bool, message: str) -> None:
-    if not condition:
-        raise SchemaError(message)
-
-
-def _is_num(value: Any) -> bool:
-    return isinstance(value, (int, float)) and not isinstance(value, bool)
-
-
-#: Required payload fields per event kind: name -> checker tag.
-_KIND_FIELDS: dict[str, dict[str, str]] = {
-    "submit": {"pattern": "str", "op": "str"},
-    "plan": {"optimized": "str", "changed": "bool"},
-    "cache": {"probe": "str", "hit": "bool"},
-    "shard": {"shards": "int", "backend": "str", "jobs": "int", "strategy": "str"},
-    "evaluate": {"pairs": "int", "incidents": "int"},
-    "finish": {
-        "status": "str",
-        "pattern": "str",
-        "wall_ms": "num",
-        "cpu_ms": "num",
-        "pairs": "int",
-        "incidents": "int",
-    },
-    "killed": {"reason": "str", "pattern": "str", "wall_ms": "num", "pairs": "int"},
-}
-
-_CHECKS = {
-    "str": (lambda v: isinstance(v, str) and bool(v), "a non-empty string"),
-    "int": (lambda v: isinstance(v, int) and not isinstance(v, bool) and v >= 0,
-            "a non-negative integer"),
-    "num": (lambda v: _is_num(v) and v >= 0, "a non-negative number"),
-    "bool": (lambda v: isinstance(v, bool), "a boolean"),
-}
-
 
 def validate_journal_event(doc: Any) -> None:
     """Raise :class:`SchemaError` unless ``doc`` is a valid journal event."""
-    _require(isinstance(doc, Mapping), "journal event must be an object")
-    _require(
-        doc.get("schema") == JOURNAL_SCHEMA, f"schema must be {JOURNAL_SCHEMA!r}"
-    )
-    kind = doc.get("event")
-    _require(
-        kind in EVENT_KINDS,
-        f"event must be one of {EVENT_KINDS}, got {kind!r}",
-    )
-    for field in ("query_id", "trace_id"):
-        value = doc.get(field)
-        _require(
-            isinstance(value, str) and bool(value),
-            f"journal event is missing {field!r}",
-        )
-    _require(
-        _is_num(doc.get("ts_unix")) and doc["ts_unix"] >= 0,
-        "ts_unix must be a non-negative number",
-    )
-    seq = doc.get("seq")
-    _require(
-        isinstance(seq, int) and not isinstance(seq, bool) and seq >= 0,
-        "seq must be a non-negative integer",
-    )
-    pid = doc.get("pid")
-    _require(
-        isinstance(pid, int) and not isinstance(pid, bool) and pid >= 1,
-        "pid must be a positive integer",
-    )
-    for field, tag in _KIND_FIELDS[str(kind)].items():
-        _require(field in doc, f"{kind} event is missing {field!r}")
-        check, expected = _CHECKS[tag]
-        _require(check(doc[field]), f"{kind} event: {field!r} must be {expected}")
+    conform(ENVELOPE_FIELDS, doc, "journal event")
+    kind = doc["event"]
+    conform(EVENT_FIELDS[kind], doc, f"{kind} event")
 
 
 def validate_journal(events: Iterable[Any]) -> int:
@@ -411,14 +419,12 @@ def validate_journal(events: Iterable[Any]) -> int:
         if event["event"] == "submit":
             submitted.add(qid)
         elif event["event"] in TERMINAL_KINDS:
-            _require(
-                qid not in closed,
-                f"event {index}: query {qid!r} has two terminal events",
-            )
-            _require(
-                qid in submitted,
-                f"event {index}: terminal event for {qid!r} without a submit",
-            )
+            if qid in closed:
+                raise SchemaError(f"event {index}: query {qid!r} has two terminal events")
+            if qid not in submitted:
+                raise SchemaError(
+                    f"event {index}: terminal event for {qid!r} without a submit"
+                )
             closed.add(qid)
     return count
 
@@ -491,7 +497,7 @@ def slow_queries(
         dict(event)
         for event in events
         if event.get("event") in TERMINAL_KINDS
-        and _is_num(event.get("wall_ms"))
+        and is_a("num", event.get("wall_ms"))
         and event["wall_ms"] >= threshold_ms
     ]
     slow.sort(key=lambda e: e["wall_ms"], reverse=True)
@@ -537,10 +543,10 @@ def top_patterns(
         if event["event"] == "killed":
             row["killed"] += 1
         for key in ("wall_ms", "cpu_ms", "pairs"):
-            if _is_num(event.get(key)):
+            if is_a("num", event.get(key)):
                 row[key] += event[key]
         peak = event.get("peak_alloc_bytes")
-        if _is_num(peak) and peak > row["peak_alloc_bytes"]:
+        if is_a("num", peak) and peak > row["peak_alloc_bytes"]:
             row["peak_alloc_bytes"] = peak
     ranked = sorted(rows.values(), key=lambda r: r[by], reverse=True)
     return ranked[: limit if limit > 0 else len(ranked)]

@@ -575,7 +575,7 @@ class QueryService:
     # worker pool is saturated is exactly when an operator needs to see
     # in-flight queries and kill one.
 
-    def _require_live(self) -> WindowedAggregator:
+    def _live_or_404(self) -> WindowedAggregator:
         if self.live is None:
             raise not_found(
                 "telemetry is disabled on this server "
@@ -586,7 +586,7 @@ class QueryService:
     def _get_admin_stats(
         self, params: Mapping[str, list[str]]
     ) -> ServiceResponse:
-        live = self._require_live()
+        live = self._live_or_404()
         window = parse_window_param(
             params,
             default_s=min(300.0, self.config.telemetry_window_s),
@@ -597,7 +597,7 @@ class QueryService:
         return ServiceResponse(200, payload=payload)
 
     def _get_admin_slo(self) -> ServiceResponse:
-        self._require_live()
+        self._live_or_404()
         assert self.slo is not None  # established with self.live
         return ServiceResponse(200, payload=self.slo.report())
 

@@ -1,21 +1,25 @@
-"""Wire-request schemas and validators for the query service.
+"""Wire-request schemas for the query service.
 
-Dependency-free structural validation in the style of
-:mod:`repro.obs.export`: each ``parse_*_request`` function takes the
-decoded JSON body, rejects anything outside the schema with the
-service's structured 400 (:func:`repro.service.errors.bad_request`,
-carrying lint-style diagnostics), and returns a typed request value.
+Each request dataclass's fields are its wire table
+(:func:`repro.fields.wire`): name, type tag, default, choices and a doc
+line, declared once.  Every ``parse_*_request`` function is one strict
+:func:`repro.fields.walk` of the decoded JSON body against that table,
+which builds the typed request or yields findings; the parse turns all
+of them into the service's structured 400
+(:func:`repro.service.errors.bad_request`, carrying lint-style
+diagnostics).
 
-The validators are strict on purpose: **unknown fields are errors**, not
+The walk is strict on purpose: **unknown fields are errors**, not
 ignored — a typo like ``"dedline_ms"`` must fail loudly rather than
 silently run without a deadline.
 """
 
 from __future__ import annotations
 
-from dataclasses import dataclass, field
+from dataclasses import dataclass
 from typing import Any, Mapping
 
+from repro.fields import Field, table, walk, wire
 from repro.service.errors import ServiceError, bad_request
 
 __all__ = [
@@ -43,41 +47,17 @@ QUERY_MODES: tuple[str, ...] = ("incidents", "count", "exists", "instances")
 #: Decision procedures exposed by ``POST /v1/analyze``.
 ANALYZE_OPS: tuple[str, ...] = ("equivalent", "contains")
 
-#: The per-request engine knobs accepted inside ``options`` and the
-#: validator tag of each (see ``_CHECKS``).
-OPTION_FIELDS: dict[str, str] = {
-    "engine": "str",
-    "optimize": "bool",
-    "max_incidents": "posint",
-    "deadline_ms": "posnum",
-    "max_pairs": "posint",
-    "cache": "bool",
-}
+#: The per-request engine knobs accepted inside ``options``.
+OPTION_FIELDS: dict[str, Field] = table(
+    Field("engine", "str", False, doc="evaluation engine: vectorized, naive or sqlite"),
+    Field("optimize", "bool", False, doc="rewrite the pattern before evaluating it"),
+    Field("max_incidents", "pos_int", False, doc="cap on the incidents held at once"),
+    Field("deadline_ms", "pos_num", False, doc="wall-clock budget in milliseconds"),
+    Field("max_pairs", "pos_int", False, doc="cap on incident pairs examined"),
+    Field("cache", "bool", False, doc="read and fill the shared result cache"),
+)
 
-
-def _is_num(value: Any) -> bool:
-    return isinstance(value, (int, float)) and not isinstance(value, bool)
-
-
-_CHECKS: dict[str, tuple[Any, str]] = {
-    "str": (lambda v: isinstance(v, str) and bool(v), "a non-empty string"),
-    "bool": (lambda v: isinstance(v, bool), "a boolean"),
-    "int": (
-        lambda v: isinstance(v, int) and not isinstance(v, bool),
-        "an integer",
-    ),
-    "posint": (
-        lambda v: isinstance(v, int) and not isinstance(v, bool) and v >= 1,
-        "a positive integer",
-    ),
-    "nonnegint": (
-        lambda v: isinstance(v, int) and not isinstance(v, bool) and v >= 0,
-        "a non-negative integer",
-    ),
-    "posnum": (lambda v: _is_num(v) and v > 0, "a positive number"),
-    "object": (lambda v: isinstance(v, Mapping), "an object"),
-    "list": (lambda v: isinstance(v, list), "an array"),
-}
+_OPTIONS = ("options", OPTION_FIELDS)
 
 
 def _diagnostic(message: str, *, field_name: str | None = None) -> dict[str, Any]:
@@ -92,95 +72,15 @@ def _diagnostic(message: str, *, field_name: str | None = None) -> dict[str, Any
     }
 
 
-class _Validator:
-    """Accumulates findings over one request body, then raises once."""
-
-    def __init__(self, doc: Any, *, what: str) -> None:
-        self.what = what
-        self.findings: list[dict[str, Any]] = []
-        if not isinstance(doc, Mapping):
-            raise bad_request(
-                f"{what} body must be a JSON object, got "
-                f"{type(doc).__name__}",
-                details={"diagnostics": [_diagnostic("body must be an object")]},
-            )
-        self.doc: Mapping[str, Any] = doc
-
-    def reject_unknown(self, allowed: tuple[str, ...]) -> None:
-        unknown = sorted(set(self.doc) - set(allowed))
-        for name in unknown:
-            self.findings.append(
-                _diagnostic(
-                    f"unknown field (allowed: {', '.join(sorted(allowed))})",
-                    field_name=name,
-                )
-            )
-
-    def require(self, name: str, tag: str) -> Any:
-        if name not in self.doc:
-            self.findings.append(_diagnostic("required field is missing", field_name=name))
-            return None
-        return self._checked(name, self.doc[name], tag)
-
-    def optional(self, name: str, tag: str, default: Any = None) -> Any:
-        if name not in self.doc or self.doc[name] is None:
-            return default
-        return self._checked(name, self.doc[name], tag)
-
-    def _checked(self, name: str, value: Any, tag: str) -> Any:
-        check, expected = _CHECKS[tag]
-        if not check(value):
-            self.findings.append(
-                _diagnostic(f"must be {expected}", field_name=name)
-            )
-            return None
-        return value
-
-    def choice(self, name: str, choices: tuple[str, ...], default: str) -> str:
-        value = self.optional(name, "str", default)
-        if value is not None and value not in choices:
-            self.findings.append(
-                _diagnostic(
-                    f"must be one of {', '.join(choices)}", field_name=name
-                )
-            )
-            return default
-        return str(value)
-
-    def options(self, name: str = "options") -> dict[str, Any]:
-        """The validated ``options`` sub-object (unknown fields rejected)."""
-        raw = self.optional(name, "object", {})
-        if not raw:
-            return {}
-        validated: dict[str, Any] = {}
-        for key in sorted(raw):
-            tag = OPTION_FIELDS.get(key)
-            if tag is None:
-                self.findings.append(
-                    _diagnostic(
-                        f"unknown option (allowed: "
-                        f"{', '.join(sorted(OPTION_FIELDS))})",
-                        field_name=f"{name}.{key}",
-                    )
-                )
-                continue
-            value = self._checked(f"{name}.{key}", raw[key], tag)
-            if value is not None:
-                validated[key] = value
-        return validated
-
-    def finish(self) -> None:
-        """Raise the accumulated 400, if any finding was recorded."""
-        if self.findings:
-            raise bad_request(
-                f"invalid {self.what} request "
-                f"({len(self.findings)} schema violation(s))",
-                details={"diagnostics": self.findings},
-            )
+def _invalid(message: str, found: list[tuple[str, str]]) -> ServiceError:
+    return bad_request(
+        message,
+        details={"diagnostics": [_diagnostic(m, field_name=p) for p, m in found]},
+    )
 
 
 # ---------------------------------------------------------------------------
-# request types
+# request types: each dataclass's fields are its wire table
 # ---------------------------------------------------------------------------
 
 
@@ -188,49 +88,49 @@ class _Validator:
 class QueryRequest:
     """Validated body of ``POST /v1/query``."""
 
-    log: str
-    pattern: str
-    mode: str = "incidents"
-    limit: int | None = None
-    options: dict[str, Any] = field(default_factory=dict)
+    log: str = wire("str", "name of the store to query")
+    pattern: str = wire("str", "incident pattern text")
+    mode: str = wire("str", "what to compute", default="incidents", choices=QUERY_MODES)
+    limit: int | None = wire("nonneg_int", "cap on the incidents or rows returned", default=None)
+    options: dict[str, Any] = wire(_OPTIONS, "engine knobs (see Request options)", default={})
 
 
 @dataclass(frozen=True)
 class BatchRequest:
     """Validated body of ``POST /v1/batch``."""
 
-    log: str
-    patterns: tuple[str, ...]
-    limit: int | None = None
-    analyze: bool = True
-    options: dict[str, Any] = field(default_factory=dict)
+    log: str = wire("str", "name of the store to query")
+    patterns: tuple[str, ...] = wire(("nonempty_list", "str"), "incident pattern texts")
+    limit: int | None = wire("nonneg_int", "cap on the incidents returned per pattern", default=None)
+    analyze: bool = wire("bool", "share work between the patterns", default=True)
+    options: dict[str, Any] = wire(_OPTIONS, "engine knobs (see Request options)", default={})
 
 
 @dataclass(frozen=True)
 class LintRequest:
     """Validated body of ``POST /v1/lint``."""
 
-    pattern: str
-    log: str | None = None
+    pattern: str = wire("str", "incident pattern text")
+    log: str | None = wire("str", "store whose activities the lint checks against", default=None)
 
 
 @dataclass(frozen=True)
 class ExplainRequest:
     """Validated body of ``POST /v1/explain``."""
 
-    log: str
-    pattern: str
-    options: dict[str, Any] = field(default_factory=dict)
+    log: str = wire("str", "name of the store to plan against")
+    pattern: str = wire("str", "incident pattern text")
+    options: dict[str, Any] = wire(_OPTIONS, "engine knobs (see Request options)", default={})
 
 
-@dataclass(frozen=True)
+@dataclass(frozen=True, kw_only=True)
 class AnalyzeRequest:
     """Validated body of ``POST /v1/analyze``."""
 
-    op: str
-    p: str
-    q: str
-    max_states: int | None = None
+    op: str = wire("str", "decision procedure", default="equivalent", choices=ANALYZE_OPS)
+    p: str = wire("str", "left pattern text")
+    q: str = wire("str", "right pattern text")
+    max_states: int | None = wire("pos_int", "automaton state budget", default=None)
 
 
 @dataclass(frozen=True)
@@ -242,17 +142,34 @@ class AppendRecord:
     appends the activity to the open instance ``wid``.
     """
 
-    activity: str
-    wid: int | None = None
-    attrs_in: dict[str, Any] | None = None
-    attrs_out: dict[str, Any] | None = None
+    activity: str = wire("str", "activity name, or START / END")
+    wid: int | None = wire("pos_int", "instance id", default=None)
+    attrs_in: dict[str, Any] | None = wire("object", "input attributes", default=None)
+    attrs_out: dict[str, Any] | None = wire("object", "output attributes", default=None)
+
+    def __post_init__(self) -> None:
+        if self.wid is None and self.activity != "START":
+            raise ValueError("wid is required (only START may omit it)")
 
 
 @dataclass(frozen=True)
 class AppendRequest:
     """Validated body of ``POST /v1/logs/{name}/records``."""
 
-    records: tuple[AppendRecord, ...]
+    records: tuple[AppendRecord, ...] = wire(
+        ("nonempty_list", AppendRecord), "record operations, applied whole or not at all"
+    )
+
+
+#: Every request type, by the endpoint label its diagnostics use.
+REQUESTS: dict[str, type] = {
+    "query": QueryRequest,
+    "batch": BatchRequest,
+    "lint": LintRequest,
+    "explain": ExplainRequest,
+    "analyze": AnalyzeRequest,
+    "append": AppendRequest,
+}
 
 
 # ---------------------------------------------------------------------------
@@ -260,151 +177,42 @@ class AppendRequest:
 # ---------------------------------------------------------------------------
 
 
+def _parse(what: str, doc: Any) -> Any:
+    """Walk ``doc`` strictly against the ``what`` request's table and
+    return the request, or raise the 400 carrying every finding."""
+    if not isinstance(doc, Mapping):
+        raise bad_request(
+            f"{what} body must be a JSON object, got {type(doc).__name__}",
+            details={"diagnostics": [_diagnostic("body must be an object")]},
+        )
+    request, found = walk(REQUESTS[what], doc, strict=True)
+    if found:
+        raise _invalid(f"invalid {what} request ({len(found)} schema violation(s))", found)
+    return request
+
+
 def parse_query_request(doc: Any) -> QueryRequest:
-    v = _Validator(doc, what="query")
-    v.reject_unknown(("log", "pattern", "mode", "limit", "options"))
-    log = v.require("log", "str")
-    pattern = v.require("pattern", "str")
-    mode = v.choice("mode", QUERY_MODES, "incidents")
-    limit = v.optional("limit", "nonnegint")
-    options = v.options()
-    v.finish()
-    return QueryRequest(
-        log=str(log), pattern=str(pattern), mode=mode, limit=limit, options=options
-    )
+    return _parse("query", doc)
 
 
 def parse_batch_request(doc: Any) -> BatchRequest:
-    v = _Validator(doc, what="batch")
-    v.reject_unknown(("log", "patterns", "limit", "analyze", "options"))
-    log = v.require("log", "str")
-    patterns = v.require("patterns", "list")
-    if patterns is not None:
-        if not patterns:
-            v.findings.append(
-                _diagnostic("must not be empty", field_name="patterns")
-            )
-        for index, text in enumerate(patterns):
-            if not isinstance(text, str) or not text:
-                v.findings.append(
-                    _diagnostic(
-                        "must be a non-empty string",
-                        field_name=f"patterns[{index}]",
-                    )
-                )
-    limit = v.optional("limit", "nonnegint")
-    analyze = v.optional("analyze", "bool", True)
-    options = v.options()
-    v.finish()
-    return BatchRequest(
-        log=str(log),
-        patterns=tuple(str(p) for p in (patterns or ())),
-        limit=limit,
-        analyze=bool(analyze),
-        options=options,
-    )
+    return _parse("batch", doc)
 
 
 def parse_lint_request(doc: Any) -> LintRequest:
-    v = _Validator(doc, what="lint")
-    v.reject_unknown(("pattern", "log"))
-    pattern = v.require("pattern", "str")
-    log = v.optional("log", "str")
-    v.finish()
-    return LintRequest(pattern=str(pattern), log=log)
+    return _parse("lint", doc)
 
 
 def parse_explain_request(doc: Any) -> ExplainRequest:
-    v = _Validator(doc, what="explain")
-    v.reject_unknown(("log", "pattern", "options"))
-    log = v.require("log", "str")
-    pattern = v.require("pattern", "str")
-    options = v.options()
-    v.finish()
-    return ExplainRequest(log=str(log), pattern=str(pattern), options=options)
+    return _parse("explain", doc)
 
 
 def parse_analyze_request(doc: Any) -> AnalyzeRequest:
-    v = _Validator(doc, what="analyze")
-    v.reject_unknown(("op", "p", "q", "max_states"))
-    op = v.choice("op", ANALYZE_OPS, "equivalent")
-    p = v.require("p", "str")
-    q = v.require("q", "str")
-    max_states = v.optional("max_states", "posint")
-    v.finish()
-    return AnalyzeRequest(op=op, p=str(p), q=str(q), max_states=max_states)
+    return _parse("analyze", doc)
 
 
 def parse_append_request(doc: Any) -> AppendRequest:
-    v = _Validator(doc, what="append")
-    v.reject_unknown(("records",))
-    raw = v.require("records", "list")
-    records: list[AppendRecord] = []
-    if raw is not None:
-        if not raw:
-            v.findings.append(_diagnostic("must not be empty", field_name="records"))
-        for index, item in enumerate(raw):
-            where = f"records[{index}]"
-            if not isinstance(item, Mapping):
-                v.findings.append(_diagnostic("must be an object", field_name=where))
-                continue
-            unknown = sorted(set(item) - {"activity", "wid", "attrs_in", "attrs_out"})
-            for name in unknown:
-                v.findings.append(
-                    _diagnostic("unknown field", field_name=f"{where}.{name}")
-                )
-            activity = item.get("activity")
-            if not isinstance(activity, str) or not activity:
-                v.findings.append(
-                    _diagnostic(
-                        "must be a non-empty string",
-                        field_name=f"{where}.activity",
-                    )
-                )
-                continue
-            wid = item.get("wid")
-            if wid is not None and (
-                not isinstance(wid, int) or isinstance(wid, bool) or wid < 1
-            ):
-                v.findings.append(
-                    _diagnostic(
-                        "must be a positive integer", field_name=f"{where}.wid"
-                    )
-                )
-                continue
-            attrs: dict[str, dict[str, Any] | None] = {}
-            ok = True
-            for attr_field in ("attrs_in", "attrs_out"):
-                value = item.get(attr_field)
-                if value is not None and not isinstance(value, Mapping):
-                    v.findings.append(
-                        _diagnostic(
-                            "must be an object", field_name=f"{where}.{attr_field}"
-                        )
-                    )
-                    ok = False
-                else:
-                    attrs[attr_field] = None if value is None else dict(value)
-            if not ok:
-                continue
-            if activity != "START" and wid is None:
-                v.findings.append(
-                    _diagnostic(
-                        "wid is required (only START may omit it)",
-                        field_name=where,
-                    )
-                )
-                continue
-            records.append(
-                AppendRecord(
-                    activity=activity,
-                    wid=wid,
-                    attrs_in=attrs.get("attrs_in"),
-                    attrs_out=attrs.get("attrs_out"),
-                )
-            )
-    v.finish()
-    return AppendRequest(records=tuple(records))
+    return _parse("append", doc)
 
 
 def parse_window_param(
@@ -427,43 +235,18 @@ def parse_window_param(
     try:
         window = float(raw)  # type: ignore[arg-type]
     except (TypeError, ValueError):
-        raise bad_request(
-            "invalid admin query parameters",
-            details={
-                "diagnostics": [
-                    _diagnostic(
-                        f"window must be a number of seconds, got {raw!r}",
-                        field_name="window",
-                    )
-                ]
-            },
-        ) from None
-    if not window > 0 or window != window:  # reject 0, negatives, NaN
-        raise bad_request(
-            "invalid admin query parameters",
-            details={
-                "diagnostics": [
-                    _diagnostic(
-                        f"window must be > 0 seconds, got {window!r}",
-                        field_name="window",
-                    )
-                ]
-            },
-        )
-    if window > max_s:
-        raise bad_request(
-            "invalid admin query parameters",
-            details={
-                "diagnostics": [
-                    _diagnostic(
-                        f"window must be <= the telemetry ring span "
-                        f"({max_s:g}s), got {window:g}",
-                        field_name="window",
-                    )
-                ]
-            },
-        )
-    return window
+        problem = f"window must be a number of seconds, got {raw!r}"
+    else:
+        if not window > 0 or window != window:  # reject 0, negatives, NaN
+            problem = f"window must be > 0 seconds, got {window!r}"
+        elif window > max_s:
+            problem = (
+                f"window must be <= the telemetry ring span ({max_s:g}s), "
+                f"got {window:g}"
+            )
+        else:
+            return window
+    raise _invalid("invalid admin query parameters", [("window", problem)])
 
 
 def decode_json_body(body: bytes | None, *, what: str) -> Any:
@@ -481,6 +264,3 @@ def decode_json_body(body: bytes | None, *, what: str) -> Any:
             f"{what} body is not valid JSON: {exc.msg} at offset {exc.pos}"
         ) from None
 
-
-# re-exported for handlers
-_ = ServiceError

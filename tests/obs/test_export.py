@@ -23,6 +23,7 @@ from repro.obs.export import (
     metrics_to_dict,
     render_trace,
     trace_to_dict,
+    validate_bench,
     validate_metrics,
     validate_profile,
     validate_trace,
@@ -143,3 +144,42 @@ def test_engines_export_identical_trace_shapes():
         document = trace_to_dict(tracer.last_root, include_timing=False)
         shapes.append(shape(document["root"]))
     assert shapes[0] == shapes[1]
+
+
+def _bench_doc():
+    from repro.obs.bench import run_suite
+    from repro.obs.bench.registry import BenchCase
+
+    case = BenchCase(
+        name="tiny.case",
+        setup=lambda n: (lambda: sum(range(n))),
+        suites=("smoke",),
+        params={"n": 10},
+    )
+    return run_suite([case], suite="smoke", warmup=0, repeats=2)
+
+
+@pytest.mark.parametrize(
+    "validate, build, mutate",
+    [
+        (validate_trace, lambda: trace_to_dict(_traced_evaluation()),
+         lambda d: d["root"].update(count=True)),
+        (validate_trace, lambda: trace_to_dict(_traced_evaluation()),
+         lambda d: d["root"].update(elapsed_s=True)),
+        (validate_trace, lambda: trace_to_dict(_traced_evaluation()),
+         lambda d: d["root"]["children"][0].update(cpu_s=False)),
+        (validate_metrics, lambda: metrics_to_dict(MetricsRegistry()),
+         lambda d: d["counters"].update(pairs=True)),
+        (validate_bench, _bench_doc, lambda d: d.update(created_unix=True)),
+        (validate_bench, _bench_doc, lambda d: d["config"].update(repeats=True)),
+        (validate_bench, _bench_doc, lambda d: d["cases"][0]["stats"].update(rejected=False)),
+    ],
+    ids=["span-count", "span-elapsed", "span-cpu", "counter", "created-unix",
+         "config-repeats", "stats-rejected"],
+)
+def test_booleans_are_not_numbers(validate, build, mutate):
+    document = build()
+    validate(document)
+    mutate(document)
+    with pytest.raises(SchemaError):
+        validate(document)

@@ -10,6 +10,7 @@ from repro.service.schemas import (
     parse_analyze_request,
     parse_append_request,
     parse_batch_request,
+    parse_explain_request,
     parse_lint_request,
     parse_query_request,
 )
@@ -197,3 +198,139 @@ class TestBodyDecoding:
         with pytest.raises(ServiceError) as excinfo:
             decode_json_body(b"\xff\xfe{}", what="query")
         assert "not valid UTF-8" in str(excinfo.value)
+
+
+# ---------------------------------------------------------------------------
+# structure-aware request bodies, derived from the request tables
+# ---------------------------------------------------------------------------
+
+from hypothesis import HealthCheck, given, settings, strategies as st  # noqa: E402
+
+from repro.fields import table_of  # noqa: E402
+from repro.service.schemas import REQUESTS  # noqa: E402
+
+#: a valid JSON value per type tag the request tables use
+_VALID = {
+    "str": st.text(min_size=1, max_size=6),
+    "bool": st.booleans(),
+    "nonneg_int": st.integers(0, 10**6),
+    "pos_int": st.integers(1, 10**6),
+    "pos_num": st.integers(1, 10**6) | st.floats(1e-3, 1e6),
+    "object": st.dictionaries(st.text(max_size=4), st.integers() | st.text(max_size=4), max_size=3),
+}
+
+#: the JSON types a tag's values have (a ``bool`` is never an integer)
+_JSON_TYPES = {
+    "str": (str,),
+    "bool": (bool,),
+    "nonneg_int": (int,),
+    "pos_int": (int,),
+    "pos_num": (int, float),
+    "object": (dict,),
+    "list": (list,),
+    "nonempty_list": (list,),
+    "options": (dict,),
+}
+
+#: candidate wrong values; ``null`` is left out (an optional null is a default)
+_POOL = (True, False, 3, 2.5, "x", ["x"], {"a": 1})
+
+
+def _rows(kind):
+    return table_of(kind) if isinstance(kind, type) else kind
+
+
+def _accepts(kind, doc) -> bool:
+    try:
+        kind(**doc)
+    except ValueError:
+        return False
+    return True
+
+
+def valid(kind):
+    """Bodies (or field values) ``kind``'s table accepts."""
+    if isinstance(kind, str):
+        return _VALID[kind]
+    if isinstance(kind, tuple):
+        form, inner = kind
+        if form == "options":
+            return st.fixed_dictionaries({}, optional={n: _value(r) for n, r in inner.items()})
+        return st.lists(valid(inner), min_size=int(form == "nonempty_list"), max_size=3)
+    rows = _rows(kind)
+    objects = st.fixed_dictionaries(
+        {n: _value(r) for n, r in rows.items() if r.required},
+        optional={n: _value(r) for n, r in rows.items() if not r.required},
+    )
+    # a dataclass may refuse a cross-field combination (only START may omit wid)
+    return objects.filter(lambda doc: _accepts(kind, doc)) if isinstance(kind, type) else objects
+
+
+def _value(row):
+    return st.sampled_from(row.choices) if row.choices else valid(row.type)
+
+
+def wrong(kind):
+    """A value of the wrong JSON type for a field of type ``kind``."""
+    types = _JSON_TYPES[kind if isinstance(kind, str) else kind[0]]
+    return st.sampled_from([v for v in _POOL if type(v) not in types])
+
+
+def read_back(kind, value):
+    """What parsing ``value`` must give: arrays as tuples, options in
+    key order, nested objects as their dataclasses."""
+    if isinstance(kind, tuple):
+        form, inner = kind
+        if form == "options":
+            return {key: value[key] for key in sorted(value)}
+        return tuple(read_back(inner, item) for item in value)
+    if isinstance(kind, type):
+        rows = table_of(kind)
+        return kind(**{n: read_back(rows[n].type, v) for n, v in value.items()})
+    return value
+
+
+_REQUEST = st.sampled_from(sorted(REQUESTS))
+_PARSERS = {
+    "query": parse_query_request,
+    "batch": parse_batch_request,
+    "lint": parse_lint_request,
+    "explain": parse_explain_request,
+    "analyze": parse_analyze_request,
+    "append": parse_append_request,
+}
+_SETTINGS = settings(
+    max_examples=300, deadline=None, suppress_health_check=[HealthCheck.filter_too_much]
+)
+
+
+@_SETTINGS
+@given(data=st.data(), what=_REQUEST)
+def test_every_valid_body_parses_to_its_values(data, what):
+    kind = REQUESTS[what]
+    body = data.draw(valid(kind))
+    assert _PARSERS[what](body) == read_back(kind, body)
+
+
+def slots(kind, body, prefix=""):
+    """``(path, object, row)`` for every field ``body`` may carry, the
+    fields of each array item of a nested table included."""
+    for row in _rows(kind).values():
+        yield f"{prefix}{row.name}", body, row
+        inner = row.type[1] if isinstance(row.type, tuple) else None
+        if isinstance(inner, type) and row.name in body:
+            for index, item in enumerate(body[row.name]):
+                yield from slots(inner, item, f"{prefix}{row.name}[{index}].")
+
+
+@_SETTINGS
+@given(data=st.data(), what=_REQUEST)
+def test_one_wrong_typed_field_is_one_diagnostic_naming_it(data, what):
+    kind = REQUESTS[what]
+    body = data.draw(valid(kind))
+    path, holder, row = data.draw(st.sampled_from(list(slots(kind, body))))
+    holder[row.name] = data.draw(wrong(row.type))
+    with pytest.raises(ServiceError) as excinfo:
+        _PARSERS[what](body)
+    (diagnostic,) = excinfo.value.details["diagnostics"]
+    assert diagnostic["message"].startswith(f"{path!r}: must be ")

@@ -3,9 +3,10 @@ every ``src/`` / ``tests/`` / ``benchmarks/`` / ``examples/`` file and
 every ``--flag`` in README.md, DESIGN.md, EXPERIMENTS.md and docs/*.md
 resolves against the tree, every CLI flag is named in some doc,
 docs/SERVICE.md's reply-field table is the key set of the golden bodies,
-its request-option table is the key set of the wire schema and its
-access-log table the key set of a logged line, docs/OBSERVABILITY.md's
-journal table lists the fields journaled runs and requests write, and
+its request-field and request-option tables are the wire tables (names,
+types, required, defaults) and its access-log table the key set of a
+logged line, docs/OBSERVABILITY.md's journal table is the journal's
+field tables (and journaled runs and requests write nothing else), and
 the README's ``EngineOptions`` table is the dataclass's field set."""
 
 import argparse
@@ -20,7 +21,9 @@ import pytest
 
 from repro.cli import build_parser
 from repro.core.options import EngineOptions
-from repro.service.schemas import OPTION_FIELDS
+from repro.fields import table_of
+from repro.obs.journal import ENVELOPE_FIELDS, EVENT_FIELDS
+from repro.service.schemas import OPTION_FIELDS, REQUESTS, AppendRecord
 
 ROOT = Path(__file__).resolve().parents[1]
 DOCS = [ROOT / "README.md", ROOT / "DESIGN.md", ROOT / "EXPERIMENTS.md"] + sorted(
@@ -129,10 +132,67 @@ def table_keys(path: str, heading: str) -> set[str]:
     return set(re.findall(r"(?m)^\| `(\w+)` \|", section))
 
 
+#: the heading of each request-field table in docs/SERVICE.md
+REQUEST_HEADINGS = {
+    "query": "`POST /v1/query`",
+    "batch": "`POST /v1/batch`",
+    "lint": "`POST /v1/lint`",
+    "explain": "`POST /v1/explain`",
+    "analyze": "`POST /v1/analyze`",
+    "append": "`POST /v1/logs/{name}/records`",
+}
+
+
+def type_cell(kind) -> str:
+    """How docs/SERVICE.md writes a field type."""
+    if isinstance(kind, str):
+        return kind
+    if isinstance(kind, type):
+        return kind.__name__
+    form, inner = kind
+    return "options" if form == "options" else f"{form} of {type_cell(inner)}"
+
+
+def table_rows(section: str) -> dict[str, list[str]]:
+    """The table rows of ``section``: first-cell name -> the other cells."""
+    rows = {}
+    for line in re.findall(r"(?m)^\| `\w+` \|.*\|$", section):
+        cells = [cell.strip() for cell in line.strip("|").split("|")]
+        rows[cells[0].strip("`")] = cells[1:]
+    return rows
+
+
+def request_table(heading: str) -> dict[str, list[str]]:
+    text = (ROOT / "docs/SERVICE.md").read_text(encoding="utf-8")
+    section = re.search(rf"(?ms)^#### {re.escape(heading)}\n.*?(?=^#)", text).group(0)
+    return table_rows(section)
+
+
+@pytest.mark.parametrize(
+    "what", [*REQUEST_HEADINGS, "record"], ids=[*REQUEST_HEADINGS, "record"]
+)
+def test_service_doc_and_request_tables_name_the_same_fields(what):
+    cls = AppendRecord if what == "record" else REQUESTS[what]
+    heading = "`AppendRecord`: one item of `records`" if what == "record" else REQUEST_HEADINGS[what]
+    documented = {
+        name: (kind, required, default) for name, (kind, required, default, _) in request_table(heading).items()
+    }
+    declared = {
+        row.name: (
+            type_cell(row.type),
+            "yes" if row.required else "no",
+            "—" if row.required else f"`{json.dumps(row.default)}`",
+        )
+        for row in table_of(cls).values()
+    }
+    assert documented == declared
+
+
 def test_service_doc_and_wire_schema_name_the_same_request_options():
-    in_table = table_keys("docs/SERVICE.md", "Request options")
-    assert set(OPTION_FIELDS) - in_table == set(), "wire options docs/SERVICE.md does not list"
-    assert in_table - set(OPTION_FIELDS) == set(), "docs/SERVICE.md lists options the wire refuses"
+    text = (ROOT / "docs/SERVICE.md").read_text(encoding="utf-8")
+    section = re.search(r"(?ms)^### Request options.*?(?=^#{2,3} )", text).group(0)
+    documented = {name: cells[0] for name, cells in table_rows(section).items()}
+    assert documented == {name: row.type for name, row in OPTION_FIELDS.items()}
     # and every example request sends only options that exist
     for doc in DOCS:
         for body in re.findall(r'"options":\s*\{([^}]*)\}', doc_text(doc)):
@@ -192,14 +252,17 @@ def emitted_journal_fields(tmp_path, clinic_log) -> dict[str, set[str]]:
     return fields
 
 
-def test_observability_doc_and_journal_name_the_same_event_fields(tmp_path, clinic_log):
+def test_observability_doc_and_journal_name_the_same_event_fields():
+    assert journal_row_fields("*") == set(ENVELOPE_FIELDS)
+    for kind in ("submit", "finish", "killed"):
+        assert journal_row_fields(kind) == set(EVENT_FIELDS[kind]), kind
+
+
+def test_journaled_runs_write_only_fields_of_their_kind_table(tmp_path, clinic_log):
     emitted = emitted_journal_fields(tmp_path, clinic_log)
     assert set(emitted) == {"submit", "finish", "killed"}
-    envelope = journal_row_fields("*")
     for kind, written in emitted.items():
-        documented = envelope | journal_row_fields(kind)
-        assert written - documented == set(), f"{kind} fields docs/OBSERVABILITY.md does not list"
-        assert documented - written == set(), f"docs/OBSERVABILITY.md lists {kind} fields no run writes"
+        assert written <= set(ENVELOPE_FIELDS) | set(EVENT_FIELDS[kind]), kind
 
 
 def test_service_doc_and_access_log_name_the_same_keys(clinic_log, caplog):
