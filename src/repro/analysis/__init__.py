@@ -8,7 +8,6 @@ The public surface:
   (per-wid incident semantics, Definition 4);
 * :class:`Witness` — a replayable counterexample trace + incident;
 * :class:`IncidentMatcher` — exact incident-membership filter;
-* :func:`canonical_key` — an equivalence-class key for result caching;
 * :func:`plan_subsumption` — the batch executor's proved scan plan;
 * :func:`verify_rules` — optimizer rewrite-rule soundness gating.
 
@@ -30,7 +29,6 @@ from repro.analysis.prover import (
     PlanAction,
     SubsumptionPlan,
     Witness,
-    canonical_key,
     default_prover,
     plan_subsumption,
 )
@@ -60,7 +58,6 @@ __all__ = [
     "PlanAction",
     "SubsumptionPlan",
     "plan_subsumption",
-    "canonical_key",
     "default_prover",
     "SHIPPED_RULES",
     "RuleReport",

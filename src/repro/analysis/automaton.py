@@ -93,7 +93,6 @@ __all__ = [
     "determinize",
     "difference_word",
     "common_word",
-    "canonical_dfa_bytes",
     "simulate",
 ]
 
@@ -184,10 +183,6 @@ class DFA:
     start: int
     trans: tuple[tuple[int, ...], ...]
     accepts: frozenset[int]
-
-    @property
-    def n_states(self) -> int:
-        return len(self.trans)
 
 
 class _Builder:
@@ -642,49 +637,6 @@ def common_word(
                 parents[target] = (state, sym)
                 queue.append(target)
     return None
-
-
-def canonical_dfa_bytes(dfa: DFA) -> bytes:
-    """A canonical byte serialization of the DFA's minimal form.
-
-    Moore partition refinement to the coarsest congruence, then a BFS
-    renumbering from the start block — equivalent DFAs over the same
-    alphabet produce identical bytes, so this is a sound equality key
-    for pattern languages.
-    """
-    n = dfa.n_states
-    part = [1 if s in dfa.accepts else 0 for s in range(n)]
-    n_blocks = len(set(part))
-    while True:
-        signatures: dict[tuple[int, ...], int] = {}
-        new_part = []
-        for s in range(n):
-            sig = (part[s], *(part[t] for t in dfa.trans[s]))
-            block = signatures.setdefault(sig, len(signatures))
-            new_part.append(block)
-        if len(signatures) == n_blocks:
-            part = new_part
-            break
-        part, n_blocks = new_part, len(signatures)
-    block_trans: dict[int, tuple[int, ...]] = {}
-    block_accept: dict[int, bool] = {}
-    for s in range(n):
-        block_trans.setdefault(part[s], tuple(part[t] for t in dfa.trans[s]))
-        block_accept.setdefault(part[s], s in dfa.accepts)
-    renumber = {part[dfa.start]: 0}
-    order = [part[dfa.start]]
-    i = 0
-    while i < len(order):
-        for target in block_trans[order[i]]:
-            if target not in renumber:
-                renumber[target] = len(order)
-                order.append(target)
-        i += 1
-    pieces = [f"{dfa.n_symbols};"]
-    for block in order:
-        row = ",".join(str(renumber[t]) for t in block_trans[block])
-        pieces.append(f"{int(block_accept[block])}:{row};")
-    return "".join(pieces).encode("ascii")
 
 
 def simulate(nfa: NFA, word: Iterable[int]) -> bool:

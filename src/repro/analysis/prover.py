@@ -1,6 +1,6 @@
 """Decision procedures over the automaton IR: containment, equivalence,
-counterexample witnesses, incident membership, canonical language keys,
-and the batch subsumption planner.
+counterexample witnesses, incident membership and the batch subsumption
+planner.
 
 All procedures reason about the *per-wid incident semantics* of
 Definition 4: ``PatternProver.contains(p, q)`` holds iff for every
@@ -14,7 +14,6 @@ counterexample log — the :class:`Witness`.
 
 from __future__ import annotations
 
-import hashlib
 from dataclasses import dataclass
 from typing import Sequence
 
@@ -23,7 +22,6 @@ from repro.analysis.automaton import (
     DFA,
     NFA,
     MarkedAlphabet,
-    canonical_dfa_bytes,
     common_word,
     compile_pattern,
     compile_spec,
@@ -44,7 +42,6 @@ __all__ = [
     "SubsumptionPlan",
     "PlanAction",
     "plan_subsumption",
-    "canonical_key",
     "default_prover",
 ]
 
@@ -183,18 +180,6 @@ class PatternProver:
             pattern, alphabet=alphabet, max_states=self.max_states
         )
 
-    def canonical_key(self, pattern: Pattern) -> str:
-        """A string equal for provably-equivalent patterns (over the
-        same mentioned-name set): the digest of the minimal DFA in
-        canonical form, prefixed by the alphabet.  Equal keys imply
-        equivalence; differing name sets are conservatively distinct.
-        """
-        alphabet = self.alphabet(pattern)
-        digest = hashlib.blake2b(
-            canonical_dfa_bytes(self._dfa(pattern, alphabet)), digest_size=16
-        ).hexdigest()
-        return "v1:" + ",".join(alphabet.names) + ":" + digest
-
     def spec_witness(
         self,
         spec: WorkflowSpec,
@@ -286,10 +271,6 @@ def default_prover() -> PatternProver:
     """The process-wide shared prover (its DFA memo amortises repeated
     lint/batch/cache proofs over the same patterns)."""
     return _DEFAULT_PROVER
-
-
-def canonical_key(pattern: Pattern) -> str:
-    return _DEFAULT_PROVER.canonical_key(pattern)
 
 
 # ---------------------------------------------------------------------------

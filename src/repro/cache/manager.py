@@ -26,7 +26,6 @@ as ``cache.result`` spans.  All public methods are thread-safe.
 
 from __future__ import annotations
 
-import functools
 import threading
 from dataclasses import dataclass, field
 from typing import TYPE_CHECKING, Any
@@ -56,23 +55,9 @@ __all__ = [
 #: Hashable identity of a whole log, see :meth:`QueryCache.log_identity`.
 LogIdentity = tuple[str, ...]
 
-#: Full key of one cache entry.  The pattern component is the
-#: AC-canonical pattern, or — under ``policy.equivalence_keys`` — an
-#: ``("eqclass", digest)`` pair naming the proved equivalence class.
-ResultKey = tuple[LogIdentity, Any, tuple[Any, ...]]
-
-
-@functools.lru_cache(maxsize=1024)
-def _equivalence_class_key(pattern: Pattern) -> str | None:
-    """The prover's canonical language key for ``pattern``, or ``None``
-    when the prover cannot decide it (state budget, unsupported
-    operator) — callers then fall back to the AC-canonical key."""
-    from repro.analysis import AnalysisError, canonical_key
-
-    try:
-        return canonical_key(pattern)
-    except AnalysisError:
-        return None
+#: Full key of one cache entry; the pattern component is the
+#: AC-canonical pattern.
+ResultKey = tuple[LogIdentity, Pattern, tuple[Any, ...]]
 
 
 def _detach_stats(stats: EvaluationStats | None) -> EvaluationStats | None:
@@ -178,23 +163,8 @@ class QueryCache:
         ``max_incidents`` participates because a budget changes
         observable behaviour (a cached over-budget result must not mask
         the error).
-
-        Under ``policy.equivalence_keys`` the pattern component is the
-        prover's :func:`repro.analysis.canonical_key` instead — the
-        minimal-DFA digest of the pattern's marked-trace language — so
-        *proved*-equivalent queries share one entry even when no AC
-        rewrite relates them.  Falls back to the AC-canonical key when
-        the prover cannot handle the pattern.
         """
         normalized, _ = normalize(pattern)
-        if self.policy.equivalence_keys:
-            eq_key = _equivalence_class_key(normalized)
-            if eq_key is not None:
-                return (
-                    self.log_identity(log),
-                    ("eqclass", eq_key),
-                    ("max_incidents", max_incidents),
-                )
         canonical = canonicalize(normalized)
         return (self.log_identity(log), canonical, ("max_incidents", max_incidents))
 

@@ -34,20 +34,10 @@ class CachePolicy:
         :func:`~repro.cache.sizing.incidents_nbytes`; the least recently
         used entries are evicted once the cache exceeds its budget, and
         an entry larger than the whole budget is rejected outright.
-    equivalence_keys:
-        Key results on the :func:`repro.analysis.canonical_key`
-        equivalence class of the pattern instead of its AC-canonical
-        form: queries *proved* algebraically equal — even when no
-        syntactic rewrite relates them, e.g. ``A & B`` vs ``(A -> B) |
-        (B -> A)`` — share one entry.  Sound (equal keys imply equal
-        incident sets on every log) but costs an automaton construction
-        per distinct pattern; off by default.  Patterns the prover
-        cannot handle fall back to the AC-canonical key.
     """
 
     enabled: bool = True
     result_budget_bytes: int = DEFAULT_RESULT_BUDGET
-    equivalence_keys: bool = False
 
     def __post_init__(self) -> None:
         if self.result_budget_bytes < 0:

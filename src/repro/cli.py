@@ -194,8 +194,8 @@ def _engine_options(args: argparse.Namespace) -> EngineOptions:
         else None
     )
     cache = None
-    if flags.get("cache") or flags.get("cache_equivalence"):
-        policy = CachePolicy(equivalence_keys=flags.get("cache_equivalence", False))
+    if flags.get("cache"):
+        policy = CachePolicy()
         if flags.get("cache_bytes") is not None:
             policy = policy.with_budget(flags["cache_bytes"])
         cache = QueryCache(policy, metrics=registry)
@@ -282,13 +282,6 @@ def build_parser() -> argparse.ArgumentParser:
         default=None,
         metavar="N",
         help="cache byte budget (default 32 MiB)",
-    )
-    query.add_argument(
-        "--cache-equivalence",
-        action="store_true",
-        help="key the result cache on proved equivalence classes "
-        "(repro.analysis canonical keys) instead of AC-canonical "
-        "patterns; implies --cache",
     )
     query.add_argument(
         "--repeat",

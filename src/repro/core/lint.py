@@ -35,12 +35,14 @@ QW401     warning   estimated evaluation blowup: the cost model (or, with
 QW402     info      a cheaper equivalent form exists via Theorem 5 choice
                     factoring (the optimizer's normal form), *proved*
                     equivalent by the containment prover
-QW501     info      the query is provably subsumed by a batch sibling —
-                    the batch planner evaluates the sibling once and
-                    derives this query by filtering
+QW501     info      the batch planner skips the query's scan: it is
+                    provably equivalent to a batch sibling (the planner
+                    shares the sibling's incidents) or subsumed by one
+                    (the planner derives it by filtering)
 QW502     warning   a ``⊗`` operand is provably subsumed by a sibling
                     operand (``p ⊑ q`` implies ``p ⊗ q ≡ q``), beyond
-                    the syntactic duplicates QW301 catches
+                    the syntactic duplicates QW301 catches; read off
+                    the batch planner's relation over the operands
 ========  ========  =====================================================
 
 Satisfiability here is always *relative to a context*: in the core
@@ -64,7 +66,10 @@ The QW402/QW5xx equivalence and subsumption verdicts are *proved* by the
 automaton IR), not inferred from syntax or cost heuristics: QW402 is
 only emitted once the normal form is proved equivalent to the original
 query, and falls back to silence — never a guess — when the proof is
-unavailable (state budget, unsupported operator).
+unavailable (state budget, unsupported operator).  QW501 and QW502 are
+projections of :func:`repro.analysis.plan_subsumption`, the plan the
+batch executor acts on, so lint reports exactly the subsumption the
+planner uses.
 
 Example
 -------
@@ -117,17 +122,14 @@ __all__ = [
 
 # -- prover bridge (lazy: repro.analysis imports the evaluation stack) -----
 
-def _proved(kind: str, p: Pattern, q: Pattern) -> bool | None:
-    """Ask the shared prover whether ``p kind q`` holds; ``None`` when it
-    cannot decide (state budget, unsupported operator) — callers must
-    treat ``None`` as "stay silent", never as a verdict."""
+def _proved_equivalent(p: Pattern, q: Pattern) -> bool | None:
+    """Ask the shared prover whether ``p ≡ q``; ``None`` when it cannot
+    decide (state budget, unsupported operator) — callers must treat
+    ``None`` as "stay silent", never as a verdict."""
     from repro.analysis import AnalysisError, default_prover
 
     try:
-        prover = default_prover()
-        if kind == "equivalent":
-            return prover.equivalent(p, q)
-        return prover.contains(p, q)
+        return default_prover().equivalent(p, q)
     except AnalysisError:
         return None
 
@@ -247,6 +249,11 @@ def _pairwise_operator_count(pattern: Pattern) -> int:
     )
 
 
+#: Cap on ⊗ nodes per subtree for the choice-normal-form record-demand
+#: reasoning of QW201; larger subtrees are skipped.
+_MAX_CNF_CHOICES = 7
+
+
 def _choice_count(pattern: Pattern) -> int:
     return sum(1 for node in pattern.walk() if isinstance(node, Choice))
 
@@ -278,9 +285,6 @@ class Linter:
     max_pairwise_operators:
         Without ``stats``, QW401 fires when the pattern chains more than
         this many pairwise (⊙/⊳/⊕) operators — Theorem 1's exponent.
-    max_choice_nodes:
-        Cap on ⊗ nodes per subtree for the (exponential) choice-normal-
-        form satisfiability reasoning; larger subtrees are skipped.
     """
 
     def __init__(
@@ -291,14 +295,12 @@ class Linter:
         cost_threshold: float = 1e7,
         incident_threshold: float = 1e6,
         max_pairwise_operators: int = 6,
-        max_choice_nodes: int = 7,
     ):
         self.stats = stats
         self.spec = spec
         self.cost_threshold = cost_threshold
         self.incident_threshold = incident_threshold
         self.max_pairwise_operators = max_pairwise_operators
-        self.max_choice_nodes = max_choice_nodes
         self.model = CostModel(stats) if stats is not None else None
 
     # -- constructors ------------------------------------------------------
@@ -477,16 +479,12 @@ class Linter:
                 f"no run of the workflow specification holds an incident "
                 f"of {to_text(node)!r}"
             )
-        if self.stats is not None and self._cnf_tractable(node):
+        # choice-normal-form reasoning is exponential in the ⊗ count
+        if self.stats is not None and _choice_count(node) <= _MAX_CNF_CHOICES:
             over = self._overdemand(node)
             if over is not None:
                 return over
         return None
-
-    def _cnf_tractable(self, node: Pattern) -> bool:
-        """Whether choice-normal-form reasoning over ``node`` is cheap
-        enough (the branch count is exponential in the ⊗ count)."""
-        return _choice_count(node) <= self.max_choice_nodes
 
     def _overdemand(self, node: Pattern) -> str | None:
         """Empty because every choice-free branch needs more records of
@@ -631,48 +629,40 @@ class Linter:
 
     # -- proved choice subsumption (QW502) ---------------------------------
 
-    #: Skip the pairwise prover pass on choices larger than this (the
-    #: proofs are per-pair automaton constructions).
-    max_subsumption_operands = 5
-
     def _check_subsumption(self, pattern: Pattern, span_of) -> list[Diagnostic]:
+        from repro.analysis import plan_subsumption
+
         out: list[Diagnostic] = []
         for node, parent in _walk_with_parent(pattern):
             if not isinstance(node, Choice) or isinstance(parent, Choice):
                 continue
             operands = flatten_assoc(node, Choice)
-            if len(operands) > self.max_subsumption_operands:
-                continue
-            canon = [canonicalize(op) for op in operands]
-            for j, operand in enumerate(operands):
-                for i, sibling in enumerate(operands):
-                    if i == j or canon[i] == canon[j]:
-                        continue  # syntactic duplicates are QW301's beat
-                    if not _proved("contains", operand, sibling):
-                        continue
-                    # equivalent-but-not-identical pairs: flag only the
-                    # later operand, mirroring QW301's keep-first rule
-                    if i > j and _proved("contains", sibling, operand):
-                        continue
-                    kept = [op for k, op in enumerate(operands) if k != j]
-                    out.append(
-                        Diagnostic(
-                            code="QW502",
-                            severity=Severity.WARNING,
-                            message=(
-                                f"operand {to_text(operand)!r} is provably "
-                                f"subsumed by sibling {to_text(sibling)!r}: "
-                                f"every incident of the former is an incident "
-                                f"of the latter, so p ⊗ q ≡ q"
-                            ),
-                            span=span_of(operand),
-                            suggestion=(
-                                f"equivalent without the subsumed operand: "
-                                f"{to_text(build_left_deep(Choice, kept))}"
-                            ),
-                        )
+            # the proofs are per-pair automaton products: small choices only
+            plan = plan_subsumption(operands, max_patterns=5)
+            for j, action in enumerate(plan.actions):
+                if action.kind == "scan":
+                    continue
+                operand, sibling = operands[j], operands[action.source]
+                if action.kind == "alias" and canonicalize(operand) == canonicalize(sibling):
+                    continue  # a syntactic duplicate is QW301's finding
+                kept = [op for k, op in enumerate(operands) if k != j]
+                out.append(
+                    Diagnostic(
+                        code="QW502",
+                        severity=Severity.WARNING,
+                        message=(
+                            f"operand {to_text(operand)!r} is provably "
+                            f"subsumed by sibling {to_text(sibling)!r}: "
+                            f"every incident of the former is an incident "
+                            f"of the latter, so p ⊗ q ≡ q"
+                        ),
+                        span=span_of(operand),
+                        suggestion=(
+                            f"equivalent without the subsumed operand: "
+                            f"{to_text(build_left_deep(Choice, kept))}"
+                        ),
                     )
-                    break
+                )
         return out
 
     # -- complexity (QW401 / QW402) ----------------------------------------
@@ -728,7 +718,7 @@ class Linter:
 
         # QW402 is gated on an actual equivalence proof of the rewritten
         # form: a failed or undecidable proof yields silence, not a guess.
-        if factored and _proved("equivalent", pattern, normalized):
+        if factored and _proved_equivalent(pattern, normalized):
             message = (
                 "an equivalent cheaper form exists via Theorem 5 choice "
                 "factoring (proved equivalent; the planner evaluates this "
@@ -767,10 +757,6 @@ class Linter:
         )
 
 
-#: Skip the cross-query prover pass on batches larger than this.
-_MAX_BATCH_SUBSUMPTION = 16
-
-
 def lint_batch(
     queries: Sequence[str | Pattern | ParseResult],
     *,
@@ -780,14 +766,18 @@ def lint_batch(
     **kwargs,
 ) -> list[list[Diagnostic]]:
     """Lint a batch of queries: per-query diagnostics plus the proved
-    cross-query subsumption check (QW501).
+    cross-query subsumption finding (QW501).
 
-    A QW501 finding means the batch executor's subsumption planner
-    (:func:`repro.exec.batch.evaluate_batch`) will evaluate the named
-    sibling once and derive this query's incidents by filtering — the
-    diagnostic is informational, not a defect.  Returns one diagnostic
-    list per query, index-aligned with ``queries``.
+    QW501 is read off the batch executor's own plan
+    (:func:`repro.analysis.plan_subsumption`, as
+    :func:`repro.exec.batch.evaluate_batch` runs it): a query gets one
+    exactly when the planner skips its scan, naming the sibling the
+    planner shares (``alias``) or filters (``derive``) its incidents
+    from — the diagnostic is informational, not a defect.  Returns one
+    diagnostic list per query, index-aligned with ``queries``.
     """
+    from repro.analysis import plan_subsumption
+
     if linter is None:
         linter = Linter.for_context(log=log, spec=spec, **kwargs)
     resolved: list[ParseResult | Pattern] = [
@@ -799,33 +789,28 @@ def lint_batch(
         query.pattern if isinstance(query, ParseResult) else query
         for query in resolved
     ]
-    if len(patterns) < 2 or len(patterns) > _MAX_BATCH_SUBSUMPTION:
-        return per_query
-    for j, pattern in enumerate(patterns):
-        for i, sibling in enumerate(patterns):
-            if i == j:
-                continue
-            if not _proved("contains", pattern, sibling):
-                continue
-            if i > j and _proved("contains", sibling, pattern):
-                continue  # for proved-equivalent pairs, flag the later one
-            span = (
-                resolved[j].span(pattern)
-                if isinstance(resolved[j], ParseResult)
-                else None
+    for j, action in enumerate(plan_subsumption(patterns).actions):
+        if action.kind == "scan":
+            continue
+        i = action.source
+        if action.kind == "alias":
+            relation, effect = "equivalent to", "shares its incident set"
+        else:
+            relation, effect = "subsumed by", "derives this query's incidents by filtering"
+        per_query[j].append(
+            Diagnostic(
+                code="QW501",
+                severity=Severity.INFO,
+                message=(
+                    f"query is provably {relation} batch sibling #{i + 1} "
+                    f"({to_text(patterns[i])!r}): the batch planner evaluates "
+                    f"that sibling once and {effect}"
+                ),
+                span=(
+                    resolved[j].span(patterns[j])
+                    if isinstance(resolved[j], ParseResult)
+                    else None
+                ),
             )
-            per_query[j].append(
-                Diagnostic(
-                    code="QW501",
-                    severity=Severity.INFO,
-                    message=(
-                        f"query is provably subsumed by batch sibling #{i + 1} "
-                        f"({to_text(sibling)!r}): the batch planner evaluates "
-                        f"that sibling once and derives this query's "
-                        f"incidents by filtering"
-                    ),
-                    span=span,
-                )
-            )
-            break
+        )
     return per_query

@@ -3,8 +3,8 @@
 Known-contained and known-incomparable pairs, witness-trace replay
 through the naive engine (the witness must *actually* distinguish the
 two patterns, per the ground-truth semantics), unsupported-pattern and
-state-budget error paths, canonical keys, and IncidentMatcher agreement
-with the Definition 4 oracle.
+state-budget error paths, and IncidentMatcher agreement with the
+Definition 4 oracle.
 """
 
 import pytest
@@ -14,7 +14,6 @@ from repro.analysis import (
     IncidentMatcher,
     PatternProver,
     UnsupportedPatternError,
-    canonical_key,
     default_prover,
 )
 from repro.core.eval.naive import NaiveEngine
@@ -92,10 +91,6 @@ class TestKnownEquivalent:
         assert equivalent(p, q)
         assert witness(p, q) is None
 
-    @pytest.mark.parametrize("p, q", EQUIV_PAIRS)
-    def test_equivalent_pairs_share_a_canonical_key(self, p, q):
-        assert canonical_key(p) == canonical_key(q)
-
 
 class TestKnownIncomparable:
     INCOMPARABLE = [
@@ -111,10 +106,6 @@ class TestKnownIncomparable:
         assert not contains(p, q)
         assert not contains(q, p)
         assert not equivalent(p, q)
-
-    @pytest.mark.parametrize("p, q", INCOMPARABLE)
-    def test_keys_differ(self, p, q):
-        assert canonical_key(p) != canonical_key(q)
 
 
 class TestWitnessReplay:
@@ -184,25 +175,6 @@ class TestErrorPaths:
 
         with pytest.raises(ReproError):
             contains(Guarded("A"), A)
-
-
-class TestCanonicalKey:
-    def test_key_is_stable_across_provers(self):
-        pattern = Sequential(A, Choice(B, C))
-        assert (
-            PatternProver().canonical_key(pattern)
-            == default_prover().canonical_key(pattern)
-        )
-
-    def test_key_embeds_the_mentioned_alphabet(self):
-        key = canonical_key(Sequential(A, B))
-        assert key.startswith("v1:")
-        assert "A" in key and "B" in key
-
-    def test_distinct_name_sets_are_conservatively_distinct(self):
-        # A | A ≡ A semantically mentions only A; A | (B ; !B)?  Keep it
-        # honest: same language shape over different letters must differ.
-        assert canonical_key(A) != canonical_key(B)
 
 
 class TestIncidentMatcher:

@@ -19,7 +19,7 @@ import pytest
 from hypothesis import given, settings
 
 from repro import EngineOptions, Query
-from repro.cache import CachePolicy, QueryCache
+from repro.cache import QueryCache
 from repro.core.errors import BudgetExceededError, QueryBudgetExceeded
 from repro.core.eval.vectorized import VectorizedEngine
 from repro.core.incident import reference_incidents
@@ -50,11 +50,10 @@ PATTERNS = (
 @given(
     histories(max_epochs=4),
     st.lists(st.lists(st.integers(0, len(PATTERNS) - 1), max_size=4), min_size=4, max_size=4),
-    st.booleans(),
 )
-def test_delta_is_the_cold_kernel_and_the_oracle(history, asked, equivalence_keys):
+def test_delta_is_the_cold_kernel_and_the_oracle(history, asked):
     store = LogStore()
-    cache = QueryCache(CachePolicy(equivalence_keys=equivalence_keys))
+    cache = QueryCache()
     options = EngineOptions(cache=cache)
     held_at: dict = {}  # slot of a pattern -> epoch its entry is of
     for operations, indexes in zip(history, asked):

@@ -364,13 +364,12 @@ class TestDeletedOptions:
         with pytest.raises(TypeError):
             VectorizedEngine(cache=QueryCache())
 
-    def test_policy_has_three_fields_and_stats_six_keys(self):
+    def test_policy_has_two_fields_and_stats_six_keys(self):
         import dataclasses
 
         assert [f.name for f in dataclasses.fields(CachePolicy)] == [
             "enabled",
             "result_budget_bytes",
-            "equivalence_keys",
         ]
         assert CachePolicy().with_budget(7).result_budget_bytes == 7
         assert sorted(QueryCache().stats()) == [

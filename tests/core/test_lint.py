@@ -7,8 +7,11 @@ test (a nearby-but-clean query does not trigger it).
 
 from __future__ import annotations
 
+import hypothesis.strategies as st
 import pytest
+from hypothesis import given, settings
 
+from repro.analysis import plan_subsumption
 from repro.core.lint import (
     DIAGNOSTIC_CODES,
     Diagnostic,
@@ -20,7 +23,14 @@ from repro.core.lint import (
 from repro.core.model import Log
 from repro.core.optimizer import CostModel, LogStatistics, Optimizer, normalize
 from repro.core.parser import SourceSpan, parse, parse_with_spans
-from repro.core.pattern import Atomic, to_text
+from repro.core.pattern import (
+    Atomic,
+    Choice,
+    Consecutive,
+    Parallel,
+    Sequential,
+    to_text,
+)
 from repro.workflow.models import clinic_referral_workflow
 
 
@@ -253,6 +263,91 @@ class TestRedundancy:
 
     def test_qw302_negative_distinct_operands(self):
         assert Linter().lint("A & B") == []
+
+
+# ---------------------------------------------------------------------------
+# QW501 / QW502 — proved subsumption, read off the batch plan
+# ---------------------------------------------------------------------------
+
+
+def qw501(batch):
+    """Position -> the QW501 finding of ``lint_batch(batch)``."""
+    return {
+        j: d
+        for j, diagnostics in enumerate(lint_batch(batch))
+        for d in diagnostics
+        if d.code == "QW501"
+    }
+
+
+def patterns_on_abc():
+    return st.recursive(
+        st.builds(Atomic, st.sampled_from("ABC"), st.booleans()),
+        lambda children: st.builds(
+            lambda cls, l, r: cls(l, r),
+            st.sampled_from((Consecutive, Sequential, Choice, Parallel)),
+            children,
+            children,
+        ),
+        max_leaves=3,
+    )
+
+
+class TestPlannedSubsumption:
+    def test_qw501_names_the_sibling_an_alias_shares(self):
+        found = qw501(["B | C", "C", "B", "B"])
+        assert sorted(found) == [1, 2, 3]
+        assert found[3].message == (
+            "query is provably equivalent to batch sibling #3 ('B'): the "
+            "batch planner evaluates that sibling once and shares its "
+            "incident set"
+        )
+
+    def test_qw501_derive_message(self):
+        found = qw501(["A ; B", "A -> B"])
+        assert sorted(found) == [0]
+        assert found[0].severity == Severity.INFO
+        assert found[0].span == SourceSpan(0, 5)
+        assert found[0].message == (
+            "query is provably subsumed by batch sibling #2 ('A -> B'): the "
+            "batch planner evaluates that sibling once and derives this "
+            "query's incidents by filtering"
+        )
+
+    def test_qw501_covers_every_batch_the_planner_plans(self):
+        batch = ["A"] * 17 + ["A -> B"]
+        plan = plan_subsumption([parse(text) for text in batch])
+        assert plan.subsumed == 16
+        assert sorted(qw501(batch)) == list(range(1, 17))
+
+    @settings(max_examples=100, deadline=None)
+    @given(st.lists(patterns_on_abc(), min_size=2, max_size=5))
+    def test_qw501_is_the_plan(self, batch):
+        found = qw501(batch)
+        for j, action in enumerate(plan_subsumption(batch).actions):
+            if action.kind == "scan":
+                assert j not in found
+                continue
+            message = found[j].message
+            assert f"batch sibling #{action.source + 1} " in message
+            verb = "equivalent to" if action.kind == "alias" else "subsumed by"
+            assert message.startswith(f"query is provably {verb} ")
+
+    def test_qw502_proved_subsumed_operand(self):
+        d = only(Linter().lint("(A ; B) | (A -> B)"), "QW502")
+        assert d.severity == Severity.WARNING
+        assert d.span == SourceSpan(1, 6)
+        assert d.suggestion == "equivalent without the subsumed operand: A -> B"
+
+    def test_qw502_leaves_a_syntactic_duplicate_to_qw301(self):
+        diagnostics = Linter().lint("(A ; B) | (A -> B) | (A ; B)")
+        assert [(d.code, d.span) for d in diagnostics] == [
+            ("QW502", SourceSpan(1, 6)),
+            ("QW301", SourceSpan(22, 27)),
+        ]
+
+    def test_qw502_negative_incomparable_operands(self):
+        assert Linter().lint("(A ; B) | (B ; A)") == []
 
 
 # ---------------------------------------------------------------------------

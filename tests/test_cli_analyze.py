@@ -129,11 +129,3 @@ class TestBatchAnalysisFlags:
         without = capsys.readouterr().out.splitlines()
         # per-query lines identical; only the trailing summary differs
         assert with_plan[:-1] == without[:-1]
-
-
-class TestQueryCacheEquivalence:
-    def test_cache_equivalence_flag_runs_and_reports(self, ab_file, capsys):
-        code = main(["query", "--log", ab_file, "--pattern", "A & B",
-                     "--mode", "count", "--cache-equivalence"])
-        assert code == 0
-        assert "cache: served by" in capsys.readouterr().out

@@ -45,7 +45,6 @@ FLAGS = [
     (("query", "batch"), ["--deadline-ms", "250"], {"deadline_ms": 250.0}),
     (("query", "batch"), ["--max-pairs", "9"], {"max_pairs": 9}),
     (("query", "batch"), ["--cache"], {"cache": _cache()}),
-    (("query",), ["--cache-equivalence"], {"cache": _cache(equivalence_keys=True)}),
     (
         ("query",),
         ["--cache", "--cache-bytes", "4096"],
