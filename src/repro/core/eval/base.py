@@ -56,7 +56,7 @@ class EvaluationStats:
         an ``max_incidents`` budget actually guards, per Theorem 1).
     registry:
         Optional :class:`~repro.obs.metrics.MetricsRegistry` adapter: when
-        set, the note methods mirror their counts into engine metrics, so
+        set, :meth:`publish` adds the counts to the engine metrics, so
         existing ``EvaluationStats`` consumers keep working while metrics
         consumers see the same numbers.
     """
@@ -73,9 +73,6 @@ class EvaluationStats:
     def note_operator(self, symbol: str) -> None:
         self.operator_evals += 1
         self.per_operator[symbol] = self.per_operator.get(symbol, 0) + 1
-        if self.registry is not None:
-            self.registry.counter("engine.operator_evals").inc()
-            self.registry.counter(f"engine.operator_evals.{symbol}").inc()
 
     def note_live(self, size: int) -> None:
         """Record one materialised incident-set size (tracks the peak)."""
@@ -102,14 +99,18 @@ class EvaluationStats:
     def publish(self) -> None:
         """Flush the whole-evaluation totals into the bound registry.
 
-        Engines call this once per evaluation; per-pair counts are
-        accumulated locally (plain int adds on the hot path) and exported
-        in one shot here.
+        Engines call this once per evaluation; per-pair and per-operator
+        counts are accumulated locally (plain int adds on the hot path) and
+        exported in one shot here.
         """
         if self.registry is None:
             return
         registry = self.registry
         registry.counter("engine.evaluations").inc()
+        if self.operator_evals:
+            registry.counter("engine.operator_evals").inc(self.operator_evals)
+            for symbol, count in self.per_operator.items():
+                registry.counter(f"engine.operator_evals.{symbol}").inc(count)
         registry.counter("engine.pairs_examined").inc(self.pairs_examined)
         registry.counter("engine.incidents_produced").inc(self.incidents_produced)
         registry.gauge("engine.max_live_incidents").set_max(self.max_live_incidents)
@@ -136,9 +137,13 @@ class Engine(ABC):
         ``engine.*`` counter family.
     governor:
         Optional :class:`~repro.core.governor.ResourceGovernor` consulted
-        at the engine's cooperative checkpoints (per workflow instance
-        and per operator node).  Unlike ``max_incidents`` — which guards
-        materialised set sizes — the governor bounds *work* (pairs
+        at the engine's cooperative checkpoints: the join kernel checks
+        inside its joins whenever its work count reaches the governor's
+        :meth:`~repro.core.governor.ResourceGovernor.next_due` mark, and
+        once more when the run completes; the reference engine checks per
+        workflow instance and per operator node; the sqlite backend from
+        SQLite's progress handler.  Unlike ``max_incidents`` — which
+        guards materialised set sizes — the governor bounds *work* (pairs
         examined, wall clock) and cooperative cancellation.  Queries set
         it per run; it may also be passed at construction.
     """
@@ -195,8 +200,9 @@ class Engine(ABC):
     def _checkpoint(self, stats: EvaluationStats) -> None:
         """One cooperative governor checkpoint.
 
-        Engines call this per workflow instance and per operator node;
-        when a governor is installed and a budget is blown, the typed
+        Engines call this where their docs say (see ``governor`` in the
+        class docs); when a governor is installed and a budget is blown,
+        the typed
         :class:`~repro.core.errors.QueryGovernorError` propagates with a
         detached partial-stats snapshot.  ``stats`` is installed as
         ``last_stats`` first, so callers inspecting the engine after a

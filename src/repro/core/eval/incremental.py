@@ -257,6 +257,11 @@ class IncrementalEvaluator:
         pattern = node.pattern
         stats = self.stats
         stats.note_operator(pattern.symbol)
+        if stats.registry is not None:
+            # a stream has no end of evaluation to publish at, so its
+            # operator counts reach the registry as they happen
+            stats.registry.counter("engine.operator_evals").inc()
+            stats.registry.counter(f"engine.operator_evals.{pattern.symbol}").inc()
 
         if isinstance(pattern, Choice):
             return node.state_for(wid).add_new(delta_left + delta_right)

@@ -1,4 +1,4 @@
-"""The production join kernel: set-at-a-time evaluation over the columnar log.
+"""The production join kernel: window-at-a-time evaluation over the columnar log.
 
 The paper's Algorithm 1 inspects every pair of sub-incidents for every
 operator (:class:`~repro.core.eval.naive.NaiveEngine` keeps that
@@ -46,13 +46,29 @@ subpattern sharing are *compile-time hooks* on that one tree, not sibling
 evaluators: with a live tracer every node is wrapped in its span; with
 ``share=True`` binary nodes and the root are wrapped in the share probe.
 Neither hook costs anything when it is off.
+
+Budgets are charged with the work the paper counts (Lemma 1's pairs), not
+per window or per node.  One evaluation keeps one work count,
+``pairs_examined + operator_evals``, and consults the governor only when
+that count reaches the mark
+:meth:`~repro.core.governor.ResourceGovernor.next_due` set: every
+:data:`~repro.core.governor.CHECK_STRIDE` units, or at the first unit that
+can cross ``max_pairs``.  The ⊳, ⊙ and ⊕ joins add their pairs once per
+left incident (the slice of right incidents it examined) and compare the
+count to the mark there, together with the join's output so far against
+``max_incidents``; every node compares it again after its join.  So a
+``max_pairs`` kill is exact to one slice, a deadline or cancel is seen
+about every millisecond of join work, and a run that completes is checked
+once more at its end.
 """
 
 from __future__ import annotations
 
+import sys
 from bisect import bisect_right
 from collections.abc import Callable, Iterable, Sequence, Set
 from functools import lru_cache, partial
+from operator import itemgetter
 
 from repro.columnar.column_log import ColumnarLog, as_columnar
 from repro.core.eval.base import Engine, EvaluationStats, node_label
@@ -81,9 +97,49 @@ _Span = tuple[int, int, frozenset]
 _Node = Callable[[int, int, int], Sequence[_Span]]
 
 
+#: Work count no evaluation reaches: the mark of a run with no governor,
+#: and the cap of one with no ``max_incidents``.
+_NEVER = sys.maxsize
+
+_first_last = itemgetter(0, 1)
+
+
 def _sorted_by_first(incidents: list[_Span]) -> list[_Span]:
-    incidents.sort(key=lambda o: (o[0], o[1]))
+    incidents.sort(key=_first_last)
     return incidents
+
+
+class _Meter:
+    """One evaluation's budgets, read where its work is done.
+
+    ``due`` is the work count (``stats.pairs_examined +
+    stats.operator_evals``) at which the governor is next consulted
+    (:data:`_NEVER` without one; 0 at the start, so a run opens with a
+    checkpoint) and ``cap`` the ``max_incidents`` a join's output is held
+    to.  Callers compare the count to ``due`` themselves and call
+    :meth:`check` when it is reached or the cap is passed.
+    """
+
+    __slots__ = ("stats", "due", "cap", "_engine", "_governor")
+
+    def __init__(self, engine: "VectorizedEngine", stats: EvaluationStats):
+        self.stats = stats
+        self.due = _NEVER if engine.governor is None else 0
+        self.cap = _NEVER if engine.max_incidents is None else engine.max_incidents
+        self._engine = engine
+        self._governor = engine.governor
+
+    def check(self, size: int = 0) -> int:
+        """Consult the governor if the work count is due, then hold an
+        output of ``size`` incidents to the cap; returns the next mark."""
+        stats = self.stats
+        governor = self._governor
+        if governor is not None and stats.pairs_examined + stats.operator_evals >= self.due:
+            self._engine._checkpoint(stats)
+            self.due = governor.next_due(stats)
+        if size > self.cap:
+            self._engine._check_budget(size)
+        return self.due
 
 
 class _SubpatternKey:
@@ -187,16 +243,20 @@ class VectorizedEngine(Engine):
         order; ``result`` makes the incident set of the ``(wid, lo,
         spans)`` found."""
         stats = self._new_stats()
+        meter = _Meter(self, stats)
         found: list[tuple[int, int, Sequence[_Span]]] = []
         n = 0
         with self.tracer.span("evaluate", key=(), engine=self.name, pattern=str(pattern)):
-            root = self._compile(columnar, pattern, stats)
+            root = self._compile(columnar, pattern, meter)
+            meter.check()
+            # work is only done in nodes, and every node compares the work
+            # count to the mark after its join: the loop has nothing to check
             for wi, (wid, lo, hi) in windows:
-                self._checkpoint(stats)
                 spans = root(wi, lo, hi)
                 if spans:
                     found.append((wid, lo, spans))
                     n += len(spans)
+            self._checkpoint(stats)
             incidents = result(found)
             self._check_budget(len(incidents))
             stats.note_live(n)
@@ -227,23 +287,26 @@ class VectorizedEngine(Engine):
         earliest-completion scan decides existence in time linear in each
         instance trace, never materialising incident sets.  Other
         patterns evaluate instance by instance, so a hit in an early
-        instance stops the scan.
+        instance stops the scan.  The greedy scan does no join work, so it
+        is checked only where the run begins and ends.
         """
         columnar = as_columnar(log)
         stats = self._new_stats()
+        meter = _Meter(self, stats)
         if _greedy_safe(pattern):
             rows = columnar._rows
             hit = lambda wi, lo, hi: (  # noqa: E731
                 _earliest_end(rows[lo:hi], pattern, 1) is not None
             )
         else:
-            hit = self._compile(columnar, pattern, stats)
+            hit = self._compile(columnar, pattern, meter)
+        meter.check()
         found = False
         for wi, (_, lo, hi) in enumerate(columnar.wid_windows()):
-            self._checkpoint(stats)
             if hit(wi, lo, hi):
                 found = True
                 break
+        self._checkpoint(stats)
         self._finish(stats)
         return found
 
@@ -253,7 +316,7 @@ class VectorizedEngine(Engine):
         self,
         columnar: ColumnarLog,
         pattern: Pattern,
-        stats: EvaluationStats,
+        meter: _Meter,
         key: int | str = "root",
     ) -> _Node:
         """Compile ``pattern`` into its window evaluator.
@@ -272,12 +335,12 @@ class VectorizedEngine(Engine):
             self._shared.clear()
             self._bound = columnar
         if isinstance(pattern, Atomic):
-            node = self._compile_atomic(columnar, pattern, stats)
+            node = self._compile_atomic(columnar, pattern, meter.stats)
         else:
             assert isinstance(pattern, BinaryPattern)
-            left = self._compile(columnar, pattern.left, stats, 0)
-            right = self._compile(columnar, pattern.right, stats, 1)
-            node = self._compile_join(pattern, left, right, stats)
+            left = self._compile(columnar, pattern.left, meter, 0)
+            right = self._compile(columnar, pattern.right, meter, 1)
+            node = self._compile_join(pattern, left, right, meter)
         if self.tracer.enabled:
             node = self._traced(pattern, key, node)
         # leaves are answered from the activity index faster than a share
@@ -288,45 +351,41 @@ class VectorizedEngine(Engine):
         return node
 
     def _compile_join(
-        self, pattern: BinaryPattern, left: _Node, right: _Node, stats: EvaluationStats
+        self, pattern: BinaryPattern, left: _Node, right: _Node, meter: _Meter
     ) -> _Node:
         if isinstance(pattern, Sequential):
             join = partial(
                 self._join_sequential,
-                stats,
+                meter,
                 bound=getattr(pattern, "bound", None),
             )
         elif isinstance(pattern, Consecutive):
-            join = partial(self._join_consecutive, stats)
+            join = partial(self._join_consecutive, meter)
         elif isinstance(pattern, Parallel):
-            join = partial(self._join_parallel, stats)
+            join = partial(self._join_parallel, meter)
         else:
-            join = partial(self._union_choice, stats)
+            join = partial(self._union_choice, meter.stats)
 
         symbol = pattern.symbol
+        stats = meter.stats
         if self.tracer.enabled:
             join = self._observed(join, symbol, stats)
-        max_incidents = self.max_incidents
-        governor = self.governor
-        # note_operator mirrors into the metrics registry when one is
-        # bound; inline the plain-counter form otherwise
-        note_operator = stats.note_operator if stats.registry is not None else None
+        # only a choice has incidents when an operand has none; a traced
+        # join still reports its operand sizes
+        enter_empty = self.tracer.enabled or isinstance(pattern, Choice)
+        cap = meter.cap
         per_operator = stats.per_operator
 
-        def node(wi: int, lo: int, hi: int) -> list[_Span]:
+        def node(wi: int, lo: int, hi: int) -> Sequence[_Span]:
             o1 = left(wi, lo, hi)
             o2 = right(wi, lo, hi)
-            if note_operator is not None:
-                note_operator(symbol)
-            else:
-                stats.operator_evals += 1
-                per_operator[symbol] = per_operator.get(symbol, 0) + 1
-            result = join(o1, o2)
-            if governor is not None:
-                self.last_stats = stats
-                governor.check(stats)
+            stats.operator_evals += 1
+            per_operator[symbol] = per_operator.get(symbol, 0) + 1
+            result: Sequence[_Span] = join(o1, o2) if o1 and o2 or enter_empty else ()
+            if stats.pairs_examined + stats.operator_evals >= meter.due:
+                meter.check()
             n = len(result)
-            if max_incidents is not None and n > max_incidents:
+            if n > cap:
                 self._check_budget(n)
             if n > stats.max_live_incidents:
                 stats.max_live_incidents = n
@@ -445,17 +504,25 @@ class VectorizedEngine(Engine):
         return shared_node
 
     # -- the four joins, over position tuples ----------------------------------
+    #
+    # The ⊳, ⊙ and ⊕ joins keep the pairs count in a local: each left
+    # incident adds the slice of right incidents it examined, and when the
+    # count reaches the meter's mark (shifted by the operator evals, which a
+    # join does not change) or the output passes the cap, the count is
+    # written back and the meter checks.
 
     def _join_sequential(
         self,
-        stats: EvaluationStats,
+        meter: _Meter,
         left: Sequence[_Span],
         right: Sequence[_Span],
         *,
         bound: int | None = None,
     ) -> list[_Span]:
-        if not left or not right:
-            return []
+        stats = meter.stats
+        pairs = stats.pairs_examined
+        due = meter.due - stats.operator_evals
+        cap = meter.cap
         firsts = [o[0] for o in right]
         out: list[_Span] = []
         seen: set[frozenset] = set()
@@ -466,50 +533,62 @@ class VectorizedEngine(Engine):
             # first-sorted right list
             start = bisect_right(firsts, last1)
             stop = n if bound is None else bisect_right(firsts, last1 + bound)
-            for i in range(start, stop):
-                stats.pairs_examined += 1
-                first2, last2, pos2 = right[i]
+            for first2, last2, pos2 in right[start:stop]:
                 union = pos1 | pos2
                 if union not in seen:
                     seen.add(union)
                     out.append((first1, last2 if last2 > last1 else last1, union))
+            pairs += stop - start
+            if pairs >= due or len(out) > cap:
+                stats.pairs_examined = pairs
+                due = meter.check(len(out)) - stats.operator_evals
+        stats.pairs_examined = pairs
         return _sorted_by_first(out)
 
     def _join_consecutive(
         self,
-        stats: EvaluationStats,
+        meter: _Meter,
         left: Sequence[_Span],
         right: Sequence[_Span],
     ) -> list[_Span]:
-        if not left or not right:
-            return []
+        stats = meter.stats
+        pairs = stats.pairs_examined
+        due = meter.due - stats.operator_evals
+        cap = meter.cap
         by_first: dict[int, list[_Span]] = {}
         for o2 in right:
             by_first.setdefault(o2[0], []).append(o2)
         out: list[_Span] = []
         seen: set[frozenset] = set()
         for first1, last1, pos1 in left:
-            for first2, last2, pos2 in by_first.get(last1 + 1, ()):
-                stats.pairs_examined += 1
+            bucket = by_first.get(last1 + 1, ())
+            for first2, last2, pos2 in bucket:
                 union = pos1 | pos2
                 if union not in seen:
                     seen.add(union)
                     out.append((first1, last2 if last2 > last1 else last1, union))
+            pairs += len(bucket)
+            if pairs >= due or len(out) > cap:
+                stats.pairs_examined = pairs
+                due = meter.check(len(out)) - stats.operator_evals
+        stats.pairs_examined = pairs
         return _sorted_by_first(out)
 
     def _join_parallel(
         self,
-        stats: EvaluationStats,
+        meter: _Meter,
         left: Sequence[_Span],
         right: Sequence[_Span],
     ) -> list[_Span]:
-        if not left or not right:
-            return []
+        stats = meter.stats
+        pairs = stats.pairs_examined
+        due = meter.due - stats.operator_evals
+        cap = meter.cap
         out: list[_Span] = []
         seen: set[frozenset] = set()
+        n = len(right)
         for first1, last1, pos1 in left:
             for first2, last2, pos2 in right:
-                stats.pairs_examined += 1
                 # span-based quick accept: non-overlapping is-lsn spans
                 # cannot share records
                 if last1 < first2 or last2 < first1 or pos1.isdisjoint(pos2):
@@ -523,6 +602,11 @@ class VectorizedEngine(Engine):
                                 union,
                             )
                         )
+            pairs += n
+            if pairs >= due or len(out) > cap:
+                stats.pairs_examined = pairs
+                due = meter.check(len(out)) - stats.operator_evals
+        stats.pairs_examined = pairs
         return _sorted_by_first(out)
 
     def _union_choice(

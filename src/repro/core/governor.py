@@ -11,8 +11,10 @@ admission-control half of the observability journal (PR 7):
 * :class:`ResourceGovernor` — the enforcement object.  The deadline is
   held as an **absolute** wall-clock instant (``deadline_unix``),
   measured from submission.
-  Engines call :meth:`ResourceGovernor.check` at cooperative checkpoints
-  (per workflow instance and per operator node); the governor raises the
+  Engines call :meth:`ResourceGovernor.check` at cooperative checkpoints;
+  the join kernel checks when its work count reaches
+  :meth:`ResourceGovernor.next_due` (every :data:`CHECK_STRIDE` units, or
+  sooner where ``max_pairs`` could be crossed).  The governor raises the
   typed :class:`~repro.core.errors.QueryTimeout` /
   :class:`~repro.core.errors.QueryBudgetExceeded` /
   :class:`~repro.core.errors.QueryCancelled` carrying a detached partial
@@ -46,6 +48,7 @@ if TYPE_CHECKING:  # pragma: no cover - typing only
     from repro.obs.journal import RunRecorder
 
 __all__ = [
+    "CHECK_STRIDE",
     "QueryContext",
     "ResourceGovernor",
     "CancelToken",
@@ -53,6 +56,15 @@ __all__ = [
     "new_query_id",
     "new_trace_id",
 ]
+
+
+#: Work units between two checkpoints of a strided engine: the join
+#: kernel counts ``pairs_examined + operator_evals``, the sqlite backend
+#: fetches rows in chunks of this many.  A kernel pair costs ≈ 0.5–1 µs and
+#: a checkpoint (a clock read and an event poll) ≈ 0.3 µs, so 1 024 units
+#: put a deadline check about every millisecond of join work at well under
+#: 0.1 % overhead.
+CHECK_STRIDE = 1024
 
 
 def new_query_id() -> str:
@@ -219,6 +231,20 @@ class ResourceGovernor:
                     elapsed_ms=elapsed_ms,
                     partial_stats=_detach(stats),
                 )
+
+    def next_due(self, stats: "EvaluationStats") -> int:
+        """The work count (``pairs_examined + operator_evals``) at which
+        the checkpoint after this one is due: :data:`CHECK_STRIDE` units
+        on, or the first unit that can take the pairs past ``max_pairs``,
+        whichever comes first — so a pairs kill is exact to the slice of
+        work that crossed the budget.
+        """
+        work = stats.pairs_examined + stats.operator_evals
+        due = work + CHECK_STRIDE
+        if self.max_pairs is not None:
+            left = self.max_pairs - self._charged - stats.pairs_examined
+            due = min(due, work + left + 1)
+        return due
 
     def __repr__(self) -> str:  # pragma: no cover - debug aid
         return (

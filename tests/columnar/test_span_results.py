@@ -142,7 +142,10 @@ def run_killed(index, kind, budget):
 
 def test_kills_raise_what_the_parent_commit_raised():
     """``golden/kill_stats.json`` was recorded with :func:`run_killed` at
-    the commit before the kernel stopped materialising at the root."""
+    the commit before the kernel stopped materialising at the root, and
+    re-recorded when the kernel began checking its budgets inside the
+    joins: 23 of the 200 cases moved, each raising the same error as
+    before with no partial counter higher."""
     golden = json.loads(KILL_GOLDEN.read_text(encoding="utf-8"))
     cases = kill_cases()
     assert len(golden) == len(cases)
