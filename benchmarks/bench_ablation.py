@@ -19,6 +19,7 @@ from repro.core.eval.naive import NaiveEngine, choice_eval, sequential_eval
 from repro.core.incident import Incident
 from repro.core.model import Log
 from repro.core.parser import parse
+from tests.support.workloads import records_of
 
 
 def no_dedup_choice_eval(inc1, inc2, stats=None):
@@ -29,14 +30,14 @@ def no_dedup_choice_eval(inc1, inc2, stats=None):
 def overlapping_operands(n: int):
     """Two identical incident lists (multiset-equal worst case for ⊗)."""
     log = Log.from_traces([["A"] * n])
-    items = [Incident([r]) for r in log.with_activity("A")]
+    items = [Incident([r]) for r in records_of(log, "A")]
     return items, list(items)
 
 
 def disjoint_operands(n: int):
     log = Log.from_traces([["A"] * n + ["B"] * n])
-    a = [Incident([r]) for r in log.with_activity("A")]
-    b = [Incident([r]) for r in log.with_activity("B")]
+    a = [Incident([r]) for r in records_of(log, "A")]
+    b = [Incident([r]) for r in records_of(log, "B")]
     return a, b
 
 

@@ -25,6 +25,7 @@ from repro.baselines.sql import SqlBaseline
 from repro.core.eval.vectorized import VectorizedEngine
 from repro.core.eval.naive import NaiveEngine
 from repro.core.parser import parse
+from tests.support.workloads import clinic_log
 
 ENGINES = {
     "naive": NaiveEngine,
@@ -41,37 +42,42 @@ QUERIES = {
 }
 
 
+@pytest.fixture(scope="module")
+def clinic():
+    return clinic_log(150, seed=1)
+
+
 @pytest.mark.parametrize("engine_name", sorted(ENGINES))
 @pytest.mark.parametrize("query_name", sorted(QUERIES))
-def test_full_evaluation(benchmark, clinic_log_medium, engine_name, query_name):
+def test_full_evaluation(benchmark, clinic, engine_name, query_name):
     pattern = parse(QUERIES[query_name])
     benchmark.group = f"B1-eval-{query_name}"
     if engine_name == "automaton" and not supports(pattern):
         pytest.skip("parallel operator is outside the CEP fragment")
     engine = ENGINES[engine_name]()
     if engine_name == "sql":
-        engine.evaluate(clinic_log_medium, pattern)  # pre-load warehouse
-    benchmark(engine.evaluate, clinic_log_medium, pattern)
+        engine.evaluate(clinic, pattern)  # pre-load warehouse
+    benchmark(engine.evaluate, clinic, pattern)
 
 
 @pytest.mark.parametrize("engine_name", sorted(ENGINES))
-def test_existence_only(benchmark, clinic_log_medium, engine_name):
+def test_existence_only(benchmark, clinic, engine_name):
     pattern = parse("GetRefer -> UpdateRefer -> GetReimburse")
     benchmark.group = "B1-exists"
     engine = ENGINES[engine_name]()
     if engine_name == "sql":
-        engine.evaluate(clinic_log_medium, pattern)  # pre-load warehouse
-    benchmark(engine.exists, clinic_log_medium, pattern)
+        engine.evaluate(clinic, pattern)  # pre-load warehouse
+    benchmark(engine.exists, clinic, pattern)
 
 
-def test_all_systems_agree(clinic_log_medium):
+def test_all_systems_agree(clinic):
     """Correctness gate for the whole comparison."""
     for text in QUERIES.values():
         pattern = parse(text)
-        expected = VectorizedEngine().evaluate(clinic_log_medium, pattern)
-        assert NaiveEngine().evaluate(clinic_log_medium, pattern) == expected
-        assert SqlBaseline().evaluate(clinic_log_medium, pattern) == expected
+        expected = VectorizedEngine().evaluate(clinic, pattern)
+        assert NaiveEngine().evaluate(clinic, pattern) == expected
+        assert SqlBaseline().evaluate(clinic, pattern) == expected
         if supports(pattern):
             assert AutomatonBaseline().evaluate(
-                clinic_log_medium, pattern
+                clinic, pattern
             ) == expected

@@ -16,11 +16,12 @@ import pytest
 from repro.core.eval.vectorized import VectorizedEngine
 from repro.core.model import Log
 from repro.core.parser import parse
+from tests.support.workloads import clinic_log
 
 
 @pytest.fixture(scope="module")
-def clinic(clinic_log_medium):
-    return clinic_log_medium
+def clinic():
+    return clinic_log(150, seed=1)
 
 
 GUARDS = {

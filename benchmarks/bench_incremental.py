@@ -20,16 +20,14 @@ from repro.core.eval.incremental import IncrementalEvaluator
 from repro.core.eval.vectorized import VectorizedEngine
 from repro.core.model import Log
 from repro.core.parser import parse
-from repro.workflow.engine import SimulationConfig, WorkflowEngine
-from repro.workflow.models import clinic_referral_workflow
+from tests.support.workloads import clinic_log
 
 PATTERN = "UpdateRefer -> GetReimburse"
 
 
 @pytest.fixture(scope="module")
 def stream_log() -> Log:
-    engine = WorkflowEngine(clinic_referral_workflow())
-    return engine.run(SimulationConfig(instances=60, seed=11))
+    return clinic_log(60, seed=11)
 
 
 def test_incremental_stream(benchmark, stream_log):

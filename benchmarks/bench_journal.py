@@ -4,49 +4,42 @@ The query-lifecycle journal (``repro.obs.journal``) threads through
 ``Query.run`` via per-run context/recorder checks.  With no journal
 configured and no budgets set, that plumbing must cost within 5% of a
 bare engine evaluation — the same gate the PR-2 null tracer passes in
-``bench_operators.py``.  A second, unasserted measurement records what
-an in-memory journal actually costs, so the history shows when the
+``bench_operators.py``.  ``test_journal_run`` times the same run with the
+journal off, emitting events only, and with the tracemalloc
+peak-allocation probe, so the pytest-benchmark record shows when the
 enabled path drifts.
 """
 
 from __future__ import annotations
 
-import time
+import pytest
 
+from benchmarks.conftest import best_of
 from repro.core.options import EngineOptions
-from repro.core.parser import parse
 from repro.core.query import Query
 from repro.obs.journal import QueryJournal
-from repro.workflow.engine import SimulationConfig, WorkflowEngine
-from repro.workflow.models import clinic_referral_workflow
+from tests.support.workloads import clinic_log
 
 PATTERN = "GetRefer -> CheckIn -> SeeDoctor"
 
-
-def _clinic_log(instances: int = 120):
-    engine = WorkflowEngine(clinic_referral_workflow())
-    return engine.run(SimulationConfig(instances=instances, seed=42))
-
-
-def _best_of(runs, rounds: int = 15) -> dict[str, float]:
-    """Interleaved min-of-N timing: the minimum over many alternating
-    repeats estimates each variant's cost floor with scheduler noise
-    cancelled (same protocol as ``test_null_tracer_overhead``)."""
-    for _, run in runs:
-        run()  # warmup
-    best = {name: float("inf") for name, _ in runs}
-    for _ in range(rounds):
-        for name, run in runs:
-            started = time.perf_counter()
-            run()
-            best[name] = min(best[name], time.perf_counter() - started)
-    return best
+#: the journal of each timed variant: none, events only, events plus the
+#: tracemalloc probe (interpreter-wide allocation tracing, which
+#: dominates evaluation cost by design)
+JOURNALS = {
+    "off": lambda: None,
+    "events": lambda: QueryJournal(memory=False),
+    "traced": lambda: QueryJournal(),
+}
 
 
-def test_null_journal_overhead(bench_metrics):
+@pytest.fixture(scope="module")
+def log():
+    return clinic_log(120, seed=42)
+
+
+def test_null_journal_overhead(log):
     """``Query.run`` with journaling disabled costs within 5% of the
     bare engine call on the same optimized pattern."""
-    log = _clinic_log()
     query = Query(PATTERN, EngineOptions(optimize=False))
     optimized = query.plan(log).optimized
 
@@ -56,48 +49,24 @@ def test_null_journal_overhead(bench_metrics):
     def unjournaled() -> None:
         query.run(log)
 
-    best = _best_of([("bare", bare), ("unjournaled", unjournaled)])
+    best = best_of({"bare": bare, "unjournaled": unjournaled})
     overhead = best["unjournaled"] / best["bare"] - 1.0
-    bench_metrics.gauge("bench.null_journal.bare_s").set(best["bare"])
-    bench_metrics.gauge("bench.null_journal.unjournaled_s").set(best["unjournaled"])
-    bench_metrics.gauge("bench.null_journal.overhead_ratio").set(overhead)
     assert overhead <= 0.05, f"null journal overhead {overhead:.1%} exceeds 5%"
 
 
-def test_enabled_journal_overhead_recorded(bench_metrics):
-    """Measure the enabled journal's full-lifecycle cost — submit/plan/
-    evaluate/finish per run — against the disabled path.
-
-    Event construction alone (``memory=False``) is gated at 2x; the
-    ``memory=True`` variant additionally samples peak allocation via
-    ``tracemalloc``, whose interpreter-wide allocation tracing dominates
-    evaluation cost by design — it is recorded unasserted so the bench
-    history shows drift, not gated."""
-    log = _clinic_log()
+def test_journal_events_overhead(log):
+    """Event construction (``memory=False``) costs at most 2x the
+    disabled path: a run is two events, so anything more means event
+    construction regressed badly."""
     off = Query(PATTERN, EngineOptions(optimize=False))
-    events_only = Query(
-        PATTERN, EngineOptions(optimize=False, journal=QueryJournal(memory=False))
-    )
-    traced = Query(
-        PATTERN, EngineOptions(optimize=False, journal=QueryJournal())
-    )
+    events = Query(PATTERN, EngineOptions(optimize=False, journal=QueryJournal(memory=False)))
+    best = best_of({"off": lambda: off.run(log), "events": lambda: events.run(log)})
+    overhead = best["events"] / best["off"] - 1.0
+    assert overhead <= 1.0, f"journal event overhead {overhead:.1%} exceeds 100%"
 
-    best = _best_of(
-        [
-            ("off", lambda: off.run(log)),
-            ("events", lambda: events_only.run(log)),
-            ("traced", lambda: traced.run(log)),
-        ]
-    )
-    events_overhead = best["events"] / best["off"] - 1.0
-    traced_overhead = best["traced"] / best["off"] - 1.0
-    bench_metrics.gauge("bench.journal.off_s").set(best["off"])
-    bench_metrics.gauge("bench.journal.events_s").set(best["events"])
-    bench_metrics.gauge("bench.journal.traced_s").set(best["traced"])
-    bench_metrics.gauge("bench.journal.events_overhead_ratio").set(events_overhead)
-    bench_metrics.gauge("bench.journal.traced_overhead_ratio").set(traced_overhead)
-    # four events per run: anything more than 2x the disabled path means
-    # event construction regressed badly
-    assert events_overhead <= 1.0, (
-        f"journal event overhead {events_overhead:.1%} exceeds 100%"
-    )
+
+@pytest.mark.parametrize("journal", sorted(JOURNALS))
+def test_journal_run(benchmark, log, journal):
+    query = Query(PATTERN, EngineOptions(optimize=False, journal=JOURNALS[journal]()))
+    benchmark.group = "O2-journal"
+    assert len(benchmark(query.run, log)) > 0

@@ -7,47 +7,27 @@ ring plus two per-route histograms.  The acceptance gate for the admin
 plane is that this whole observation layer costs within 5% of an
 otherwise-identical service with ``ServiceConfig(telemetry=False)`` on
 the warm-cache query path (the cheapest real request, so the worst case
-for relative overhead).  A second measurement records the raw cost of
-one ``observe_event`` + trailing-window merge, unasserted, so the
-bench history shows drift in the aggregator itself.
+for relative overhead).  ``test_live_window`` times the aggregator on its
+own — 2 000 ``observe_event`` calls into a fresh ring and one trailing
+5-minute window merge — so the pytest-benchmark record shows drift in
+the aggregator itself.
 """
 
 from __future__ import annotations
 
 import json
-import time
 
+from benchmarks.conftest import best_of
 from repro.obs.live import WindowedAggregator
 from repro.service import QueryService, ServiceConfig, StoreCatalog
-from repro.workflow.engine import SimulationConfig, WorkflowEngine
-from repro.workflow.models import clinic_referral_workflow
+from tests.support.workloads import clinic_log
 
 PATTERN = "GetRefer -> CheckIn -> SeeDoctor"
 
 
-def _clinic_log(instances: int = 120):
-    engine = WorkflowEngine(clinic_referral_workflow())
-    return engine.run(SimulationConfig(instances=instances, seed=42))
-
-
-def _best_of(runs, rounds: int = 15) -> dict[str, float]:
-    """Interleaved min-of-N timing: the minimum over many alternating
-    repeats estimates each variant's cost floor with scheduler noise
-    cancelled (same protocol as ``bench_journal._best_of``)."""
-    for _, run in runs:
-        run()  # warmup
-    best = {name: float("inf") for name, _ in runs}
-    for _ in range(rounds):
-        for name, run in runs:
-            started = time.perf_counter()
-            run()
-            best[name] = min(best[name], time.perf_counter() - started)
-    return best
-
-
 def _warm_service(*, telemetry: bool) -> tuple[QueryService, bytes]:
     catalog = StoreCatalog()
-    catalog.add_log("clinic", _clinic_log())
+    catalog.add_log("clinic", clinic_log(120, seed=42))
     service = QueryService(
         catalog, ServiceConfig(telemetry=telemetry)
     )
@@ -57,7 +37,7 @@ def _warm_service(*, telemetry: bool) -> tuple[QueryService, bytes]:
     return service, body
 
 
-def test_live_telemetry_overhead(bench_metrics):
+def test_live_telemetry_overhead():
     """Warm-cache ``POST /v1/query`` dispatch with the telemetry hub on
     costs within 5% of the same dispatch with telemetry off.
 
@@ -81,54 +61,40 @@ def test_live_telemetry_overhead(bench_metrics):
             assert response.status == 200
             response.body()
 
-    best = _best_of([("off", without_telemetry), ("on", with_telemetry)])
+    best = best_of({"off": without_telemetry, "on": with_telemetry})
     overhead = best["on"] / best["off"] - 1.0
-    bench_metrics.gauge("bench.live.telemetry_off_s").set(best["off"])
-    bench_metrics.gauge("bench.live.telemetry_on_s").set(best["on"])
-    bench_metrics.gauge("bench.live.overhead_ratio").set(overhead)
     assert on_service.live is not None and on_service.live.observed >= repeats
     assert off_service.live is None
     assert overhead <= 0.05, f"live telemetry overhead {overhead:.1%} exceeds 5%"
 
 
-def test_aggregator_costs_recorded(bench_metrics):
-    """Unasserted raw costs: one ``observe_event`` into a populated
-    ring, and one 5-minute window merge over 30 buckets — the two
-    operations the admin plane performs, isolated from HTTP dispatch."""
-    aggregator = WindowedAggregator(bucket_s=10.0, window_s=900.0)
-    for i in range(5_000):
-        aggregator.observe_event(
-            {
-                "event": "killed" if i % 17 == 0 else "finish",
-                "endpoint": "/v1/query",
-                "http_status": 200 if i % 17 else 408,
-                "wall_ms": 1.0 + i % 50,
-                "store": ("clinic", "orders", "loans")[i % 3],
-                "pattern": f"A -> B{i % 7}",
-                "pairs": 100,
-                "ts_unix": 600.0 + i * 0.12,
-            }
-        )
-    event = {
-        "event": "finish",
-        "endpoint": "/v1/query",
-        "http_status": 200,
-        "wall_ms": 2.0,
-        "store": "clinic",
-        "pattern": "A -> B1",
-        "pairs": 10,
-        "ts_unix": 1190.0,
-    }
+def test_live_window(benchmark):
+    """Deterministic synthetic traffic over a 10-minute span, so the
+    window merge walks many buckets with mixed attribution keys."""
+    observations = 2_000
+    routes = ("/v1/query", "/v1/batch", "/v1/explain")
+    stores = ("clinic", "orders", "loans")
+    events = [
+        {
+            "event": "killed" if i % 17 == 0 else "finish",
+            "endpoint": routes[i % 3],
+            "store": stores[i % 3],
+            "pattern": f"A -> B{i % 7}",
+            "http_status": 200 if i % 17 else 408,
+            "wall_ms": 1.0 + i % 50,
+            "pairs": 100,
+            "ts_unix": 600.0 + i * (600.0 / observations),
+        }
+        for i in range(observations)
+    ]
 
-    def observe() -> None:
-        for _ in range(1_000):
+    def run() -> float:
+        aggregator = WindowedAggregator(bucket_s=10.0, window_s=900.0)
+        for event in events:
             aggregator.observe_event(event)
+        snapshot = aggregator.window(300.0, now=1200.0)
+        assert snapshot.total.count > 0
+        return snapshot.total.latency.quantile(0.95)
 
-    def merge() -> None:
-        for _ in range(100):
-            snapshot = aggregator.window(300.0, now=1200.0)
-            assert snapshot.total.count > 0
-
-    best = _best_of([("observe_1k", observe), ("merge_100", merge)], rounds=8)
-    bench_metrics.gauge("bench.live.observe_1k_s").set(best["observe_1k"])
-    bench_metrics.gauge("bench.live.window_merge_100_s").set(best["merge_100"])
+    benchmark.group = "O3-live"
+    assert benchmark(run) > 0

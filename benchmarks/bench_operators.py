@@ -20,6 +20,7 @@ import time
 
 import pytest
 
+from benchmarks.conftest import best_of
 from repro.core.eval.naive import (
     choice_eval,
     consecutive_eval,
@@ -28,6 +29,7 @@ from repro.core.eval.naive import (
 )
 from repro.core.incident import Incident
 from repro.core.model import Log
+from tests.support.workloads import records_of
 
 SIZES = (64, 128, 256)
 
@@ -43,8 +45,8 @@ def operand_sets(n: int) -> tuple[list[Incident], list[Incident]]:
     """Two incident lists of size n over one instance: As then Bs, so the
     sequential operator produces its full quadratic output."""
     log = Log.from_traces([["A"] * n + ["B"] * n])
-    a = [Incident([r]) for r in log.with_activity("A")]
-    b = [Incident([r]) for r in log.with_activity("B")]
+    a = [Incident([r]) for r in records_of(log, "A")]
+    b = [Incident([r]) for r in records_of(log, "B")]
     return a, b
 
 
@@ -79,12 +81,11 @@ def test_quadratic_shape(operator):
     assert 1.3 <= exponent <= 3.2, f"{operator}: exponent {exponent:.2f}"
 
 
-def test_null_tracer_overhead(bench_metrics):
+def test_null_tracer_overhead():
     """Experiment O1 — disabled tracing is free.
 
     Evaluating under ``NULL_TRACER.span(...)`` must cost within 5% of the
-    bare call.  Interleaved min-of-N timing cancels scheduler noise: the
-    minimum of many repeats estimates the true cost floor of each variant.
+    bare call (interleaved min-of-N, :func:`benchmarks.conftest.best_of`).
     """
     from repro.obs.tracer import NULL_TRACER
 
@@ -98,17 +99,6 @@ def test_null_tracer_overhead(bench_metrics):
             sequential_eval(inc1, inc2)
             span.add(pairs=len(inc1) * len(inc2))
 
-    for warmup in (bare, traced):
-        warmup()
-    best = {"bare": float("inf"), "traced": float("inf")}
-    for _ in range(15):
-        for name, run in (("bare", bare), ("traced", traced)):
-            started = time.perf_counter()
-            run()
-            best[name] = min(best[name], time.perf_counter() - started)
-
+    best = best_of({"bare": bare, "traced": traced})
     overhead = best["traced"] / best["bare"] - 1.0
-    bench_metrics.gauge("bench.null_tracer.bare_s").set(best["bare"])
-    bench_metrics.gauge("bench.null_tracer.traced_s").set(best["traced"])
-    bench_metrics.gauge("bench.null_tracer.overhead_ratio").set(overhead)
     assert overhead <= 0.05, f"null tracer overhead {overhead:.1%} exceeds 5%"

@@ -18,19 +18,14 @@ import pytest
 
 from repro.core.eval.vectorized import VectorizedEngine
 from repro.core.parser import parse
-from repro.workflow.engine import SimulationConfig, WorkflowEngine
-from repro.workflow.models import clinic_referral_workflow
+from tests.support.workloads import clinic_log
 
 INSTANCE_COUNTS = (50, 100, 200, 400)
 
 
 @pytest.fixture(scope="module")
 def logs_by_size():
-    engine = WorkflowEngine(clinic_referral_workflow())
-    return {
-        n: engine.run(SimulationConfig(instances=n, seed=3))
-        for n in INSTANCE_COUNTS
-    }
+    return {n: clinic_log(n, seed=3) for n in INSTANCE_COUNTS}
 
 
 @pytest.mark.parametrize("instances", INSTANCE_COUNTS)

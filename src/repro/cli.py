@@ -27,12 +27,6 @@ Subcommands
   ``--contains P Q`` decide the pair and print a counterexample trace
   on refutation (exit 0 holds, 1 refuted, 2 usage/input error,
   3 internal error);
-* ``bench``     — the continuous-performance harness: ``bench run``
-  executes a registry suite and records a ``repro.obs.bench/v1``
-  document (appending to ``BENCH_history.jsonl``), ``bench compare``
-  issues noise-aware pass/regress verdicts against a baseline,
-  ``bench report`` prints the recorded trajectory, ``bench list`` the
-  registered cases;
 * ``events``    — query/filter/tail a ``repro.obs.journal/v1`` JSONL
   journal (``--slow-ms`` is the slow-query log view);
 * ``top``       — per-pattern resource ranking over a journal;
@@ -314,107 +308,6 @@ def build_parser() -> argparse.ArgumentParser:
         metavar="OUT.txt",
         default=None,
         help="write the span tree as folded stacks (self time, microseconds)",
-    )
-
-    bench = commands.add_parser(
-        "bench",
-        help="benchmark harness: run suites, gate regressions, inspect history",
-    )
-    bench_commands = bench.add_subparsers(dest="bench_command", required=True)
-
-    bench_run = bench_commands.add_parser(
-        "run", help="run a benchmark suite and record a bench/v1 document"
-    )
-    bench_run.add_argument(
-        "--suite", default="smoke", help="registry suite to run (default: smoke)"
-    )
-    bench_run.add_argument(
-        "--case",
-        action="append",
-        metavar="NAME",
-        help="run only this case (repeatable; overrides --suite)",
-    )
-    bench_run.add_argument(
-        "--repeats", type=int, default=5, help="measured repetitions per case"
-    )
-    bench_run.add_argument(
-        "--warmup", type=int, default=1, help="discarded warmup calls per case"
-    )
-    bench_run.add_argument(
-        "--out",
-        default="BENCH_results.json",
-        help="result document path (gitignored by default naming)",
-    )
-    bench_run.add_argument(
-        "--history",
-        default="BENCH_history.jsonl",
-        help="append-only history file (- to skip appending)",
-    )
-
-    bench_compare = bench_commands.add_parser(
-        "compare", help="noise-aware verdicts of a run against a baseline"
-    )
-    bench_compare.add_argument(
-        "--baseline",
-        default="benchmarks/baselines/smoke.json",
-        help="committed baseline document",
-    )
-    bench_compare.add_argument(
-        "--results",
-        default="BENCH_results.json",
-        help="candidate document (a bench run output)",
-    )
-    bench_compare.add_argument(
-        "--tolerance",
-        type=float,
-        default=0.25,
-        help="relative regression threshold on the median (default 0.25)",
-    )
-    bench_compare.add_argument(
-        "--report-only",
-        action="store_true",
-        help="always exit 0: report verdicts without gating",
-    )
-
-    bench_report = bench_commands.add_parser(
-        "report", help="print the recorded history trajectory"
-    )
-    bench_report.add_argument(
-        "--history", default="BENCH_history.jsonl", help="history file to read"
-    )
-    bench_report.add_argument(
-        "--case", default=None, metavar="NAME", help="one case's full trajectory"
-    )
-    bench_report.add_argument(
-        "--last", type=int, default=10, help="show at most the last N runs"
-    )
-
-    bench_commands.add_parser("list", help="list the registered cases")
-
-    bench_history = bench_commands.add_parser(
-        "history", help="inspect or prune the recorded history file"
-    )
-    bench_history.add_argument(
-        "--history", default="BENCH_history.jsonl", help="history file"
-    )
-    bench_history.add_argument(
-        "--tail",
-        type=int,
-        default=None,
-        metavar="N",
-        help="print only the newest N runs",
-    )
-    bench_history.add_argument(
-        "--prune",
-        action="store_true",
-        help="rewrite the file keeping only the newest --keep runs",
-    )
-    bench_history.add_argument(
-        "--keep",
-        type=int,
-        default=50,
-        metavar="N",
-        help="runs to keep with --prune (default 50)",
     )
 
     events = commands.add_parser(
@@ -900,167 +793,6 @@ def _cmd_profile(args: argparse.Namespace) -> int:
     return 0
 
 
-def _cmd_bench(args: argparse.Namespace) -> int:
-    from repro.obs.bench import (
-        append_history,
-        case_series,
-        compare_documents,
-        default_registry,
-        load_history,
-        run_suite,
-    )
-    from repro.obs.export import validate_bench
-
-    if args.bench_command == "list":
-        registry = default_registry()
-        for case in registry:
-            suites = ",".join(case.suites)
-            print(f"{case.name:40s} [{suites}]  {case.description}")
-        print(f"--- {len(registry)} case(s), suites: {', '.join(registry.suites())} ---")
-        return 0
-
-    if args.bench_command == "run":
-        registry = default_registry()
-        names = list(args.case) if args.case else None
-        cases = registry.select(suite=None if names else args.suite, names=names)
-        suite_name = "custom" if names else args.suite
-
-        def progress(name: str, index: int, total: int) -> None:
-            print(f"bench {index + 1}/{total}: {name}", file=sys.stderr, flush=True)
-
-        document = run_suite(
-            cases,
-            suite=suite_name,
-            warmup=args.warmup,
-            repeats=args.repeats,
-            progress=progress,
-        )
-        validate_bench(document)
-        out = Path(args.out)
-        out.write_text(
-            json.dumps(document, indent=2, ensure_ascii=False, sort_keys=True) + "\n",
-            encoding="utf-8",
-        )
-        summary_path: Path | None = None
-        if args.history != "-":
-            append_history(document, args.history)
-            # per-suite summary (BENCH_<suite>.json) next to the history
-            # file: the latest full document for this suite, so the perf
-            # trajectory per suite is tracked without replaying the
-            # whole history (ROADMAP tier-1 workflow)
-            summary_path = Path(args.history).parent / f"BENCH_{suite_name}.json"
-            summary_path.write_text(
-                json.dumps(
-                    document, indent=2, ensure_ascii=False, sort_keys=True
-                )
-                + "\n",
-                encoding="utf-8",
-            )
-        for case in document["cases"]:
-            stats = case["stats"]
-            print(
-                f"{case['name']:40s} median {stats['median_s'] * 1e3:9.3f}ms  "
-                f"mad {stats['mad_s'] * 1e3:7.3f}ms  "
-                f"(n={stats['n']}, rejected={stats['rejected']})"
-            )
-        print(
-            f"--- suite {suite_name!r}: {len(document['cases'])} case(s) -> {out}"
-            + ("" if args.history == "-" else f", history -> {args.history}")
-            + ("" if summary_path is None else f", summary -> {summary_path}")
-            + " ---"
-        )
-        return 0
-
-    if args.bench_command == "compare":
-        baseline = _read_bench_document(args.baseline)
-        candidate = _read_bench_document(args.results)
-        report = compare_documents(baseline, candidate, tolerance=args.tolerance)
-        print(report.format())
-        if args.report_only:
-            return 0
-        return 0 if report.ok else 1
-
-    if args.bench_command == "history":
-        from repro.obs.bench import prune_history
-
-        if args.prune:
-            dropped, kept = prune_history(args.history, keep=args.keep)
-            print(f"pruned {dropped} run(s), kept {kept} in {args.history}")
-            return 0
-        documents = load_history(args.history)
-        if not documents:
-            print(f"no history at {args.history}")
-            return 0
-        shown = documents[-args.tail:] if args.tail else documents
-        for document in shown:
-            _print_run_summary(document)
-        print(
-            f"--- showing {len(shown)} of {len(documents)} recorded run(s) "
-            f"in {args.history} ---"
-        )
-        return 0
-
-    assert args.bench_command == "report"
-    documents = load_history(args.history)
-    if not documents:
-        print(f"no history at {args.history}")
-        return 0
-    if args.case:
-        series = case_series(documents, args.case)
-        if not series:
-            raise ReproError(f"case {args.case!r} never appears in {args.history}")
-        for created, stats in series[-args.last:]:
-            stamp = _format_unix(created)
-            print(
-                f"{stamp}  median {stats['median_s'] * 1e3:9.3f}ms  "
-                f"mad {stats['mad_s'] * 1e3:7.3f}ms  (n={stats['n']})"
-            )
-        return 0
-    for document in documents[-args.last:]:
-        _print_run_summary(document)
-    print(f"--- {len(documents)} recorded run(s) in {args.history} ---")
-    return 0
-
-
-def _read_bench_document(path: str) -> dict:
-    from repro.obs.export import SchemaError, validate_bench
-
-    try:
-        with open(path, encoding="utf-8") as fh:
-            document = json.load(fh)
-    except FileNotFoundError:
-        raise ReproError(
-            f"no bench document at {path!r} (run `repro-logs bench run` first, "
-            f"or point --baseline/--results at an existing file)"
-        ) from None
-    except json.JSONDecodeError as exc:
-        raise ReproError(f"{path}: not valid JSON ({exc.msg})") from None
-    try:
-        validate_bench(document)
-    except SchemaError as exc:
-        raise ReproError(f"{path}: {exc}") from None
-    return document
-
-
-def _print_run_summary(document: dict) -> None:
-    """One recorded bench run on one line (``bench history`` / ``report``)."""
-    stamp = _format_unix(int(document.get("created_unix", 0)))
-    cases = document.get("cases", [])
-    total_ms = sum(c["stats"]["median_s"] for c in cases) * 1e3
-    print(
-        f"{stamp}  suite={document.get('suite', '?'):8s}  "
-        f"{len(cases):2d} case(s)  sum-of-medians {total_ms:9.3f}ms"
-    )
-
-
-def _format_unix(created: int) -> str:
-    from datetime import datetime, timezone
-
-    return datetime.fromtimestamp(created, tz=timezone.utc).strftime(
-        "%Y-%m-%d %H:%M:%SZ"
-    )
-
-
 def _read_query_file(path: str) -> list[str]:
     """Patterns from a query file: one per line, ``#`` comments, blank
     lines ignored."""
@@ -1446,7 +1178,6 @@ def _cmd_serve(args: argparse.Namespace) -> int:
 _HANDLERS = {
     "query": _cmd_query,
     "profile": _cmd_profile,
-    "bench": _cmd_bench,
     "batch": _cmd_batch,
     "events": _cmd_events,
     "top": _cmd_top,

@@ -19,7 +19,7 @@ offsets and an activity index:
   per-(instance, activity) lookup.
 
 A :class:`Log` builds its view when it is made and answers ``wids``,
-``instance``, ``with_activity`` and ``is_complete`` off it; the view
+``instance`` and ``is_complete`` off it; the view
 holds no reference back to the log.  The engines take the log's
 provenance (epoch, lineage) from the log they were handed.  The next
 snapshot of a store gets its view from its predecessor's by
@@ -277,8 +277,8 @@ class ColumnarLog:
 
     def act_rows(self, act_id: int, lo: int = 0, hi: int | None = None) -> array:
         """Ascending row numbers of records with activity ``act_id``,
-        optionally clipped to the window ``[lo, hi)`` — the columnar
-        analogue of ``Log.with_activity`` restricted to one instance."""
+        optionally clipped to the window ``[lo, hi)`` — one activity's
+        records of one instance when clipped to its window."""
         rows = self._act_rows[act_id]
         if lo == 0 and (hi is None or hi >= len(self._rows)):
             return rows

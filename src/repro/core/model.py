@@ -483,16 +483,6 @@ class Log:
         new._columnar = self._columnar.extended(new, tail)
         return new
 
-    def with_activity(self, activity: str) -> tuple[LogRecord, ...]:
-        """All records with the given activity name, in lsn order: the
-        activity's rows of the columnar index (Algorithm 2's lookup)."""
-        columnar = self._columnar
-        act_id = columnar.act_id_of(activity)
-        if act_id is None:
-            return ()
-        rows = columnar.rows
-        return tuple(sorted(map(rows.__getitem__, columnar.act_rows(act_id)), key=_lsn_of))
-
     def is_complete(self, wid_value: int) -> bool:
         """Whether instance ``wid_value`` has reached its ``END`` record."""
         recs = self.instance(wid_value)

@@ -22,9 +22,9 @@ Three layers, each usable on its own:
 * :mod:`repro.obs.log` — the ``repro.*`` stdlib-logging hierarchy;
 * :mod:`repro.obs.flamegraph` — folded-stacks text and self-contained
   HTML flamegraphs for any recorded span tree;
-* :mod:`repro.obs.bench` — the continuous-performance harness behind
-  ``repro-logs bench`` (registry, robust runner, history, regression
-  comparison; standard cases load lazily).
+* :mod:`repro.obs.bench` — the measuring host's fingerprint, stored in
+  every ``benchmarks/e2e`` report (the in-process benchmarks are the
+  ``benchmarks/bench_*.py`` scripts under pytest-benchmark).
 
 The evaluation engines accept ``tracer=`` / ``metrics=`` and default to
 no-ops, so none of this costs anything until switched on (see
@@ -32,7 +32,6 @@ no-ops, so none of this costs anything until switched on (see
 """
 
 from repro.obs.export import (
-    BENCH_SCHEMA,
     METRICS_SCHEMA,
     PROFILE_SCHEMA,
     TRACE_SCHEMA,
@@ -40,7 +39,6 @@ from repro.obs.export import (
     metrics_to_dict,
     render_trace,
     trace_to_dict,
-    validate_bench,
     validate_metrics,
     validate_profile,
     validate_trace,
@@ -93,7 +91,6 @@ __all__ = [
     "TRACE_SCHEMA",
     "METRICS_SCHEMA",
     "PROFILE_SCHEMA",
-    "BENCH_SCHEMA",
     "JOURNAL_SCHEMA",
     "SchemaError",
     "QueryJournal",
@@ -118,7 +115,6 @@ __all__ = [
     "validate_trace",
     "validate_metrics",
     "validate_profile",
-    "validate_bench",
     "folded_stacks",
     "flamegraph_html",
     "get_logger",

@@ -1,18 +1,15 @@
-"""Trace/metrics/profile/bench exporters and their stable JSON schemas.
+"""Trace/metrics/profile exporters and their stable JSON schemas.
 
-Four document kinds, each tagged with a ``schema`` field so downstream
+Three document kinds, each tagged with a ``schema`` field so downstream
 tooling can dispatch and version-check:
 
 * ``repro.obs.trace/v1``   — a span tree (:func:`trace_to_dict`);
 * ``repro.obs.metrics/v1`` — a registry snapshot (:func:`metrics_to_dict`);
 * ``repro.obs.profile/v1`` — a per-node cost breakdown with cost-model
-  predictions (:meth:`repro.obs.profile.ProfileReport.to_dict`);
-* ``repro.obs.bench/v1``   — a benchmark-suite result with robust timing
-  summaries and a machine fingerprint
-  (:func:`repro.obs.bench.runner.run_suite`).
+  predictions (:meth:`repro.obs.profile.ProfileReport.to_dict`).
 
 Each schema is one field table (``TRACE_FIELDS``, ``METRICS_FIELDS``,
-``PROFILE_FIELDS``, ``BENCH_FIELDS``) checked by :func:`repro.fields.walk`;
+``PROFILE_FIELDS``) checked by :func:`repro.fields.walk`;
 a ``validate_*`` function raises :class:`SchemaError` on the walk's first
 finding, then runs the document's few cross-field checks.  They are what
 the CI smoke job and the golden-file tests run.  Timing fields
@@ -32,7 +29,6 @@ __all__ = [
     "TRACE_SCHEMA",
     "METRICS_SCHEMA",
     "PROFILE_SCHEMA",
-    "BENCH_SCHEMA",
     "SchemaError",
     "trace_to_dict",
     "metrics_to_dict",
@@ -40,13 +36,11 @@ __all__ = [
     "validate_trace",
     "validate_metrics",
     "validate_profile",
-    "validate_bench",
 ]
 
 TRACE_SCHEMA = "repro.obs.trace/v1"
 METRICS_SCHEMA = "repro.obs.metrics/v1"
 PROFILE_SCHEMA = "repro.obs.profile/v1"
-BENCH_SCHEMA = "repro.obs.bench/v1"
 
 
 class SchemaError(ValueError):
@@ -192,38 +186,6 @@ PROFILE_FIELDS = table(
           doc="the node with the most self time"),
 )
 
-BENCH_STATS_FIELDS = table(
-    *(Field(name, "nonneg_num", doc=f"{name[:-2]} of the kept samples")
-      for name in ("median_s", "min_s", "max_s", "mean_s", "iqr_s", "mad_s")),
-    Field("n", "pos_int", doc="kept samples (the median always survives)"),
-    Field("rejected", "nonneg_int", doc="samples rejected as outliers"),
-)
-
-BENCH_CASE_FIELDS = table(
-    Field("name", "str", doc="unique case name"),
-    Field("suites", ("list", "text"), doc="suites the case belongs to"),
-    Field("params", "object", doc="the case's parameters"),
-    Field("samples_s", ("nonempty_list", "nonneg_num"), doc="timed repetitions"),
-    Field("stats", BENCH_STATS_FIELDS, doc="robust summary of the samples"),
-)
-
-BENCH_FIELDS = table(
-    _schema(BENCH_SCHEMA),
-    Field("suite", "str", doc="suite name"),
-    Field("created_unix", "nonneg_int", doc="when the run finished"),
-    Field("machine", table(*(
-        Field(name, "any", doc="machine fingerprint")
-        for name in ("platform", "machine", "python", "implementation", "cpu_count")
-    )), doc="machine fingerprint"),
-    Field("config", table(
-        Field("warmup", "any", doc="untimed repetitions"),
-        Field("repeats", "pos_int", doc="timed repetitions"),
-        Field("mad_k", "any", doc="outlier cut in MADs"),
-    ), doc="runner configuration"),
-    Field("cases", ("nonempty_list", BENCH_CASE_FIELDS), doc="one entry per case"),
-)
-
-
 def validate_trace(doc: Any) -> None:
     """Raise :class:`SchemaError` unless ``doc`` is a valid trace export."""
     conform(TRACE_FIELDS, doc, "trace document")
@@ -251,18 +213,3 @@ def validate_profile(doc: Any) -> None:
             raise SchemaError(f"operator node {node['path']!r} is missing {sorted(missing)}")
     if doc["hottest"]["path"] not in {node["path"] for node in doc["nodes"]}:
         raise SchemaError("hottest.path must name an exported node")
-
-
-def validate_bench(doc: Any) -> None:
-    """Raise :class:`SchemaError` unless ``doc`` is a valid bench export."""
-    conform(BENCH_FIELDS, doc, "bench document")
-    seen: set[str] = set()
-    for case in doc["cases"]:
-        name, stats = case["name"], case["stats"]
-        if name in seen:
-            raise SchemaError(f"duplicate bench case {name!r}")
-        seen.add(name)
-        if stats["n"] + stats["rejected"] != len(case["samples_s"]):
-            raise SchemaError(f"case {name!r}: kept + rejected must equal the sample count")
-        if not stats["min_s"] <= stats["median_s"] <= stats["max_s"]:
-            raise SchemaError(f"case {name!r}: median must lie within [min, max]")

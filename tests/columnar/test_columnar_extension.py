@@ -13,8 +13,11 @@ from contextlib import contextmanager
 
 from hypothesis import given, settings
 
+from repro.cache import QueryCache
 from repro.columnar import ColumnarLog
 from repro.core.model import Log
+from repro.core.options import EngineOptions
+from repro.core.query import Query
 from repro.logstore import LogStore
 from tests.support.histories import histories, play
 
@@ -97,6 +100,8 @@ def test_an_append_to_the_newest_instances_shares_every_other_index_array():
         for activity in ("A", "B", "C"):
             store.append(wid, activity)
     old = store.snapshot().columnar()
+    query = Query("A -> B -> C", EngineOptions(cache=QueryCache()))
+    query.run(store.snapshot())
     old_spans = {aid: old.leaf_spans(aid) for aid in range(len(old.act_names))}
     store.append(3, "A")
     new_wid = store.open_instance()
@@ -111,3 +116,8 @@ def test_an_append_to_the_newest_instances_shares_every_other_index_array():
         for wi in range(2):  # instances 1 and 2 got nothing
             assert new.leaf_spans(aid)[wi] is old_spans[aid][wi]
     assert new.wids == (1, 2, 3, 4) and len(new) == len(old) + 3
+    # the cached chain's next run joins the two instances appended to and
+    # nothing else: one join per binary node per instance
+    query.run(store.snapshot())
+    assert query.last_cache_layer == "delta"
+    assert query.engine.last_stats.operator_evals == 2 * 2

@@ -9,6 +9,7 @@ from hypothesis import given, settings
 
 from repro.columnar import ColumnarLog, as_columnar
 from repro.core.model import Log
+from tests.support.workloads import records_of
 
 ALPHABET = ("A", "B", "C")
 
@@ -66,7 +67,9 @@ class TestLayout:
                 (columnar.rows[row] for row in columnar.act_rows(act_id)),
                 key=lambda r: r.lsn,
             )
-            assert tuple(records) == figure3_log.with_activity(name)
+            assert records == records_of(figure3_log, name)
+        see_doctor = columnar.act_rows(columnar.act_id_of("SeeDoctor"))
+        assert sorted(columnar.rows[row].lsn for row in see_doctor) == [9, 11, 13, 17]
         assert columnar.act_id_of("NoSuchActivity") is None
 
     def test_leaf_spans_cover_every_occurrence(self, figure3_log):

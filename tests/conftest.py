@@ -18,11 +18,8 @@ from repro.core.model import Log
 from repro.core.eval.vectorized import VectorizedEngine
 from repro.core.eval.naive import NaiveEngine
 from repro.workflow.engine import SimulationConfig, WorkflowEngine
-from repro.workflow.models import (
-    clinic_referral_workflow,
-    loan_approval_workflow,
-    order_fulfillment_workflow,
-)
+from repro.workflow.models import loan_approval_workflow, order_fulfillment_workflow
+from tests.support import workloads
 
 #: (lsn, wid, is_lsn, activity, attrs_in, attrs_out) — Figure 3 verbatim.
 FIGURE3_ROWS = [
@@ -85,8 +82,7 @@ def figure3_log() -> Log:
 @pytest.fixture(scope="session")
 def clinic_log() -> Log:
     """A 40-instance simulated clinic-referral log (deterministic)."""
-    engine = WorkflowEngine(clinic_referral_workflow())
-    return engine.run(SimulationConfig(instances=40, seed=1234))
+    return workloads.clinic_log(40, seed=1234)
 
 
 @pytest.fixture(scope="session")

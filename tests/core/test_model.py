@@ -190,11 +190,6 @@ class TestLogViews:
     def test_instance_view_of_unknown_wid_is_empty(self, figure3_log):
         assert figure3_log.instance(99) == ()
 
-    def test_with_activity_index(self, figure3_log):
-        lsns = [r.lsn for r in figure3_log.with_activity("SeeDoctor")]
-        assert lsns == [9, 11, 13, 17]
-        assert figure3_log.with_activity("NoSuch") == ()
-
     def test_record_lookup(self, figure3_log):
         assert figure3_log.record(14).activity == "UpdateRefer"
         with pytest.raises(KeyError):

@@ -13,6 +13,7 @@ from repro.generator.synthetic import (
     worst_case_log,
 )
 from repro.core.query import Query
+from tests.support.workloads import records_of
 
 
 class TestDistributions:
@@ -58,7 +59,7 @@ class TestWorstCaseLog:
     def test_single_instance_uniform_activity(self):
         log = worst_case_log(7)
         assert log.wids == (1,)
-        assert len(log.with_activity("t")) == 7
+        assert len(records_of(log, "t")) == 7
         log.validate()
 
     def test_m_validation(self):

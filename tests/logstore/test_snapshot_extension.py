@@ -27,8 +27,11 @@ def assert_same_log(extended: Log, whole: Log) -> None:
     for wid in whole.wids:
         assert extended.instance(wid) == whole.instance(wid)
         assert extended.is_complete(wid) == whole.is_complete(wid)
+    index, whole_index = extended.columnar(), whole.columnar()
     for activity in whole.activities:
-        assert extended.with_activity(activity) == whole.with_activity(activity)
+        rows = index.act_rows(index.act_id_of(activity))
+        whole_rows = whole_index.act_rows(whole_index.act_id_of(activity))
+        assert [index.rows[row] for row in rows] == [whole_index.rows[row] for row in whole_rows]
     for record in whole.records:
         assert extended.record(record.lsn) is record and record in extended
     assert (extended.epoch, extended.lineage, extended.is_snapshot) == (

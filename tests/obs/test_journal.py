@@ -37,6 +37,7 @@ from repro.obs.journal import (
     validate_journal_event,
 )
 from repro.obs.metrics import MetricsRegistry
+from tests.support import workloads
 
 
 def _ids(n: int = 1) -> dict:
@@ -148,9 +149,7 @@ class TestResourceAccount:
     def test_cpu_is_the_runs_own_thread(self, spinner):
         """With a pure-Python thread taking half the interpreter, a run
         charged the whole process's CPU reads ``cpu_ms`` ≈ ``wall_ms``."""
-        from repro.obs.bench.cases import clinic_log
-
-        log = clinic_log(900, seed=2)
+        log = workloads.clinic_log(900, seed=2)
         options = EngineOptions(engine="naive", optimize=False)
         wall = cpu = 0.0
         while wall < 100.0:

@@ -14,10 +14,10 @@ import json
 import logging
 import time
 
-from repro.obs.bench.cases import clinic_log
 from repro.obs.journal import validate_journal
 from repro.obs.live import WindowedAggregator
 from repro.service import ServiceConfig
+from tests.support.workloads import clinic_log
 
 
 def post(service, path, body):

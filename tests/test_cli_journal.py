@@ -1,7 +1,7 @@
 """CLI surfaces of the query-lifecycle journal and resource governor.
 
 ``query``/``batch --journal/--deadline-ms/--max-pairs``, the governor's
-dedicated exit code 4, and the ``events`` / ``top`` / ``bench history``
+dedicated exit code 4, and the ``events`` / ``top`` / ``slo``
 inspection subcommands, all driven through ``repro.cli.main`` in-process.
 """
 
@@ -297,47 +297,3 @@ class TestSloCommand:
         path.write_text("")
         assert main(["slo", "--journal", str(path)]) == 2
         assert "no terminal" in capsys.readouterr().err
-
-
-class TestBenchHistoryCommand:
-    def _record_runs(self, tmp_path, runs: int) -> str:
-        history = str(tmp_path / "hist.jsonl")
-        for n in range(runs):
-            assert main([
-                "bench", "run", "--case", "operators.choice",
-                "--repeats", "1", "--warmup", "0",
-                "--out", str(tmp_path / f"out{n}.json"),
-                "--history", history,
-            ]) == 0
-        return history
-
-    def test_lists_recorded_runs(self, tmp_path, capsys):
-        history = self._record_runs(tmp_path, 2)
-        capsys.readouterr()
-        assert main(["bench", "history", "--history", history]) == 0
-        out = capsys.readouterr().out
-        assert "showing 2 of 2 recorded run(s)" in out
-        assert "sum-of-medians" in out
-
-    def test_tail_shows_newest(self, tmp_path, capsys):
-        history = self._record_runs(tmp_path, 3)
-        capsys.readouterr()
-        assert main([
-            "bench", "history", "--history", history, "--tail", "1",
-        ]) == 0
-        assert "showing 1 of 3" in capsys.readouterr().out
-
-    def test_prune_keeps_newest(self, tmp_path, capsys):
-        history = self._record_runs(tmp_path, 3)
-        capsys.readouterr()
-        assert main([
-            "bench", "history", "--history", history, "--prune", "--keep", "1",
-        ]) == 0
-        assert "pruned 2 run(s), kept 1" in capsys.readouterr().out
-        assert main(["bench", "history", "--history", history]) == 0
-        assert "showing 1 of 1" in capsys.readouterr().out
-
-    def test_empty_history_reports_cleanly(self, tmp_path, capsys):
-        absent = str(tmp_path / "none.jsonl")
-        assert main(["bench", "history", "--history", absent]) == 0
-        assert "no history" in capsys.readouterr().out

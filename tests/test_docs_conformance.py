@@ -34,7 +34,9 @@ DOCS = [ROOT / "README.md", ROOT / "DESIGN.md", ROOT / "EXPERIMENTS.md"] + sorte
 FOREIGN_FLAGS = {
     "--jobs-ceiling",  # deleted with the parallel backend; SERVICE.md says so
     "--workload", "--seconds", "--no-trace",  # benchmarks/e2e's own parsers
-    "--benchmark-only", "--no-build-isolation",  # pytest-benchmark, pip
+    "--benchmark-only", "--benchmark-disable", "--benchmark-json",  # pytest-benchmark
+    "--benchmark-autosave", "--benchmark-compare",
+    "--ignore", "--no-build-isolation",  # pytest, pip
     "--functions", "--check",  # python -m tests.support.census
 }
 

@@ -12,6 +12,7 @@ from repro.workflow.models import (
     order_fulfillment_workflow,
 )
 from repro.workflow.models.clinic import CLINIC_ACTIVITIES, HOSPITALS
+from tests.support.workloads import records_of
 
 
 class TestClinicModel:
@@ -33,7 +34,7 @@ class TestClinicModel:
             assert names[-2] in ("CompleteRefer", "TerminateRefer")
 
     def test_getrefer_writes_figure3_attributes(self, clinic_log):
-        for record in clinic_log.with_activity("GetRefer"):
+        for record in records_of(clinic_log, "GetRefer"):
             assert set(record.attrs_out) == {
                 "hospital", "referId", "referState", "balance",
             }
@@ -42,7 +43,7 @@ class TestClinicModel:
             assert record.attrs_out["balance"] > 0
 
     def test_checkin_reads_referral_and_activates_it(self, clinic_log):
-        for record in clinic_log.with_activity("CheckIn"):
+        for record in records_of(clinic_log, "CheckIn"):
             assert record.attrs_in["referState"] == "start"
             assert record.attrs_out == {"referState": "active"}
 
@@ -59,7 +60,7 @@ class TestClinicModel:
             assert receipt_writes == expected
 
     def test_reimbursement_caps_at_balance(self, clinic_log):
-        for record in clinic_log.with_activity("GetReimburse"):
+        for record in records_of(clinic_log, "GetReimburse"):
             amount = record.attrs_out["amount"]
             reimburse = record.attrs_out["reimburse"]
             balance_before = record.attrs_in.get("balance", 0)
@@ -82,7 +83,7 @@ class TestClinicModel:
         spec = clinic_referral_workflow(terminate_probability=1.0)
         log = WorkflowEngine(spec).run(instances=10, seed=3)
         assert "GetReimburse" not in log.activities
-        assert len(log.with_activity("TerminateRefer")) == 10
+        assert len(records_of(log, "TerminateRefer")) == 10
 
 
 class TestOrderModel:
@@ -132,7 +133,7 @@ class TestLoanModel:
             )
 
     def test_credit_score_in_valid_range(self, loan_log):
-        for record in loan_log.with_activity("CreditCheck"):
+        for record in records_of(loan_log, "CreditCheck"):
             assert 300 <= record.attrs_out["creditScore"] <= 850
 
     def test_auto_approve_probability_extremes(self):
