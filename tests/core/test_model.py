@@ -190,6 +190,13 @@ class TestLogViews:
     def test_instance_view_of_unknown_wid_is_empty(self, figure3_log):
         assert figure3_log.instance(99) == ()
 
+    def test_with_activity_index(self, figure3_log):
+        columnar = figure3_log.columnar()
+        rows = columnar.act_rows(columnar.act_id_of("SeeDoctor"))
+        lsns = [columnar.rows[row].lsn for row in rows]
+        assert lsns == [9, 11, 13, 17]
+        assert columnar.act_id_of("NoSuch") is None
+
     def test_record_lookup(self, figure3_log):
         assert figure3_log.record(14).activity == "UpdateRefer"
         with pytest.raises(KeyError):
