@@ -7,7 +7,8 @@ seeded workload:
 * ``kernel``   — a three-activity chain read the way ``count`` /
   ``exists`` / ``instances`` replies read it (``len`` + ``wids()``);
 * ``columnar`` / ``sqlite`` — building the columns, and the same chain
-  compiled to SQL against a pre-warmed in-memory warehouse;
+  through the SQL baseline (:class:`~repro.baselines.sql.SqlBaseline`)
+  against its pre-warmed in-memory warehouse;
 * ``batch``    — three overlapping chains in one shared-scan pass, and a
   containment chain answered by one scan plus proved derivations;
 * ``analysis`` — compile + decide ``p ⊑ q`` on a fresh prover;
@@ -30,9 +31,9 @@ import pytest
 
 from benchmarks.conftest import best_of
 from repro.analysis import PatternProver, plan_subsumption
+from repro.baselines.sql import SqlBaseline
 from repro.cache import QueryCache
 from repro.columnar import ColumnarLog
-from repro.columnar.sqlite import SqliteEngine
 from repro.core.eval.vectorized import VectorizedEngine
 from repro.core.model import END, START
 from repro.core.options import EngineOptions
@@ -79,7 +80,7 @@ def test_columnar_build(benchmark, scaling_log):
 
 def test_sqlite_pushdown(benchmark, scaling_log):
     columnar = scaling_log.columnar()
-    engine = SqliteEngine()
+    engine = SqlBaseline()
     pattern = parse(CHAIN)
     expected = engine.evaluate(columnar, pattern)  # warm the warehouse load
     benchmark.group = "S-columnar"

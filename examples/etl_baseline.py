@@ -17,7 +17,7 @@ Run:  python examples/etl_baseline.py
 import time
 
 from repro import Query
-from repro.baselines.sql import SqlWarehouse, compile_to_sql
+from repro.baselines.sql import SqlBaseline, compile_to_sql
 from repro.core.errors import EvaluationError
 from repro.core.parser import parse
 from repro.workflow import SimulationConfig, WorkflowEngine
@@ -37,19 +37,20 @@ def main() -> None:
     )
     print(f"log: {len(log)} records, {len(log.wids)} instances")
 
+    baseline = SqlBaseline()
     started = time.perf_counter()
-    warehouse = SqlWarehouse(log)
+    warehouse = baseline.warehouse(log)
     etl_seconds = time.perf_counter() - started
     print(f"ETL (load into SQLite warehouse): {etl_seconds * 1000:.1f} ms")
 
     for text in QUERIES:
         pattern = parse(text)
         print(f"\nquery: {text}")
-        for branch in compile_to_sql(pattern):
+        for branch in compile_to_sql(pattern, warehouse.columnar):
             print(f"  SQL> {branch}")
 
         started = time.perf_counter()
-        via_sql = warehouse.incidents(pattern)
+        via_sql = baseline.evaluate(log, pattern)
         sql_ms = (time.perf_counter() - started) * 1000
 
         direct = Query(pattern)
@@ -66,7 +67,7 @@ def main() -> None:
           "GetRefer[out.balance >= 5000] -> GetReimburse")
     rich = parse("GetRefer[out.balance >= 5000] -> GetReimburse")
     try:
-        warehouse.incidents(rich)
+        baseline.evaluate(log, rich)
     except EvaluationError as exc:
         print(f"  warehouse: FAILS — {exc}")
     count = Query(rich).count(log)

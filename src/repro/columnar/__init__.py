@@ -1,18 +1,15 @@
-"""Columnar log core: interned, column-backed log representation and the
-set-at-a-time backends built on it.
+"""Columnar log core: the interned, column-backed log representation.
 
 * :class:`~repro.columnar.column_log.ColumnarLog` — immutable columnar
   form of a :class:`~repro.core.model.Log` (interned dictionaries,
   ``array``-backed columns, per-wid contiguous row ranges);
-* :func:`~repro.columnar.column_log.as_columnar` — coercion helper;
-* :class:`~repro.columnar.sqlite.SqliteEngine` — SQL pushdown backend
-  compiling patterns to SQL over a schema mirroring the columnar layout.
+* :func:`~repro.columnar.column_log.as_columnar` — coercion helper.
 
 The vectorized pairwise engine that evaluates directly over the columns
-lives with its siblings in :mod:`repro.core.eval.vectorized`.
+lives with its siblings in :mod:`repro.core.eval.vectorized`; the SQL
+baseline (:mod:`repro.baselines.sql`) loads its warehouse from them.
 """
 
 from repro.columnar.column_log import ColumnarLog, as_columnar
-from repro.columnar.sqlite import ColumnarWarehouse, SqliteEngine
 
-__all__ = ["ColumnarLog", "ColumnarWarehouse", "SqliteEngine", "as_columnar"]
+__all__ = ["ColumnarLog", "as_columnar"]

@@ -14,10 +14,10 @@ Two in-process engines share one semantics (Definition 4):
   and in-run subpattern sharing are compile-time hooks on its closure
   tree.
 
-(A third, the SQL pushdown :class:`~repro.columnar.SqliteEngine`, lives
-with its schema in :mod:`repro.columnar`.)  All satisfy the
-:class:`~repro.core.eval.base.Engine` interface; tests differential-check
-them against the Definition 4 oracle in
+Both satisfy the :class:`~repro.core.eval.base.Engine` interface, as
+do the comparators of :mod:`repro.baselines` (the paper's SQL route,
+:class:`~repro.baselines.sql.SqlBaseline`, among them); tests
+differential-check them all against the Definition 4 oracle in
 :func:`repro.core.incident.reference_incidents`.
 """
 

@@ -141,7 +141,7 @@ class Engine(ABC):
         inside its joins whenever its work count reaches the governor's
         :meth:`~repro.core.governor.ResourceGovernor.next_due` mark, and
         once more when the run completes; the reference engine checks per
-        workflow instance and per operator node; the sqlite backend from
+        workflow instance and per operator node; the SQL baseline from
         SQLite's progress handler.  Unlike ``max_incidents`` — which
         guards materialised set sizes — the governor bounds *work* (pairs
         examined, wall clock) and cooperative cancellation.  Queries set

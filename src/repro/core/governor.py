@@ -59,7 +59,7 @@ __all__ = [
 
 
 #: Work units between two checkpoints of a strided engine: the join
-#: kernel counts ``pairs_examined + operator_evals``, the sqlite backend
+#: kernel counts ``pairs_examined + operator_evals``, the SQL baseline
 #: fetches rows in chunks of this many.  A kernel pair costs ≈ 0.5–1 µs and
 #: a checkpoint (a clock read and an event poll) ≈ 0.3 µs, so 1 024 units
 #: put a deadline check about every millisecond of join work at well under

@@ -40,7 +40,7 @@ class EngineOptions:
     Attributes
     ----------
     engine:
-        Engine name (``"naive"``/``"vectorized"``/``"sqlite"``), an
+        Engine name (``"naive"``/``"vectorized"``), an
         :class:`~repro.core.eval.base.Engine` instance, or None for the
         default: the columnar join kernel.
     optimize:

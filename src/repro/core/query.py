@@ -31,7 +31,6 @@ from repro.core.optimizer.planner import OptimizedPlan, Optimizer
 from repro.core.options import EngineOptions
 from repro.core.parser import parse
 from repro.core.pattern import Pattern
-from repro.columnar.sqlite import SqliteEngine
 from repro.obs.tracer import NULL_TRACER
 
 __all__ = ["Query", "ENGINES", "engine_class"]
@@ -40,7 +39,6 @@ __all__ = ["Query", "ENGINES", "engine_class"]
 ENGINES: dict[str, type[Engine]] = {
     NaiveEngine.name: NaiveEngine,
     VectorizedEngine.name: VectorizedEngine,
-    SqliteEngine.name: SqliteEngine,
 }
 
 

@@ -8,7 +8,8 @@ the :class:`~repro.service.catalog.StoreCatalog`, the shared
 :class:`~repro.service.admission.AdmissionController`, and routes one
 ``(method, path, body)`` triple to one :class:`ServiceResponse`.  The
 HTTP layer (:mod:`repro.service.server`) is a thin byte adapter over
-:meth:`QueryService.dispatch`; tests and the bench registry call
+:meth:`QueryService.dispatch`; tests and the in-process benchmarks
+(``benchmarks/bench_system.py``, ``benchmarks/bench_live.py``) call
 ``dispatch`` directly and exercise the identical code path.
 
 Request lifecycle of an evaluation endpoint (``/v1/query``,

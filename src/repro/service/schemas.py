@@ -49,7 +49,7 @@ ANALYZE_OPS: tuple[str, ...] = ("equivalent", "contains")
 
 #: The per-request engine knobs accepted inside ``options``.
 OPTION_FIELDS: dict[str, Field] = table(
-    Field("engine", "str", False, doc="evaluation engine: vectorized, naive or sqlite"),
+    Field("engine", "str", False, doc="evaluation engine: vectorized or naive"),
     Field("optimize", "bool", False, doc="rewrite the pattern before evaluating it"),
     Field("max_incidents", "pos_int", False, doc="cap on the incidents held at once"),
     Field("deadline_ms", "pos_num", False, doc="wall-clock budget in milliseconds"),

@@ -1,9 +1,9 @@
-"""Cross-engine equivalence: naive ≡ kernel ≡ sqlite ≡ Definition 4.
+"""Cross-engine equivalence: naive ≡ kernel ≡ SQL baseline ≡ Definition 4.
 
 The acceptance sweep for the one-kernel design: on ≥200 seeded random
 pattern/log pairs — plus a battery with windowed ``->[k]`` operators and
 attribute-guarded leaves — the paper-faithful naive engine, the columnar
-join kernel and the SQL pushdown must all produce the *canonical incident
+join kernel and the SQL baseline must all produce the *canonical incident
 rows* of :func:`~repro.core.incident.reference_incidents`
 (``IncidentSet.to_rows()``, i.e. byte-for-byte once serialised).
 
@@ -19,7 +19,7 @@ from pathlib import Path
 
 import pytest
 
-from repro.columnar import SqliteEngine
+from repro.baselines.sql import SqlBaseline
 from repro.core.algebra import random_logs
 from repro.core.errors import EvaluationError
 from repro.core.eval.naive import NaiveEngine
@@ -136,7 +136,7 @@ def check_sweep(sweep):
     golden = json.loads(GOLDEN.read_text(encoding="utf-8"))[sweep]
     cases = SWEEPS[sweep]
     assert len(golden) == len(cases)
-    naive, sqlite = NaiveEngine(), SqliteEngine()
+    naive, sql = NaiveEngine(), SqlBaseline()
     kernel, traced = VectorizedEngine(), VectorizedEngine(tracer=Tracer())
     for i, (pattern, log) in enumerate(cases):
         reference = reference_incidents(log, pattern).to_rows()
@@ -148,7 +148,7 @@ def check_sweep(sweep):
         )
         assert traced.evaluate(log, pattern).to_rows() == reference, (i, pattern)
         try:
-            pushed = sqlite.evaluate(columnar, pattern)
+            pushed = sql.evaluate(columnar, pattern)
         except EvaluationError:
             # the pushed-down projection has no attribute maps
             assert any(isinstance(n, Guarded) for n in pattern.walk()), pattern
@@ -177,16 +177,16 @@ def test_spot_checks_against_the_oracle(case_index):
     pattern, log = CASE_LIST[case_index]
     oracle = reference_incidents(log, pattern)
     assert VectorizedEngine().evaluate(log, pattern) == oracle
-    assert SqliteEngine().evaluate(log.columnar(), pattern) == oracle
+    assert SqlBaseline().evaluate(log.columnar(), pattern) == oracle
 
 
 def test_exists_and_count_agree_across_engines():
     naive, kernel = NaiveEngine(), VectorizedEngine()
-    sqlite = SqliteEngine()
+    sql = SqlBaseline()
     for pattern, log in CASE_LIST[:60] + EXTENSION_LIST[:30]:
         columnar = log.columnar()
         expected_count = len(naive.evaluate(log, pattern))
         assert kernel.count(log, pattern) == expected_count
         assert kernel.exists(columnar, pattern) == (expected_count > 0)
         if not any(isinstance(n, Guarded) for n in pattern.walk()):
-            assert sqlite.exists(columnar, pattern) == (expected_count > 0)
+            assert sql.exists(columnar, pattern) == (expected_count > 0)

@@ -3,8 +3,8 @@
 A ``mode: incidents`` reply is written from the spans and the columns
 without the rows; byte for byte it must be the text the rows would have
 given — for a kernel result, for one carried over an append
-(``carried_to``), and for the object-built sets of ``naive`` and
-``sqlite`` — whatever the activity names hold.  Names arrive over the
+(``carried_to``), and for the object-built sets of ``naive`` and the
+SQL baseline — whatever the activity names hold.  Names arrive over the
 wire (``POST /v1/logs/{name}/records``), so quotes, backslashes, control
 characters and code points beyond ASCII and beyond the BMP all reach the
 encoder.
@@ -18,6 +18,7 @@ import hypothesis.strategies as st
 from hypothesis import given, settings
 
 from repro import EngineOptions, Query
+from repro.baselines.sql import SqlBaseline
 from repro.cache import QueryCache
 from repro.core.incident import reference_incidents
 from repro.core.pattern import Atomic, Choice, Consecutive, Parallel, Sequential
@@ -79,7 +80,7 @@ def test_the_text_is_the_rows_byte_for_byte(epochs, pattern):
         assert query.last_cache_layer == ("delta" if number else None)
         assert kernel.canonical_spans() is not None
         assert_text_is_the_rows(kernel)
-    for engine in ("naive", "sqlite"):
+    for engine in ("naive", SqlBaseline()):
         built = Query(pattern, EngineOptions(engine=engine)).run(snapshot)
         assert built.canonical_spans() is None
         assert_text_is_the_rows(built)

@@ -217,7 +217,7 @@ class TestClamping:
         )
         assert response.status == 400
         assert payload(response)["error"]["details"]["available"] == [
-            "naive", "sqlite", "vectorized",
+            "naive", "vectorized",
         ]
 
     def test_unknown_engine_is_400(self, service):
@@ -227,7 +227,7 @@ class TestClamping:
         # the one deliberate narrowing of the wire contract: no alias is kept
         self.assert_unknown_engine(service, "indexed")
 
-    @pytest.mark.parametrize("engine", ["naive", "sqlite"])
+    @pytest.mark.parametrize("engine", ["naive"])
     def test_a_batch_refuses_an_engine_it_cannot_run(self, service, engine):
         # a batch is one shared scan on the kernel: another engine is a
         # 400 naming the one allowed, never a kernel answer under its name
@@ -326,7 +326,8 @@ class TestQueryModes:
         assert doc["backend"] == "serial"
 
     def test_every_engine_answers_a_store_holding_a_lone_surrogate_name(self, service):
-        # JSON carries "\ud800" over the wire; SQLite cannot store it as text
+        # JSON carries "\ud800" over the wire; every engine the wire names
+        # answers it (the SQL baseline's own test is in tests/baselines)
         append = post(
             service, "/v1/logs/clinic/records",
             {"records": [
@@ -339,7 +340,7 @@ class TestQueryModes:
         body = {"log": "clinic", "pattern": "GetRefer -> CheckIn", "options": {"cache": False}}
         kernel = payload(post(service, "/v1/query", body))
         assert kernel["count"] > 0
-        for options in ({"engine": "sqlite", "cache": False}, {"engine": "naive"}):
+        for options in ({"engine": "naive", "cache": False}, {"engine": "naive"}):
             for mode in ("incidents", "exists"):
                 response = post(service, "/v1/query", {**body, "mode": mode, "options": options})
                 assert response.status == 200, (options, payload(response))

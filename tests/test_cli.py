@@ -80,7 +80,17 @@ class TestQuery:
                   "--engine", "indexed"])
         assert info.value.code == 2
         message = capsys.readouterr().err
-        assert all(name in message for name in ("naive", "sqlite", "vectorized"))
+        assert all(name in message for name in ("naive", "vectorized"))
+        assert "sqlite" not in message
+
+    def test_the_sql_baseline_is_not_an_engine_name(self, clinic_file, capsys):
+        # SQL is the paper's comparator (repro.baselines.sql), not a CLI engine
+        with pytest.raises(SystemExit) as info:
+            main(["query", "--log", clinic_file, "--pattern", "GetRefer",
+                  "--engine", "sqlite"])
+        assert info.value.code == 2
+        message = capsys.readouterr().err
+        assert "'naive', 'vectorized'" in message
 
     def test_compound_guard_round_trips_and_filters(self, clinic_file, capsys):
         # existence, and, or, not: every GetRefer record satisfies this guard

@@ -39,7 +39,6 @@ def _cache(**policy):
 #: (commands that have the flag, argv, {field: expected value or check})
 FLAGS = [
     (("query", "profile"), ["--engine", "naive"], {"engine": "naive"}),
-    (("query", "profile"), ["--engine", "sqlite"], {"engine": "sqlite"}),
     (("query", "batch", "profile"), ["--no-optimize"], {"optimize": False}),
     (("query", "batch", "profile"), ["--max-incidents", "7"], {"max_incidents": 7}),
     (("query", "batch"), ["--deadline-ms", "250"], {"deadline_ms": 250.0}),
