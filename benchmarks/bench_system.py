@@ -9,8 +9,9 @@ seeded workload:
 * ``columnar`` / ``sqlite`` — building the columns, and the same chain
   through the SQL baseline (:class:`~repro.baselines.sql.SqlBaseline`)
   against its pre-warmed in-memory warehouse;
-* ``batch``    — three overlapping chains in one shared-scan pass, and a
-  containment chain answered by one scan plus proved derivations;
+* ``batch``    — three overlapping chains in one shared-scan pass, a
+  containment chain (every query scanned: strict containment earns no
+  skip), and a proved-equivalent pair answered by one scan and an alias;
 * ``analysis`` — compile + decide ``p ⊑ q`` on a fresh prover;
 * ``cache``    — the chain uncached and served from the result cache
   (``test_warm_cache_beats_cold`` asserts the order on this host);
@@ -97,6 +98,10 @@ BATCHES = {
         "GetRefer ; CheckIn",
         "GetRefer -> CheckIn",
         "(GetRefer -> CheckIn) | (CheckIn -> GetRefer)",
+    ),
+    "aliased": (
+        "SeeDoctor & PayTreatment",
+        "(SeeDoctor -> PayTreatment) | (PayTreatment -> SeeDoctor)",
     ),
 }
 

@@ -7,7 +7,6 @@ The public surface:
   :func:`default_prover` is the shared one) — the decision procedures
   (per-wid incident semantics, Definition 4);
 * :class:`Witness` — a replayable counterexample trace + incident;
-* :class:`IncidentMatcher` — exact incident-membership filter;
 * :func:`plan_subsumption` — the batch executor's proved scan plan;
 * :func:`verify_rules` — optimizer rewrite-rule soundness gating.
 
@@ -24,7 +23,6 @@ from repro.analysis.automaton import (
     determinize,
 )
 from repro.analysis.prover import (
-    IncidentMatcher,
     PatternProver,
     PlanAction,
     SubsumptionPlan,
@@ -53,7 +51,6 @@ __all__ = [
     "compile_pattern",
     "determinize",
     "PatternProver",
-    "IncidentMatcher",
     "Witness",
     "PlanAction",
     "SubsumptionPlan",

@@ -18,8 +18,8 @@ Subcommands
   span tree as a self-contained HTML flamegraph / folded stacks;
 * ``batch``     — evaluate several patterns in one shared-scan pass,
   deduplicating common subpatterns across the queries and skipping the
-  scans of queries the prover shows are subsumed by a sibling (opt out
-  with ``--no-analyze``; a pre-flight ``lint_batch`` pass reports
+  scans of queries the prover shows are equivalent to a sibling (opt
+  out with ``--no-analyze``; a pre-flight ``lint_batch`` pass reports
   QW501 subsumption findings on stderr, opt out with ``--no-lint``);
 * ``analyze``   — the decision procedures of ``repro.analysis``:
   ``--rules`` proves every shipped optimizer rewrite rule

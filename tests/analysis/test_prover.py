@@ -2,23 +2,19 @@
 
 Known-contained and known-incomparable pairs, witness-trace replay
 through the naive engine (the witness must *actually* distinguish the
-two patterns, per the ground-truth semantics), unsupported-pattern and
-state-budget error paths, and IncidentMatcher agreement with the
-Definition 4 oracle.
+two patterns, per the ground-truth semantics), and the
+unsupported-pattern and state-budget error paths.
 """
 
 import pytest
 
 from repro.analysis import (
     AnalysisBudgetError,
-    IncidentMatcher,
     PatternProver,
     UnsupportedPatternError,
     default_prover,
 )
 from repro.core.eval.naive import NaiveEngine
-from repro.core.incident import reference_incidents
-from repro.core.model import Log
 from repro.core.pattern import (
     Atomic,
     Choice,
@@ -176,50 +172,3 @@ class TestErrorPaths:
         with pytest.raises(ReproError):
             contains(Guarded("A"), A)
 
-
-class TestIncidentMatcher:
-    """matcher.matches must agree with Definition 4 membership."""
-
-    LOG = Log.from_traces(
-        {1: ["A", "B", "Z", "A", "B"], 2: ["B", "A", "Z"], 3: ["A"]}
-    )
-
-    @pytest.mark.parametrize(
-        "pattern",
-        [
-            A,
-            NOT_A,
-            Consecutive(A, B),
-            Sequential(A, B),
-            Within(A, B, bound=2),
-            Choice(Consecutive(A, B), Sequential(B, A)),
-            Parallel(A, B),
-        ],
-    )
-    def test_accepts_exactly_the_oracle_incidents(self, pattern):
-        matcher = IncidentMatcher(pattern)
-        oracle = frozenset(reference_incidents(self.LOG, pattern))
-        # every oracle incident is accepted ...
-        for incident in oracle:
-            instance = self.LOG.instance(incident.wid)
-            assert matcher.matches(incident, instance)
-        # ... and incidents of a *different* pattern are rejected unless
-        # they are also incidents of this one (checked via the oracle)
-        for other in (A, B, Sequential(B, A), Consecutive(B, A)):
-            for incident in reference_incidents(self.LOG, other):
-                instance = self.LOG.instance(incident.wid)
-                assert matcher.matches(incident, instance) == (
-                    incident in oracle
-                )
-
-    def test_unmentioned_activities_classify_as_other(self):
-        # "Z" never appears in the pattern: the matcher must not crash
-        # and must still reject marking it for a positive atom.
-        matcher = IncidentMatcher(A)
-        zs = [
-            incident
-            for incident in reference_incidents(self.LOG, Atomic("Z"))
-        ]
-        assert zs  # the log does contain Z records
-        for incident in zs:
-            assert not matcher.matches(incident, self.LOG.instance(incident.wid))
