@@ -153,3 +153,11 @@ def test_containment_is_a_preorder(p, q, r):
     assert contains(p, p)
     if contains(p, q) and contains(q, r):
         assert contains(p, r)
+
+
+@settings(max_examples=200, deadline=None)
+@given(patterns(), patterns())
+def test_equivalence_is_containment_both_ways(p, q):
+    # one search of the product for a word either side lacks decides
+    # what the two containment searches decide
+    assert equivalent(p, q) == (contains(p, q) and contains(q, p))
