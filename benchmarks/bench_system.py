@@ -9,9 +9,10 @@ seeded workload:
 * ``columnar`` / ``sqlite`` — building the columns, and the same chain
   through the SQL baseline (:class:`~repro.baselines.sql.SqlBaseline`)
   against its pre-warmed in-memory warehouse;
-* ``batch``    — three overlapping chains in one shared-scan pass, a
-  containment chain (every query scanned: strict containment earns no
-  skip), and a proved-equivalent pair answered by one scan and an alias;
+* ``batch``    — three overlapping chains in one pass, a containment
+  chain (every query scanned: strict containment earns no skip), a
+  proved-equivalent pair answered by one scan and an alias, and the six
+  ``cold_join`` patterns, which share nothing;
 * ``analysis`` — compile + decide ``p ⊑ q`` on a fresh prover;
 * ``cache``    — the chain uncached and served from the result cache
   (``test_warm_cache_beats_cold`` asserts the order on this host);
@@ -31,6 +32,7 @@ from concurrent.futures import ThreadPoolExecutor
 import pytest
 
 from benchmarks.conftest import best_of
+from benchmarks.e2e.workloads import POOL
 from repro.analysis import PatternProver, plan_subsumption
 from repro.baselines.sql import SqlBaseline
 from repro.cache import QueryCache
@@ -103,6 +105,8 @@ BATCHES = {
         "SeeDoctor & PayTreatment",
         "(SeeDoctor -> PayTreatment) | (PayTreatment -> SeeDoctor)",
     ),
+    # the six ``cold_join`` patterns: no subpattern recurs, 0 shared hits
+    "disjoint": POOL,
 }
 
 
@@ -113,6 +117,7 @@ def test_batch(benchmark, log, batch):
     benchmark.group = "S-batch"
     result = benchmark(evaluate_batch, log, patterns, EngineOptions(optimize=False))
     assert len(result.results) == len(patterns)
+    assert (result.shared_hits == 0) == (batch in ("aliased", "disjoint"))
 
 
 def test_analysis_containment(benchmark):

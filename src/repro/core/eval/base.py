@@ -79,23 +79,6 @@ class EvaluationStats:
         if size > self.max_live_incidents:
             self.max_live_incidents = size
 
-    def merge(self, other: "EvaluationStats") -> None:
-        """Fold another evaluation's counters into this one.
-
-        Counts add; ``max_live_incidents`` takes the maximum (each
-        evaluation materialises its sets independently, so the peak is
-        the largest single peak).  Used by
-        :func:`repro.exec.evaluate_batch` to report one
-        ``EvaluationStats`` for all queries of a batch.
-        """
-        self.operator_evals += other.operator_evals
-        self.pairs_examined += other.pairs_examined
-        self.incidents_produced += other.incidents_produced
-        if other.max_live_incidents > self.max_live_incidents:
-            self.max_live_incidents = other.max_live_incidents
-        for symbol, count in other.per_operator.items():
-            self.per_operator[symbol] = self.per_operator.get(symbol, 0) + count
-
     def publish(self) -> None:
         """Flush the whole-evaluation totals into the bound registry.
 
@@ -192,10 +175,6 @@ class Engine(ABC):
         materialises the full set.
         """
         return bool(self.evaluate(log, pattern))
-
-    def count(self, log: Log, pattern: Pattern) -> int:
-        """Number of incidents of ``pattern`` in ``log``."""
-        return len(self.evaluate(log, pattern))
 
     def _checkpoint(self, stats: EvaluationStats) -> None:
         """One cooperative governor checkpoint.

@@ -41,11 +41,16 @@ instead of object rows:
   caller iterates the result.
 
 A pattern is compiled once per evaluation into a tree of closures, one
-per pattern node, each a window evaluator ``f(wi, lo, hi)``.  Tracing and
-subpattern sharing are *compile-time hooks* on that one tree, not sibling
-evaluators: with a live tracer every node is wrapped in its span; with
-``share=True`` binary nodes and the root are wrapped in the share probe.
-Neither hook costs anything when it is off.
+per pattern node, each a window evaluator ``f(wi, lo, hi)``.  Tracing is
+a *compile-time hook* on that one tree, not a sibling evaluator: with a
+live tracer every node is wrapped in its span, and it costs nothing when
+it is off.
+
+:meth:`VectorizedEngine.evaluate_all` compiles many patterns into one
+forest, memoised by pattern: each distinct binary subpattern and each
+distinct root is one closure that remembers its last window's result, so
+a recurring subpattern is joined once per window.  Leaves are not
+memoised; the activity index answers them as fast as a memo could.
 
 Budgets are charged with the work the paper counts (Lemma 1's pairs), not
 per window or per node.  One evaluation keeps one work count,
@@ -67,7 +72,7 @@ from __future__ import annotations
 import sys
 from bisect import bisect_right
 from collections.abc import Callable, Iterable, Sequence, Set
-from functools import lru_cache, partial
+from functools import partial
 from operator import itemgetter
 
 from repro.columnar.column_log import ColumnarLog, as_columnar
@@ -93,7 +98,7 @@ _Span = tuple[int, int, frozenset]
 
 #: One compiled pattern node: ``f(wi, lo, hi)`` evaluates the node over the
 #: instance window ``[lo, hi)`` (window number ``wi``), first-sorted.
-#: Results may be shared (leaf caches, share entries): never mutate one.
+#: Results may be shared (leaf caches, memoised nodes): never mutate one.
 _Node = Callable[[int, int, int], Sequence[_Span]]
 
 
@@ -142,66 +147,50 @@ class _Meter:
         return self.due
 
 
-class _SubpatternKey:
-    """A subpattern as a share key, hashed once.
+class _Forest:
+    """The compile-time memo of :meth:`VectorizedEngine.evaluate_all`: one
+    closure per distinct binary subpattern and root, and the number of
+    further occurrences one of them answers (each elides one node
+    evaluation per window)."""
 
-    Patterns are frozen dataclasses whose hash recurses over the whole
-    subtree on every call; the share hook probes once per node per
-    instance window, so it keys on this wrapper instead."""
+    __slots__ = ("nodes", "reused")
 
-    __slots__ = ("pattern", "_hash")
-
-    def __init__(self, pattern: Pattern):
-        self.pattern = pattern
-        self._hash = hash(pattern)
-
-    def __hash__(self) -> int:
-        return self._hash
-
-    def __eq__(self, other: object) -> bool:
-        return isinstance(other, _SubpatternKey) and self.pattern == other.pattern
-
-    def __repr__(self) -> str:
-        return str(self.pattern)
+    def __init__(self) -> None:
+        self.nodes: dict[Pattern, _Node] = {}
+        self.reused = 0
 
 
-#: Interned, so probes for one subpattern from different patterns of a
-#: batch meet the stored key by identity instead of a structural comparison.
-_subpattern_key = lru_cache(maxsize=4096)(_SubpatternKey)
+def _last_window(node: _Node) -> _Node:
+    """``node`` answering a repeated call for the window it last ran for
+    with that result.  Windows are walked once, in order, so only the last
+    result can be asked for again."""
+    last_wi = -1
+    last: Sequence[_Span] = ()
+
+    def memo_node(wi: int, lo: int, hi: int) -> Sequence[_Span]:
+        nonlocal last_wi, last
+        if wi != last_wi:
+            last = node(wi, lo, hi)
+            last_wi = wi
+        return last
+
+    return memo_node
 
 
 class VectorizedEngine(Engine):
-    """Sort/hash-join evaluation over columnar windows (see module docs).
-
-    Parameters
-    ----------
-    share:
-        Keep node results per ``(window, subpattern)`` for as long as the
-        engine stays on one log, so structurally equal subpatterns —
-        within one pattern or across successive :meth:`evaluate` calls —
-        are scanned and joined once (``shared_hits`` counts the node
-        evaluations elided).  A hit skips its subtree's scans, joins,
-        stats and spans entirely, which is where the batch evaluator's
-        pairs saving comes from.
-    """
+    """Sort/hash-join evaluation over columnar windows (see module docs)."""
 
     name = "vectorized"
 
-    def __init__(self, *, share: bool = False, **kwargs):
-        super().__init__(**kwargs)
-        self._share = share
-        self._shared: dict[tuple[int, _SubpatternKey], Sequence[_Span]] = {}
-        self._bound: ColumnarLog | None = None
-        self.shared_hits = 0
-
     def evaluate(self, log: "Log | ColumnarLog", pattern: Pattern) -> IncidentSet:
         columnar = as_columnar(log)
-        return self._evaluate(
+        (incidents,) = self._evaluate(
             columnar,
-            pattern,
+            [pattern],
             enumerate(columnar.wid_windows()),
             partial(IncidentSet.from_spans, columnar),
         )
+        return incidents
 
     def evaluate_delta(
         self,
@@ -228,49 +217,82 @@ class VectorizedEngine(Engine):
             for wid in sorted(touched)
             for wi, lo, hi in (columnar.window(wid),)
         ]
-        return self._evaluate(
-            columnar, pattern, windows, partial(base.carried_to, columnar, touched)
+        (incidents,) = self._evaluate(
+            columnar, [pattern], windows, partial(base.carried_to, columnar, touched)
         )
+        return incidents
+
+    def evaluate_all(
+        self, log: "Log | ColumnarLog", patterns: Sequence[Pattern]
+    ) -> tuple[list[IncidentSet], int]:
+        """Every pattern of ``patterns`` in one pass over the windows: the
+        incident sets in input order, and the node evaluations that shared
+        subpatterns elided.
+
+        The patterns compile into one forest in which each distinct binary
+        subpattern and each distinct root is one closure, remembering its
+        last window's result; per window every root runs in input order.
+        So a recurring subpattern is joined, counted and checked once per
+        window, under one ``EvaluationStats`` and one governor account.
+        """
+        columnar = as_columnar(log)
+        forest = _Forest()
+        results = self._evaluate(
+            columnar,
+            patterns,
+            enumerate(columnar.wid_windows()),
+            partial(IncidentSet.from_spans, columnar),
+            forest,
+        )
+        return results, forest.reused * len(columnar.wids)
 
     def _evaluate(
         self,
         columnar: ColumnarLog,
-        pattern: Pattern,
+        patterns: Sequence[Pattern],
         windows: Iterable[tuple[int, tuple[int, int, int]]],
         result: Callable[[list[tuple[int, int, Sequence[_Span]]]], IncidentSet],
-    ) -> IncidentSet:
+        forest: "_Forest | None" = None,
+    ) -> list[IncidentSet]:
         """Join ``windows``, each ``(window number, (wid, lo, hi))`` in wid
-        order; ``result`` makes the incident set of the ``(wid, lo,
-        spans)`` found."""
+        order, for every root; ``result`` makes a root's incident set of
+        the ``(wid, lo, spans)`` found."""
         stats = self._new_stats()
         meter = _Meter(self, stats)
-        found: list[tuple[int, int, Sequence[_Span]]] = []
-        n = 0
-        with self.tracer.span("evaluate", key=(), engine=self.name, pattern=str(pattern)):
-            root = self._compile(columnar, pattern, meter)
+        text = " ; ".join(map(str, patterns))
+        with self.tracer.span("evaluate", key=(), engine=self.name, pattern=text):
+            roots = [self._compile(columnar, p, meter, forest=forest) for p in patterns]
+            found: list[list[tuple[int, int, Sequence[_Span]]]] = [[] for _ in roots]
+            rooted = list(zip(roots, found))
             meter.check()
             # work is only done in nodes, and every node compares the work
             # count to the mark after its join: the loop has nothing to check
             for wi, (wid, lo, hi) in windows:
-                spans = root(wi, lo, hi)
-                if spans:
-                    found.append((wid, lo, spans))
-                    n += len(spans)
+                for root, root_found in rooted:
+                    spans = root(wi, lo, hi)
+                    if spans:
+                        root_found.append((wid, lo, spans))
             self._checkpoint(stats)
-            incidents = result(found)
-            self._check_budget(len(incidents))
-            stats.note_live(n)
-            stats.incidents_produced += n
+            results = []
+            for root_found in found:
+                incidents = result(root_found)
+                self._check_budget(len(incidents))
+                n = sum(len(spans) for _, _, spans in root_found)
+                stats.note_live(n)
+                stats.incidents_produced += n
+                results.append(incidents)
         self._finish(stats)
-        return incidents
+        return results
 
     def count(self, log: Log, pattern: Pattern) -> int:
         """Number of incidents; uses the output-free counting DP
         (:mod:`repro.core.eval.counting`) for ⊙/⊳ chains of leaves, where
-        the incident set may be quadratic or worse in the log size."""
+        the incident set may be quadratic or worse in the log size.  The
+        DP examines no pairs, so it leaves ``last_stats`` None."""
         from repro.core.eval.counting import count_incidents, supports_counting
 
         if supports_counting(pattern):
+            self.last_stats = None
             return count_incidents(
                 log,
                 pattern,
@@ -318,6 +340,7 @@ class VectorizedEngine(Engine):
         pattern: Pattern,
         meter: _Meter,
         key: int | str = "root",
+        forest: "_Forest | None" = None,
     ) -> _Node:
         """Compile ``pattern`` into its window evaluator.
 
@@ -325,29 +348,29 @@ class VectorizedEngine(Engine):
         per evaluation instead of once per node per instance, and the
         per-node stats epilogue (budget check, live peak, incidents
         produced) is inlined into the closures.  ``key`` is the node's
-        position under its parent (the span key).  The hooks wrap the
-        finished node: the span outside the node, the share probe outside
-        the span — so a shared hit records neither stats nor a span.
+        position under its parent (the span key).  With a ``forest``
+        (:meth:`evaluate_all`), a binary node or root already compiled
+        there is that closure, and a new one is memoised outside its
+        span — so an answered occurrence records neither stats nor a
+        span.
         """
-        if key == "root" and self._share and columnar is not self._bound:
-            # shared results are keyed by window number, so they are only
-            # valid for one columnar log
-            self._shared.clear()
-            self._bound = columnar
+        shared = forest is not None and (key == "root" or isinstance(pattern, BinaryPattern))
+        if shared:
+            node = forest.nodes.get(pattern)
+            if node is not None:
+                forest.reused += 1
+                return node
         if isinstance(pattern, Atomic):
             node = self._compile_atomic(columnar, pattern, meter.stats)
         else:
             assert isinstance(pattern, BinaryPattern)
-            left = self._compile(columnar, pattern.left, meter, 0)
-            right = self._compile(columnar, pattern.right, meter, 1)
+            left = self._compile(columnar, pattern.left, meter, 0, forest)
+            right = self._compile(columnar, pattern.right, meter, 1, forest)
             node = self._compile_join(pattern, left, right, meter)
         if self.tracer.enabled:
             node = self._traced(pattern, key, node)
-        # leaves are answered from the activity index faster than a share
-        # probe could be; hooking them would make every hit above them pay
-        # for what it skips
-        if self._share and (key == "root" or isinstance(pattern, BinaryPattern)):
-            node = self._shared_node(pattern, node)
+        if shared:
+            node = forest.nodes[pattern] = _last_window(node)
         return node
 
     def _compile_join(
@@ -487,21 +510,6 @@ class VectorizedEngine(Engine):
             return result
 
         return observed_join
-
-    def _shared_node(self, pattern: Pattern, node: _Node) -> _Node:
-        """``node`` behind the in-run ``(window, subpattern)`` share."""
-        key = _subpattern_key(pattern)
-        shared = self._shared
-
-        def shared_node(wi: int, lo: int, hi: int) -> Sequence[_Span]:
-            result = shared.get((wi, key))
-            if result is not None:
-                self.shared_hits += 1
-                return result
-            result = shared[wi, key] = node(wi, lo, hi)
-            return result
-
-        return shared_node
 
     # -- the four joins, over position tuples ----------------------------------
     #

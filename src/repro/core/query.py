@@ -21,6 +21,7 @@ from __future__ import annotations
 
 from repro.core.errors import QueryGovernorError, ReproError
 from repro.core.eval.base import Engine
+from repro.core.eval.counting import supports_counting
 from repro.core.eval.naive import NaiveEngine
 from repro.core.eval.tree import render_tree
 from repro.core.eval.vectorized import VectorizedEngine
@@ -160,12 +161,12 @@ class Query:
         tracer = self.options.tracer if self.options.tracer is not None else NULL_TRACER
         return self.cache.get_result(key, tracer=tracer)
 
-    def _delta_base(self, op: str, key):
-        """``(epoch, incidents)`` a kernel ``run`` that missed can start
+    def _delta_base(self, method: str, key):
+        """``(epoch, incidents)`` a kernel evaluation that missed can start
         from — what the cache holds for this query at an earlier epoch of
         the same store, in span form — or None: then the log is evaluated
         whole."""
-        if op != "run" or key is None or not isinstance(self.engine, VectorizedEngine):
+        if method != "evaluate" or key is None or not isinstance(self.engine, VectorizedEngine):
             return None
         base = self.cache.peek_base(key)
         if base is None or base[1].canonical_spans() is None:
@@ -183,11 +184,11 @@ class Query:
         (``optimized``, ``changed``) when one was made, and the outcome
         of this run's own cache probe (``cache_result_hits``), never a
         diff of the cache's process-wide counters, which other queries
-        move.  Only ``run`` produces a full incident set, so only ``run``
-        stores one — and, on a hit, reports the stored stats as its own.
-        A kernel ``run`` that misses evaluates only the instances
-        appended to since the epoch the cache holds its pattern at, when
-        it holds one (``"delta"``).
+        move.  A miss that builds the full incident set stores it — a
+        ``run``, or a ``count`` the kernel's counting DP cannot do — and a
+        ``run`` hit reports the stored stats as its own.  Such a kernel
+        miss evaluates only the instances appended to since the epoch the
+        cache holds its pattern at, when it holds one (``"delta"``).
         """
         engine_method, from_cached = _OPS[op]
         self.last_cache_layer = None
@@ -203,7 +204,11 @@ class Query:
                     stats = self.engine.last_stats = hit.stats
             else:
                 optimized = self.plan(log).optimized
-                base = self._delta_base(op, key)
+                if op == "count" and not (
+                    isinstance(self.engine, VectorizedEngine) and supports_counting(optimized)
+                ):
+                    engine_method = "evaluate"  # it builds the set anyway: run it
+                base = self._delta_base(engine_method, key)
                 if base is not None:
                     self.last_cache_layer = "delta"
                     epoch, incidents = base
@@ -212,8 +217,10 @@ class Query:
                 else:
                     value = getattr(self.engine, engine_method)(log, optimized)
                 stats = self.engine.last_stats
-                if op == "run" and key is not None:
-                    self.cache.put_result(key, value, stats)
+                if engine_method == "evaluate":
+                    if key is not None:
+                        self.cache.put_result(key, value, stats)
+                    value = from_cached(value)
             if recorder is not None:
                 payload = {}
                 if optimized is not None:
@@ -260,8 +267,8 @@ class Query:
     def count(self, log: Log) -> int:
         """Number of incidents in ``log``.
 
-        Delegates to the engine, which may use the output-free counting
-        DP for ⊙/⊳ chains instead of materialising the incident set."""
+        The kernel's output-free counting DP answers a ⊙/⊳ chain of
+        leaves; any other count is the size of a :meth:`run`'s set."""
         return self._execute("count", log)
 
     @staticmethod

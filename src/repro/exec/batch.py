@@ -1,4 +1,4 @@
-"""Shared-scan evaluation of multiple queries in one pass.
+"""Evaluation of multiple queries in one pass over the log.
 
 Workloads that monitor a log usually run *families* of related queries —
 the same clinical pathway with different suffixes, the same prefix with
@@ -9,17 +9,19 @@ shared subpattern once per query.  :func:`evaluate_batch` instead:
    :func:`~repro.core.optimizer.rules.normalize` (associativity and
    commutativity rewrites bring structurally equal subpatterns to one
    canonical shape, maximising cross-query sharing);
-2. evaluates all patterns with one sharing join kernel — a
-   :class:`~repro.core.eval.vectorized.VectorizedEngine` with
-   ``share=True``, whose per-``(instance, subpattern)`` results are
-   kept across the batch, so a composite subpattern shared by several
-   queries (or appearing twice in one) is joined exactly once;
-3. runs the :mod:`repro.analysis` subsumption planner over the still-
-   pending queries (``analyze=True``): queries *proved* equivalent to a
-   sibling alias its result set outright and skip their scan.  A query
-   only proved strictly contained in a sibling is scanned like any
-   other: one more pass of the sharing kernel costs less than deriving
-   its incidents from the sibling's one at a time.
+2. runs the :mod:`repro.analysis` subsumption planner over the queries
+   the cache did not answer (``analyze=True``): queries *proved*
+   equivalent to a sibling alias its result set outright and are not
+   scanned.  A query only proved strictly contained in a sibling is
+   scanned like any other: one more root in the forest costs less than
+   deriving its incidents from the sibling's one at a time;
+3. hands the scanned queries to one
+   :meth:`~repro.core.eval.vectorized.VectorizedEngine.evaluate_all`
+   call: the patterns compile into one forest in which a composite
+   subpattern shared by several queries (or appearing twice in one) is a
+   single node, and the windows are walked once — so that subpattern is
+   joined once per instance, under one ``EvaluationStats`` and one
+   governor account for the whole batch.
 
 The observable guarantee, asserted in ``tests/exec/test_batch.py`` and
 ``tests/exec/test_batch_subsumption.py``: the per-query incident sets
@@ -176,41 +178,34 @@ def evaluate_batch(
     proofs = subsumed  # each alias rests on one equivalence proof
 
     metrics = opts.metrics
-    merged_stats = EvaluationStats(registry=metrics)
+    stats = EvaluationStats(registry=metrics)
     shared_hits = 0
     trc = opts.tracer if opts.tracer is not None else NULL_TRACER
     with trc.span("batch", key=()) as span:
         if pending:
             engine = VectorizedEngine(
-                share=True,
-                max_incidents=opts.max_incidents,
-                governor=governor,
+                max_incidents=opts.max_incidents, metrics=metrics, governor=governor
             )
-            position_sets: list[IncidentSet] = []
+            scanned = [resolved[pending[p]] for p, source in enumerate(sources) if source is None]
             try:
-                for position, source in enumerate(sources):
-                    if source is not None:
-                        position_sets.append(position_sets[source])
-                        continue
-                    position_sets.append(engine.evaluate(log, resolved[pending[position]]))
-                    if engine.last_stats is not None:
-                        merged_stats.merge(engine.last_stats)
-                        if governor is not None:
-                            # each evaluate() starts fresh stats; carry the
-                            # finished pattern's pairs into the governor so
-                            # max_pairs bounds the whole batch, not each
-                            # query separately
-                            governor.charge(engine.last_stats.pairs_examined)
+                scanned_sets, shared_hits = engine.evaluate_all(log, scanned)
             except QueryGovernorError as exc:
                 if recorder is not None:
                     recorder.killed(exc, queries=len(resolved))
                 raise
-            shared_hits = engine.shared_hits
+            stats = engine.last_stats
+            next_scanned = iter(scanned_sets)
+            position_sets: list[IncidentSet] = []
+            for source in sources:
+                position_sets.append(
+                    next(next_scanned) if source is None else position_sets[source]
+                )
             for index, incident_set in zip(pending, position_sets):
                 final[index] = incident_set
                 if keys[index] is not None:
                     live_cache.put_result(keys[index], incident_set)
-        merged_stats.publish()
+        else:
+            stats.publish()
         if metrics is not None:
             metrics.counter("exec.batch_shared_hits").inc(shared_hits)
             metrics.counter("analysis.subsumed").inc(subsumed)
@@ -221,14 +216,14 @@ def evaluate_batch(
             cache_hits=cache_hits,
             subsumed=subsumed,
             proofs=proofs,
-            pairs=merged_stats.pairs_examined,
+            pairs=stats.pairs_examined,
         )
 
     results = tuple(final)
     assert all(r is not None for r in results)
     if recorder is not None:
         recorder.finish(
-            stats=merged_stats,
+            stats=stats,
             incidents=sum(len(r) for r in results if r is not None),
             queries=len(resolved),
             shared_hits=shared_hits,
@@ -238,7 +233,7 @@ def evaluate_batch(
     return BatchResult(
         patterns=tuple(resolved),
         results=results,  # type: ignore[arg-type]
-        stats=merged_stats,
+        stats=stats,
         shared_hits=shared_hits,
         cache_hits=cache_hits,
         subsumed=subsumed,

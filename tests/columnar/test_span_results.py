@@ -4,11 +4,12 @@
 tuples; ``IncidentSet(list(result))`` is the same set built from
 ``Incident`` objects the way every other engine builds it.  Over the
 seeded sweep of ``test_cross_engine_equivalence`` (the 220 random pairs
-and the 80 window / guard pairs, plain and ``share=True``) the two must
-answer every accessor identically, in whatever order the accessors are
-called; reading a result must never change the span lists the kernel
-shares between results; and a kill mid-``evaluate`` must report what the
-commit before this representation reported.
+and the 80 window / guard pairs, alone and as a repeated root of
+``evaluate_all``) the two must answer every accessor identically, in
+whatever order the accessors are called; reading a result must never
+change the span lists the kernel shares between results; and a kill
+mid-``evaluate`` must report what the commit before this representation
+reported.
 """
 
 import copy
@@ -59,9 +60,13 @@ ACCESSORS = {
 )
 def test_span_backed_set_answers_like_the_eager_one(case, share, order):
     pattern, log = case
-    engine = VectorizedEngine(share=share)
+    engine = VectorizedEngine()
     eager = IncidentSet(list(engine.evaluate(log, pattern)))
-    lazy = engine.evaluate(log, pattern)  # with share=True: served by the share
+    if share:
+        # the repeated root is the first one's node: served from its memo
+        _, lazy = engine.evaluate_all(log, [pattern, pattern])[0]
+    else:
+        lazy = engine.evaluate(log, pattern)
     for name in order:
         assert ACCESSORS[name](lazy) == ACCESSORS[name](eager), (name, order)
     assert lazy == eager and eager == lazy
@@ -69,13 +74,12 @@ def test_span_backed_set_answers_like_the_eager_one(case, share, order):
 
 
 def test_batch_results_equal_their_eager_copies():
-    """``share=True`` across successive patterns, as ``evaluate_batch``
-    runs it: later results are built from earlier results' span lists."""
+    """Many roots in one ``evaluate_all``, as ``evaluate_batch`` runs
+    them: later results are built from earlier results' span lists."""
     for start in range(0, len(ALL_CASES), 20):
         cases = ALL_CASES[start : start + 20]
         log = cases[0][1]
-        engine = VectorizedEngine(share=True)
-        results = [engine.evaluate(log, pattern) for pattern, _ in cases]
+        results, _ = VectorizedEngine().evaluate_all(log, [pattern for pattern, _ in cases])
         for (pattern, _), lazy in zip(cases, results):
             eager = IncidentSet(list(VectorizedEngine().evaluate(log, pattern)))
             assert lazy.to_rows() == eager.to_rows(), pattern
@@ -91,16 +95,16 @@ def read_everything(result):
 def test_reading_a_result_never_changes_what_the_kernel_shares(case_index):
     pattern, log = ALL_CASES[case_index]
     columnar = log.columnar()
-    engine = VectorizedEngine(share=True)
-    first = engine.evaluate(columnar, pattern)
+    engine = VectorizedEngine()
+    first, second = engine.evaluate_all(columnar, [pattern, pattern])[0]
     leaf_spans = copy.deepcopy(columnar._leaf_spans)
-    shared = copy.deepcopy(engine._shared)
+    rows = second.to_rows()
     read_everything(first)
     # list equality: the order inside a shared list is what later joins rely on
     assert columnar._leaf_spans == leaf_spans
-    assert engine._shared == shared
-    again = engine.evaluate(columnar, pattern)
-    assert again.to_rows() == first.to_rows()
+    assert second.to_rows() == rows == first.to_rows()
+    again, _ = engine.evaluate_all(columnar, [pattern])
+    assert again[0].to_rows() == first.to_rows()
     assert VectorizedEngine().evaluate(columnar, pattern).to_rows() == first.to_rows()
 
 
@@ -158,16 +162,16 @@ def test_kills_raise_what_the_parent_commit_raised():
 def test_a_killed_shared_run_leaves_nothing_a_later_run_can_see():
     for index in range(0, len(ALL_CASES), 15):
         pattern, log = ALL_CASES[index]
-        engine = VectorizedEngine(share=True)
+        engine = VectorizedEngine()
         engine.governor = ResourceGovernor(max_pairs=1)
         try:
-            engine.evaluate(log, pattern)
+            engine.evaluate_all(log, [pattern, pattern])
         except QueryBudgetExceeded:
             pass
         engine.governor = None
-        assert engine.evaluate(log, pattern).to_rows() == (
-            VectorizedEngine().evaluate(log, pattern).to_rows()
-        )
+        results, _ = engine.evaluate_all(log, [pattern, pattern])
+        expected = VectorizedEngine().evaluate(log, pattern).to_rows()
+        assert [result.to_rows() for result in results] == [expected, expected]
 
 
 # -- membership ----------------------------------------------------------------

@@ -65,6 +65,55 @@ class TestExecution:
             query.run(figure3_log)
 
 
+class TestCountRouting:
+    """A ``count`` that misses is a ``run`` unless the counting DP counts
+    it: the set it has to build anyway is stored and carried over an
+    append like a ``run``'s."""
+
+    def test_a_count_the_dp_cannot_do_is_stored_and_served(self):
+        from repro.cache import QueryCache
+        from repro.logstore import LogStore
+
+        store = LogStore()
+        for _ in range(3):
+            wid = store.open_instance()
+            for activity in ("A", "B", "A", "B"):
+                store.append(wid, activity)
+        query = Query("A & B", EngineOptions(cache=QueryCache()))
+        cold = query.count(store.snapshot())
+        assert query.last_cache_layer is None
+        assert query.count(store.snapshot()) == cold
+        assert query.last_cache_layer == "result"
+        store.append(1, "A")
+        grown = query.count(store.snapshot())
+        assert query.last_cache_layer == "delta"
+        assert grown == Query("A & B").count(store.snapshot()) > cold
+        assert query.count(store.snapshot()) == grown
+        assert query.last_cache_layer == "result"
+
+    def test_a_chain_count_keeps_the_dp_and_stores_nothing(self, figure3_log):
+        from repro.cache import QueryCache
+
+        cache = QueryCache()
+        query = Query("SeeDoctor -> PayTreatment", EngineOptions(cache=cache))
+        query.count(figure3_log)
+        query.count(figure3_log)
+        assert query.last_cache_layer is None
+        assert cache.stats()["result_entries"] == 0
+
+    def test_a_dp_count_leaves_no_stale_stats(self, clinic_log):
+        from repro.obs.journal import QueryJournal
+
+        journal = QueryJournal()
+        query = Query("GetRefer -> CheckIn", EngineOptions(journal=journal))
+        query.run(clinic_log)
+        assert query.engine.last_stats.pairs_examined > 0
+        query.count(clinic_log)
+        assert query.engine.last_stats is None
+        assert journal.events[-1]["event"] == "finish"
+        assert journal.events[-1]["pairs"] == 0
+
+
 class TestIntrospection:
     def test_plan_exposes_costs(self, figure3_log):
         plan = Query("A -> B").plan(figure3_log)

@@ -1,14 +1,21 @@
-"""Shared-scan batch evaluation: same results, strictly less work."""
+"""Batch evaluation in one pass: same results, strictly less work."""
+
+import gc
+import types
 
 import pytest
 
+from repro.core.errors import QueryBudgetExceeded
 from repro.core.eval.vectorized import VectorizedEngine
+from repro.core.incident import IncidentSet
 from repro.core.options import EngineOptions
 from repro.core.parser import parse
 from repro.core.query import Query
 from repro.exec.batch import evaluate_batch
+from repro.obs.journal import QueryJournal
 from repro.obs.metrics import MetricsRegistry
 from repro.obs.tracer import Tracer
+from tests.support import workloads
 
 QUERIES = [
     "GetRefer -> CheckIn",
@@ -33,7 +40,7 @@ def test_batch_equals_independent_with_fewer_pairs(clinic_log):
     for got, want in zip(batch.results, expected):
         assert list(got) == list(want)
     # the acceptance criterion: strictly fewer pairs than N independent
-    # evaluations, via the in-run (window, subpattern) share
+    # evaluations, via the forest's shared subpattern nodes
     assert batch.stats.pairs_examined < indep_pairs
     assert batch.shared_hits > 0
 
@@ -51,25 +58,64 @@ def test_duplicate_query_costs_nothing_extra(clinic_log):
         clinic_log, [QUERIES[0], QUERIES[0]], EngineOptions(optimize=False)
     )
     assert doubled.results[0] == doubled.results[1] == single.results[0]
-    # the repeat is answered fully from the share: zero extra pairs
+    # the repeat is the first root's node: zero extra pairs
     assert doubled.stats.pairs_examined == single.stats.pairs_examined
 
 
 def test_shared_scan_engine_counts_hits(figure3_log):
-    engine = VectorizedEngine(share=True)
+    engine = VectorizedEngine()
     pattern = parse("(GetRefer -> CheckIn) | ((GetRefer -> CheckIn) -> SeeDoctor)")
-    result = engine.evaluate(figure3_log, pattern)
+    (result,), shared_hits = engine.evaluate_all(figure3_log, [pattern])
     # "GetRefer -> CheckIn" appears in both branches: the second
-    # occurrence hits, once per instance, and skips its join entirely
-    assert engine.shared_hits == len(figure3_log.wids)
+    # occurrence is the first one's node, answered once per instance
+    # without its join
+    assert shared_hits == len(figure3_log.wids)
     plain = VectorizedEngine()
     assert result == plain.evaluate(figure3_log, pattern)
     assert engine.last_stats.pairs_examined < plain.last_stats.pairs_examined
-    # composite nodes and the root are shared; leaves come off the
-    # activity index faster than a probe, so a repeated leaf is no hit
-    leaves = VectorizedEngine(share=True)
-    leaves.evaluate(figure3_log, parse("(GetRefer -> CheckIn) | (GetRefer -> SeeDoctor)"))
-    assert leaves.shared_hits == 0
+    # composite nodes and roots are shared; leaves come off the activity
+    # index as fast as a memo, so a repeated leaf is no hit
+    _, leaf_hits = VectorizedEngine().evaluate_all(
+        figure3_log, [parse("(GetRefer -> CheckIn) | (GetRefer -> SeeDoctor)")]
+    )
+    assert leaf_hits == 0
+
+
+def test_the_kernel_has_no_share_knob():
+    with pytest.raises(TypeError):
+        VectorizedEngine(share=True)
+
+
+def test_evaluate_all_keeps_no_window_intermediate(clinic_log):
+    """Once ``evaluate_all`` returns, nothing reachable from the engine
+    holds a span list or a position set: the memoised nodes and their
+    last window's results went with the call."""
+    engine = VectorizedEngine()
+    results, shared_hits = engine.evaluate_all(clinic_log, [parse(q) for q in QUERIES])
+    assert shared_hits > 0 and all(results)
+    seen, stack = set(), [engine]
+    while stack:
+        obj = stack.pop()
+        if id(obj) in seen or isinstance(obj, (type, types.ModuleType)):
+            continue
+        seen.add(id(obj))
+        assert not isinstance(obj, (frozenset, IncidentSet)), obj
+        assert not callable(obj) or isinstance(obj, (types.BuiltinFunctionType, types.MethodType)), obj
+        stack.extend(gc.get_referents(obj))
+
+
+def test_a_killed_batch_reports_the_pairs_it_was_killed_at():
+    """One stats and one governor account per batch: the partial stats
+    of a ``max_pairs`` kill are the pairs the governor counted."""
+    log = workloads.clinic_log(200, seed=3)
+    patterns = ["GetRefer -> CheckIn", "UpdateRefer -> GetReimburse"]
+    journal = QueryJournal()
+    with pytest.raises(QueryBudgetExceeded) as info:
+        evaluate_batch(log, patterns, EngineOptions(max_pairs=200, journal=journal))
+    assert info.value.examined > 200
+    assert info.value.partial_stats.pairs_examined == info.value.examined
+    assert journal.events[-1]["event"] == "killed"
+    assert journal.events[-1]["pairs"] == info.value.examined
 
 
 def test_batch_observability(clinic_log):

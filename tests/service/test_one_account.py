@@ -131,3 +131,20 @@ def test_a_requests_cpu_is_its_own_thread(make_service, spinner):
         finish = service.journal.events[-1]
         wall, cpu = wall + finish["wall_ms"], cpu + finish["cpu_ms"]
     assert cpu <= 0.75 * wall, (cpu, wall)
+
+
+def test_a_killed_batch_journals_the_pairs_it_was_killed_at(make_service):
+    """A batch is one stats and one governor account: its ``killed`` event
+    carries the pairs ``max_pairs`` was crossed at, not one query's."""
+    service = make_service(journal=True, extra_logs={"big": clinic_log(200, seed=3)})
+    body = {
+        "log": "big",
+        "patterns": ["GetRefer -> CheckIn", "UpdateRefer -> GetReimburse"],
+        "options": {"max_pairs": 200},
+    }
+    response = post(service, "/v1/batch", body)
+    assert response.status == 422
+    killed = service.journal.events[-1]
+    assert killed["event"] == "killed" and killed["reason"] == "QueryBudgetExceeded"
+    assert killed["pairs"] == 201
+    assert "(examined 201)" in killed["message"]
