@@ -3,7 +3,8 @@ a pattern after an append joins only the instances appended to and keeps
 every other instance's spans (``Query.last_cache_layer == "delta"``).
 
 It must be the cold kernel's result and the Definition 4 oracle's, row
-for row and in iteration order; a kill or a budget breach in such a run
+for row and in iteration order (a batch's positions too, with no more
+pairs than a cold batch); a kill or a budget breach in such a run
 must raise what a cold run raises and leave the cache as it was; and it
 must hold with a writer and readers at work at once.
 """
@@ -25,6 +26,7 @@ from repro.core.eval.vectorized import VectorizedEngine
 from repro.core.incident import reference_incidents
 from repro.core.parser import parse
 from repro.core.pattern import Atomic, Sequential
+from repro.exec.batch import evaluate_batch
 from repro.extensions.conditions import Guarded, attr
 from repro.extensions.windows import Within
 from repro.logstore import LogStore
@@ -50,13 +52,19 @@ PATTERNS = (
 @given(
     histories(max_epochs=4),
     st.lists(st.lists(st.integers(0, len(PATTERNS) - 1), max_size=4), min_size=4, max_size=4),
+    st.lists(
+        st.lists(st.integers(0, len(PATTERNS) - 1), min_size=1, max_size=4),
+        min_size=4,
+        max_size=4,
+    ),
 )
-def test_delta_is_the_cold_kernel_and_the_oracle(history, asked):
+def test_delta_is_the_cold_kernel_and_the_oracle(history, asked, batches):
     store = LogStore()
     cache = QueryCache()
     options = EngineOptions(cache=cache)
+    batch_options = EngineOptions(cache=QueryCache())  # batches keep their own entries
     held_at: dict = {}  # slot of a pattern -> epoch its entry is of
-    for operations, indexes in zip(history, asked):
+    for operations, indexes, batch in zip(history, asked, batches):
         play(store, operations)
         snapshot = store.snapshot()
         for index in indexes:  # several patterns, in whatever order was drawn
@@ -72,6 +80,13 @@ def test_delta_is_the_cold_kernel_and_the_oracle(history, asked):
             assert got.to_rows() == cold.to_rows() == oracle.to_rows()
             assert list(got) == list(oracle)
             assert len(got) == len(oracle) and got.wids() == oracle.wids()
+        # a batch after the appends: positions held at an earlier epoch are
+        # delta roots of its one pass, and it does no more work than cold
+        patterns = [PATTERNS[index] for index in batch]
+        warm = evaluate_batch(snapshot, patterns, batch_options)
+        cold_batch = evaluate_batch(snapshot, patterns)
+        assert [r.to_rows() for r in warm] == [r.to_rows() for r in cold_batch]
+        assert warm.stats.pairs_examined <= cold_batch.stats.pairs_examined
     # one entry per distinct pattern asked, however many epochs went by
     assert cache.stats()["result_entries"] == len(held_at)
 

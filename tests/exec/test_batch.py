@@ -5,6 +5,7 @@ import types
 
 import pytest
 
+from repro.cache import QueryCache
 from repro.core.errors import QueryBudgetExceeded
 from repro.core.eval.vectorized import VectorizedEngine
 from repro.core.incident import IncidentSet
@@ -12,6 +13,7 @@ from repro.core.options import EngineOptions
 from repro.core.parser import parse
 from repro.core.query import Query
 from repro.exec.batch import evaluate_batch
+from repro.logstore import LogStore
 from repro.obs.journal import QueryJournal
 from repro.obs.metrics import MetricsRegistry
 from repro.obs.tracer import Tracer
@@ -89,9 +91,17 @@ def test_the_kernel_has_no_share_knob():
 def test_evaluate_all_keeps_no_window_intermediate(clinic_log):
     """Once ``evaluate_all`` returns, nothing reachable from the engine
     holds a span list or a position set: the memoised nodes and their
-    last window's results went with the call."""
+    last window's results went with the call, freed by reference
+    counting, with no cycle left for the collector."""
     engine = VectorizedEngine()
-    results, shared_hits = engine.evaluate_all(clinic_log, [parse(q) for q in QUERIES])
+    patterns = [parse(q) for q in QUERIES]
+    gc.collect()
+    gc.disable()
+    try:
+        results, shared_hits = engine.evaluate_all(clinic_log, patterns)
+        assert gc.collect() == 0
+    finally:
+        gc.enable()
     assert shared_hits > 0 and all(results)
     seen, stack = set(), [engine]
     while stack:
@@ -116,6 +126,27 @@ def test_a_killed_batch_reports_the_pairs_it_was_killed_at():
     assert info.value.partial_stats.pairs_examined == info.value.examined
     assert journal.events[-1]["event"] == "killed"
     assert journal.events[-1]["pairs"] == info.value.examined
+
+
+def test_a_batch_after_an_append_joins_only_the_touched_instance():
+    """A batch asked before an append and again after it is one delta pass:
+    each position the cache holds at the earlier epoch is joined only on
+    the instance appended to, and the rows are a cold batch's."""
+    store = LogStore.from_log(workloads.clinic_log(60, seed=7))
+    options = EngineOptions(cache=QueryCache())
+    evaluate_batch(store.snapshot(), QUERIES, options)
+    wid = store.open_instance()
+    store.append_batch(
+        [(wid, activity, None, None) for activity in ("GetRefer", "CheckIn", "SeeDoctor")]
+    )
+    snapshot = store.snapshot()
+    after = evaluate_batch(snapshot, QUERIES, options)
+    cold = evaluate_batch(snapshot, QUERIES)
+    assert [r.to_rows() for r in after] == [r.to_rows() for r in cold]
+    assert after.cache_hits == 0 and len(after.results[0]) == len(cold.results[0]) > 1
+    # the work is the batch's over the touched instance alone
+    assert after.stats == evaluate_batch(snapshot.project([wid]), QUERIES).stats
+    assert after.stats.pairs_examined < cold.stats.pairs_examined
 
 
 def test_batch_observability(clinic_log):

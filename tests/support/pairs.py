@@ -94,6 +94,9 @@ def table(rows: list[dict], bench: dict, label: str = "change") -> str:
             if row["workload"] == workload:
                 by_seed.setdefault(row["seed"], {})[row["side"]] = row["result"]["metrics"]
         both = [sides for sides in by_seed.values() if len(sides) == 2]
+        if not both:  # still running: no seed has both sides yet
+            lines.append(f"| `{workload}` | pending: no complete pair yet | | | | | | | |")
+            continue
         for metric in bench["end_to_end"]:
             name, sign = metric["name"], 1.0 if metric["better"] == "lower" else -1.0
             parent = [sides["parent"][name]["value"] for sides in both]

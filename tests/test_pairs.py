@@ -72,3 +72,15 @@ def test_a_seed_one_side_has_not_run_yet_is_left_out():
     ]
     text = pairs.table(rows, BENCH)
     assert "| `warm_point` | `query_p50_ms` | 2.00 (2.00–2.00) | 1.00 (1.00–1.00) | -50.0 % | 0 | 0 | 0.5 | 1/1 |" in text
+
+
+def test_a_workload_with_no_complete_pair_is_pending():
+    rows = [
+        {"workload": "warm_point", "seed": 1, "side": "parent", "result": result(1, 2, 3, 4)},
+        {"workload": "warm_point", "seed": 1, "side": "change", "result": result(1, 1, 4, 4)},
+        {"workload": "live_mixed", "seed": 2, "side": "parent", "result": result(9, 9, 9, 9)},
+    ]
+    text = pairs.table(rows, BENCH).splitlines()
+    assert "| `live_mixed` | pending: no complete pair yet | | | | | | | |" in text
+    assert sum(line.startswith("| `warm_point` |") for line in text) == len(BENCH["end_to_end"])
+    assert text[-1] == "3 runs, 300 operations attempted, 0 failed, 0 run(s) with an incorrect reply."
