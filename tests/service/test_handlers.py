@@ -325,6 +325,26 @@ class TestQueryModes:
         ]
         assert doc["backend"] == "serial"
 
+    def test_a_batch_after_an_append_joins_only_the_new_instance(self, service):
+        pair = {"log": "clinic", "patterns": ["GetRefer ; CheckIn", "START -> CheckIn"]}
+        before = payload(post(service, "/v1/batch", pair))
+        append = post(
+            service, "/v1/logs/clinic/records",
+            {"records": [
+                {"activity": "START", "wid": 7100},
+                {"activity": "GetRefer", "wid": 7100},
+                {"activity": "CheckIn", "wid": 7100},
+            ]},
+        )
+        assert append.status == 200
+        after = payload(post(service, "/v1/batch", pair))
+        # each pattern is one binary node, joined on the one new instance
+        assert after["stats"]["operator_evals"] == 2 < before["stats"]["operator_evals"]
+        assert after["count"] == before["count"] + 2
+        for item in after["results"]:
+            query = {"log": "clinic", "pattern": item["pattern"], "mode": "count"}
+            assert payload(post(service, "/v1/query", query))["count"] == item["count"]
+
     def test_every_engine_answers_a_store_holding_a_lone_surrogate_name(self, service):
         # JSON carries "\ud800" over the wire; every engine the wire names
         # answers it (the SQL baseline's own test is in tests/baselines)
