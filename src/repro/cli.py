@@ -1021,7 +1021,7 @@ def _cmd_convert(args: argparse.Namespace) -> int:
 def _cmd_slo(args: argparse.Namespace) -> int:
     from repro.obs.export import SchemaError
     from repro.obs.journal import read_journal
-    from repro.obs.live import SloEngine, SloObjective, SloPolicy, WindowedAggregator
+    from repro.obs.live import SloEngine, SloPolicy, WindowedAggregator
 
     try:
         events = read_journal(args.journal, validate=False)
@@ -1046,20 +1046,10 @@ def _cmd_slo(args: argparse.Namespace) -> int:
         if event.get("event") in ("finish", "killed")
         and isinstance(event.get("ts_unix"), (int, float))
     )
-    policy = SloPolicy(
-        objectives=(
-            SloObjective(
-                name="availability",
-                kind="availability",
-                target=args.availability_target,
-            ),
-            SloObjective(
-                name="latency",
-                kind="latency",
-                target=args.latency_target,
-                latency_threshold_s=args.latency_threshold_ms / 1000.0,
-            ),
-        ),
+    policy = SloPolicy.default(
+        availability_target=args.availability_target,
+        latency_target=args.latency_target,
+        latency_threshold_s=args.latency_threshold_ms / 1000.0,
         fast_window_s=args.fast_window,
         slow_window_s=args.slow_window,
         burn_threshold=args.burn_threshold,

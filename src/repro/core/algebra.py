@@ -72,24 +72,15 @@ def flatten_chain(
     ``gap.with_children(l, r)`` to rebuild, so operator subclasses with
     extra fields (windowed ⊳) keep them.
     """
-    items: list[Pattern] = []
-    gaps: list[BinaryPattern] = []
-
-    def walk(node: Pattern) -> None:
-        if isinstance(node, (Consecutive, Sequential)):
-            # in-order traversal: the operator constrains exactly the gap
-            # between the last item of its left subtree and the first item
-            # of its right subtree, so appending between the two walks
-            # keeps gaps[i] aligned with the boundary items[i] / items[i+1]
-            walk(node.left)
-            gaps.append(node)
-            walk(node.right)
-        else:
-            items.append(node)
-
-    walk(pattern)
-    assert len(gaps) == max(0, len(items) - 1)
-    return items, gaps
+    if not isinstance(pattern, (Consecutive, Sequential)):
+        return [pattern], []
+    # the operator constrains exactly the gap between the last item of its
+    # left subtree and the first item of its right subtree, so placing it
+    # between the two halves keeps gaps[i] aligned with the boundary
+    # items[i] / items[i+1]
+    left_items, left_gaps = flatten_chain(pattern.left)
+    right_items, right_gaps = flatten_chain(pattern.right)
+    return left_items + right_items, [*left_gaps, pattern, *right_gaps]
 
 
 def flatten_assoc(pattern: Pattern, cls: type) -> list[Pattern]:

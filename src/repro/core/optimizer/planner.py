@@ -133,13 +133,20 @@ def reassociate_chain(
             cost[i][j] = best
             split[i][j] = best_k
 
-    def build(i: int, j: int) -> Pattern:
-        if i == j:
-            return items[i]
-        k = split[i][j]
-        return gaps[k].with_children(build(i, k), build(k + 1, j))
+    return _build_split(items, gaps, split, 0, n - 1), cost[0][n - 1]
 
-    return build(0, n - 1), cost[0][n - 1]
+
+def _build_split(
+    items: list[Pattern], gaps: list, split: list[list[int]], i: int, j: int
+) -> Pattern:
+    """The tree over ``items[i..j]`` that the DP's ``split`` table chose."""
+    if i == j:
+        return items[i]
+    k = split[i][j]
+    return gaps[k].with_children(
+        _build_split(items, gaps, split, i, k),
+        _build_split(items, gaps, split, k + 1, j),
+    )
 
 
 class Optimizer:
@@ -224,23 +231,21 @@ class Optimizer:
         Distribution duplicates the non-choice operand, which usually
         costs more — but when one choice branch has (near-)zero estimated
         cardinality on this log, the distributed form lets that branch be
-        evaluated (and found empty) in isolation.
+        evaluated (and found empty) in isolation.  ``None`` when nothing
+        in ``pattern`` improved.
         """
-        improved = False
-
-        def rec(node: Pattern) -> Pattern:
-            nonlocal improved
-            if isinstance(node, Atomic):
-                return node
-            assert isinstance(node, BinaryPattern)
-            node = node.with_children(rec(node.left), rec(node.right))
-            candidate = push_choice_out(node)
-            if candidate is not None and self.model.plan_cost(
-                candidate
-            ) < self.model.plan_cost(node):
-                improved = True
-                return candidate
-            return node
-
-        result = rec(pattern)
-        return result if improved else None
+        if isinstance(pattern, Atomic):
+            return None
+        assert isinstance(pattern, BinaryPattern)
+        left = self._distribute_if_cheaper(pattern.left)
+        right = self._distribute_if_cheaper(pattern.right)
+        node = pattern.with_children(
+            pattern.left if left is None else left,
+            pattern.right if right is None else right,
+        )
+        candidate = push_choice_out(node)
+        if candidate is not None and self.model.plan_cost(
+            candidate
+        ) < self.model.plan_cost(node):
+            return candidate
+        return None if left is None and right is None else node

@@ -54,23 +54,19 @@ def apply_bottom_up(
     Returns the rewritten pattern and the number of applications.
     """
     applications = 0
-
-    def rec(node: Pattern) -> Pattern:
-        nonlocal applications
-        if isinstance(node, BinaryPattern):
-            left = rec(node.left)
-            right = rec(node.right)
-            if left is not node.left or right is not node.right:
-                node = node.with_children(left, right)
-        # iterate at this node until the rule stops firing
-        while True:
-            replacement = rule(node)
-            if replacement is None or replacement == node:
-                return node
-            applications += 1
-            node = replacement
-
-    return rec(pattern), applications
+    if isinstance(pattern, BinaryPattern):
+        left, left_applications = apply_bottom_up(pattern.left, rule)
+        right, right_applications = apply_bottom_up(pattern.right, rule)
+        applications = left_applications + right_applications
+        if left is not pattern.left or right is not pattern.right:
+            pattern = pattern.with_children(left, right)
+    # iterate at this node until the rule stops firing
+    while True:
+        replacement = rule(pattern)
+        if replacement is None or replacement == pattern:
+            return pattern, applications
+        applications += 1
+        pattern = replacement
 
 
 # ---------------------------------------------------------------------------

@@ -124,14 +124,13 @@ def dfg_to_dot(log: Log, *, include_sentinels: bool = False) -> str:
     """The directly-follows graph as Graphviz DOT (edge labels carry
     counts; pen width scales with relative frequency)."""
     graph = directly_follows_graph(log, include_sentinels=include_sentinels)
-    if graph.number_of_edges() == 0:
+    if not graph:
         return "digraph dfg {\n}\n"
-    heaviest = max(data["count"] for __, ___, data in graph.edges(data=True))
+    heaviest = max(graph.values())
     lines = ["digraph dfg {", "  rankdir=LR;", "  node [shape=box];"]
-    for name in sorted(graph.nodes):
+    for name in sorted({name for edge in graph for name in edge}):
         lines.append(f'  "{name}";')
-    for source, target, data in sorted(graph.edges(data=True)):
-        weight = data["count"]
+    for (source, target), weight in sorted(graph.items()):
         pen = 1.0 + 3.0 * weight / heaviest
         lines.append(
             f'  "{source}" -> "{target}" '

@@ -3,16 +3,13 @@
 Provides the :class:`LogSummary` report the CLI prints, plus the
 *directly-follows graph* (the standard process-mining abstraction: an edge
 ``a → b`` weighted by how often ``b`` immediately follows ``a`` within an
-instance), exported as a :mod:`networkx` digraph for downstream analysis.
+instance), counted per ``(a, b)`` pair as a grouped count.
 """
 
 from __future__ import annotations
 
 from collections import Counter
 from dataclasses import dataclass, field
-
-import networkx as nx
-import numpy as np
 
 from repro.core.model import Log
 
@@ -59,38 +56,49 @@ def summarize(log: Log) -> LogSummary:
         activity_counts[record.activity] += 1
         attributes.update(record.attrs_in)
         attributes.update(record.attrs_out)
-    lengths = np.array([len(log.instance(w)) for w in log.wids])
+    lengths = sorted(len(log.instance(w)) for w in log.wids)
     completed = sum(1 for w in log.wids if log.is_complete(w))
     return LogSummary(
         total_records=len(log),
         instance_count=len(log.wids),
         completed_instances=completed,
         activity_counts=activity_counts,
-        length_min=int(lengths.min()),
-        length_median=float(np.median(lengths)),
-        length_p95=float(np.percentile(lengths, 95)),
-        length_max=int(lengths.max()),
+        length_min=lengths[0],
+        length_median=_percentile(lengths, 50),
+        length_p95=_percentile(lengths, 95),
+        length_max=lengths[-1],
         attribute_names=frozenset(attributes),
     )
 
 
-def directly_follows_graph(log: Log, *, include_sentinels: bool = False) -> nx.DiGraph:
+def _percentile(ordered: list[int], q: float) -> float:
+    """The ``q``-th percentile of ascending ``ordered`` by linear
+    interpolation, rounded as ``numpy.percentile``'s default method
+    rounds it (from the nearer end), so the two agree to the last bit."""
+    k = (len(ordered) - 1) * (q / 100)
+    i = int(k)
+    t = k - i
+    a, b = ordered[i], ordered[min(i + 1, len(ordered) - 1)]
+    return float(a + (b - a) * t if t < 0.5 else b - (b - a) * (1 - t))
+
+
+def directly_follows_graph(log: Log, *, include_sentinels: bool = False) -> Counter:
     """The directly-follows graph of ``log``.
 
-    Nodes are activity names; edge ``(a, b)`` has attribute ``count`` = the
-    number of times ``b`` immediately follows ``a`` within an instance.
-    ``START``/``END`` sentinels are dropped unless requested.
+    Maps each edge ``(a, b)`` of activity names to the number of times
+    ``b`` immediately follows ``a`` within an instance; the nodes are the
+    names the edges mention.  ``START``/``END`` sentinels are dropped
+    unless requested.
     """
-    graph = nx.DiGraph()
+    graph: Counter = Counter()
     for wid in log.wids:
         trace = log.instance(wid)
         if not include_sentinels:
             trace = tuple(r for r in trace if not r.is_sentinel)
-        for earlier, later in zip(trace, trace[1:]):
-            if graph.has_edge(earlier.activity, later.activity):
-                graph[earlier.activity][later.activity]["count"] += 1
-            else:
-                graph.add_edge(earlier.activity, later.activity, count=1)
+        graph.update(
+            (earlier.activity, later.activity)
+            for earlier, later in zip(trace, trace[1:])
+        )
     return graph
 
 

@@ -460,6 +460,27 @@ class SloPolicy:
                 f"burn_threshold must be > 0, got {self.burn_threshold}"
             )
 
+    @classmethod
+    def default(
+        cls,
+        *,
+        availability_target: float,
+        latency_target: float,
+        latency_threshold_s: float,
+        **windows: float,
+    ) -> "SloPolicy":
+        """The daemon's and ``repro-logs slo``'s policy: two service-wide
+        objectives, availability and a latency quantile; ``windows`` are
+        the policy's ``fast_window_s``, ``slow_window_s`` and
+        ``burn_threshold``."""
+        return cls(
+            objectives=(
+                SloObjective("availability", "availability", availability_target),
+                SloObjective("latency", "latency", latency_target, latency_threshold_s),
+            ),
+            **windows,
+        )
+
 
 class SloEngine:
     """Evaluates a :class:`SloPolicy` against a :class:`WindowedAggregator`.

@@ -129,29 +129,17 @@ class ServiceConfig:
                 raise ReproError(f"{name} must be in (0, 1), got {value}")
 
     def slo_policy(self) -> "SloPolicy":
-        """The default SLO policy this configuration describes.
-
-        Two service-wide objectives — availability and a latency
-        quantile — over the configured fast/slow burn windows.  Custom
+        """The default SLO policy (:meth:`~repro.obs.live.SloPolicy.default`)
+        over this configuration's targets and burn windows.  Custom
         deployments can build richer per-route/per-store policies with
         :class:`~repro.obs.live.SloObjective` directly.
         """
-        from repro.obs.live import SloObjective, SloPolicy
+        from repro.obs.live import SloPolicy
 
-        return SloPolicy(
-            objectives=(
-                SloObjective(
-                    name="availability",
-                    kind="availability",
-                    target=self.slo_availability_target,
-                ),
-                SloObjective(
-                    name="latency",
-                    kind="latency",
-                    target=self.slo_latency_target,
-                    latency_threshold_s=self.slo_latency_threshold_s,
-                ),
-            ),
+        return SloPolicy.default(
+            availability_target=self.slo_availability_target,
+            latency_target=self.slo_latency_target,
+            latency_threshold_s=self.slo_latency_threshold_s,
             fast_window_s=self.slo_fast_window_s,
             slow_window_s=self.slo_slow_window_s,
             burn_threshold=self.slo_burn_threshold,

@@ -13,7 +13,9 @@ The function pass (``--functions``) runs each set's own tests
 interpreter under ``sys.setprofile`` / ``threading.setprofile``, installed
 by a temporary ``sitecustomize.py`` that child processes inherit through
 ``PYTHONPATH`` (so the ``repro-logs serve`` daemons count), and maps every
-called code object back to its ``def`` with ``ast``.
+called code object back to its ``def`` with ``ast``.  The ``def``s are
+read before the runs; a ``src`` file that changes while they run stops
+the census, since its recorded first lines no longer match.
 
 ``python -m tests.support.census`` prints the module table and
 ``python -m tests.support.census --functions`` the function table that
@@ -26,6 +28,7 @@ from __future__ import annotations
 
 import argparse
 import ast
+import hashlib
 import json
 import os
 import re
@@ -279,12 +282,22 @@ def calls(label: str) -> set[tuple[str, int, str]]:
         return found
 
 
+def source_hashes() -> dict[Path, str]:
+    return {path: hashlib.sha256(path.read_bytes()).hexdigest() for path in SRC.rglob("*.py")}
+
+
 def function_census() -> list[tuple[Function, list[str]]]:
     """``(function, calling entry-point sets)`` for every function under
     ``src/repro``; runs every set's tests, so it takes minutes."""
+    before = source_hashes()
+    functions = all_functions()
     called = {label: calls(label) for label in ENTRY_TESTS}
+    changed = sorted({path for path, _ in before.items() ^ source_hashes().items()})
+    if changed:
+        names = ", ".join(str(path.relative_to(SRC)) for path in changed)
+        raise SystemExit(f"census: {names} changed while the census ran; run it again")
     rows = []
-    for function in all_functions():
+    for function in functions:
         key = (str(function.path), function.line, function.qualname.rsplit(".", 1)[-1])
         rows.append((function, [label for label in called if key in called[label]]))
     return rows

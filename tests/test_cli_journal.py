@@ -6,6 +6,7 @@ inspection subcommands, all driven through ``repro.cli.main`` in-process.
 """
 
 import json
+from pathlib import Path
 
 import pytest
 
@@ -297,3 +298,30 @@ class TestSloCommand:
         path.write_text("")
         assert main(["slo", "--journal", str(path)]) == 2
         assert "no terminal" in capsys.readouterr().err
+
+
+class TestSloGolden:
+    """``slo`` on a committed journal prints the bytes recorded when the
+    CLI built its two-objective policy by hand."""
+
+    GOLDEN = Path(__file__).parent / "obs" / "golden"
+    CUSTOM = [
+        "--availability-target", "0.5", "--latency-target", "0.9",
+        "--latency-threshold-ms", "5", "--fast-window", "60",
+        "--slow-window", "600", "--burn-threshold", "2", "--bucket", "5",
+        "--window", "120",
+    ]
+
+    @pytest.mark.parametrize(
+        "flags, golden, code",
+        [
+            (["--format", "json"], "slo.json", 0),
+            (["--format", "json", *CUSTOM], "slo_custom.json", 0),
+            ([], "slo.txt", 1),
+        ],
+    )
+    def test_output_is_byte_identical(self, flags, golden, code, capsys):
+        journal = str(self.GOLDEN / "journal.jsonl")
+        assert main(["slo", "--journal", journal, *flags]) == code
+        expected = (self.GOLDEN / golden).read_text(encoding="utf-8")
+        assert capsys.readouterr().out == expected

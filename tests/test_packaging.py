@@ -1,10 +1,11 @@
-"""The package declares what it imports: every third-party top-level
-module imported anywhere under ``src/repro`` is named in
-``pyproject.toml``'s ``[project] dependencies``, so a clean install can
-run every entry point."""
+"""The package runs on the standard library alone: no module under
+``src/repro`` imports outside it, ``pyproject.toml`` declares no
+runtime dependency, and a fresh interpreter importing an entry point
+loads no third-party module."""
 
 import ast
-import re
+import os
+import subprocess
 import sys
 from pathlib import Path
 
@@ -33,26 +34,37 @@ def imported_top_level_modules() -> dict[str, set[str]]:
     return found
 
 
-def declared_dependencies() -> set[str]:
-    with open(ROOT / "pyproject.toml", "rb") as fh:
-        project = tomllib.load(fh)["project"]
-    # a requirement's name ends at its first version, extra or marker character
-    return {
-        re.split(r"[\s<>=!~;\[]", requirement, maxsplit=1)[0].lower()
-        for requirement in project.get("dependencies", ())
-    }
-
-
-def test_every_third_party_import_is_declared():
-    third_party = {
-        name: files
-        for name, files in imported_top_level_modules().items()
+def test_src_imports_only_the_standard_library():
+    found = imported_top_level_modules()
+    assert {"array", "json"} <= set(found), "the walk missed known stdlib imports"
+    outside = {
+        name: sorted(files)
+        for name, files in found.items()
         if name not in sys.stdlib_module_names and name not in ("repro", "__future__")
     }
-    assert third_party, "the walk found no third-party import at all"
-    undeclared = {
-        name: sorted(files)
-        for name, files in third_party.items()
-        if name.lower() not in declared_dependencies()
-    }
-    assert undeclared == {}
+    assert outside == {}
+
+
+def test_no_runtime_dependency_is_declared():
+    with open(ROOT / "pyproject.toml", "rb") as fh:
+        assert tomllib.load(fh)["project"]["dependencies"] == []
+
+
+@pytest.mark.parametrize("module", ["repro.service", "repro.cli"])
+def test_a_fresh_import_loads_no_third_party_module(module):
+    probe = (
+        "import sys\n"
+        "before = set(sys.modules)\n"
+        f"import {module}\n"
+        "loaded = {name.split('.')[0] for name in set(sys.modules) - before}\n"
+        "print(sorted(loaded - set(sys.stdlib_module_names) - {'repro'}))\n"
+    )
+    env = dict(os.environ)
+    env["PYTHONPATH"] = os.pathsep.join(
+        filter(None, [str(ROOT / "src"), env.get("PYTHONPATH")])
+    )
+    out = subprocess.run(
+        [sys.executable, "-c", probe],
+        env=env, capture_output=True, text=True, check=True, timeout=60,
+    ).stdout
+    assert out == "[]\n"

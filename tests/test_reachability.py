@@ -11,8 +11,11 @@ import importlib
 import re
 from pathlib import Path
 
+import pytest
+
+import tests.support.census as census_support
 from benchmarks.e2e.trace import PROBES
-from tests.support.census import all_functions, census, kept_uncalled
+from tests.support.census import all_functions, census, function_census, kept_uncalled
 
 DOC = Path(__file__).resolve().parents[1] / "docs" / "REACHABILITY.md"
 
@@ -47,3 +50,34 @@ def test_every_benchmark_probe_resolves():
         for part in parents:
             owner = getattr(owner, part)
         assert attr in vars(owner), f"probe {span}: {module_name}:{path} is gone"
+
+
+@pytest.fixture()
+def fake_src(tmp_path, monkeypatch):
+    """A one-module ``src`` whose one entry-point set calls ``f``; the
+    set's run inserts a docstring line above ``f`` when ``edit`` is set."""
+    module = tmp_path / "repro" / "m.py"
+    module.parent.mkdir()
+    module.write_text("def f():\n    return 1\n\n\ndef g():\n    return 2\n")
+    edit = []
+
+    def fake_calls(label):
+        if edit:
+            module.write_text('"""A docstring."""\n' + module.read_text())
+        return {(str(module), 1, "f")}
+
+    monkeypatch.setattr(census_support, "SRC", tmp_path)
+    monkeypatch.setattr(census_support, "ENTRY_TESTS", {"cli": []})
+    monkeypatch.setattr(census_support, "calls", fake_calls)
+    return edit
+
+
+def test_the_function_census_maps_calls_to_the_defs_it_read(fake_src):
+    rows = function_census()
+    assert [(f.qualname, labels) for f, labels in rows] == [("f", ["cli"]), ("g", [])]
+
+
+def test_a_file_changed_while_the_census_runs_stops_it(fake_src):
+    fake_src.append(True)
+    with pytest.raises(SystemExit, match=r"repro/m\.py changed while the census ran"):
+        function_census()
