@@ -10,9 +10,10 @@ seeded workload:
   through the SQL baseline (:class:`~repro.baselines.sql.SqlBaseline`)
   against its pre-warmed in-memory warehouse;
 * ``batch``    — three overlapping chains in one pass, a containment
-  chain (every query scanned: strict containment earns no skip), a
-  proved-equivalent pair answered by one scan and an alias, and the six
-  ``cold_join`` patterns, which share nothing;
+  chain (every query scanned: strict containment earns no skip), an
+  equivalent pair only the prover shows equal (different normal forms,
+  so both are scanned), and the six ``cold_join`` patterns, which share
+  nothing;
 * ``analysis`` — compile + decide ``p ⊑ q`` on a fresh prover;
 * ``cache``    — the chain uncached and served from the result cache
   (``test_warm_cache_beats_cold`` asserts the order on this host);
@@ -33,7 +34,7 @@ import pytest
 
 from benchmarks.conftest import best_of
 from benchmarks.e2e.workloads import POOL
-from repro.analysis import PatternProver, plan_subsumption
+from repro.analysis import PatternProver
 from repro.baselines.sql import SqlBaseline
 from repro.cache import QueryCache
 from repro.columnar import ColumnarLog
@@ -101,6 +102,8 @@ BATCHES = {
         "GetRefer -> CheckIn",
         "(GetRefer -> CheckIn) | (CheckIn -> GetRefer)",
     ),
+    # the prover-only case: equivalent (Definition 5), but the normal
+    # forms differ, so the batch scans both
     "aliased": (
         "SeeDoctor & PayTreatment",
         "(SeeDoctor -> PayTreatment) | (PayTreatment -> SeeDoctor)",
@@ -113,7 +116,6 @@ BATCHES = {
 @pytest.mark.parametrize("batch", sorted(BATCHES))
 def test_batch(benchmark, log, batch):
     patterns = [parse(text) for text in BATCHES[batch]]
-    plan_subsumption(patterns)  # warm the shared prover's DFA memo
     benchmark.group = "S-batch"
     result = benchmark(evaluate_batch, log, patterns, EngineOptions(optimize=False))
     assert len(result.results) == len(patterns)

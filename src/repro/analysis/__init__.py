@@ -7,8 +7,12 @@ The public surface:
   :func:`default_prover` is the shared one) — the decision procedures
   (per-wid incident semantics, Definition 4);
 * :class:`Witness` — a replayable counterexample trace + incident;
-* :func:`plan_subsumption` — the batch executor's proved scan plan;
 * :func:`verify_rules` — optimizer rewrite-rule soundness gating.
+
+Lint's QW402/QW502, ``repro-logs analyze`` and ``POST /v1/analyze`` call
+the prover.  A batch does not: it aliases queries by their
+:func:`~repro.core.optimizer.rules.identity`, and lint's QW501 reports
+those aliases.
 
 Errors raised here all derive from
 :class:`repro.core.errors.AnalysisError`.
@@ -24,11 +28,8 @@ from repro.analysis.automaton import (
 )
 from repro.analysis.prover import (
     PatternProver,
-    PlanAction,
-    SubsumptionPlan,
     Witness,
     default_prover,
-    plan_subsumption,
 )
 from repro.analysis.verify import (
     SHIPPED_RULES,
@@ -52,9 +53,6 @@ __all__ = [
     "determinize",
     "PatternProver",
     "Witness",
-    "PlanAction",
-    "SubsumptionPlan",
-    "plan_subsumption",
     "default_prover",
     "SHIPPED_RULES",
     "RuleReport",

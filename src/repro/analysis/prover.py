@@ -1,5 +1,5 @@
-"""Decision procedures over the automaton IR: containment, equivalence,
-counterexample witnesses and the batch subsumption planner.
+"""Decision procedures over the automaton IR: containment, equivalence
+and counterexample witnesses.
 
 All procedures reason about the *per-wid incident semantics* of
 Definition 4: ``PatternProver.contains(p, q)`` holds iff for every
@@ -14,7 +14,6 @@ counterexample log — the :class:`Witness`.
 from __future__ import annotations
 
 from dataclasses import dataclass
-from typing import Sequence
 
 from repro.analysis.automaton import (
     DEFAULT_MAX_STATES,
@@ -36,9 +35,6 @@ from repro.workflow.spec import Block, WorkflowSpec
 __all__ = [
     "PatternProver",
     "Witness",
-    "SubsumptionPlan",
-    "PlanAction",
-    "plan_subsumption",
     "default_prover",
 ]
 
@@ -243,72 +239,5 @@ _DEFAULT_PROVER = PatternProver()
 
 def default_prover() -> PatternProver:
     """The process-wide shared prover (its DFA memo amortises repeated
-    lint/batch/cache proofs over the same patterns)."""
+    lint and analysis proofs over the same patterns)."""
     return _DEFAULT_PROVER
-
-
-# ---------------------------------------------------------------------------
-# batch subsumption planning
-# ---------------------------------------------------------------------------
-
-
-@dataclass(frozen=True)
-class PlanAction:
-    """What the batch executor should do for one query position.
-
-    ``scan``  — evaluate against the log as usual;
-    ``alias`` — proved equivalent to position ``source``: share its
-    result set outright.
-    """
-
-    kind: str
-    source: int | None = None
-
-
-@dataclass(frozen=True)
-class SubsumptionPlan:
-    """A proved evaluation plan for a batch of patterns."""
-
-    patterns: tuple[Pattern, ...]
-    actions: tuple[PlanAction, ...]
-
-
-def plan_subsumption(
-    patterns: Sequence[Pattern],
-    *,
-    prover: PatternProver | None = None,
-    max_patterns: int = 24,
-) -> SubsumptionPlan:
-    """Prove equivalences across a batch and plan which queries can
-    skip their scan.
-
-    Equivalent patterns collapse onto the first member of their class
-    (``alias``); every class leader is ``scan``-ned.  Strict containment
-    earns no skip: deriving the smaller result from the larger one costs
-    more than scanning for it.  Any pattern the prover cannot handle
-    (budget, unsupported operator) simply stays ``scan`` — the planner
-    degrades to the status quo, never fails the batch.
-    """
-    prover = prover or _DEFAULT_PROVER
-    n = len(patterns)
-    actions = [PlanAction("scan")] * n
-    if not 2 <= n <= max_patterns:
-        return SubsumptionPlan(tuple(patterns), tuple(actions))
-    alphabet = prover.alphabet(*patterns)
-
-    def equivalent(i: int, j: int) -> bool:
-        try:
-            return prover.equivalent(patterns[i], patterns[j], alphabet=alphabet)
-        except AnalysisError:
-            return False
-
-    leaders: list[int] = []
-    for j in range(n):
-        if not prover.compiles(patterns[j], alphabet):
-            continue  # scanned, and no class leader
-        source = next((i for i in leaders if equivalent(i, j)), None)
-        if source is None:
-            leaders.append(j)
-        else:
-            actions[j] = PlanAction("alias", source)
-    return SubsumptionPlan(tuple(patterns), tuple(actions))

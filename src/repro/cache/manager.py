@@ -1,6 +1,6 @@
 """The query result cache.
 
-:class:`QueryCache` maps ``(log identity, normalized pattern,
+:class:`QueryCache` maps ``(log identity, pattern identity,
 result-relevant options)`` to a finished, canonically ordered
 :class:`~repro.core.incident.IncidentSet` (plus a detached copy of the
 evaluation's :class:`~repro.core.eval.base.EvaluationStats` for
@@ -39,8 +39,7 @@ from repro.cache.sizing import incidents_nbytes
 from repro.core.eval.base import EvaluationStats
 from repro.core.incident import IncidentSet
 from repro.core.model import Log
-from repro.core.algebra import canonicalize
-from repro.core.optimizer.rules import normalize
+from repro.core.optimizer.rules import identity
 from repro.core.pattern import Pattern
 from repro.obs.metrics import MetricsRegistry
 from repro.obs.tracer import NULL_TRACER, NullTracer, Tracer
@@ -155,18 +154,15 @@ class QueryCache:
     ) -> ResultKey:
         """The cache key for evaluating ``pattern`` over ``log``.
 
-        The pattern goes through the optimizer's shared
-        :func:`~repro.core.optimizer.rules.normalize` and then the
-        algebra's :func:`~repro.core.algebra.canonicalize`, so queries
-        equal under the paper's associativity/commutativity/interchange
-        laws (Theorems 2–4, plus choice idempotence) share one entry.
-        ``max_incidents`` participates because a budget changes
-        observable behaviour (a cached over-budget result must not mask
-        the error).
+        The pattern is keyed by its
+        :func:`~repro.core.optimizer.rules.identity`, so queries equal
+        under the paper's associativity/commutativity/interchange laws
+        (Theorems 2–4, plus choice idempotence) share one entry, as they
+        share one scan in a batch.  ``max_incidents`` participates because
+        a budget changes observable behaviour (a cached over-budget result
+        must not mask the error).
         """
-        normalized, _ = normalize(pattern)
-        canonical = canonicalize(normalized)
-        return (self.log_identity(log), canonical, ("max_incidents", max_incidents))
+        return (self.log_identity(log), identity(pattern), ("max_incidents", max_incidents))
 
     # -- lookup and store -------------------------------------------------
 

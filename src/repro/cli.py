@@ -18,9 +18,9 @@ Subcommands
   span tree as a self-contained HTML flamegraph / folded stacks;
 * ``batch``     — evaluate several patterns in one shared-scan pass,
   deduplicating common subpatterns across the queries and skipping the
-  scans of queries the prover shows are equivalent to a sibling (opt
-  out with ``--no-analyze``; a pre-flight ``lint_batch`` pass reports
-  QW501 subsumption findings on stderr, opt out with ``--no-lint``);
+  scan of a query with the identity (normal form) of an earlier one (a
+  pre-flight ``lint_batch`` pass reports those as QW501 on stderr, opt
+  out with ``--no-lint``);
 * ``analyze``   — the decision procedures of ``repro.analysis``:
   ``--rules`` proves every shipped optimizer rewrite rule
   equivalence-preserving (CI gate), ``--equivalent P Q`` /
@@ -441,16 +441,10 @@ def build_parser() -> argparse.ArgumentParser:
         optimize_help="skip rule-based canonicalisation (reduces subpattern sharing)",
     )
     batch.add_argument(
-        "--no-analyze",
-        action="store_true",
-        help="skip the subsumption prover pass (every query scans the log "
-        "independently)",
-    )
-    batch.add_argument(
         "--no-lint",
         action="store_true",
-        help="skip the pre-flight lint_batch pass (QW501 subsumption "
-        "findings on stderr)",
+        help="skip the pre-flight lint_batch pass (diagnostics and QW501 "
+        "aliases on stderr)",
     )
     batch.add_argument(
         "--cache",
@@ -816,7 +810,7 @@ def _cmd_batch(args: argparse.Namespace) -> int:
     log = _load_log(args.log)
     if not args.no_lint:
         # pre-flight pass on stderr (stdout carries only results): per-
-        # query diagnostics plus proved QW501 cross-query subsumption
+        # query diagnostics plus QW501 at each position the batch aliases
         from repro.core.lint import lint_batch
 
         for text, diagnostics in zip(patterns, lint_batch(patterns, log=log)):
@@ -824,7 +818,7 @@ def _cmd_batch(args: argparse.Namespace) -> int:
                 print(f"{text}: {diagnostic.format()}", file=sys.stderr)
     options = _engine_options(args)
     try:
-        result = evaluate_batch(log, patterns, options, analyze=not args.no_analyze)
+        result = evaluate_batch(log, patterns, options)
     finally:
         if options.journal is not None:
             options.journal.close()
@@ -1056,6 +1050,8 @@ def _cmd_slo(args: argparse.Namespace) -> int:
     )
     stats = aggregator.window(args.window, now=last_ts).report(top=args.top)
     slo = SloEngine(policy, aggregator).report(now=last_ts)
+    # a breach exits 1 in either format
+    code = 1 if slo["breaching"] else 0
     if args.format == "json":
         print(
             json.dumps(
@@ -1064,7 +1060,7 @@ def _cmd_slo(args: argparse.Namespace) -> int:
                 ensure_ascii=False,
             )
         )
-        return 0
+        return code
 
     latency = stats["latency"]
     print(
@@ -1103,11 +1099,11 @@ def _cmd_slo(args: argparse.Namespace) -> int:
             f"slow {row['burn_slow']:>8.2f}x  "
             f"budget left {row['budget_remaining'] * 100:>6.1f}%  {state}"
         )
-    if slo["breaching"]:
+    if code:
         print(f"--- breaching: {', '.join(slo['breaching'])} ---")
-        return 1
-    print("--- all objectives within budget ---")
-    return 0
+    else:
+        print("--- all objectives within budget ---")
+    return code
 
 
 def _cmd_serve(args: argparse.Namespace) -> int:

@@ -105,11 +105,6 @@ def build_left_deep(cls: type, operands: Sequence[Pattern]) -> Pattern:
 # Canonicalisation
 # ---------------------------------------------------------------------------
 
-def _sort_key(pattern: Pattern) -> str:
-    """A deterministic total order on patterns (by rendered text)."""
-    return repr(_canonical(pattern))
-
-
 def _canonical(pattern: Pattern) -> Pattern:
     if isinstance(pattern, Atomic):
         return pattern
@@ -121,15 +116,19 @@ def _canonical(pattern: Pattern) -> Pattern:
         items = [_canonical(item) for item in items]
         work = items[0]
         for gap, item in zip(gaps, items[1:]):
-            work = gap.with_children(work, item)
+            # a node already in canonical shape is kept, not copied
+            if gap.left is not work or gap.right is not item:
+                gap = gap.with_children(work, item)
+            work = gap
         return work
 
     operands = [_canonical(p) for p in flatten_assoc(pattern, type(pattern))]
     # ⊗ and ⊕ are commutative (Theorem 3): sort operands; ⊗ is additionally
     # idempotent only set-wise per duplicate elimination in evaluation, but
     # p ⊗ p ≡ p holds (incL(p) ∪ incL(p) = incL(p)), so dedup choice
-    # operands.
-    operands.sort(key=_sort_key)
+    # operands.  The operands are canonical already, so their rendered
+    # text is a deterministic total order on them.
+    operands.sort(key=repr)
     if isinstance(pattern, Choice):
         deduped: list[Pattern] = []
         for operand in operands:

@@ -35,9 +35,9 @@ QW401     warning   estimated evaluation blowup: the cost model (or, with
 QW402     info      a cheaper equivalent form exists via Theorem 5 choice
                     factoring (the optimizer's normal form), *proved*
                     equivalent by the containment prover
-QW501     info      the batch planner skips the query's scan: it is
-                    provably equivalent to a batch sibling, whose
-                    incident set the planner shares
+QW501     info      the batch skips the query's scan: it has the
+                    identity (normal form) of an earlier batch sibling,
+                    whose incident set the batch shares
 QW502     warning   a ``⊗`` operand is provably subsumed by a sibling
                     operand (``p ⊑ q`` implies ``p ⊗ q ≡ q``), beyond
                     the syntactic duplicates QW301 catches
@@ -59,16 +59,15 @@ The linter and the query planner share one canonical form
 (:func:`repro.core.optimizer.rules.normalize`), so a query is planned in
 exactly the shape lint reasoned about.
 
-The QW402/QW5xx equivalence and subsumption verdicts are *proved* by the
+The QW402/QW502 equivalence and subsumption verdicts are *proved* by the
 :mod:`repro.analysis` containment prover (decision procedures over the
 automaton IR), not inferred from syntax or cost heuristics: QW402 is
 only emitted once the normal form is proved equivalent to the original
 query, and falls back to silence — never a guess — when the proof is
-unavailable (state budget, unsupported operator).  QW501 is a
-projection of :func:`repro.analysis.plan_subsumption`, the plan the
-batch executor acts on, so lint reports exactly the aliases the planner
-uses; QW502 proves containment among the operands of a ``⊗`` itself,
-classing equivalent operands as the planner does.
+unavailable (state budget, unsupported operator); QW502 proves
+containment among the operands of a ``⊗`` itself.  QW501 is read off
+:func:`repro.core.optimizer.rules.identity`, the rule the batch executor
+aliases by, so lint reports exactly the aliases the batch takes.
 
 Example
 -------
@@ -95,7 +94,7 @@ from repro.core.algebra import (
 )
 from repro.core.model import END, START, Log
 from repro.core.optimizer.cost import CostModel, LogStatistics
-from repro.core.optimizer.rules import normalize
+from repro.core.optimizer.rules import identity, normalize
 from repro.core.parser import ParseResult, SourceSpan, parse_with_spans
 from repro.core.pattern import (
     Atomic,
@@ -135,8 +134,8 @@ def _proved_equivalent(p: Pattern, q: Pattern) -> bool | None:
 
 def _subsumed_operands(operands: Sequence[Pattern]) -> Iterator[tuple[int, int]]:
     """``(j, i)`` for each ``⊗`` operand ``j`` provably subsumed by its
-    sibling ``i``, in operand order.  Equivalent operands form a class,
-    as the batch planner's aliases do: a later member names the first.
+    sibling ``i``, in operand order.  Equivalent operands form a class:
+    a later member names the first.
     A first member strictly contained in other classes names the first
     of those.  The proofs are per-pair automaton products: a ``⊗`` of
     more than five operands yields nothing, and an operand the prover
@@ -224,7 +223,7 @@ DIAGNOSTIC_CODES: dict[str, str] = {
     "QW302": "duplicate parallel operand",
     "QW401": "estimated evaluation blowup",
     "QW402": "cheaper equivalent form available (proved)",
-    "QW501": "query equivalent to a batch sibling (proved)",
+    "QW501": "query with the identity of a batch sibling",
     "QW502": "choice operand subsumed by a sibling (proved)",
 }
 
@@ -804,19 +803,17 @@ def lint_batch(
     linter: Linter | None = None,
     **kwargs,
 ) -> list[list[Diagnostic]]:
-    """Lint a batch of queries: per-query diagnostics plus the proved
-    cross-query subsumption finding (QW501).
+    """Lint a batch of queries: per-query diagnostics plus the
+    cross-query alias finding (QW501).
 
-    QW501 is read off the batch executor's own plan
-    (:func:`repro.analysis.plan_subsumption`, as
-    :func:`repro.exec.batch.evaluate_batch` runs it): a query gets one
-    exactly when the planner aliases it, naming the sibling whose
-    incident set it shares — the diagnostic is informational, not a
-    defect.  Returns one diagnostic list per query, index-aligned with
-    ``queries``.
+    QW501 is read off the batch executor's own rule
+    (:func:`repro.exec.batch.evaluate_batch`): a query gets one exactly
+    when an earlier query has its
+    :func:`~repro.core.optimizer.rules.identity`, naming the first such
+    sibling, whose incident set it shares — the diagnostic is
+    informational, not a defect.  Returns one diagnostic list per query,
+    index-aligned with ``queries``.
     """
-    from repro.analysis import plan_subsumption
-
     if linter is None:
         linter = Linter.for_context(log=log, spec=spec, **kwargs)
     resolved: list[ParseResult | Pattern] = [
@@ -828,9 +825,10 @@ def lint_batch(
         query.pattern if isinstance(query, ParseResult) else query
         for query in resolved
     ]
-    for j, action in enumerate(plan_subsumption(patterns).actions):
-        i = action.source
-        if i is None:
+    first: dict[Pattern, int] = {}
+    for j, pattern in enumerate(patterns):
+        i = first.setdefault(identity(pattern), j)
+        if i == j:
             continue
         per_query[j].append(
             Diagnostic(

@@ -20,6 +20,7 @@ from repro.core.optimizer.rules import (
     REWRITE_RULES,
     RewriteRule,
     factor_choice,
+    identity,
     normalize,
     push_choice_out,
 )
@@ -32,6 +33,7 @@ __all__ = [
     "RewriteRule",
     "REWRITE_RULES",
     "factor_choice",
+    "identity",
     "normalize",
     "push_choice_out",
 ]

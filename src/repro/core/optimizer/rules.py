@@ -27,6 +27,7 @@ __all__ = [
     "dedup_choice",
     "apply_bottom_up",
     "normalize",
+    "identity",
 ]
 
 
@@ -182,3 +183,14 @@ def normalize(pattern: Pattern) -> tuple[Pattern, list[str]]:
         if count:
             applied.append(f"{rule.name} x{count} (licensed by {rule.theorem})")
     return current, applied
+
+
+def identity(pattern: Pattern) -> Pattern:
+    """The pattern's identity: ``canonicalize(normalize(pattern)[0])``.
+
+    Patterns with one identity are equivalent (Definition 5): every step
+    is one of the paper's laws (Theorems 2-5, choice idempotence).  It is
+    the result cache's key and the batch's alias rule, so a batch position
+    that shares an earlier position's identity shares its incident set.
+    """
+    return canonicalize(normalize(pattern)[0])

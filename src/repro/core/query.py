@@ -302,8 +302,6 @@ class Query:
         log: Log,
         patterns,
         options: EngineOptions | None = None,
-        *,
-        analyze: bool = True,
     ):
         """Evaluate many queries over one log with shared subpattern
         scans — see :func:`repro.exec.batch.evaluate_batch`, of which
@@ -315,7 +313,7 @@ class Query:
         """
         from repro.exec.batch import evaluate_batch
 
-        return evaluate_batch(log, patterns, options, analyze=analyze)
+        return evaluate_batch(log, patterns, options)
 
     def matching_instances(self, log: Log) -> tuple[int, ...]:
         """The workflow instance ids containing at least one incident."""

@@ -11,12 +11,10 @@ canonical shape, maximising cross-query sharing) and runs them as one
 run (:func:`~repro.core.query.execute`, as a :class:`~repro.core.query.Query` does):
 
 1. the cache answers what it holds for this epoch;
-2. the :mod:`repro.analysis` subsumption planner runs over the rest
-   (``analyze=True``): queries *proved* equivalent to a sibling alias its
-   result set outright and are not scanned.  A query only proved
-   strictly contained in a sibling is scanned like any other: one more
-   root in the forest costs less than deriving its incidents from the
-   sibling's one at a time;
+2. of the rest, a query whose
+   :func:`~repro.core.optimizer.rules.identity` (its normal form under
+   Theorems 2-5) an earlier pending query has aliases that query's
+   result set outright and is not scanned;
 3. the scanned queries go to one
    :meth:`~repro.core.eval.vectorized.VectorizedEngine.evaluate_all`
    pass: the patterns compile into one forest in which a composite
@@ -30,7 +28,8 @@ run (:func:`~repro.core.query.execute`, as a :class:`~repro.core.query.Query` do
 The observable guarantee, asserted in ``tests/exec/test_batch.py`` and
 ``tests/exec/test_batch_subsumption.py``: the per-query incident sets
 equal independent evaluation byte for byte — an alias is exact, because
-equivalent patterns have the same incidents on every log — while
+patterns with one identity are equivalent and have the same incidents on
+every log (Definition 5) — while
 ``stats.pairs_examined`` shrinks whenever any subpattern is shared or
 any query is aliased.
 """
@@ -45,7 +44,7 @@ from repro.core.eval.base import EvaluationStats
 from repro.core.eval.vectorized import VectorizedEngine
 from repro.core.incident import IncidentSet
 from repro.core.model import Log
-from repro.core.optimizer.rules import normalize
+from repro.core.optimizer.rules import identity, normalize
 from repro.core.options import EngineOptions
 from repro.core.parser import parse
 from repro.core.pattern import Pattern
@@ -69,8 +68,8 @@ class BatchResult:
     stats: EvaluationStats
     shared_hits: int
     cache_hits: int = 0
-    #: queries that skipped their own log scan because the subsumption
-    #: planner proved them equivalent to a sibling
+    #: queries that skipped their own log scan because an earlier query
+    #: of the batch has their identity
     subsumed: int = 0
 
     def __len__(self) -> int:
@@ -91,8 +90,6 @@ def evaluate_batch(
     log: Log,
     patterns,
     options: EngineOptions | None = None,
-    *,
-    analyze: bool = True,
 ) -> BatchResult:
     """Evaluate N queries over one log with shared subpattern scans.
 
@@ -122,13 +119,11 @@ def evaluate_batch(
         ``query_id`` for the whole batch).  Setting the ``cancel`` token
         stops the scan at its next checkpoint with
         :class:`~repro.core.errors.QueryCancelled` (the admin-kill hook).
-    analyze:
-        Run the :func:`repro.analysis.plan_subsumption` prover pass over
-        the pending queries (default).  Queries proved equivalent to a
-        sibling skip their own scan and share its incident set; the
-        returned batch reports them in ``subsumed``.  Queries the prover
-        cannot handle fall back to a normal scan — analysis never fails a
-        batch.
+
+    A query that misses the cache and has the identity of an earlier one
+    that missed skips its own scan and shares that query's incident set;
+    the returned batch reports it in ``subsumed``.  ``lint_batch``'s QW501
+    names exactly these positions.
     """
     from repro.cache.manager import resolve_cache
 
@@ -139,9 +134,11 @@ def evaluate_batch(
             f"engine; got engine {opts.engine!r}"
         )
     resolved: list[Pattern] = []
+    identities: list[Pattern] = []
     for pattern in patterns:
         if isinstance(pattern, str):
             pattern = parse(pattern)
+        identities.append(identity(pattern))
         if opts.optimize:
             pattern, _ = normalize(pattern)
         resolved.append(pattern)
@@ -158,24 +155,17 @@ def evaluate_batch(
             results: list[Any] = [None if hit is None else hit.incidents for hit in hits]
             pending = [i for i, hit in enumerate(hits) if hit is None]
             # an aliased query never reaches the scan: it takes the set of
-            # its class leader (an earlier position)
-            sources: list[int | None] = [None] * len(pending)
-            if analyze and len(pending) > 1:
-                from repro.analysis import AnalysisError, plan_subsumption
-
-                try:
-                    plan = plan_subsumption([resolved[i] for i in pending])
-                    sources = [action.source for action in plan.actions]
-                except AnalysisError:
-                    pass
-            scanned = [i for i, source in zip(pending, sources) if source is None]
+            # the first pending position with its identity
+            first: dict[Pattern, int] = {}
+            sources = [first.setdefault(identities[i], i) for i in pending]
+            scanned = list(first.values())
             if scanned:
                 bases = [] if cache is None else [delta_base(log, cache, keys[i]) for i in scanned]
                 sets, shared_hits = engine.evaluate_all(log, [resolved[i] for i in scanned], bases)
                 stats = engine.last_stats
                 found = dict(zip(scanned, sets))
                 for i, source in zip(pending, sources):
-                    results[i] = found[i] if source is None else results[pending[source]]
+                    results[i] = found[source]
                     if keys[i] is not None:
                         cache.put_result(keys[i], results[i])
             else:  # the cache answered every position

@@ -762,9 +762,7 @@ class QueryService:
         snapshot = self._snapshot(request.log)
 
         def run(options: EngineOptions) -> dict[str, Any]:
-            outcome = Query.evaluate_batch(
-                snapshot, request.patterns, options, analyze=request.analyze
-            )
+            outcome = Query.evaluate_batch(snapshot, request.patterns, options)
             results = []
             for text, incidents in zip(request.patterns, outcome.results):
                 rows, shown = incidents.rows_json(request.limit)
@@ -785,7 +783,7 @@ class QueryService:
                 "shared_hits": outcome.shared_hits,
                 "cache_hits": outcome.cache_hits,
                 "subsumed": outcome.subsumed,
-                "proofs": outcome.subsumed,  # one equivalence proof per alias
+                "proofs": outcome.subsumed,  # kept on the wire: equals subsumed
                 # constants of the wire contract: the scan is in-process
                 "backend": "serial",
                 "jobs": 1,

@@ -102,7 +102,7 @@ class BatchRequest:
     log: str = wire("str", "name of the store to query")
     patterns: tuple[str, ...] = wire(("nonempty_list", "str"), "incident pattern texts")
     limit: int | None = wire("nonneg_int", "cap on the incidents returned per pattern", default=None)
-    analyze: bool = wire("bool", "share work between the patterns", default=True)
+    analyze: bool = wire("bool", "accepted and type-checked; has no effect", default=True)
     options: dict[str, Any] = wire(_OPTIONS, "engine knobs (see Request options)", default={})
 
 

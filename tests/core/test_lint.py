@@ -11,7 +11,6 @@ import hypothesis.strategies as st
 import pytest
 from hypothesis import given, settings
 
-from repro.analysis import plan_subsumption
 from repro.core.lint import (
     DIAGNOSTIC_CODES,
     Diagnostic,
@@ -21,7 +20,7 @@ from repro.core.lint import (
     lint_batch,
 )
 from repro.core.model import Log
-from repro.core.optimizer import CostModel, LogStatistics, Optimizer, normalize
+from repro.core.optimizer import CostModel, LogStatistics, Optimizer, identity, normalize
 from repro.core.parser import SourceSpan, parse, parse_with_spans
 from repro.core.pattern import (
     Atomic,
@@ -305,32 +304,36 @@ class TestPlannedSubsumption:
         )
 
     def test_qw501_alias_severity_and_span(self):
-        found = qw501(["(A -> B) | (B -> A)", "A & B"])
+        found = qw501(["B | A", "A | B"])
         assert sorted(found) == [1]
         assert found[1].severity == Severity.INFO
         assert found[1].span == SourceSpan(0, 5)
 
     def test_qw501_silent_for_a_strictly_contained_sibling(self):
-        # the planner scans both: a strict containment earns no skip
+        # the batch scans both: a strict containment earns no skip
         assert qw501(["A ; B", "A -> B"]) == {}
 
+    def test_qw501_silent_for_a_prover_only_equivalence(self):
+        # equivalent (Definition 5), but with different normal forms: the
+        # batch scans both, so lint names no alias
+        assert qw501(["(A -> B) | (B -> A)", "A & B"]) == {}
+
     def test_qw501_covers_every_batch_the_planner_plans(self):
-        batch = ["A"] * 17 + ["A -> B"]
-        plan = plan_subsumption([parse(text) for text in batch])
-        assert sum(action.kind == "alias" for action in plan.actions) == 16
-        assert sorted(qw501(batch)) == list(range(1, 17))
+        batch = ["A"] * 29 + ["A -> B"]
+        assert sorted(qw501(batch)) == list(range(1, 29))
 
     @settings(max_examples=100, deadline=None)
     @given(st.lists(patterns_on_abc(), min_size=2, max_size=5))
     def test_qw501_is_the_plan(self, batch):
         found = qw501(batch)
-        for j, action in enumerate(plan_subsumption(batch).actions):
-            if action.kind == "scan":
+        first: dict = {}
+        for j, pattern in enumerate(batch):
+            i = first.setdefault(identity(pattern), j)
+            if i == j:
                 assert j not in found
                 continue
-            assert action.kind == "alias"
             message = found[j].message
-            assert f"batch sibling #{action.source + 1} " in message
+            assert f"batch sibling #{i + 1} " in message
             assert message.startswith("query is provably equivalent to ")
 
     def test_qw502_proved_subsumed_operand(self):
@@ -433,7 +436,7 @@ class TestDiagnosticObjects:
         emitted.update(codes(Linter().lint("A ; B ; C ; D ; E ; F ; G ; H")))
         emitted.update(codes(Linter().lint("(A ; B) | (A ; C)")))
         emitted.update(codes(Linter().lint("(A ; B) | (A -> B)")))
-        for diagnostics in lint_batch(["A & B", "(A -> B) | (B -> A)"]):
+        for diagnostics in lint_batch(["A & B", "B & A"]):
             emitted.update(codes(diagnostics))
         assert emitted == set(DIAGNOSTIC_CODES)
 

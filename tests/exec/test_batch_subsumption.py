@@ -1,16 +1,20 @@
-"""Subsumption-aware batch planning: a query proved equivalent to a
-sibling shares the sibling's incident set instead of scanning, with
-results byte-for-byte identical to independent evaluation (the
-acceptance criterion).  A query only proved strictly contained in a
-sibling is scanned like any other."""
+"""Identity aliasing in a batch: a query with the identity (the normal
+form under Theorems 2-5) of an earlier query shares that query's
+incident set instead of scanning, with results byte-for-byte identical
+to independent evaluation (the acceptance criterion).  A query only
+strictly contained in a sibling, or equivalent to it by a proof the
+normal form does not capture, is scanned like any other."""
 
 import random
 
 import pytest
 
+from repro.analysis import PatternProver
 from repro.cache import QueryCache
 from repro.core.eval.vectorized import VectorizedEngine
+from repro.core.lint import lint_batch
 from repro.core.model import Log
+from repro.core.optimizer import identity
 from repro.core.options import EngineOptions
 from repro.core.parser import parse
 from repro.core.pattern import Atomic, Choice, Consecutive, Parallel, Sequential
@@ -21,10 +25,12 @@ from repro.obs.metrics import MetricsRegistry
 from repro.obs.tracer import Tracer
 
 # "A ; B" ⊑ "A -> B" ⊑ "(A -> B) | (B -> A)" ≡ "A & B": one chain of
-# strict containments plus one proved-equivalent alias.
-SUBSUMED = ["A & B", "(A -> B) | (B -> A)"]
+# strict containments, one equivalence only the prover shows, and one
+# alias by identity (⊗ is commutative, Theorem 3).
+SUBSUMED = ["(A -> B) | (B -> A)", "(B -> A) | (A -> B)"]
+PROVED = ["A & B", "(A -> B) | (B -> A)"]
 CONTAINED = ["A ; B", "A -> B"]
-CHAINED = ["A ; B", "A -> B", "(A -> B) | (B -> A)", "A & B", "C"]
+CHAINED = ["A ; B", "A -> B", "(A -> B) | (B -> A)", "A & B", "(B -> A) | (A -> B)", "C"]
 NO_OPTIMIZE = EngineOptions(optimize=False)
 
 
@@ -55,23 +61,68 @@ def batch_rows(result):
 
 def test_subsumed_pair_meets_the_acceptance_criterion(ab_log):
     result = evaluate_batch(ab_log, SUBSUMED, NO_OPTIMIZE)
-    assert result.subsumed >= 1
+    assert result.subsumed == 1
     assert batch_rows(result) == independent_rows(ab_log, SUBSUMED)
 
 
 def test_chained_containments_scan_and_the_alias_stays_exact(ab_log):
     result = evaluate_batch(ab_log, CHAINED, NO_OPTIMIZE)
-    # A&B aliases the choice; the strictly contained A;B and A->B scan
+    # the commuted choice aliases the choice; the strictly contained
+    # A;B and A->B and the prover-only equivalent A&B scan
     assert result.subsumed == 1
     assert batch_rows(result) == independent_rows(ab_log, CHAINED)
 
 
 def test_strict_containment_skips_nothing(ab_log):
     planned = evaluate_batch(ab_log, CONTAINED, NO_OPTIMIZE)
-    plain = evaluate_batch(ab_log, CONTAINED, NO_OPTIMIZE, analyze=False)
     assert planned.subsumed == 0
-    assert planned.stats == plain.stats
-    assert batch_rows(planned) == batch_rows(plain) == independent_rows(ab_log, CONTAINED)
+    assert batch_rows(planned) == independent_rows(ab_log, CONTAINED)
+
+
+def test_a_prover_only_equivalence_is_scanned(ab_log):
+    # A & B ≡ (A -> B) | (B -> A) on every log, but their normal forms
+    # differ: both are scanned, and the rows are still the independent ones
+    result = evaluate_batch(ab_log, PROVED, NO_OPTIMIZE)
+    assert result.subsumed == 0
+    assert batch_rows(result) == independent_rows(ab_log, PROVED)
+    assert result.stats == evaluate_batch(ab_log, PROVED[::-1], NO_OPTIMIZE).stats
+
+
+def test_a_batch_never_calls_the_prover(ab_log, monkeypatch):
+    def refuse(*args, **kwargs):
+        raise AssertionError("the prover was called")
+
+    monkeypatch.setattr(PatternProver, "compiles", refuse)
+    monkeypatch.setattr(PatternProver, "equivalent", refuse)
+    for options in (NO_OPTIMIZE, EngineOptions(), EngineOptions(cache=QueryCache())):
+        result = evaluate_batch(ab_log, CHAINED, options)
+        assert result.subsumed == 1
+        assert [set(r) for r in result] == [
+            set(VectorizedEngine().evaluate(ab_log, parse(text))) for text in CHAINED
+        ]
+
+
+def test_every_repeat_of_a_long_batch_aliases(ab_log):
+    # more positions than the prover's planner ever took (24)
+    family = ["A -> B", "B | A", "A | B", "(A ; B) & C", "C & (A ; B)", "A -> (B -> C)"]
+    batch = [family[i % len(family)] for i in range(30)]
+    result = evaluate_batch(ab_log, batch, NO_OPTIMIZE)
+    distinct = {identity(parse(text)) for text in batch}
+    assert len(distinct) == 4
+    assert result.subsumed == 30 - 4
+    assert batch_rows(result) == independent_rows(ab_log, batch)
+
+
+def test_duplicate_guarded_atoms_alias(ab_log):
+    from repro.extensions.conditions import Guarded
+
+    guarded = Sequential(Guarded("A"), Guarded("B"))
+    batch = [guarded, parse("A -> B"), Sequential(Guarded("A"), Guarded("B"))]
+    result = evaluate_batch(ab_log, batch)
+    assert result.subsumed == 1
+    assert batch_rows(result) == [
+        VectorizedEngine().evaluate(ab_log, pattern).to_rows() for pattern in batch
+    ]
 
 
 @pytest.mark.parametrize(
@@ -100,13 +151,6 @@ def test_a_contained_query_answers_by_delta_after_an_append():
     assert query.last_cache_layer == "delta"
     cold = VectorizedEngine().evaluate(snapshot, parse("GetRefer ; CheckIn"))
     assert got.to_rows() == cold.to_rows()
-
-
-def test_analyze_flag_off_restores_the_status_quo(ab_log):
-    planned = evaluate_batch(ab_log, CHAINED, NO_OPTIMIZE)
-    plain = evaluate_batch(ab_log, CHAINED, NO_OPTIMIZE, analyze=False)
-    assert plain.subsumed == 0
-    assert batch_rows(plain) == batch_rows(planned)
 
 
 def test_optimized_batch_still_exact(ab_log):
@@ -154,6 +198,7 @@ def test_unprovable_patterns_degrade_to_scan(ab_log):
 
 def test_duplicate_queries_alias_without_rescanning(ab_log):
     result = evaluate_batch(ab_log, ["A -> B", "A -> B"], NO_OPTIMIZE)
+    assert result.subsumed == 1
     assert batch_rows(result)[0] == batch_rows(result)[1]
 
 
@@ -172,19 +217,24 @@ def random_pattern(rng: random.Random, leaves: int):
 
 def test_seeded_sweep_matches_independent_evaluation(ab_log):
     """200 random batches of 2-6 patterns over {A, B, C}: every result is
-    the independent one, row for row, and a batch with no aliased
-    position does exactly the work of the unanalysed batch."""
+    the independent one, row for row; ``subsumed`` counts the positions
+    whose identity an earlier position has, QW501 fires at exactly those,
+    and the batch does exactly the work of its first positions alone."""
     rng = random.Random(36)
     aliased = 0
     for _ in range(200):
         batch = [random_pattern(rng, rng.randint(1, 3)) for _ in range(rng.randint(2, 6))]
         planned = evaluate_batch(ab_log, batch, NO_OPTIMIZE)
-        plain = evaluate_batch(ab_log, batch, NO_OPTIMIZE, analyze=False)
         assert batch_rows(planned) == [
             VectorizedEngine().evaluate(ab_log, pattern).to_rows() for pattern in batch
         ]
-        if planned.subsumed:
-            aliased += 1
-        else:
-            assert planned.stats == plain.stats
+        first: dict = {}
+        repeats = [j for j, p in enumerate(batch) if first.setdefault(identity(p), j) != j]
+        assert planned.subsumed == len(repeats)
+        flagged = [j for j, found in enumerate(lint_batch(batch))
+                   if any(d.code == "QW501" for d in found)]
+        assert flagged == repeats
+        leaders = evaluate_batch(ab_log, [batch[i] for i in first.values()], NO_OPTIMIZE)
+        assert planned.stats == leaders.stats
+        aliased += bool(repeats)
     assert aliased  # the sweep does exercise the alias path

@@ -104,7 +104,10 @@ class TestLintExitCodes:
 
 
 class TestBatchAnalysisFlags:
-    EQUIVALENT = ["A & B", "(A -> B) | (B -> A)"]
+    #: one identity (⊗ is commutative, Theorem 3)
+    EQUIVALENT = ["(A -> B) | (B -> A)", "(B -> A) | (A -> B)"]
+    #: equivalent (Definition 5), but only the prover shows it
+    PROVED = ["A & B", "(A -> B) | (B -> A)"]
 
     def test_batch_reports_subsumption_in_the_summary(self, ab_file, capsys):
         code = main(["batch", "--log", ab_file, *self.EQUIVALENT])
@@ -112,27 +115,32 @@ class TestBatchAnalysisFlags:
         captured = capsys.readouterr()
         assert "1 subsumed" in captured.out
         assert "QW501" in captured.err  # pre-flight lint on stderr
-        # a strictly contained pair is scanned twice: no skip, no finding
-        assert main(["batch", "--log", ab_file, "A ; B", "A -> B"]) == 0
-        captured = capsys.readouterr()
-        assert "0 subsumed" in captured.out
-        assert "QW501" not in captured.err
+        # a strictly contained pair and a prover-only pair are scanned
+        # twice: no skip, no finding
+        for pair in (["A ; B", "A -> B"], self.PROVED):
+            assert main(["batch", "--log", ab_file, *pair]) == 0
+            captured = capsys.readouterr()
+            assert "0 subsumed" in captured.out
+            assert "QW501" not in captured.err
 
-    def test_no_analyze_and_no_lint_restore_the_status_quo(
-        self, ab_file, capsys
-    ):
-        code = main(["batch", "--log", ab_file, *self.EQUIVALENT, "--no-analyze", "--no-lint"])
-        assert code == 0
+    def test_no_analyze_is_gone_and_no_lint_silences_qw501(self, ab_file, capsys):
+        with pytest.raises(SystemExit) as exc:
+            main(["batch", "--log", ab_file, *self.EQUIVALENT, "--no-analyze"])
+        assert exc.value.code == 2
+        assert "unrecognized arguments: --no-analyze" in capsys.readouterr().err
+        assert main(["batch", "--log", ab_file, *self.EQUIVALENT, "--no-lint"]) == 0
         captured = capsys.readouterr()
-        assert "0 subsumed" in captured.out
+        assert "1 subsumed" in captured.out
         assert "QW501" not in captured.err
 
     def test_subsumed_batch_output_matches_independent_queries(
         self, ab_file, capsys
     ):
-        main(["batch", "--log", ab_file, *self.EQUIVALENT, "--no-lint"])
-        with_plan = capsys.readouterr().out.splitlines()
-        main(["batch", "--log", ab_file, *self.EQUIVALENT, "--no-lint", "--no-analyze"])
-        without = capsys.readouterr().out.splitlines()
+        main(["batch", "--log", ab_file, *self.EQUIVALENT, *self.PROVED, "--no-lint"])
+        together = capsys.readouterr().out.splitlines()
+        alone = []
+        for text in [*self.EQUIVALENT, *self.PROVED]:
+            main(["batch", "--log", ab_file, text, "--no-lint"])
+            alone += capsys.readouterr().out.splitlines()[:-1]
         # per-query lines identical; only the trailing summary differs
-        assert with_plan[:-1] == without[:-1]
+        assert together[:-1] == alone

@@ -315,8 +315,8 @@ class TestSloGolden:
     @pytest.mark.parametrize(
         "flags, golden, code",
         [
-            (["--format", "json"], "slo.json", 0),
-            (["--format", "json", *CUSTOM], "slo_custom.json", 0),
+            (["--format", "json"], "slo.json", 1),
+            (["--format", "json", *CUSTOM], "slo_custom.json", 1),
             ([], "slo.txt", 1),
         ],
     )
@@ -325,3 +325,47 @@ class TestSloGolden:
         assert main(["slo", "--journal", journal, *flags]) == code
         expected = (self.GOLDEN / golden).read_text(encoding="utf-8")
         assert capsys.readouterr().out == expected
+
+
+class TestFormatExitCodes:
+    """A subcommand answers with the same exit code whichever ``--format``
+    it prints: a script that switches to JSON keeps the verdict."""
+
+    GOLDEN = Path(__file__).parent / "obs" / "golden" / "journal.jsonl"
+    CASES = {
+        "profile": (["--pattern", CHAIN], 0),
+        "events": ([], 0),
+        "top": ([], 0),
+        "slo_breaching": ([], 1),
+        "slo_within_budget": (["--availability-target", "0.01", "--latency-target", "0.01"], 0),
+        "lint_clean": (["GetRefer -> CheckIn"], 0),
+        "lint_error": (["CheckIn -> GetRefer", "--model", "clinic"], 1),
+    }
+
+    def test_every_subcommand_with_a_format_is_covered(self):
+        import argparse
+
+        from repro.cli import build_parser
+
+        (commands,) = (
+            action for action in build_parser()._actions
+            if isinstance(action, argparse._SubParsersAction)
+        )
+        formatted = {
+            name for name, parser in commands.choices.items()
+            if any("--format" in action.option_strings for action in parser._actions)
+        }
+        assert formatted == {case.split("_")[0] for case in self.CASES}
+
+    @pytest.mark.parametrize("case", sorted(CASES))
+    def test_text_and_json_exit_alike(self, case, clinic_file, capsys):
+        command = case.split("_")[0]
+        flags, code = self.CASES[case]
+        source = ["--log", clinic_file] if command == "profile" else (
+            [] if command == "lint" else ["--journal", str(self.GOLDEN)]
+        )
+        argv = [command, *source, *flags]
+        assert main(argv) == code
+        capsys.readouterr()
+        assert main([*argv, "--format", "json"]) == code
+        json.loads(capsys.readouterr().out)

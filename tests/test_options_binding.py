@@ -113,6 +113,9 @@ class TestDeletedSpellings:
             evaluate_batch(clinic_log, ["GetRefer"], optimize=False)
         with pytest.raises(TypeError):
             Query.evaluate_batch(clinic_log, ["GetRefer"], max_pairs=10)
+        for batch in (evaluate_batch, Query.evaluate_batch):
+            with pytest.raises(TypeError):
+                batch(clinic_log, ["GetRefer"], analyze=False)
 
     def test_profile_query_keywords_are_type_errors(self, clinic_log):
         with pytest.raises(TypeError):
@@ -131,12 +134,13 @@ class TestBatchOptions:
         with pytest.raises(ReproError, match="shared scan"):
             evaluate_batch(clinic_log, ["GetRefer"], EngineOptions(engine=engine))
 
-    def test_the_facade_forwards_options_and_analyze(self, clinic_log):
-        patterns = ["GetRefer ; CheckIn", "GetRefer -> CheckIn"]
+    def test_the_facade_forwards_options(self, clinic_log):
+        patterns = ["GetRefer ; CheckIn", "GetRefer -> CheckIn", "GetRefer ; CheckIn"]
         options = EngineOptions(optimize=False)
-        direct = evaluate_batch(clinic_log, patterns, options, analyze=False)
-        facade = Query.evaluate_batch(clinic_log, patterns, options, analyze=False)
-        assert facade.subsumed == direct.subsumed == 0
+        direct = evaluate_batch(clinic_log, patterns, options)
+        facade = Query.evaluate_batch(clinic_log, patterns, options)
+        assert facade.subsumed == direct.subsumed == 1
+        assert facade.stats == direct.stats
         assert [r.to_rows() for r in facade] == [r.to_rows() for r in direct]
 
 
