@@ -90,14 +90,12 @@ def test_exists_ablation(benchmark, strategy, outcome):
 @pytest.mark.parametrize("strategy", ["counting-dp", "materialise"])
 def test_count_ablation(benchmark, strategy):
     """Counting a quadratic-output ⊳ chain: the DP never touches pairs."""
-    from repro.core.eval.counting import count_incidents
-
     log = Log.from_traces([["A"] * 400 + ["B"] * 400])
     pattern = parse("A -> B")
     engine = VectorizedEngine()
     benchmark.group = "B3-counting"
     if strategy == "counting-dp":
-        run = lambda: count_incidents(log, pattern)  # noqa: E731
+        run = lambda: engine.count(log, pattern)  # noqa: E731
     else:
         run = lambda: len(engine.evaluate(log, pattern))  # noqa: E731
     assert benchmark(run) == 160_000

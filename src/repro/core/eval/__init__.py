@@ -22,11 +22,10 @@ differential-check them all against the Definition 4 oracle in
 """
 
 from repro.core.eval.base import Engine, EvaluationStats
-from repro.core.eval.counting import count_incidents, supports_counting
 from repro.core.eval.incremental import IncrementalEvaluator
 from repro.core.eval.naive import NaiveEngine
 from repro.core.eval.tree import IncidentTreeNode, build_incident_tree, render_tree
-from repro.core.eval.vectorized import VectorizedEngine
+from repro.core.eval.vectorized import VectorizedEngine, supports_counting
 
 __all__ = [
     "Engine",
@@ -34,7 +33,6 @@ __all__ = [
     "NaiveEngine",
     "VectorizedEngine",
     "IncrementalEvaluator",
-    "count_incidents",
     "supports_counting",
     "IncidentTreeNode",
     "build_incident_tree",

@@ -55,6 +55,11 @@ remembers its last window's result, so a recurring subpattern is joined
 once per window.  Leaves are not memoised; the activity index answers
 them as fast as a memo could.
 
+:meth:`VectorizedEngine.count` is the kernel's count pass: a ⊙/⊳ chain of
+leaves is counted by a suffix-sum DP over the leaves' positions in each
+window, read by the same leaf resolution the joins read (:func:`_leaf`),
+so the count never builds the incident set Lemma 1 and Theorem 1 size.
+
 Budgets are charged with the work the paper counts (Lemma 1's pairs), not
 per window or per node.  One evaluation keeps one work count,
 ``pairs_examined + operator_evals``, and consults the governor only when
@@ -67,7 +72,8 @@ count to the mark there, together with the join's output so far against
 ``max_incidents``; every node compares it again after its join.  So a
 ``max_pairs`` kill is exact to one slice, a deadline or cancel is seen
 about every millisecond of join work, and a run that completes is checked
-once more at its end.
+once more at its end.  The count pass adds its scanned leaf positions to
+the same count after each window.
 """
 
 from __future__ import annotations
@@ -76,9 +82,11 @@ import sys
 from bisect import bisect_right
 from collections.abc import Callable, Sequence, Set
 from functools import partial
+from itertools import accumulate
 from operator import itemgetter
 
 from repro.columnar.column_log import ColumnarLog, as_columnar
+from repro.core.algebra import flatten_chain
 from repro.core.eval.base import Engine, EvaluationStats, node_label
 from repro.core.incident import IncidentSet
 from repro.core.model import Log, LogRecord
@@ -92,7 +100,7 @@ from repro.core.pattern import (
     Sequential,
 )
 
-__all__ = ["VectorizedEngine"]
+__all__ = ["VectorizedEngine", "supports_counting"]
 
 #: Intermediate incident: ``(first, last, frozenset of is-lsn positions)``.
 #: Within one workflow instance is-lsn and lsn are in bijection, so the
@@ -115,6 +123,55 @@ _first_last = itemgetter(0, 1)
 def _sorted_by_first(incidents: list[_Span]) -> list[_Span]:
     incidents.sort(key=_first_last)
     return incidents
+
+
+def _leaf(
+    columnar: ColumnarLog, pattern: Atomic, *, spans: bool
+) -> Callable[[int, int, int], Sequence]:
+    """The window function ``f(wi, lo, hi)`` of one leaf, for the joins
+    and for :meth:`VectorizedEngine.count` alike.
+
+    With ``spans`` it gives the leaf's incidents ``(p, p, {p})`` in the
+    window, first-sorted (shared for a positive leaf: never mutate them);
+    without, the ascending is-lsn positions ``p`` of its records there.
+    A positive leaf reads the activity's cached leaf incidents
+    (:meth:`~repro.columnar.ColumnarLog.leaf_spans`), and a negated one the
+    ``act_id`` column: within the window the record at row ``r`` has
+    is-lsn ``r - lo + 1`` (rows are is-lsn ordered, per-instance is-lsn
+    consecutive from 1).  An attribute-guarded leaf (a subclass of
+    :class:`~repro.core.pattern.Atomic`) needs the attribute maps, so it
+    matches the window's record objects.
+    """
+    if type(pattern) is not Atomic:
+        all_rows = columnar._rows
+        matches = pattern.matches
+
+        def positions(wi: int, lo: int, hi: int) -> list[int]:
+            return [r.is_lsn for r in all_rows[lo:hi] if matches(r)]
+
+    else:
+        act_id = columnar.act_id_of(pattern.name)
+        if pattern.negated:
+            act_col = columnar._act_id
+
+            def positions(wi: int, lo: int, hi: int) -> list[int]:
+                base = 1 - lo
+                return [row + base for row in range(lo, hi) if act_col[row] != act_id]
+
+        elif act_id is None:
+            return lambda wi, lo, hi: ()
+        else:
+            by_window = columnar.leaf_spans(act_id)
+            if spans:
+                return lambda wi, lo, hi: by_window[wi]
+            return lambda wi, lo, hi: [span[0] for span in by_window[wi]]
+    if not spans:
+        return positions
+
+    def leaf_spans(wi: int, lo: int, hi: int) -> list[_Span]:
+        return [(p, p, frozenset((p,))) for p in positions(wi, lo, hi)]
+
+    return leaf_spans
 
 
 class _Meter:
@@ -279,23 +336,62 @@ class VectorizedEngine(Engine):
         self._finish(stats)
         return results, hits
 
-    def count(self, log: Log, pattern: Pattern) -> int:
-        """Number of incidents; uses the output-free counting DP
-        (:mod:`repro.core.eval.counting`) for ⊙/⊳ chains of leaves, where
-        the incident set may be quadratic or worse in the log size.  The
-        DP examines no pairs, so it leaves ``last_stats`` None."""
-        from repro.core.eval.counting import count_incidents, supports_counting
+    def count(self, log: "Log | ColumnarLog", pattern: Pattern) -> int:
+        """Number of incidents.  A ⊙/⊳ chain of leaves
+        (:func:`supports_counting`), whose incident set may be quadratic or
+        worse in the log size (Lemma 1, Theorem 1), is counted without
+        materialising it; any other pattern is the size of its set.
 
-        if supports_counting(pattern):
-            self.last_stats = None
-            return count_incidents(
-                log,
-                pattern,
-                tracer=self.tracer,
-                metrics=self.metrics,
-                governor=self.governor,
-            )
-        return len(self.evaluate(log, pattern))
+        For leaves ``a1 … ak`` with positions ``P1 … Pk`` in a window, each
+        tuple ``p1 < … < pk`` with ``pi ∈ Pi`` that satisfies every gap is
+        the sorted record set of exactly one incident, so the count sums,
+        right to left,
+
+            g_k(p) = 1                                 for p ∈ P_k
+            g_j(p) = Σ { g_{j+1}(q) : q ∈ P_{j+1}, gap_j(p, q) }
+
+        where each gap sum is a suffix (⊳), range (⊳[w]) or point (⊙, that
+        is ⊳[1]) lookup over prefix sums of ``g_{j+1}`` — no pair is
+        enumerated.  The positions are the leaves' own (:func:`_leaf`).
+
+        The scanned positions are the count's work: they are added to
+        ``pairs_examined`` and checked like a join's pairs, so a kill
+        carries them in its partial stats.  A count that completes examined
+        no pairs and leaves ``last_stats`` None; ``max_incidents`` does not
+        bound it, as it builds no set.
+        """
+        if not supports_counting(pattern):
+            return len(self.evaluate(log, pattern))
+        columnar = as_columnar(log)
+        items, gaps = flatten_chain(pattern)
+        leaves = [_leaf(columnar, item, spans=False) for item in items]
+        bounds = [1 if isinstance(gap, Consecutive) else getattr(gap, "bound", None) for gap in gaps]
+        stats = self._new_stats()
+        meter = _Meter(self, stats)
+        total = scanned = 0
+        with self.tracer.span("count", key=(), pattern=str(pattern)) as span:
+            due = meter.check()
+            for wi, (_, lo, hi) in enumerate(columnar.wid_windows()):
+                per_leaf = []
+                for leaf in leaves:
+                    found = leaf(wi, lo, hi)
+                    if not found:
+                        break
+                    scanned += len(found)
+                    per_leaf.append(found)
+                else:
+                    total += _count_window(per_leaf, bounds)
+                if scanned >= due:
+                    stats.pairs_examined = scanned
+                    due = meter.check()
+            stats.pairs_examined = scanned
+            self._checkpoint(stats)
+            span.add(instances=len(columnar.wids), chain_length=len(items), incidents=total)
+        self.last_stats = None
+        if self.metrics is not None:
+            self.metrics.counter("engine.counting_evals").inc()
+            self.metrics.counter("engine.counted_incidents").inc(total)
+        return total
 
     def exists(self, log: "Log | ColumnarLog", pattern: Pattern) -> bool:
         """Short-circuit existence check.
@@ -420,13 +516,13 @@ class VectorizedEngine(Engine):
     def _compile_atomic(
         self, columnar: ColumnarLog, pattern: Atomic, stats: EvaluationStats
     ) -> _Node:
-        """Window evaluator of one leaf.  Within the window the record at
-        row ``r`` has is-lsn ``r - lo + 1`` (rows are is-lsn ordered,
-        per-instance is-lsn consecutive from 1), so positions come from
-        row arithmetic — no column reads."""
+        """Window evaluator of one leaf: its incidents (:func:`_leaf`),
+        held to ``max_incidents`` and counted."""
+        leaf = _leaf(columnar, pattern, spans=True)
         max_incidents = self.max_incidents
 
-        def epilogue(result: list[_Span]) -> list[_Span]:
+        def leaf_node(wi: int, lo: int, hi: int) -> Sequence[_Span]:
+            result = leaf(wi, lo, hi)
             n = len(result)
             if max_incidents is not None and n > max_incidents:
                 self._check_budget(n)
@@ -435,47 +531,7 @@ class VectorizedEngine(Engine):
             stats.incidents_produced += n
             return result
 
-        if type(pattern) is not Atomic:
-            # attribute-guarded leaf subclass: needs the attribute maps, so
-            # match the window's record objects (is-lsn order = first-sorted)
-            all_rows = columnar._rows
-            matches = pattern.matches
-
-            def guarded_leaf(wi: int, lo: int, hi: int) -> list[_Span]:
-                return epilogue(
-                    [
-                        (r.is_lsn, r.is_lsn, frozenset((r.is_lsn,)))
-                        for r in all_rows[lo:hi]
-                        if matches(r)
-                    ]
-                )
-
-            return guarded_leaf
-        act_id = columnar.act_id_of(pattern.name)
-        if pattern.negated:
-            act_col = columnar._act_id
-
-            def negated_leaf(wi: int, lo: int, hi: int) -> list[_Span]:
-                base = 1 - lo
-                return epilogue(
-                    [
-                        (row + base, row + base, frozenset((row + base,)))
-                        for row in range(lo, hi)
-                        if act_col[row] != act_id
-                    ]
-                )
-
-            return negated_leaf
-        if act_id is None:
-            # absent activity: the empty result leaves every counter
-            # unchanged, so no epilogue is needed
-            return lambda wi, lo, hi: []
-        spans_by_window = columnar.leaf_spans(act_id)
-
-        def positive_leaf(wi: int, lo: int, hi: int) -> list[_Span]:
-            return epilogue(spans_by_window[wi])
-
-        return positive_leaf
+        return leaf_node
 
     # -- compile-time hooks ----------------------------------------------------
 
@@ -628,6 +684,39 @@ class VectorizedEngine(Engine):
         merged = list(left)
         merged.extend(o for o in right if o[2] not in seen)
         return _sorted_by_first(merged)
+
+
+# ---------------------------------------------------------------------------
+# Output-free counting of ⊙/⊳ chains of leaves.
+# ---------------------------------------------------------------------------
+
+def supports_counting(pattern: Pattern) -> bool:
+    """Whether :meth:`VectorizedEngine.count` counts ``pattern`` without
+    materialising it: a chain of *leaves* joined by ⊙ / ⊳ / windowed ⊳
+    (no ⊗ — branches can overlap, making the count non-additive — and no
+    ⊕)."""
+    items, _ = flatten_chain(pattern)
+    return all(isinstance(item, Atomic) for item in items)
+
+
+def _count_window(positions: list[Sequence[int]], bounds: list[int | None]) -> int:
+    """The chain's incidents in one window: ``positions[j]`` are leaf
+    ``j``'s ascending positions, and leaf ``j + 1``'s position lies after
+    leaf ``j``'s by at most ``bounds[j]`` (None: by any amount)."""
+    later = positions[-1]
+    weights = [1] * len(later)
+    for here, bound in zip(positions[-2::-1], reversed(bounds)):
+        prefix = [0, *accumulate(weights)]
+        if bound is None:
+            last = prefix[-1]
+            weights = [last - prefix[bisect_right(later, p)] for p in here]
+        else:
+            weights = [
+                prefix[bisect_right(later, p + bound)] - prefix[bisect_right(later, p)]
+                for p in here
+            ]
+        later = here
+    return sum(weights)
 
 
 # ---------------------------------------------------------------------------

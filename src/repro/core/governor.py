@@ -149,8 +149,7 @@ class ResourceGovernor:
     deadline_ms:
         The original relative budget, kept for error messages only.
     max_pairs:
-        Cap on ``EvaluationStats.pairs_examined`` (plus any abstract
-        work units charged via :meth:`charge`), or None.
+        Cap on ``EvaluationStats.pairs_examined``, or None.
     cancel:
         Optional shared :class:`CancelToken`; when set, the next
         checkpoint raises :class:`~repro.core.errors.QueryCancelled`.
@@ -173,21 +172,11 @@ class ResourceGovernor:
         self.cancel = cancel
         self._clock = clock
         self._started = clock()
-        self._charged = 0
         #: live progress, refreshed at every checkpoint — the inflight
         #: introspection surface (``/v1/admin/inflight``) reads these
         #: without any locking (single int/float writes are atomic).
         self.checkpoints = 0
         self.pairs_seen = 0
-
-    def charge(self, units: int) -> None:
-        """Charge abstract work units against the ``max_pairs`` budget.
-
-        Used by code paths with no pairwise statistics (the counting DP
-        scans positions, never pairs); the units count toward the same
-        budget so ``max_pairs`` bounds *work*, not just materialisation.
-        """
-        self._charged += units
 
     def check(self, stats: "EvaluationStats | None" = None) -> None:
         """One cooperative checkpoint; raises a typed governor error.
@@ -198,7 +187,7 @@ class ResourceGovernor:
         """
         self.checkpoints += 1
         if stats is not None:
-            self.pairs_seen = self._charged + stats.pairs_examined
+            self.pairs_seen = stats.pairs_examined
         if self.cancel is not None and self.cancel.is_set():
             reason = self.cancel.reason or "the cancel token was set"
             raise QueryCancelled(
@@ -206,7 +195,7 @@ class ResourceGovernor:
                 partial_stats=_detach(stats),
             )
         if self.max_pairs is not None:
-            examined = self._charged + (0 if stats is None else stats.pairs_examined)
+            examined = 0 if stats is None else stats.pairs_examined
             if examined > self.max_pairs:
                 raise QueryBudgetExceeded(
                     f"query exceeded max_pairs={self.max_pairs} "
@@ -243,7 +232,7 @@ class ResourceGovernor:
         work = stats.pairs_examined + stats.operator_evals
         due = work + CHECK_STRIDE
         if self.max_pairs is not None:
-            left = self.max_pairs - self._charged - stats.pairs_examined
+            left = self.max_pairs - stats.pairs_examined
             due = min(due, work + left + 1)
         return due
 

@@ -322,14 +322,18 @@ def parse_with_spans(text: str) -> ParseResult:
     """Like :func:`parse`, but also records each AST node's source span.
 
     Every node of the returned pattern — atoms and operators alike — maps
-    to the ``[start, end)`` range of query text it was built from (operator
-    nodes span their whole subexpression, excluding enclosing parentheses).
+    to the ``[start, end)`` range of query text it was built from.  An
+    operator node spans its whole subexpression, with the grouping
+    parentheses of its operands but without its own: in ``(A -> B) | C``
+    the choice spans the whole text and the ``->`` node ``A -> B``.
     """
     tokens = list(tokenize(text))
     if not tokens:
         raise PatternSyntaxError("empty pattern expression", text=text)
 
     spans: dict[int, SourceSpan] = {}
+    # a parenthesised node's span with its parentheses, as an operand sees it
+    grouped: dict[int, SourceSpan] = {}
     output: list[Pattern] = []
     # operator stack holds ("op", factory, precedence, position) or
     # ("lparen", None, 0, position)
@@ -348,7 +352,8 @@ def parse_with_spans(text: str) -> ParseResult:
         right = output.pop()
         left = output.pop()
         node = factory(left, right)  # type: ignore[operator]
-        left_span, right_span = spans.get(id(left)), spans.get(id(right))
+        left_span = grouped.get(id(left), spans.get(id(left)))
+        right_span = grouped.get(id(right), spans.get(id(right)))
         if left_span is not None and right_span is not None:
             spans[id(node)] = SourceSpan(left_span.start, right_span.end)
         output.append(node)
@@ -387,7 +392,8 @@ def parse_with_spans(text: str) -> ParseResult:
                 raise PatternSyntaxError(
                     "unmatched ')'", text=text, position=token.position
                 )
-            stack.pop()  # the lparen
+            opened = stack.pop()[3]  # the lparen
+            grouped[id(output[-1])] = SourceSpan(opened, token.end)
             expect_operand = False
         else:  # operator
             if expect_operand:

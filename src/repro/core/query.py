@@ -24,10 +24,9 @@ from typing import TYPE_CHECKING, Any
 
 from repro.core.errors import QueryGovernorError, ReproError
 from repro.core.eval.base import Engine
-from repro.core.eval.counting import supports_counting
 from repro.core.eval.naive import NaiveEngine
 from repro.core.eval.tree import render_tree
-from repro.core.eval.vectorized import VectorizedEngine
+from repro.core.eval.vectorized import VectorizedEngine, supports_counting
 from repro.core.governor import begin_run
 from repro.core.incident import IncidentSet
 from repro.core.model import Log

@@ -39,12 +39,13 @@ from __future__ import annotations
 from dataclasses import dataclass
 from typing import Any
 
+from repro.core.algebra import canonicalize
 from repro.core.errors import ReproError
 from repro.core.eval.base import EvaluationStats
 from repro.core.eval.vectorized import VectorizedEngine
 from repro.core.incident import IncidentSet
 from repro.core.model import Log
-from repro.core.optimizer.rules import identity, normalize
+from repro.core.optimizer.rules import normalize
 from repro.core.options import EngineOptions
 from repro.core.parser import parse
 from repro.core.pattern import Pattern
@@ -138,10 +139,9 @@ def evaluate_batch(
     for pattern in patterns:
         if isinstance(pattern, str):
             pattern = parse(pattern)
-        identities.append(identity(pattern))
-        if opts.optimize:
-            pattern, _ = normalize(pattern)
-        resolved.append(pattern)
+        normal, _ = normalize(pattern)  # once, for its identity and its plan
+        identities.append(canonicalize(normal))
+        resolved.append(normal if opts.optimize else pattern)
     if not resolved:
         raise ValueError("evaluate_batch needs at least one pattern")
     n = len(resolved)

@@ -1,10 +1,11 @@
 """The per-query resource governor (repro.core.governor).
 
 Covers context minting (absolute deadlines, validation, picklability),
-the governor's check/charge semantics and error precedence, the typed
+the governor's check semantics and error precedence, the typed
 error hierarchy's pickle round-trip (workers raise these across process
 pools), and the cooperative checkpoints in all four evaluation paths:
-naive, indexed, the counting DP, and the incremental evaluator.
+naive, the join kernel, the kernel's count pass, and the incremental
+evaluator.
 """
 
 import pickle
@@ -23,6 +24,7 @@ from repro.core.eval.incremental import IncrementalEvaluator
 from repro.core.eval.vectorized import VectorizedEngine
 from repro.core.eval.naive import NaiveEngine
 from repro.core.governor import CancelToken, QueryContext, ResourceGovernor, begin_run
+from repro.core.model import Log
 from repro.core.options import EngineOptions
 from repro.core.parser import parse
 from repro.core.query import Query
@@ -120,13 +122,15 @@ class TestResourceGovernor:
         assert info.value.partial_stats.pairs_examined == 11
         assert info.value.partial_stats is not stats  # detached snapshot
 
-    def test_charged_units_count_toward_the_pairs_budget(self):
-        governor = ResourceGovernor(max_pairs=10)
-        governor.charge(8)
-        governor.check(_stats(2))
+    def test_scanned_positions_count_toward_the_pairs_budget(self):
+        # a count examines no pairs: its scanned leaf positions are its
+        # work, checked after each window (here one of 3 x 300 positions)
+        engine = VectorizedEngine(governor=ResourceGovernor(max_pairs=100))
         with pytest.raises(QueryBudgetExceeded) as info:
-            governor.check(_stats(3))
-        assert info.value.examined == 11
+            engine.count(Log.from_traces([["A"] * 300]), parse("A -> A -> A"))
+        assert info.value.examined == 900
+        assert info.value.partial_stats.pairs_examined == 900
+        assert "(examined 900)" in str(info.value)
 
     def test_deadline_trips_with_injected_clock(self):
         now = [100.0]
@@ -198,10 +202,25 @@ class TestEngineCheckpoints:
         with pytest.raises(QueryTimeout):
             engine.evaluate(clinic_log, parse("GetRefer -> CheckIn"))
 
-    def test_counting_dp_charges_abstract_units(self, clinic_log):
-        engine = VectorizedEngine(governor=ResourceGovernor(max_pairs=3))
-        with pytest.raises(QueryBudgetExceeded):
+    @pytest.mark.parametrize("kill", ["max_pairs", "deadline", "cancel"])
+    def test_a_killed_count_carries_partial_stats(self, clinic_log, kill):
+        cancel = CancelToken()
+        cancel.set()
+        governor, error = {
+            "max_pairs": (ResourceGovernor(max_pairs=3), QueryBudgetExceeded),
+            "deadline": (ResourceGovernor(deadline_unix=0.0), QueryTimeout),
+            "cancel": (ResourceGovernor(cancel=cancel), QueryCancelled),
+        }[kill]
+        engine = VectorizedEngine(governor=governor)
+        with pytest.raises(error) as info:
             engine.count(clinic_log, parse("GetRefer -> CheckIn"))
+        assert info.value.partial_stats is not None
+        assert info.value.partial_stats.operator_evals == 0
+
+    def test_a_completed_governed_count_leaves_no_stats(self, clinic_log):
+        engine = VectorizedEngine(governor=ResourceGovernor(max_pairs=10**9))
+        assert engine.count(clinic_log, parse("GetRefer -> CheckIn")) > 0
+        assert engine.last_stats is None
 
     def test_incremental_evaluator_checkpoints(self, clinic_log):
         evaluator = IncrementalEvaluator(

@@ -75,8 +75,13 @@ class TestSpans:
         result = parse_with_spans("(A ; B) | C")
         inner = result.pattern.left
         assert covered(result.span(inner), result.text) == "A ; B"
-        # the root still stretches from the first to the last operand
-        assert result.span(result.pattern) == SourceSpan(1, 11)
+        # a composite takes in its operands' grouping parentheses
+        assert result.span(result.pattern) == SourceSpan(0, 11)
+        result = parse_with_spans("(B -> A) | (A -> B)")
+        assert result.span(result.pattern) == SourceSpan(0, 19)
+        assert covered(result.span(result.pattern.right), result.text) == "A -> B"
+        result = parse_with_spans("(A -> B)")
+        assert result.span(result.pattern) == SourceSpan(1, 7)
 
     def test_quoted_and_negated_atom_spans(self):
         result = parse_with_spans('"Check In" -> !B')
@@ -308,6 +313,9 @@ class TestPlannedSubsumption:
         assert sorted(found) == [1]
         assert found[1].severity == Severity.INFO
         assert found[1].span == SourceSpan(0, 5)
+        # the caret starts at the query's first parenthesis
+        found = qw501(["(A -> B) | (B -> A)", "(B -> A) | (A -> B)"])
+        assert found[1].span == SourceSpan(0, 19)
 
     def test_qw501_silent_for_a_strictly_contained_sibling(self):
         # the batch scans both: a strict containment earns no skip

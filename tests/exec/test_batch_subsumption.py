@@ -238,3 +238,24 @@ def test_seeded_sweep_matches_independent_evaluation(ab_log):
         assert planned.stats == leaders.stats
         aliased += bool(repeats)
     assert aliased  # the sweep does exercise the alias path
+
+
+@pytest.mark.parametrize("cache, per_pattern", [(False, 1), (True, 2)])
+def test_a_batch_normalizes_each_pattern_once_for_itself(ab_log, monkeypatch, cache, per_pattern):
+    """One ``normalize`` gives a position both its identity and its
+    optimized form; the result cache's key is the only other call."""
+    import repro.core.optimizer.rules as rules
+    import repro.exec.batch as batch_module
+
+    calls = []
+    real = rules.normalize
+
+    def spy(pattern):
+        calls.append(pattern)
+        return real(pattern)
+
+    monkeypatch.setattr(rules, "normalize", spy)
+    monkeypatch.setattr(batch_module, "normalize", spy)
+    options = EngineOptions(cache=QueryCache() if cache else False)
+    evaluate_batch(ab_log, CHAINED, options)
+    assert len(calls) == per_pattern * len(CHAINED)

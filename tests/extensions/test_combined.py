@@ -4,9 +4,8 @@
 import pytest
 
 from repro.core.eval.incremental import IncrementalEvaluator
-from repro.core.eval.vectorized import VectorizedEngine
+from repro.core.eval.vectorized import VectorizedEngine, supports_counting
 from repro.core.eval.naive import NaiveEngine
-from repro.core.eval.counting import count_incidents, supports_counting
 from repro.core.incident import reference_incidents
 from repro.core.model import Log, LogRecord, START
 from repro.core.optimizer import Optimizer
@@ -50,7 +49,7 @@ def test_all_evaluation_paths_agree(text):
     streaming.extend(log)
     assert streaming.incidents() == expected, "incremental"
     if supports_counting(pattern):
-        assert count_incidents(log, pattern) == len(expected), "counting"
+        assert VectorizedEngine().count(log, pattern) == len(expected), "counting"
     plan = Optimizer.for_log(log).optimize(pattern)
     assert reference_incidents(log, plan.optimized) == expected, "optimizer"
 

@@ -14,6 +14,7 @@ import json
 import logging
 import time
 
+from repro.core.model import Log
 from repro.obs.journal import validate_journal
 from repro.obs.live import WindowedAggregator
 from repro.service import ServiceConfig
@@ -148,3 +149,20 @@ def test_a_killed_batch_journals_the_pairs_it_was_killed_at(make_service):
     assert killed["event"] == "killed" and killed["reason"] == "QueryBudgetExceeded"
     assert killed["pairs"] == 201
     assert "(examined 201)" in killed["message"]
+
+
+def test_a_killed_count_is_journaled_killed_with_its_positions(make_service):
+    """A count's scanned positions are its pairs: a ``max_pairs`` kill of
+    one answers 422 with them as ``partial_stats`` and is one kill in the
+    journal and in the live hub."""
+    service = make_service(journal=True, extra_logs={"hot": Log.from_traces([["A"] * 300])})
+    body = {"log": "hot", "pattern": "A -> A -> A", "mode": "count", "options": {"max_pairs": 100}}
+    response = post(service, "/v1/query", body)
+    assert response.status == 422
+    error = json.loads(response.body())["error"]
+    assert error["partial_stats"]["pairs_examined"] == 900
+    killed = service.journal.events[-1]
+    assert killed["event"] == "killed" and killed["reason"] == "QueryBudgetExceeded"
+    assert killed["pairs"] == 900
+    assert "(examined 900)" in killed["message"]
+    assert service.live.window(300.0, now=time.time()).report()["killed"] == 1

@@ -200,8 +200,6 @@ def chain_patterns(draw):
 @settings(max_examples=60, deadline=None)
 @given(logs(), chain_patterns())
 def test_counting_dp_matches_materialisation(log, pattern):
-    from repro.core.eval.counting import count_incidents
-
-    assert count_incidents(log, pattern) == len(
+    assert VectorizedEngine().count(log, pattern) == len(
         reference_incidents(log, pattern)
     )
