@@ -16,7 +16,8 @@ offsets and an activity index:
   is-lsn is ``row - starts[i] + 1`` — no column holds either;
 * the activity index — ascending row numbers per ``act_id``, which
   clipped to a window (:meth:`ColumnarLog.act_rows`) answer Algorithm 2's
-  per-(instance, activity) lookup.
+  per-(instance, activity) lookup, and which :meth:`ColumnarLog.leaves`
+  turns once into the join kernel's whole-log leaf list of the activity.
 
 A :class:`Log` builds its view when it is made and answers ``wids``,
 ``instance`` and ``is_complete`` off it; the view
@@ -55,7 +56,8 @@ class ColumnarLog:
         "_act_names",
         "_act_index",
         "_act_rows",
-        "_leaf_spans",
+        "_leaves",
+        "_leaf_bases",
     )
 
     def __init__(self, *args, **kwargs):
@@ -97,7 +99,8 @@ class ColumnarLog:
         new._act_names = act_names
         new._act_index = act_index
         new._act_rows = act_rows
-        new._leaf_spans = {}
+        new._leaves = {}
+        new._leaf_bases = {}
         return new
 
     def extended(self, log: Log, tail: Sequence[LogRecord]) -> "ColumnarLog":
@@ -111,8 +114,12 @@ class ColumnarLog:
         up by what went in before them, so an append to the newest
         instances costs the batch and one to an old instance a renumbering
         at ``map`` speed.  The row-number arrays of activities with no row
-        behind the first splice, and the cached ``leaf_spans`` lists of
-        every untouched window, are shared with this view.
+        behind the first splice are shared with this view.  A leaf list
+        this view has built (:meth:`leaves`) is the base of the new view's:
+        its incidents up to the first touched window are kept, by
+        reference, the first time the new view is asked for it, and the
+        rest is built from the new rows then — no leaf list is copied per
+        epoch.
 
         A tail that re-interns a dictionary, an activity name this view
         has not seen or a new wid below the highest, changes the ids in
@@ -196,20 +203,18 @@ class ColumnarLog:
 
         new._act_rows = tuple(renumbered(aid, rows) for aid, rows in enumerate(self._act_rows))
 
-        new._leaf_spans = {}
-        for aid, by_window in list(self._leaf_spans.items()):  # queries add to it
-            by_window = list(by_window)
-            for i, _, recs in splices:
-                added = [
-                    (r.is_lsn, r.is_lsn, frozenset((r.is_lsn,)))
-                    for r in recs
-                    if act_index[r.activity] == aid
-                ]
-                if i == len(by_window):
-                    by_window.append(added)
-                elif added:
-                    by_window[i] = by_window[i] + added
-            new._leaf_spans[aid] = by_window
+        # a leaf list is unchanged up to the first touched window (masks
+        # are window-relative and rows move only behind it): the next
+        # leaves() of the activity keeps that part and builds the rest
+        redo = self._starts[splices[0][0]] if splices else len(self._rows)
+        new._leaves = {}
+        new._leaf_bases = {
+            aid: (spans, counts, min(keep, bisect_left(self._act_rows[aid], redo)))
+            for aid, (spans, counts, keep) in [
+                *self._leaf_bases.items(),  # queries change both: copy them first
+                *((aid, (*leaves, len(leaves[0]))) for aid, leaves in list(self._leaves.items())),
+            ]
+        }
         return new
 
     # -- instances and rows ----------------------------------------------------
@@ -275,39 +280,52 @@ class ColumnarLog:
             raise KeyError(wid_value)
         return i, self._starts[i], self._starts[i + 1]
 
-    def act_rows(self, act_id: int, lo: int = 0, hi: int | None = None) -> array:
-        """Ascending row numbers of records with activity ``act_id``,
-        optionally clipped to the window ``[lo, hi)`` — one activity's
-        records of one instance when clipped to its window."""
-        rows = self._act_rows[act_id]
-        if lo == 0 and (hi is None or hi >= len(self._rows)):
-            return rows
-        left = bisect_left(rows, lo)
-        right = bisect_right(rows, hi - 1, left) if hi is not None else len(rows)
-        return rows[left:right]
+    def act_rows(self, act_id: int) -> array:
+        """Ascending row numbers of records with activity ``act_id`` (one
+        activity's records of one instance when clipped to its window)."""
+        return self._act_rows[act_id]
 
-    def leaf_spans(self, act_id: int) -> list[list[tuple]]:
-        """Per-instance-window leaf incidents of one activity, as the
-        vectorized engine's ``(first, last, positions)`` tuples, indexed
-        by window number (the position of the wid in :attr:`wids`).
+    def leaves(self, act_id: int) -> tuple[list[tuple[int, int, int]], array]:
+        """The join kernel's leaf incidents of one activity over the whole
+        log, and how many fall in each window.
 
-        These are invariant for a given columnar log, so they are built
-        once per activity and cached — positive leaves become lookups.
-        The cached lists are shared: callers must treat them as
-        immutable.
+        The incidents are ``(row, row, mask)`` in row order, ``mask`` an
+        int with the bit ``row - lo`` of the row's window ``[lo, hi)``
+        set; the counts are indexed by window number (the position of
+        the wid in :attr:`wids`).  Both are built once per activity and
+        cached (positive leaves become lookups); they are shared, so
+        callers must treat them as immutable.
         """
-        spans = self._leaf_spans.get(act_id)
-        if spans is None:
-            spans = [[] for _ in self._wid_values]
-            starts = self._starts
-            wi = 0
-            for row in self._act_rows[act_id]:
-                while row >= starts[wi + 1]:
-                    wi += 1
-                p = row - starts[wi] + 1
-                spans[wi].append((p, p, frozenset((p,))))
-            self._leaf_spans[act_id] = spans
-        return spans
+        leaves = self._leaves.get(act_id)
+        if leaves is None:
+            windows = len(self._wid_values)
+            spans, counts, keep = self._leaf_bases.get(act_id, ([], array("q"), 0))
+            spans = spans[:keep]
+            counts = counts + array("q", bytes(8 * (windows - len(counts))))
+            spans += _leaf_list(self._act_rows[act_id][keep:], self._starts, counts)
+            leaves = self._leaves[act_id] = (spans, counts)
+            self._leaf_bases.pop(act_id, None)
+        return leaves
+
+
+def _leaf_list(rows: Sequence[int], starts: Sequence[int], counts: array | dict[int, int]) -> list:
+    """``(row, row, 1 << (row - lo))`` for each of the ascending ``rows``,
+    ``lo`` the first row of its window; writes the number of rows in each
+    window met into ``counts``, by window number."""
+    spans: list[tuple[int, int, int]] = []
+    wi = -1
+    lo = hi = mark = 0
+    for row in rows:
+        if row >= hi:
+            if wi >= 0:
+                counts[wi] = len(spans) - mark
+            mark = len(spans)
+            wi = bisect_right(starts, row, wi + 1) - 1
+            lo, hi = starts[wi], starts[wi + 1]
+        spans.append((row, row, 1 << (row - lo)))
+    if wi >= 0:
+        counts[wi] = len(spans) - mark
+    return spans
 
 
 _lsn_of = attrgetter("lsn")

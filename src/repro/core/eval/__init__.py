@@ -7,12 +7,10 @@ Two in-process engines share one semantics (Definition 4):
   post-order incident-tree traversal, per-wid record index); the
   reference and test oracle.
 * :class:`~repro.core.eval.vectorized.VectorizedEngine` — the one
-  production join kernel: sorted incident lists, binary-search joins for
-  the sequential operator and hash joins for the consecutive operator,
-  evaluated set-at-a-time over the columnar log core
-  (:mod:`repro.columnar`) with position-tuple intermediates.  Tracing
-  and in-run subpattern sharing are compile-time hooks on its closure
-  tree.
+  production join kernel: first-sorted incident lists and binary-search
+  joins, each pattern node run once over the whole columnar log
+  (:mod:`repro.columnar`), with member-bitmask intermediates; a batch
+  runs its shared subpatterns once.
 
 Both satisfy the :class:`~repro.core.eval.base.Engine` interface, as
 do the comparators of :mod:`repro.baselines` (the paper's SQL route,

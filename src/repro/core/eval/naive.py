@@ -18,6 +18,7 @@ for differential testing against the optimized engine.
 
 from __future__ import annotations
 
+from bisect import bisect_left
 from collections.abc import Callable, Sequence
 
 from repro.columnar.column_log import ColumnarLog, as_columnar
@@ -149,10 +150,15 @@ class NaiveEngine(Engine):
         columnar = as_columnar(log)
         stats = self._new_stats()
         incidents: list[Incident] = []
+        # each leaf activity's rows, as a list taken once per evaluation:
+        # bisecting the index's array goes through the sequence protocol
+        act_rows: dict[int, list[int]] = {}
         with self.tracer.span("evaluate", key=(), engine=self.name, pattern=str(pattern)):
             for _, lo, hi in columnar.wid_windows():
                 self._checkpoint(stats)
-                incidents.extend(self._eval_node(columnar, lo, hi, pattern, stats, "root"))
+                incidents.extend(
+                    self._eval_node(columnar, act_rows, lo, hi, pattern, stats, "root")
+                )
             self._check_budget(len(incidents))
             stats.note_live(len(incidents))
             stats.incidents_produced += len(incidents)
@@ -162,6 +168,7 @@ class NaiveEngine(Engine):
     def _eval_node(
         self,
         columnar: ColumnarLog,
+        act_rows: dict[int, list[int]],
         lo: int,
         hi: int,
         pattern: Pattern,
@@ -179,12 +186,16 @@ class NaiveEngine(Engine):
                 else:
                     # per-activity index lookup, clipped to the instance's
                     # rows ("constant time" per Section 3.2)
-                    candidates = map(rows.__getitem__, columnar.act_rows(act_id, lo, hi))
+                    index = act_rows.get(act_id) or act_rows.setdefault(
+                        act_id, columnar.act_rows(act_id).tolist()
+                    )
+                    start = bisect_left(index, lo)
+                    candidates = map(rows.__getitem__, index[start : bisect_left(index, hi, start)])
                 result = [Incident([r]) for r in candidates if pattern.matches(r)]
             else:
                 assert isinstance(pattern, BinaryPattern)
-                left = self._eval_node(columnar, lo, hi, pattern.left, stats, 0)
-                right = self._eval_node(columnar, lo, hi, pattern.right, stats, 1)
+                left = self._eval_node(columnar, act_rows, lo, hi, pattern.left, stats, 0)
+                right = self._eval_node(columnar, act_rows, lo, hi, pattern.right, stats, 1)
                 stats.note_operator(pattern.symbol)
                 pairs_before = stats.pairs_examined
                 if isinstance(pattern, Consecutive):

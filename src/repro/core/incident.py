@@ -25,7 +25,8 @@ import json
 from bisect import bisect_left
 from collections.abc import Iterable, Iterator, Sequence, Set
 from functools import total_ordering
-from operator import itemgetter
+from itertools import groupby
+from operator import attrgetter, itemgetter
 from typing import TYPE_CHECKING
 
 from repro.core.model import Log, LogRecord
@@ -170,17 +171,40 @@ class Incident:
 #: row and one ascending is-lsn tuple per incident.
 CanonicalSpans = tuple[tuple[int, int, tuple[tuple[int, ...], ...]], ...]
 
+_first = itemgetter(0)
+_third = itemgetter(2)
+_wid_of = attrgetter("wid")
 
-def _canonical(spans: Sequence[tuple]) -> tuple[tuple[int, ...], ...]:
-    """One instance's kernel spans as ascending position tuples, in
-    canonical order."""
+
+def _positions(mask: int) -> tuple[int, ...]:
+    """The ascending is-lsn positions of a kernel member mask (bit
+    ``p - 1`` for position ``p``)."""
+    out = []
+    while mask:
+        low = mask & -mask
+        out.append(low.bit_length())
+        mask ^= low
+    return tuple(out)
+
+
+def _canonical(spans: Sequence[tuple], rows: Sequence[LogRecord]) -> CanonicalSpans:
+    """The kernel's spans — ``(first_row, last_row, mask)`` over the
+    columnar ``rows`` — per instance, each instance's position tuples in
+    canonical order.
+
+    Instances are contiguous row ranges, so one sort of the whole list by
+    ``(first_row, last_row, positions)`` orders every instance at once,
+    and an incident's first row less its first position is the row before
+    its instance's.  Masks recur from instance to instance, so each is
+    decoded once."""
+    decoded: dict[int, tuple[int, ...]] = {}
+    ordered = sorted(
+        (first, last, decoded.get(mask) or decoded.setdefault(mask, _positions(mask)))
+        for first, last, mask in spans
+    )
     return tuple(
-        [
-            positions
-            for _, _, positions in sorted(
-                [(first, last, tuple(sorted(p))) for first, last, p in spans]
-            )
-        ]
+        (rows[base + 1].wid, base + 1, tuple(map(_third, found)))
+        for base, found in groupby(ordered, lambda span: span[0] - span[2][0])
     )
 
 
@@ -195,7 +219,7 @@ class IncidentSet:
     element for element.
 
     A set is built either from :class:`Incident` objects (this
-    constructor) or by the join kernel from its position tuples
+    constructor) or by the join kernel from its spans
     (:meth:`from_spans`).  The second kind is a lazy view over the log's
     columns: ``len``, ``bool``, :meth:`wids` and :meth:`to_rows` read the
     spans, and the ``Incident`` objects are built once, the first time
@@ -210,34 +234,30 @@ class IncidentSet:
         self._keys = self._columns = self._raw = self._spans = None
 
     @classmethod
-    def from_spans(
-        cls,
-        columnar: "ColumnarLog",
-        windows: Sequence[tuple[int, int, Sequence[tuple]]],
-    ) -> "IncidentSet":
+    def from_spans(cls, columnar: "ColumnarLog", spans: Sequence[tuple]) -> "IncidentSet":
         """The set the join kernel found in ``columnar``, as a view over
         its spans.
 
-        ``windows`` holds, in wid order, one ``(wid, lo, spans)`` per
-        instance with a match: the instance's first row and its
-        ``(first, last, positions)`` tuples, unique and sorted by
-        ``(first, last)``.  The record at position ``p`` of that instance
-        is row ``lo + p - 1``.  The span lists may be shared with other
-        results; they are read, never changed.
+        ``spans`` holds the kernel's incidents ``(first_row, last_row,
+        mask)``, unique and sorted by first row: the rows of an
+        incident's first and last member and an int with bit ``row -
+        lo`` set for each member row of its instance's window ``[lo,
+        hi)``.  The list may be shared with other results; it is read,
+        never changed.
 
         The set keeps the row tuple and the two columns :meth:`to_rows`
         reads, not ``columnar`` itself, so a cached result does not keep a
         superseded snapshot and its indexes alive.
         """
-        return cls._over(columnar, windows, None)
+        return cls._over(columnar, spans, None)
 
     @classmethod
     def _over(cls, columnar: "ColumnarLog", raw, spans) -> "IncidentSet":
-        """A view over ``columnar`` of the kernel's lists ``raw`` or of
+        """A view over ``columnar`` of the kernel's list ``raw`` or of
         canonical ``spans`` (one is None)."""
         self = cls.__new__(cls)
         self._incidents = self._keys = None
-        self._size = sum(len(found) for _, _, found in (raw if spans is None else spans))
+        self._size = len(raw) if spans is None else sum(len(found) for _, _, found in spans)
         self._columns = (columnar.rows, columnar.lsn_col, columnar.act_id_col, columnar.act_names)
         self._raw, self._spans = raw, spans
         return self
@@ -247,14 +267,15 @@ class IncidentSet:
         built from objects.  Computed once and kept in place of the
         kernel's lists.
 
-        The kernel's order is ``(first, last)``.  The canonical tie-break,
-        the sorted lsn tuple, orders like the sorted position tuple,
+        Each instance's incidents sort by ``(first, last)`` and then by
+        the sorted lsn tuple, which orders like the sorted position tuple
         because lsn rises with is-lsn inside an instance (Definition 2,
-        condition 3) — so no record is read and no object compared.
+        condition 3) — so no record but each instance's first is read and
+        no object compared.
         """
         raw = self._raw  # before _spans: it is dropped only once _spans is set
         if self._spans is None and raw is not None:
-            self._spans = tuple((wid, lo, _canonical(spans)) for wid, lo, spans in raw)
+            self._spans = _canonical(raw, self._columns[0])
             self._raw = None
         return self._spans
 
@@ -262,13 +283,13 @@ class IncidentSet:
         self,
         columnar: "ColumnarLog",
         touched: Set[int],
-        windows: Sequence[tuple[int, int, Sequence[tuple]]],
+        found: Sequence[tuple],
     ) -> "IncidentSet":
         """This kernel result at a later epoch of its store, whose
         snapshot is ``columnar``: the instances in ``touched`` (every one
-        that got a record since) take the spans in ``windows`` (as for
-        :meth:`from_spans`), and every other keeps its canonical tuples
-        with its first row in ``columnar``.
+        that got a record since) take the kernel's spans ``found`` over
+        their windows (as for :meth:`from_spans`), and every other keeps
+        its canonical tuples with its first row in ``columnar``.
 
         Exact, because an incident lies inside one instance (Definition
         4) and an untouched instance has the same records at the same
@@ -276,15 +297,15 @@ class IncidentSet:
         """
         spans = self.canonical_spans()
         # rows move only behind the first instance that grew
-        stay = bisect_left(spans, min(touched), key=itemgetter(0))
+        stay = bisect_left(spans, min(touched), key=_first)
         merged = list(spans[:stay])
         merged += [
             (wid, columnar.window(wid)[1], tuples)
             for wid, _, tuples in spans[stay:]
             if wid not in touched
         ]
-        merged += [(wid, lo, _canonical(found)) for wid, lo, found in windows]
-        merged.sort(key=itemgetter(0))
+        merged += _canonical(found, columnar.rows)
+        merged.sort(key=_first)
         return IncidentSet._over(columnar, None, tuple(merged))
 
     def _materialized(self) -> tuple[Incident, ...]:
@@ -422,8 +443,10 @@ class IncidentSet:
     def wids(self) -> tuple[int, ...]:
         """Instance ids that have at least one incident."""
         if self._columns is not None:
-            # one entry per matching instance, in wid order, in either form
-            return tuple(wid for wid, _, _ in self._raw or self.canonical_spans())
+            if self._spans is None:  # the kernel's list: the first rows' wids, in row order
+                firsts = map(self._columns[0].__getitem__, map(_first, self._raw))
+                return tuple(dict.fromkeys(map(_wid_of, firsts)))
+            return tuple(wid for wid, _, _ in self._spans)
         return tuple(sorted({o.wid for o in self._materialized()}))
 
     def lsn_sets(self) -> frozenset[frozenset[int]]:

@@ -11,11 +11,12 @@ opened as context managers::
 
 Two properties make the tracer suitable for the evaluation engines:
 
-* **key-merged spans** — engines evaluate each pattern node once per
-  workflow instance; passing a stable ``key`` (the node's position under
-  its parent) makes every re-entry *accumulate* into the same span
-  instead of appending a sibling, so the finished trace mirrors the
-  incident tree exactly, with per-node totals across all instances;
+* **key-merged spans** — the reference engine evaluates each pattern
+  node once per workflow instance (the join kernel once per evaluation);
+  passing a stable ``key`` (the node's position under its parent) makes
+  every re-entry *accumulate* into the same span instead of appending a
+  sibling, so the finished trace mirrors the incident tree exactly, with
+  per-node totals across all instances;
 * **a null implementation** — :data:`NULL_TRACER` satisfies the same
   interface with a single shared no-op span, so instrumented code runs
   untraced at negligible cost (verified by
@@ -205,11 +206,6 @@ class Tracer:
         if tags:
             span.tags.update(tags)
         return _SpanHandle(self, span)
-
-    @property
-    def current(self) -> Span | None:
-        """The innermost open span, or None when the tracer is idle."""
-        return self._stack[-1] if self._stack else None
 
     def __repr__(self) -> str:
         return f"Tracer({len(self.roots)} root(s))"

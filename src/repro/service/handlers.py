@@ -531,6 +531,10 @@ class QueryService:
                         cancel=entry.cancel,
                     )
                 )
+                if entry.cancel.is_set() and entry.cancel.governor is not None:
+                    # a kill that came after the run's last checkpoint, while
+                    # the reply was built: the query is listed until here
+                    entry.cancel.governor.check(payload.get("_stats_obj"))
             finally:
                 self.inflight.remove(ctx.query_id)
         stats = payload.pop("_stats_obj", None)

@@ -4,7 +4,8 @@ spliced in.
 ``ColumnarLog.extended`` must build what ``ColumnarLog.from_log`` builds,
 field by field, whatever the tail touches — a middle instance, a new wid
 below the highest or a new activity name (the last two take the full
-build) — and must share, not copy, the leaf spans of untouched windows.
+build) — and must share, not copy, the leaf incidents of the windows
+before the first touched one.
 """
 
 from __future__ import annotations
@@ -39,7 +40,7 @@ def assert_same_columns(extended: ColumnarLog, log: Log) -> None:
         assert getattr(extended, name) == getattr(full, name), name
     assert list(extended.wid_windows()) == list(full.wid_windows())
     for act_id in range(len(full.act_names)):
-        assert extended.leaf_spans(act_id) == full.leaf_spans(act_id)
+        assert extended.leaves(act_id) == full.leaves(act_id)
 
 
 @contextmanager
@@ -67,11 +68,11 @@ def test_columns_by_extension_are_from_logs(history):
     previous = store.snapshot()
     columnar = previous.columnar()
     for number, operations in enumerate(history[1:]):
-        # some activities have their leaf spans built before the append,
+        # some activities have their leaf lists built before the append,
         # the others are built on the extended columns
         for act_id in range(len(columnar.act_names)):
             if (act_id + number) % 2:
-                columnar.leaf_spans(act_id)
+                columnar.leaves(act_id)
         touched = play(store, operations)
         with full_builds() as entered:
             snapshot = store.snapshot()
@@ -85,10 +86,13 @@ def test_columns_by_extension_are_from_logs(history):
         )
         assert entered == ([snapshot] if reinterned else [])
         if not reinterned:
-            for act_id, by_window in columnar._leaf_spans.items():
-                for wi, wid in enumerate(previous.wids):
-                    # the lists of untouched windows are shared, not copied
-                    assert wid in touched or extended.leaf_spans(act_id)[wi] is by_window[wi]
+            old = [columnar.window(wid)[1] for wid in touched if wid in previous.wids]
+            redo = min(old, default=len(columnar))
+            for act_id, (spans, _) in columnar._leaves.items():
+                # the incidents before the first touched window are shared
+                kept = [span for span in spans if span[0] < redo]
+                now = extended.leaves(act_id)[0][: len(kept)]
+                assert len(now) == len(kept) and all(a is b for a, b in zip(now, kept))
         assert_same_columns(extended, snapshot)
         previous, columnar = snapshot, extended
 
@@ -102,7 +106,7 @@ def test_an_append_to_the_newest_instances_shares_every_other_index_array():
     old = store.snapshot().columnar()
     query = Query("A -> B -> C", EngineOptions(cache=QueryCache()))
     query.run(store.snapshot())
-    old_spans = {aid: old.leaf_spans(aid) for aid in range(len(old.act_names))}
+    old_spans = {aid: old.leaves(aid)[0] for aid in range(len(old.act_names))}
     store.append(3, "A")
     new_wid = store.open_instance()
     store.append(new_wid, "A")
@@ -113,8 +117,10 @@ def test_an_append_to_the_newest_instances_shares_every_other_index_array():
             assert list(new.act_rows(aid))[: len(old.act_rows(aid))] == list(old.act_rows(aid))
         else:  # nothing of B, C in the tail: the very same array
             assert new.act_rows(aid) is old.act_rows(aid)
-        for wi in range(2):  # instances 1 and 2 got nothing
-            assert new.leaf_spans(aid)[wi] is old_spans[aid][wi]
+        kept = [span for span in old_spans[aid] if span[0] < old.window(3)[1]]
+        # instances 1 and 2 got nothing: their incidents are the very same
+        assert all(a is b for a, b in zip(new.leaves(aid)[0], kept))
+        assert new.leaves(aid)[0][: len(kept)] == kept
     assert new.wids == (1, 2, 3, 4) and len(new) == len(old) + 3
     # the cached chain's next run joins the two instances appended to and
     # nothing else: one join per binary node per instance

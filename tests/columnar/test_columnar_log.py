@@ -73,19 +73,23 @@ class TestLayout:
         assert columnar.act_id_of("NoSuchActivity") is None
 
     def test_leaf_spans_cover_every_occurrence(self, figure3_log):
+        """The whole-log leaf list of an activity: one ``(row, row,
+        mask)`` per occurrence in row order, the mask's one bit the row's
+        place in its window, and the occurrences per window."""
         columnar = figure3_log.columnar()
         act_id = columnar.act_id_of("GetRefer")
-        spans = columnar.leaf_spans(act_id)
-        assert columnar.leaf_spans(act_id) is spans  # cached
-        windows = [columnar.rows[lo:hi] for _, lo, hi in columnar.wid_windows()]
-        per_window = [
-            sum(1 for r in window if r.activity == "GetRefer") for window in windows
+        spans, counts = columnar.leaves(act_id)
+        assert columnar.leaves(act_id)[0] is spans  # cached
+        windows = [(lo, hi) for _, lo, hi in columnar.wid_windows()]
+        assert list(counts) == [
+            sum(1 for r in columnar.rows[lo:hi] if r.activity == "GetRefer") for lo, hi in windows
         ]
-        assert [len(s) for s in spans] == per_window
-        for window, window_spans in zip(windows, spans):
-            for first, last, positions in window_spans:
-                assert first == last and positions == frozenset((first,))
-                assert window[first - 1].activity == "GetRefer"
+        assert [row for row, _, _ in spans] == list(columnar.act_rows(act_id))
+        for first, last, mask in spans:
+            lo = next(lo for lo, hi in windows if lo <= first < hi)
+            assert first == last and mask == 1 << (first - lo)
+            assert columnar.rows[first].activity == "GetRefer"
+            assert columnar.rows[first].is_lsn == first - lo + 1
 
 
 class TestProtocolSurface:

@@ -97,11 +97,11 @@ def test_reading_a_result_never_changes_what_the_kernel_shares(case_index):
     columnar = log.columnar()
     engine = VectorizedEngine()
     first, second = engine.evaluate_all(columnar, [pattern, pattern])[0]
-    leaf_spans = copy.deepcopy(columnar._leaf_spans)
+    leaves = copy.deepcopy(columnar._leaves)
     rows = second.to_rows()
     read_everything(first)
     # list equality: the order inside a shared list is what later joins rely on
-    assert columnar._leaf_spans == leaf_spans
+    assert columnar._leaves == leaves
     assert second.to_rows() == rows == first.to_rows()
     again, _ = engine.evaluate_all(columnar, [pattern])
     assert again[0].to_rows() == first.to_rows()
@@ -149,7 +149,11 @@ def test_kills_raise_what_the_parent_commit_raised():
     the commit before the kernel stopped materialising at the root, and
     re-recorded when the kernel began checking its budgets inside the
     joins: 23 of the 200 cases moved, each raising the same error as
-    before with no partial counter higher."""
+    before with no partial counter higher.  Re-recorded once more when
+    the kernel became set-at-a-time (one pass per pattern node, not per
+    instance): 44 kills moved with the order of the work, each raising
+    the same error class, every completed case unchanged and every
+    ``max_pairs`` kill within one slice of its budget."""
     golden = json.loads(KILL_GOLDEN.read_text(encoding="utf-8"))
     cases = kill_cases()
     assert len(golden) == len(cases)

@@ -118,6 +118,16 @@ class TestExists:
         engine = VectorizedEngine()
         assert engine.exists(log, parse("B ; C"))
 
+    def test_a_hit_in_the_first_instance_stops_the_scan(self):
+        # the non-greedy fallback runs over 1, 2, 4, ... instances: a hit
+        # in the first one joins that instance alone
+        log = Log.from_traces([["B", "C"], *[["B", "X", "C"]] * 60])
+        engine = VectorizedEngine()
+        assert engine.exists(log, parse("B ; C"))
+        assert engine.last_stats.operator_evals == 1
+        assert not engine.exists(log, parse("C ; B"))
+        assert engine.last_stats.operator_evals == 61
+
 
 class TestExistsFinishesItsStats:
     """Both ``exists`` strategies install ``last_stats`` and count one

@@ -149,17 +149,19 @@ class TestSpanBackedSet:
             act_names=("A", "B"),
         )
 
-    def spans(self, *position_sets):
-        return [(min(p), max(p), frozenset(p)) for p in position_sets]
+    def spans(self, lo, *position_sets):
+        """Kernel spans of the instance whose first row is ``lo``: global
+        first and last rows and a mask with bit ``p - 1`` per position."""
+        return [
+            (lo + min(p) - 1, lo + max(p) - 1, sum(1 << (q - 1) for q in p))
+            for p in position_sets
+        ]
 
     def kernel_result(self, columnar):
-        # (first, last)-sorted per window, ties in the order a join left them
+        # first-sorted over the whole log, ties in the order a join left them
         return IncidentSet.from_spans(
             columnar,
-            [
-                (1, 0, self.spans({1, 4, 6}, {1, 3, 6}, {2, 6}, {5})),
-                (2, 6, self.spans({2, 3})),
-            ],
+            self.spans(0, {1, 4, 6}, {1, 3, 6}, {2, 6}, {5}) + self.spans(6, {2, 3}),
         )
 
     def test_ties_on_first_and_last_break_by_position_tuple(self):
@@ -198,11 +200,11 @@ class TestSpanBackedSet:
             assert result.to_rows(limit) == result.to_rows()[:limit]
 
     def test_the_kernels_lists_are_never_changed(self):
-        windows = [(1, 0, self.spans({1, 4, 6}, {1, 3, 6}))]
-        before = [list(spans) for _, _, spans in windows]
-        result = IncidentSet.from_spans(self.columnar(), windows)
+        spans = self.spans(0, {1, 4, 6}, {1, 3, 6})
+        before = list(spans)
+        result = IncidentSet.from_spans(self.columnar(), spans)
         result.to_rows(), list(result), result.wids()
-        assert [list(spans) for _, _, spans in windows] == before
+        assert spans == before
 
     def test_an_empty_kernel_result(self):
         result = IncidentSet.from_spans(self.columnar(), [])

@@ -345,6 +345,26 @@ class TestQueryModes:
             query = {"log": "clinic", "pattern": item["pattern"], "mode": "count"}
             assert payload(post(service, "/v1/query", query))["count"] == item["count"]
 
+    def test_a_delta_root_reads_its_windows_of_a_node_a_whole_root_shares(self, service):
+        payload(post(service, "/v1/batch", {"log": "clinic", "patterns": ["GetRefer ; CheckIn"]}))
+        append = post(
+            service, "/v1/logs/clinic/records",
+            {"records": [
+                {"activity": "START", "wid": 7200},
+                {"activity": "GetRefer", "wid": 7200},
+                {"activity": "CheckIn", "wid": 7200},
+            ]},
+        )
+        assert append.status == 200
+        # the cached pattern is a delta root over the new instance; the new
+        # one runs whole and holds it, so the shared node runs once, whole
+        mixed = ["GetRefer ; CheckIn", "(GetRefer ; CheckIn) -> SeeDoctor"]
+        after = payload(post(service, "/v1/batch", {"log": "clinic", "patterns": mixed}))
+        for item in after["results"]:
+            query = {"log": "clinic", "pattern": item["pattern"], "mode": "count",
+                     "options": {"cache": False}}
+            assert payload(post(service, "/v1/query", query))["count"] == item["count"]
+
     def test_every_engine_answers_a_store_holding_a_lone_surrogate_name(self, service):
         # JSON carries "\ud800" over the wire; every engine the wire names
         # answers it (the SQL baseline's own test is in tests/baselines)

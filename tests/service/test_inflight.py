@@ -24,11 +24,14 @@ from repro.workflow.models import clinic_referral_workflow
 
 from .test_http import _request
 
-#: Slow enough to be caught in flight on any machine (~0.3s locally),
-#: fast enough not to drag the suite when the kill path fails.
+#: Slow enough to be caught in flight, fast enough not to drag the suite
+#: when the kill path fails: a kill has to land while the query is listed,
+#: after a poll and a DELETE.  On the 3 000-instance log this is about
+#: 60 ms of joins and 100 ms of reply (a four-stage chain of 5 500
+#: incidents, 46 + 20 ms, was missed 3 to 7 times in 10).
 HEAVY_PATTERN = (
-    "(GetRefer | UpdateRefer) -> (CheckIn | CheckOut) -> "
-    "(SeeDoctor | Treatment) -> (CheckOut | GetReimburse)"
+    "(GetRefer | UpdateRefer) -> (CheckIn | CheckOut) -> (SeeDoctor | PayTreatment) -> "
+    "(SeeDoctor | PayTreatment) -> (TakeTreatment | GetReimburse)"
 )
 
 
@@ -82,6 +85,29 @@ def _kill_in_flight(server, path: str, body: dict):
         thread.join(timeout=30)
     assert not thread.is_alive()
     return snapshot, json.loads(reply), outcome["response"]
+
+
+def test_a_kill_that_lands_while_the_reply_is_built_still_kills(server, monkeypatch) -> None:
+    """The query is listed until its reply is built: a DELETE that lands
+    after the run's last checkpoint answers ``cancelled`` and the client
+    gets the 503, as for a kill mid-join."""
+    from repro.core.incident import IncidentSet
+
+    real = IncidentSet.rows_json
+
+    def killed_meanwhile(self, limit=None):
+        (listed,) = server.service.inflight.list()
+        server.service.inflight.request_cancel(listed["query_id"], reason="killed by operator")
+        return real(self, limit)
+
+    monkeypatch.setattr(IncidentSet, "rows_json", killed_meanwhile)
+    body = {"log": "clinic", "patterns": ["GetRefer -> CheckIn"], "options": {"cache": False}}
+    status, _, reply = _request(server.url, "POST", "/v1/batch", body)
+    assert status == 503
+    error = json.loads(reply)["error"]
+    assert "killed by operator" in error["message"]
+    assert error["partial_stats"]["pairs_examined"] > 0
+    assert len(server.service.inflight) == 0
 
 
 def test_admin_delete_kills_a_listed_query(server) -> None:
