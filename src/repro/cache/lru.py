@@ -15,7 +15,7 @@ serialises access with one lock per cache.
 from __future__ import annotations
 
 from collections import OrderedDict
-from typing import Callable, Generic, Hashable, TypeVar
+from typing import Generic, Hashable, TypeVar
 
 __all__ = ["LruBytes"]
 
@@ -26,17 +26,11 @@ V = TypeVar("V")
 class LruBytes(Generic[K, V]):
     """LRU map bounded by total accounted bytes, not entry count."""
 
-    def __init__(
-        self,
-        budget_bytes: int,
-        *,
-        on_evict: Callable[[K, V, int], None] | None = None,
-    ) -> None:
+    def __init__(self, budget_bytes: int) -> None:
         if budget_bytes < 0:
             raise ValueError("budget_bytes must be >= 0")
         self.budget_bytes = budget_bytes
         self._entries: OrderedDict[K, tuple[V, int]] = OrderedDict()
-        self._on_evict = on_evict
         self.total_bytes = 0
         self.hits = 0
         self.misses = 0
@@ -81,11 +75,9 @@ class LruBytes(Generic[K, V]):
         self._entries[key] = (value, nbytes)
         self.total_bytes += nbytes
         while self.total_bytes > self.budget_bytes and self._entries:
-            cold_key, (cold_value, cold_bytes) = self._entries.popitem(last=False)
+            _, (_, cold_bytes) = self._entries.popitem(last=False)
             self.total_bytes -= cold_bytes
             self.evictions += 1
-            if self._on_evict is not None:
-                self._on_evict(cold_key, cold_value, cold_bytes)
         return True
 
     def keys(self) -> list[K]:

@@ -100,8 +100,8 @@ class QueryCache:
     Parameters
     ----------
     policy:
-        The :class:`~repro.cache.policy.CachePolicy` carrying the switch
-        and the byte budget; defaults to the default (on) policy.
+        The :class:`~repro.cache.policy.CachePolicy` carrying the byte
+        budget; defaults to the default policy.
     metrics:
         Optional registry receiving the ``cache.*`` counter/gauge
         family.  Set at construction so every consumer of a shared cache
@@ -174,8 +174,6 @@ class QueryCache:
     ) -> CachedResult | None:
         """Cache lookup; None on miss.  Hits hand out a *fresh* stats
         copy, so callers may mutate it freely."""
-        if not self.policy.enabled:
-            return None
         slot, epoch = _slot(key)
         with tracer.span("cache.result", key=()) as span:
             with self._lock:
@@ -200,7 +198,7 @@ class QueryCache:
         miss, and recency is left alone: the caller still has to
         evaluate, from this."""
         slot, epoch = _slot(key)
-        if epoch is None or not self.policy.enabled:
+        if epoch is None:
             return None
         with self._lock:
             held = self._results.peek(slot)
@@ -215,15 +213,13 @@ class QueryCache:
         stats: EvaluationStats | None = None,
     ) -> bool:
         """Store a finished result; returns False when it is not kept:
-        larger than the whole budget, the cache off, or computed over an
-        epoch older than the one its slot is filled for.
+        larger than the whole budget, or computed over an epoch older than
+        the one its slot is filled for.
 
         A result for a newer epoch replaces the slot's older one (a plain
         replacement, not an LRU eviction).  Content-fingerprint
         identities carry no order; each is its own slot, left to the LRU.
         """
-        if not self.policy.enabled:
-            return False
         entry = CachedResult(incidents=incidents, stats=_detach_stats(stats))
         nbytes = incidents_nbytes(incidents)
         slot, epoch = _slot(key)
@@ -325,8 +321,7 @@ def resolve_cache(
 
     * ``None`` / ``False`` — caching off;
     * ``True`` — the process-wide shared cache, default policy;
-    * a :class:`CachePolicy` — a *private* cache under that policy
-      (disabled policies resolve to None);
+    * a :class:`CachePolicy` — a *private* cache under that policy;
     * a :class:`QueryCache` — used as given (share one instance across
       queries for cross-query hits).
     """
@@ -335,9 +330,9 @@ def resolve_cache(
     if setting is True:
         return get_default_cache()
     if isinstance(setting, CachePolicy):
-        return QueryCache(setting) if setting.enabled else None
+        return QueryCache(setting)
     if isinstance(setting, QueryCache):
-        return setting if setting.policy.enabled else None
+        return setting
     raise TypeError(
         f"cache must be a QueryCache, CachePolicy, bool or None, "
         f"got {type(setting).__name__}"

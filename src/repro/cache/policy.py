@@ -1,7 +1,7 @@
 """Cache configuration.
 
-A :class:`CachePolicy` is a frozen value object describing *whether* to
-cache and *under which memory budget*; the runtime state lives in
+A :class:`CachePolicy` is a frozen value object describing the memory
+budget of a result cache; the runtime state lives in
 :class:`~repro.cache.manager.QueryCache`.  Policies travel inside
 :class:`~repro.core.options.EngineOptions`, so one immutable options
 object fully determines a query's caching behaviour.
@@ -19,16 +19,14 @@ DEFAULT_RESULT_BUDGET = 32 * 1024 * 1024
 
 @dataclass(frozen=True)
 class CachePolicy:
-    """Whether the query cache keeps results, and how much memory it may
-    hold.
+    """How much memory a query cache may hold.  The cache keeps
+    whole-query :class:`~repro.core.incident.IncidentSet` results, keyed
+    on ``(log epoch identity, normalized pattern, result-relevant
+    options)``; caching is off when an options object carries no cache
+    (``cache=None`` / ``False``).
 
     Attributes
     ----------
-    enabled:
-        The one switch.  An enabled cache keeps whole-query
-        :class:`~repro.core.incident.IncidentSet` results, keyed on
-        ``(log epoch identity, normalized pattern, result-relevant
-        options)``.
     result_budget_bytes:
         LRU byte budget.  Entries are accounted with
         :func:`~repro.cache.sizing.incidents_nbytes`; the least recently
@@ -36,7 +34,6 @@ class CachePolicy:
         an entry larger than the whole budget is rejected outright.
     """
 
-    enabled: bool = True
     result_budget_bytes: int = DEFAULT_RESULT_BUDGET
 
     def __post_init__(self) -> None:

@@ -24,6 +24,11 @@ POINTER_BYTES = 8
 #: Flat charge for an entry's key and LRU bookkeeping.
 ENTRY_OVERHEAD_BYTES = 64
 
+#: A tuple's size with no item, what each item adds, and a triple's.
+_TUPLE = sys.getsizeof(())
+_SLOT = sys.getsizeof((0,)) - _TUPLE
+_TRIPLE = sys.getsizeof((0, 0, 0))
+
 
 def incidents_nbytes(incidents: IncidentSet) -> int:
     """Retained bytes of one cache entry.
@@ -33,6 +38,9 @@ def incidents_nbytes(incidents: IncidentSet) -> int:
     integers shared with the interpreter or the log's leaf index, charged
     as the pointers the tuples already hold).  Sizing puts the set into
     that one form, so the charge is the same before and after any hit.
+    The containers are tuples, whose size is ``getsizeof(())`` plus one
+    pointer per item, so the charge is summed from their lengths without
+    visiting the position tuples one by one.
     A set built from :class:`Incident` objects is charged its
     bookkeeping, one pointer per member, and the members themselves: each
     incident object, its record tuple, its lsn frozenset and its sort key,
@@ -53,14 +61,13 @@ def incidents_nbytes(incidents: IncidentSet) -> int:
             )
         )
     getsizeof = sys.getsizeof
-    total = 2 * ENTRY_OVERHEAD_BYTES + getsizeof(spans)
-    for window in spans:
-        wid, lo, tuples = window
+    # per window: the (wid, lo, tuples) triple and the tuple of tuples
+    total = 2 * ENTRY_OVERHEAD_BYTES + getsizeof(spans) + len(spans) * (_TRIPLE + _TUPLE)
+    for wid, lo, tuples in spans:
         total += (
-            getsizeof(window)
-            + getsizeof(wid)
+            getsizeof(wid)
             + getsizeof(lo)
-            + getsizeof(tuples)
-            + sum(map(getsizeof, tuples))
+            + (_TUPLE + _SLOT) * len(tuples)
+            + _SLOT * sum(map(len, tuples))
         )
     return total

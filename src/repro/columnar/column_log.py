@@ -14,10 +14,11 @@ offsets and an activity index:
 * the *wid dictionary* (sorted distinct wids) and the offsets ``starts``;
   a row's instance is its window number and, in a well-formed log, its
   is-lsn is ``row - starts[i] + 1`` — no column holds either;
-* the activity index — ascending row numbers per ``act_id``, which
-  clipped to a window (:meth:`ColumnarLog.act_rows`) answer Algorithm 2's
-  per-(instance, activity) lookup, and which :meth:`ColumnarLog.leaves`
-  turns once into the join kernel's whole-log leaf list of the activity.
+* the activity index — per ``act_id``, the join kernel's whole-log leaf
+  list (:meth:`ColumnarLog.leaves`, built from the ``act_id`` column the
+  first time it is asked for), whose rows clipped to a window answer
+  Algorithm 2's per-(instance, activity) lookup, and the activity's
+  number of rows (:meth:`ColumnarLog.act_total`).
 
 A :class:`Log` builds its view when it is made and answers ``wids``,
 ``instance`` and ``is_complete`` off it; the view
@@ -33,9 +34,9 @@ from __future__ import annotations
 from array import array
 from bisect import bisect_left, bisect_right
 from collections import Counter
-from collections.abc import Iterator, Sequence
-from itertools import accumulate
-from operator import attrgetter
+from collections.abc import Iterable, Iterator, Sequence
+from itertools import accumulate, chain, compress, repeat
+from operator import attrgetter, eq, itemgetter
 
 from repro.core.model import Log, LogRecord
 
@@ -55,7 +56,7 @@ class ColumnarLog:
         "_starts",
         "_act_names",
         "_act_index",
-        "_act_rows",
+        "_act_totals",
         "_leaves",
         "_leaf_bases",
     )
@@ -86,9 +87,7 @@ class ColumnarLog:
         act_names = tuple(sorted(set(activities)))
         act_index = {name: i for i, name in enumerate(act_names)}
         act_col = array("q", map(act_index.__getitem__, activities))
-        act_rows: tuple[array, ...] = tuple(array("q") for _ in act_names)
-        for row, aid in enumerate(act_col):
-            act_rows[aid].append(row)
+        totals = Counter(act_col)
 
         new = cls.__new__(cls)
         new._rows = rows
@@ -98,7 +97,7 @@ class ColumnarLog:
         new._starts = starts
         new._act_names = act_names
         new._act_index = act_index
-        new._act_rows = act_rows
+        new._act_totals = array("q", map(totals.__getitem__, range(len(act_names))))
         new._leaves = {}
         new._leaf_bases = {}
         return new
@@ -110,16 +109,13 @@ class ColumnarLog:
 
         Each touched instance's new rows are spliced in after its window
         (a new instance's after the last window) by slice concatenation;
-        the offsets and the activity index behind the first splice move
-        up by what went in before them, so an append to the newest
-        instances costs the batch and one to an old instance a renumbering
-        at ``map`` speed.  The row-number arrays of activities with no row
-        behind the first splice are shared with this view.  A leaf list
-        this view has built (:meth:`leaves`) is the base of the new view's:
-        its incidents up to the first touched window are kept, by
-        reference, the first time the new view is asked for it, and the
-        rest is built from the new rows then — no leaf list is copied per
-        epoch.
+        the offsets behind the first splice move up by what went in before
+        them, and the activity totals by the tail.  A leaf list this view
+        has built (:meth:`leaves`) is the base of the new view's, with the
+        first row of the first touched window: its incidents before that
+        row are kept, by reference, the first time the new view is asked
+        for it, and the rest is built then from the ``act_id`` column from
+        that row on — no leaf list is copied or renumbered per epoch.
 
         A tail that re-interns a dictionary, an activity name this view
         has not seen or a new wid below the highest, changes the ids in
@@ -159,13 +155,17 @@ class ColumnarLog:
         def ints(value):
             return [array("q", [value(r) for r in recs]) for _, _, recs in splices]
 
+        act_ids = ints(lambda r: act_index[r.activity])
         new = ColumnarLog.__new__(ColumnarLog)
         new._rows = tuple(spliced([], self._rows, [recs for _, _, recs in splices]))
         new._lsn = spliced(array("q"), self._lsn, ints(lambda r: r.lsn))
-        new._act_id = spliced(array("q"), self._act_id, ints(lambda r: act_index[r.activity]))
+        new._act_id = spliced(array("q"), self._act_id, act_ids)
         new._wid_values = wid_values + new_wids
         new._act_names = self._act_names
         new._act_index = act_index
+        new._act_totals = totals = array("q", self._act_totals)
+        for aid in chain.from_iterable(act_ids):
+            totals[aid] += 1
 
         # a window ends later by what it and the windows before it grew
         starts = array("q", self._starts)
@@ -178,41 +178,16 @@ class ColumnarLog:
             starts.append(starts[-1] + len(recs))
         new._starts = starts
 
-        # an activity's rows keep their numbers up to the first splice and
-        # move up behind it by what went in before them; the array of an
-        # activity with no row from there on is shared
-        cut = splices[0][1] if splices else len(self._rows)
-        tail_ids = {act_index[rec.activity] for rec in tail}
-
-        def renumbered(aid: int, rows: array) -> array:
-            if aid not in tail_ids and not (rows and rows[-1] >= cut):
-                return rows
-            prev = bisect_left(rows, cut)
-            out = rows[:prev]
-            shift = 0
-            for _, at, recs in splices:
-                upto = bisect_left(rows, at, prev)
-                out.extend(map(shift.__add__, rows[prev:upto]))
-                out.extend(
-                    [at + shift + k for k, r in enumerate(recs) if act_index[r.activity] == aid]
-                )
-                shift += len(recs)
-                prev = upto
-            out.extend(map(shift.__add__, rows[prev:]))
-            return out
-
-        new._act_rows = tuple(renumbered(aid, rows) for aid, rows in enumerate(self._act_rows))
-
-        # a leaf list is unchanged up to the first touched window (masks
+        # a leaf list is unchanged before the first touched window (masks
         # are window-relative and rows move only behind it): the next
         # leaves() of the activity keeps that part and builds the rest
         redo = self._starts[splices[0][0]] if splices else len(self._rows)
         new._leaves = {}
         new._leaf_bases = {
-            aid: (spans, counts, min(keep, bisect_left(self._act_rows[aid], redo)))
-            for aid, (spans, counts, keep) in [
+            aid: (spans, counts, min(since, redo))
+            for aid, (spans, counts, since) in [
                 *self._leaf_bases.items(),  # queries change both: copy them first
-                *((aid, (*leaves, len(leaves[0]))) for aid, leaves in list(self._leaves.items())),
+                *((aid, (*leaves, redo)) for aid, leaves in list(self._leaves.items())),
             ]
         }
         return new
@@ -280,10 +255,9 @@ class ColumnarLog:
             raise KeyError(wid_value)
         return i, self._starts[i], self._starts[i + 1]
 
-    def act_rows(self, act_id: int) -> array:
-        """Ascending row numbers of records with activity ``act_id`` (one
-        activity's records of one instance when clipped to its window)."""
-        return self._act_rows[act_id]
+    def act_total(self, act_id: int) -> int:
+        """How many rows have activity ``act_id``."""
+        return self._act_totals[act_id]
 
     def leaves(self, act_id: int) -> tuple[list[tuple[int, int, int]], array]:
         """The join kernel's leaf incidents of one activity over the whole
@@ -292,23 +266,27 @@ class ColumnarLog:
         The incidents are ``(row, row, mask)`` in row order, ``mask`` an
         int with the bit ``row - lo`` of the row's window ``[lo, hi)``
         set; the counts are indexed by window number (the position of
-        the wid in :attr:`wids`).  Both are built once per activity and
-        cached (positive leaves become lookups); they are shared, so
-        callers must treat them as immutable.
+        the wid in :attr:`wids`).  Both are built once per activity, from
+        the ``act_id`` column, and cached (positive leaves become
+        lookups); they are shared, so callers must treat them as
+        immutable.
         """
         leaves = self._leaves.get(act_id)
         if leaves is None:
             windows = len(self._wid_values)
-            spans, counts, keep = self._leaf_bases.get(act_id, ([], array("q"), 0))
-            spans = spans[:keep]
+            spans, counts, since = self._leaf_bases.get(act_id, ([], array("q"), 0))
+            spans = spans[: bisect_left(spans, since, key=_first)]
             counts = counts + array("q", bytes(8 * (windows - len(counts))))
-            spans += _leaf_list(self._act_rows[act_id][keep:], self._starts, counts)
+            rows = compress(
+                range(since, len(self._rows)), map(eq, self._act_id[since:], repeat(act_id))
+            )
+            spans += _leaf_list(rows, self._starts, counts)
             leaves = self._leaves[act_id] = (spans, counts)
             self._leaf_bases.pop(act_id, None)
         return leaves
 
 
-def _leaf_list(rows: Sequence[int], starts: Sequence[int], counts: array | dict[int, int]) -> list:
+def _leaf_list(rows: Iterable[int], starts: Sequence[int], counts: array | dict[int, int]) -> list:
     """``(row, row, 1 << (row - lo))`` for each of the ascending ``rows``,
     ``lo`` the first row of its window; writes the number of rows in each
     window met into ``counts``, by window number."""
@@ -328,6 +306,7 @@ def _leaf_list(rows: Sequence[int], starts: Sequence[int], counts: array | dict[
     return spans
 
 
+_first = itemgetter(0)
 _lsn_of = attrgetter("lsn")
 _wid_of = attrgetter("wid")
 _activity_of = attrgetter("activity")

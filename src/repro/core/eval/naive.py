@@ -7,9 +7,10 @@ This engine is a faithful transcription of Section 3:
 * a query is evaluated by post-order traversal of its incident tree
   (Algorithm 2), evaluating each workflow instance separately against its
   window of the log's columnar index (Algorithm 3's ``LogRecordsDict``);
-* atomic leaves read the per-activity row index clipped to that window,
-  so generating the incidents of an activity node costs a bisection plus
-  its output size.
+* atomic leaves read the rows of the activity's leaf list
+  (:meth:`~repro.columnar.ColumnarLog.leaves`, the log's one per-activity
+  index) clipped to that window, so generating the incidents of an
+  activity node costs a bisection plus its output size.
 
 It exists both as the baseline whose measured complexity the benchmark
 harness compares against Lemma 1/Theorem 1 and as a second implementation
@@ -20,6 +21,7 @@ from __future__ import annotations
 
 from bisect import bisect_left
 from collections.abc import Callable, Sequence
+from operator import itemgetter
 
 from repro.columnar.column_log import ColumnarLog, as_columnar
 from repro.core.eval.base import Engine, EvaluationStats, node_label
@@ -42,6 +44,8 @@ __all__ = [
     "choice_eval",
     "parallel_eval",
 ]
+
+_first = itemgetter(0)
 
 
 def consecutive_eval(
@@ -150,14 +154,14 @@ class NaiveEngine(Engine):
         columnar = as_columnar(log)
         stats = self._new_stats()
         incidents: list[Incident] = []
-        # each leaf activity's rows, as a list taken once per evaluation:
-        # bisecting the index's array goes through the sequence protocol
-        act_rows: dict[int, list[int]] = {}
+        # each leaf activity's rows, the firsts of its leaf list, taken
+        # once per evaluation
+        leaf_rows: dict[int, list[int]] = {}
         with self.tracer.span("evaluate", key=(), engine=self.name, pattern=str(pattern)):
             for _, lo, hi in columnar.wid_windows():
                 self._checkpoint(stats)
                 incidents.extend(
-                    self._eval_node(columnar, act_rows, lo, hi, pattern, stats, "root")
+                    self._eval_node(columnar, leaf_rows, lo, hi, pattern, stats, "root")
                 )
             self._check_budget(len(incidents))
             stats.note_live(len(incidents))
@@ -168,7 +172,7 @@ class NaiveEngine(Engine):
     def _eval_node(
         self,
         columnar: ColumnarLog,
-        act_rows: dict[int, list[int]],
+        leaf_rows: dict[int, list[int]],
         lo: int,
         hi: int,
         pattern: Pattern,
@@ -186,16 +190,16 @@ class NaiveEngine(Engine):
                 else:
                     # per-activity index lookup, clipped to the instance's
                     # rows ("constant time" per Section 3.2)
-                    index = act_rows.get(act_id) or act_rows.setdefault(
-                        act_id, columnar.act_rows(act_id).tolist()
+                    index = leaf_rows.get(act_id) or leaf_rows.setdefault(
+                        act_id, list(map(_first, columnar.leaves(act_id)[0]))
                     )
                     start = bisect_left(index, lo)
                     candidates = map(rows.__getitem__, index[start : bisect_left(index, hi, start)])
                 result = [Incident([r]) for r in candidates if pattern.matches(r)]
             else:
                 assert isinstance(pattern, BinaryPattern)
-                left = self._eval_node(columnar, act_rows, lo, hi, pattern.left, stats, 0)
-                right = self._eval_node(columnar, act_rows, lo, hi, pattern.right, stats, 1)
+                left = self._eval_node(columnar, leaf_rows, lo, hi, pattern.left, stats, 0)
+                right = self._eval_node(columnar, leaf_rows, lo, hi, pattern.right, stats, 1)
                 stats.note_operator(pattern.symbol)
                 pairs_before = stats.pairs_examined
                 if isinstance(pattern, Consecutive):

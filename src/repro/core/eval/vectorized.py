@@ -35,12 +35,14 @@ so is the work accounting: ``pairs_examined`` counts each join's slices
 as a window-at-a-time join would, and ``operator_evals`` /
 ``per_operator`` count one evaluation per binary node per window.
 
-Leaves read the columns, never the record objects: a positive leaf is
-the activity's cached whole-log leaf list
+Leaves read the columns, never the record objects: over the whole log a
+positive leaf is the activity's cached whole-log leaf list
 (:meth:`~repro.columnar.ColumnarLog.leaves`), a negated one the other
-activities' lists merged.  Attribute-guarded leaves (subclasses of
-:class:`~repro.core.pattern.Atomic`) need the attribute maps and match
-the record objects of their candidate rows.  The root hands its list to
+activities' lists merged, and over fewer windows a leaf reads those
+windows' slices of the ``act_id`` column.  Attribute-guarded leaves
+(subclasses of :class:`~repro.core.pattern.Atomic`) need the attribute
+maps and match the record objects of their candidate rows.  The root
+hands its list to
 :meth:`IncidentSet.from_spans <repro.core.incident.IncidentSet.from_spans>`
 as it is; :class:`~repro.core.incident.Incident` objects exist only once
 a caller iterates the result.
@@ -83,8 +85,8 @@ import sys
 from bisect import bisect_left, bisect_right
 from collections import Counter, deque
 from collections.abc import Iterable, Sequence, Set
-from itertools import accumulate, chain, compress, islice, repeat
-from operator import itemgetter, ne, sub
+from itertools import accumulate, chain, compress, repeat
+from operator import eq, itemgetter, ne, sub
 
 from repro.columnar.column_log import ColumnarLog, _leaf_list, as_columnar
 from repro.core.algebra import flatten_chain
@@ -136,23 +138,22 @@ def _leaf_rows(
     columnar: ColumnarLog, pattern: Atomic, starts: list[int], scope: _Scope
 ) -> list[int]:
     """The ascending rows of ``scope`` whose records match one leaf, for
-    the joins and for :meth:`VectorizedEngine.count` alike: a positive
-    leaf's from the activity index, a negated one's from the ``act_id``
-    column; an attribute-guarded leaf (a subclass of
-    :class:`~repro.core.pattern.Atomic`) needs the attribute maps, so its
-    candidate rows' records are matched."""
+    the joins and for :meth:`VectorizedEngine.count` alike: over the whole
+    log a positive leaf's are the firsts of its activity's leaf list, and
+    anything else's are read off slices of the ``act_id`` column, so a
+    partial scope never builds a leaf list; an attribute-guarded leaf (a
+    subclass of :class:`~repro.core.pattern.Atomic`) needs the attribute
+    maps, so its candidate rows' records are matched."""
     act_id = columnar.act_id_of(pattern.name)
     rows: list[int] = []
-    if pattern.negated:
-        act_col = columnar._act_id
-        for a, b in scope:
-            lo, hi = starts[a], starts[b]
-            rows += compress(range(lo, hi), map(ne, islice(act_col, lo, hi), repeat(act_id)))
-    elif act_id is not None:
-        index = columnar._act_rows[act_id]
-        for a, b in scope:
-            lo = bisect_left(index, starts[a])
-            rows += index[lo : bisect_left(index, starts[b], lo)]
+    if pattern.negated or act_id is not None:
+        if not pattern.negated and scope == ((0, len(starts) - 1),):
+            rows = list(map(_first, columnar.leaves(act_id)[0]))
+        else:
+            act_col, test = columnar._act_id, ne if pattern.negated else eq
+            for a, b in scope:
+                lo, hi = starts[a], starts[b]
+                rows += compress(range(lo, hi), map(test, act_col[lo:hi], repeat(act_id)))
     if type(pattern) is not Atomic:
         records, matches = columnar._rows, pattern.matches
         rows = [row for row in rows if matches(records[row])]

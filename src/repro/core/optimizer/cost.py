@@ -60,17 +60,14 @@ class LogStatistics:
 
     @classmethod
     def from_log(cls, log: "Log | ColumnarLog") -> "LogStatistics":
-        """The statistics of ``log``, read off its columnar activity index
-        (built once per log and cached on it) — no record is visited."""
+        """The statistics of ``log``, read off its columnar view's
+        per-activity totals — no record is visited and no index built."""
         columnar = as_columnar(log)
         return cls(
             total_records=len(columnar),
             instance_count=len(columnar.wids),
             activity_counts=Counter(
-                {
-                    name: len(columnar.act_rows(act_id))
-                    for act_id, name in enumerate(columnar.act_names)
-                }
+                {name: columnar.act_total(act_id) for act_id, name in enumerate(columnar.act_names)}
             ),
         )
 

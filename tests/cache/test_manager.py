@@ -364,13 +364,12 @@ class TestDeletedOptions:
         with pytest.raises(TypeError):
             VectorizedEngine(cache=QueryCache())
 
-    def test_policy_has_two_fields_and_stats_six_keys(self):
+    def test_policy_has_one_field_and_stats_six_keys(self):
         import dataclasses
 
-        assert [f.name for f in dataclasses.fields(CachePolicy)] == [
-            "enabled",
-            "result_budget_bytes",
-        ]
+        assert [f.name for f in dataclasses.fields(CachePolicy)] == ["result_budget_bytes"]
+        with pytest.raises(TypeError):
+            CachePolicy(enabled=False)
         assert CachePolicy().with_budget(7).result_budget_bytes == 7
         assert sorted(QueryCache().stats()) == [
             "result_bytes",
@@ -413,7 +412,6 @@ class TestResolveCache:
         cache = resolve_cache(policy)
         assert isinstance(cache, QueryCache)
         assert cache.policy is policy
-        assert resolve_cache(CachePolicy(enabled=False)) is None
 
     def test_instances_pass_through(self):
         cache = QueryCache()

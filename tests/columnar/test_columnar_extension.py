@@ -30,7 +30,7 @@ FIELDS = (
     "_starts",
     "_act_names",
     "_act_index",
-    "_act_rows",
+    "_act_totals",
 )
 
 
@@ -97,6 +97,22 @@ def test_columns_by_extension_are_from_logs(history):
         previous, columnar = snapshot, extended
 
 
+def test_a_leaf_base_carried_over_two_epochs_keeps_what_neither_touched():
+    store = LogStore()
+    wids = [store.open_instance() for _ in range(3)]
+    for wid in wids:
+        store.append(wid, "A")
+        store.append(wid, "B")
+    first = store.snapshot().columnar()
+    for act_id in range(len(first.act_names)):
+        first.leaves(act_id)
+    store.append(wids[2], "A")
+    store.snapshot()  # extended, and no leaf list asked of it
+    store.append(wids[0], "A")  # now an earlier window grows
+    snapshot = store.snapshot()
+    assert_same_columns(snapshot.columnar(), snapshot)
+
+
 def test_an_append_to_the_newest_instances_shares_every_other_index_array():
     store = LogStore()
     for _ in range(3):
@@ -112,11 +128,12 @@ def test_an_append_to_the_newest_instances_shares_every_other_index_array():
     store.append(new_wid, "A")
     new = store.snapshot().columnar()
     names = new.act_names
+    # the rows before instance 3's window did not move
+    assert new.act_id_col[: old.window(3)[1]] == old.act_id_col[: old.window(3)[1]]
     for aid, name in enumerate(names):
-        if name in ("A", "START"):
-            assert list(new.act_rows(aid))[: len(old.act_rows(aid))] == list(old.act_rows(aid))
-        else:  # nothing of B, C in the tail: the very same array
-            assert new.act_rows(aid) is old.act_rows(aid)
+        # the tail's two A and one START advance the totals, nothing else
+        grown = {"A": 2, "START": 1}.get(name, 0)
+        assert new.act_total(aid) == old.act_total(aid) + grown == len(new.leaves(aid)[0])
         kept = [span for span in old_spans[aid] if span[0] < old.window(3)[1]]
         # instances 1 and 2 got nothing: their incidents are the very same
         assert all(a is b for a, b in zip(new.leaves(aid)[0], kept))

@@ -58,18 +58,17 @@ class TestLayout:
         with pytest.raises(TypeError):
             columnar.lsn_col[0] = 99
 
-    def test_act_rows_matches_with_activity(self, figure3_log):
+    def test_leaf_rows_match_with_activity(self, figure3_log):
         columnar = figure3_log.columnar()
         for name in figure3_log.activities:
             act_id = columnar.act_id_of(name)
             assert act_id is not None
-            records = sorted(
-                (columnar.rows[row] for row in columnar.act_rows(act_id)),
-                key=lambda r: r.lsn,
-            )
+            rows = [row for row, _, _ in columnar.leaves(act_id)[0]]
+            records = sorted((columnar.rows[row] for row in rows), key=lambda r: r.lsn)
             assert records == records_of(figure3_log, name)
-        see_doctor = columnar.act_rows(columnar.act_id_of("SeeDoctor"))
-        assert sorted(columnar.rows[row].lsn for row in see_doctor) == [9, 11, 13, 17]
+            assert columnar.act_total(act_id) == len(records)
+        spans, _ = columnar.leaves(columnar.act_id_of("SeeDoctor"))
+        assert sorted(columnar.rows[row].lsn for row, _, _ in spans) == [9, 11, 13, 17]
         assert columnar.act_id_of("NoSuchActivity") is None
 
     def test_leaf_spans_cover_every_occurrence(self, figure3_log):
@@ -84,7 +83,10 @@ class TestLayout:
         assert list(counts) == [
             sum(1 for r in columnar.rows[lo:hi] if r.activity == "GetRefer") for lo, hi in windows
         ]
-        assert [row for row, _, _ in spans] == list(columnar.act_rows(act_id))
+        act_ids = columnar.act_id_col
+        assert [row for row, _, _ in spans] == [
+            row for row in range(len(columnar)) if act_ids[row] == act_id
+        ]
         for first, last, mask in spans:
             lo = next(lo for lo, hi in windows if lo <= first < hi)
             assert first == last and mask == 1 << (first - lo)

@@ -192,8 +192,8 @@ class TestLogViews:
 
     def test_with_activity_index(self, figure3_log):
         columnar = figure3_log.columnar()
-        rows = columnar.act_rows(columnar.act_id_of("SeeDoctor"))
-        lsns = [columnar.rows[row].lsn for row in rows]
+        spans, _ = columnar.leaves(columnar.act_id_of("SeeDoctor"))
+        lsns = [columnar.rows[row].lsn for row, _, _ in spans]
         assert lsns == [9, 11, 13, 17]
         assert columnar.act_id_of("NoSuch") is None
 

@@ -29,9 +29,13 @@ def assert_same_log(extended: Log, whole: Log) -> None:
         assert extended.is_complete(wid) == whole.is_complete(wid)
     index, whole_index = extended.columnar(), whole.columnar()
     for activity in whole.activities:
-        rows = index.act_rows(index.act_id_of(activity))
-        whole_rows = whole_index.act_rows(whole_index.act_id_of(activity))
-        assert [index.rows[row] for row in rows] == [whole_index.rows[row] for row in whole_rows]
+        act_id, whole_act_id = index.act_id_of(activity), whole_index.act_id_of(activity)
+        spans, counts = index.leaves(act_id)
+        assert (spans, counts) == whole_index.leaves(whole_act_id)
+        assert index.act_total(act_id) == whole_index.act_total(whole_act_id) == len(spans)
+        assert [index.rows[row] for row, _, _ in spans] == [
+            record for record in whole_index.rows if record.activity == activity
+        ]
     for record in whole.records:
         assert extended.record(record.lsn) is record and record in extended
     assert (extended.epoch, extended.lineage, extended.is_snapshot) == (
